@@ -15,10 +15,19 @@ need no retraction:
 Both routes integrate over straight segments and require a global
 Euclidean base chart (a simply connected base with trivial first
 cohomology).
+
+One-forms take stacks (see `numdiff`): `BaseOneForm.value` maps
+``(d, *stack)`` points and tangents to ``(k, *stack)`` values, so each
+segment integral evaluates its integrand once, on all quadrature nodes.
+With a stackable group (`Translation`, `Torus`), the descended difference
+of two local connections and the connection derived from a local discrete
+form evaluate a stack in one call; other presentations and groups are
+evaluated column by column.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,7 +35,8 @@ import numpy as np
 
 from . import bundles, connections, derivation, groups
 from .bundles import BundlePoint, DomainSpec, TrivialBundle
-from .connections import ConnectionForm, eval_connection
+from .connections import (ConnectionForm, TrivialLocalConnection,
+                          eval_connection)
 from .discrete import (ComposedDiscrete, DiscreteConnectionForm,
                        TrivialLocalDiscrete, eval_discrete)
 from .errors import (CurvatureMismatch, DescentFailure, NotClosed,
@@ -34,11 +44,15 @@ from .errors import (CurvatureMismatch, DescentFailure, NotClosed,
 from .groups import AlgebraElement, GroupKind
 from .manifolds import (EuclideanChart, ManifoldKind, ManifoldPoint,
                         TangentVector)
-from .numdiff import (DerivativeSpec, gauss_legendre_line_integral,
-                      richardson_derivative)
+from .numdiff import (DerivativeSpec, by_column,
+                      gauss_legendre_line_integral, on_stack,
+                      richardson_derivative, worst_defect)
 
 QUADRATURE_ORDER = 8
 QUADRATURE_PANELS = 16
+# Primitive values kept per primitive.  Curvature-matched evaluations look
+# a point up again within a few lookups, so a small bound keeps every hit.
+PRIMITIVE_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -51,9 +65,12 @@ class BaseOneForm:
     name: str = "one_form"
 
     def value(self, m_coords, v_components):
-        return np.asarray(self.form(np.asarray(m_coords, dtype=float),
-                                    np.asarray(v_components, dtype=float)),
-                          dtype=float).reshape(self.group.dim)
+        """(k, *stack) values at (d, *stack) points and tangents; a single
+        point gives a (k,) vector."""
+        m = np.asarray(m_coords, dtype=float)
+        v = np.asarray(v_components, dtype=float)
+        stack = np.broadcast_shapes(m.shape[1:], v.shape[1:])
+        return on_stack(self.form(m, v), self.group.dim, stack)
 
 
 @dataclass(frozen=True)
@@ -79,25 +96,52 @@ def _require_euclidean_base(base: ManifoldKind, what: str):
             "Euclidean base chart")
 
 
+def _exterior_derivative(omega: BaseOneForm, m, u, w,
+                         spec: DerivativeSpec):
+    """d omega (u, w) at m for constant-coefficient extensions of u, w, on
+    (d, *stack) stacks.  A column whose smallest difference step is lost to
+    rounding (m + h u barely moves from m) has no measurable derivative and
+    reads NaN."""
+    d_uw = richardson_derivative(lambda t: omega.value(m + t * u, w), spec)
+    d_wu = richardson_derivative(lambda t: omega.value(m + t * w, u), spec)
+    h = spec.base_step / 2 ** (spec.richardson_levels - 1)
+    lost = np.zeros(np.shape(m)[1:], dtype=bool)
+    for x in (u, w):
+        step = h * x
+        lost |= (np.linalg.norm((m + step) - m - step, axis=0)
+                 > 0.5 * np.linalg.norm(step, axis=0))
+    return np.where(lost, np.nan, d_uw - d_wu)
+
+
 def exterior_defect(omega: BaseOneForm, m_coords, u, w,
                     spec: DerivativeSpec = DerivativeSpec()) -> float:
-    """|d omega (u, w)| at m for constant-coefficient extensions of u, w."""
+    """|d omega (u, w)| at m for constant-coefficient extensions of u, w;
+    NaN when the difference step is lost to rounding at m."""
     m = np.asarray(m_coords, dtype=float)
     u = np.asarray(u, dtype=float)
     w = np.asarray(w, dtype=float)
-    d_uw = richardson_derivative(lambda t: omega.value(m + t * u, w), spec)
-    d_wu = richardson_derivative(lambda t: omega.value(m + t * w, u), spec)
-    return float(np.linalg.norm(d_uw - d_wu))
+    return float(np.linalg.norm(_exterior_derivative(omega, m, u, w, spec)))
+
+
+def _worst_exterior_defect(omega: BaseOneForm, samples,
+                           spec: DerivativeSpec) -> float:
+    """Worst |d omega (u, w)| over (m, u, w) samples, evaluated as one
+    stack."""
+    samples = list(samples)
+    if not samples:
+        return 0.0
+    m, u, w = (np.asarray(np.stack(column, axis=-1), dtype=float)
+               for column in zip(*samples))
+    return worst_defect(np.linalg.norm(
+        _exterior_derivative(omega, m, u, w, spec), axis=0))
 
 
 def check_closed(omega: BaseOneForm, samples, tol: float = 1e-8,
                  spec: DerivativeSpec = DerivativeSpec()) -> float:
     """Worst exterior-derivative defect over (m, u, w) samples; raise if
     the form fails to be closed at the tolerance."""
-    worst = 0.0
-    for m, u, w in samples:
-        worst = max(worst, exterior_defect(omega, m, u, w, spec))
-    if worst > tol:
+    worst = _worst_exterior_defect(omega, samples, spec)
+    if not worst <= tol:
         raise NotClosed(f"d omega defect {worst:.3e} exceeds {tol:.1e}")
     return worst
 
@@ -116,13 +160,24 @@ def descend_continuous_difference(A: ConnectionForm, A_ref: ConnectionForm,
     bundle = A.bundle
     _require_abelian(bundle.group)
 
-    def form(m_coords, v_components):
-        point = ManifoldPoint.of(bundle.base, m_coords)
-        q = bundles.section_over(bundle, point)
-        v = bundles.any_lift(q, TangentVector(
-            point, bundle.base.project_tangent(point.coords, v_components)))
-        return (eval_connection(A, v).vector
-                - eval_connection(A_ref, v).vector)
+    if (isinstance(A, TrivialLocalConnection)
+            and isinstance(A_ref, TrivialLocalConnection)
+            and bundle.group.stackable):
+        def form(m_coords, v_components):
+            return (_local_value_at_identity(A, m_coords, v_components)
+                    - _local_value_at_identity(A_ref, m_coords, v_components))
+    else:
+        def at_point(m_coords, v_components):
+            point = ManifoldPoint.of(bundle.base, m_coords)
+            q = bundles.section_over(bundle, point)
+            v = bundles.any_lift(q, TangentVector(
+                point, bundle.base.project_tangent(point.coords,
+                                                   v_components)))
+            return (eval_connection(A, v).vector
+                    - eval_connection(A_ref, v).vector)
+
+        def form(m_coords, v_components):
+            return by_column(at_point, m_coords, v_components)
 
     omega = BaseOneForm(bundle.base, bundle.group, form, name="difference")
 
@@ -169,13 +224,31 @@ def descend_discrete_difference(Ad: DiscreteConnectionForm,
     return zeta
 
 
+def _local_value_at_identity(A: TrivialLocalConnection, m_coords,
+                             v_components):
+    """A on the base lift of v at the identity section over m, for
+    (d, *stack) stacks and a stackable group, with the arithmetic of
+    `eval_connection`."""
+    base, group = A.bundle.base, A.bundle.group
+    m = base.validate(m_coords)
+    v = base.project_tangent(m, v_components)
+    stack = m.shape[1:]
+    lift = (group.dim,) + (1,) * len(stack)
+    omega_val = on_stack(A.omega(m, v), group.dim, stack)
+    return (group.adjoint_data(group.identity_data().reshape(lift), omega_val)
+            + np.zeros(lift))
+
+
 def _segment_integral(omega: BaseOneForm, m0, m1, order, panels):
-    m0 = np.asarray(m0, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
+    """Integral of omega over the straight segments m0 -> m1, for
+    (d, *stack) endpoints; the integrand takes all nodes at once."""
+    m0 = np.asarray(m0, dtype=float)[..., None]
+    m1 = np.asarray(m1, dtype=float)[..., None]
     direction = m1 - m0
 
     def integrand(t):
-        return omega.value(m0 + t * direction, direction)
+        points = m0 + t * direction
+        return omega.value(points, np.broadcast_to(direction, points.shape))
 
     return gauss_legendre_line_integral(integrand, 0.0, 1.0,
                                         order=order, panels=panels)
@@ -207,17 +280,22 @@ def flat_integrate_local(bundle: TrivialBundle, omega: BaseOneForm,
 def primitive_on_segments(omega: BaseOneForm, anchor,
                           order: int = QUADRATURE_ORDER,
                           panels: int = QUADRATURE_PANELS) -> Callable:
-    """f(m) = integral of omega over the straight segment anchor -> m."""
+    """f(m) = integral of omega over the straight segment anchor -> m.
+
+    Values are cached per point in a least-recently-used cache of
+    PRIMITIVE_CACHE_SIZE entries; `f.cache_info()` reports its use.
+    """
     anchor = np.asarray(anchor, dtype=float)
-    cache = {}
+
+    @functools.lru_cache(maxsize=PRIMITIVE_CACHE_SIZE)
+    def integral_to(key):
+        return _segment_integral(omega, anchor, np.frombuffer(key), order,
+                                 panels)
 
     def f(m_coords):
-        key = np.asarray(m_coords, dtype=float).tobytes()
-        if key not in cache:
-            cache[key] = _segment_integral(omega, anchor, m_coords, order,
-                                           panels)
-        return cache[key]
+        return integral_to(np.asarray(m_coords, dtype=float).tobytes())
 
+    f.cache_info = integral_to.cache_info
     return f
 
 
@@ -234,10 +312,7 @@ def derived_curvature_mismatch(A: ConnectionForm,
     """
     A_ref = derivation.derive_connection(Ad_ref, spec)
     eps = descend_continuous_difference(A, A_ref)
-    worst = 0.0
-    for m, u, w in samples:
-        worst = max(worst, exterior_defect(eps, m, u, w, spec))
-    return worst
+    return _worst_exterior_defect(eps, samples, spec)
 
 
 def curvature_matched_integrate(A: ConnectionForm,
@@ -263,7 +338,7 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     if match_samples:
         worst = derived_curvature_mismatch(A, Ad_ref, match_samples, spec)
-        if worst > match_tol:
+        if not worst <= match_tol:
             raise CurvatureMismatch(
                 f"derived curvatures differ: defect {worst:.3e} "
                 f"exceeds {match_tol:.1e}")

@@ -27,7 +27,7 @@ from .bundles import (BundlePoint, BundleTangent, HopfBundle, PrincipalBundle,
 from .errors import BundleMismatch, UnsupportedPresentation
 from .groups import AlgebraElement, GroupElement
 from .manifolds import EuclideanChart, TangentVector
-from .numdiff import DerivativeSpec, richardson_derivative
+from .numdiff import DerivativeSpec, richardson_derivative, worst_defect
 
 
 class ConnectionForm:
@@ -178,8 +178,8 @@ def reconstruction_defect(A: ConnectionForm, q: BundlePoint,
 
 def verify_connection_axioms(A: ConnectionForm, samples) -> float:
     """Worst verticality/equivariance defect over (q, v, xi, g) samples."""
-    worst = 0.0
+    defects = []
     for q, v, xi, g in samples:
-        worst = max(worst, verticality_defect(A, q, xi))
-        worst = max(worst, equivariance_defect(A, g, v))
-    return worst
+        defects.append(verticality_defect(A, q, xi))
+        defects.append(equivariance_defect(A, g, v))
+    return worst_defect(defects)

@@ -19,10 +19,13 @@ import numpy as np
 from . import bundles, connections, groups
 from .bundles import BundlePoint, BundleTangent, TrivialBundle
 from .connections import ConnectionForm, GenericConnection, TrivialLocalConnection
-from .discrete import DiscreteConnectionForm, discrete_horizontal_lift, eval_discrete
+from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
+                       discrete_horizontal_lift, eval_discrete)
+from .errors import OutsideDomain
 from .groups import AlgebraElement
 from .manifolds import ManifoldPoint, TangentVector
-from .numdiff import DerivativeSpec, richardson_derivative
+from .numdiff import (DerivativeSpec, by_column, on_stack,
+                      richardson_derivative)
 
 
 def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
@@ -36,17 +39,68 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
     return richardson_derivative(f, spec, check_consistency=True)
 
 
+def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
+                           delta_components, spec: DerivativeSpec):
+    """omega(m)(delta) = d/dt log C(m, step(m, t delta)) at t = 0 for the
+    pair map C of a local discrete form with a stackable group, on
+    (d, *stack) stacks.
+
+    This is `pair_derivative` at the identity section with a base
+    direction: the group data operations run in the order in which
+    `bundle_curve` and `eval_discrete` apply them, so the result has the
+    same bits, and the base validation, the domain test and the Richardson
+    consistency test are the same.
+    """
+    base, group = Ad.bundle.base, Ad.bundle.group
+    m = base.validate(m_coords)
+    delta = np.asarray(delta_components, dtype=float).reshape(m.shape)
+    stack = m.shape[1:]
+    lift = (group.dim,) + (1,) * len(stack)
+    e = group.identity_data().reshape(lift)
+    fiber = np.zeros(lift)
+
+    def f(t):
+        m_t = base.validate(base.geodesic_step(m, t * delta))
+        dist = np.ravel(base.distance(m, m_t))
+        outside = np.flatnonzero(~(dist < Ad.domain.base_radius))
+        if outside.size:
+            raise OutsideDomain(
+                f"pair at base distance {dist[outside[0]]:.4g} "
+                f"outside radius {Ad.domain.base_radius:.4g}")
+        g_t = group.compose_data(group.exp_data(t * fiber), e)
+        c = group.wrap(on_stack(Ad.pair_map(m, m_t), group.dim, stack))
+        value = group.compose_data(
+            g_t, group.compose_data(c, group.inverse_data(e)))
+        return on_stack(group.log_data(value), group.dim, stack)
+
+    return richardson_derivative(f, spec, check_consistency=True)
+
+
 def derive_connection(Ad: DiscreteConnectionForm,
                       spec: DerivativeSpec = DerivativeSpec()) -> ConnectionForm:
-    """Continuous connection obtained by differentiating a discrete one."""
+    """Continuous connection obtained by differentiating a discrete one.
+
+    On a trivial bundle the result is a local one-form on the base that
+    takes (d, *stack) stacks: a local discrete form with a stackable group
+    is differentiated through its pair map on the whole stack, any other
+    form column by column through `pair_derivative`.
+    """
     bundle = Ad.bundle
-    if isinstance(bundle, TrivialBundle):
+    if isinstance(Ad, TrivialLocalDiscrete) and bundle.group.stackable:
         def omega(m_coords, delta_components):
-            q = BundlePoint.trivial(bundle, np.asarray(m_coords, dtype=float),
+            return _local_pair_derivative(Ad, m_coords, delta_components, spec)
+
+        return TrivialLocalConnection(bundle, omega, name="derived")
+    if isinstance(bundle, TrivialBundle):
+        def at_point(m_coords, delta_components):
+            q = BundlePoint.trivial(bundle, m_coords,
                                     groups.identity(bundle.group))
             v = bundles.make_trivial_tangent(
                 q, delta_components, np.zeros(bundle.group.dim))
             return pair_derivative(Ad, q, v, spec)
+
+        def omega(m_coords, delta_components):
+            return by_column(at_point, m_coords, delta_components)
 
         return TrivialLocalConnection(bundle, omega, name="derived")
 

@@ -27,6 +27,7 @@ from .bundles import (BundlePoint, DomainSpec, PrincipalBundle, TrivialBundle,
 from .errors import BundleMismatch, OutsideDomain, UnsupportedPresentation
 from .groups import GroupElement
 from .manifolds import ManifoldPoint
+from .numdiff import worst_defect
 
 
 class DiscreteConnectionForm:
@@ -110,12 +111,11 @@ def lift_consistency_defect(Ad: DiscreteConnectionForm, q: BundlePoint,
 
 def verify_discrete_axioms(Ad: DiscreteConnectionForm, samples) -> float:
     """Worst identity/equivariance defect over (q0, q1, g, g') samples."""
-    worst = 0.0
+    defects = []
     for q0, q1, g, g_prime in samples:
-        worst = max(worst, identity_defect(Ad, q0))
-        worst = max(worst,
-                    discrete_equivariance_defect(Ad, g, g_prime, q0, q1))
-    return worst
+        defects.append(identity_defect(Ad, q0))
+        defects.append(discrete_equivariance_defect(Ad, g, g_prime, q0, q1))
+    return worst_defect(defects)
 
 
 def flatness_defect(Ad: DiscreteConnectionForm, q0: BundlePoint,

@@ -4,6 +4,10 @@ Supported structure groups: translation groups R^k, the circle, tori T^n,
 SO(3), and finite products of these.  Circle and torus elements are stored
 as angles reduced to (-pi, pi]; SO(3) elements as orthogonal 3x3 matrices;
 algebra elements as real vectors (so(3) via the hat map).
+
+The data operations of the vector groups (`Translation`, `Torus`) also
+accept ``(dim, *stack)`` stacks of elements, coordinate axis first, and
+act column by column.
 """
 
 from __future__ import annotations
@@ -23,6 +27,12 @@ def reduce_angle(theta):
     return -((-np.asarray(theta, dtype=float) + np.pi) % _TWO_PI - np.pi)
 
 
+def _stacked_vector(data, dim):
+    """Vector data of shape (dim,), or a (dim, *stack) stack of them."""
+    data = np.asarray(data, dtype=float)
+    return data.reshape((dim,) + data.shape[1:])
+
+
 def hat(w):
     """Hat map sending a 3-vector to the matching skew matrix."""
     x, y, z = w
@@ -38,6 +48,8 @@ class GroupKind:
 
     dim: int
     abelian: bool
+    # Whether the data operations below accept (dim, *stack) stacks.
+    stackable = False
 
     # -- conversions ------------------------------------------------------
     def wrap(self, data):
@@ -75,14 +87,14 @@ class GroupKind:
 class Translation(GroupKind):
     dim: int
     abelian = True
+    stackable = True
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("translation dimension must be >= 1")
 
     def wrap(self, data):
-        data = np.asarray(data, dtype=float).reshape(self.dim)
-        return data
+        return _stacked_vector(data, self.dim)
 
     def identity_data(self):
         return np.zeros(self.dim)
@@ -113,13 +125,14 @@ class Translation(GroupKind):
 class Torus(GroupKind):
     dim: int
     abelian = True
+    stackable = True
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("torus dimension must be >= 1")
 
     def wrap(self, data):
-        return reduce_angle(np.asarray(data, dtype=float).reshape(self.dim))
+        return reduce_angle(_stacked_vector(data, self.dim))
 
     def identity_data(self):
         return np.zeros(self.dim)

@@ -25,6 +25,7 @@ from .errors import BundleMismatch, NotEquivariant, OutsideDomain
 from .groups import AlgebraElement, GroupElement
 from .manifolds import (EUCLIDEAN_RADIUS_SENTINEL, ManifoldPoint, Metric,
                         Retraction, TangentVector)
+from .numdiff import worst_defect
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +161,8 @@ def equivariance_defect(R: BundleRetraction, g: GroupElement,
 
 def certify_equivariance(R: BundleRetraction, samples, tol: float = 1e-8):
     """Check R(g . v) = g . R(v) on (g, v) samples; raise on failure."""
-    worst = 0.0
-    for g, v in samples:
-        worst = max(worst, equivariance_defect(R, g, v))
-    if worst > tol:
+    worst = worst_defect([equivariance_defect(R, g, v) for g, v in samples])
+    if not worst <= tol:
         raise NotEquivariant(
             f"equivariance defect {worst:.3e} exceeds {tol:.1e}")
     return worst

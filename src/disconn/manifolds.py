@@ -72,14 +72,20 @@ class EuclideanChart(ManifoldKind):
     def coord_size(self):
         return self.dim
 
+    # validate, project_tangent, distance and geodesic_step also take
+    # (dim, *stack) stacks of points, coordinate axis first.
     def validate(self, coords):
-        return np.asarray(coords, dtype=float).reshape(self.dim)
+        x = np.asarray(coords, dtype=float)
+        return x.reshape((self.dim,) + x.shape[1:])
 
     def project_tangent(self, point, components):
-        return np.asarray(components, dtype=float).reshape(self.dim)
+        return self.validate(components)
 
     def distance(self, a, b):
-        return float(np.linalg.norm(a - b))
+        diff = a - b
+        if diff.ndim > 1:
+            return np.linalg.norm(diff, axis=0)
+        return float(np.linalg.norm(diff))
 
     def chart_coords(self, center, point):
         return point - center

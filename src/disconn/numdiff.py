@@ -1,10 +1,21 @@
-"""Finite-difference helpers.
+"""Numerical kernels: difference quotients, quadrature and defect reduction.
 
 All directional derivatives in the library go through `richardson_derivative`:
 central differences with steps h and h/2 plus Richardson extrapolation.
 Documented accuracy is about 1e-7 relative on unit-scale smooth inputs.
+
+Stacks.  The abelian route on trivial bundles evaluates many points in one
+call.  Points and tangents are then ``(d, *stack)`` arrays, coordinate axis
+first, and values are ``(k, *stack)`` arrays; a single point is the empty
+stack ``()``.  A point and its tangent share one stack.  Callables written
+for single points, such as ``lambda m, v: np.array([m[0] * v[1]])``, work
+unchanged on stacks, because ``m[0]`` is then a whole row; a constant value
+such as ``np.array([0.0])`` is broadcast by the caller (`on_stack`).
+Stacked evaluation performs the same floating-point operations in the same
+order as a loop over the columns, so its results are equal bit for bit.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +52,8 @@ def richardson_derivative(f, spec=DerivativeSpec(), check_consistency=False,
     default two levels this is one extrapolation step.  When
     `check_consistency` is set, the last two tableau entries must agree to
     `rel_tol` (relative to scale 1 + |value|) or NonDifferentiable is raised.
+    A stacked f returns (k, *stack) values; the test then applies to each
+    column, and one failing column raises.
     """
     h = spec.base_step
     slopes = [central_slope(f, h / 2 ** k) for k in range(spec.richardson_levels)]
@@ -55,25 +68,71 @@ def richardson_derivative(f, spec=DerivativeSpec(), check_consistency=False,
         ])
     best = tableau[-1][0]
     if check_consistency and spec.richardson_levels >= 2:
-        prev_best = tableau[-2][0]
-        scale = 1.0 + float(np.linalg.norm(best))
-        if float(np.linalg.norm(best - prev_best)) > rel_tol * scale:
+        gap = np.ravel(np.linalg.norm(
+            np.atleast_1d(best - tableau[-2][0]), axis=0))
+        scale = 1.0 + np.ravel(np.linalg.norm(np.atleast_1d(best), axis=0))
+        bad = np.flatnonzero(gap > rel_tol * scale)
+        if bad.size:
+            i = bad[0]
             raise NonDifferentiable(
                 "Richardson levels disagree: "
-                f"{float(np.linalg.norm(best - prev_best)):.3e} > {rel_tol:.1e} * {scale:.3e}"
-            )
+                f"{gap[i]:.3e} > {rel_tol:.1e} * {scale[i]:.3e}")
     return best
 
 
 def gauss_legendre_line_integral(f, a, b, order=8, panels=16):
-    """Integrate the vector-valued f over [a, b] by composite Gauss-Legendre."""
+    """Integrate the vector-valued f over [a, b] by composite Gauss-Legendre.
+
+    f is called once, with the vector of all order * panels nodes, and
+    returns values with the node axis last; a value without that axis is
+    constant.  The weighted values are summed one node after another in
+    panel order, as a loop over the nodes would.
+    """
     nodes, weights = np.polynomial.legendre.leggauss(order)
-    total = None
     edges = np.linspace(a, b, panels + 1)
-    for left, right in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        for t, w in zip(nodes, weights):
-            value = half * w * np.asarray(f(mid + half * t), dtype=float)
-            total = value if total is None else total + value
-    return total
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    coeffs = (half[:, None] * weights).ravel()
+    values = np.asarray(f(x), dtype=float)
+    if values.shape[-1:] != x.shape:
+        values = values[..., None]
+    # A sequential prefix sum, not the pairwise summation of np.sum.
+    return np.add.accumulate(coeffs * values, axis=-1)[..., -1]
+
+
+def on_stack(values, dim, stack):
+    """Values of a callable as a (dim, *stack) array: a constant (dim,)
+    value is broadcast over the stack, and with the empty stack the result
+    has shape (dim,)."""
+    values = np.asarray(values, dtype=float)
+    if not stack:
+        return values.reshape(dim)
+    if values.size == dim:
+        values = values.reshape((dim,) + (1,) * len(stack))
+    return np.broadcast_to(values, (dim,) + tuple(stack))
+
+
+def by_column(fn, m, v):
+    """fn(point, tangent) -> (k,) evaluated over (d, *stack) arrays, one
+    column after another; a single point is passed through."""
+    m = np.asarray(m, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if m.ndim <= 1 and v.ndim <= 1:
+        return fn(m, v)
+    m, v = np.broadcast_arrays(m, v)
+    stack = m.shape[1:]
+    columns = [np.asarray(fn(m[(slice(None),) + i], v[(slice(None),) + i]),
+                          dtype=float) for i in np.ndindex(stack)]
+    return np.stack(columns, axis=-1).reshape(columns[0].shape + stack)
+
+
+def worst_defect(defects):
+    """Largest of the defects, 0.0 when there are none.  Any NaN makes the
+    result NaN, so a defect that could not be measured fails every
+    tolerance (a running max(worst, d) would drop it: max(0.0, nan) is
+    0.0)."""
+    defects = np.ravel(np.asarray(defects, dtype=float))
+    if np.isnan(defects).any():
+        return float("nan")
+    return functools.reduce(max, defects.tolist(), 0.0)

@@ -11,7 +11,7 @@ Schema (all unknown keys rejected):
     {
       "name": str,
       "seed": int,
-      "sample_count": int,                     # default 100
+      "sample_count": int > 0,                 # default 100
       "box": [[lo, hi], ...],                  # base sampling box, optional
       "bundle": {"kind": "trivial",
                  "base": {"kind": "R^d"|"S2"|"S3", "dim": int},
@@ -29,7 +29,8 @@ Schema (all unknown keys rejected):
                      "retraction": "straight"|"exp"|"great_circle"
                                    |"skewed"|"chart",
                      "domain_radius": float},
-      "checks": [{"name": str, "tolerance": float, ...params}, ...]
+      "checks": [{"name": str, "tolerance": float > 0,
+                  "samples": int > 0, ...params}, ...]
     }
 
 One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
@@ -42,6 +43,7 @@ One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .bundles import BundlePoint, DomainSpec, HopfBundle, TrivialBundle
 from .errors import DisconnError, ParseError, UnknownBuiltin
 from .manifolds import (EUCLIDEAN_RADIUS_SENTINEL, EuclideanChart,
                         ManifoldPoint, Sphere, TangentVector)
-from .numdiff import DerivativeSpec
+from .numdiff import DerivativeSpec, worst_defect
 
 
 def rng_for(seed, stream):
@@ -164,12 +166,25 @@ def load_scenario(path):
     for key in ("name", "seed", "bundle"):
         if key not in cfg:
             raise ParseError(f"scenario is missing required key {key!r}")
+    if not _is_positive_int(cfg.get("sample_count", 1)):
+        raise ParseError("sample_count must be a positive integer")
     for check in cfg.get("checks", []):
         if "name" not in check:
             raise ParseError("every check needs a name")
-        if float(check.get("tolerance", 1.0)) <= 0:
-            raise ParseError("check tolerances must be positive")
+        try:
+            tolerance = float(check.get("tolerance", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"bad check tolerance: {exc}") from exc
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise ParseError("check tolerances must be positive and finite")
+        if not _is_positive_int(check.get("samples", 1)):
+            raise ParseError("check samples must be a positive integer")
     return cfg
+
+
+def _is_positive_int(value):
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value > 0
 
 
 def _build_base(spec):
@@ -225,7 +240,7 @@ class ScenarioContext:
             integ["retraction"] = retraction_override
         if metric_override:
             integ["metric"] = metric_override
-        if domain_radius_override:
+        if domain_radius_override is not None:
             integ["domain_radius"] = domain_radius_override
         self.integrator_cfg = integ
 
@@ -375,6 +390,7 @@ class ScenarioContext:
         if isinstance(self.bundle, TrivialBundle):
             base = rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
             fiber = rng.uniform(-1.0, 1.0, self.bundle.group.dim)
+            base = self.bundle.base.project_tangent(q.base_point.coords, base)
             return bundles.make_trivial_tangent(q, base, fiber)
         vec = rng.uniform(-1.0, 1.0, 4)
         vec -= np.dot(vec, q.ambient) * q.ambient
@@ -426,29 +442,29 @@ def _need_connection(ctx):
 
 def check_connection_axioms(ctx, params, rng, n):
     A = _need_connection(ctx)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q = ctx.sample_point(rng)
         v = ctx.sample_bundle_tangent(rng, q)
         xi = ctx.sample_algebra(rng)
         g = ctx.sample_group(rng)
-        worst = max(worst, connections.verticality_defect(A, q, xi))
-        worst = max(worst, connections.equivariance_defect(A, g, v))
-    return worst
+        defects.append(connections.verticality_defect(A, q, xi))
+        defects.append(connections.equivariance_defect(A, g, v))
+    return worst_defect(defects)
 
 
 def check_discrete_axioms(ctx, params, rng, n):
     Ad = _first_discrete(ctx)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q0 = ctx.sample_point(rng)
         q1 = ctx.sample_nearby_point(rng, q0)
         g = ctx.sample_group(rng)
         g2 = ctx.sample_group(rng)
-        worst = max(worst, discrete.identity_defect(Ad, q0))
-        worst = max(worst, discrete.discrete_equivariance_defect(
+        defects.append(discrete.identity_defect(Ad, q0))
+        defects.append(discrete.discrete_equivariance_defect(
             Ad, g, g2, q0, q1))
-    return worst
+    return worst_defect(defects)
 
 
 def check_retraction_axioms(ctx, params, rng, n):
@@ -456,93 +472,91 @@ def check_retraction_axioms(ctx, params, rng, n):
         rule = integration.reduced_retraction(ctx.connection, ctx.retraction)
     else:
         rule = manifolds.metric_exponential(ctx.bundle.base)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         m = ctx.sample_base_point(rng)
         v = ctx.sample_base_tangent(rng, m)
         cap = 0.2 * min(rule.domain_radius, 2.0)
         if v.norm > cap:
             v = v.scaled(cap / v.norm)
-        worst = max(worst,
-                    manifolds.check_retraction_axioms(rule, m, v,
-                                                      ctx.fd_spec))
-    return worst
+        defects.append(manifolds.check_retraction_axioms(rule, m, v,
+                                                        ctx.fd_spec))
+    return worst_defect(defects)
 
 
 def check_exp_log_roundtrip(ctx, params, rng, n):
     kind = ctx.bundle.group
-    worst = 0.0
+    defects = []
     for _ in range(n):
         xi = groups.AlgebraElement.of(
             kind, rng.uniform(-1.0, 1.0, kind.dim) * 2.8 / np.sqrt(kind.dim))
         back = groups.log(groups.exp(xi))
-        worst = max(worst, float(np.linalg.norm(back.vector - xi.vector)))
+        defects.append(float(np.linalg.norm(back.vector - xi.vector)))
         g = ctx.sample_group(rng)
-        worst = max(worst,
-                    groups.group_distance(groups.exp(groups.log(g)), g))
-    return worst
+        defects.append(groups.group_distance(groups.exp(groups.log(g)), g))
+    return worst_defect(defects)
 
 
 def check_derive_roundtrip(ctx, params, rng, n):
     A = _need_connection(ctx)
     Ad = _first_discrete(ctx)
     derived = derivation.derive_connection(Ad, ctx.fd_spec)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q = ctx.sample_point(rng)
         v = ctx.sample_bundle_tangent(rng, q)
         lhs = connections.eval_connection(derived, v).vector
         rhs = connections.eval_connection(A, v).vector
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+        defects.append(float(np.linalg.norm(lhs - rhs)))
+    return worst_defect(defects)
 
 
 def check_lift_roundtrip(ctx, params, rng, n):
     A = _need_connection(ctx)
     Ad = _first_discrete(ctx)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q = ctx.sample_point(rng)
         dm = ctx.sample_base_tangent(rng, bundles.project(q))
         direct = derivation.derive_horizontal(Ad, q, dm, ctx.fd_spec)
         lifted = connections.horizontal_lift(A, q, dm)
-        worst = max(worst, float(np.linalg.norm(
+        defects.append(float(np.linalg.norm(
             direct.components - lifted.components)))
-    return worst
+    return worst_defect(defects)
 
 
 def check_diagram(ctx, params, rng, n):
     Ad = _first_discrete(ctx)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q = ctx.sample_point(rng)
         dm = ctx.sample_base_tangent(rng, bundles.project(q))
-        worst = max(worst, derivation.check_diagram(Ad, q, dm, ctx.fd_spec))
-    return worst
+        defects.append(derivation.check_diagram(Ad, q, dm, ctx.fd_spec))
+    return worst_defect(defects)
 
 
 def check_discrete_flatness(ctx, params, rng, n):
     Ad = _first_discrete(ctx)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q0 = ctx.sample_point(rng)
         q1 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
         q2 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
-        worst = max(worst, discrete.flatness_defect(Ad, q0, q1, q2))
-    return worst
+        defects.append(discrete.flatness_defect(Ad, q0, q1, q2))
+    return worst_defect(defects)
 
 
 def check_derived_curvature(ctx, params, rng, n):
     Ad = _first_discrete(ctx)
     derived = derivation.derive_connection(Ad, ctx.fd_spec)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         m = ctx.sample_base_point(rng)
         u = ctx.sample_base_tangent(rng, m)
         w = ctx.sample_base_tangent(rng, m)
         value = connections.curvature(derived, u, w, ctx.fd_spec)
-        worst = max(worst, float(np.linalg.norm(value.vector)))
-    return worst
+        defects.append(float(np.linalg.norm(value.vector)))
+    return worst_defect(defects)
 
 
 def check_distinctness(ctx, params, rng, n):
@@ -564,7 +578,7 @@ def check_distinctness(ctx, params, rng, n):
     v1 = discrete.eval_discrete(ctx.discretes[1], q0, q1)
     observed = groups.group_distance(v0, v1)
     required = float(params.get("min_difference", 0.1))
-    return max(0.0, required - observed)
+    return worst_defect([required - observed])
 
 
 def check_same_derived_curvature(ctx, params, rng, n):
@@ -572,43 +586,43 @@ def check_same_derived_curvature(ctx, params, rng, n):
         raise ParseError("check needs two discrete connections")
     d1 = derivation.derive_connection(ctx.discretes[0], ctx.fd_spec)
     d2 = derivation.derive_connection(ctx.discretes[1], ctx.fd_spec)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         m = ctx.sample_base_point(rng)
         u = ctx.sample_base_tangent(rng, m)
         w = ctx.sample_base_tangent(rng, m)
         c1 = connections.curvature(d1, u, w, ctx.fd_spec)
         c2 = connections.curvature(d2, u, w, ctx.fd_spec)
-        worst = max(worst, float(np.linalg.norm(c1.vector - c2.vector)))
-    return worst
+        defects.append(float(np.linalg.norm(c1.vector - c2.vector)))
+    return worst_defect(defects)
 
 
 def check_same_discrete_curvature(ctx, params, rng, n):
     if len(ctx.discretes) < 2:
         raise ParseError("check needs two discrete connections")
     d1, d2 = ctx.discretes[0], ctx.discretes[1]
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q0 = ctx.sample_point(rng)
         q1 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
         q2 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
         b1 = discrete.discrete_curvature(d1, q0, q1, q2)
         b2 = discrete.discrete_curvature(d2, q0, q1, q2)
-        worst = max(worst, groups.group_distance(b1, b2))
-    return worst
+        defects.append(groups.group_distance(b1, b2))
+    return worst_defect(defects)
 
 
 def check_closed_form(ctx, params, rng, n):
     if ctx.omega is None:
         raise ParseError("closed_form check needs a local connection")
-    worst = 0.0
+    defects = []
     for _ in range(n):
         m = ctx.sample_base_coords(rng)
         u = rng.uniform(-1.0, 1.0, ctx.bundle.base.coord_size)
         w = rng.uniform(-1.0, 1.0, ctx.bundle.base.coord_size)
-        worst = max(worst, abelian.exterior_defect(ctx.omega, m, u, w,
-                                                   ctx.fd_spec))
-    return worst
+        defects.append(abelian.exterior_defect(ctx.omega, m, u, w,
+                                               ctx.fd_spec))
+    return worst_defect(defects)
 
 
 def check_uniqueness_pair(ctx, params, rng, n):
@@ -619,32 +633,31 @@ def check_uniqueness_pair(ctx, params, rng, n):
     rebuilt = abelian.curvature_matched_integrate(
         A, Ad_ref, anchor=ctx.anchor, spec=ctx.fd_spec,
         order=ctx.quadrature_order, panels=ctx.quadrature_panels)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q0 = ctx.sample_point(rng)
         q1 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.5)
         v_ref = discrete.eval_discrete(Ad_ref, q0, q1)
         v_new = discrete.eval_discrete(rebuilt, q0, q1)
-        worst = max(worst, groups.group_distance(v_ref, v_new))
-    return worst
+        defects.append(groups.group_distance(v_ref, v_new))
+    return worst_defect(defects)
 
 
 def check_metric_invariance(ctx, params, rng, n):
     A = _need_connection(ctx)
     gm = integration.build_invariant_metric(A)
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q = ctx.sample_point(rng)
         u = ctx.sample_bundle_tangent(rng, q)
         w = ctx.sample_bundle_tangent(rng, q)
         g = ctx.sample_group(rng)
-        worst = max(worst,
-                    integration.metric_invariance_defect(gm, g, u, w))
-    return worst
+        defects.append(integration.metric_invariance_defect(gm, g, u, w))
+    return worst_defect(defects)
 
 
 def check_retraction_equivariance(ctx, params, rng, n):
-    worst = 0.0
+    defects = []
     for _ in range(n):
         q = ctx.sample_point(rng)
         v = ctx.sample_bundle_tangent(rng, q)
@@ -652,9 +665,9 @@ def check_retraction_equivariance(ctx, params, rng, n):
         if v.norm > cap:
             v = bundles.BundleTangent(q, v.components * cap / v.norm)
         g = ctx.sample_group(rng)
-        worst = max(worst, integration.equivariance_defect(
+        defects.append(integration.equivariance_defect(
             ctx.retraction, g, v))
-    return worst
+    return worst_defect(defects)
 
 
 CHECKS = {

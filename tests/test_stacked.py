@@ -1,0 +1,246 @@
+"""Stacked evaluation on the abelian route: a stack of points gives the
+same bits as a loop over its columns."""
+
+import numpy as np
+import pytest
+
+from disconn import groups
+from disconn.abelian import (PRIMITIVE_CACHE_SIZE, BaseOneForm,
+                             curvature_matched_integrate,
+                             descend_continuous_difference,
+                             flat_integrate_local, primitive_on_segments)
+from disconn.bundles import (BundlePoint, DomainSpec, TrivialBundle,
+                             make_trivial_tangent)
+from disconn.connections import TrivialLocalConnection, eval_connection
+from disconn.derivation import derive_connection, pair_derivative
+from disconn.discrete import TrivialLocalDiscrete, eval_discrete
+from disconn.errors import NonDifferentiable, OutsideDomain
+from disconn.groups import Circle, Torus, Translation
+from disconn.integration import (integrate_connection,
+                                 trivial_product_retraction)
+from disconn.manifolds import EuclideanChart
+from disconn.numdiff import DerivativeSpec, gauss_legendre_line_integral
+
+# One (group, one-form, pair map) per structure group: R^1, U(1), T^2.
+CASES = {
+    "R1": (Translation(1),
+           lambda m, v: np.array([m[0] * v[1] + np.sin(m[1]) * v[0]]),
+           lambda m0, m1: np.array([0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])])),
+    "U1": (Circle(),
+           lambda m, v: np.array([m[1] * m[1] * v[0]]),
+           lambda m0, m1: np.array([np.cos(m0[1]) * (m1[0] - m0[0])
+                                    + m1[1] - m0[1]])),
+    "T2": (Torus(2),
+           lambda m, v: np.array([m[0] * v[1], m[1] * v[1] - v[0]]),
+           lambda m0, m1: np.array([m0[0] * (m1[1] - m0[1]),
+                                    (m1[0] - m0[0]) * (1.0 + m1[1])])),
+}
+
+
+def stack_of(n, d=2, seed=7):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, (d, n)), rng.uniform(-1.0, 1.0, (d, n))
+
+
+def by_loop(fn, m, v):
+    return np.stack([fn(m[:, i], v[:, i]) for i in range(m.shape[1])],
+                    axis=-1)
+
+
+def reference_quadrature(f, a, b, order=8, panels=16):
+    """Composite Gauss-Legendre as a loop over the nodes, one call each."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    total = None
+    edges = np.linspace(a, b, panels + 1)
+    for left, right in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (left + right)
+        half = 0.5 * (right - left)
+        for t, w in zip(nodes, weights):
+            value = half * w * np.asarray(f(mid + half * t), dtype=float)
+            total = value if total is None else total + value
+    return total
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    group, form, pair_map = CASES[request.param]
+    B = TrivialBundle(EuclideanChart(2), group)
+    return B, form, pair_map
+
+
+class TestStackedEqualsLoop:
+    def test_one_form(self, case):
+        B, form, _ = case
+        omega = BaseOneForm(B.base, B.group, form)
+        m, v = stack_of(9)
+        got = omega.value(m, v)
+        assert got.shape == (B.group.dim, 9)
+        assert np.array_equal(got, by_loop(omega.value, m, v))
+
+    def test_derived_omega(self, case):
+        B, _, pair_map = case
+        Ad = TrivialLocalDiscrete(B, pair_map, DomainSpec(B, 1e18))
+        omega = derive_connection(Ad).omega
+        m, v = stack_of(9)
+        assert np.array_equal(omega(m, v), by_loop(omega, m, v))
+
+    def test_derived_omega_equals_pair_derivative(self, case):
+        # The direct derivative of the pair map takes the same group
+        # operations as pair_derivative through bundle_curve/eval_discrete.
+        B, _, pair_map = case
+        Ad = TrivialLocalDiscrete(B, pair_map, DomainSpec(B, 1e18))
+        omega = derive_connection(Ad).omega
+        spec = DerivativeSpec()
+        m, v = stack_of(5)
+        for i in range(5):
+            q = BundlePoint.trivial(B, m[:, i], groups.identity(B.group))
+            lift = make_trivial_tangent(q, v[:, i], np.zeros(B.group.dim))
+            assert np.array_equal(omega(m[:, i], v[:, i]),
+                                  pair_derivative(Ad, q, lift, spec))
+
+    def test_descended_difference(self, case):
+        B, form, pair_map = case
+        A = TrivialLocalConnection(B, form)
+        A_ref = derive_connection(
+            TrivialLocalDiscrete(B, pair_map, DomainSpec(B, 1e18)))
+        eps = descend_continuous_difference(A, A_ref)
+        m, v = stack_of(9)
+        got = eps.value(m, v)
+        assert np.array_equal(got, by_loop(eps.value, m, v))
+        # ... and equals the difference of eval_connection on base lifts.
+        for i in range(9):
+            q = BundlePoint.trivial(B, m[:, i], groups.identity(B.group))
+            lift = make_trivial_tangent(q, v[:, i], np.zeros(B.group.dim))
+            direct = (eval_connection(A, lift).vector
+                      - eval_connection(A_ref, lift).vector)
+            assert np.array_equal(got[:, i], direct)
+
+    def test_flat_pair_map_broadcasts(self, case):
+        B, form, _ = case
+        Ad = flat_integrate_local(B, BaseOneForm(B.base, B.group, form),
+                                  DomainSpec(B, 1e18), order=4, panels=3)
+        m0, m1 = stack_of(6)
+        assert np.array_equal(Ad.pair_map(m0, m1),
+                              by_loop(Ad.pair_map, m0, m1))
+
+
+class TestQuadrature:
+    def test_one_call_equals_node_loop(self):
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return np.array([np.sin(3.0 * x), x ** 2 - x])
+
+        got = gauss_legendre_line_integral(f, -0.3, 1.7, order=5, panels=7)
+        assert calls == [(35,)]
+        want = reference_quadrature(f, -0.3, 1.7, order=5, panels=7)
+        assert np.array_equal(got, want)
+
+    def test_constant_lambda(self):
+        got = gauss_legendre_line_integral(lambda x: np.array([2.0, -1.0]),
+                                           0.0, 3.0)
+        assert np.allclose(got, [6.0, -3.0], rtol=0, atol=1e-13)
+        assert gauss_legendre_line_integral(lambda x: 0.5, 1.0, 3.0) \
+            == pytest.approx(1.0, abs=1e-14)
+
+
+class TestCurvatureMatchedPointwise:
+    """The matched form's values equal a node-by-node evaluation of the
+    primitive of the descended difference."""
+
+    ORDER, PANELS = 3, 2
+
+    def pointwise_matched(self, A, Ad_ref, q0, q1):
+        eps = descend_continuous_difference(A, derive_connection(Ad_ref))
+
+        anchor = np.zeros(2)
+
+        def f(m):
+            direction = m - anchor
+            return reference_quadrature(
+                lambda t: eps.value(anchor + t * direction, direction),
+                0.0, 1.0, order=self.ORDER, panels=self.PANELS)
+
+        m0, m1 = q0.base_point.coords, q1.base_point.coords
+        correction = groups.exp(groups.AlgebraElement.of(
+            A.bundle.group, f(m1) - f(m0)))
+        return groups.compose(eval_discrete(Ad_ref, q0, q1), correction)
+
+    def check(self, A, Ad_ref):
+        Ad = curvature_matched_integrate(A, Ad_ref, order=self.ORDER,
+                                         panels=self.PANELS)
+        B = A.bundle
+        for m0, m1, y in (([0.2, -0.3], [0.5, 0.1], 0.4),
+                          ([-0.6, 0.4], [-0.2, 0.9], -1.1)):
+            q0 = BundlePoint.trivial(B, m0, [y])
+            q1 = BundlePoint.trivial(B, m1, [0.3])
+            got = eval_discrete(Ad, q0, q1).data
+            want = self.pointwise_matched(A, Ad_ref, q0, q1).data
+            assert np.array_equal(got, want)
+
+    def test_flat_reference(self):
+        B = TrivialBundle(EuclideanChart(2), Translation(1))
+        closed = BaseOneForm(B.base, B.group,
+                             lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
+        Ad_ref = flat_integrate_local(B, closed, DomainSpec(B, 1e18),
+                                      order=self.ORDER, panels=self.PANELS)
+        # d(x^2): closed, so its curvature matches the flat reference.
+        A = TrivialLocalConnection(B, lambda m, v: np.array([2 * m[0] * v[0]]))
+        self.check(A, Ad_ref)
+
+    def test_integrated_reference(self):
+        B = TrivialBundle(EuclideanChart(2), Circle())
+        A0 = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
+        Ad_ref = integrate_connection(A0, trivial_product_retraction(B),
+                                      DomainSpec(B, 1e18))
+        A = TrivialLocalConnection(
+            B, lambda m, v: np.array([m[0] * v[1] + 2 * m[0] * v[0]]))
+        self.check(A, Ad_ref)
+
+
+class TestStackedFailures:
+    def test_kink_in_one_column_raises(self):
+        # The pair map is smooth where x0 <= 0 and has a t |t|^(1/2) kink
+        # on the diagonal where x0 > 0.
+        B = TrivialBundle(EuclideanChart(1), Translation(1))
+        Ad = TrivialLocalDiscrete(
+            B, lambda m0, m1: np.array(
+                [(m1[0] - m0[0]) * np.abs(m1[0] - m0[0]) ** 0.5
+                 * (m0[0] > 0)]), DomainSpec(B, 1e18))
+        omega = derive_connection(Ad).omega
+        smooth = np.array([[-1.0, -0.5, -0.1]])
+        omega(smooth, np.ones_like(smooth))
+        with pytest.raises(NonDifferentiable):
+            kinked = np.array([[-1.0, 0.5, -0.1]])
+            omega(kinked, np.ones_like(kinked))
+
+    def test_pair_outside_domain_raises(self):
+        B = TrivialBundle(EuclideanChart(2), Translation(1))
+        Ad = TrivialLocalDiscrete(
+            B, lambda m0, m1: np.array([m0[0] * (m1[1] - m0[1])]),
+            DomainSpec(B, 1e-5))
+        omega = derive_connection(Ad).omega
+        m = np.zeros((2, 3))
+        short = np.full((2, 3), 1e-3)
+        omega(m, short)
+        far = short.copy()
+        far[:, 1] = 1.0  # step h * |delta| exceeds the radius
+        with pytest.raises(OutsideDomain):
+            omega(m, far)
+
+
+class TestPrimitiveCache:
+    def test_cache_stays_at_its_bound(self):
+        B = TrivialBundle(EuclideanChart(2), Translation(1))
+        omega = BaseOneForm(B.base, B.group,
+                            lambda m, v: np.array([m[0] * v[0]]))
+        f = primitive_on_segments(omega, [0.0, 0.0], order=1, panels=1)
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, (10 ** 4, 2))
+        for p in points:
+            f(p)
+        info = f.cache_info()
+        assert info.misses == 10 ** 4
+        assert info.currsize == PRIMITIVE_CACHE_SIZE
+        f(points[-1])
+        assert f.cache_info().hits == 1
