@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from . import bundles, connections, derivation, groups
-from .bundles import BundlePoint, DomainSpec, TrivialBundle
+from . import bundles, derivation, groups
+from .bundles import DomainSpec, TrivialBundle
 from .connections import (ConnectionForm, TrivialLocalConnection,
                           eval_connection)
 from .discrete import (ComposedDiscrete, DiscreteConnectionForm,
@@ -44,9 +44,8 @@ from .errors import (CurvatureMismatch, DescentFailure, NotClosed,
 from .groups import AlgebraElement, GroupKind
 from .manifolds import (EuclideanChart, ManifoldKind, ManifoldPoint,
                         TangentVector)
-from .numdiff import (DerivativeSpec, by_column,
-                      gauss_legendre_line_integral, on_stack,
-                      richardson_derivative, worst_defect)
+from .numdiff import (DerivativeSpec, by_column, exterior_derivative,
+                      gauss_legendre_line_integral, on_stack, worst_defect)
 
 QUADRATURE_ORDER = 8
 QUADRATURE_PANELS = 16
@@ -96,31 +95,13 @@ def _require_euclidean_base(base: ManifoldKind, what: str):
             "Euclidean base chart")
 
 
-def _exterior_derivative(omega: BaseOneForm, m, u, w,
-                         spec: DerivativeSpec):
-    """d omega (u, w) at m for constant-coefficient extensions of u, w, on
-    (d, *stack) stacks.  A column whose smallest difference step is lost to
-    rounding (m + h u barely moves from m) has no measurable derivative and
-    reads NaN."""
-    d_uw = richardson_derivative(lambda t: omega.value(m + t * u, w), spec)
-    d_wu = richardson_derivative(lambda t: omega.value(m + t * w, u), spec)
-    h = spec.base_step / 2 ** (spec.richardson_levels - 1)
-    lost = np.zeros(np.shape(m)[1:], dtype=bool)
-    for x in (u, w):
-        step = h * x
-        lost |= (np.linalg.norm((m + step) - m - step, axis=0)
-                 > 0.5 * np.linalg.norm(step, axis=0))
-    return np.where(lost, np.nan, d_uw - d_wu)
-
-
 def exterior_defect(omega: BaseOneForm, m_coords, u, w,
                     spec: DerivativeSpec = DerivativeSpec()) -> float:
     """|d omega (u, w)| at m for constant-coefficient extensions of u, w;
     NaN when the difference step is lost to rounding at m."""
-    m = np.asarray(m_coords, dtype=float)
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    return float(np.linalg.norm(_exterior_derivative(omega, m, u, w, spec)))
+    m, u, w = (np.asarray(x, dtype=float) for x in (m_coords, u, w))
+    return float(np.linalg.norm(
+        exterior_derivative(omega.value, m, u, w, spec)))
 
 
 def _worst_exterior_defect(omega: BaseOneForm, samples,
@@ -133,7 +114,7 @@ def _worst_exterior_defect(omega: BaseOneForm, samples,
     m, u, w = (np.asarray(np.stack(column, axis=-1), dtype=float)
                for column in zip(*samples))
     return worst_defect(np.linalg.norm(
-        _exterior_derivative(omega, m, u, w, spec), axis=0))
+        exterior_derivative(omega.value, m, u, w, spec), axis=0))
 
 
 def check_closed(omega: BaseOneForm, samples, tol: float = 1e-8,

@@ -35,10 +35,6 @@ class TrivialBundle(PrincipalBundle):
     base: ManifoldKind
     group: GroupKind
 
-    @property
-    def tangent_size(self):
-        return self.base.coord_size + self.group.dim
-
 
 @dataclass(frozen=True)
 class HopfBundle(PrincipalBundle):
@@ -49,10 +45,6 @@ class HopfBundle(PrincipalBundle):
     @property
     def group(self):
         return Torus(1)
-
-    @property
-    def tangent_size(self):
-        return 4
 
 
 @dataclass(frozen=True)
@@ -90,10 +82,6 @@ class BundleTangent:
     @property
     def norm(self):
         return float(np.linalg.norm(self.components))
-
-
-def zero_bundle_tangent(q: BundlePoint) -> BundleTangent:
-    return BundleTangent(q, np.zeros(q.bundle.tangent_size))
 
 
 def split_trivial(v: BundleTangent):

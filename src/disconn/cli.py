@@ -6,7 +6,8 @@
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on
 configuration or runtime errors.
 
-JSON reports are deterministic for a fixed config and seed; per-check wall
+JSON reports are strict JSON and deterministic for a fixed config and
+seed; a defect that is not finite prints as null, and per-check wall
 times are shown only in the table format so the JSON bytes stay stable.
 """
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -24,7 +26,8 @@ import numpy as np
 
 from .errors import DisconnError
 from .numdiff import DerivativeSpec
-from .scenarios import ScenarioContext, load_scenario, run_check
+from .scenarios import (DEFAULT_TOLERANCE, ScenarioContext, load_scenario,
+                        run_check)
 
 
 @dataclass
@@ -47,23 +50,18 @@ class Report:
         return all(c.passed for c in self.checks)
 
 
-def run_scenario(path, fd_spec=None, quadrature_order=None,
-                 quadrature_panels=None, anchor=None,
-                 retraction_override=None, metric_override=None,
-                 domain_radius_override=None) -> Report:
+def run_scenario(path, integrator=None, **options) -> Report:
+    """Run every check of one scenario file.  `integrator` entries replace
+    those of the file's integrator block; `options` go to ScenarioContext."""
     cfg = load_scenario(path)
-    ctx = ScenarioContext(
-        cfg, fd_spec=fd_spec, quadrature_order=quadrature_order,
-        quadrature_panels=quadrature_panels, anchor=anchor,
-        retraction_override=retraction_override,
-        metric_override=metric_override,
-        domain_radius_override=domain_radius_override)
+    cfg["integrator"] = {**cfg.get("integrator", {}), **(integrator or {})}
+    ctx = ScenarioContext(cfg, **options)
     report = Report(ctx.name)
     for index, check_cfg in enumerate(cfg.get("checks", [])):
         start = time.perf_counter()
         defect, samples = run_check(ctx, index, check_cfg)
         elapsed_ms = int(round(1000.0 * (time.perf_counter() - start)))
-        tolerance = float(check_cfg.get("tolerance", 1e-8))
+        tolerance = float(check_cfg.get("tolerance", DEFAULT_TOLERANCE))
         report.checks.append(CheckResult(
             name=check_cfg["name"],
             max_defect=defect,
@@ -82,7 +80,8 @@ def emit_report(report: Report, fmt: str = "table") -> str:
             "checks": [
                 {
                     "name": c.name,
-                    "max_defect": c.max_defect,
+                    "max_defect": (c.max_defect if math.isfinite(c.max_defect)
+                                   else None),
                     "tolerance": c.tolerance,
                     "passed": c.passed,
                     "samples": c.samples,
@@ -91,7 +90,7 @@ def emit_report(report: Report, fmt: str = "table") -> str:
             ],
             "passed": report.passed,
         }
-        return json.dumps(payload, indent=2, sort_keys=False)
+        return json.dumps(payload, indent=2, allow_nan=False)
     lines = [f"scenario: {report.scenario}"]
     header = (f"{'check':<26} {'max_defect':>12} {'tolerance':>10} "
               f"{'samples':>7} {'ms':>6} {'status':>6}")
@@ -116,8 +115,6 @@ def _add_common_options(parser):
     parser.add_argument("--quadrature-panels", type=int, default=None)
     parser.add_argument("--base-point", type=str, default=None,
                         help="comma-separated primitive anchor coordinates")
-    parser.add_argument("--metric", choices=("product", "invariant", "round"),
-                        default=None)
     parser.add_argument("--retraction",
                         choices=("straight", "exp", "great_circle", "skewed",
                                  "chart"),
@@ -125,30 +122,22 @@ def _add_common_options(parser):
     parser.add_argument("--domain-radius", type=float, default=None)
 
 
-def _fd_spec_from(args):
-    if args.fd_step is None and args.fd_levels is None:
-        return None
-    return DerivativeSpec(
-        base_step=args.fd_step if args.fd_step is not None else 1e-4,
-        richardson_levels=args.fd_levels if args.fd_levels is not None else 2)
-
-
-def _anchor_from(args):
-    if args.base_point is None:
-        return None
-    return np.array([float(x) for x in args.base_point.split(",")])
+def _given(**options):
+    """The options set on the command line."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def _run_one(path, args):
     return run_scenario(
         path,
-        fd_spec=_fd_spec_from(args),
-        quadrature_order=args.quadrature_order,
-        quadrature_panels=args.quadrature_panels,
-        anchor=_anchor_from(args),
-        retraction_override=args.retraction,
-        metric_override=args.metric,
-        domain_radius_override=args.domain_radius)
+        integrator=_given(retraction=args.retraction,
+                          domain_radius=args.domain_radius),
+        fd_spec=DerivativeSpec(**_given(base_step=args.fd_step,
+                                        richardson_levels=args.fd_levels)),
+        anchor=(None if args.base_point is None else
+                np.array([float(x) for x in args.base_point.split(",")])),
+        **_given(quadrature_order=args.quadrature_order,
+                 quadrature_panels=args.quadrature_panels))
 
 
 def main(argv=None) -> int:

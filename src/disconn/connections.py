@@ -16,7 +16,7 @@ Presentations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,7 +27,7 @@ from .bundles import (BundlePoint, BundleTangent, HopfBundle, PrincipalBundle,
 from .errors import BundleMismatch, UnsupportedPresentation
 from .groups import AlgebraElement, GroupElement
 from .manifolds import EuclideanChart, TangentVector
-from .numdiff import DerivativeSpec, richardson_derivative, worst_defect
+from .numdiff import DerivativeSpec, exterior_derivative
 
 
 class ConnectionForm:
@@ -105,23 +105,6 @@ def horizontal_lift(A: ConnectionForm, q: BundlePoint,
     return BundleTangent(q, some.components - vertical.components)
 
 
-def _local_exterior_derivative(A: TrivialLocalConnection, u: TangentVector,
-                               w: TangentVector, spec: DerivativeSpec):
-    # d omega on constant-coefficient extensions of u and w, valid in a
-    # Euclidean base chart where their bracket vanishes.
-    m = u.base.coords
-    uc, wc = u.components, w.components
-
-    def along_u(t):
-        return np.asarray(A.omega(m + t * uc, wc), dtype=float)
-
-    def along_w(t):
-        return np.asarray(A.omega(m + t * wc, uc), dtype=float)
-
-    return (richardson_derivative(along_u, spec)
-            - richardson_derivative(along_w, spec))
-
-
 def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
               spec: DerivativeSpec = DerivativeSpec()) -> AlgebraElement:
     """Curvature two-form on a pair of base tangent vectors at one point."""
@@ -131,7 +114,8 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
         if not isinstance(A.bundle.base, EuclideanChart):
             raise UnsupportedPresentation(
                 "local curvature needs a Euclidean base chart")
-        d_omega = _local_exterior_derivative(A, u, w, spec)
+        d_omega = exterior_derivative(A.omega, u.base.coords, u.components,
+                                      w.components, spec)
         lie = groups.bracket(
             AlgebraElement.of(A.bundle.group, A.omega(u.base.coords, u.components)),
             AlgebraElement.of(A.bundle.group, A.omega(w.base.coords, w.components)))
@@ -166,20 +150,3 @@ def equivariance_defect(A: ConnectionForm, g: GroupElement,
     moved = eval_connection(A, bundles.tangent_lift_action(g, v))
     expected = groups.adjoint(g, eval_connection(A, v))
     return float(np.linalg.norm(moved.vector - expected.vector))
-
-
-def reconstruction_defect(A: ConnectionForm, q: BundlePoint,
-                          v: BundleTangent) -> float:
-    """Defect of v = horizontal part + generator of A(v)."""
-    h = horizontal_lift(A, q, bundles.tangent_projection(v))
-    vert = bundles.infinitesimal_generator(q, eval_connection(A, v))
-    return float(np.linalg.norm(v.components - h.components - vert.components))
-
-
-def verify_connection_axioms(A: ConnectionForm, samples) -> float:
-    """Worst verticality/equivariance defect over (q, v, xi, g) samples."""
-    defects = []
-    for q, v, xi, g in samples:
-        defects.append(verticality_defect(A, q, xi))
-        defects.append(equivariance_defect(A, g, v))
-    return worst_defect(defects)

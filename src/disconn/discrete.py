@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import bundles, groups
 from .bundles import (BundlePoint, DomainSpec, PrincipalBundle, TrivialBundle,
                       domain_contains)

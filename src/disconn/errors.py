@@ -61,10 +61,6 @@ class CurvatureMismatch(DisconnError):
     """Continuous and discrete curvature data are incompatible."""
 
 
-class NotSimplyConnectedConfig(DisconnError):
-    """Scenario declares a base with nontrivial first de Rham cohomology."""
-
-
 class UnknownBuiltin(DisconnError):
     """Scenario references a builtin name that is not registered."""
 

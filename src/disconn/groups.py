@@ -304,10 +304,6 @@ def identity(kind) -> GroupElement:
     return GroupElement(kind, kind.identity_data())
 
 
-def zero(kind) -> AlgebraElement:
-    return AlgebraElement.of(kind, np.zeros(kind.dim))
-
-
 def _require_same_kind(a, b):
     if a.kind != b.kind:
         raise KindMismatch(f"{a.kind} vs {b.kind}")
@@ -349,7 +345,7 @@ def distance_to_identity(a: GroupElement) -> float:
     return group_distance(a, identity(a.kind))
 
 
-def kind_from_tag(tag, dim=None, factors=None) -> GroupKind:
+def kind_from_tag(tag, dim=None) -> GroupKind:
     """Group kind from its scenario-config string tag."""
     if tag == "R^k":
         return Translation(dim)
@@ -359,6 +355,4 @@ def kind_from_tag(tag, dim=None, factors=None) -> GroupKind:
         return Torus(dim)
     if tag == "SO3":
         return SO3()
-    if tag == "product":
-        return ProductGroup(tuple(factors))
     raise ValueError(f"unknown group tag {tag!r}")

@@ -16,14 +16,14 @@ from typing import Callable
 
 import numpy as np
 
-from . import bundles, connections, groups, manifolds
+from . import bundles, groups, manifolds
 from .bundles import (BundlePoint, BundleTangent, DomainSpec, HopfBundle,
                       PrincipalBundle, TrivialBundle)
 from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch, NotEquivariant, OutsideDomain
 from .groups import AlgebraElement, GroupElement
-from .manifolds import (EUCLIDEAN_RADIUS_SENTINEL, ManifoldPoint, Metric,
+from .manifolds import (EUCLIDEAN_RADIUS_SENTINEL, ManifoldPoint,
                         Retraction, TangentVector)
 from .numdiff import worst_defect
 
@@ -43,26 +43,22 @@ class BundleMetric:
         return self.pairing(u, w)
 
 
-def build_invariant_metric(A: ConnectionForm,
-                           base_metric: Metric = None) -> BundleMetric:
+def build_invariant_metric(A: ConnectionForm) -> BundleMetric:
     """Group-invariant metric splitting tangents with the connection A.
 
-    Pairs the base projections with the base metric and the connection
-    values with the Euclidean pairing on the algebra, which is invariant
-    under the adjoint action for every supported group.
+    Pairs the base projections with the flat (chart or ambient) metric and
+    the connection values with the Euclidean pairing on the algebra, which
+    is invariant under the adjoint action for every supported group.
     """
-    if base_metric is None:
-        base_metric = manifolds.flat_metric()
-
     def pairing(u, w):
         pu = bundles.tangent_projection(u)
         pw = bundles.tangent_projection(w)
-        horizontal = base_metric.inner(pu, pw)
+        horizontal = float(np.dot(pu.components, pw.components))
         au = eval_connection(A, u).vector
         aw = eval_connection(A, w).vector
         return float(horizontal + np.dot(au, aw))
 
-    return BundleMetric(A.bundle, f"invariant({base_metric.name})", pairing)
+    return BundleMetric(A.bundle, "invariant(flat)", pairing)
 
 
 def metric_invariance_defect(gm: BundleMetric, g: GroupElement,

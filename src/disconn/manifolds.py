@@ -50,9 +50,6 @@ class ManifoldKind:
         """Tangent components at `center` from chart-direction coordinates."""
         raise NotImplementedError
 
-    def tangent_to_chart(self, center, components):
-        raise NotImplementedError
-
     def geodesic_step(self, point, components):
         raise NotImplementedError
 
@@ -92,9 +89,6 @@ class EuclideanChart(ManifoldKind):
 
     def tangent_from_chart(self, center, c):
         return np.array(c, dtype=float)
-
-    def tangent_to_chart(self, center, components):
-        return np.array(components, dtype=float)
 
     def geodesic_step(self, point, components):
         return point + components
@@ -155,9 +149,6 @@ class Sphere(ManifoldKind):
 
     def tangent_from_chart(self, center, c):
         return self.tangent_basis(center) @ np.asarray(c, dtype=float)
-
-    def tangent_to_chart(self, center, components):
-        return self.tangent_basis(center).T @ np.asarray(components, dtype=float)
 
     def geodesic_step(self, point, components):
         norm = float(np.linalg.norm(components))
@@ -238,12 +229,6 @@ class ProductManifold(ManifoldKind):
         return np.concatenate([
             f.tangent_from_chart(x, u) for f, x, u in zip(self.factors, cp, parts)])
 
-    def tangent_to_chart(self, center, components):
-        cp = self.split_coords(center)
-        vp = self.split_coords(components)
-        return np.concatenate([
-            f.tangent_to_chart(x, v) for f, x, v in zip(self.factors, cp, vp)])
-
     def geodesic_step(self, point, components):
         pp = self.split_coords(point)
         vp = self.split_coords(components)
@@ -271,14 +256,6 @@ class ManifoldPoint:
 class TangentVector:
     base: ManifoldPoint
     components: np.ndarray
-
-    @staticmethod
-    def of(base, components):
-        comps = np.asarray(components, dtype=float).reshape(base.kind.coord_size)
-        projected = base.kind.project_tangent(base.coords, comps)
-        if np.linalg.norm(projected - comps) > 1e-10:
-            raise ValueError("components are not tangent to the manifold")
-        return TangentVector(base, projected)
 
     @property
     def norm(self):
@@ -362,10 +339,6 @@ def retract(R: Retraction, v: TangentVector) -> ManifoldPoint:
     return ManifoldPoint.of(R.kind, R.step(v.base.coords, v.components))
 
 
-def retract_extended(R: Retraction, v: TangentVector):
-    return v.base, retract(R, v)
-
-
 def invert_extended(R: Retraction, x: ManifoldPoint, y: ManifoldPoint,
                     tol=1e-12, max_iter=50) -> TangentVector:
     """Tangent vector v at x with retract(R, v) = y, by Newton in a chart."""
@@ -442,7 +415,7 @@ def check_retraction_axioms(R: Retraction, x: ManifoldPoint, v: TangentVector,
     return float(max(base_defect, np.linalg.norm(slope - v.components)))
 
 
-def kind_from_tag(tag, dim=None, factors=None) -> ManifoldKind:
+def kind_from_tag(tag, dim=None) -> ManifoldKind:
     """Manifold kind from its scenario-config string tag."""
     if tag == "R^d":
         return EuclideanChart(dim)
@@ -450,6 +423,4 @@ def kind_from_tag(tag, dim=None, factors=None) -> ManifoldKind:
         return Sphere(3)
     if tag == "S3":
         return Sphere(4)
-    if tag == "product":
-        return ProductManifold(tuple(factors))
     raise ValueError(f"unknown manifold tag {tag!r}")

@@ -80,6 +80,21 @@ def richardson_derivative(f, spec=DerivativeSpec(), check_consistency=False,
     return best
 
 
+def exterior_derivative(form, m, u, w, spec):
+    """d form (u, w) at m, form(point, tangent) -> values, for constant
+    u and w, on stacks; NaN in a column whose smallest difference step is
+    lost to rounding (m + h u barely moves from m)."""
+    d_uw = richardson_derivative(lambda t: form(m + t * u, w), spec)
+    d_wu = richardson_derivative(lambda t: form(m + t * w, u), spec)
+    h = spec.base_step / 2 ** (spec.richardson_levels - 1)
+    lost = np.zeros(np.shape(m)[1:], dtype=bool)
+    for x in (u, w):
+        step = h * x
+        lost |= (np.linalg.norm((m + step) - m - step, axis=0)
+                 > 0.5 * np.linalg.norm(step, axis=0))
+    return np.where(lost, np.nan, d_uw - d_wu)
+
+
 def gauss_legendre_line_integral(f, a, b, order=8, panels=16):
     """Integrate the vector-valued f over [a, b] by composite Gauss-Legendre.
 

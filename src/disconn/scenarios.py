@@ -6,17 +6,19 @@ tolerances.  Sampling is driven by a counter-based PRNG (Philox) keyed by
 the scenario seed and the check index, so reports are deterministic for a
 fixed config.
 
-Schema (all unknown keys rejected):
+Schema (`load_scenario` rejects unknown keys, unknown `integrator` keys
+included, and malformed values with a `ParseError`):
 
     {
       "name": str,
-      "seed": int,
+      "seed": int in [0, 2**64),
       "sample_count": int > 0,                 # default 100
       "box": [[lo, hi], ...],                  # base sampling box, optional
       "bundle": {"kind": "trivial",
-                 "base": {"kind": "R^d"|"S2"|"S3", "dim": int},
-                 "group": {"kind": "R^k"|"U1"|"T^n"|"SO3", "dim": int}}
-                | {"kind": "hopf"},
+                 "base": {"kind": "R^d", "dim": int > 0} | {"kind": "S2"|"S3"},
+                 "group": {"kind": "R^k"|"T^n", "dim": int > 0}
+                          | {"kind": "U1"|"SO3"}}
+                | {"kind": "hopf"},  # only with hopf_* and integrated kinds
       "connection": {"kind": "local", "omega": <builtin>}
                     | {"kind": "hopf_canonical"}
                     | {"kind": "hopf_perturbed", "epsilon": float},
@@ -25,12 +27,12 @@ Schema (all unknown keys rejected):
                   | {"kind": "integrated"}
                   | {"kind": "flat", "omega": <builtin>}
                   | {"kind": "matched", "reference": <spec>},
-      "integrator": {"metric": "product"|"invariant"|"round",
-                     "retraction": "straight"|"exp"|"great_circle"
+      "integrator": {"retraction": "straight"|"exp"|"great_circle"
                                    |"skewed"|"chart",
                      "domain_radius": float},
-      "checks": [{"name": str, "tolerance": float > 0,
-                  "samples": int > 0, ...params}, ...]
+      "checks": [{"name": str, "tolerance": float > 0,  # default 1e-8
+                  "samples": int > 0, "pair": [[x, ...], [x, ...]],
+                  "fiber": [[g, ...], [g, ...]], "min_difference": float}, ...]
     }
 
 One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
@@ -42,6 +44,7 @@ One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -51,7 +54,7 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
                integration, manifolds)
 from .abelian import BaseOneForm
 from .bundles import BundlePoint, DomainSpec, HopfBundle, TrivialBundle
-from .errors import DisconnError, ParseError, UnknownBuiltin
+from .errors import ParseError, UnknownBuiltin
 from .manifolds import (EUCLIDEAN_RADIUS_SENTINEL, EuclideanChart,
                         ManifoldPoint, Sphere, TangentVector)
 from .numdiff import DerivativeSpec, worst_defect
@@ -67,8 +70,11 @@ def rng_for(seed, stream):
 # Builtins
 
 def _polynomial_rule(terms):
-    terms = [(float(t["coeff"]), tuple(int(p) for p in t["powers"]),
-              int(t["dx"])) for t in terms]
+    try:
+        terms = [(float(t["coeff"]), tuple(int(p) for p in t["powers"]),
+                  int(t["dx"])) for t in terms]
+    except (TypeError, KeyError, ValueError) as exc:
+        raise ParseError(f"bad polynomial terms: {exc!r}") from exc
 
     def rule(m, v):
         total = 0.0
@@ -101,12 +107,13 @@ def one_form_builtin(spec, base, group) -> BaseOneForm:
         scalar = _OMEGA_BUILTINS[spec]
         name = spec
     elif isinstance(spec, dict) and spec.get("name") == "polynomial":
-        scalar = _polynomial_rule(spec["terms"])
+        scalar = _polynomial_rule(spec.get("terms"))
         name = "polynomial"
     else:
         raise UnknownBuiltin(f"unknown one-form spec {spec!r}")
     if group.dim != 1:
         raise ParseError("builtin one-forms target one-dimensional algebras")
+    _probe(scalar, base.coord_size, name)
     return BaseOneForm(base, group,
                        lambda m, v: np.array([scalar(m, v)]), name=name)
 
@@ -132,7 +139,7 @@ def pair_map_builtin(spec, group):
             f = lambda x0, x1: 1.0
         elif f_spec == "sin_product":
             f = lambda x0, x1: np.sin(x0 * x1)
-        elif isinstance(f_spec, dict) and "const" in f_spec:
+        elif isinstance(f_spec, dict) and _is_number(f_spec.get("const")):
             c = float(f_spec["const"])
             f = lambda x0, x1: c
         else:
@@ -145,89 +152,154 @@ def pair_map_builtin(spec, group):
     return (lambda m0, m1: np.array([rule(m0, m1)])), name
 
 
+def _probe(rule, size, name):
+    """Evaluate a builtin once, so one reading too many coordinates fails."""
+    try:
+        rule(np.zeros(size), np.zeros(size))
+    except IndexError as exc:
+        raise ParseError(f"builtin {name!r} reads too many coordinates") \
+            from exc
+
+
 # ---------------------------------------------------------------------------
 # Context construction
 
-_TOP_LEVEL_KEYS = {"name", "seed", "sample_count", "box", "bundle",
-                   "connection", "discrete", "integrator", "checks"}
+DEFAULT_TOLERANCE = 1e-8
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value):
+    return _is_int(value) and value > 0
+
+
+def _is_number(value):
+    return (_is_int(value) or isinstance(value, float)) \
+        and math.isfinite(value)
+
+
+def _is_numbers(value, size=None):
+    return isinstance(value, list) and all(map(_is_number, value)) \
+        and size in (None, len(value))
+
+
+def _is_rows(value, rows=None, size=None):
+    """A list of `rows` lists of `size` numbers each; None means any."""
+    return isinstance(value, list) and rows in (None, len(value)) \
+        and all(_is_numbers(row, size) for row in value)
+
+
+# Object types of the schema: {key: test}, or {"kind": {tag: {key: test}}}
+# for a tagged object.  A test is a predicate, a tuple of Python types, a
+# type name, or [type name] for a list; a key ending in "?" is optional.
+_SCHEMA = {
+    "scenario": {
+        "name": (str,), "seed": lambda v: _is_int(v) and 0 <= v < 2 ** 64,
+        "sample_count?": _is_count, "bundle": "bundle",
+        "box?": functools.partial(_is_rows, size=2),
+        "connection?": "connection", "integrator?": "integrator",
+        "discrete?": (dict, list),
+        "checks?": ["check"]},
+    "bundle": {"kind": {"trivial": {"base": "base", "group": "group"},
+                        "hopf": {}}},
+    "base": {"kind": {"R^d": {"dim": _is_count}, "S2": {}, "S3": {}}},
+    "group": {"kind": {"R^k": {"dim": _is_count}, "T^n": {"dim": _is_count},
+                       "U1": {}, "SO3": {}}},
+    "connection": {"kind": {"local": {"omega": (str, dict)},
+                            "hopf_canonical": {},
+                            "hopf_perturbed": {"epsilon?": _is_number}}},
+    "discrete": {"kind": {"local": {"pair_map": (str, dict)},
+                          "integrated": {}, "flat": {"omega": (str, dict)},
+                          "matched": {"reference": "discrete"}}},
+    "integrator": {"retraction?": (str,), "domain_radius?": _is_number},
+    "check": {"name": (str,), "samples?": _is_count,
+              "tolerance?": lambda v: _is_number(v) and v > 0,
+              "pair?": functools.partial(_is_rows, rows=2),
+              "fiber?": functools.partial(_is_rows, rows=2),
+              "min_difference?": _is_number},
+}
+
+
+def _require(ok, message):
+    if not ok:
+        raise ParseError(message)
+
+
+def _validate(value, test, where):
+    """Raise a ParseError unless value passes test (see _SCHEMA)."""
+    if isinstance(test, list):
+        _require(isinstance(value, list), f"{where} must be a list")
+        for i, item in enumerate(value):
+            _validate(item, test[0], f"{where}[{i}]")
+    elif not isinstance(test, str):
+        ok = isinstance(value, test) if isinstance(test, tuple) else test(value)
+        _require(ok, f"bad {where}: {value!r}")
+    else:
+        fields = _SCHEMA[test]
+        _require(isinstance(value, dict), f"{where} must be an object")
+        if "kind" in fields:
+            tags, kind = fields["kind"], value.get("kind")
+            _require(isinstance(kind, str) and kind in tags,
+                     f"{where} needs a kind among {sorted(tags)}")
+            fields = dict(tags[kind], kind=(str,))
+        keys = {key.rstrip("?"): key for key in fields}
+        unknown = set(value) - set(keys)
+        _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+        for name, key in keys.items():
+            if name in value or name == key:
+                _validate(value.get(name), fields[key], f"{where}.{name}")
+
+
+def _discrete_specs(cfg):
+    raw = cfg.get("discrete", [])
+    return [raw] if isinstance(raw, dict) else raw
 
 
 def load_scenario(path):
+    """Read a scenario file and check it against the schema."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ParseError("scenario must be a JSON object")
-    unknown = set(cfg) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ParseError(f"unknown scenario keys: {sorted(unknown)}")
-    for key in ("name", "seed", "bundle"):
-        if key not in cfg:
-            raise ParseError(f"scenario is missing required key {key!r}")
-    if not _is_positive_int(cfg.get("sample_count", 1)):
-        raise ParseError("sample_count must be a positive integer")
-    for check in cfg.get("checks", []):
-        if "name" not in check:
-            raise ParseError("every check needs a name")
-        try:
-            tolerance = float(check.get("tolerance", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad check tolerance: {exc}") from exc
-        if not (math.isfinite(tolerance) and tolerance > 0):
-            raise ParseError("check tolerances must be positive and finite")
-        if not _is_positive_int(check.get("samples", 1)):
-            raise ParseError("check samples must be a positive integer")
+    _validate(cfg, "scenario", "scenario")
+    hopf = cfg["bundle"]["kind"] == "hopf"
+    connection = cfg.get("connection")
+    _require(connection is None
+             or connection["kind"].startswith("hopf") == hopf,
+             "connection kind does not fit the bundle")
+    for i, spec in enumerate(_discrete_specs(cfg)):
+        _validate(spec, "discrete", f"discrete[{i}]")
+        _require(not hopf or spec["kind"] == "integrated",
+                 "the Hopf bundle takes only integrated discretes")
     return cfg
 
 
-def _is_positive_int(value):
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value > 0
-
-
-def _build_base(spec):
-    kind = spec["kind"]
-    if kind == "R^d":
-        return EuclideanChart(int(spec["dim"]))
-    if kind in ("S2", "S3"):
-        return manifolds.kind_from_tag(kind)
-    raise ParseError(f"unknown base kind {kind!r}")
-
-
-def _build_group(spec):
-    kind = spec["kind"]
-    if kind in ("R^k", "T^n"):
-        return groups.kind_from_tag(kind, dim=int(spec["dim"]))
-    if kind in ("U1", "SO3"):
-        return groups.kind_from_tag(kind)
-    raise ParseError(f"unknown group kind {kind!r}")
-
-
 def _build_bundle(spec):
-    if spec["kind"] == "trivial":
-        return TrivialBundle(_build_base(spec["base"]),
-                             _build_group(spec["group"]))
     if spec["kind"] == "hopf":
         return HopfBundle()
-    raise ParseError(f"unknown bundle kind {spec['kind']!r}")
+    base, group = spec["base"], spec["group"]
+    return TrivialBundle(
+        manifolds.kind_from_tag(base["kind"], dim=base.get("dim")),
+        groups.kind_from_tag(group["kind"], dim=group.get("dim")))
 
 
 class ScenarioContext:
-    """Everything a check needs, built from the parsed config."""
+    """Everything a check needs, built from a config load_scenario passed."""
 
-    def __init__(self, cfg, fd_spec=None, quadrature_order=None,
-                 quadrature_panels=None, anchor=None,
-                 retraction_override=None, metric_override=None,
-                 domain_radius_override=None):
-        self.cfg = cfg
+    def __init__(self, cfg, fd_spec=DerivativeSpec(),
+                 quadrature_order=abelian.QUADRATURE_ORDER,
+                 quadrature_panels=abelian.QUADRATURE_PANELS, anchor=None):
+        _require(_is_count(quadrature_order) and _is_count(quadrature_panels),
+                 "quadrature order and panels must be positive integers")
         self.name = cfg["name"]
         self.seed = int(cfg["seed"])
         self.sample_count = int(cfg.get("sample_count", 100))
-        self.fd_spec = fd_spec or DerivativeSpec()
-        self.quadrature_order = quadrature_order or abelian.QUADRATURE_ORDER
-        self.quadrature_panels = quadrature_panels or abelian.QUADRATURE_PANELS
+        self.fd_spec = fd_spec
+        self.quadrature_order = quadrature_order
+        self.quadrature_panels = quadrature_panels
 
         self.bundle = _build_bundle(cfg["bundle"])
         self.box = self._resolve_box(cfg.get("box"))
@@ -235,26 +307,17 @@ class ScenarioContext:
             anchor if anchor is not None
             else np.zeros(self.bundle.base.coord_size), dtype=float)
 
-        integ = dict(cfg.get("integrator", {}))
-        if retraction_override:
-            integ["retraction"] = retraction_override
-        if metric_override:
-            integ["metric"] = metric_override
-        if domain_radius_override is not None:
-            integ["domain_radius"] = domain_radius_override
-        self.integrator_cfg = integ
-
-        self.domain = DomainSpec(self.bundle, self._domain_radius())
-        self.connection = self._build_connection(cfg.get("connection"))
-        self.omega = self._connection_omega(cfg.get("connection"))
+        hopf = isinstance(self.bundle, HopfBundle)
+        integ = cfg.get("integrator", {})
+        self.domain = DomainSpec(self.bundle, float(integ.get(
+            "domain_radius", np.pi / 2.0 if hopf
+            else EUCLIDEAN_RADIUS_SENTINEL)))
+        self.connection, self.omega = self._build_connection(
+            cfg.get("connection"))
         self.retraction = self._build_retraction(
-            integ.get("retraction", self._default_retraction_tag()))
-        raw = cfg.get("discrete")
-        if raw is None:
-            raw = []
-        elif isinstance(raw, dict):
-            raw = [raw]
-        self.discretes = [self._build_discrete(spec) for spec in raw]
+            integ.get("retraction", "great_circle" if hopf else "straight"))
+        self.discretes = [self._build_discrete(spec)
+                          for spec in _discrete_specs(cfg)]
 
     # -- config resolution -------------------------------------------------
     def _resolve_box(self, box):
@@ -267,39 +330,20 @@ class ScenarioContext:
             return np.asarray(box, dtype=float)
         return None
 
-    def _domain_radius(self):
-        radius = self.integrator_cfg.get("domain_radius")
-        if radius is not None:
-            return float(radius)
-        if isinstance(self.bundle, HopfBundle):
-            return np.pi / 2.0
-        return EUCLIDEAN_RADIUS_SENTINEL
-
-    def _default_retraction_tag(self):
-        return "great_circle" if isinstance(self.bundle, HopfBundle) \
-            else "straight"
-
     def _build_connection(self, spec):
+        """The connection and, for a local one, its one-form."""
         if spec is None:
-            return None
+            return None, None
         kind = spec["kind"]
         if kind == "local":
             omega = one_form_builtin(spec["omega"], self.bundle.base,
                                      self.bundle.group)
             return connections.TrivialLocalConnection(
-                self.bundle, omega.value, name=omega.name)
+                self.bundle, omega.value, name=omega.name), omega
         if kind == "hopf_canonical":
-            return connections.HopfCanonicalConnection(self.bundle)
-        if kind == "hopf_perturbed":
-            return connections.HopfPerturbedConnection(
-                self.bundle, float(spec.get("epsilon", 0.1)))
-        raise ParseError(f"unknown connection kind {kind!r}")
-
-    def _connection_omega(self, spec):
-        if spec and spec["kind"] == "local":
-            return one_form_builtin(spec["omega"], self.bundle.base,
-                                    self.bundle.group)
-        return None
+            return connections.HopfCanonicalConnection(self.bundle), None
+        return connections.HopfPerturbedConnection(
+            self.bundle, float(spec.get("epsilon", 0.1))), None
 
     def _build_retraction(self, tag):
         if isinstance(self.bundle, HopfBundle):
@@ -319,6 +363,7 @@ class ScenarioContext:
         if kind == "local":
             pair_map, name = pair_map_builtin(spec["pair_map"],
                                               self.bundle.group)
+            _probe(pair_map, self.bundle.base.coord_size, name)
             return discrete.TrivialLocalDiscrete(self.bundle, pair_map,
                                                  self.domain, name=name)
         if kind == "integrated":
@@ -342,7 +387,6 @@ class ScenarioContext:
                 match_samples=self._closedness_samples(),
                 spec=self.fd_spec, order=self.quadrature_order,
                 panels=self.quadrature_panels)
-        raise ParseError(f"unknown discrete kind {kind!r}")
 
     def _closedness_samples(self, count=25):
         rng = rng_for(self.seed, 997)

@@ -1,18 +1,26 @@
 """The verdict path: unmeasurable defects fail, malformed input exits 2,
 and trivial bundles over spheres run every derivation check."""
 
+import copy
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from disconn.abelian import BaseOneForm, check_closed, exterior_defect
+from disconn.bundles import TrivialBundle
 from disconn.cli import main
+from disconn.connections import TrivialLocalConnection, curvature
 from disconn.errors import NotClosed
 from disconn.groups import Translation
-from disconn.manifolds import EuclideanChart
+from disconn.manifolds import EuclideanChart, ManifoldPoint, TangentVector
 from disconn.numdiff import worst_defect
+from disconn.scenarios import load_scenario
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_scenario(tmp_path, payload, name="s.json"):
@@ -64,6 +72,56 @@ class TestUnmeasurableDefects:
         assert main(["run", write_scenario(tmp_path, cfg)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_local_curvature_of_lost_step_reads_nan(self):
+        bundle = TrivialBundle(EuclideanChart(2), Translation(1))
+        A = TrivialLocalConnection(bundle,
+                                   lambda m, v: np.array([m[0] * v[1]]))
+        m = ManifoldPoint.of(bundle.base, [1e250, 1e250])
+        u = TangentVector(m, np.array([1.0, 0.0]))
+        w = TangentVector(m, np.array([0.0, 1.0]))
+        assert math.isnan(curvature(A, u, w).vector[0])
+
+    @pytest.mark.parametrize("check", ["derived_curvature",
+                                       "same_derived_curvature"])
+    def test_derived_curvature_on_huge_box_fails(self, tmp_path, capsys,
+                                                 check):
+        # The pair maps see no difference step at 1e250, so the derived
+        # connection reads zero; its curvature cannot be measured there.
+        cfg = plane(box=self.HUGE_BOX,
+                    discrete=[{"kind": "local", "pair_map": "trapezoid_x_dy"},
+                              {"kind": "local", "pair_map": "left_x_dy"}],
+                    checks=[{"name": check, "tolerance": 1e-6,
+                             "samples": 3}])
+        path = write_scenario(tmp_path, cfg)
+        assert main(["run", path, "--format", "json"]) == 1
+        result = json.loads(capsys.readouterr().out)["checks"][0]
+        assert result["max_defect"] is None and result["passed"] is False
+
+    def test_nan_defect_prints_as_strict_json_null(self, tmp_path, capsys):
+        cfg = plane(box=self.HUGE_BOX,
+                    connection={"kind": "local", "omega": "x_dy"},
+                    checks=[{"name": "closed_form", "tolerance": 1e-8,
+                             "samples": 5}])
+        assert main(["run", write_scenario(tmp_path, cfg),
+                     "--format", "json"]) == 1
+
+        def reject(token):
+            raise ValueError(f"non-strict JSON token {token}")
+
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert report["checks"][0]["max_defect"] is None
+        assert report["checks"][0]["passed"] is False
+        assert report["passed"] is False
+
+    def test_finite_defect_prints_as_a_number(self, tmp_path, capsys):
+        cfg = plane(connection={"kind": "local", "omega": "x_dy"},
+                    checks=[{"name": "closed_form", "tolerance": 1e-8,
+                             "samples": 5}])
+        assert main(["run", write_scenario(tmp_path, cfg),
+                     "--format", "json"]) == 1
+        defect = json.loads(capsys.readouterr().out)["checks"][0]["max_defect"]
+        assert isinstance(defect, float) and defect > 1e-3
+
 
 class TestMalformedInputExitsTwo:
     @pytest.mark.parametrize("samples", [-5, 0, 2.5, "3", True])
@@ -87,6 +145,117 @@ class TestMalformedInputExitsTwo:
         assert main(["run", path]) == 0
         assert main(["run", path, "--domain-radius", "0"]) == 2
         assert "base_radius" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--quadrature-order",
+                                      "--quadrature-panels"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_quadrature_settings_must_be_positive(self, tmp_path, capsys,
+                                                  flag, value):
+        # A flat discrete integrates by quadrature while it is checked.
+        cfg = plane(discrete={"kind": "flat", "omega": "closed_xy"},
+                    checks=[{"name": "discrete_axioms", "tolerance": 1e-9,
+                             "samples": 2}])
+        path = write_scenario(tmp_path, cfg)
+        assert main(["run", path]) == 0
+        assert main(["run", path, flag, value]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [
+        {"integrator": {"metric": "round"}},
+        {"connection": {"kind": "hopf_canonical"}},
+        {"bundle": {"kind": "hopf"},
+         "discrete": {"kind": "local", "pair_map": "zero"}},
+        {"bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 1},
+                    "group": {"kind": "R^k", "dim": 1}},
+         "box": [[-1.0, 1.0]],
+         "connection": {"kind": "local", "omega": "x_dy"}},
+        {"connection": {"kind": "local", "omega": {
+            "name": "polynomial", "terms": [{"coeff": None}]}}},
+        {"discrete": {"kind": "local", "pair_map": {
+            "name": "quadratic_f", "f": {"const": None}}}},
+        {"discrete": [{"kind": "local", "pair_map": "zero"}] * 2,
+         "checks": [{"name": "distinctness", "pair": 5}]},
+        {"checks": ["exp_log_roundtrip"]},
+    ])
+    def test_malformed_nested_config(self, tmp_path, capsys, extra):
+        path = write_scenario(tmp_path, plane(**extra))
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err or "UnknownBuiltin" in err
+
+
+SWEEP_BASE = {
+    "name": "sweep",
+    "seed": 3,
+    "box": [[-1.0, 1.0], [-1.0, 1.0]],
+    "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+               "group": {"kind": "U1"}},
+    "connection": {"kind": "local", "omega": "x_dy"},
+    "discrete": {"kind": "integrated"},
+    "integrator": {"retraction": "straight"},
+    "checks": [{"name": "exp_log_roundtrip", "tolerance": 1e-8,
+                "samples": 2}],
+}
+SWEEP_VALUES = ["drop", None, "zz", -1, 0, 1.5, [], {}, [1], True,
+                float("nan")]
+
+
+def key_paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+def sweep_configs():
+    """Every key path of SWEEP_BASE dropped or replaced by each of
+    SWEEP_VALUES; list items are replaced, not dropped."""
+    for path in key_paths(SWEEP_BASE):
+        for value in SWEEP_VALUES:
+            cfg = copy.deepcopy(SWEEP_BASE)
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent[key]
+            if value != "drop":
+                parent[path[-1]] = value
+            elif isinstance(parent, dict):
+                del parent[path[-1]]
+            else:
+                continue
+            yield path, value, cfg
+
+
+class TestConfigSweep:
+    def test_no_malformed_config_escapes_main(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        outcomes = {}
+        for key_path, value, cfg in sweep_configs():
+            path.write_text(json.dumps(cfg))
+            outcomes[key_path, repr(value)] = main(["run", str(path)])
+        capsys.readouterr()
+        assert len(outcomes) == 301
+        assert set(outcomes.values()) <= {0, 1, 2}
+        assert outcomes[("seed",), "-1"] == 2
+        assert outcomes[("bundle", "base", "dim"), "True"] == 2
+        assert outcomes[("box", 0, 1), "1.5"] == 0
+
+    def test_bundled_scenarios_stay_valid(self):
+        for path in sorted((ROOT / "scenarios").glob("*.json")):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("workload", ["matched-deep", "hopf-newton",
+                                          "breadth"])
+    def test_benchmark_configs_stay_valid(self, tmp_path, workload):
+        spec = importlib.util.spec_from_file_location(
+            "bench_workloads", ROOT / "bench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for seed in range(3):
+            workloads.write(workloads.generate(workload, seed),
+                            tmp_path / str(seed))
+        for path in sorted(tmp_path.rglob("*.json")):
+            load_scenario(path)
 
 
 class TestSphereBase:
