@@ -10,7 +10,9 @@ Two families are instantiated:
 Tangent vectors on trivial bundles carry a base block (ambient/chart
 components on the base) followed by a fiber block holding the
 right-trivialized velocity, i.e. an algebra vector.  Hopf tangents are
-ambient R^4 vectors orthogonal to the point.
+ambient R^4 vectors orthogonal to the point.  A Hopf tangent over a base
+direction delta is the closed form J^T delta / 4, with J the Jacobian of
+the projection (`any_lift`); it is horizontal for the canonical connection.
 """
 
 from __future__ import annotations
@@ -219,11 +221,14 @@ def any_lift(q: BundlePoint, delta_m: TangentVector) -> BundleTangent:
     if isinstance(q.bundle, TrivialBundle):
         return make_trivial_tangent(q, delta_m.components,
                                     np.zeros(q.bundle.group.dim))
+    # J J^T = 4 I and J q = 2 phi(q), so for delta tangent at phi(q) the
+    # minimum-norm solution of J v = delta is J^T delta / 4: it is orthogonal
+    # to q and to the fiber direction i q, i.e. horizontal for the canonical
+    # connection.  Projecting delta first keeps the result tangent at q.
     J = hopf_projection_jacobian(q.ambient)
-    A = np.vstack([J, q.ambient.reshape(1, 4)])
-    rhs = np.concatenate([delta_m.components, [0.0]])
-    sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    return BundleTangent(q, sol)
+    m = 0.5 * (J @ q.ambient)
+    delta = delta_m.components - np.dot(m, delta_m.components) * m
+    return BundleTangent(q, J.T @ delta / 4.0)
 
 
 def bundle_curve(q: BundlePoint, v: BundleTangent, t: float) -> BundlePoint:

@@ -24,19 +24,23 @@ from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
 from .errors import OutsideDomain
 from .groups import AlgebraElement
 from .manifolds import ManifoldPoint, TangentVector
-from .numdiff import (DerivativeSpec, by_column, on_stack,
+from .numdiff import (DerivativeSpec, by_column, lost_step, on_stack,
                       richardson_derivative)
 
 
 def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
                     v: BundleTangent, spec: DerivativeSpec) -> np.ndarray:
-    """Second-slot derivative of A_d at (q, q) in the direction v."""
+    """Second-slot derivative of A_d at (q, q) in the direction v; NaN
+    where the smallest difference step along the base is lost to rounding."""
 
     def f(t):
         value = eval_discrete(Ad, q, bundles.bundle_curve(q, v, t))
         return groups.log(value).vector
 
-    return richardson_derivative(f, spec, check_consistency=True)
+    derivative = richardson_derivative(f, spec, check_consistency=True)
+    lost = lost_step(bundles.project(q).coords,
+                     (bundles.tangent_projection(v).components,), spec)
+    return np.where(lost, np.nan, derivative)
 
 
 def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
@@ -48,8 +52,8 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
     This is `pair_derivative` at the identity section with a base
     direction: the group data operations run in the order in which
     `bundle_curve` and `eval_discrete` apply them, so the result has the
-    same bits, and the base validation, the domain test and the Richardson
-    consistency test are the same.
+    same bits, and the base validation, the domain test, the Richardson
+    consistency test and the lost-step NaN are the same.
     """
     base, group = Ad.bundle.base, Ad.bundle.group
     m = base.validate(m_coords)
@@ -73,7 +77,8 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
             g_t, group.compose_data(c, group.inverse_data(e)))
         return on_stack(group.log_data(value), group.dim, stack)
 
-    return richardson_derivative(f, spec, check_consistency=True)
+    derivative = richardson_derivative(f, spec, check_consistency=True)
+    return np.where(lost_step(m, (delta,), spec), np.nan, derivative)
 
 
 def derive_connection(Ad: DiscreteConnectionForm,

@@ -12,7 +12,9 @@ Two retraction rules are built in:
   R^d, great circles on spheres).
 
 Local inversion of the extended retraction runs a Newton iteration in a
-chart centered at the anchor point.
+chart centered at the anchor point.  The chart is built once per solve by
+`ManifoldKind.chart_at`, so a sphere computes its tangent basis at the
+anchor once, not once per residual.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ class ManifoldKind:
     def distance(self, a, b):
         raise NotImplementedError
 
-    # Chart centered at a point, used by the Newton inversion.
-    def chart_coords(self, center, point):
-        raise NotImplementedError
-
-    def tangent_from_chart(self, center, c):
-        """Tangent components at `center` from chart-direction coordinates."""
+    def chart_at(self, center):
+        """Chart centered at a point, used by the Newton inversion: the pair
+        (to_chart, from_chart) of closures mapping a point to its chart
+        coordinates and chart-direction coordinates to tangent components
+        at `center`."""
         raise NotImplementedError
 
     def geodesic_step(self, point, components):
@@ -84,11 +85,9 @@ class EuclideanChart(ManifoldKind):
             return np.linalg.norm(diff, axis=0)
         return float(np.linalg.norm(diff))
 
-    def chart_coords(self, center, point):
-        return point - center
-
-    def tangent_from_chart(self, center, c):
-        return np.array(c, dtype=float)
+    def chart_at(self, center):
+        return (lambda point: point - center,
+                lambda c: np.array(c, dtype=float))
 
     def geodesic_step(self, point, components):
         return point + components
@@ -140,15 +139,20 @@ class Sphere(ManifoldKind):
         B = Q[:, 1:n]
         return B
 
-    def chart_coords(self, center, point):
+    def chart_at(self, center):
         # Stereographic projection centered at `center` (from its antipode).
-        denom = 1.0 + np.dot(center, point)
-        if denom < 1e-12:
-            raise OutsideDomain("point is antipodal to the chart center")
-        return self.tangent_basis(center).T @ point / denom
+        B = self.tangent_basis(center)
 
-    def tangent_from_chart(self, center, c):
-        return self.tangent_basis(center) @ np.asarray(c, dtype=float)
+        def to_chart(point):
+            denom = 1.0 + np.dot(center, point)
+            if denom < 1e-12:
+                raise OutsideDomain("point is antipodal to the chart center")
+            return B.T @ point / denom
+
+        def from_chart(c):
+            return B @ np.asarray(c, dtype=float)
+
+        return to_chart, from_chart
 
     def geodesic_step(self, point, components):
         norm = float(np.linalg.norm(components))
@@ -218,16 +222,20 @@ class ProductManifold(ManifoldKind):
         return float(np.sqrt(sum(
             f.distance(x, y) ** 2 for f, x, y in zip(self.factors, ap, bp))))
 
-    def chart_coords(self, center, point):
-        cp, pp = self.split_coords(center), self.split_coords(point)
-        return np.concatenate([
-            f.chart_coords(c, p) for f, c, p in zip(self.factors, cp, pp)])
+    def chart_at(self, center):
+        charts = [f.chart_at(c)
+                  for f, c in zip(self.factors, self.split_coords(center))]
+        dims = [f.dim for f in self.factors]
 
-    def tangent_from_chart(self, center, c):
-        cp = self.split_coords(center)
-        parts = self._split(c, [f.dim for f in self.factors])
-        return np.concatenate([
-            f.tangent_from_chart(x, u) for f, x, u in zip(self.factors, cp, parts)])
+        def to_chart(point):
+            return np.concatenate([
+                to(p) for (to, _), p in zip(charts, self.split_coords(point))])
+
+        def from_chart(c):
+            return np.concatenate([
+                back(u) for (_, back), u in zip(charts, self._split(c, dims))])
+
+        return to_chart, from_chart
 
     def geodesic_step(self, point, components):
         pp = self.split_coords(point)
@@ -346,22 +354,24 @@ def invert_extended(R: Retraction, x: ManifoldPoint, y: ManifoldPoint,
     if kind.distance(x.coords, y.coords) >= R.domain_radius / 2.0:
         raise OutsideDomain("target too far from the anchor point")
 
-    target = kind.chart_coords(x.coords, y.coords)
-    zero_chart = kind.chart_coords(x.coords, x.coords)
+    to_chart, from_chart = kind.chart_at(x.coords)
+    target = to_chart(y.coords)
+    zero_chart = to_chart(x.coords)
 
     def residual(c):
-        v = kind.tangent_from_chart(x.coords, c)
+        v = from_chart(c)
         p = R.step(x.coords, kind.project_tangent(x.coords, v))
-        return kind.chart_coords(x.coords, p) - target
+        return to_chart(p) - target
 
     # Initial guess: chart difference, corrected for the chart's scaling of
     # tangent directions at the center.
     n = kind.dim
-    c = _chart_initial_guess(kind, x.coords, target - zero_chart)
+    c = _chart_initial_guess(kind, x.coords, to_chart, from_chart,
+                             target - zero_chart)
     for _ in range(max_iter):
         r = residual(c)
         if np.linalg.norm(r) <= tol:
-            v = kind.tangent_from_chart(x.coords, c)
+            v = from_chart(c)
             return TangentVector(x, kind.project_tangent(x.coords, v))
         J = np.empty((n, n))
         h = 1e-7 * (1.0 + np.linalg.norm(c))
@@ -378,7 +388,7 @@ def invert_extended(R: Retraction, x: ManifoldPoint, y: ManifoldPoint,
         f"after {max_iter} iterations")
 
 
-def _chart_initial_guess(kind, center, delta_chart):
+def _chart_initial_guess(kind, center, to_chart, from_chart, delta_chart):
     # The stereographic chart halves tangent directions at its center; the
     # Euclidean chart is the identity.  Probe the linearization numerically
     # along a unit direction so product manifolds are handled uniformly;
@@ -386,14 +396,14 @@ def _chart_initial_guess(kind, center, delta_chart):
     norm = float(np.linalg.norm(delta_chart))
     if norm < 1e-300:
         return np.array(delta_chart, dtype=float)
-    probe = kind.tangent_from_chart(center, delta_chart)
+    probe = from_chart(delta_chart)
     probe = kind.project_tangent(center, probe)
     probe_norm = float(np.linalg.norm(probe))
     if probe_norm < 1e-300:
         return np.array(delta_chart, dtype=float)
     h = 1e-3
     stepped = kind.geodesic_step(center, (h / probe_norm) * probe)
-    moved = kind.chart_coords(center, stepped) / h
+    moved = to_chart(stepped) / h
     scale = norm / (probe_norm * max(np.linalg.norm(moved), 1e-300))
     return np.asarray(delta_chart, dtype=float) * scale
 

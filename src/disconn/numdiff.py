@@ -86,13 +86,22 @@ def exterior_derivative(form, m, u, w, spec):
     lost to rounding (m + h u barely moves from m)."""
     d_uw = richardson_derivative(lambda t: form(m + t * u, w), spec)
     d_wu = richardson_derivative(lambda t: form(m + t * w, u), spec)
+    return np.where(lost_step(m, (u, w), spec), np.nan, d_uw - d_wu)
+
+
+def lost_step(m, directions, spec):
+    """Mask over the stack of the (d, *stack) point m: True in a column
+    where the smallest Richardson step h x along one of the directions x is
+    lost to rounding, i.e. (m + h x) - m is off h x by more than half of
+    it.  A difference quotient there sees no step (at 1e250, m + h x == m)
+    and reads a wrong value, often exactly zero."""
     h = spec.base_step / 2 ** (spec.richardson_levels - 1)
     lost = np.zeros(np.shape(m)[1:], dtype=bool)
-    for x in (u, w):
+    for x in directions:
         step = h * x
         lost |= (np.linalg.norm((m + step) - m - step, axis=0)
                  > 0.5 * np.linalg.norm(step, axis=0))
-    return np.where(lost, np.nan, d_uw - d_wu)
+    return lost
 
 
 def gauss_legendre_line_integral(f, a, b, order=8, panels=16):

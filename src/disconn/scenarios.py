@@ -165,6 +165,9 @@ def _probe(rule, size, name):
 # Context construction
 
 DEFAULT_TOLERANCE = 1e-8
+# numpy documents its Gauss-Legendre nodes as tested up to degree 100, and
+# their cost grows with the square of the order.
+MAX_QUADRATURE_ORDER = 100
 
 
 def _is_int(value):
@@ -294,6 +297,8 @@ class ScenarioContext:
                  quadrature_panels=abelian.QUADRATURE_PANELS, anchor=None):
         _require(_is_count(quadrature_order) and _is_count(quadrature_panels),
                  "quadrature order and panels must be positive integers")
+        _require(quadrature_order <= MAX_QUADRATURE_ORDER,
+                 f"quadrature order must be at most {MAX_QUADRATURE_ORDER}")
         self.name = cfg["name"]
         self.seed = int(cfg["seed"])
         self.sample_count = int(cfg.get("sample_count", 100))

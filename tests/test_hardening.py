@@ -11,13 +11,16 @@ import numpy as np
 import pytest
 
 from disconn.abelian import BaseOneForm, check_closed, exterior_defect
-from disconn.bundles import TrivialBundle
+from disconn.bundles import (BundlePoint, DomainSpec, TrivialBundle,
+                             make_trivial_tangent)
 from disconn.cli import main
 from disconn.connections import TrivialLocalConnection, curvature
+from disconn.derivation import derive_connection, pair_derivative
+from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NotClosed
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart, ManifoldPoint, TangentVector
-from disconn.numdiff import worst_defect
+from disconn.numdiff import DerivativeSpec, worst_defect
 from disconn.scenarios import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -97,6 +100,48 @@ class TestUnmeasurableDefects:
         result = json.loads(capsys.readouterr().out)["checks"][0]
         assert result["max_defect"] is None and result["passed"] is False
 
+    @pytest.mark.parametrize("box", [HUGE_BOX, [[-1.0, 1.0], [-1.0, 1.0]]])
+    def test_derive_roundtrip_against_zero_fails(self, tmp_path, capsys,
+                                                 box):
+        # trapezoid_x_dy derives to x dy, not to zero.  On the unit box the
+        # defect is measured; at 1e250 the pair map sees no step and the
+        # derived connection would read exactly zero.
+        cfg = plane(box=box, connection={"kind": "local", "omega": "zero"},
+                    discrete={"kind": "local", "pair_map": "trapezoid_x_dy"},
+                    checks=[{"name": "derive_roundtrip", "tolerance": 1e-6,
+                             "samples": 3}])
+        assert main(["run", write_scenario(tmp_path, cfg),
+                     "--format", "json"]) == 1
+        result = json.loads(capsys.readouterr().out)["checks"][0]
+        assert result["passed"] is False
+        if box is self.HUGE_BOX:
+            assert result["max_defect"] is None
+        else:
+            assert result["max_defect"] > 0.1
+
+    @staticmethod
+    def left_x_dy():
+        bundle = TrivialBundle(EuclideanChart(2), Translation(1))
+        return TrivialLocalDiscrete(
+            bundle, lambda m0, m1: np.array([m0[0] * (m1[1] - m0[1])]),
+            DomainSpec(bundle, 1e18))
+
+    def test_pair_derivative_of_lost_step_reads_nan(self):
+        Ad = self.left_x_dy()
+        for m, finite in (([1e250, 1e250], False), ([2.0, 3.0], True)):
+            q = BundlePoint.trivial(Ad.bundle, m, [0.0])
+            v = make_trivial_tangent(q, [0.0, 1.0], [0.0])
+            value = pair_derivative(Ad, q, v, DerivativeSpec())
+            assert np.isfinite(value[0]) == finite
+
+    def test_stacked_derivative_is_nan_only_in_the_lost_column(self):
+        omega = derive_connection(self.left_x_dy()).omega
+        m = np.array([[2.0, 1e250], [3.0, 1e250]])
+        value = omega(m, np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert value.shape == (1, 2)
+        assert value[0, 0] == pytest.approx(2.0, abs=1e-9)
+        assert math.isnan(value[0, 1])
+
     def test_nan_defect_prints_as_strict_json_null(self, tmp_path, capsys):
         cfg = plane(box=self.HUGE_BOX,
                     connection={"kind": "local", "omega": "x_dy"},
@@ -158,6 +203,17 @@ class TestMalformedInputExitsTwo:
         path = write_scenario(tmp_path, cfg)
         assert main(["run", path]) == 0
         assert main(["run", path, flag, value]) == 2
+        assert "ParseError" in capsys.readouterr().err
+
+    def test_quadrature_order_is_at_most_100(self, tmp_path, capsys):
+        # Gauss-Legendre nodes cost grows with the square of the order;
+        # an unbounded order ran out of memory inside numpy.
+        cfg = plane(discrete={"kind": "flat", "omega": "closed_xy"},
+                    checks=[{"name": "discrete_axioms", "tolerance": 1e-9,
+                             "samples": 2}])
+        path = write_scenario(tmp_path, cfg)
+        assert main(["run", path, "--quadrature-order", "100"]) == 0
+        assert main(["run", path, "--quadrature-order", "101"]) == 2
         assert "ParseError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [

@@ -75,11 +75,13 @@ class TestSphere:
         rng = np.random.default_rng(5)
         center = random_sphere_point(rng)
         other = random_sphere_point(rng)
-        c = kind.chart_coords(center.coords, other.coords)
-        # Invert stereographic projection by hand: the chart is injective,
-        # so matching coords identifies the point.
-        again = kind.chart_coords(center.coords, other.coords)
-        assert np.allclose(c, again)
+        to_chart, from_chart = kind.chart_at(center.coords)
+        u = to_chart(other.coords)
+        # Invert the stereographic projection by hand:
+        # p = ((1 - |u|^2) x + 2 B u) / (1 + |u|^2).
+        s = float(np.dot(u, u))
+        back = ((1.0 - s) * center.coords + 2.0 * from_chart(u)) / (1.0 + s)
+        assert np.allclose(back, other.coords, rtol=0.0, atol=1e-12)
 
 
 class TestRetraction:

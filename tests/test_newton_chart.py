@@ -1,0 +1,148 @@
+"""One chart per Newton solve and the closed-form Hopf horizontal lift."""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from disconn.bundles import (BundlePoint, HopfBundle, any_lift,
+                             hopf_projection_coords, hopf_projection_jacobian)
+from disconn.connections import HopfCanonicalConnection, eval_connection
+from disconn.integration import hopf_geodesic_retraction, reduced_retraction
+from disconn.manifolds import (EuclideanChart, ManifoldPoint, ProductManifold,
+                               Sphere, TangentVector, invert_extended,
+                               metric_exponential, retract)
+
+
+def unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def explicit_to_chart(kind, x, p):
+    if isinstance(kind, Sphere):
+        return kind.tangent_basis(x).T @ p / (1.0 + np.dot(x, p))
+    return p - x
+
+
+def explicit_from_chart(kind, x, c):
+    if isinstance(kind, Sphere):
+        return kind.tangent_basis(x) @ c
+    return np.array(c, dtype=float)
+
+
+def random_point(rng, kind):
+    if isinstance(kind, Sphere):
+        return unit(rng.normal(size=kind.ambient_dim))
+    return rng.normal(size=kind.dim)
+
+
+class TestChartAt:
+    @pytest.mark.parametrize("kind", [Sphere(3), Sphere(4), EuclideanChart(2)])
+    def test_closures_equal_the_explicit_formulas(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            x = random_point(rng, kind)
+            to_chart, from_chart = kind.chart_at(x)
+            p = random_point(rng, kind)
+            c = rng.normal(size=kind.dim)
+            assert np.array_equal(to_chart(p), explicit_to_chart(kind, x, p))
+            assert np.array_equal(from_chart(c),
+                                  explicit_from_chart(kind, x, c))
+
+    def test_product_composes_the_factor_charts(self):
+        factors = (EuclideanChart(1), Sphere(3))
+        kind = ProductManifold(factors)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            x = np.concatenate([random_point(rng, f) for f in factors])
+            p = np.concatenate([random_point(rng, f) for f in factors])
+            c = rng.normal(size=kind.dim)
+            to_chart, from_chart = kind.chart_at(x)
+            xs, ps = kind.split_coords(x), kind.split_coords(p)
+            assert np.array_equal(to_chart(p), np.concatenate([
+                explicit_to_chart(f, a, b) for f, a, b in zip(factors, xs, ps)]))
+            assert np.array_equal(from_chart(c), np.concatenate([
+                explicit_from_chart(factors[0], xs[0], c[:1]),
+                explicit_from_chart(factors[1], xs[1], c[1:])]))
+
+
+class TestOneBasisPerSolve:
+    @pytest.fixture
+    def basis_count(self, monkeypatch):
+        calls = []
+        original = Sphere.tangent_basis
+
+        def counting(self, center):
+            calls.append(1)
+            return original(self, center)
+
+        monkeypatch.setattr(Sphere, "tangent_basis", counting)
+        return calls
+
+    def solve_and_count(self, calls, R, x, v):
+        calls.clear()
+        y = retract(R, v)
+        w = invert_extended(R, x, y)
+        assert np.allclose(w.components, v.components, atol=1e-9)
+        return len(calls)
+
+    def test_sphere_geodesic(self, basis_count):
+        kind = Sphere(4)
+        R = metric_exponential(kind)
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            x = ManifoldPoint.of(kind, unit(rng.normal(size=4)))
+            v = TangentVector(x, 0.3 * unit(kind.project_tangent(
+                x.coords, rng.normal(size=4))))
+            assert self.solve_and_count(basis_count, R, x, v) == 1
+
+    def test_product_with_a_sphere_factor(self, basis_count):
+        kind = ProductManifold((EuclideanChart(1), Sphere(3)))
+        R = metric_exponential(kind)
+        x = ManifoldPoint.of(kind, [0.5, 0.0, 0.6, 0.8])
+        v = TangentVector(x, kind.project_tangent(
+            x.coords, np.array([0.2, 0.1, -0.2, 0.3])))
+        assert self.solve_and_count(basis_count, R, x, v) == 1
+
+    def test_reduced_hopf_retraction(self, basis_count):
+        H = HopfBundle()
+        R = reduced_retraction(HopfCanonicalConnection(H),
+                               hopf_geodesic_retraction(H))
+        x = ManifoldPoint.of(Sphere(3), unit([0.3, -0.5, 0.8]))
+        v = TangentVector(x, Sphere(3).project_tangent(
+            x.coords, np.array([0.1, 0.2, 0.05])))
+        assert self.solve_and_count(basis_count, R, x, v) == 1
+
+
+coordinate = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def lstsq_lift(q, delta):
+    # Minimum-norm least-squares solution of J v = delta, q . v = 0.
+    A = np.vstack([hopf_projection_jacobian(q), q.reshape(1, 4)])
+    sol, *_ = np.linalg.lstsq(A, np.concatenate([delta, [0.0]]), rcond=None)
+    return sol
+
+
+class TestClosedFormHopfLift:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(coordinate, min_size=4, max_size=4),
+           st.lists(coordinate, min_size=3, max_size=3))
+    def test_lift_is_the_horizontal_minimum_norm_solution(self, q_raw, d_raw):
+        assume(np.linalg.norm(q_raw) > 0.1)
+        H = HopfBundle()
+        q = BundlePoint.hopf(H, unit(q_raw))
+        m = ManifoldPoint.of(Sphere(3), hopf_projection_coords(q.ambient))
+        delta = np.asarray(d_raw) - np.dot(m.coords, d_raw) * m.coords
+        tangent = any_lift(q, TangentVector(m, delta))
+        lift = tangent.components
+        # A direction off the tangent plane is projected onto it first.
+        off_plane = any_lift(q, TangentVector(m, np.asarray(d_raw)))
+        assert np.max(np.abs(off_plane.components - lift)) <= 1e-14
+        J = hopf_projection_jacobian(q.ambient)
+        assert np.max(np.abs(J @ lift - delta)) <= 1e-14
+        assert abs(np.dot(q.ambient, lift)) <= 1e-14
+        value = eval_connection(HopfCanonicalConnection(H), tangent)
+        assert abs(value.vector[0]) <= 1e-14
+        assert np.max(np.abs(lift - lstsq_lift(q.ambient, delta))) <= 1e-14
