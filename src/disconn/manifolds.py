@@ -11,10 +11,14 @@ Two retraction rules are built in:
 * ``metric_exponential`` -- the geodesic exponential (straight lines on
   R^d, great circles on spheres).
 
-Local inversion of the extended retraction runs a Newton iteration in a
-chart centered at the anchor point.  The chart is built once per solve by
-`ManifoldKind.chart_at`, so a sphere computes its tangent basis at the
-anchor once, not once per residual.
+Local inversion of the extended retraction runs a Newton iteration in the
+normal chart centered at the anchor point: a point's chart coordinates are
+its geodesic log in an orthonormal tangent basis (the closed-form log on
+spheres, a shift on R^d).  `ManifoldKind.chart_at` builds the chart once
+per solve; a sphere's basis is one Householder reflection.  Every
+retraction is the identity to first order (DR_x(0) = id), so Newton starts
+at the target's chart coordinates: exact for ``metric_exponential``,
+first-order accurate for every other rule.
 """
 
 from __future__ import annotations
@@ -45,10 +49,10 @@ class ManifoldKind:
         raise NotImplementedError
 
     def chart_at(self, center):
-        """Chart centered at a point, used by the Newton inversion: the pair
-        (to_chart, from_chart) of closures mapping a point to its chart
-        coordinates and chart-direction coordinates to tangent components
-        at `center`."""
+        """Normal chart centered at a point, used by the Newton inversion:
+        the pair (to_chart, from_chart) of closures mapping a point to the
+        coordinates of its geodesic log at `center` and chart coordinates to
+        tangent components at `center`."""
         raise NotImplementedError
 
     def geodesic_step(self, point, components):
@@ -132,22 +136,29 @@ class Sphere(ManifoldKind):
 
     def tangent_basis(self, center):
         """Orthonormal basis of the tangent space, columns of the result."""
-        # Complete `center` to an orthonormal ambient basis via QR.
-        n = self.ambient_dim
-        A = np.column_stack([center, np.eye(n)])
-        Q, _ = np.linalg.qr(A)
-        B = Q[:, 1:n]
-        return B
+        # The Householder reflection H = I - 2 w w^T / (w . w) with
+        # w = x + sign(x_k) e_k, k = argmax |x_k|, maps e_k to -sign(x_k) x;
+        # its other columns are orthonormal and orthogonal to x.  Since
+        # |x_k| >= 1/sqrt(n), w . w = 2 (1 + |x_k|) >= 2.
+        k = int(np.argmax(np.abs(center)))
+        w = np.array(center, dtype=float)
+        w[k] += np.copysign(1.0, center[k])
+        H = np.eye(self.ambient_dim) - np.outer(w, (2.0 / np.dot(w, w)) * w)
+        return np.delete(H, k, axis=1)
 
     def chart_at(self, center):
-        # Stereographic projection centered at `center` (from its antipode).
+        # Normal coordinates at `center`: the geodesic log in the basis B.
         B = self.tangent_basis(center)
 
         def to_chart(point):
-            denom = 1.0 + np.dot(center, point)
-            if denom < 1e-12:
+            cos = np.dot(center, point)
+            if 1.0 + cos < 1e-12:
                 raise OutsideDomain("point is antipodal to the chart center")
-            return B.T @ point / denom
+            sin_part = B.T @ point
+            s = float(np.linalg.norm(sin_part))
+            if s < 1e-300:
+                return sin_part
+            return np.arctan2(s, cos) / s * sin_part
 
         def from_chart(c):
             return B @ np.asarray(c, dtype=float)
@@ -363,11 +374,10 @@ def invert_extended(R: Retraction, x: ManifoldPoint, y: ManifoldPoint,
         p = R.step(x.coords, kind.project_tangent(x.coords, v))
         return to_chart(p) - target
 
-    # Initial guess: chart difference, corrected for the chart's scaling of
-    # tangent directions at the center.
+    # Initial guess: the normal coordinates of the target, exact for the
+    # metric exponential and first-order accurate for any retraction.
     n = kind.dim
-    c = _chart_initial_guess(kind, x.coords, to_chart, from_chart,
-                             target - zero_chart)
+    c = target - zero_chart
     for _ in range(max_iter):
         r = residual(c)
         if np.linalg.norm(r) <= tol:
@@ -386,26 +396,6 @@ def invert_extended(R: Retraction, x: ManifoldPoint, y: ManifoldPoint,
     raise NewtonDivergence(
         f"residual {np.linalg.norm(residual(c)):.3e} > {tol:.1e} "
         f"after {max_iter} iterations")
-
-
-def _chart_initial_guess(kind, center, to_chart, from_chart, delta_chart):
-    # The stereographic chart halves tangent directions at its center; the
-    # Euclidean chart is the identity.  Probe the linearization numerically
-    # along a unit direction so product manifolds are handled uniformly;
-    # the unit-scale step keeps the probe clear of cancellation noise.
-    norm = float(np.linalg.norm(delta_chart))
-    if norm < 1e-300:
-        return np.array(delta_chart, dtype=float)
-    probe = from_chart(delta_chart)
-    probe = kind.project_tangent(center, probe)
-    probe_norm = float(np.linalg.norm(probe))
-    if probe_norm < 1e-300:
-        return np.array(delta_chart, dtype=float)
-    h = 1e-3
-    stepped = kind.geodesic_step(center, (h / probe_norm) * probe)
-    moved = to_chart(stepped) / h
-    scale = norm / (probe_norm * max(np.linalg.norm(moved), 1e-300))
-    return np.asarray(delta_chart, dtype=float) * scale
 
 
 def check_retraction_axioms(R: Retraction, x: ManifoldPoint, v: TangentVector,

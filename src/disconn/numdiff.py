@@ -112,7 +112,7 @@ def gauss_legendre_line_integral(f, a, b, order=8, panels=16):
     constant.  The weighted values are summed one node after another in
     panel order, as a loop over the nodes would.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = _gauss_legendre_rule(order)
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -123,6 +123,16 @@ def gauss_legendre_line_integral(f, a, b, order=8, panels=16):
         values = values[..., None]
     # A sequential prefix sum, not the pairwise summation of np.sum.
     return np.add.accumulate(coeffs * values, axis=-1)[..., -1]
+
+
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre_rule(order):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; one
+    eigensolve per order, not one per integral."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def on_stack(values, dim, stack):

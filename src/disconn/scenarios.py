@@ -168,6 +168,9 @@ DEFAULT_TOLERANCE = 1e-8
 # numpy documents its Gauss-Legendre nodes as tested up to degree 100, and
 # their cost grows with the square of the order.
 MAX_QUADRATURE_ORDER = 100
+# The composite rule evaluates all order * panels nodes at once, so this
+# caps a rule at 100 000 nodes.
+MAX_QUADRATURE_PANELS = 1000
 
 
 def _is_int(value):
@@ -299,6 +302,8 @@ class ScenarioContext:
                  "quadrature order and panels must be positive integers")
         _require(quadrature_order <= MAX_QUADRATURE_ORDER,
                  f"quadrature order must be at most {MAX_QUADRATURE_ORDER}")
+        _require(quadrature_panels <= MAX_QUADRATURE_PANELS,
+                 f"quadrature panels must be at most {MAX_QUADRATURE_PANELS}")
         self.name = cfg["name"]
         self.seed = int(cfg["seed"])
         self.sample_count = int(cfg.get("sample_count", 100))

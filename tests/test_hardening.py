@@ -21,7 +21,7 @@ from disconn.errors import NotClosed
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart, ManifoldPoint, TangentVector
 from disconn.numdiff import DerivativeSpec, worst_defect
-from disconn.scenarios import load_scenario
+from disconn.scenarios import ScenarioContext, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,6 +215,21 @@ class TestMalformedInputExitsTwo:
         assert main(["run", path, "--quadrature-order", "100"]) == 0
         assert main(["run", path, "--quadrature-order", "101"]) == 2
         assert "ParseError" in capsys.readouterr().err
+
+    def test_quadrature_panels_are_at_most_1000(self, tmp_path, capsys):
+        # The composite rule allocates all order * panels nodes at once, so
+        # an unbounded panel count would be killed rather than exit 2.  Only
+        # the context is built for 1000; the larger values exit before any
+        # rule is allocated.
+        cfg = plane(discrete={"kind": "flat", "omega": "closed_xy"},
+                    checks=[{"name": "discrete_axioms", "tolerance": 1e-9,
+                             "samples": 2}])
+        path = write_scenario(tmp_path, cfg)
+        ctx = ScenarioContext(load_scenario(path), quadrature_panels=1000)
+        assert ctx.quadrature_panels == 1000
+        for value in ["1001", "1000000000"]:
+            assert main(["run", path, "--quadrature-panels", value]) == 2
+            assert "ParseError" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         {"integrator": {"metric": "round"}},

@@ -77,10 +77,9 @@ class TestSphere:
         other = random_sphere_point(rng)
         to_chart, from_chart = kind.chart_at(center.coords)
         u = to_chart(other.coords)
-        # Invert the stereographic projection by hand:
-        # p = ((1 - |u|^2) x + 2 B u) / (1 + |u|^2).
-        s = float(np.dot(u, u))
-        back = ((1.0 - s) * center.coords + 2.0 * from_chart(u)) / (1.0 + s)
+        # Invert the normal chart by hand: p = cos|u| x + sin|u| B u / |u|.
+        r = float(np.linalg.norm(u))
+        back = np.cos(r) * center.coords + np.sin(r) * from_chart(u) / r
         assert np.allclose(back, other.coords, rtol=0.0, atol=1e-12)
 
 

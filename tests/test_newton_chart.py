@@ -1,4 +1,7 @@
-"""One chart per Newton solve and the closed-form Hopf horizontal lift."""
+"""Newton in the normal chart, one chart per solve, and the closed-form
+Hopf horizontal lift."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 
 from disconn.bundles import (BundlePoint, HopfBundle, any_lift,
                              hopf_projection_coords, hopf_projection_jacobian)
-from disconn.connections import HopfCanonicalConnection, eval_connection
+from disconn.connections import (HopfCanonicalConnection,
+                                 HopfPerturbedConnection, eval_connection)
+from disconn.errors import OutsideDomain
 from disconn.integration import hopf_geodesic_retraction, reduced_retraction
 from disconn.manifolds import (EuclideanChart, ManifoldPoint, ProductManifold,
                                Sphere, TangentVector, invert_extended,
@@ -21,7 +26,9 @@ def unit(v):
 
 def explicit_to_chart(kind, x, p):
     if isinstance(kind, Sphere):
-        return kind.tangent_basis(x).T @ p / (1.0 + np.dot(x, p))
+        sin_part = kind.tangent_basis(x).T @ p
+        s = float(np.linalg.norm(sin_part))
+        return np.arctan2(s, np.dot(x, p)) / s * sin_part
     return p - x
 
 
@@ -32,6 +39,8 @@ def explicit_from_chart(kind, x, c):
 
 
 def random_point(rng, kind):
+    if isinstance(kind, ProductManifold):
+        return np.concatenate([random_point(rng, f) for f in kind.factors])
     if isinstance(kind, Sphere):
         return unit(rng.normal(size=kind.ambient_dim))
     return rng.normal(size=kind.dim)
@@ -65,6 +74,83 @@ class TestChartAt:
             assert np.array_equal(from_chart(c), np.concatenate([
                 explicit_from_chart(factors[0], xs[0], c[:1]),
                 explicit_from_chart(factors[1], xs[1], c[1:])]))
+
+
+def hopf_reduced(connection):
+    H = HopfBundle()
+    return reduced_retraction(connection(H), hopf_geodesic_retraction(H))
+
+
+def random_tangent(rng, kind, x, length):
+    v = kind.project_tangent(x.coords, rng.normal(size=kind.coord_size))
+    return TangentVector(x, length * unit(v))
+
+
+class TestNormalChartNewton:
+    @pytest.mark.parametrize("make", [
+        lambda: hopf_reduced(HopfCanonicalConnection),
+        lambda: metric_exponential(Sphere(3)),
+        lambda: metric_exponential(Sphere(4)),
+        lambda: metric_exponential(
+            ProductManifold((EuclideanChart(1), Sphere(3)))),
+    ])
+    def test_exact_retractions_take_one_residual_per_solve(self, make):
+        # The target's normal coordinates are the solution, so Newton
+        # returns at its first residual, with no Jacobian.
+        R = make()
+        calls = []
+
+        def counting(point, components):
+            calls.append(1)
+            return R.step(point, components)
+
+        counted = dataclasses.replace(R, step=counting)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            x = ManifoldPoint.of(R.kind, random_point(rng, R.kind))
+            v = random_tangent(rng, R.kind, x, 0.4 * R.domain_radius)
+            y = retract(R, v)
+            calls.clear()
+            w = invert_extended(counted, x, y)
+            assert len(calls) == 1
+            assert np.max(np.abs(w.components - v.components)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [Sphere(3), Sphere(4)])
+    def test_center_is_zero_and_antipode_is_outside(self, kind):
+        for x in [np.eye(kind.ambient_dim)[0],
+                  unit(np.arange(1.0, kind.ambient_dim + 1.0))]:
+            to_chart, _ = kind.chart_at(x)
+            # At the center itself (B^T x is exactly 0 at e_0) the chart
+            # reads 0, not 0/0.
+            assert np.max(np.abs(to_chart(x))) <= 1e-15
+            with pytest.raises(OutsideDomain):
+                to_chart(-x)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_householder_basis_is_orthonormal_and_tangent(self, n):
+        kind = Sphere(n)
+        rng = np.random.default_rng(n)
+        # At +-e_k a reflection vector x - e_k would vanish.
+        points = [sign * np.eye(n)[k] for k in range(n) for sign in (1, -1)]
+        points += [unit(rng.normal(size=n)) for _ in range(50)]
+        for x in points:
+            B = kind.tangent_basis(x)
+            assert B.shape == (n, n - 1)
+            assert np.max(np.abs(B.T @ B - np.eye(n - 1))) <= 1e-15
+            assert np.max(np.abs(B.T @ x)) <= 1e-15
+
+    def test_perturbed_hopf_solves_to_the_edge_of_the_domain(self):
+        R = hopf_reduced(lambda H: HopfPerturbedConnection(H, 0.1))
+        kind = R.kind
+        reach = 0.99 * R.domain_radius / 2.0
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            x = ManifoldPoint.of(kind, unit(rng.normal(size=3)))
+            y = ManifoldPoint.of(kind, kind.geodesic_step(
+                x.coords, random_tangent(rng, kind, x, reach).components))
+            v = invert_extended(R, x, y)
+            assert np.max(np.abs(R.step(x.coords, v.components)
+                                 - y.coords)) <= 1e-11
 
 
 class TestOneBasisPerSolve:

@@ -4,7 +4,7 @@ same bits as a loop over its columns."""
 import numpy as np
 import pytest
 
-from disconn import groups
+from disconn import groups, numdiff
 from disconn.abelian import (PRIMITIVE_CACHE_SIZE, BaseOneForm,
                              curvature_matched_integrate,
                              descend_continuous_difference,
@@ -136,6 +136,26 @@ class TestQuadrature:
         assert calls == [(35,)]
         want = reference_quadrature(f, -0.3, 1.7, order=5, panels=7)
         assert np.array_equal(got, want)
+
+    def test_one_eigensolve_per_order(self, monkeypatch):
+        solves = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counting(order):
+            solves.append(order)
+            return leggauss(order)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        numdiff._gauss_legendre_rule.cache_clear()
+        f = lambda x: np.array([np.sin(3.0 * x)])
+        got = [gauss_legendre_line_integral(f, -0.3, 1.7, order=order)
+               for order in (13, 5, 13, 5)]
+        assert solves == [13, 5]
+        assert np.array_equal(got[0], got[2])
+        assert np.array_equal(got[3], reference_quadrature(
+            f, -0.3, 1.7, order=5))
+        nodes, weights = numdiff._gauss_legendre_rule(13)
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_constant_lambda(self):
         got = gauss_legendre_line_integral(lambda x: np.array([2.0, -1.0]),
