@@ -2,8 +2,8 @@
 
 Modules:
 
-* ``groups`` -- matrix Lie groups (translations, tori, SO(3), products);
-* ``manifolds`` -- base manifolds, metrics, retractions;
+* ``groups`` -- matrix Lie groups (translations, tori, SO(3));
+* ``manifolds`` -- base manifolds and retractions;
 * ``bundles`` -- trivial bundles and the Hopf bundle;
 * ``connections`` -- connection one-forms, lifts, curvature;
 * ``discrete`` -- discrete connection forms and discrete curvature;

@@ -1,10 +1,8 @@
 """Constructions special to abelian structure groups.
 
-With an abelian group, differences of connections (continuous or discrete)
-are invariant under the action and therefore descend to the base: a
-one-form for the continuous case, a pair function vanishing on the
-diagonal for the discrete case.  This enables two integration routes that
-need no retraction:
+With an abelian group, the difference of two connections is invariant
+under the action and therefore descends to a one-form on the base.  This
+enables two integration routes that need no retraction:
 
 * flat integration -- exponentiate line integrals of a closed one-form to
   get a flat discrete connection;
@@ -70,16 +68,6 @@ class BaseOneForm:
         v = np.asarray(v_components, dtype=float)
         stack = np.broadcast_shapes(m.shape[1:], v.shape[1:])
         return on_stack(self.form(m, v), self.group.dim, stack)
-
-
-@dataclass(frozen=True)
-class BasePairFunction:
-    """Group-valued function of base point pairs, identity on the diagonal."""
-
-    base: ManifoldKind
-    group: GroupKind
-    rule: Callable  # (m0 coords, m1 coords) -> GroupElement
-    name: str = "pair_function"
 
 
 def _require_abelian(kind: GroupKind):
@@ -172,37 +160,6 @@ def descend_continuous_difference(A: ConnectionForm, A_ref: ConnectionForm,
                 "difference is not constant along fibers: defect "
                 f"{float(np.linalg.norm(direct - via_base)):.3e}")
     return omega
-
-
-def descend_discrete_difference(Ad: DiscreteConnectionForm,
-                                Ad_ref: DiscreteConnectionForm,
-                                check_samples=(),
-                                tol: float = 1e-9) -> BasePairFunction:
-    """Pair function on the base representing A_d - A_d,ref."""
-    if Ad.bundle != Ad_ref.bundle:
-        raise DescentFailure("discrete forms live on different bundles")
-    bundle = Ad.bundle
-    _require_abelian(bundle.group)
-
-    def rule(m0_coords, m1_coords):
-        q0 = bundles.section_over(bundle,
-                                  ManifoldPoint.of(bundle.base, m0_coords))
-        q1 = bundles.section_over(bundle,
-                                  ManifoldPoint.of(bundle.base, m1_coords))
-        return groups.compose(eval_discrete(Ad, q0, q1),
-                              groups.inverse(eval_discrete(Ad_ref, q0, q1)))
-
-    zeta = BasePairFunction(bundle.base, bundle.group, rule, name="difference")
-
-    for q0, q1 in check_samples:
-        direct = groups.compose(eval_discrete(Ad, q0, q1),
-                                groups.inverse(eval_discrete(Ad_ref, q0, q1)))
-        m0, m1 = bundles.project(q0), bundles.project(q1)
-        via_base = rule(m0.coords, m1.coords)
-        if groups.group_distance(direct, via_base) > tol:
-            raise DescentFailure(
-                "discrete difference is not invariant along fibers")
-    return zeta
 
 
 def _local_value_at_identity(A: TrivialLocalConnection, m_coords,

@@ -287,7 +287,7 @@ class DomainSpec:
     base_radius: float
 
     def __post_init__(self):
-        if self.base_radius <= 0:
+        if not self.base_radius > 0:
             raise ValueError("base_radius must be positive")
 
 

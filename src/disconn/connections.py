@@ -107,7 +107,13 @@ def horizontal_lift(A: ConnectionForm, q: BundlePoint,
 
 def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
               spec: DerivativeSpec = DerivativeSpec()) -> AlgebraElement:
-    """Curvature two-form on a pair of base tangent vectors at one point."""
+    """Curvature two-form on a pair of base tangent vectors at one point.
+
+    For a local connection, Omega(u, w) = d omega(u, w) - [omega(u),
+    omega(w)] with d omega(u, w) = u(omega(w)) - w(omega(u)): the sign of
+    the bracket follows from the left action, A = Ad_g omega + (dg) g^{-1},
+    under which omega = -h^{-1} dh is flat for every map h into the group.
+    """
     if np.linalg.norm(u.base.coords - w.base.coords) > 1e-12:
         raise ValueError("curvature needs tangents at a common base point")
     if isinstance(A, TrivialLocalConnection):
@@ -119,7 +125,7 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
         lie = groups.bracket(
             AlgebraElement.of(A.bundle.group, A.omega(u.base.coords, u.components)),
             AlgebraElement.of(A.bundle.group, A.omega(w.base.coords, w.components)))
-        return AlgebraElement.of(A.bundle.group, d_omega + 0.5 * lie.vector)
+        return AlgebraElement.of(A.bundle.group, d_omega - lie.vector)
     if isinstance(A, (HopfCanonicalConnection, HopfPerturbedConnection)):
         # The exterior derivative of the canonical form is the constant
         # ambient two-form 2(da^db + dc^dd); evaluate it on horizontal lifts.

@@ -25,7 +25,6 @@ from .bundles import (BundlePoint, DomainSpec, PrincipalBundle, TrivialBundle,
 from .errors import BundleMismatch, OutsideDomain, UnsupportedPresentation
 from .groups import GroupElement
 from .manifolds import ManifoldPoint
-from .numdiff import worst_defect
 
 
 class DiscreteConnectionForm:
@@ -98,22 +97,6 @@ def discrete_equivariance_defect(Ad: DiscreteConnectionForm,
     expected = groups.compose(
         g_prime, groups.compose(eval_discrete(Ad, q0, q1), groups.inverse(g)))
     return groups.group_distance(moved, expected)
-
-
-def lift_consistency_defect(Ad: DiscreteConnectionForm, q: BundlePoint,
-                            m: ManifoldPoint) -> float:
-    """Defect of A_d(q, h_d(q, m)) = identity."""
-    lifted = discrete_horizontal_lift(Ad, q, m)
-    return groups.distance_to_identity(eval_discrete(Ad, q, lifted))
-
-
-def verify_discrete_axioms(Ad: DiscreteConnectionForm, samples) -> float:
-    """Worst identity/equivariance defect over (q0, q1, g, g') samples."""
-    defects = []
-    for q0, q1, g, g_prime in samples:
-        defects.append(identity_defect(Ad, q0))
-        defects.append(discrete_equivariance_defect(Ad, g, g_prime, q0, q1))
-    return worst_defect(defects)
 
 
 def flatness_defect(Ad: DiscreteConnectionForm, q0: BundlePoint,

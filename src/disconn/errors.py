@@ -45,10 +45,6 @@ class NonDifferentiable(DisconnError):
     """Difference quotients failed the Richardson consistency check."""
 
 
-class NotEquivariant(DisconnError):
-    """Retraction failed the sampled equivariance certification."""
-
-
 class DescentFailure(DisconnError):
     """Connection difference is not constant along fibers."""
 

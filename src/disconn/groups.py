@@ -1,9 +1,9 @@
 """Matrix Lie groups and their algebras.
 
-Supported structure groups: translation groups R^k, the circle, tori T^n,
-SO(3), and finite products of these.  Circle and torus elements are stored
-as angles reduced to (-pi, pi]; SO(3) elements as orthogonal 3x3 matrices;
-algebra elements as real vectors (so(3) via the hat map).
+Supported structure groups: translation groups R^k, the circle, tori T^n
+and SO(3).  Circle and torus elements are stored as angles reduced to
+(-pi, pi]; SO(3) elements as orthogonal 3x3 matrices; algebra elements as
+real vectors (so(3) via the hat map).
 
 The data operations of the vector groups (`Translation`, `Torus`) also
 accept ``(dim, *stack)`` stacks of elements, coordinate axis first, and
@@ -13,7 +13,6 @@ act column by column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -215,70 +214,9 @@ class SO3(GroupKind):
 
 
 @dataclass(frozen=True)
-class ProductGroup(GroupKind):
-    factors: Tuple[GroupKind, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("product of groups needs at least one factor")
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    @property
-    def dim(self):
-        return sum(f.dim for f in self.factors)
-
-    @property
-    def abelian(self):
-        return all(f.abelian for f in self.factors)
-
-    def wrap(self, data):
-        return tuple(f.wrap(d) for f, d in zip(self.factors, data))
-
-    def identity_data(self):
-        return tuple(f.identity_data() for f in self.factors)
-
-    def compose_data(self, a, b):
-        return tuple(f.compose_data(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def inverse_data(self, a):
-        return tuple(f.inverse_data(x) for f, x in zip(self.factors, a))
-
-    def exp_data(self, x):
-        return tuple(f.exp_data(self._split(x)[i]) for i, f in enumerate(self.factors))
-
-    def log_data(self, a):
-        return np.concatenate([np.ravel(f.log_data(x))
-                               for f, x in zip(self.factors, a)])
-
-    def adjoint_data(self, a, x):
-        parts = self._split(x)
-        return np.concatenate([
-            np.ravel(f.adjoint_data(g, p))
-            for f, g, p in zip(self.factors, a, parts)])
-
-    def bracket_data(self, x, y):
-        xp, yp = self._split(x), self._split(y)
-        return np.concatenate([
-            np.ravel(f.bracket_data(u, v))
-            for f, u, v in zip(self.factors, xp, yp)])
-
-    def distance_data(self, a, b):
-        return float(np.sqrt(sum(
-            f.distance_data(x, y) ** 2 for f, x, y in zip(self.factors, a, b))))
-
-    def _split(self, vec):
-        vec = np.asarray(vec, dtype=float).reshape(self.dim)
-        out, offset = [], 0
-        for f in self.factors:
-            out.append(vec[offset:offset + f.dim])
-            offset += f.dim
-        return out
-
-
-@dataclass(frozen=True)
 class GroupElement:
     kind: GroupKind
-    data: object
+    data: np.ndarray
 
     @staticmethod
     def of(kind, data):

@@ -21,30 +21,18 @@ from .bundles import (BundlePoint, BundleTangent, DomainSpec, HopfBundle,
                       PrincipalBundle, TrivialBundle)
 from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
-from .errors import BundleMismatch, NotEquivariant, OutsideDomain
+from .errors import BundleMismatch, OutsideDomain
 from .groups import AlgebraElement, GroupElement
 from .manifolds import (EUCLIDEAN_RADIUS_SENTINEL, ManifoldPoint,
                         Retraction, TangentVector)
-from .numdiff import worst_defect
 
 
 # ---------------------------------------------------------------------------
 # Invariant metrics
 
-@dataclass(frozen=True)
-class BundleMetric:
-    """Bilinear pairing of bundle tangents at a common point."""
-
-    bundle: PrincipalBundle
-    name: str
-    pairing: Callable[[BundleTangent, BundleTangent], float]
-
-    def inner(self, u, w):
-        return self.pairing(u, w)
-
-
-def build_invariant_metric(A: ConnectionForm) -> BundleMetric:
-    """Group-invariant metric splitting tangents with the connection A.
+def build_invariant_metric(A: ConnectionForm) -> Callable:
+    """Group-invariant metric splitting tangents with the connection A: the
+    pairing (u, w) -> float of two bundle tangents at a common point.
 
     Pairs the base projections with the flat (chart or ambient) metric and
     the connection values with the Euclidean pairing on the algebra, which
@@ -58,14 +46,14 @@ def build_invariant_metric(A: ConnectionForm) -> BundleMetric:
         aw = eval_connection(A, w).vector
         return float(horizontal + np.dot(au, aw))
 
-    return BundleMetric(A.bundle, "invariant(flat)", pairing)
+    return pairing
 
 
-def metric_invariance_defect(gm: BundleMetric, g: GroupElement,
-                             u: BundleTangent, w: BundleTangent) -> float:
-    moved = gm.inner(bundles.tangent_lift_action(g, u),
-                     bundles.tangent_lift_action(g, w))
-    return abs(moved - gm.inner(u, w))
+def metric_invariance_defect(pairing, g: GroupElement, u: BundleTangent,
+                             w: BundleTangent) -> float:
+    moved = pairing(bundles.tangent_lift_action(g, u),
+                    bundles.tangent_lift_action(g, w))
+    return abs(moved - pairing(u, w))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +94,7 @@ def trivial_skewed_retraction(bundle: TrivialBundle,
 
     The second-order term couples the fiber step to the stored coordinates
     of the group element, which change under the action; used as a negative
-    control for the equivariance certification.
+    control for the equivariance check.
     """
     base_rule = manifolds.metric_exponential(bundle.base)
 
@@ -153,15 +141,6 @@ def equivariance_defect(R: BundleRetraction, g: GroupElement,
     moved = retract_bundle(R, bundles.tangent_lift_action(g, v))
     expected = bundles.act(g, retract_bundle(R, v))
     return bundles.point_distance(moved, expected)
-
-
-def certify_equivariance(R: BundleRetraction, samples, tol: float = 1e-8):
-    """Check R(g . v) = g . R(v) on (g, v) samples; raise on failure."""
-    worst = worst_defect([equivariance_defect(R, g, v) for g, v in samples])
-    if not worst <= tol:
-        raise NotEquivariant(
-            f"equivariance defect {worst:.3e} exceeds {tol:.1e}")
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,13 @@
-"""Manifolds, metrics and retractions.
+"""Manifolds and retractions.
 
-Instantiated manifolds: Euclidean charts R^d, unit spheres S^{d-1} in
-ambient R^d, and finite products.  Points on spheres are unit ambient
-vectors; tangent vectors are ambient vectors orthogonal to the base point.
+Instantiated manifolds: Euclidean charts R^d and unit spheres S^{d-1} in
+ambient R^d.  Points on spheres are unit ambient vectors; tangent vectors
+are ambient vectors orthogonal to the base point.
 
-Two retraction rules are built in:
-
-* ``chart_straight_line`` -- straight step in a fixed chart (the identity
-  chart on R^d, a fixed stereographic chart on spheres),
-* ``metric_exponential`` -- the geodesic exponential (straight lines on
-  R^d, great circles on spheres).
+The built-in retraction rule is ``metric_exponential``, the geodesic
+exponential (straight lines on R^d, great circles on spheres).
+`Sphere.chart_line_step` is a straight step in a fixed stereographic chart
+instead; it does not commute with rotations.
 
 Local inversion of the extended retraction runs a Newton iteration in the
 normal chart centered at the anchor point: a point's chart coordinates are
@@ -24,7 +22,7 @@ first-order accurate for every other rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -56,9 +54,6 @@ class ManifoldKind:
         raise NotImplementedError
 
     def geodesic_step(self, point, components):
-        raise NotImplementedError
-
-    def chart_line_step(self, point, components):
         raise NotImplementedError
 
 
@@ -94,9 +89,6 @@ class EuclideanChart(ManifoldKind):
                 lambda c: np.array(c, dtype=float))
 
     def geodesic_step(self, point, components):
-        return point + components
-
-    def chart_line_step(self, point, components):
         return point + components
 
 
@@ -174,7 +166,7 @@ class Sphere(ManifoldKind):
     def chart_line_step(self, point, components):
         # Fixed stereographic chart from the last-coordinate pole; the chart
         # does not rotate with the point, which is what makes this rule a
-        # negative control for equivariance certifications.
+        # negative control for equivariance checks.
         n = self.ambient_dim
         pole = point[n - 1]
         if 1.0 + pole < 1e-9:
@@ -188,77 +180,6 @@ class Sphere(ManifoldKind):
         out[:n - 1] = 2.0 * u / (1.0 + s)
         out[n - 1] = (1.0 - s) / (1.0 + s)
         return out
-
-
-@dataclass(frozen=True)
-class ProductManifold(ManifoldKind):
-    factors: Tuple[ManifoldKind, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("product needs at least one factor")
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    @property
-    def dim(self):
-        return sum(f.dim for f in self.factors)
-
-    @property
-    def coord_size(self):
-        return sum(f.coord_size for f in self.factors)
-
-    def _split(self, vec, sizes):
-        vec = np.asarray(vec, dtype=float)
-        out, offset = [], 0
-        for s in sizes:
-            out.append(vec[offset:offset + s])
-            offset += s
-        return out
-
-    def split_coords(self, coords):
-        return self._split(coords, [f.coord_size for f in self.factors])
-
-    def validate(self, coords):
-        parts = self.split_coords(coords)
-        return np.concatenate([f.validate(p) for f, p in zip(self.factors, parts)])
-
-    def project_tangent(self, point, components):
-        pp = self.split_coords(point)
-        vp = self.split_coords(components)
-        return np.concatenate([
-            f.project_tangent(p, v) for f, p, v in zip(self.factors, pp, vp)])
-
-    def distance(self, a, b):
-        ap, bp = self.split_coords(a), self.split_coords(b)
-        return float(np.sqrt(sum(
-            f.distance(x, y) ** 2 for f, x, y in zip(self.factors, ap, bp))))
-
-    def chart_at(self, center):
-        charts = [f.chart_at(c)
-                  for f, c in zip(self.factors, self.split_coords(center))]
-        dims = [f.dim for f in self.factors]
-
-        def to_chart(point):
-            return np.concatenate([
-                to(p) for (to, _), p in zip(charts, self.split_coords(point))])
-
-        def from_chart(c):
-            return np.concatenate([
-                back(u) for (_, back), u in zip(charts, self._split(c, dims))])
-
-        return to_chart, from_chart
-
-    def geodesic_step(self, point, components):
-        pp = self.split_coords(point)
-        vp = self.split_coords(components)
-        return np.concatenate([
-            f.geodesic_step(p, v) for f, p, v in zip(self.factors, pp, vp)])
-
-    def chart_line_step(self, point, components):
-        pp = self.split_coords(point)
-        vp = self.split_coords(components)
-        return np.concatenate([
-            f.chart_line_step(p, v) for f, p, v in zip(self.factors, pp, vp)])
 
 
 @dataclass(frozen=True)
@@ -293,43 +214,11 @@ def distance(a: ManifoldPoint, b: ManifoldPoint) -> float:
 
 
 @dataclass(frozen=True)
-class Metric:
-    """Bilinear pairing of tangent vectors at a common base point."""
-
-    name: str
-    pairing: Callable[[TangentVector, TangentVector], float]
-
-    def inner(self, u, w):
-        return self.pairing(u, w)
-
-
-def flat_metric(name="flat"):
-    """Ambient / chart dot product (Euclidean charts and round spheres)."""
-    return Metric(name, lambda u, w: float(np.dot(u.components, w.components)))
-
-
-def metric_eval(kind: ManifoldKind, metric: Metric, u: TangentVector,
-                w: TangentVector) -> float:
-    if u.base.kind != kind or w.base.kind != kind:
-        raise BasePointMismatch("tangent vectors live on a different manifold")
-    if np.linalg.norm(u.base.coords - w.base.coords) > 1e-12:
-        raise BasePointMismatch("tangent vectors anchored at different points")
-    return metric.inner(u, w)
-
-
-@dataclass(frozen=True)
 class Retraction:
     kind: ManifoldKind
     rule: str
     step: Callable          # (point coords, tangent components) -> point coords
     domain_radius: float
-
-
-def chart_straight_line(kind, domain_radius=None) -> Retraction:
-    if domain_radius is None:
-        domain_radius = _default_radius(kind)
-    return Retraction(kind, "chart_straight_line", kind.chart_line_step,
-                      domain_radius)
 
 
 def metric_exponential(kind, domain_radius=None) -> Retraction:
@@ -344,8 +233,6 @@ def _default_radius(kind):
         return EUCLIDEAN_RADIUS_SENTINEL
     if isinstance(kind, Sphere):
         return np.pi / 2.0
-    if isinstance(kind, ProductManifold):
-        return min(_default_radius(f) for f in kind.factors)
     raise ValueError(f"no default radius for {kind!r}")
 
 

@@ -313,9 +313,12 @@ class ScenarioContext:
 
         self.bundle = _build_bundle(cfg["bundle"])
         self.box = self._resolve_box(cfg.get("box"))
+        size = self.bundle.base.coord_size
         self.anchor = np.asarray(
-            anchor if anchor is not None
-            else np.zeros(self.bundle.base.coord_size), dtype=float)
+            anchor if anchor is not None else np.zeros(size), dtype=float)
+        _require(self.anchor.shape == (size,)
+                 and np.isfinite(self.anchor).all(),
+                 f"anchor must have {size} finite coordinates")
 
         hopf = isinstance(self.bundle, HopfBundle)
         integ = cfg.get("integrator", {})

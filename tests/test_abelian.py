@@ -7,8 +7,7 @@ from disconn import bundles, groups
 from disconn.abelian import (BaseOneForm, check_closed,
                              curvature_matched_integrate,
                              derived_curvature_mismatch,
-                             descend_continuous_difference,
-                             descend_discrete_difference, exterior_defect,
+                             descend_continuous_difference, exterior_defect,
                              flat_integrate_local, primitive_on_segments)
 from disconn.bundles import (BundlePoint, DomainSpec, HopfBundle,
                              TrivialBundle, make_trivial_tangent)
@@ -68,16 +67,6 @@ class TestDescent:
         v = make_trivial_tangent(q, [1.0, 0.0], [0.0])
         with pytest.raises(DescentFailure):
             descend_continuous_difference(A, A0, check_samples=[(q, v)])
-
-    def test_discrete_difference_quadratic(self):
-        # f = 1 minus f = 0: the descended pair function is (x1 - x0)^2.
-        B = TrivialBundle(EuclideanChart(1), Translation(1))
-        U = DomainSpec(B, 1e18)
-        mk = lambda f: TrivialLocalDiscrete(
-            B, lambda m0, m1: np.array([(m1[0] - m0[0]) ** 2 * f]), U)
-        zeta = descend_discrete_difference(mk(1.0), mk(0.0))
-        value = zeta.rule(np.array([0.0]), np.array([2.0]))
-        assert value.data[0] == pytest.approx(4.0)
 
     def test_nonabelian_rejected(self):
         B = TrivialBundle(EuclideanChart(1), SO3())

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from disconn import bundles, connections, groups
-from disconn.bundles import (BundlePoint, BundleTangent, HopfBundle,
-                             TrivialBundle, infinitesimal_generator,
-                             make_trivial_tangent, split_trivial,
-                             tangent_projection)
+from disconn.bundles import (BundlePoint, BundleTangent, DomainSpec,
+                             HopfBundle, TrivialBundle,
+                             infinitesimal_generator, make_trivial_tangent,
+                             split_trivial, tangent_projection)
 from disconn.connections import (GenericConnection, HopfCanonicalConnection,
                                  HopfPerturbedConnection,
                                  TrivialLocalConnection, curvature,
                                  equivariance_defect, eval_connection,
                                  horizontal_lift, verticality_defect)
+from disconn.derivation import derive_connection
 from disconn.errors import UnsupportedPresentation
 from disconn.groups import AlgebraElement, Circle, GroupElement, SO3, Translation
+from disconn.integration import (integrate_connection,
+                                 trivial_product_retraction)
 from disconn.manifolds import EuclideanChart, ManifoldPoint, Sphere, TangentVector
 
 
@@ -157,6 +160,53 @@ class TestCurvature:
             Translation(1), [0.0]))
         with pytest.raises(UnsupportedPresentation):
             curvature(A, self.u, self.w)
+
+
+def pure_gauge_so3():
+    """omega = -h^{-1} dh for h = exp(x X) exp(y Y) on R^2 x SO(3), with X,
+    Y the first two so(3) basis vectors: v_x Ad_{exp(-y Y)} X + v_y Y,
+    negated."""
+    G = SO3()
+    X, Y = np.eye(3)[0], np.eye(3)[1]
+
+    def omega(m, v):
+        return -(v[0] * (G.exp_data(-m[1] * Y) @ X) + v[1] * Y)
+
+    return TrivialLocalConnection(TrivialBundle(EuclideanChart(2), G), omega)
+
+
+def max_curvature(A, rng, count):
+    worst = 0.0
+    for _ in range(count):
+        m = ManifoldPoint.of(A.bundle.base, rng.uniform(-1, 1, 2))
+        u = TangentVector(m, rng.uniform(-1, 1, 2))
+        w = TangentVector(m, rng.uniform(-1, 1, 2))
+        worst = max(worst, float(np.linalg.norm(curvature(A, u, w).vector)))
+    return worst
+
+
+class TestNonAbelianCurvature:
+    def test_pure_gauge_is_flat(self):
+        A = pure_gauge_so3()
+        assert max_curvature(A, np.random.default_rng(61), 20) <= 1e-9
+
+    def test_constant_form_reads_minus_the_bracket(self):
+        # omega = dx e_x + dy e_y: d omega = 0, [e_x, e_y] = e_z.
+        B = TrivialBundle(EuclideanChart(2), SO3())
+        A = TrivialLocalConnection(
+            B, lambda m, v: np.array([v[0], v[1], 0.0]))
+        m = ManifoldPoint.of(B.base, [0.3, -0.7])
+        value = curvature(A, TangentVector(m, np.array([1.0, 0.0])),
+                          TangentVector(m, np.array([0.0, 1.0])))
+        assert np.max(np.abs(value.vector - [0.0, 0.0, -1.0])) <= 1e-9
+
+    def test_derived_connection_of_pure_gauge_is_flat(self):
+        A = pure_gauge_so3()
+        B = A.bundle
+        Ad = integrate_connection(A, trivial_product_retraction(B),
+                                  DomainSpec(B, 1e18))
+        derived = derive_connection(Ad)
+        assert max_curvature(derived, np.random.default_rng(67), 10) <= 1e-9
 
 
 class TestAxioms:

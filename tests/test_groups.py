@@ -1,13 +1,12 @@
-"""Group arithmetic: translations, circle/tori, SO(3), products."""
+"""Group arithmetic: translations, circle/tori, SO(3)."""
 
 import numpy as np
 import pytest
 
 from disconn import groups
 from disconn.errors import KindMismatch, OutsideInjectivityRadius
-from disconn.groups import (SO3, AlgebraElement, Circle, GroupElement,
-                            ProductGroup, Torus, Translation, hat, unhat,
-                            reduce_angle)
+from disconn.groups import (SO3, AlgebraElement, Circle, GroupElement, Torus,
+                            Translation, hat, unhat, reduce_angle)
 
 
 def so3_exp_series(w, terms=30):
@@ -134,28 +133,6 @@ class TestSO3:
     def test_wrap_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
             GroupElement.of(SO3(), np.eye(3) + 0.01)
-
-
-class TestProduct:
-    def test_componentwise_compose(self):
-        k = ProductGroup((Translation(2), Circle()))
-        a = GroupElement.of(k, ([1.0, 0.0], [1.0]))
-        b = GroupElement.of(k, ([0.0, 2.0], [2.0]))
-        c = groups.compose(a, b)
-        assert np.allclose(c.data[0], [1.0, 2.0])
-        assert c.data[1][0] == pytest.approx(3.0)
-
-    def test_algebra_concatenation(self):
-        k = ProductGroup((Translation(1), SO3()))
-        assert k.dim == 4
-        xi = AlgebraElement.of(k, [0.5, 0.1, 0.2, 0.3])
-        g = groups.exp(xi)
-        back = groups.log(g)
-        assert np.allclose(back.vector, xi.vector, atol=1e-12)
-
-    def test_abelian_flag(self):
-        assert ProductGroup((Translation(1), Torus(2))).abelian
-        assert not ProductGroup((Translation(1), SO3())).abelian
 
 
 class TestKindChecks:

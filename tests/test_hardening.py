@@ -231,6 +231,46 @@ class TestMalformedInputExitsTwo:
             assert main(["run", path, "--quadrature-panels", value]) == 2
             assert "ParseError" in capsys.readouterr().err
 
+    def test_fd_levels_are_at_most_16(self, tmp_path, capsys):
+        # 4.0 ** level in the Richardson tableau overflowed at 512 levels
+        # and escaped main as an OverflowError.
+        cfg = plane(checks=[{"name": "retraction_axioms", "tolerance": 1e-6,
+                             "samples": 2}])
+        path = write_scenario(tmp_path, cfg)
+        assert main(["run", path, "--fd-levels", "16"]) == 0
+        capsys.readouterr()
+        for value in ["17", "1000", "100000000"]:
+            assert main(["run", path, "--fd-levels", value]) == 2
+            err = capsys.readouterr().err
+            assert "richardson_levels" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("point", ["1", "1,2,3", "nan,0", "0,inf"])
+    def test_base_point_needs_one_finite_coordinate_per_axis(
+            self, tmp_path, capsys, point):
+        cfg = plane(checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
+                             "samples": 3}])
+        path = write_scenario(tmp_path, cfg)
+        assert main(["run", path, "--base-point", point]) == 2
+        assert "ParseError: anchor" in capsys.readouterr().err
+
+    def test_nan_domain_radius_is_rejected_when_built(self, tmp_path,
+                                                      capsys):
+        cfg = plane(checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
+                             "samples": 3}])
+        path = write_scenario(tmp_path, cfg)
+        assert main(["run", path, "--domain-radius", "nan"]) == 2
+        assert "base_radius" in capsys.readouterr().err
+
+    def test_base_point_at_the_origin_keeps_the_verdict(self, capsys):
+        # The curvature-matched scenario anchors its primitive at the
+        # base point, which defaults to the origin.
+        path = str(ROOT / "scenarios" / "curvature_matched.json")
+        assert main(["run", path, "--format", "json"]) == 0
+        default = capsys.readouterr().out
+        assert main(["run", path, "--format", "json",
+                     "--base-point", "0,0"]) == 0
+        assert capsys.readouterr().out == default
+
     @pytest.mark.parametrize("extra", [
         {"integrator": {"metric": "round"}},
         {"connection": {"kind": "hopf_canonical"}},

@@ -14,8 +14,8 @@ from disconn.connections import (HopfCanonicalConnection,
                                  HopfPerturbedConnection, eval_connection)
 from disconn.errors import OutsideDomain
 from disconn.integration import hopf_geodesic_retraction, reduced_retraction
-from disconn.manifolds import (EuclideanChart, ManifoldPoint, ProductManifold,
-                               Sphere, TangentVector, invert_extended,
+from disconn.manifolds import (EuclideanChart, ManifoldPoint, Sphere,
+                               TangentVector, invert_extended,
                                metric_exponential, retract)
 
 
@@ -39,8 +39,6 @@ def explicit_from_chart(kind, x, c):
 
 
 def random_point(rng, kind):
-    if isinstance(kind, ProductManifold):
-        return np.concatenate([random_point(rng, f) for f in kind.factors])
     if isinstance(kind, Sphere):
         return unit(rng.normal(size=kind.ambient_dim))
     return rng.normal(size=kind.dim)
@@ -59,22 +57,6 @@ class TestChartAt:
             assert np.array_equal(from_chart(c),
                                   explicit_from_chart(kind, x, c))
 
-    def test_product_composes_the_factor_charts(self):
-        factors = (EuclideanChart(1), Sphere(3))
-        kind = ProductManifold(factors)
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            x = np.concatenate([random_point(rng, f) for f in factors])
-            p = np.concatenate([random_point(rng, f) for f in factors])
-            c = rng.normal(size=kind.dim)
-            to_chart, from_chart = kind.chart_at(x)
-            xs, ps = kind.split_coords(x), kind.split_coords(p)
-            assert np.array_equal(to_chart(p), np.concatenate([
-                explicit_to_chart(f, a, b) for f, a, b in zip(factors, xs, ps)]))
-            assert np.array_equal(from_chart(c), np.concatenate([
-                explicit_from_chart(factors[0], xs[0], c[:1]),
-                explicit_from_chart(factors[1], xs[1], c[1:])]))
-
 
 def hopf_reduced(connection):
     H = HopfBundle()
@@ -91,8 +73,6 @@ class TestNormalChartNewton:
         lambda: hopf_reduced(HopfCanonicalConnection),
         lambda: metric_exponential(Sphere(3)),
         lambda: metric_exponential(Sphere(4)),
-        lambda: metric_exponential(
-            ProductManifold((EuclideanChart(1), Sphere(3)))),
     ])
     def test_exact_retractions_take_one_residual_per_solve(self, make):
         # The target's normal coordinates are the solution, so Newton
@@ -182,14 +162,6 @@ class TestOneBasisPerSolve:
             v = TangentVector(x, 0.3 * unit(kind.project_tangent(
                 x.coords, rng.normal(size=4))))
             assert self.solve_and_count(basis_count, R, x, v) == 1
-
-    def test_product_with_a_sphere_factor(self, basis_count):
-        kind = ProductManifold((EuclideanChart(1), Sphere(3)))
-        R = metric_exponential(kind)
-        x = ManifoldPoint.of(kind, [0.5, 0.0, 0.6, 0.8])
-        v = TangentVector(x, kind.project_tangent(
-            x.coords, np.array([0.2, 0.1, -0.2, 0.3])))
-        assert self.solve_and_count(basis_count, R, x, v) == 1
 
     def test_reduced_hopf_retraction(self, basis_count):
         H = HopfBundle()
