@@ -147,6 +147,11 @@ class TestKindChecks:
         assert groups.kind_from_tag("U1") == Torus(1)
         assert groups.kind_from_tag("SO3") == SO3()
 
+    def test_abelian_flag(self):
+        assert Translation(1).abelian and Circle().abelian
+        assert Torus(2).abelian
+        assert not SO3().abelian
+
 
 class TestExpLogRoundtripBulk:
     def test_thousand_samples_per_kind(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from disconn import manifolds
-from disconn.errors import NewtonDivergence, OutsideDomain
+from disconn.errors import BasePointMismatch, NewtonDivergence, OutsideDomain
 from disconn.manifolds import (EuclideanChart, ManifoldPoint, Retraction,
                                Sphere, TangentVector, check_retraction_axioms,
                                invert_extended, metric_exponential, retract,
@@ -118,6 +118,13 @@ class TestRetraction:
             v = random_sphere_tangent(rng, p, scale=0.3)
             for R in (metric_exponential(kind), sphere_chart_rule()):
                 assert check_retraction_axioms(R, p, v) <= 1e-7
+
+    def test_base_point_mismatch(self):
+        kind = EuclideanChart(1)
+        x = ManifoldPoint.of(kind, [0.0])
+        v = TangentVector(ManifoldPoint.of(kind, [1.0]), np.array([1.0]))
+        with pytest.raises(BasePointMismatch):
+            check_retraction_axioms(metric_exponential(kind), x, v)
 
 
 class TestInvertExtended:

@@ -73,6 +73,7 @@ class TestNormalChartNewton:
         lambda: hopf_reduced(HopfCanonicalConnection),
         lambda: metric_exponential(Sphere(3)),
         lambda: metric_exponential(Sphere(4)),
+        lambda: metric_exponential(EuclideanChart(3), 2.0),
     ])
     def test_exact_retractions_take_one_residual_per_solve(self, make):
         # The target's normal coordinates are the solution, so Newton
