@@ -40,13 +40,8 @@ class TrivialBundle(PrincipalBundle):
 
 @dataclass(frozen=True)
 class HopfBundle(PrincipalBundle):
-    @property
-    def base(self):
-        return Sphere(3)
-
-    @property
-    def group(self):
-        return Torus(1)
+    base = Sphere(3)
+    group = Torus(1)
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ def hopf_section(m_coords):
 def project(q: BundlePoint) -> ManifoldPoint:
     if isinstance(q.bundle, TrivialBundle):
         return q.base_point
-    return ManifoldPoint.of(Sphere(3), hopf_projection_coords(q.ambient))
+    return ManifoldPoint.of(q.bundle.base, hopf_projection_coords(q.ambient))
 
 
 def act(g: GroupElement, q: BundlePoint) -> BundlePoint:

@@ -5,7 +5,9 @@ Presentations:
 * ``TrivialLocalConnection`` -- a trivial bundle together with an
   algebra-valued one-form ``omega`` on the base; the full form is
   ``A(dm (+) xi) = Ad_g omega_m(dm) + xi`` with the fiber velocity ``xi``
-  right-trivialized.
+  right-trivialized.  Its `value` evaluates ``omega`` on stacks (see
+  `numdiff`): ``(d, *stack)`` points and tangents give ``(k, *stack)``
+  values.
 * ``HopfCanonicalConnection`` -- the round connection on S^3 -> S^2,
   ``A_q(v) = Im <q, v>`` in the Hermitian pairing on C^2.
 * ``HopfPerturbedConnection`` -- canonical plus ``epsilon`` times the
@@ -27,7 +29,7 @@ from .bundles import (BundlePoint, BundleTangent, HopfBundle, PrincipalBundle,
 from .errors import BundleMismatch, UnsupportedPresentation
 from .groups import AlgebraElement, GroupElement
 from .manifolds import EuclideanChart, TangentVector
-from .numdiff import DerivativeSpec, exterior_derivative
+from .numdiff import DerivativeSpec, exterior_derivative, on_stack
 
 
 class ConnectionForm:
@@ -39,6 +41,14 @@ class TrivialLocalConnection(ConnectionForm):
     bundle: TrivialBundle
     omega: Callable  # (base coords, base tangent components) -> algebra vector
     name: str = "local"
+
+    def value(self, m_coords, v_components):
+        """omega as (k, *stack) values at (d, *stack) points and tangents;
+        a single point gives a (k,) vector."""
+        m = np.asarray(m_coords, dtype=float)
+        v = np.asarray(v_components, dtype=float)
+        stack = np.broadcast_shapes(m.shape[1:], v.shape[1:])
+        return on_stack(self.omega(m, v), self.bundle.group.dim, stack)
 
 
 @dataclass(frozen=True)
@@ -77,8 +87,7 @@ def eval_connection(A: ConnectionForm, v: BundleTangent) -> AlgebraElement:
         raise BundleMismatch("tangent does not live on the connection's bundle")
     if isinstance(A, TrivialLocalConnection):
         base, fiber = bundles.split_trivial(v)
-        omega_val = np.asarray(A.omega(q.base_point.coords, base),
-                               dtype=float).reshape(A.bundle.group.dim)
+        omega_val = A.value(q.base_point.coords, base)
         moved = groups.adjoint(q.group_part,
                                AlgebraElement.of(A.bundle.group, omega_val))
         return AlgebraElement.of(A.bundle.group, moved.vector + fiber)
@@ -113,6 +122,7 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
     omega(w)] with d omega(u, w) = u(omega(w)) - w(omega(u)): the sign of
     the bracket follows from the left action, A = Ad_g omega + (dg) g^{-1},
     under which omega = -h^{-1} dh is flat for every map h into the group.
+    With an abelian group the bracket vanishes and is not evaluated.
     """
     if np.linalg.norm(u.base.coords - w.base.coords) > 1e-12:
         raise ValueError("curvature needs tangents at a common base point")
@@ -120,12 +130,15 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
         if not isinstance(A.bundle.base, EuclideanChart):
             raise UnsupportedPresentation(
                 "local curvature needs a Euclidean base chart")
-        d_omega = exterior_derivative(A.omega, u.base.coords, u.components,
+        group = A.bundle.group
+        d_omega = exterior_derivative(A.value, u.base.coords, u.components,
                                       w.components, spec)
+        if group.abelian:
+            return AlgebraElement.of(group, d_omega)
         lie = groups.bracket(
-            AlgebraElement.of(A.bundle.group, A.omega(u.base.coords, u.components)),
-            AlgebraElement.of(A.bundle.group, A.omega(w.base.coords, w.components)))
-        return AlgebraElement.of(A.bundle.group, d_omega - lie.vector)
+            AlgebraElement.of(group, A.value(u.base.coords, u.components)),
+            AlgebraElement.of(group, A.value(w.base.coords, w.components)))
+        return AlgebraElement.of(group, d_omega - lie.vector)
     if isinstance(A, (HopfCanonicalConnection, HopfPerturbedConnection)):
         # The exterior derivative of the canonical form is the constant
         # ambient two-form 2(da^db + dc^dd); evaluate it on horizontal lifts.

@@ -46,22 +46,19 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
 def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
                            delta_components, spec: DerivativeSpec):
     """omega(m)(delta) = d/dt log C(m, step(m, t delta)) at t = 0 for the
-    pair map C of a local discrete form with a stackable group, on
+    pair map C of a local discrete form with an abelian group, on
     (d, *stack) stacks.
 
     This is `pair_derivative` at the identity section with a base
-    direction: the group data operations run in the order in which
-    `bundle_curve` and `eval_discrete` apply them, so the result has the
-    same bits, and the base validation, the domain test, the Richardson
-    consistency test and the lost-step NaN are the same.
+    direction: with an abelian group, composing with the identity and its
+    inverse changes no bits, so the value is log(wrap(C)), and the base
+    validation, the domain test, the Richardson consistency test and the
+    lost-step NaN are the same.
     """
     base, group = Ad.bundle.base, Ad.bundle.group
     m = base.validate(m_coords)
     delta = np.asarray(delta_components, dtype=float).reshape(m.shape)
     stack = m.shape[1:]
-    lift = (group.dim,) + (1,) * len(stack)
-    e = group.identity_data().reshape(lift)
-    fiber = np.zeros(lift)
 
     def f(t):
         m_t = base.validate(base.geodesic_step(m, t * delta))
@@ -71,11 +68,8 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
             raise OutsideDomain(
                 f"pair at base distance {dist[outside[0]]:.4g} "
                 f"outside radius {Ad.domain.base_radius:.4g}")
-        g_t = group.compose_data(group.exp_data(t * fiber), e)
-        c = group.wrap(on_stack(Ad.pair_map(m, m_t), group.dim, stack))
-        value = group.compose_data(
-            g_t, group.compose_data(c, group.inverse_data(e)))
-        return on_stack(group.log_data(value), group.dim, stack)
+        return group.log_data(group.wrap(
+            on_stack(Ad.pair_map(m, m_t), group.dim, stack)))
 
     derivative = richardson_derivative(f, spec, check_consistency=True)
     return np.where(lost_step(m, (delta,), spec), np.nan, derivative)
@@ -86,12 +80,12 @@ def derive_connection(Ad: DiscreteConnectionForm,
     """Continuous connection obtained by differentiating a discrete one.
 
     On a trivial bundle the result is a local one-form on the base that
-    takes (d, *stack) stacks: a local discrete form with a stackable group
+    takes (d, *stack) stacks: a local discrete form with an abelian group
     is differentiated through its pair map on the whole stack, any other
     form column by column through `pair_derivative`.
     """
     bundle = Ad.bundle
-    if isinstance(Ad, TrivialLocalDiscrete) and bundle.group.stackable:
+    if isinstance(Ad, TrivialLocalDiscrete) and bundle.group.abelian:
         def omega(m_coords, delta_components):
             return _local_pair_derivative(Ad, m_coords, delta_components, spec)
 

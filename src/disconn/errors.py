@@ -45,10 +45,6 @@ class NonDifferentiable(DisconnError):
     """Difference quotients failed the Richardson consistency check."""
 
 
-class DescentFailure(DisconnError):
-    """Connection difference is not constant along fibers."""
-
-
 class NotClosed(DisconnError):
     """One-form fails the closedness test required for flat integration."""
 

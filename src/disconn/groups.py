@@ -5,7 +5,7 @@ and SO(3).  Circle and torus elements are stored as angles reduced to
 (-pi, pi]; SO(3) elements as orthogonal 3x3 matrices; algebra elements as
 real vectors (so(3) via the hat map).
 
-The data operations of the vector groups (`Translation`, `Torus`) also
+The data operations of the abelian groups (`Translation`, `Torus`) also
 accept ``(dim, *stack)`` stacks of elements, coordinate axis first, and
 act column by column.
 """
@@ -47,8 +47,6 @@ class GroupKind:
 
     dim: int
     abelian: bool
-    # Whether the data operations below accept (dim, *stack) stacks.
-    stackable = False
 
     # -- conversions ------------------------------------------------------
     def wrap(self, data):
@@ -86,7 +84,6 @@ class GroupKind:
 class Translation(GroupKind):
     dim: int
     abelian = True
-    stackable = True
 
     def __post_init__(self):
         if self.dim < 1:
@@ -124,7 +121,6 @@ class Translation(GroupKind):
 class Torus(GroupKind):
     dim: int
     abelian = True
-    stackable = True
 
     def __post_init__(self):
         if self.dim < 1:

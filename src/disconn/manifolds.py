@@ -223,12 +223,14 @@ class Retraction:
 
 def metric_exponential(kind, domain_radius=None) -> Retraction:
     if domain_radius is None:
-        domain_radius = _default_radius(kind)
+        domain_radius = default_radius(kind)
     return Retraction(kind, "metric_exponential", kind.geodesic_step,
                       domain_radius)
 
 
-def _default_radius(kind):
+def default_radius(kind):
+    """Domain radius of a base when none is given: unbounded (the
+    sentinel) on R^d, a quarter great circle on spheres."""
     if isinstance(kind, EuclideanChart):
         return EUCLIDEAN_RADIUS_SENTINEL
     if isinstance(kind, Sphere):
@@ -240,8 +242,6 @@ def retract(R: Retraction, v: TangentVector) -> ManifoldPoint:
     if v.norm >= R.domain_radius:
         raise OutsideDomain(
             f"|v| = {v.norm:.4g} >= domain radius {R.domain_radius:.4g}")
-    if v.norm == 0.0:
-        return v.base
     return ManifoldPoint.of(R.kind, R.step(v.base.coords, v.components))
 
 

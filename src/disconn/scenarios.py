@@ -29,7 +29,8 @@ included, and malformed values with a `ParseError`):
                   | {"kind": "matched", "reference": <spec>},
       "integrator": {"retraction": "straight"|"exp"|"great_circle"
                                    |"skewed"|"chart",
-                     "domain_radius": float},
+                     "domain_radius": float},  # default from the base:
+                                               # pi/2 on spheres
       "checks": [{"name": str, "tolerance": float > 0,  # default 1e-8
                   "samples": int > 0, "pair": [[x, ...], [x, ...]],
                   "fiber": [[g, ...], [g, ...]], "min_difference": float}, ...]
@@ -52,11 +53,9 @@ import numpy as np
 
 from . import (abelian, bundles, connections, derivation, discrete, groups,
                integration, manifolds)
-from .abelian import BaseOneForm
 from .bundles import BundlePoint, DomainSpec, HopfBundle, TrivialBundle
 from .errors import ParseError, UnknownBuiltin
-from .manifolds import (EUCLIDEAN_RADIUS_SENTINEL, EuclideanChart,
-                        ManifoldPoint, Sphere, TangentVector)
+from .manifolds import EuclideanChart, ManifoldPoint, Sphere, TangentVector
 from .numdiff import DerivativeSpec, worst_defect
 
 
@@ -99,8 +98,9 @@ _OMEGA_BUILTINS = {
 }
 
 
-def one_form_builtin(spec, base, group) -> BaseOneForm:
-    """Resolve a one-form builtin (string tag or polynomial table)."""
+def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
+    """Resolve a one-form builtin (string tag or polynomial table) to a
+    local connection on the trivial bundle."""
     if isinstance(spec, str):
         if spec not in _OMEGA_BUILTINS:
             raise UnknownBuiltin(f"unknown one-form builtin {spec!r}")
@@ -111,11 +111,11 @@ def one_form_builtin(spec, base, group) -> BaseOneForm:
         name = "polynomial"
     else:
         raise UnknownBuiltin(f"unknown one-form spec {spec!r}")
-    if group.dim != 1:
+    if bundle.group.dim != 1:
         raise ParseError("builtin one-forms target one-dimensional algebras")
-    _probe(scalar, base.coord_size, name)
-    return BaseOneForm(base, group,
-                       lambda m, v: np.array([scalar(m, v)]), name=name)
+    _probe(scalar, bundle.base.coord_size, name)
+    return connections.TrivialLocalConnection(
+        bundle, lambda m, v: np.array([scalar(m, v)]), name=name)
 
 
 def pair_map_builtin(spec, group):
@@ -323,10 +323,8 @@ class ScenarioContext:
         hopf = isinstance(self.bundle, HopfBundle)
         integ = cfg.get("integrator", {})
         self.domain = DomainSpec(self.bundle, float(integ.get(
-            "domain_radius", np.pi / 2.0 if hopf
-            else EUCLIDEAN_RADIUS_SENTINEL)))
-        self.connection, self.omega = self._build_connection(
-            cfg.get("connection"))
+            "domain_radius", manifolds.default_radius(self.bundle.base))))
+        self.connection = self._build_connection(cfg.get("connection"))
         self.retraction = self._build_retraction(
             integ.get("retraction", "great_circle" if hopf else "straight"))
         self.discretes = [self._build_discrete(spec)
@@ -344,19 +342,15 @@ class ScenarioContext:
         return None
 
     def _build_connection(self, spec):
-        """The connection and, for a local one, its one-form."""
         if spec is None:
-            return None, None
+            return None
         kind = spec["kind"]
         if kind == "local":
-            omega = one_form_builtin(spec["omega"], self.bundle.base,
-                                     self.bundle.group)
-            return connections.TrivialLocalConnection(
-                self.bundle, omega.value, name=omega.name), omega
+            return one_form_builtin(spec["omega"], self.bundle)
         if kind == "hopf_canonical":
-            return connections.HopfCanonicalConnection(self.bundle), None
+            return connections.HopfCanonicalConnection(self.bundle)
         return connections.HopfPerturbedConnection(
-            self.bundle, float(spec.get("epsilon", 0.1))), None
+            self.bundle, float(spec.get("epsilon", 0.1)))
 
     def _build_retraction(self, tag):
         if isinstance(self.bundle, HopfBundle):
@@ -385,10 +379,8 @@ class ScenarioContext:
             return integration.integrate_connection(
                 self.connection, self.retraction, self.domain)
         if kind == "flat":
-            omega = one_form_builtin(spec["omega"], self.bundle.base,
-                                     self.bundle.group)
             return abelian.flat_integrate_local(
-                self.bundle, omega, self.domain,
+                one_form_builtin(spec["omega"], self.bundle), self.domain,
                 closedness_samples=self._closedness_samples(),
                 order=self.quadrature_order, panels=self.quadrature_panels)
         if kind == "matched":
@@ -670,16 +662,16 @@ def check_same_discrete_curvature(ctx, params, rng, n):
 
 
 def check_closed_form(ctx, params, rng, n):
-    if ctx.omega is None:
+    if not isinstance(ctx.connection, connections.TrivialLocalConnection):
         raise ParseError("closed_form check needs a local connection")
-    defects = []
+    samples = []
     for _ in range(n):
         m = ctx.sample_base_coords(rng)
         u = rng.uniform(-1.0, 1.0, ctx.bundle.base.coord_size)
         w = rng.uniform(-1.0, 1.0, ctx.bundle.base.coord_size)
-        defects.append(abelian.exterior_defect(ctx.omega, m, u, w,
-                                               ctx.fd_spec))
-    return worst_defect(defects)
+        samples.append((m, u, w))
+    return abelian.worst_exterior_defect(ctx.connection, samples,
+                                         ctx.fd_spec)
 
 
 def check_uniqueness_pair(ctx, params, rng, n):

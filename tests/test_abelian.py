@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from disconn import bundles, groups
-from disconn.abelian import (BaseOneForm, check_closed,
-                             curvature_matched_integrate,
+from disconn.abelian import (check_closed, curvature_matched_integrate,
                              derived_curvature_mismatch,
-                             descend_continuous_difference, exterior_defect,
-                             flat_integrate_local, primitive_on_segments)
+                             descend_continuous_difference,
+                             flat_integrate_local, primitive_on_segments,
+                             worst_exterior_defect)
 from disconn.bundles import (BundlePoint, DomainSpec, HopfBundle,
                              TrivialBundle, make_trivial_tangent)
 from disconn.connections import (GenericConnection, HopfCanonicalConnection,
@@ -17,7 +17,7 @@ from disconn.connections import (GenericConnection, HopfCanonicalConnection,
 from disconn.derivation import derive_connection
 from disconn.discrete import (TrivialLocalDiscrete, discrete_curvature,
                               eval_discrete)
-from disconn.errors import (CurvatureMismatch, DescentFailure, NotClosed,
+from disconn.errors import (BundleMismatch, CurvatureMismatch, NotClosed,
                             UnsupportedGroup, UnsupportedPresentation)
 from disconn.groups import AlgebraElement, SO3, Translation
 from disconn.manifolds import EuclideanChart, Sphere
@@ -42,31 +42,31 @@ class TestDescent:
         eps = descend_continuous_difference(A, A0)
         assert eps.value([2.0, 3.0], [0.0, 1.0])[0] == pytest.approx(2.0)
 
-    def test_continuous_difference_hopf_perturbation(self):
-        # Canonical vs perturbed differ by epsilon (x dy - y dx) on the base.
+    def test_hopf_pair_unsupported(self):
+        # The Hopf connections have no local one-form to subtract.
         H = HopfBundle()
-        eps = descend_continuous_difference(HopfPerturbedConnection(H, 0.1),
-                                            HopfCanonicalConnection(H))
-        m = np.array([0.0, 0.0, 1.0])
-        assert eps.value(m, [1.0, 0.0, 0.0])[0] == pytest.approx(0.0,
-                                                                 abs=1e-12)
-        got = eps.value(np.array([0.6, 0.0, 0.8]), [0.0, 1.0, 0.0])[0]
-        assert got == pytest.approx(0.1 * 0.6, abs=1e-12)
+        with pytest.raises(UnsupportedPresentation):
+            descend_continuous_difference(HopfPerturbedConnection(H, 0.1),
+                                          HopfCanonicalConnection(H))
 
-    def test_continuous_descent_failure_detected(self):
+    def test_generic_connection_unsupported(self):
         B, _ = plane_bundle()
         A0 = TrivialLocalConnection(B, lambda m, v: np.array([0.0]))
 
         def rule(v):
             base, fiber = bundles.split_trivial(v)
-            y = v.base_point.group_part.data[0]
-            return AlgebraElement.of(B.group, [y * base[0] + fiber[0]])
+            return AlgebraElement.of(B.group, [base[0] + fiber[0]])
 
-        A = GenericConnection(B, rule)
-        q = BundlePoint.trivial(B, [0.0, 0.0], [2.0])
-        v = make_trivial_tangent(q, [1.0, 0.0], [0.0])
-        with pytest.raises(DescentFailure):
-            descend_continuous_difference(A, A0, check_samples=[(q, v)])
+        with pytest.raises(UnsupportedPresentation):
+            descend_continuous_difference(GenericConnection(B, rule), A0)
+
+    def test_bundle_mismatch(self):
+        B, _ = plane_bundle()
+        C = TrivialBundle(EuclideanChart(3), Translation(1))
+        with pytest.raises(BundleMismatch):
+            descend_continuous_difference(
+                TrivialLocalConnection(B, lambda m, v: np.array([0.0])),
+                TrivialLocalConnection(C, lambda m, v: np.array([0.0])))
 
     def test_nonabelian_rejected(self):
         B = TrivialBundle(EuclideanChart(1), SO3())
@@ -78,26 +78,25 @@ class TestDescent:
 class TestClosedness:
     def test_exact_form_closed(self):
         B, _ = plane_bundle()
-        omega = BaseOneForm(B.base, B.group,
-                            lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        assert exterior_defect(omega, [0.3, -0.2], [1, 0], [0, 1]) <= 1e-9
+        A = TrivialLocalConnection(
+            B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
+        samples = [([0.3, -0.2], [1.0, 0.0], [0.0, 1.0])]
+        assert worst_exterior_defect(A, samples) <= 1e-9
 
     def test_x_dy_rejected(self):
         B, _ = plane_bundle()
-        omega = BaseOneForm(B.base, B.group,
-                            lambda m, v: np.array([m[0] * v[1]]))
+        A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
         samples = [([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])]
         with pytest.raises(NotClosed):
-            check_closed(omega, samples)
+            check_closed(A, samples)
 
 
 class TestFlatIntegration:
     def setup_method(self):
         self.B, self.U = plane_bundle()
-        self.omega = BaseOneForm(
-            self.B.base, self.B.group,
-            lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        self.Ad = flat_integrate_local(self.B, self.omega, self.U)
+        self.A = TrivialLocalConnection(
+            self.B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
+        self.Ad = flat_integrate_local(self.A, self.U)
 
     def q(self, m, y=0.0):
         return BundlePoint.trivial(self.B, m, [y])
@@ -123,17 +122,16 @@ class TestFlatIntegration:
 
     def test_sphere_base_rejected(self):
         B = TrivialBundle(Sphere(3), Translation(1))
-        omega = BaseOneForm(B.base, B.group, lambda m, v: np.array([0.0]))
+        A = TrivialLocalConnection(B, lambda m, v: np.array([0.0]))
         with pytest.raises(UnsupportedPresentation):
-            flat_integrate_local(B, omega, DomainSpec(B, 1.0))
+            flat_integrate_local(A, DomainSpec(B, 1.0))
 
 
 class TestPrimitive:
     def test_additivity_on_rays(self):
         B, _ = plane_bundle()
-        omega = BaseOneForm(B.base, B.group,
-                            lambda m, v: np.array([2 * m[0] * v[0]]))
-        f = primitive_on_segments(omega, [0.0, 0.0])
+        A = TrivialLocalConnection(B, lambda m, v: np.array([2 * m[0] * v[0]]))
+        f = primitive_on_segments(A, [0.0, 0.0])
         # d(x^2): the primitive from the origin is x^2.
         assert f(np.array([1.5, 7.0]))[0] == pytest.approx(2.25, abs=1e-12)
         # Memoized reevaluation returns the identical array.

@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from disconn import bundles, connections, discrete, groups, integration
-from disconn.abelian import (BaseOneForm, check_closed,
-                             curvature_matched_integrate,
-                             flat_integrate_local)
+from disconn.abelian import curvature_matched_integrate, flat_integrate_local
 from disconn.bundles import (BundlePoint, BundleTangent, DomainSpec,
                              HopfBundle, TrivialBundle, make_trivial_tangent)
 from disconn.connections import (HopfCanonicalConnection,
@@ -143,9 +141,9 @@ def test_criterion_3_nonuniqueness():
 def test_criterion_4_flatness_preserved():
     B = TrivialBundle(EuclideanChart(2), Translation(1))
     U = DomainSpec(B, 1e18)
-    omega = BaseOneForm(B.base, B.group,
-                        lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-    Ad = flat_integrate_local(B, omega, U)
+    closed = TrivialLocalConnection(
+        B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
+    Ad = flat_integrate_local(closed, U)
     A_back = derive_connection(Ad)
     rng = np.random.default_rng(1004)
     worst_curv = 0.0
@@ -281,10 +279,10 @@ def test_criterion_9_negative_controls():
     U = DomainSpec(B, 1e18)
 
     # Non-closed one-form rejected by flat integration.
-    x_dy = BaseOneForm(B.base, B.group, lambda m, v: np.array([m[0] * v[1]]))
+    x_dy = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
     samples = [([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])]
     with pytest.raises(NotClosed):
-        flat_integrate_local(B, x_dy, U, closedness_samples=samples)
+        flat_integrate_local(x_dy, U, closedness_samples=samples)
 
     # Curvature-mismatched input rejected by the matched construction.
     Ad_ref = TrivialLocalDiscrete(

@@ -89,6 +89,13 @@ class TestHopf:
             m = project(q)
             assert abs(np.linalg.norm(m.coords) - 1.0) <= 1e-12
 
+    def test_base_and_group_are_shared_constants(self):
+        H = HopfBundle()
+        assert H.base is HopfBundle.base and H.group is HopfBundle.group
+        assert H.base == Sphere(3) and H.group == Circle()
+        q = random_hopf_point(np.random.default_rng(19))
+        assert project(q).kind is H.base
+
     def test_projection_north_pole(self):
         # (1, 0, 0, 0) is |z1| = 1, z2 = 0, over the north pole.
         assert np.allclose(hopf_projection_coords(np.array([1.0, 0, 0, 0])),

@@ -118,6 +118,20 @@ class TestCurvature:
         value = curvature(self.A, self.u, self.w)
         assert value.vector[0] == pytest.approx(1.0, abs=1e-9)
 
+    def test_abelian_curvature_skips_the_bracket(self):
+        # Two Richardson derivatives of two levels take two slopes each:
+        # 8 evaluations of omega, none for the zero bracket of R.
+        calls = []
+
+        def omega(m, v):
+            calls.append(1)
+            return np.array([m[0] * v[1]])
+
+        A = TrivialLocalConnection(self.B, omega)
+        value = curvature(A, self.u, self.w)
+        assert len(calls) == 8
+        assert value.vector[0] == curvature(self.A, self.u, self.w).vector[0]
+
     def test_closed_form_flat(self):
         B = self.B
         A = TrivialLocalConnection(

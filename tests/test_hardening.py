@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disconn.abelian import BaseOneForm, check_closed, exterior_defect
+from disconn.abelian import check_closed, worst_exterior_defect
 from disconn.bundles import (BundlePoint, DomainSpec, TrivialBundle,
                              make_trivial_tangent)
 from disconn.cli import main
@@ -58,12 +58,13 @@ class TestUnmeasurableDefects:
     HUGE_BOX = [[1e200, 1e300], [1e200, 1e300]]
 
     def test_lost_difference_step_reads_nan(self):
-        omega = BaseOneForm(EuclideanChart(2), Translation(1),
-                            lambda m, v: np.array([m[0] * v[1]]))
-        assert math.isnan(exterior_defect(omega, [1e250, 1e250],
-                                          [1.0, 0.0], [0.0, 1.0]))
+        A = TrivialLocalConnection(
+            TrivialBundle(EuclideanChart(2), Translation(1)),
+            lambda m, v: np.array([m[0] * v[1]]))
+        samples = [([1e250, 1e250], [1.0, 0.0], [0.0, 1.0])]
+        assert math.isnan(worst_exterior_defect(A, samples))
         with pytest.raises(NotClosed):
-            check_closed(omega, [([1e250, 1e250], [1.0, 0.0], [0.0, 1.0])])
+            check_closed(A, samples)
 
     def test_closed_form_on_huge_box_fails(self, tmp_path, capsys):
         # x dy is not closed; at 1e250 the difference step vanishes in
@@ -370,6 +371,30 @@ class TestConfigSweep:
 
 
 class TestSphereBase:
+    S2_INTEGRATED = {
+        "name": "s2-u1-integrated",
+        "seed": 0,
+        "bundle": {"kind": "trivial", "base": {"kind": "S2"},
+                   "group": {"kind": "U1"}},
+        "connection": {"kind": "local", "omega": "x_dy"},
+        "discrete": {"kind": "integrated"},
+        "checks": [{"name": "discrete_axioms", "tolerance": 1e-8,
+                    "samples": 10}],
+    }
+
+    def test_default_domain_radius_comes_from_the_base(self, tmp_path,
+                                                       capsys):
+        # With an unbounded default radius, nearby points were drawn up to
+        # 0.8 rad away, past the pi/4 reach of the Newton inversion, and
+        # this seed exited 2 with OutsideDomain.
+        path = write_scenario(tmp_path, self.S2_INTEGRATED)
+        assert main(["run", path, "--format", "json"]) == 0
+        default = capsys.readouterr().out
+        assert json.loads(default)["passed"] is True
+        assert main(["run", path, "--format", "json",
+                     "--domain-radius", repr(math.pi / 2.0)]) == 0
+        assert capsys.readouterr().out == default
+
     def test_s2_u1_derive_roundtrip_passes(self, tmp_path, capsys):
         cfg = {
             "name": "s2-u1",

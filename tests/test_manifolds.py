@@ -119,6 +119,16 @@ class TestRetraction:
             for R in (metric_exponential(kind), sphere_chart_rule()):
                 assert check_retraction_axioms(R, p, v) <= 1e-7
 
+    def test_shifted_rule_fails_the_base_axiom(self):
+        # R_x(v) = x + v + 1 is off by (1, 1) at v = 0; the zero tangent
+        # must reach the rule for the defect to show.
+        kind = EuclideanChart(2)
+        R = Retraction(kind, "shifted", lambda p, v: p + v + 1.0, 1e18)
+        p = ManifoldPoint.of(kind, [0.3, -0.4])
+        v = TangentVector(p, np.array([0.8, 0.1]))
+        assert check_retraction_axioms(R, p, v) >= 1.0
+        assert check_retraction_axioms(R, p, zero_tangent(p)) >= 1.0
+
     def test_base_point_mismatch(self):
         kind = EuclideanChart(1)
         x = ManifoldPoint.of(kind, [0.0])

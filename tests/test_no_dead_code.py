@@ -1,5 +1,5 @@
-"""Every public top-level function and class of the library is used
-somewhere: in the library, the demos or the benchmark.  Tests do not
+"""Every top-level function, class and module constant of the library is
+used somewhere: in the library, the demos or the benchmark.  Tests do not
 count, because a name that only tests reach is dead code with a test."""
 
 import ast
@@ -19,30 +19,45 @@ def python_files():
 
 def referenced_names():
     """Every name that some file reads, imports or reaches as an
-    attribute; a definition alone does not count."""
+    attribute.  Only reads count: the name a definition or an assignment
+    binds would otherwise count as its own use."""
     names = set()
     for path in python_files():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
     return names
 
 
-def public_definitions():
+def bound_names(node):
+    """Names a top-level statement defines: a function, a class, or the
+    plain-name targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def top_level_definitions():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield f"{path.stem}.{node.name}", node.name
+            for name in bound_names(node):
+                if not (name.startswith("__") and name.endswith("__")):
+                    yield f"{path.stem}.{name}", name
 
 
-def test_every_public_name_is_referenced():
+def test_every_top_level_name_is_referenced():
     used = referenced_names()
-    dead = [qual for qual, name in public_definitions() if name not in used]
+    dead = [qual for qual, name in top_level_definitions()
+            if name not in used]
     assert dead == []
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from disconn.bundles import TrivialBundle
 from disconn.cli import emit_report, main, run_scenario
 from disconn.errors import ParseError, UnknownBuiltin
 from disconn.groups import Translation
@@ -64,15 +65,16 @@ class TestParsing:
 class TestBuiltins:
     def test_unknown_one_form(self):
         with pytest.raises(UnknownBuiltin):
-            one_form_builtin("no_such_form", EuclideanChart(2),
-                             Translation(1))
+            one_form_builtin("no_such_form",
+                             TrivialBundle(EuclideanChart(2), Translation(1)))
 
     def test_polynomial_one_form(self):
         spec = {"name": "polynomial",
                 "terms": [{"coeff": 3.0, "powers": [2, 0], "dx": 1}]}
-        omega = one_form_builtin(spec, EuclideanChart(2), Translation(1))
+        A = one_form_builtin(spec,
+                             TrivialBundle(EuclideanChart(2), Translation(1)))
         # 3 x^2 dy at x = 2 on (0, 1).
-        assert omega.value([2.0, 5.0], [0.0, 1.0])[0] == pytest.approx(12.0)
+        assert A.value([2.0, 5.0], [0.0, 1.0])[0] == pytest.approx(12.0)
 
     def test_unknown_pair_map(self):
         with pytest.raises(UnknownBuiltin):

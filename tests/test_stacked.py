@@ -4,8 +4,8 @@ same bits as a loop over its columns."""
 import numpy as np
 import pytest
 
-from disconn import groups, numdiff
-from disconn.abelian import (PRIMITIVE_CACHE_SIZE, BaseOneForm,
+from disconn import groups, numdiff, scenarios
+from disconn.abelian import (PRIMITIVE_CACHE_SIZE,
                              curvature_matched_integrate,
                              descend_continuous_difference,
                              flat_integrate_local, primitive_on_segments)
@@ -19,7 +19,8 @@ from disconn.groups import Circle, Torus, Translation
 from disconn.integration import (integrate_connection,
                                  trivial_product_retraction)
 from disconn.manifolds import EuclideanChart
-from disconn.numdiff import DerivativeSpec, gauss_legendre_line_integral
+from disconn.numdiff import (DerivativeSpec, exterior_derivative,
+                             gauss_legendre_line_integral, worst_defect)
 
 # One (group, one-form, pair map) per structure group: R^1, U(1), T^2.
 CASES = {
@@ -71,11 +72,11 @@ def case(request):
 class TestStackedEqualsLoop:
     def test_one_form(self, case):
         B, form, _ = case
-        omega = BaseOneForm(B.base, B.group, form)
+        A = TrivialLocalConnection(B, form)
         m, v = stack_of(9)
-        got = omega.value(m, v)
+        got = A.value(m, v)
         assert got.shape == (B.group.dim, 9)
-        assert np.array_equal(got, by_loop(omega.value, m, v))
+        assert np.array_equal(got, by_loop(A.value, m, v))
 
     def test_derived_omega(self, case):
         B, _, pair_map = case
@@ -117,7 +118,7 @@ class TestStackedEqualsLoop:
 
     def test_flat_pair_map_broadcasts(self, case):
         B, form, _ = case
-        Ad = flat_integrate_local(B, BaseOneForm(B.base, B.group, form),
+        Ad = flat_integrate_local(TrivialLocalConnection(B, form),
                                   DomainSpec(B, 1e18), order=4, panels=3)
         m0, m1 = stack_of(6)
         assert np.array_equal(Ad.pair_map(m0, m1),
@@ -201,9 +202,9 @@ class TestCurvatureMatchedPointwise:
 
     def test_flat_reference(self):
         B = TrivialBundle(EuclideanChart(2), Translation(1))
-        closed = BaseOneForm(B.base, B.group,
-                             lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        Ad_ref = flat_integrate_local(B, closed, DomainSpec(B, 1e18),
+        closed = TrivialLocalConnection(
+            B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
+        Ad_ref = flat_integrate_local(closed, DomainSpec(B, 1e18),
                                       order=self.ORDER, panels=self.PANELS)
         # d(x^2): closed, so its curvature matches the flat reference.
         A = TrivialLocalConnection(B, lambda m, v: np.array([2 * m[0] * v[0]]))
@@ -217,6 +218,46 @@ class TestCurvatureMatchedPointwise:
         A = TrivialLocalConnection(
             B, lambda m, v: np.array([m[0] * v[1] + 2 * m[0] * v[0]]))
         self.check(A, Ad_ref)
+
+
+class TestClosedFormCheck:
+    """closed_form draws its samples in the order of a per-sample loop and
+    evaluates them as one stack; the verdict is the loop's, bit for bit."""
+
+    POLYNOMIAL = {"name": "polynomial",
+                  "terms": [{"coeff": 3.0, "powers": [2, 1], "dx": 1},
+                            {"coeff": -0.7, "powers": [0, 3], "dx": 0}]}
+
+    def context(self, omega, box):
+        return scenarios.ScenarioContext({
+            "name": "closed", "seed": 21, "box": box,
+            "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+                       "group": {"kind": "R^k", "dim": 1}},
+            "connection": {"kind": "local", "omega": omega}})
+
+    def per_sample_loop(self, ctx, n):
+        rng = scenarios.rng_for(ctx.seed, 0)
+        defects = []
+        for _ in range(n):
+            m = ctx.sample_base_coords(rng)
+            u = rng.uniform(-1.0, 1.0, 2)
+            w = rng.uniform(-1.0, 1.0, 2)
+            defects.append(float(np.linalg.norm(exterior_derivative(
+                ctx.connection.value, m, u, w, ctx.fd_spec))))
+        return worst_defect(defects)
+
+    @pytest.mark.parametrize("omega", ["x_dy", "closed_xy", POLYNOMIAL])
+    def test_equals_per_sample_loop(self, omega):
+        ctx = self.context(omega, [[-1.0, 1.0], [-2.0, 0.5]])
+        got, n = scenarios.run_check(ctx, 0, {"name": "closed_form",
+                                              "samples": 40})
+        assert got == self.per_sample_loop(ctx, n)
+
+    def test_lost_step_reads_nan_in_both(self):
+        ctx = self.context("x_dy", [[-1.0, 1.0], [1e200, 1e300]])
+        got, n = scenarios.run_check(ctx, 0, {"name": "closed_form",
+                                              "samples": 7})
+        assert np.isnan(got) and np.isnan(self.per_sample_loop(ctx, n))
 
 
 class TestStackedFailures:
@@ -253,9 +294,8 @@ class TestStackedFailures:
 class TestPrimitiveCache:
     def test_cache_stays_at_its_bound(self):
         B = TrivialBundle(EuclideanChart(2), Translation(1))
-        omega = BaseOneForm(B.base, B.group,
-                            lambda m, v: np.array([m[0] * v[0]]))
-        f = primitive_on_segments(omega, [0.0, 0.0], order=1, panels=1)
+        A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[0]]))
+        f = primitive_on_segments(A, [0.0, 0.0], order=1, panels=1)
         points = np.random.default_rng(3).uniform(-1.0, 1.0, (10 ** 4, 2))
         for p in points:
             f(p)
