@@ -14,8 +14,8 @@ import numpy as np
 
 from disconn import bundles, connections
 from disconn.bundles import BundlePoint, BundleTangent, DomainSpec, HopfBundle, TrivialBundle
-from disconn.connections import (HopfCanonicalConnection,
-                                 TrivialLocalConnection, eval_connection)
+from disconn.connections import (HopfConnection, TrivialLocalConnection,
+                                 eval_connection)
 from disconn.derivation import derive_connection
 from disconn.discrete import eval_discrete
 from disconn.groups import Torus
@@ -51,7 +51,7 @@ print(f"  derive(integrate(A)) vs A, max defect over 50 samples: {worst:.3e}")
 
 # --- Hopf bundle ----------------------------------------------------------
 H = HopfBundle()
-A_hopf = HopfCanonicalConnection(H)
+A_hopf = HopfConnection(H)
 Ad_hopf = integrate_connection(A_hopf, hopf_geodesic_retraction(H),
                                DomainSpec(H, np.pi / 2))
 A_hopf_back = derive_connection(Ad_hopf)

@@ -45,6 +45,10 @@ QUADRATURE_PANELS = 16
 # Primitive values kept per primitive.  Curvature-matched evaluations look
 # a point up again within a few lookups, so a small bound keeps every hit.
 PRIMITIVE_CACHE_SIZE = 64
+# Largest d omega defect the flat gate accepts, and largest curvature
+# mismatch the matched gate accepts.
+CLOSEDNESS_TOL = 1e-8
+MATCH_TOL = 1e-6
 
 
 def _require_abelian(kind: GroupKind):
@@ -74,13 +78,14 @@ def worst_exterior_defect(A: TrivialLocalConnection, samples,
         exterior_derivative(A.value, m, u, w, spec), axis=0))
 
 
-def check_closed(A: TrivialLocalConnection, samples, tol: float = 1e-8,
+def check_closed(A: TrivialLocalConnection, samples,
                  spec: DerivativeSpec = DerivativeSpec()) -> float:
     """Worst exterior-derivative defect over (m, u, w) samples; raise if
-    the form fails to be closed at the tolerance."""
+    the form fails to be closed at CLOSEDNESS_TOL."""
     worst = worst_exterior_defect(A, samples, spec)
-    if not worst <= tol:
-        raise NotClosed(f"d omega defect {worst:.3e} exceeds {tol:.1e}")
+    if not worst <= CLOSEDNESS_TOL:
+        raise NotClosed(
+            f"d omega defect {worst:.3e} exceeds {CLOSEDNESS_TOL:.1e}")
     return worst
 
 
@@ -123,7 +128,8 @@ def _segment_integral(A: TrivialLocalConnection, m0, m1, order, panels):
 
 
 def flat_integrate_local(A: TrivialLocalConnection, domain: DomainSpec,
-                         closedness_samples=(), closedness_tol: float = 1e-8,
+                         closedness_samples=(),
+                         spec: DerivativeSpec = DerivativeSpec(),
                          order: int = QUADRATURE_ORDER,
                          panels: int = QUADRATURE_PANELS) -> TrivialLocalDiscrete:
     """Flat discrete connection generated by a local connection with a
@@ -131,13 +137,14 @@ def flat_integrate_local(A: TrivialLocalConnection, domain: DomainSpec,
 
     The pair map exponentiates the line integral of omega over the straight
     segment between base points; closedness makes triangle holonomies
-    vanish up to quadrature error.
+    vanish up to quadrature error.  The closedness gate on
+    `closedness_samples` differentiates with `spec`.
     """
     bundle = A.bundle
     _require_abelian(bundle.group)
     _require_euclidean_base(bundle.base, "flat integration")
     if closedness_samples:
-        check_closed(A, closedness_samples, tol=closedness_tol)
+        check_closed(A, closedness_samples, spec)
 
     def pair_map(m0, m1):
         value = _segment_integral(A, m0, m1, order, panels)
@@ -169,26 +176,9 @@ def primitive_on_segments(A: TrivialLocalConnection, anchor,
     return f
 
 
-def derived_curvature_mismatch(A: ConnectionForm,
-                               Ad_ref: DiscreteConnectionForm,
-                               samples,
-                               spec: DerivativeSpec = DerivativeSpec()) -> float:
-    """Worst defect of d epsilon = 0 for the descended difference of A and
-    the connection derived from Ad_ref, over (m, u, w) samples.
-
-    Vanishing exterior derivative of the difference says the two curvatures
-    agree, which is exactly the obstruction to curvature-matched
-    integration.
-    """
-    A_ref = derivation.derive_connection(Ad_ref, spec)
-    eps = descend_continuous_difference(A, A_ref)
-    return worst_exterior_defect(eps, samples, spec)
-
-
 def curvature_matched_integrate(A: ConnectionForm,
                                 Ad_ref: DiscreteConnectionForm,
-                                anchor=None,
-                                match_samples=(), match_tol: float = 1e-6,
+                                anchor=None, match_samples=(),
                                 spec: DerivativeSpec = DerivativeSpec(),
                                 order: int = QUADRATURE_ORDER,
                                 panels: int = QUADRATURE_PANELS
@@ -198,7 +188,8 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     The descended difference of A and the derived reference connection is
     closed when the curvatures match; its primitive f corrects the
-    reference pairwise by exp(f(m1) - f(m0)).
+    reference pairwise by exp(f(m1) - f(m0)).  Over `match_samples`, the
+    difference's exterior derivative must stay within MATCH_TOL.
     """
     if A.bundle != Ad_ref.bundle:
         raise CurvatureMismatch("connection and reference bundles differ")
@@ -206,15 +197,15 @@ def curvature_matched_integrate(A: ConnectionForm,
     _require_abelian(bundle.group)
     _require_euclidean_base(bundle.base, "curvature-matched integration")
 
-    if match_samples:
-        worst = derived_curvature_mismatch(A, Ad_ref, match_samples, spec)
-        if not worst <= match_tol:
-            raise CurvatureMismatch(
-                f"derived curvatures differ: defect {worst:.3e} "
-                f"exceeds {match_tol:.1e}")
-
     A_ref = derivation.derive_connection(Ad_ref, spec)
     eps = descend_continuous_difference(A, A_ref)
+    if match_samples:
+        worst = worst_exterior_defect(eps, match_samples, spec)
+        if not worst <= MATCH_TOL:
+            raise CurvatureMismatch(
+                f"derived curvatures differ: defect {worst:.3e} "
+                f"exceeds {MATCH_TOL:.1e}")
+
     if anchor is None:
         anchor = np.zeros(bundle.base.coord_size)
     f = primitive_on_segments(eps, anchor, order=order, panels=panels)

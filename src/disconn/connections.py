@@ -8,10 +8,11 @@ Presentations:
   right-trivialized.  Its `value` evaluates ``omega`` on stacks (see
   `numdiff`): ``(d, *stack)`` points and tangents give ``(k, *stack)``
   values.
-* ``HopfCanonicalConnection`` -- the round connection on S^3 -> S^2,
-  ``A_q(v) = Im <q, v>`` in the Hermitian pairing on C^2.
-* ``HopfPerturbedConnection`` -- canonical plus ``epsilon`` times the
-  pullback of ``beta = x dy - y dx`` from the base sphere.
+* ``HopfConnection`` -- the round connection on S^3 -> S^2,
+  ``A_q(v) = Im <q, v>`` in the Hermitian pairing on C^2, plus
+  ``epsilon`` times the pullback of ``beta = x dy - y dx`` from the base
+  sphere; ``epsilon = 0`` is the canonical connection, whose evaluation
+  never projects to the base.
 * ``GenericConnection`` -- an opaque evaluation rule, used for forms
   produced by differentiating discrete data.
 """
@@ -52,14 +53,9 @@ class TrivialLocalConnection(ConnectionForm):
 
 
 @dataclass(frozen=True)
-class HopfCanonicalConnection(ConnectionForm):
+class HopfConnection(ConnectionForm):
     bundle: HopfBundle
-
-
-@dataclass(frozen=True)
-class HopfPerturbedConnection(ConnectionForm):
-    bundle: HopfBundle
-    epsilon: float
+    epsilon: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -91,15 +87,13 @@ def eval_connection(A: ConnectionForm, v: BundleTangent) -> AlgebraElement:
         moved = groups.adjoint(q.group_part,
                                AlgebraElement.of(A.bundle.group, omega_val))
         return AlgebraElement.of(A.bundle.group, moved.vector + fiber)
-    if isinstance(A, HopfCanonicalConnection):
-        return AlgebraElement.of(
-            A.bundle.group, [_hopf_canonical_value(q.ambient, v.components)])
-    if isinstance(A, HopfPerturbedConnection):
-        base_val = _hopf_canonical_value(q.ambient, v.components)
-        m = bundles.project(q).coords
-        u = bundles.tangent_projection(v).components
-        return AlgebraElement.of(
-            A.bundle.group, [base_val + A.epsilon * _sphere_beta(m, u)])
+    if isinstance(A, HopfConnection):
+        value = _hopf_canonical_value(q.ambient, v.components)
+        if A.epsilon:
+            m = bundles.project(q).coords
+            u = bundles.tangent_projection(v).components
+            value = value + A.epsilon * _sphere_beta(m, u)
+        return AlgebraElement.of(A.bundle.group, [value])
     if isinstance(A, GenericConnection):
         return A.rule(v)
     raise UnsupportedPresentation(f"unknown connection presentation {A!r}")
@@ -139,7 +133,7 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
             AlgebraElement.of(group, A.value(u.base.coords, u.components)),
             AlgebraElement.of(group, A.value(w.base.coords, w.components)))
         return AlgebraElement.of(group, d_omega - lie.vector)
-    if isinstance(A, (HopfCanonicalConnection, HopfPerturbedConnection)):
+    if isinstance(A, HopfConnection):
         # The exterior derivative of the canonical form is the constant
         # ambient two-form 2(da^db + dc^dd); evaluate it on horizontal lifts.
         q = bundles.section_over(A.bundle, u.base)
@@ -147,7 +141,7 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
         hw = horizontal_lift(A, q, w).components
         value = 2.0 * (hu[0] * hw[1] - hu[1] * hw[0]
                        + hu[2] * hw[3] - hu[3] * hw[2])
-        if isinstance(A, HopfPerturbedConnection):
+        if A.epsilon:
             # d(pullback of beta) evaluated on lifts is d beta on u, w.
             uc, wc = u.components, w.components
             value += A.epsilon * 2.0 * (uc[0] * wc[1] - uc[1] * wc[0])

@@ -5,9 +5,9 @@ and SO(3).  Circle and torus elements are stored as angles reduced to
 (-pi, pi]; SO(3) elements as orthogonal 3x3 matrices; algebra elements as
 real vectors (so(3) via the hat map).
 
-The data operations of the abelian groups (`Translation`, `Torus`) also
-accept ``(dim, *stack)`` stacks of elements, coordinate axis first, and
-act column by column.
+The data operations of the abelian groups (`Translation`, and its
+subclass `Torus`, which reduces angles) also accept ``(dim, *stack)``
+stacks of elements, coordinate axis first, and act column by column.
 """
 
 from __future__ import annotations
@@ -87,7 +87,8 @@ class Translation(GroupKind):
 
     def __post_init__(self):
         if self.dim < 1:
-            raise ValueError("translation dimension must be >= 1")
+            raise ValueError(
+                f"{type(self).__name__.lower()} dimension must be >= 1")
 
     def wrap(self, data):
         return _stacked_vector(data, self.dim)
@@ -117,20 +118,12 @@ class Translation(GroupKind):
         return float(np.linalg.norm(a - b))
 
 
-@dataclass(frozen=True)
-class Torus(GroupKind):
-    dim: int
-    abelian = True
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("torus dimension must be >= 1")
+class Torus(Translation):
+    """Translations taken mod 2 pi: the same arithmetic, with every
+    element reduced to angles in (-pi, pi]."""
 
     def wrap(self, data):
-        return reduce_angle(_stacked_vector(data, self.dim))
-
-    def identity_data(self):
-        return np.zeros(self.dim)
+        return reduce_angle(super().wrap(data))
 
     def compose_data(self, a, b):
         return reduce_angle(a + b)
@@ -140,15 +133,6 @@ class Torus(GroupKind):
 
     def exp_data(self, x):
         return reduce_angle(x)
-
-    def log_data(self, a):
-        return np.array(a, dtype=float)
-
-    def adjoint_data(self, a, x):
-        return np.array(x, dtype=float)
-
-    def bracket_data(self, x, y):
-        return np.zeros(self.dim)
 
     def distance_data(self, a, b):
         return float(np.linalg.norm(reduce_angle(a - b)))

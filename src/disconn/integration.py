@@ -23,8 +23,7 @@ from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch, OutsideDomain
 from .groups import AlgebraElement, GroupElement
-from .manifolds import (EUCLIDEAN_RADIUS_SENTINEL, ManifoldPoint,
-                        Retraction, TangentVector)
+from .manifolds import ManifoldPoint, Retraction, TangentVector
 
 
 # ---------------------------------------------------------------------------
@@ -67,52 +66,48 @@ class BundleRetraction:
     domain_radius: float
 
 
-def trivial_product_retraction(bundle: TrivialBundle,
-                               base_rule: Retraction = None) -> BundleRetraction:
-    """Base retraction on the base block, group exponential on the fiber.
+def trivial_product_retraction(bundle: TrivialBundle) -> BundleRetraction:
+    """Metric exponential on the base block, group exponential on the fiber.
 
     Equivariant for every structure group: the fiber step sends (g, xi) to
     exp(xi) g, and exp intertwines the adjoint action with conjugation.
     """
-    if base_rule is None:
-        base_rule = manifolds.metric_exponential(bundle.base)
+    base_exp = manifolds.metric_exponential(bundle.base)
 
     def step(q, v):
         base, fiber = bundles.split_trivial(v)
-        m = bundle.base.validate(base_rule.step(q.base_point.coords, base))
+        m = base_exp.step(q.base_point.coords, base)
         g = groups.compose(
             groups.exp(AlgebraElement.of(bundle.group, fiber)), q.group_part)
         return BundlePoint.trivial(bundle, m, g)
 
-    return BundleRetraction(bundle, f"product({base_rule.rule})", step,
-                            base_rule.domain_radius)
+    return BundleRetraction(bundle, f"product({base_exp.rule})", step,
+                            base_exp.domain_radius)
 
 
-def trivial_skewed_retraction(bundle: TrivialBundle,
-                              strength: float = 0.3) -> BundleRetraction:
+def trivial_skewed_retraction(bundle: TrivialBundle) -> BundleRetraction:
     """Valid retraction whose fiber step depends on the group representative.
 
     The second-order term couples the fiber step to the stored coordinates
     of the group element, which change under the action; used as a negative
     control for the equivariance check.
     """
-    base_rule = manifolds.metric_exponential(bundle.base)
+    base_exp = manifolds.metric_exponential(bundle.base)
 
     def step(q, v):
         base, fiber = bundles.split_trivial(v)
-        m = bundle.base.validate(base_rule.step(q.base_point.coords, base))
-        skew = strength * float(np.linalg.norm(fiber)) ** 2 \
+        m = base_exp.step(q.base_point.coords, base)
+        skew = 0.3 * float(np.linalg.norm(fiber)) ** 2 \
             * float(np.linalg.norm(np.ravel(
                 groups.log(q.group_part).vector)))
         xi = AlgebraElement.of(bundle.group, fiber + skew)
         g = groups.compose(groups.exp(xi), q.group_part)
         return BundlePoint.trivial(bundle, m, g)
 
-    return BundleRetraction(bundle, "skewed", step, base_rule.domain_radius)
+    return BundleRetraction(bundle, "skewed", step, base_exp.domain_radius)
 
 
-def hopf_geodesic_retraction(bundle: HopfBundle,
-                             domain_radius: float = np.pi) -> BundleRetraction:
+def hopf_geodesic_retraction(bundle: HopfBundle) -> BundleRetraction:
     """Great-circle steps on the round S^3; circle rotations are isometries,
     so the rule is equivariant."""
 
@@ -123,7 +118,7 @@ def hopf_geodesic_retraction(bundle: HopfBundle,
         p = np.cos(norm) * q.ambient + np.sin(norm) * v.components / norm
         return BundlePoint.hopf(bundle, p / np.linalg.norm(p))
 
-    return BundleRetraction(bundle, "great_circle", step, domain_radius)
+    return BundleRetraction(bundle, "great_circle", step, np.pi)
 
 
 def retract_bundle(R: BundleRetraction, v: BundleTangent) -> BundlePoint:
@@ -146,24 +141,16 @@ def equivariance_defect(R: BundleRetraction, g: GroupElement,
 # ---------------------------------------------------------------------------
 # Reduced retraction and integration
 
-def _default_reduced_radius(bundle, R):
-    if isinstance(bundle, TrivialBundle):
-        return min(R.domain_radius, EUCLIDEAN_RADIUS_SENTINEL)
-    # Horizontal great circles of S^3 project onto base geodesics at twice
-    # the speed, so cap the reduced radius at the base injectivity margin.
-    return min(R.domain_radius, np.pi / 2.0)
-
-
-def reduced_retraction(A: ConnectionForm, R: BundleRetraction,
-                       domain_radius: float = None) -> Retraction:
+def reduced_retraction(A: ConnectionForm, R: BundleRetraction) -> Retraction:
     """Base retraction phi(R(horizontal lift)), independent of the fiber
-    point by equivariance of A and R."""
+    point by equivariance of A and R.  Its radius is capped at the base's
+    default: on Hopf, horizontal great circles of S^3 project onto base
+    geodesics at twice the speed."""
     if A.bundle != R.bundle:
         raise BundleMismatch("connection and retraction bundles differ")
     bundle = A.bundle
     base_kind = bundle.base
-    if domain_radius is None:
-        domain_radius = _default_reduced_radius(bundle, R)
+    domain_radius = min(R.domain_radius, manifolds.default_radius(base_kind))
 
     def step(m_coords, components):
         m = ManifoldPoint.of(base_kind, m_coords)
@@ -177,8 +164,7 @@ def reduced_retraction(A: ConnectionForm, R: BundleRetraction,
 
 
 def integrate_connection(A: ConnectionForm, R: BundleRetraction,
-                         domain: DomainSpec,
-                         newton_tol: float = 1e-12) -> DiscreteConnectionForm:
+                         domain: DomainSpec) -> DiscreteConnectionForm:
     """Discrete connection induced by A and an equivariant retraction R."""
     if A.bundle != R.bundle or domain.bundle != A.bundle:
         raise BundleMismatch("connection, retraction and domain must agree")
@@ -187,7 +173,7 @@ def integrate_connection(A: ConnectionForm, R: BundleRetraction,
 
     def rule(q0, q1):
         m0, m1 = bundles.project(q0), bundles.project(q1)
-        delta = manifolds.invert_extended(reduced, m0, m1, tol=newton_tol)
+        delta = manifolds.invert_extended(reduced, m0, m1)
         h = horizontal_lift(A, q0, delta)
         q_h = retract_bundle(R, h)
         return bundles.fiber_translation(q_h, q1)

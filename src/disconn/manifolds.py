@@ -30,6 +30,9 @@ from .errors import (BasePointMismatch, NewtonDivergence, OutsideDomain)
 from .numdiff import DerivativeSpec, richardson_derivative
 
 EUCLIDEAN_RADIUS_SENTINEL = 1e18
+# Residual norm at which `invert_extended` stops, and its iteration budget.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 50
 
 
 class ManifoldKind:
@@ -221,11 +224,9 @@ class Retraction:
     domain_radius: float
 
 
-def metric_exponential(kind, domain_radius=None) -> Retraction:
-    if domain_radius is None:
-        domain_radius = default_radius(kind)
+def metric_exponential(kind) -> Retraction:
     return Retraction(kind, "metric_exponential", kind.geodesic_step,
-                      domain_radius)
+                      default_radius(kind))
 
 
 def default_radius(kind):
@@ -245,8 +246,8 @@ def retract(R: Retraction, v: TangentVector) -> ManifoldPoint:
     return ManifoldPoint.of(R.kind, R.step(v.base.coords, v.components))
 
 
-def invert_extended(R: Retraction, x: ManifoldPoint, y: ManifoldPoint,
-                    tol=1e-12, max_iter=50) -> TangentVector:
+def invert_extended(R: Retraction, x: ManifoldPoint,
+                    y: ManifoldPoint) -> TangentVector:
     """Tangent vector v at x with retract(R, v) = y, by Newton in a chart."""
     kind = R.kind
     if kind.distance(x.coords, y.coords) >= R.domain_radius / 2.0:
@@ -265,9 +266,9 @@ def invert_extended(R: Retraction, x: ManifoldPoint, y: ManifoldPoint,
     # metric exponential and first-order accurate for any retraction.
     n = kind.dim
     c = target - zero_chart
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         r = residual(c)
-        if np.linalg.norm(r) <= tol:
+        if np.linalg.norm(r) <= NEWTON_TOL:
             v = from_chart(c)
             return TangentVector(x, kind.project_tangent(x.coords, v))
         J = np.empty((n, n))
@@ -281,8 +282,8 @@ def invert_extended(R: Retraction, x: ManifoldPoint, y: ManifoldPoint,
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence("singular Jacobian") from exc
     raise NewtonDivergence(
-        f"residual {np.linalg.norm(residual(c)):.3e} > {tol:.1e} "
-        f"after {max_iter} iterations")
+        f"residual {np.linalg.norm(residual(c)):.3e} > {NEWTON_TOL:.1e} "
+        f"after {NEWTON_MAX_ITER} iterations")
 
 
 def check_retraction_axioms(R: Retraction, x: ManifoldPoint, v: TangentVector,

@@ -26,6 +26,9 @@ DEFAULT_STEP = 1e-4
 # The Richardson tableau costs O(levels^2), and at 16 levels the smallest
 # step h / 2^15 stays above 3e-13 for every admissible base step h.
 MAX_RICHARDSON_LEVELS = 16
+# Relative gap allowed between the last two tableau entries when
+# `richardson_derivative` checks consistency.
+CONSISTENCY_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -48,16 +51,15 @@ def central_slope(f, h):
     return (np.asarray(f(h), dtype=float) - np.asarray(f(-h), dtype=float)) / (2.0 * h)
 
 
-def richardson_derivative(f, spec=DerivativeSpec(), check_consistency=False,
-                          rel_tol=1e-5):
+def richardson_derivative(f, spec=DerivativeSpec(), check_consistency=False):
     """Derivative of f at 0, f vector valued and defined near 0.
 
     Builds a Richardson tableau from central slopes at h, h/2, ... With the
     default two levels this is one extrapolation step.  When
     `check_consistency` is set, the last two tableau entries must agree to
-    `rel_tol` (relative to scale 1 + |value|) or NonDifferentiable is raised.
-    A stacked f returns (k, *stack) values; the test then applies to each
-    column, and one failing column raises.
+    CONSISTENCY_TOL (relative to scale 1 + |value|) or NonDifferentiable is
+    raised.  A stacked f returns (k, *stack) values; the test then applies
+    to each column, and one failing column raises.
     """
     h = spec.base_step
     slopes = [central_slope(f, h / 2 ** k) for k in range(spec.richardson_levels)]
@@ -75,12 +77,12 @@ def richardson_derivative(f, spec=DerivativeSpec(), check_consistency=False,
         gap = np.ravel(np.linalg.norm(
             np.atleast_1d(best - tableau[-2][0]), axis=0))
         scale = 1.0 + np.ravel(np.linalg.norm(np.atleast_1d(best), axis=0))
-        bad = np.flatnonzero(gap > rel_tol * scale)
+        bad = np.flatnonzero(gap > CONSISTENCY_TOL * scale)
         if bad.size:
             i = bad[0]
             raise NonDifferentiable(
                 "Richardson levels disagree: "
-                f"{gap[i]:.3e} > {rel_tol:.1e} * {scale[i]:.3e}")
+                f"{gap[i]:.3e} > {CONSISTENCY_TOL:.1e} * {scale[i]:.3e}")
     return best
 
 

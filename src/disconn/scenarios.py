@@ -13,7 +13,8 @@ included, and malformed values with a `ParseError`):
       "name": str,
       "seed": int in [0, 2**64),
       "sample_count": int > 0,                 # default 100
-      "box": [[lo, hi], ...],                  # base sampling box, optional
+      "box": [[lo, hi], ...],                  # base sampling box, optional,
+                                               # only on an R^d base
       "bundle": {"kind": "trivial",
                  "base": {"kind": "R^d", "dim": int > 0} | {"kind": "S2"|"S3"},
                  "group": {"kind": "R^k"|"T^n", "dim": int > 0}
@@ -332,14 +333,14 @@ class ScenarioContext:
 
     # -- config resolution -------------------------------------------------
     def _resolve_box(self, box):
-        if isinstance(self.bundle.base, EuclideanChart):
-            dim = self.bundle.base.dim
-            if box is None:
-                box = [[-1.0, 1.0]] * dim
-            if len(box) != dim:
-                raise ParseError("box does not match base dimension")
-            return np.asarray(box, dtype=float)
-        return None
+        if not isinstance(self.bundle.base, EuclideanChart):
+            _require(box is None, "box needs an R^d base")
+            return None
+        dim = self.bundle.base.dim
+        if box is None:
+            box = [[-1.0, 1.0]] * dim
+        _require(len(box) == dim, "box does not match base dimension")
+        return np.asarray(box, dtype=float)
 
     def _build_connection(self, spec):
         if spec is None:
@@ -347,10 +348,8 @@ class ScenarioContext:
         kind = spec["kind"]
         if kind == "local":
             return one_form_builtin(spec["omega"], self.bundle)
-        if kind == "hopf_canonical":
-            return connections.HopfCanonicalConnection(self.bundle)
-        return connections.HopfPerturbedConnection(
-            self.bundle, float(spec.get("epsilon", 0.1)))
+        epsilon = spec.get("epsilon", 0.1) if kind == "hopf_perturbed" else 0
+        return connections.HopfConnection(self.bundle, float(epsilon))
 
     def _build_retraction(self, tag):
         if isinstance(self.bundle, HopfBundle):
@@ -381,7 +380,7 @@ class ScenarioContext:
         if kind == "flat":
             return abelian.flat_integrate_local(
                 one_form_builtin(spec["omega"], self.bundle), self.domain,
-                closedness_samples=self._closedness_samples(),
+                closedness_samples=self._gate_samples(), spec=self.fd_spec,
                 order=self.quadrature_order, panels=self.quadrature_panels)
         if kind == "matched":
             if self.connection is None:
@@ -389,21 +388,22 @@ class ScenarioContext:
             reference = self._build_discrete(spec["reference"])
             return abelian.curvature_matched_integrate(
                 self.connection, reference, anchor=self.anchor,
-                match_samples=self._closedness_samples(),
+                match_samples=self._gate_samples(),
                 spec=self.fd_spec, order=self.quadrature_order,
                 panels=self.quadrature_panels)
 
-    def _closedness_samples(self, count=25):
-        rng = rng_for(self.seed, 997)
-        out = []
-        for _ in range(count):
-            m = self.sample_base_coords(rng)
-            u = rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
-            w = rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
-            out.append((m, u, w))
-        return out
+    def _gate_samples(self):
+        """(m, u, w) samples of the flat and matched constructors' gates."""
+        return self.sample_forms(rng_for(self.seed, 997), 25)
 
     # -- samplers ----------------------------------------------------------
+    def sample_forms(self, rng, n):
+        """n samples (m, u, w) of a base point and two constant base
+        directions, drawn in that order, for exterior derivatives."""
+        size = self.bundle.base.coord_size
+        return [(self.sample_base_coords(rng), rng.uniform(-1.0, 1.0, size),
+                 rng.uniform(-1.0, 1.0, size)) for _ in range(n)]
+
     def sample_base_coords(self, rng):
         if self.box is not None:
             return rng.uniform(self.box[:, 0], self.box[:, 1])
@@ -421,10 +421,9 @@ class ScenarioContext:
             return groups.exp(groups.AlgebraElement.of(g, vec))
         return groups.GroupElement.of(g, rng.uniform(-1.0, 1.0, g.dim))
 
-    def sample_algebra(self, rng, scale=1.0):
+    def sample_algebra(self, rng):
         g = self.bundle.group
-        return groups.AlgebraElement.of(g, scale * rng.uniform(-1.0, 1.0,
-                                                               g.dim))
+        return groups.AlgebraElement.of(g, rng.uniform(-1.0, 1.0, g.dim))
 
     def sample_point(self, rng):
         q = bundles.section_over(self.bundle, self.sample_base_point(rng))
@@ -664,14 +663,8 @@ def check_same_discrete_curvature(ctx, params, rng, n):
 def check_closed_form(ctx, params, rng, n):
     if not isinstance(ctx.connection, connections.TrivialLocalConnection):
         raise ParseError("closed_form check needs a local connection")
-    samples = []
-    for _ in range(n):
-        m = ctx.sample_base_coords(rng)
-        u = rng.uniform(-1.0, 1.0, ctx.bundle.base.coord_size)
-        w = rng.uniform(-1.0, 1.0, ctx.bundle.base.coord_size)
-        samples.append((m, u, w))
-    return abelian.worst_exterior_defect(ctx.connection, samples,
-                                         ctx.fd_spec)
+    return abelian.worst_exterior_defect(
+        ctx.connection, ctx.sample_forms(rng, n), ctx.fd_spec)
 
 
 def check_uniqueness_pair(ctx, params, rng, n):

@@ -5,14 +5,12 @@ import pytest
 
 from disconn import bundles, groups
 from disconn.abelian import (check_closed, curvature_matched_integrate,
-                             derived_curvature_mismatch,
                              descend_continuous_difference,
                              flat_integrate_local, primitive_on_segments,
                              worst_exterior_defect)
 from disconn.bundles import (BundlePoint, DomainSpec, HopfBundle,
                              TrivialBundle, make_trivial_tangent)
-from disconn.connections import (GenericConnection, HopfCanonicalConnection,
-                                 HopfPerturbedConnection,
+from disconn.connections import (GenericConnection, HopfConnection,
                                  TrivialLocalConnection, eval_connection)
 from disconn.derivation import derive_connection
 from disconn.discrete import (TrivialLocalDiscrete, discrete_curvature,
@@ -46,8 +44,8 @@ class TestDescent:
         # The Hopf connections have no local one-form to subtract.
         H = HopfBundle()
         with pytest.raises(UnsupportedPresentation):
-            descend_continuous_difference(HopfPerturbedConnection(H, 0.1),
-                                          HopfCanonicalConnection(H))
+            descend_continuous_difference(HopfConnection(H, 0.1),
+                                          HopfConnection(H))
 
     def test_generic_connection_unsupported(self):
         B, _ = plane_bundle()
@@ -152,8 +150,9 @@ class TestCurvatureMatched:
     def test_mismatch_defect_small(self):
         samples = [([0.2, -0.1], [1.0, 0.0], [0.0, 1.0]),
                    ([-0.4, 0.3], [1.0, 0.0], [0.0, 1.0])]
-        assert derived_curvature_mismatch(self.A, self.Ad_ref,
-                                          samples) <= 1e-6
+        eps = descend_continuous_difference(self.A,
+                                            derive_connection(self.Ad_ref))
+        assert worst_exterior_defect(eps, samples) <= 1e-6
 
     def test_matched_rule_value(self):
         # Correction primitive of 2x dx from the origin is x^2:

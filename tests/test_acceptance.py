@@ -16,8 +16,8 @@ from disconn import bundles, connections, discrete, groups, integration
 from disconn.abelian import curvature_matched_integrate, flat_integrate_local
 from disconn.bundles import (BundlePoint, BundleTangent, DomainSpec,
                              HopfBundle, TrivialBundle, make_trivial_tangent)
-from disconn.connections import (HopfCanonicalConnection,
-                                 TrivialLocalConnection, eval_connection)
+from disconn.connections import (HopfConnection, TrivialLocalConnection,
+                                 eval_connection)
 from disconn.derivation import derive_connection
 from disconn.discrete import (TrivialLocalDiscrete, discrete_curvature,
                               eval_discrete, flatness_defect)
@@ -93,7 +93,7 @@ def test_criterion_1_roundtrip_trivial():
 def test_criterion_2_roundtrip_hopf():
     start = time.perf_counter()
     H = HopfBundle()
-    A = HopfCanonicalConnection(H)
+    A = HopfConnection(H)
     Ad = integrate_connection(A, hopf_geodesic_retraction(H),
                               DomainSpec(H, np.pi / 2))
     A_back = derive_connection(Ad)

@@ -8,8 +8,7 @@ from disconn.bundles import (BundlePoint, BundleTangent, DomainSpec,
                              HopfBundle, TrivialBundle,
                              infinitesimal_generator, make_trivial_tangent,
                              split_trivial, tangent_projection)
-from disconn.connections import (GenericConnection, HopfCanonicalConnection,
-                                 HopfPerturbedConnection,
+from disconn.connections import (GenericConnection, HopfConnection,
                                  TrivialLocalConnection, curvature,
                                  equivariance_defect, eval_connection,
                                  horizontal_lift, verticality_defect)
@@ -96,7 +95,7 @@ class TestHorizontalLift:
 
     def test_hopf_lift_annihilated(self):
         rng = np.random.default_rng(53)
-        A = HopfCanonicalConnection(HopfBundle())
+        A = HopfConnection(HopfBundle())
         for _ in range(20):
             q = random_hopf(rng)
             m = bundles.project(q)
@@ -147,7 +146,7 @@ class TestCurvature:
         # The round connection has curvature -? constant magnitude: the
         # value on an orthonormal base pair is independent of the point.
         rng = np.random.default_rng(59)
-        A = HopfCanonicalConnection(HopfBundle())
+        A = HopfConnection(HopfBundle())
         values = []
         for _ in range(10):
             q = random_hopf(rng)
@@ -160,8 +159,8 @@ class TestCurvature:
 
     def test_perturbation_shifts_curvature(self):
         eps = 0.1
-        A0 = HopfCanonicalConnection(HopfBundle())
-        A1 = HopfPerturbedConnection(HopfBundle(), eps)
+        A0 = HopfConnection(HopfBundle())
+        A1 = HopfConnection(HopfBundle(), eps)
         m = ManifoldPoint.of(Sphere(3), [0.0, 0.0, 1.0])
         u = TangentVector(m, np.array([1.0, 0.0, 0.0]))
         w = TangentVector(m, np.array([0.0, 1.0, 0.0]))
@@ -174,6 +173,48 @@ class TestCurvature:
             Translation(1), [0.0]))
         with pytest.raises(UnsupportedPresentation):
             curvature(A, self.u, self.w)
+
+
+class TestHopfConnection:
+    """One class for the family A + epsilon * pullback(beta); epsilon = 0
+    is the canonical connection and evaluates without projecting."""
+
+    def samples(self):
+        rng = np.random.default_rng(83)
+        for _ in range(20):
+            q = random_hopf(rng)
+            yield random_hopf_tangent(rng, q)
+
+    @staticmethod
+    def canonical(v):
+        a, b, c, d = v.base_point.ambient
+        va, vb, vc, vd = v.components
+        return a * vb - b * va + c * vd - d * vc
+
+    def test_canonical_is_the_round_formula_without_projecting(
+            self, monkeypatch):
+        calls = []
+        project = bundles.project
+        monkeypatch.setattr(bundles, "project",
+                            lambda q: calls.append(q) or project(q))
+        A = HopfConnection(HopfBundle())
+        for v in self.samples():
+            assert eval_connection(A, v).vector[0] == self.canonical(v)
+        assert calls == []
+
+    def test_perturbed_adds_epsilon_beta(self):
+        A = HopfConnection(HopfBundle(), 0.1)
+        for v in self.samples():
+            m = bundles.project(v.base_point).coords
+            u = tangent_projection(v).components
+            beta = m[0] * u[1] - m[1] * u[0]
+            assert (eval_connection(A, v).vector[0]
+                    == self.canonical(v) + 0.1 * beta)
+
+    def test_epsilon_defaults_to_zero(self):
+        H = HopfBundle()
+        assert HopfConnection(H) == HopfConnection(H, 0.0)
+        assert HopfConnection(H) != HopfConnection(H, 0.1)
 
 
 def pure_gauge_so3():
@@ -240,8 +281,8 @@ class TestAxioms:
     def test_hopf_defects_zero(self):
         rng = np.random.default_rng(67)
         H = HopfBundle()
-        for A in (HopfCanonicalConnection(H),
-                  HopfPerturbedConnection(H, 0.1)):
+        for A in (HopfConnection(H),
+                  HopfConnection(H, 0.1)):
             for _ in range(50):
                 q = random_hopf(rng)
                 v = random_hopf_tangent(rng, q)

@@ -73,6 +73,17 @@ class TestCircleTorus:
         b = GroupElement.of(k, [-np.pi + 0.1])
         assert groups.group_distance(a, b) == pytest.approx(0.2)
 
+    def test_torus_is_translation_mod_two_pi(self):
+        # Torus subclasses Translation but never equals it: kinds on a
+        # bundle compare by class as well as by dimension.
+        assert issubclass(Torus, Translation)
+        assert Torus(1) != Translation(1)
+        assert groups.kind_from_tag("U1") == Torus(1) == Circle()
+        assert groups.kind_from_tag("R^k", dim=1) == Translation(1)
+        x = np.array([2.5, -3.0])
+        assert np.array_equal(Torus(2).compose_data(x, x), reduce_angle(x + x))
+        assert np.array_equal(Translation(2).compose_data(x, x), x + x)
+
     def test_torus_componentwise(self):
         k = Torus(2)
         a = GroupElement.of(k, [0.5, -0.5])

@@ -370,6 +370,33 @@ class TestConfigSweep:
             load_scenario(path)
 
 
+CUBIC = {"name": "polynomial", "terms": [
+    {"coeff": 3.0, "powers": [2, 1], "dx": 0},
+    {"coeff": 1.0, "powers": [3, 0], "dx": 1}]}
+
+
+class TestFlatClosednessGate:
+    """The flat constructor's closedness gate differentiates with the
+    --fd-step and --fd-levels of the run, as the closed_form check does."""
+
+    CFG = plane(connection={"kind": "local", "omega": CUBIC},
+                discrete={"kind": "flat", "omega": CUBIC},
+                checks=[{"name": "closed_form", "tolerance": 1e-8,
+                         "samples": 10}])
+
+    def test_default_steps_accept_the_closed_cubic(self, tmp_path, capsys):
+        # 3x^2 y dx + x^3 dy = d(x^3 y).
+        assert main(["run", write_scenario(tmp_path, self.CFG)]) == 0
+
+    def test_coarse_steps_reach_the_gate(self, tmp_path, capsys):
+        # One level at h = 1e-2 leaves an O(h^2) error in d omega, which
+        # the gate must see as well as the check.
+        path = write_scenario(tmp_path, self.CFG)
+        assert main(["run", path, "--fd-step", "1e-2",
+                     "--fd-levels", "1"]) == 2
+        assert "NotClosed" in capsys.readouterr().err
+
+
 class TestSphereBase:
     S2_INTEGRATED = {
         "name": "s2-u1-integrated",
@@ -394,6 +421,16 @@ class TestSphereBase:
         assert main(["run", path, "--format", "json",
                      "--domain-radius", repr(math.pi / 2.0)]) == 0
         assert capsys.readouterr().out == default
+
+    @pytest.mark.parametrize("bundle", [
+        {"kind": "trivial", "base": {"kind": "S2"}, "group": {"kind": "U1"}},
+        {"kind": "hopf"}])
+    def test_box_needs_a_euclidean_base(self, tmp_path, capsys, bundle):
+        cfg = {"name": "boxed", "seed": 0, "box": [[5, 6], [5, 6]],
+               "bundle": bundle,
+               "checks": [{"name": "exp_log_roundtrip", "samples": 2}]}
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
+        assert "ParseError" in capsys.readouterr().err
 
     def test_s2_u1_derive_roundtrip_passes(self, tmp_path, capsys):
         cfg = {

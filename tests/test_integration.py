@@ -6,9 +6,8 @@ import pytest
 from disconn import bundles, connections, groups, manifolds
 from disconn.bundles import (BundlePoint, BundleTangent, DomainSpec,
                              HopfBundle, TrivialBundle, make_trivial_tangent)
-from disconn.connections import (HopfCanonicalConnection,
-                                 TrivialLocalConnection, eval_connection,
-                                 horizontal_lift)
+from disconn.connections import (HopfConnection, TrivialLocalConnection,
+                                 eval_connection, horizontal_lift)
 from disconn.derivation import derive_connection
 from disconn.discrete import (discrete_equivariance_defect, eval_discrete,
                               identity_defect)
@@ -21,6 +20,7 @@ from disconn.integration import (build_invariant_metric, equivariance_defect,
                                  trivial_skewed_retraction)
 from disconn.manifolds import (EuclideanChart, ManifoldPoint, Sphere,
                                TangentVector, invert_extended, retract)
+from disconn.scenarios import ScenarioContext
 
 
 def x_dy_setup(group=None):
@@ -121,12 +121,33 @@ class TestReducedRetraction:
         out = red.step(np.array([1.0, 2.0]), np.array([0.5, -1.0]))
         assert np.allclose(out, [1.5, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("bundle, retraction, radius", [
+        ({"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+          "group": {"kind": "U1"}}, "straight", 1e18),
+        ({"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+          "group": {"kind": "U1"}}, "skewed", 1e18),
+        ({"kind": "trivial", "base": {"kind": "S2"},
+          "group": {"kind": "U1"}}, "straight", np.pi / 2.0),
+        ({"kind": "hopf"}, "great_circle", np.pi / 2.0),
+        ({"kind": "hopf"}, "chart", np.pi / 2.0),
+    ])
+    def test_reduced_radius_is_capped_by_the_base(self, bundle, retraction,
+                                                  radius):
+        hopf = bundle["kind"] == "hopf"
+        ctx = ScenarioContext({
+            "name": "radius", "seed": 0, "bundle": bundle,
+            "connection": ({"kind": "hopf_canonical"} if hopf else
+                           {"kind": "local", "omega": "x_dy"}),
+            "integrator": {"retraction": retraction}})
+        R = reduced_retraction(ctx.connection, ctx.retraction)
+        assert R.domain_radius == radius
+
     def test_hopf_reduction_moves_base_isometrically(self):
         # The horizontal lift of a base tangent of norm t has ambient norm
         # t/2, and projection doubles speeds again: the reduced step moves
         # the base by exactly t along a geodesic.
         H = HopfBundle()
-        A = HopfCanonicalConnection(H)
+        A = HopfConnection(H)
         red = reduced_retraction(A, hopf_geodesic_retraction(H))
         m = np.array([0.0, 0.0, 1.0])
         t = 0.3
@@ -188,7 +209,7 @@ class TestIntegration:
 
     def test_roundtrip_hopf(self):
         H = HopfBundle()
-        A = HopfCanonicalConnection(H)
+        A = HopfConnection(H)
         Ad = integrate_connection(A, hopf_geodesic_retraction(H),
                                   DomainSpec(H, np.pi / 2))
         A_back = derive_connection(Ad)

@@ -10,12 +10,11 @@ from hypothesis import strategies as st
 
 from disconn.bundles import (BundlePoint, HopfBundle, any_lift,
                              hopf_projection_coords, hopf_projection_jacobian)
-from disconn.connections import (HopfCanonicalConnection,
-                                 HopfPerturbedConnection, eval_connection)
+from disconn.connections import HopfConnection, eval_connection
 from disconn.errors import OutsideDomain
 from disconn.integration import hopf_geodesic_retraction, reduced_retraction
-from disconn.manifolds import (EuclideanChart, ManifoldPoint, Sphere,
-                               TangentVector, invert_extended,
+from disconn.manifolds import (EuclideanChart, ManifoldPoint, Retraction,
+                               Sphere, TangentVector, invert_extended,
                                metric_exponential, retract)
 
 
@@ -70,10 +69,11 @@ def random_tangent(rng, kind, x, length):
 
 class TestNormalChartNewton:
     @pytest.mark.parametrize("make", [
-        lambda: hopf_reduced(HopfCanonicalConnection),
+        lambda: hopf_reduced(HopfConnection),
         lambda: metric_exponential(Sphere(3)),
         lambda: metric_exponential(Sphere(4)),
-        lambda: metric_exponential(EuclideanChart(3), 2.0),
+        lambda: Retraction(EuclideanChart(3), "metric_exponential",
+                           EuclideanChart(3).geodesic_step, 2.0),
     ])
     def test_exact_retractions_take_one_residual_per_solve(self, make):
         # The target's normal coordinates are the solution, so Newton
@@ -121,7 +121,7 @@ class TestNormalChartNewton:
             assert np.max(np.abs(B.T @ x)) <= 1e-15
 
     def test_perturbed_hopf_solves_to_the_edge_of_the_domain(self):
-        R = hopf_reduced(lambda H: HopfPerturbedConnection(H, 0.1))
+        R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
         kind = R.kind
         reach = 0.99 * R.domain_radius / 2.0
         rng = np.random.default_rng(23)
@@ -166,7 +166,7 @@ class TestOneBasisPerSolve:
 
     def test_reduced_hopf_retraction(self, basis_count):
         H = HopfBundle()
-        R = reduced_retraction(HopfCanonicalConnection(H),
+        R = reduced_retraction(HopfConnection(H),
                                hopf_geodesic_retraction(H))
         x = ManifoldPoint.of(Sphere(3), unit([0.3, -0.5, 0.8]))
         v = TangentVector(x, Sphere(3).project_tangent(
@@ -202,6 +202,6 @@ class TestClosedFormHopfLift:
         J = hopf_projection_jacobian(q.ambient)
         assert np.max(np.abs(J @ lift - delta)) <= 1e-14
         assert abs(np.dot(q.ambient, lift)) <= 1e-14
-        value = eval_connection(HopfCanonicalConnection(H), tangent)
+        value = eval_connection(HopfConnection(H), tangent)
         assert abs(value.vector[0]) <= 1e-14
         assert np.max(np.abs(lift - lstsq_lift(q.ambient, delta))) <= 1e-14

@@ -1,6 +1,7 @@
 """Every top-level function, class and module constant of the library is
-used somewhere: in the library, the demos or the benchmark.  Tests do not
-count, because a name that only tests reach is dead code with a test."""
+used somewhere: in the library, the demos or the benchmark, and every
+parameter with a default is set by some call there.  Tests do not count,
+because a name or a knob that only tests reach is dead code with a test."""
 
 import ast
 import inspect
@@ -58,6 +59,76 @@ def test_every_top_level_name_is_referenced():
     used = referenced_names()
     dead = [qual for qual, name in top_level_definitions()
             if name not in used]
+    assert dead == []
+
+
+def callee_name(func):
+    """The name a call expression calls: `f` in f(...) and in x.f(...)."""
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
+def calls():
+    """(callee name, positional count, keywords, splat) for every call in
+    the library, the demos and the benchmark.  The callee of a method call
+    is the attribute name; `functools.partial(f, ...)` is a call to f."""
+    for path in python_files():
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if callee_name(func) == "partial" and args:
+                func, args = args[0], args[1:]
+            name = callee_name(func)
+            keywords = {k.arg for k in node.keywords}
+            splat = (None in keywords
+                     or any(isinstance(a, ast.Starred) for a in args))
+            yield name, len(args), keywords, splat
+
+
+def defaulted_parameters():
+    """(qualified name, callee name, position or None, parameter) for each
+    parameter with a default of a top-level function or method; a
+    method's position does not count self, and `__init__` is called by
+    its class name.  Keyword-only parameters have no position."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node, node.name, node.name, 0)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [
+                    (f, f"{node.name}.{f.name}",
+                     node.name if f.name == "__init__" else f.name, 1)
+                    for f in node.body if isinstance(f, ast.FunctionDef)]
+            else:
+                continue
+            for f, qual, callee, skip in functions:
+                a = f.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i in range(first, len(positional)):
+                    yield (f"{path.stem}.{qual}", callee, i - skip,
+                           positional[i].arg)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield f"{path.stem}.{qual}", callee, None, arg.arg
+
+
+def test_every_parameter_default_is_overridden():
+    # A default that no call overrides is a knob with one value in use:
+    # make it a constant.  A call overrides a parameter by keyword, by
+    # position, or possibly through a * or ** splat.
+    by_callee = {}
+    for name, count, keywords, splat in calls():
+        by_callee.setdefault(name, []).append((count, keywords, splat))
+
+    def overridden(callee, position, param):
+        return any(splat or param in keywords
+                   or (position is not None and count > position)
+                   for count, keywords, splat in by_callee.get(callee, []))
+
+    dead = [f"{qual}({param})"
+            for qual, callee, position, param in defaulted_parameters()
+            if not overridden(callee, position, param)]
     assert dead == []
 
 
