@@ -51,7 +51,7 @@ print("\nderived connection on v = (dx = 1, dy = 2) at x = 0.5:")
 q = BundlePoint.trivial(B, [0.5], [0.0])
 v = make_trivial_tangent(q, [1.0], [2.0])
 for label, Ad in family.items():
-    value = eval_connection(derive_connection(Ad), v).vector[0]
+    value = eval_connection(derive_connection(Ad), v)[0]
     print(f"  {label:<16} F_C(A_d)(v) = {value:+.6f}   (all equal dy(v) = 2)")
 
 # Rebuild one member from its derived form; agreement is the uniqueness

@@ -28,8 +28,7 @@ rng = np.random.default_rng(0)
 
 # --- trivial bundle -------------------------------------------------------
 B = TrivialBundle(EuclideanChart(2), Torus(1))
-A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]),
-                           name="x_dy")
+A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
 Ad = integrate_connection(A, trivial_product_retraction(B),
                           DomainSpec(B, 1e18))
 
@@ -45,8 +44,8 @@ for _ in range(50):
     q = BundlePoint.trivial(B, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 1))
     v = bundles.make_trivial_tangent(q, rng.uniform(-1, 1, 2),
                                      rng.uniform(-1, 1, 1))
-    worst = max(worst, abs(eval_connection(A_back, v).vector[0]
-                           - eval_connection(A, v).vector[0]))
+    worst = max(worst, abs(eval_connection(A_back, v)[0]
+                           - eval_connection(A, v)[0]))
 print(f"  derive(integrate(A)) vs A, max defect over 50 samples: {worst:.3e}")
 
 # --- Hopf bundle ----------------------------------------------------------
@@ -63,7 +62,7 @@ for _ in range(20):
     v = rng.normal(size=4)
     v -= np.dot(v, q.ambient) * q.ambient
     v = BundleTangent(q, v)
-    worst = max(worst, abs(eval_connection(A_hopf_back, v).vector[0]
-                           - eval_connection(A_hopf, v).vector[0]))
+    worst = max(worst, abs(eval_connection(A_hopf_back, v)[0]
+                           - eval_connection(A_hopf, v)[0]))
 print("\nHopf bundle, canonical connection, great-circle retraction")
 print(f"  derive(integrate(A)) vs A, max defect over 20 samples: {worst:.3e}")

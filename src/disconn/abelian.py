@@ -35,7 +35,7 @@ from .discrete import (ComposedDiscrete, DiscreteConnectionForm,
                        TrivialLocalDiscrete, eval_discrete)
 from .errors import (BundleMismatch, CurvatureMismatch, NotClosed,
                      UnsupportedGroup, UnsupportedPresentation)
-from .groups import AlgebraElement, GroupKind
+from .groups import GroupKind
 from .manifolds import EuclideanChart, ManifoldKind
 from .numdiff import (DerivativeSpec, exterior_derivative,
                       gauss_legendre_line_integral, worst_defect)
@@ -109,7 +109,7 @@ def descend_continuous_difference(
         return A.value(m_coords, v_components) - A_ref.value(m_coords,
                                                             v_components)
 
-    return TrivialLocalConnection(A.bundle, form, name="difference")
+    return TrivialLocalConnection(A.bundle, form)
 
 
 def _segment_integral(A: TrivialLocalConnection, m0, m1, order, panels):
@@ -212,9 +212,8 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     def rule(q0, q1):
         base_value = eval_discrete(Ad_ref, q0, q1)
-        correction = groups.exp(AlgebraElement.of(
-            bundle.group,
-            f(bundles.project(q1).coords) - f(bundles.project(q0).coords)))
+        correction = groups.exp(
+            bundle.group, f(bundles.project(q1)) - f(bundles.project(q0)))
         return groups.compose(base_value, correction)
 
     return ComposedDiscrete(bundle, rule, Ad_ref.domain, name="matched")

@@ -7,6 +7,10 @@ Two families are instantiated:
   ``z1 = q0 + i q1``, ``z2 = q2 + i q3`` and the circle acting by a common
   phase on both complex coordinates.
 
+Base points are coordinate arrays and Hopf points unit arrays in R^4;
+`BundlePoint.trivial` and `BundlePoint.hopf` validate the values that
+enter, and the bundle operations use the bare constructor.
+
 Tangent vectors on trivial bundles carry a base block (ambient/chart
 components on the base) followed by a fiber block holding the
 right-trivialized velocity, i.e. an algebra vector.  Hopf tangents are
@@ -21,10 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups, manifolds
+from . import groups
 from .errors import KindMismatch, NotSameFiber
-from .groups import AlgebraElement, GroupElement, GroupKind, Torus
-from .manifolds import ManifoldKind, ManifoldPoint, Sphere, TangentVector
+from .groups import GroupElement, GroupKind, Torus
+from .manifolds import ManifoldKind, Sphere, TangentVector
 
 
 class PrincipalBundle:
@@ -47,7 +51,7 @@ class HopfBundle(PrincipalBundle):
 @dataclass(frozen=True)
 class BundlePoint:
     bundle: PrincipalBundle
-    base_point: ManifoldPoint = None     # trivial bundles
+    base_point: np.ndarray = None        # trivial bundles
     group_part: GroupElement = None      # trivial bundles
     ambient: np.ndarray = None           # Hopf
 
@@ -55,13 +59,9 @@ class BundlePoint:
     def trivial(bundle, m, g):
         if not isinstance(bundle, TrivialBundle):
             raise ValueError("expected a trivial bundle")
-        if isinstance(m, ManifoldPoint):
-            point = m
-        else:
-            point = ManifoldPoint.of(bundle.base, m)
         if not isinstance(g, GroupElement):
             g = GroupElement.of(bundle.group, g)
-        return BundlePoint(bundle, base_point=point, group_part=g)
+        return BundlePoint(bundle, bundle.base.validate(m), g)
 
     @staticmethod
     def hopf(bundle, ambient):
@@ -147,18 +147,18 @@ def hopf_section(m_coords):
 # ---------------------------------------------------------------------------
 # Bundle operations
 
-def project(q: BundlePoint) -> ManifoldPoint:
+def project(q: BundlePoint) -> np.ndarray:
     if isinstance(q.bundle, TrivialBundle):
         return q.base_point
-    return ManifoldPoint.of(q.bundle.base, hopf_projection_coords(q.ambient))
+    return hopf_projection_coords(q.ambient)
 
 
 def act(g: GroupElement, q: BundlePoint) -> BundlePoint:
     if g.kind != q.bundle.group:
         raise KindMismatch("group element does not match the structure group")
     if isinstance(q.bundle, TrivialBundle):
-        return BundlePoint.trivial(q.bundle, q.base_point,
-                                   groups.compose(g, q.group_part))
+        return BundlePoint(q.bundle, q.base_point,
+                           groups.compose(g, q.group_part))
     theta = float(np.asarray(g.data).reshape(1)[0])
     return BundlePoint.hopf(q.bundle, _hopf_rotate(q.ambient, theta))
 
@@ -166,7 +166,7 @@ def act(g: GroupElement, q: BundlePoint) -> BundlePoint:
 def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> GroupElement:
     """The unique g with act(g, q1) = q2, defined for points in one fiber."""
     m1, m2 = project(q1), project(q2)
-    if manifolds.distance(m1, m2) > 1e-9:
+    if q1.bundle.base.distance(m1, m2) > 1e-9:
         raise NotSameFiber("points project to different base points")
     if isinstance(q1.bundle, TrivialBundle):
         return groups.compose(q2.group_part, groups.inverse(q1.group_part))
@@ -178,13 +178,11 @@ def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> GroupElement:
     return GroupElement.of(q1.bundle.group, [np.angle(inner)])
 
 
-def infinitesimal_generator(q: BundlePoint, xi: AlgebraElement) -> BundleTangent:
-    if xi.kind != q.bundle.group:
-        raise KindMismatch("algebra element does not match the structure group")
+def infinitesimal_generator(q: BundlePoint, xi) -> BundleTangent:
     if isinstance(q.bundle, TrivialBundle):
         return make_trivial_tangent(
-            q, np.zeros(q.bundle.base.coord_size), xi.vector)
-    theta_dot = float(xi.vector[0])
+            q, np.zeros(q.bundle.base.coord_size), xi)
+    theta_dot = float(np.asarray(xi, dtype=float).reshape(1)[0])
     return BundleTangent(q, theta_dot * _hopf_i_times(q.ambient))
 
 
@@ -194,9 +192,7 @@ def tangent_lift_action(g: GroupElement, v: BundleTangent) -> BundleTangent:
         raise KindMismatch("group element does not match the structure group")
     if isinstance(q.bundle, TrivialBundle):
         base, fiber = split_trivial(v)
-        xi = AlgebraElement.of(q.bundle.group, fiber)
-        moved = groups.adjoint(g, xi)
-        return make_trivial_tangent(act(g, q), base, moved.vector)
+        return make_trivial_tangent(act(g, q), base, groups.adjoint(g, fiber))
     theta = float(np.asarray(g.data).reshape(1)[0])
     return BundleTangent(act(g, q), _hopf_rotate(v.components, theta))
 
@@ -230,13 +226,11 @@ def bundle_curve(q: BundlePoint, v: BundleTangent, t: float) -> BundlePoint:
     """A smooth curve through q with velocity v, used by difference quotients."""
     if isinstance(q.bundle, TrivialBundle):
         base, fiber = split_trivial(v)
-        m = ManifoldPoint.of(
-            q.bundle.base,
-            q.bundle.base.geodesic_step(q.base_point.coords, t * base))
-        step = groups.exp(AlgebraElement.of(q.bundle.group, t * fiber))
-        return BundlePoint.trivial(q.bundle, m, groups.compose(step, q.group_part))
+        m = q.bundle.base.geodesic_step(q.base_point, t * base)
+        step = groups.exp(q.bundle.group, t * fiber)
+        return BundlePoint(q.bundle, m, groups.compose(step, q.group_part))
     p = q.ambient + t * v.components
-    return BundlePoint.hopf(q.bundle, p / np.linalg.norm(p))
+    return BundlePoint(q.bundle, ambient=p / np.linalg.norm(p))
 
 
 def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
@@ -244,16 +238,16 @@ def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
     equals the curve's tangent components at q0."""
     if isinstance(q0.bundle, TrivialBundle):
         base_kind = q0.bundle.base
-        base = base_kind.project_tangent(
-            q0.base_point.coords, p.base_point.coords - q0.base_point.coords)
+        base = base_kind.project_tangent(q0.base_point,
+                                         p.base_point - q0.base_point)
         rel = groups.compose(p.group_part, groups.inverse(q0.group_part))
-        return np.concatenate([base, groups.log(rel).vector])
+        return np.concatenate([base, groups.log(rel)])
     diff = p.ambient - q0.ambient
     return diff - np.dot(q0.ambient, diff) * q0.ambient
 
 
 def base_distance(q1: BundlePoint, q2: BundlePoint) -> float:
-    return manifolds.distance(project(q1), project(q2))
+    return q1.bundle.base.distance(project(q1), project(q2))
 
 
 def point_distance(q1: BundlePoint, q2: BundlePoint) -> float:
@@ -261,17 +255,17 @@ def point_distance(q1: BundlePoint, q2: BundlePoint) -> float:
     if q1.bundle != q2.bundle:
         raise KindMismatch("points live on different bundles")
     if isinstance(q1.bundle, TrivialBundle):
-        base = manifolds.distance(q1.base_point, q2.base_point)
+        base = q1.bundle.base.distance(q1.base_point, q2.base_point)
         fiber = groups.group_distance(q1.group_part, q2.group_part)
         return float(np.hypot(base, fiber))
     return float(np.linalg.norm(q1.ambient - q2.ambient))
 
 
-def section_over(bundle: PrincipalBundle, m: ManifoldPoint) -> BundlePoint:
-    """A reference point in the fiber over m."""
+def section_over(bundle: PrincipalBundle, m) -> BundlePoint:
+    """A reference point in the fiber over the base point m."""
     if isinstance(bundle, TrivialBundle):
-        return BundlePoint.trivial(bundle, m, groups.identity(bundle.group))
-    return BundlePoint.hopf(bundle, hopf_section(m.coords))
+        return BundlePoint(bundle, m, groups.identity(bundle.group))
+    return BundlePoint.hopf(bundle, hopf_section(m))
 
 
 @dataclass(frozen=True)

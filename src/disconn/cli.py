@@ -53,8 +53,7 @@ class Report:
 def run_scenario(path, integrator=None, **options) -> Report:
     """Run every check of one scenario file.  `integrator` entries replace
     those of the file's integrator block; `options` go to ScenarioContext."""
-    cfg = load_scenario(path)
-    cfg["integrator"] = {**cfg.get("integrator", {}), **(integrator or {})}
+    cfg = load_scenario(path, integrator)
     ctx = ScenarioContext(cfg, **options)
     report = Report(ctx.name)
     for index, check_cfg in enumerate(cfg.get("checks", [])):

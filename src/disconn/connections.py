@@ -1,5 +1,9 @@
 """Connection one-forms on principal bundles.
 
+A connection value is an algebra vector, a plain ``(dim,)`` float array of
+the bundle's structure group; `eval_connection` and `curvature` return
+one.
+
 Presentations:
 
 * ``TrivialLocalConnection`` -- a trivial bundle together with an
@@ -28,7 +32,7 @@ from . import bundles, groups
 from .bundles import (BundlePoint, BundleTangent, HopfBundle, PrincipalBundle,
                       TrivialBundle)
 from .errors import BundleMismatch, UnsupportedPresentation
-from .groups import AlgebraElement, GroupElement
+from .groups import GroupElement
 from .manifolds import EuclideanChart, TangentVector
 from .numdiff import DerivativeSpec, exterior_derivative, on_stack
 
@@ -41,7 +45,6 @@ class ConnectionForm:
 class TrivialLocalConnection(ConnectionForm):
     bundle: TrivialBundle
     omega: Callable  # (base coords, base tangent components) -> algebra vector
-    name: str = "local"
 
     def value(self, m_coords, v_components):
         """omega as (k, *stack) values at (d, *stack) points and tangents;
@@ -61,8 +64,7 @@ class HopfConnection(ConnectionForm):
 @dataclass(frozen=True)
 class GenericConnection(ConnectionForm):
     bundle: PrincipalBundle
-    rule: Callable  # BundleTangent -> AlgebraElement
-    name: str = "generic"
+    rule: Callable  # BundleTangent -> algebra vector
 
 
 def _hopf_canonical_value(q, v):
@@ -77,23 +79,21 @@ def _sphere_beta(m, u):
     return m[0] * u[1] - m[1] * u[0]
 
 
-def eval_connection(A: ConnectionForm, v: BundleTangent) -> AlgebraElement:
+def eval_connection(A: ConnectionForm, v: BundleTangent) -> np.ndarray:
     q = v.base_point
     if q.bundle != A.bundle:
         raise BundleMismatch("tangent does not live on the connection's bundle")
     if isinstance(A, TrivialLocalConnection):
         base, fiber = bundles.split_trivial(v)
-        omega_val = A.value(q.base_point.coords, base)
-        moved = groups.adjoint(q.group_part,
-                               AlgebraElement.of(A.bundle.group, omega_val))
-        return AlgebraElement.of(A.bundle.group, moved.vector + fiber)
+        omega_val = A.value(q.base_point, base)
+        return groups.adjoint(q.group_part, omega_val) + fiber
     if isinstance(A, HopfConnection):
         value = _hopf_canonical_value(q.ambient, v.components)
         if A.epsilon:
-            m = bundles.project(q).coords
+            m = bundles.project(q)
             u = bundles.tangent_projection(v).components
             value = value + A.epsilon * _sphere_beta(m, u)
-        return AlgebraElement.of(A.bundle.group, [value])
+        return np.array([value], dtype=float)
     if isinstance(A, GenericConnection):
         return A.rule(v)
     raise UnsupportedPresentation(f"unknown connection presentation {A!r}")
@@ -109,7 +109,7 @@ def horizontal_lift(A: ConnectionForm, q: BundlePoint,
 
 
 def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
-              spec: DerivativeSpec = DerivativeSpec()) -> AlgebraElement:
+              spec: DerivativeSpec = DerivativeSpec()) -> np.ndarray:
     """Curvature two-form on a pair of base tangent vectors at one point.
 
     For a local connection, Omega(u, w) = d omega(u, w) - [omega(u),
@@ -118,21 +118,19 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
     under which omega = -h^{-1} dh is flat for every map h into the group.
     With an abelian group the bracket vanishes and is not evaluated.
     """
-    if np.linalg.norm(u.base.coords - w.base.coords) > 1e-12:
+    if np.linalg.norm(u.base - w.base) > 1e-12:
         raise ValueError("curvature needs tangents at a common base point")
     if isinstance(A, TrivialLocalConnection):
         if not isinstance(A.bundle.base, EuclideanChart):
             raise UnsupportedPresentation(
                 "local curvature needs a Euclidean base chart")
         group = A.bundle.group
-        d_omega = exterior_derivative(A.value, u.base.coords, u.components,
+        d_omega = exterior_derivative(A.value, u.base, u.components,
                                       w.components, spec)
         if group.abelian:
-            return AlgebraElement.of(group, d_omega)
-        lie = groups.bracket(
-            AlgebraElement.of(group, A.value(u.base.coords, u.components)),
-            AlgebraElement.of(group, A.value(w.base.coords, w.components)))
-        return AlgebraElement.of(group, d_omega - lie.vector)
+            return d_omega
+        return d_omega - groups.bracket(group, A.value(u.base, u.components),
+                                        A.value(w.base, w.components))
     if isinstance(A, HopfConnection):
         # The exterior derivative of the canonical form is the constant
         # ambient two-form 2(da^db + dc^dd); evaluate it on horizontal lifts.
@@ -145,16 +143,15 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
             # d(pullback of beta) evaluated on lifts is d beta on u, w.
             uc, wc = u.components, w.components
             value += A.epsilon * 2.0 * (uc[0] * wc[1] - uc[1] * wc[0])
-        return AlgebraElement.of(A.bundle.group, [value])
+        return np.array([value], dtype=float)
     raise UnsupportedPresentation(
         "curvature is not available for this presentation")
 
 
-def verticality_defect(A: ConnectionForm, q: BundlePoint,
-                       xi: AlgebraElement) -> float:
+def verticality_defect(A: ConnectionForm, q: BundlePoint, xi) -> float:
     """|A(generator(q, xi)) - xi|."""
     value = eval_connection(A, bundles.infinitesimal_generator(q, xi))
-    return float(np.linalg.norm(value.vector - xi.vector))
+    return float(np.linalg.norm(value - xi))
 
 
 def equivariance_defect(A: ConnectionForm, g: GroupElement,
@@ -162,4 +159,4 @@ def equivariance_defect(A: ConnectionForm, g: GroupElement,
     """|A(g . v) - Ad_g A(v)|."""
     moved = eval_connection(A, bundles.tangent_lift_action(g, v))
     expected = groups.adjoint(g, eval_connection(A, v))
-    return float(np.linalg.norm(moved.vector - expected.vector))
+    return float(np.linalg.norm(moved - expected))

@@ -22,8 +22,7 @@ from .connections import ConnectionForm, GenericConnection, TrivialLocalConnecti
 from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
                        discrete_horizontal_lift, eval_discrete)
 from .errors import OutsideDomain
-from .groups import AlgebraElement
-from .manifolds import ManifoldPoint, TangentVector
+from .manifolds import TangentVector
 from .numdiff import (DerivativeSpec, by_column, lost_step, on_stack,
                       richardson_derivative)
 
@@ -35,10 +34,10 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
 
     def f(t):
         value = eval_discrete(Ad, q, bundles.bundle_curve(q, v, t))
-        return groups.log(value).vector
+        return groups.log(value)
 
     derivative = richardson_derivative(f, spec, check_consistency=True)
-    lost = lost_step(bundles.project(q).coords,
+    lost = lost_step(bundles.project(q),
                      (bundles.tangent_projection(v).components,), spec)
     return np.where(lost, np.nan, derivative)
 
@@ -51,9 +50,9 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
 
     This is `pair_derivative` at the identity section with a base
     direction: with an abelian group, composing with the identity and its
-    inverse changes no bits, so the value is log(wrap(C)), and the base
-    validation, the domain test, the Richardson consistency test and the
-    lost-step NaN are the same.
+    inverse changes no bits, so the value is log(wrap(C)), and the
+    validation of the base point, the domain test, the Richardson
+    consistency test and the lost-step NaN are the same.
     """
     base, group = Ad.bundle.base, Ad.bundle.group
     m = base.validate(m_coords)
@@ -61,7 +60,7 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
     stack = m.shape[1:]
 
     def f(t):
-        m_t = base.validate(base.geodesic_step(m, t * delta))
+        m_t = base.geodesic_step(m, t * delta)
         dist = np.ravel(base.distance(m, m_t))
         outside = np.flatnonzero(~(dist < Ad.domain.base_radius))
         if outside.size:
@@ -89,7 +88,7 @@ def derive_connection(Ad: DiscreteConnectionForm,
         def omega(m_coords, delta_components):
             return _local_pair_derivative(Ad, m_coords, delta_components, spec)
 
-        return TrivialLocalConnection(bundle, omega, name="derived")
+        return TrivialLocalConnection(bundle, omega)
     if isinstance(bundle, TrivialBundle):
         def at_point(m_coords, delta_components):
             q = BundlePoint.trivial(bundle, m_coords,
@@ -101,24 +100,22 @@ def derive_connection(Ad: DiscreteConnectionForm,
         def omega(m_coords, delta_components):
             return by_column(at_point, m_coords, delta_components)
 
-        return TrivialLocalConnection(bundle, omega, name="derived")
+        return TrivialLocalConnection(bundle, omega)
 
     def rule(v: BundleTangent):
-        return AlgebraElement.of(
-            bundle.group, pair_derivative(Ad, v.base_point, v, spec))
+        return pair_derivative(Ad, v.base_point, v, spec)
 
-    return GenericConnection(bundle, rule, name="derived")
+    return GenericConnection(bundle, rule)
 
 
 def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
                       delta_m: TangentVector,
                       spec: DerivativeSpec = DerivativeSpec()) -> BundleTangent:
     """Derivative of the discrete horizontal lift in its base slot."""
-    m = bundles.project(q)
+    m, base = bundles.project(q), q.bundle.base
 
     def f(t):
-        stepped = ManifoldPoint.of(
-            m.kind, m.kind.geodesic_step(m.coords, t * delta_m.components))
+        stepped = base.geodesic_step(m, t * delta_m.components)
         return bundles.local_coords(q, discrete_horizontal_lift(Ad, q, stepped))
 
     comps = richardson_derivative(f, spec, check_consistency=True)

@@ -24,7 +24,6 @@ from .bundles import (BundlePoint, DomainSpec, PrincipalBundle, TrivialBundle,
                       domain_contains)
 from .errors import BundleMismatch, OutsideDomain, UnsupportedPresentation
 from .groups import GroupElement
-from .manifolds import ManifoldPoint
 
 
 class DiscreteConnectionForm:
@@ -58,8 +57,7 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
             f"outside radius {Ad.domain.base_radius:.4g}")
     if isinstance(Ad, TrivialLocalDiscrete):
         c = GroupElement.of(
-            Ad.bundle.group,
-            Ad.pair_map(q0.base_point.coords, q1.base_point.coords))
+            Ad.bundle.group, Ad.pair_map(q0.base_point, q1.base_point))
         return groups.compose(
             q1.group_part,
             groups.compose(c, groups.inverse(q0.group_part)))
@@ -69,7 +67,7 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
 
 
 def discrete_horizontal_lift(Ad: DiscreteConnectionForm, q: BundlePoint,
-                             m: ManifoldPoint) -> BundlePoint:
+                             m) -> BundlePoint:
     """The point over m reached horizontally from q: translate any point
     over m by the inverse of the discrete connection value."""
     q_prime = bundles.section_over(Ad.bundle, m)

@@ -2,8 +2,10 @@
 
 Supported structure groups: translation groups R^k, the circle, tori T^n
 and SO(3).  Circle and torus elements are stored as angles reduced to
-(-pi, pi]; SO(3) elements as orthogonal 3x3 matrices; algebra elements as
-real vectors (so(3) via the hat map).
+(-pi, pi]; SO(3) elements as orthogonal 3x3 matrices.  An algebra element
+is a plain ``(dim,)`` float array (so(3) via the hat map); the functions
+that take one also take the group kind or an element of the group, and
+`exp` and `adjoint` reshape it to ``(dim,)``, so another length raises.
 
 The data operations of the abelian groups (`Translation`, and its
 subclass `Torus`, which reduces angles) also accept ``(dim, *stack)``
@@ -203,21 +205,6 @@ class GroupElement:
         return GroupElement(kind, kind.wrap(data))
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    kind: GroupKind
-    data: np.ndarray
-
-    @staticmethod
-    def of(kind, data):
-        vec = np.asarray(data, dtype=float).reshape(kind.dim)
-        return AlgebraElement(kind, vec)
-
-    @property
-    def vector(self):
-        return self.data
-
-
 def identity(kind) -> GroupElement:
     return GroupElement(kind, kind.identity_data())
 
@@ -236,22 +223,22 @@ def inverse(a: GroupElement) -> GroupElement:
     return GroupElement(a.kind, a.kind.inverse_data(a.data))
 
 
-def exp(x: AlgebraElement) -> GroupElement:
-    return GroupElement(x.kind, x.kind.exp_data(x.data))
+def exp(kind: GroupKind, x) -> GroupElement:
+    x = np.asarray(x, dtype=float).reshape(kind.dim)
+    return GroupElement(kind, kind.exp_data(x))
 
 
-def log(g: GroupElement) -> AlgebraElement:
-    return AlgebraElement.of(g.kind, g.kind.log_data(g.data))
+def log(g: GroupElement) -> np.ndarray:
+    return g.kind.log_data(g.data)
 
 
-def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    _require_same_kind(g, x)
-    return AlgebraElement.of(g.kind, g.kind.adjoint_data(g.data, x.data))
+def adjoint(g: GroupElement, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float).reshape(g.kind.dim)
+    return g.kind.adjoint_data(g.data, x)
 
 
-def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    _require_same_kind(x, y)
-    return AlgebraElement.of(x.kind, x.kind.bracket_data(x.data, y.data))
+def bracket(kind: GroupKind, x, y) -> np.ndarray:
+    return kind.bracket_data(x, y)
 
 
 def group_distance(a: GroupElement, b: GroupElement) -> float:

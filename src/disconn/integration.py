@@ -22,8 +22,8 @@ from .bundles import (BundlePoint, BundleTangent, DomainSpec, HopfBundle,
 from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch, OutsideDomain
-from .groups import AlgebraElement, GroupElement
-from .manifolds import ManifoldPoint, Retraction, TangentVector
+from .groups import GroupElement
+from .manifolds import Retraction, TangentVector
 
 
 # ---------------------------------------------------------------------------
@@ -41,8 +41,8 @@ def build_invariant_metric(A: ConnectionForm) -> Callable:
         pu = bundles.tangent_projection(u)
         pw = bundles.tangent_projection(w)
         horizontal = float(np.dot(pu.components, pw.components))
-        au = eval_connection(A, u).vector
-        aw = eval_connection(A, w).vector
+        au = eval_connection(A, u)
+        aw = eval_connection(A, w)
         return float(horizontal + np.dot(au, aw))
 
     return pairing
@@ -61,7 +61,6 @@ def metric_invariance_defect(pairing, g: GroupElement, u: BundleTangent,
 @dataclass(frozen=True)
 class BundleRetraction:
     bundle: PrincipalBundle
-    name: str
     step: Callable[[BundlePoint, BundleTangent], BundlePoint]
     domain_radius: float
 
@@ -76,13 +75,11 @@ def trivial_product_retraction(bundle: TrivialBundle) -> BundleRetraction:
 
     def step(q, v):
         base, fiber = bundles.split_trivial(v)
-        m = base_exp.step(q.base_point.coords, base)
-        g = groups.compose(
-            groups.exp(AlgebraElement.of(bundle.group, fiber)), q.group_part)
-        return BundlePoint.trivial(bundle, m, g)
+        m = base_exp.step(q.base_point, base)
+        g = groups.compose(groups.exp(bundle.group, fiber), q.group_part)
+        return BundlePoint(bundle, m, g)
 
-    return BundleRetraction(bundle, f"product({base_exp.rule})", step,
-                            base_exp.domain_radius)
+    return BundleRetraction(bundle, step, base_exp.domain_radius)
 
 
 def trivial_skewed_retraction(bundle: TrivialBundle) -> BundleRetraction:
@@ -96,15 +93,14 @@ def trivial_skewed_retraction(bundle: TrivialBundle) -> BundleRetraction:
 
     def step(q, v):
         base, fiber = bundles.split_trivial(v)
-        m = base_exp.step(q.base_point.coords, base)
+        m = base_exp.step(q.base_point, base)
         skew = 0.3 * float(np.linalg.norm(fiber)) ** 2 \
-            * float(np.linalg.norm(np.ravel(
-                groups.log(q.group_part).vector)))
-        xi = AlgebraElement.of(bundle.group, fiber + skew)
-        g = groups.compose(groups.exp(xi), q.group_part)
-        return BundlePoint.trivial(bundle, m, g)
+            * float(np.linalg.norm(groups.log(q.group_part)))
+        g = groups.compose(groups.exp(bundle.group, fiber + skew),
+                           q.group_part)
+        return BundlePoint(bundle, m, g)
 
-    return BundleRetraction(bundle, "skewed", step, base_exp.domain_radius)
+    return BundleRetraction(bundle, step, base_exp.domain_radius)
 
 
 def hopf_geodesic_retraction(bundle: HopfBundle) -> BundleRetraction:
@@ -118,7 +114,7 @@ def hopf_geodesic_retraction(bundle: HopfBundle) -> BundleRetraction:
         p = np.cos(norm) * q.ambient + np.sin(norm) * v.components / norm
         return BundlePoint.hopf(bundle, p / np.linalg.norm(p))
 
-    return BundleRetraction(bundle, "great_circle", step, np.pi)
+    return BundleRetraction(bundle, step, np.pi)
 
 
 def retract_bundle(R: BundleRetraction, v: BundleTangent) -> BundlePoint:
@@ -152,15 +148,13 @@ def reduced_retraction(A: ConnectionForm, R: BundleRetraction) -> Retraction:
     base_kind = bundle.base
     domain_radius = min(R.domain_radius, manifolds.default_radius(base_kind))
 
-    def step(m_coords, components):
-        m = ManifoldPoint.of(base_kind, m_coords)
+    def step(m, components):
         q = bundles.section_over(bundle, m)
-        delta = TangentVector(m, base_kind.project_tangent(m_coords,
-                                                           components))
+        delta = TangentVector(m, base_kind.project_tangent(m, components))
         h = horizontal_lift(A, q, delta)
-        return bundles.project(R.step(q, h)).coords
+        return bundles.project(R.step(q, h))
 
-    return Retraction(base_kind, f"reduced({R.name})", step, domain_radius)
+    return Retraction(base_kind, step, domain_radius)
 
 
 def integrate_connection(A: ConnectionForm, R: BundleRetraction,

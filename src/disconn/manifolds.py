@@ -1,8 +1,11 @@
 """Manifolds and retractions.
 
 Instantiated manifolds: Euclidean charts R^d and unit spheres S^{d-1} in
-ambient R^d.  Points on spheres are unit ambient vectors; tangent vectors
-are ambient vectors orthogonal to the base point.
+ambient R^d.  A point is the plain float array of its coordinates, and
+the manifold kind that reads it is held by the caller; points on spheres
+are unit ambient vectors, and tangent vectors are ambient vectors
+orthogonal to the base point.  `ManifoldKind.validate` checks a point where
+it enters the library; internal steps pass arrays that are already valid.
 
 The built-in retraction rule is ``metric_exponential``, the geodesic
 exponential (straight lines on R^d, great circles on spheres).
@@ -186,18 +189,8 @@ class Sphere(ManifoldKind):
 
 
 @dataclass(frozen=True)
-class ManifoldPoint:
-    kind: ManifoldKind
-    coords: np.ndarray
-
-    @staticmethod
-    def of(kind, coords):
-        return ManifoldPoint(kind, kind.validate(coords))
-
-
-@dataclass(frozen=True)
 class TangentVector:
-    base: ManifoldPoint
+    base: np.ndarray        # coordinates of the base point
     components: np.ndarray
 
     @property
@@ -208,25 +201,15 @@ class TangentVector:
         return TangentVector(self.base, t * self.components)
 
 
-def zero_tangent(point: ManifoldPoint) -> TangentVector:
-    return TangentVector(point, np.zeros(point.kind.coord_size))
-
-
-def distance(a: ManifoldPoint, b: ManifoldPoint) -> float:
-    return a.kind.distance(a.coords, b.coords)
-
-
 @dataclass(frozen=True)
 class Retraction:
     kind: ManifoldKind
-    rule: str
     step: Callable          # (point coords, tangent components) -> point coords
     domain_radius: float
 
 
 def metric_exponential(kind) -> Retraction:
-    return Retraction(kind, "metric_exponential", kind.geodesic_step,
-                      default_radius(kind))
+    return Retraction(kind, kind.geodesic_step, default_radius(kind))
 
 
 def default_radius(kind):
@@ -239,27 +222,28 @@ def default_radius(kind):
     raise ValueError(f"no default radius for {kind!r}")
 
 
-def retract(R: Retraction, v: TangentVector) -> ManifoldPoint:
+def retract(R: Retraction, v: TangentVector) -> np.ndarray:
+    """The point R_x(v); the step is supplied by the caller, so its output
+    is validated."""
     if v.norm >= R.domain_radius:
         raise OutsideDomain(
             f"|v| = {v.norm:.4g} >= domain radius {R.domain_radius:.4g}")
-    return ManifoldPoint.of(R.kind, R.step(v.base.coords, v.components))
+    return R.kind.validate(R.step(v.base, v.components))
 
 
-def invert_extended(R: Retraction, x: ManifoldPoint,
-                    y: ManifoldPoint) -> TangentVector:
+def invert_extended(R: Retraction, x, y) -> TangentVector:
     """Tangent vector v at x with retract(R, v) = y, by Newton in a chart."""
     kind = R.kind
-    if kind.distance(x.coords, y.coords) >= R.domain_radius / 2.0:
+    if kind.distance(x, y) >= R.domain_radius / 2.0:
         raise OutsideDomain("target too far from the anchor point")
 
-    to_chart, from_chart = kind.chart_at(x.coords)
-    target = to_chart(y.coords)
-    zero_chart = to_chart(x.coords)
+    to_chart, from_chart = kind.chart_at(x)
+    target = to_chart(y)
+    zero_chart = to_chart(x)
 
     def residual(c):
         v = from_chart(c)
-        p = R.step(x.coords, kind.project_tangent(x.coords, v))
+        p = R.step(x, kind.project_tangent(x, v))
         return to_chart(p) - target
 
     # Initial guess: the normal coordinates of the target, exact for the
@@ -270,7 +254,7 @@ def invert_extended(R: Retraction, x: ManifoldPoint,
         r = residual(c)
         if np.linalg.norm(r) <= NEWTON_TOL:
             v = from_chart(c)
-            return TangentVector(x, kind.project_tangent(x.coords, v))
+            return TangentVector(x, kind.project_tangent(x, v))
         J = np.empty((n, n))
         h = 1e-7 * (1.0 + np.linalg.norm(c))
         for j in range(n):
@@ -286,18 +270,18 @@ def invert_extended(R: Retraction, x: ManifoldPoint,
         f"after {NEWTON_MAX_ITER} iterations")
 
 
-def check_retraction_axioms(R: Retraction, x: ManifoldPoint, v: TangentVector,
+def check_retraction_axioms(R: Retraction, x, v: TangentVector,
                             spec=DerivativeSpec()) -> float:
     """Defect of d/dt R_x(t v)|_0 = v, via Richardson finite differences."""
-    if np.linalg.norm(v.base.coords - x.coords) > 1e-12:
+    if np.linalg.norm(v.base - x) > 1e-12:
         raise BasePointMismatch("tangent vector not anchored at x")
-    base_defect = np.linalg.norm(
-        np.asarray(retract(R, zero_tangent(x)).coords) - x.coords)
+    zero = TangentVector(x, np.zeros(R.kind.coord_size))
+    base_defect = np.linalg.norm(retract(R, zero) - x)
     if v.norm == 0.0:
         return float(base_defect)
 
     def curve(t):
-        return R.step(x.coords, t * v.components)
+        return R.step(x, t * v.components)
 
     slope = richardson_derivative(curve, spec)
     return float(max(base_defect, np.linalg.norm(slope - v.components)))

@@ -39,9 +39,10 @@ included, and malformed values with a `ParseError`):
 
 One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
 "dx", "y_dx", or {"name": "polynomial", "terms": [{"coeff": c,
-"powers": [...], "dx": j}, ...]}.  Pair-map builtins: "zero",
-"trapezoid_x_dy", "left_x_dy", or {"name": "quadratic_f", "f": "zero" |
-"one" | "sin_product" | {"const": value}}.
+"powers": [...], "dx": j}, ...]} on d base coordinates, with c finite,
+at most d non-negative integer powers and 0 <= j < d.  Pair-map builtins:
+"zero", "trapezoid_x_dy", "left_x_dy", or {"name": "quadratic_f", "f":
+"zero" | "one" | "sin_product" | {"const": value}}.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
                integration, manifolds)
 from .bundles import BundlePoint, DomainSpec, HopfBundle, TrivialBundle
 from .errors import ParseError, UnknownBuiltin
-from .manifolds import EuclideanChart, ManifoldPoint, Sphere, TangentVector
+from .manifolds import EuclideanChart, Sphere, TangentVector
 from .numdiff import DerivativeSpec, worst_defect
 
 
@@ -69,12 +71,22 @@ def rng_for(seed, stream):
 # ---------------------------------------------------------------------------
 # Builtins
 
-def _polynomial_rule(terms):
-    try:
-        terms = [(float(t["coeff"]), tuple(int(p) for p in t["powers"]),
-                  int(t["dx"])) for t in terms]
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ParseError(f"bad polynomial terms: {exc!r}") from exc
+def _is_term(term, size):
+    """A polynomial term on `size` coordinates: a finite coefficient, at
+    most `size` non-negative integer powers and a differential index."""
+    return (isinstance(term, dict) and set(term) == {"coeff", "powers", "dx"}
+            and _is_number(term["coeff"])
+            and isinstance(term["powers"], list)
+            and len(term["powers"]) <= size
+            and all(_is_int(p) and p >= 0 for p in term["powers"])
+            and _is_int(term["dx"]) and 0 <= term["dx"] < size)
+
+
+def _polynomial_rule(terms, size):
+    _require(isinstance(terms, list)
+             and all(_is_term(t, size) for t in terms),
+             f"bad polynomial terms: {terms!r}")
+    terms = [(float(t["coeff"]), t["powers"], t["dx"]) for t in terms]
 
     def rule(m, v):
         total = 0.0
@@ -108,7 +120,7 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
         scalar = _OMEGA_BUILTINS[spec]
         name = spec
     elif isinstance(spec, dict) and spec.get("name") == "polynomial":
-        scalar = _polynomial_rule(spec.get("terms"))
+        scalar = _polynomial_rule(spec.get("terms"), bundle.base.coord_size)
         name = "polynomial"
     else:
         raise UnknownBuiltin(f"unknown one-form spec {spec!r}")
@@ -116,7 +128,7 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
         raise ParseError("builtin one-forms target one-dimensional algebras")
     _probe(scalar, bundle.base.coord_size, name)
     return connections.TrivialLocalConnection(
-        bundle, lambda m, v: np.array([scalar(m, v)]), name=name)
+        bundle, lambda m, v: np.array([scalar(m, v)]))
 
 
 def pair_map_builtin(spec, group):
@@ -183,8 +195,9 @@ def _is_count(value):
 
 
 def _is_number(value):
-    return (_is_int(value) or isinstance(value, float)) \
-        and math.isfinite(value)
+    if _is_int(value):  # math.isfinite raises on an int beyond float range
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, float) and math.isfinite(value)
 
 
 def _is_numbers(value, size=None):
@@ -264,14 +277,18 @@ def _discrete_specs(cfg):
     return [raw] if isinstance(raw, dict) else raw
 
 
-def load_scenario(path):
-    """Read a scenario file and check it against the schema."""
+def load_scenario(path, integrator=None):
+    """Read a scenario file and check it against the schema; the entries of
+    `integrator` replace those of the file's integrator block and pass the
+    same check."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
     _validate(cfg, "scenario", "scenario")
+    cfg["integrator"] = {**cfg.get("integrator", {}), **(integrator or {})}
+    _validate(cfg["integrator"], "integrator", "scenario.integrator")
     hopf = cfg["bundle"]["kind"] == "hopf"
     connection = cfg.get("connection")
     _require(connection is None
@@ -401,29 +418,21 @@ class ScenarioContext:
         """n samples (m, u, w) of a base point and two constant base
         directions, drawn in that order, for exterior derivatives."""
         size = self.bundle.base.coord_size
-        return [(self.sample_base_coords(rng), rng.uniform(-1.0, 1.0, size),
+        return [(self.sample_base_point(rng), rng.uniform(-1.0, 1.0, size),
                  rng.uniform(-1.0, 1.0, size)) for _ in range(n)]
 
-    def sample_base_coords(self, rng):
-        if self.box is not None:
-            return rng.uniform(self.box[:, 0], self.box[:, 1])
-        vec = rng.normal(size=self.bundle.base.coord_size)
-        return vec / np.linalg.norm(vec)
-
     def sample_base_point(self, rng):
-        return ManifoldPoint.of(self.bundle.base,
-                                self.sample_base_coords(rng))
+        base = self.bundle.base
+        if self.box is not None:
+            return base.validate(rng.uniform(self.box[:, 0], self.box[:, 1]))
+        vec = rng.normal(size=base.coord_size)
+        return base.validate(vec / np.linalg.norm(vec))
 
     def sample_group(self, rng):
         g = self.bundle.group
         if isinstance(g, groups.SO3):
-            vec = rng.uniform(-1.0, 1.0, 3)
-            return groups.exp(groups.AlgebraElement.of(g, vec))
+            return groups.exp(g, rng.uniform(-1.0, 1.0, 3))
         return groups.GroupElement.of(g, rng.uniform(-1.0, 1.0, g.dim))
-
-    def sample_algebra(self, rng):
-        g = self.bundle.group
-        return groups.AlgebraElement.of(g, rng.uniform(-1.0, 1.0, g.dim))
 
     def sample_point(self, rng):
         q = bundles.section_over(self.bundle, self.sample_base_point(rng))
@@ -431,14 +440,13 @@ class ScenarioContext:
 
     def sample_base_tangent(self, rng, m):
         comps = rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
-        return TangentVector(m, self.bundle.base.project_tangent(m.coords,
-                                                                 comps))
+        return TangentVector(m, self.bundle.base.project_tangent(m, comps))
 
     def sample_bundle_tangent(self, rng, q):
         if isinstance(self.bundle, TrivialBundle):
             base = rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
             fiber = rng.uniform(-1.0, 1.0, self.bundle.group.dim)
-            base = self.bundle.base.project_tangent(q.base_point.coords, base)
+            base = self.bundle.base.project_tangent(q.base_point, base)
             return bundles.make_trivial_tangent(q, base, fiber)
         vec = rng.uniform(-1.0, 1.0, 4)
         vec -= np.dot(vec, q.ambient) * q.ambient
@@ -454,9 +462,9 @@ class ScenarioContext:
                 / direction.norm
         else:
             scale = 0.0
-        stepped = ManifoldPoint.of(
-            m.kind, m.kind.geodesic_step(m.coords,
-                                         scale * direction.components))
+        base = self.bundle.base
+        stepped = base.validate(base.geodesic_step(
+            m, scale * direction.components))
         over = bundles.section_over(self.bundle, stepped)
         return bundles.act(self.sample_group(rng), over)
 
@@ -470,7 +478,7 @@ def _hopf_chart_retraction(bundle):
         return BundlePoint.hopf(
             bundle, sphere.chart_line_step(q.ambient, v.components))
 
-    return integration.BundleRetraction(bundle, "chart", step, np.pi / 2.0)
+    return integration.BundleRetraction(bundle, step, np.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +502,7 @@ def check_connection_axioms(ctx, params, rng, n):
     for _ in range(n):
         q = ctx.sample_point(rng)
         v = ctx.sample_bundle_tangent(rng, q)
-        xi = ctx.sample_algebra(rng)
+        xi = rng.uniform(-1.0, 1.0, ctx.bundle.group.dim)
         g = ctx.sample_group(rng)
         defects.append(connections.verticality_defect(A, q, xi))
         defects.append(connections.equivariance_defect(A, g, v))
@@ -536,12 +544,12 @@ def check_exp_log_roundtrip(ctx, params, rng, n):
     kind = ctx.bundle.group
     defects = []
     for _ in range(n):
-        xi = groups.AlgebraElement.of(
-            kind, rng.uniform(-1.0, 1.0, kind.dim) * 2.8 / np.sqrt(kind.dim))
-        back = groups.log(groups.exp(xi))
-        defects.append(float(np.linalg.norm(back.vector - xi.vector)))
+        xi = rng.uniform(-1.0, 1.0, kind.dim) * 2.8 / np.sqrt(kind.dim)
+        back = groups.log(groups.exp(kind, xi))
+        defects.append(float(np.linalg.norm(back - xi)))
         g = ctx.sample_group(rng)
-        defects.append(groups.group_distance(groups.exp(groups.log(g)), g))
+        back = groups.exp(kind, groups.log(g))
+        defects.append(groups.group_distance(back, g))
     return worst_defect(defects)
 
 
@@ -553,8 +561,8 @@ def check_derive_roundtrip(ctx, params, rng, n):
     for _ in range(n):
         q = ctx.sample_point(rng)
         v = ctx.sample_bundle_tangent(rng, q)
-        lhs = connections.eval_connection(derived, v).vector
-        rhs = connections.eval_connection(A, v).vector
+        lhs = connections.eval_connection(derived, v)
+        rhs = connections.eval_connection(A, v)
         defects.append(float(np.linalg.norm(lhs - rhs)))
     return worst_defect(defects)
 
@@ -603,7 +611,7 @@ def check_derived_curvature(ctx, params, rng, n):
         u = ctx.sample_base_tangent(rng, m)
         w = ctx.sample_base_tangent(rng, m)
         value = connections.curvature(derived, u, w, ctx.fd_spec)
-        defects.append(float(np.linalg.norm(value.vector)))
+        defects.append(float(np.linalg.norm(value)))
     return worst_defect(defects)
 
 
@@ -641,7 +649,7 @@ def check_same_derived_curvature(ctx, params, rng, n):
         w = ctx.sample_base_tangent(rng, m)
         c1 = connections.curvature(d1, u, w, ctx.fd_spec)
         c2 = connections.curvature(d2, u, w, ctx.fd_spec)
-        defects.append(float(np.linalg.norm(c1.vector - c2.vector)))
+        defects.append(float(np.linalg.norm(c1 - c2)))
     return worst_defect(defects)
 
 

@@ -13,8 +13,8 @@ from disconn.bundles import (BundlePoint, BundleTangent, DomainSpec,
                              section_over, split_trivial,
                              tangent_lift_action, tangent_projection)
 from disconn.errors import KindMismatch, NotSameFiber
-from disconn.groups import AlgebraElement, Circle, GroupElement, SO3, Translation
-from disconn.manifolds import EuclideanChart, ManifoldPoint, Sphere, TangentVector
+from disconn.groups import Circle, GroupElement, SO3, Translation
+from disconn.manifolds import EuclideanChart, Sphere, TangentVector
 
 
 def make_trivial():
@@ -30,7 +30,7 @@ class TestTrivialBundle:
     def test_project(self):
         B = make_trivial()
         q = BundlePoint.trivial(B, [1.0, 2.0], [0.5])
-        assert np.allclose(project(q).coords, [1.0, 2.0])
+        assert np.allclose(project(q), [1.0, 2.0])
 
     def test_act_left_multiplies(self):
         B = make_trivial()
@@ -56,7 +56,7 @@ class TestTrivialBundle:
     def test_generator_is_vertical(self):
         B = make_trivial()
         q = BundlePoint.trivial(B, [1.0, 2.0], [0.0])
-        v = infinitesimal_generator(q, AlgebraElement.of(B.group, [1.7]))
+        v = infinitesimal_generator(q, np.array([1.7]))
         assert np.allclose(tangent_projection(v).components, 0.0)
         _, fiber = split_trivial(v)
         assert fiber[0] == pytest.approx(1.7)
@@ -66,7 +66,7 @@ class TestTrivialBundle:
         e = groups.identity(B.group)
         q = BundlePoint.trivial(B, [0.0], e)
         v = make_trivial_tangent(q, [0.0], [1.0, 0.0, 0.0])
-        g = groups.exp(AlgebraElement.of(B.group, [0.0, 0.0, np.pi / 2]))
+        g = groups.exp(B.group, [0.0, 0.0, np.pi / 2])
         moved = tangent_lift_action(g, v)
         _, fiber = split_trivial(moved)
         assert np.allclose(fiber, [0.0, 1.0, 0.0], atol=1e-14)
@@ -87,14 +87,12 @@ class TestHopf:
         for _ in range(50):
             q = random_hopf_point(rng)
             m = project(q)
-            assert abs(np.linalg.norm(m.coords) - 1.0) <= 1e-12
+            assert abs(np.linalg.norm(m) - 1.0) <= 1e-12
 
     def test_base_and_group_are_shared_constants(self):
         H = HopfBundle()
         assert H.base is HopfBundle.base and H.group is HopfBundle.group
         assert H.base == Sphere(3) and H.group == Circle()
-        q = random_hopf_point(np.random.default_rng(19))
-        assert project(q).kind is H.base
 
     def test_projection_north_pole(self):
         # (1, 0, 0, 0) is |z1| = 1, z2 = 0, over the north pole.
@@ -120,7 +118,7 @@ class TestHopf:
         rng = np.random.default_rng(37)
         H = HopfBundle()
         q = random_hopf_point(rng)
-        xi = AlgebraElement.of(H.group, [1.0])
+        xi = np.array([1.0])
         v = infinitesimal_generator(q, xi)
         h = 1e-6
         fd = (act(GroupElement.of(H.group, [h]), q).ambient - q.ambient) / h
@@ -129,7 +127,7 @@ class TestHopf:
     def test_generator_projects_to_zero(self):
         rng = np.random.default_rng(41)
         q = random_hopf_point(rng)
-        v = infinitesimal_generator(q, AlgebraElement.of(Circle(), [2.0]))
+        v = infinitesimal_generator(q, np.array([2.0]))
         assert np.allclose(tangent_projection(v).components, 0.0, atol=1e-12)
 
     def test_any_lift_projects_back(self):
@@ -138,7 +136,7 @@ class TestHopf:
         for _ in range(20):
             q = random_hopf_point(rng)
             m = project(q)
-            u = m.kind.project_tangent(m.coords, rng.normal(size=3))
+            u = H.base.project_tangent(m, rng.normal(size=3))
             lift = any_lift(q, TangentVector(m, u))
             assert np.allclose(tangent_projection(lift).components, u,
                                atol=1e-9)
@@ -149,15 +147,15 @@ class TestHopf:
         rng = np.random.default_rng(47)
         for _ in range(50):
             x = rng.normal(size=3)
-            m = ManifoldPoint.of(Sphere(3), x / np.linalg.norm(x))
+            m = x / np.linalg.norm(x)
             q = section_over(H, m)
-            assert np.allclose(project(q).coords, m.coords, atol=1e-12)
+            assert np.allclose(project(q), m, atol=1e-12)
 
     def test_section_near_south_pole(self):
         H = HopfBundle()
-        m = ManifoldPoint.of(Sphere(3), [1e-8, 0.0, -np.sqrt(1 - 1e-16)])
+        m = np.array([1e-8, 0.0, -np.sqrt(1 - 1e-16)])
         q = section_over(H, m)
-        assert np.allclose(project(q).coords, m.coords, atol=1e-12)
+        assert np.allclose(project(q), m, atol=1e-12)
 
 
 class TestDomain:
@@ -182,3 +180,29 @@ class TestDomain:
         q1 = BundlePoint.trivial(B, [0.5, 0.0], [0.0])
         g = GroupElement.of(B.group, [2.0])
         assert domain_contains(U, act(g, q0), q1)
+
+
+class TestBoundaryValidation:
+    """Points are validated where they enter, by the two constructors;
+    the bundle operations build points from arrays that are already valid."""
+
+    def test_trivial_rejects_non_unit_sphere_point(self):
+        B = TrivialBundle(Sphere(3), Circle())
+        with pytest.raises(ValueError):
+            BundlePoint.trivial(B, [1.0, 1.0, 0.0], [0.0])
+        q = BundlePoint.trivial(B, [0.0, 1.0, 0.0], [0.0])
+        assert np.array_equal(project(q), [0.0, 1.0, 0.0])
+
+    def test_hopf_rejects_non_unit_point(self):
+        with pytest.raises(ValueError):
+            BundlePoint.hopf(HopfBundle(), [1.0, 1.0, 0.0, 0.0])
+
+    def test_hopf_generator_rejects_wrong_length(self):
+        q = random_hopf_point(np.random.default_rng(53))
+        with pytest.raises(ValueError):
+            infinitesimal_generator(q, np.array([1.0, 2.0]))
+
+    def test_trivial_generator_rejects_wrong_length(self):
+        q = BundlePoint.trivial(make_trivial(), [0.0, 0.0], [0.0])
+        with pytest.raises(ValueError):
+            infinitesimal_generator(q, np.array([1.0, 2.0]))

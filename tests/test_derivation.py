@@ -11,7 +11,7 @@ from disconn.derivation import (check_diagram, derive_connection,
 from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NonDifferentiable
 from disconn.groups import Translation
-from disconn.manifolds import EuclideanChart, ManifoldPoint, TangentVector
+from disconn.manifolds import EuclideanChart, TangentVector
 from disconn.numdiff import DerivativeSpec
 
 
@@ -93,8 +93,8 @@ class TestDeriveConnection:
                                     rng.uniform(-2, 2, 1))
             v = make_trivial_tangent(q, rng.uniform(-1, 1, 2),
                                      rng.uniform(-1, 1, 1))
-            got = eval_connection(A, v).vector
-            want = eval_connection(exact, v).vector
+            got = eval_connection(A, v)
+            want = eval_connection(exact, v)
             assert np.linalg.norm(got - want) <= 1e-8
 
     def test_zero_family_derives_to_fiber_projection(self):
@@ -103,7 +103,7 @@ class TestDeriveConnection:
         A = derive_connection(Ad)
         q = BundlePoint.trivial(B, [0.3, 0.3], [0.0])
         v = make_trivial_tangent(q, [5.0, -2.0], [0.7])
-        assert eval_connection(A, v).vector[0] == pytest.approx(0.7, abs=1e-9)
+        assert eval_connection(A, v)[0] == pytest.approx(0.7, abs=1e-9)
 
 
 class TestDeriveHorizontal:
@@ -113,7 +113,7 @@ class TestDeriveHorizontal:
         B, U = plane_bundle()
         Ad = trapezoid(B, U)
         q = BundlePoint.trivial(B, [2.0, 0.0], [0.0])
-        dm = TangentVector(ManifoldPoint.of(B.base, [2.0, 0.0]),
+        dm = TangentVector(np.array([2.0, 0.0]),
                            np.array([0.0, 1.0]))
         h = derive_horizontal(Ad, q, dm)
         base, fiber = bundles.split_trivial(h)

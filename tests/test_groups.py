@@ -5,8 +5,8 @@ import pytest
 
 from disconn import groups
 from disconn.errors import KindMismatch, OutsideInjectivityRadius
-from disconn.groups import (SO3, AlgebraElement, Circle, GroupElement, Torus,
-                            Translation, hat, unhat, reduce_angle)
+from disconn.groups import (SO3, Circle, GroupElement, Torus, Translation,
+                            hat, unhat, reduce_angle)
 
 
 def so3_exp_series(w, terms=30):
@@ -46,8 +46,8 @@ class TestTranslation:
 
     def test_exp_log_identity_maps(self):
         k = Translation(2)
-        xi = AlgebraElement.of(k, [0.3, -0.7])
-        assert np.allclose(groups.log(groups.exp(xi)).vector, xi.vector)
+        xi = np.array([0.3, -0.7])
+        assert np.allclose(groups.log(groups.exp(k, xi)), xi)
 
     def test_inverse(self):
         k = Translation(1)
@@ -87,8 +87,8 @@ class TestCircleTorus:
     def test_torus_componentwise(self):
         k = Torus(2)
         a = GroupElement.of(k, [0.5, -0.5])
-        xi = AlgebraElement.of(k, [0.1, 0.2])
-        assert np.allclose(groups.adjoint(a, xi).vector, xi.vector)
+        xi = np.array([0.1, 0.2])
+        assert np.allclose(groups.adjoint(a, xi), xi)
 
 
 class TestSO3:
@@ -101,13 +101,13 @@ class TestSO3:
         rng = np.random.default_rng(7)
         for _ in range(20):
             w = rng.uniform(-1.5, 1.5, 3)
-            got = groups.exp(AlgebraElement.of(k, w)).data
+            got = groups.exp(k, w).data
             assert np.allclose(got, so3_exp_series(w), atol=1e-12)
 
     def test_exp_quarter_turn_z(self):
         # Rotation by pi/2 about the z-axis.
         k = SO3()
-        got = groups.exp(AlgebraElement.of(k, [0, 0, np.pi / 2])).data
+        got = groups.exp(k, [0, 0, np.pi / 2]).data
         expected = np.array([[0.0, -1.0, 0.0],
                              [1.0, 0.0, 0.0],
                              [0.0, 0.0, 1.0]])
@@ -118,28 +118,28 @@ class TestSO3:
         rng = np.random.default_rng(11)
         for _ in range(200):
             w = rng.uniform(-1.0, 1.0, 3) * 1.7
-            back = groups.log(groups.exp(AlgebraElement.of(k, w)))
-            assert np.allclose(back.vector, w, atol=1e-10)
+            back = groups.log(groups.exp(k, w))
+            assert np.allclose(back, w, atol=1e-10)
 
     def test_log_near_pi_rejected(self):
         k = SO3()
-        g = groups.exp(AlgebraElement.of(k, [np.pi - 1e-9, 0, 0]))
+        g = groups.exp(k, [np.pi - 1e-9, 0, 0])
         with pytest.raises(OutsideInjectivityRadius):
             groups.log(g)
 
     def test_adjoint_is_rotation_of_vector(self):
         k = SO3()
-        g = groups.exp(AlgebraElement.of(k, [0.4, -0.2, 0.9]))
-        xi = AlgebraElement.of(k, [1.0, 0.0, 0.0])
+        g = groups.exp(k, [0.4, -0.2, 0.9])
+        xi = np.array([1.0, 0.0, 0.0])
         # Ad_R(hat(w)) = hat(R w) for rotation matrices.
-        expected = g.data @ xi.vector
-        assert np.allclose(groups.adjoint(g, xi).vector, expected)
+        expected = g.data @ xi
+        assert np.allclose(groups.adjoint(g, xi), expected)
 
     def test_bracket_is_cross_product(self):
         k = SO3()
-        x = AlgebraElement.of(k, [1.0, 0.0, 0.0])
-        y = AlgebraElement.of(k, [0.0, 1.0, 0.0])
-        assert np.allclose(groups.bracket(x, y).vector, [0.0, 0.0, 1.0])
+        x = np.array([1.0, 0.0, 0.0])
+        y = np.array([0.0, 1.0, 0.0])
+        assert np.allclose(groups.bracket(k, x, y), [0.0, 0.0, 1.0])
 
     def test_wrap_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
@@ -170,5 +170,21 @@ class TestExpLogRoundtripBulk:
         for kind in (Translation(3), Torus(2), SO3()):
             for _ in range(1000):
                 w = rng.uniform(-1.0, 1.0, kind.dim) * 2.8 / np.sqrt(kind.dim)
-                back = groups.log(groups.exp(AlgebraElement.of(kind, w)))
-                assert np.linalg.norm(back.vector - w) <= 1e-10
+                back = groups.log(groups.exp(kind, w))
+                assert np.linalg.norm(back - w) <= 1e-10
+
+
+class TestAlgebraVectorLength:
+    """Algebra values are plain arrays; exp and adjoint reshape them to the
+    group's dimension, so a vector of the wrong length still raises."""
+
+    @pytest.mark.parametrize("kind", [Translation(2), Circle(), SO3()])
+    def test_exp_rejects_wrong_length(self, kind):
+        with pytest.raises(ValueError):
+            groups.exp(kind, np.zeros(kind.dim + 1))
+
+    @pytest.mark.parametrize("kind", [Translation(2), Circle(), SO3()])
+    def test_adjoint_rejects_wrong_length(self, kind):
+        g = groups.identity(kind)
+        with pytest.raises(ValueError):
+            groups.adjoint(g, np.zeros(kind.dim + 1))

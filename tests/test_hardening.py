@@ -19,7 +19,7 @@ from disconn.derivation import derive_connection, pair_derivative
 from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NotClosed
 from disconn.groups import Translation
-from disconn.manifolds import EuclideanChart, ManifoldPoint, TangentVector
+from disconn.manifolds import EuclideanChart, TangentVector
 from disconn.numdiff import DerivativeSpec, worst_defect
 from disconn.scenarios import ScenarioContext, load_scenario
 
@@ -80,10 +80,10 @@ class TestUnmeasurableDefects:
         bundle = TrivialBundle(EuclideanChart(2), Translation(1))
         A = TrivialLocalConnection(bundle,
                                    lambda m, v: np.array([m[0] * v[1]]))
-        m = ManifoldPoint.of(bundle.base, [1e250, 1e250])
+        m = np.array([1e250, 1e250])
         u = TangentVector(m, np.array([1.0, 0.0]))
         w = TangentVector(m, np.array([0.0, 1.0]))
-        assert math.isnan(curvature(A, u, w).vector[0])
+        assert math.isnan(curvature(A, u, w)[0])
 
     @pytest.mark.parametrize("check", ["derived_curvature",
                                        "same_derived_curvature"])
@@ -254,13 +254,17 @@ class TestMalformedInputExitsTwo:
         assert main(["run", path, "--base-point", point]) == 2
         assert "ParseError: anchor" in capsys.readouterr().err
 
-    def test_nan_domain_radius_is_rejected_when_built(self, tmp_path,
-                                                      capsys):
+    @pytest.mark.parametrize("radius", ["nan", "inf"])
+    def test_domain_radius_option_passes_the_schema(self, tmp_path, capsys,
+                                                    radius):
+        # --domain-radius enters the integrator block and is checked by the
+        # same schema entry as a value written in the file.
         cfg = plane(checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
                              "samples": 3}])
         path = write_scenario(tmp_path, cfg)
-        assert main(["run", path, "--domain-radius", "nan"]) == 2
-        assert "base_radius" in capsys.readouterr().err
+        assert main(["run", path, "--domain-radius", radius]) == 2
+        err = capsys.readouterr().err
+        assert f"bad scenario.integrator.domain_radius: {float(radius)}" in err
 
     def test_base_point_at_the_origin_keeps_the_verdict(self, capsys):
         # The curvature-matched scenario anchors its primitive at the
@@ -294,6 +298,41 @@ class TestMalformedInputExitsTwo:
         assert main(["run", path]) == 2
         err = capsys.readouterr().err
         assert "ParseError" in err or "UnknownBuiltin" in err
+
+    @pytest.mark.parametrize("term", [
+        {"coeff": 1, "powers": [1, 0, 7], "dx": -1},   # reads as x dy
+        {"coeff": 1, "powers": [1.5, 0], "dx": 1},     # reads as x dy
+        {"coeff": 1, "powers": [-1, 0], "dx": 1},
+        {"coeff": 1, "powers": [True, 0], "dx": 1},
+        {"coeff": "3", "powers": [1, 0], "dx": 1},
+        {"coeff": 10 ** 400, "powers": [1, 0], "dx": 1},
+        {"coeff": float("inf"), "powers": [1, 0], "dx": 1},
+        {"coeff": 1, "powers": [1, 0], "dx": True},
+        {"coeff": 1, "powers": [1, 0], "dx": 2},
+        {"coeff": 1, "powers": [1, 0]},
+        {"coeff": 1, "powers": [1, 0], "dx": 1, "axis": 0},
+    ])
+    def test_malformed_polynomial_term(self, tmp_path, capsys, term):
+        omega = {"name": "polynomial", "terms": [term]}
+        cfg = plane(connection={"kind": "local", "omega": omega},
+                    checks=[{"name": "closed_form", "samples": 3}])
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
+        assert "ParseError: bad polynomial terms" in capsys.readouterr().err
+
+    def test_int_beyond_float_range_is_not_a_number(self, tmp_path, capsys):
+        # json.load reads it as an int, which math.isfinite cannot convert.
+        cfg = plane(checks=[{"name": "exp_log_roundtrip", "samples": 3,
+                             "tolerance": 10 ** 400}])
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
+        assert "ParseError: bad scenario.checks[0].tolerance" \
+            in capsys.readouterr().err
+
+    def test_distinctness_pair_row_of_wrong_length(self, tmp_path, capsys):
+        cfg = plane(discrete=[{"kind": "local", "pair_map": "zero"}] * 2,
+                    checks=[{"name": "distinctness",
+                             "pair": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]}])
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 SWEEP_BASE = {
