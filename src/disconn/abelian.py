@@ -9,6 +9,8 @@ enables two integration routes that need no retraction:
 * curvature-matched integration -- given a reference discrete connection
   whose derived curvature agrees with the target connection's, correct the
   reference by the exponentiated primitive of the descended difference.
+  The primitive is anchored at the origin of the base chart; the
+  correction exp(f(m1) - f(m0)) does not depend on the anchor.
 
 Both routes integrate over straight segments and require a global
 Euclidean base chart (a simply connected base with trivial first
@@ -37,11 +39,9 @@ from .errors import (BundleMismatch, CurvatureMismatch, NotClosed,
                      UnsupportedGroup, UnsupportedPresentation)
 from .groups import GroupKind
 from .manifolds import EuclideanChart, ManifoldKind
-from .numdiff import (DerivativeSpec, exterior_derivative,
-                      gauss_legendre_line_integral, worst_defect)
+from .numdiff import (exterior_derivative, gauss_legendre_line_integral,
+                      worst_defect)
 
-QUADRATURE_ORDER = 8
-QUADRATURE_PANELS = 16
 # Primitive values kept per primitive.  Curvature-matched evaluations look
 # a point up again within a few lookups, so a small bound keeps every hit.
 PRIMITIVE_CACHE_SIZE = 64
@@ -64,8 +64,7 @@ def _require_euclidean_base(base: ManifoldKind, what: str):
             "Euclidean base chart")
 
 
-def worst_exterior_defect(A: TrivialLocalConnection, samples,
-                          spec: DerivativeSpec = DerivativeSpec()) -> float:
+def worst_exterior_defect(A: TrivialLocalConnection, samples) -> float:
     """Worst |d omega (u, w)| of the one-form of A over (m, u, w) samples,
     for constant-coefficient extensions of u and w, evaluated as one stack;
     NaN when a difference step is lost to rounding at some m."""
@@ -75,14 +74,13 @@ def worst_exterior_defect(A: TrivialLocalConnection, samples,
     m, u, w = (np.asarray(np.stack(column, axis=-1), dtype=float)
                for column in zip(*samples))
     return worst_defect(np.linalg.norm(
-        exterior_derivative(A.value, m, u, w, spec), axis=0))
+        exterior_derivative(A.value, m, u, w), axis=0))
 
 
-def check_closed(A: TrivialLocalConnection, samples,
-                 spec: DerivativeSpec = DerivativeSpec()) -> float:
+def check_closed(A: TrivialLocalConnection, samples) -> float:
     """Worst exterior-derivative defect over (m, u, w) samples; raise if
     the form fails to be closed at CLOSEDNESS_TOL."""
-    worst = worst_exterior_defect(A, samples, spec)
+    worst = worst_exterior_defect(A, samples)
     if not worst <= CLOSEDNESS_TOL:
         raise NotClosed(
             f"d omega defect {worst:.3e} exceeds {CLOSEDNESS_TOL:.1e}")
@@ -112,7 +110,7 @@ def descend_continuous_difference(
     return TrivialLocalConnection(A.bundle, form)
 
 
-def _segment_integral(A: TrivialLocalConnection, m0, m1, order, panels):
+def _segment_integral(A: TrivialLocalConnection, m0, m1):
     """Integral of the one-form of A over the straight segments m0 -> m1,
     for (d, *stack) endpoints; the integrand takes all nodes at once."""
     m0 = np.asarray(m0, dtype=float)[..., None]
@@ -123,51 +121,44 @@ def _segment_integral(A: TrivialLocalConnection, m0, m1, order, panels):
         points = m0 + t * direction
         return A.value(points, np.broadcast_to(direction, points.shape))
 
-    return gauss_legendre_line_integral(integrand, 0.0, 1.0,
-                                        order=order, panels=panels)
+    return gauss_legendre_line_integral(integrand, 0.0, 1.0)
 
 
 def flat_integrate_local(A: TrivialLocalConnection, domain: DomainSpec,
-                         closedness_samples=(),
-                         spec: DerivativeSpec = DerivativeSpec(),
-                         order: int = QUADRATURE_ORDER,
-                         panels: int = QUADRATURE_PANELS) -> TrivialLocalDiscrete:
+                         closedness_samples=()) -> TrivialLocalDiscrete:
     """Flat discrete connection generated by a local connection with a
     closed one-form.
 
     The pair map exponentiates the line integral of omega over the straight
     segment between base points; closedness makes triangle holonomies
-    vanish up to quadrature error.  The closedness gate on
-    `closedness_samples` differentiates with `spec`.
+    vanish up to quadrature error.  The form must be closed at
+    `closedness_samples` (`check_closed`).
     """
     bundle = A.bundle
     _require_abelian(bundle.group)
     _require_euclidean_base(bundle.base, "flat integration")
     if closedness_samples:
-        check_closed(A, closedness_samples, spec)
+        check_closed(A, closedness_samples)
 
     def pair_map(m0, m1):
-        value = _segment_integral(A, m0, m1, order, panels)
+        value = _segment_integral(A, m0, m1)
         return bundle.group.exp_data(value)
 
     return TrivialLocalDiscrete(bundle, pair_map, domain, name="flat")
 
 
-def primitive_on_segments(A: TrivialLocalConnection, anchor,
-                          order: int = QUADRATURE_ORDER,
-                          panels: int = QUADRATURE_PANELS) -> Callable:
+def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
     """f(m) = integral of the one-form of A over the straight segment
-    anchor -> m.
+    from the origin to m.
 
     Values are cached per point in a least-recently-used cache of
     PRIMITIVE_CACHE_SIZE entries; `f.cache_info()` reports its use.
     """
-    anchor = np.asarray(anchor, dtype=float)
+    origin = np.zeros(A.bundle.base.coord_size)
 
     @functools.lru_cache(maxsize=PRIMITIVE_CACHE_SIZE)
     def integral_to(key):
-        return _segment_integral(A, anchor, np.frombuffer(key), order,
-                                 panels)
+        return _segment_integral(A, origin, np.frombuffer(key))
 
     def f(m_coords):
         return integral_to(np.asarray(m_coords, dtype=float).tobytes())
@@ -178,11 +169,7 @@ def primitive_on_segments(A: TrivialLocalConnection, anchor,
 
 def curvature_matched_integrate(A: ConnectionForm,
                                 Ad_ref: DiscreteConnectionForm,
-                                anchor=None, match_samples=(),
-                                spec: DerivativeSpec = DerivativeSpec(),
-                                order: int = QUADRATURE_ORDER,
-                                panels: int = QUADRATURE_PANELS
-                                ) -> DiscreteConnectionForm:
+                                match_samples=()) -> DiscreteConnectionForm:
     """Discrete connection deriving to A, built from a curvature-matched
     reference discrete connection.
 
@@ -197,18 +184,16 @@ def curvature_matched_integrate(A: ConnectionForm,
     _require_abelian(bundle.group)
     _require_euclidean_base(bundle.base, "curvature-matched integration")
 
-    A_ref = derivation.derive_connection(Ad_ref, spec)
+    A_ref = derivation.derive_connection(Ad_ref)
     eps = descend_continuous_difference(A, A_ref)
     if match_samples:
-        worst = worst_exterior_defect(eps, match_samples, spec)
+        worst = worst_exterior_defect(eps, match_samples)
         if not worst <= MATCH_TOL:
             raise CurvatureMismatch(
                 f"derived curvatures differ: defect {worst:.3e} "
                 f"exceeds {MATCH_TOL:.1e}")
 
-    if anchor is None:
-        anchor = np.zeros(bundle.base.coord_size)
-    f = primitive_on_segments(eps, anchor, order=order, panels=panels)
+    f = primitive_on_segments(eps)
 
     def rule(q0, q1):
         base_value = eval_discrete(Ad_ref, q0, q1)

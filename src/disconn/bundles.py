@@ -160,7 +160,7 @@ def act(g: GroupElement, q: BundlePoint) -> BundlePoint:
         return BundlePoint(q.bundle, q.base_point,
                            groups.compose(g, q.group_part))
     theta = float(np.asarray(g.data).reshape(1)[0])
-    return BundlePoint.hopf(q.bundle, _hopf_rotate(q.ambient, theta))
+    return BundlePoint(q.bundle, ambient=_hopf_rotate(q.ambient, theta))
 
 
 def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> GroupElement:
@@ -265,7 +265,7 @@ def section_over(bundle: PrincipalBundle, m) -> BundlePoint:
     """A reference point in the fiber over the base point m."""
     if isinstance(bundle, TrivialBundle):
         return BundlePoint(bundle, m, groups.identity(bundle.group))
-    return BundlePoint.hopf(bundle, hopf_section(m))
+    return BundlePoint(bundle, ambient=hopf_section(m))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """Command-line front end.
 
-    disconn run <scenario.json> [--format table|json] [options]
-    disconn verify-all <dir> [--format table|json] [options]
+    disconn run <scenario.json> [--format table|json]
+    disconn verify-all <dir> [--format table|json]
+
+Every setting of a run lives in the scenario file; the command line picks
+only the files and the report format.
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on
 configuration or runtime errors.
@@ -22,10 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List
 
-import numpy as np
-
 from .errors import DisconnError
-from .numdiff import DerivativeSpec
 from .scenarios import (DEFAULT_TOLERANCE, ScenarioContext, load_scenario,
                         run_check)
 
@@ -50,11 +50,10 @@ class Report:
         return all(c.passed for c in self.checks)
 
 
-def run_scenario(path, integrator=None, **options) -> Report:
-    """Run every check of one scenario file.  `integrator` entries replace
-    those of the file's integrator block; `options` go to ScenarioContext."""
-    cfg = load_scenario(path, integrator)
-    ctx = ScenarioContext(cfg, **options)
+def run_scenario(path) -> Report:
+    """Run every check of one scenario file."""
+    cfg = load_scenario(path)
+    ctx = ScenarioContext(cfg)
     report = Report(ctx.name)
     for index, check_cfg in enumerate(cfg.get("checks", [])):
         start = time.perf_counter()
@@ -103,42 +102,6 @@ def emit_report(report: Report, fmt: str = "table") -> str:
     return "\n".join(lines)
 
 
-def _add_common_options(parser):
-    parser.add_argument("--format", choices=("table", "json"),
-                        default="table")
-    parser.add_argument("--fd-step", type=float, default=None,
-                        help="finite-difference base step")
-    parser.add_argument("--fd-levels", type=int, default=None,
-                        help="Richardson extrapolation levels")
-    parser.add_argument("--quadrature-order", type=int, default=None)
-    parser.add_argument("--quadrature-panels", type=int, default=None)
-    parser.add_argument("--base-point", type=str, default=None,
-                        help="comma-separated primitive anchor coordinates")
-    parser.add_argument("--retraction",
-                        choices=("straight", "exp", "great_circle", "skewed",
-                                 "chart"),
-                        default=None)
-    parser.add_argument("--domain-radius", type=float, default=None)
-
-
-def _given(**options):
-    """The options set on the command line."""
-    return {key: value for key, value in options.items() if value is not None}
-
-
-def _run_one(path, args):
-    return run_scenario(
-        path,
-        integrator=_given(retraction=args.retraction,
-                          domain_radius=args.domain_radius),
-        fd_spec=DerivativeSpec(**_given(base_step=args.fd_step,
-                                        richardson_levels=args.fd_levels)),
-        anchor=(None if args.base_point is None else
-                np.array([float(x) for x in args.base_point.split(",")])),
-        **_given(quadrature_order=args.quadrature_order,
-                 quadrature_panels=args.quadrature_panels))
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="disconn",
@@ -148,32 +111,25 @@ def main(argv=None) -> int:
 
     run_p = sub.add_parser("run", help="run one scenario file")
     run_p.add_argument("scenario")
-    _add_common_options(run_p)
 
     all_p = sub.add_parser("verify-all",
                            help="run every *.json scenario in a directory")
     all_p.add_argument("directory")
-    _add_common_options(all_p)
+    for p in (run_p, all_p):
+        p.add_argument("--format", choices=("table", "json"),
+                       default="table")
 
     args = parser.parse_args(argv)
 
     try:
-        if args.command == "run":
-            report = _run_one(args.scenario, args)
-            print(emit_report(report, args.format))
-            return 0 if report.passed else 1
-        paths = sorted(Path(args.directory).glob("*.json"))
+        paths = ([args.scenario] if args.command == "run"
+                 else sorted(Path(args.directory).glob("*.json")))
         if not paths:
             print(f"no scenario files in {args.directory}", file=sys.stderr)
             return 2
-        all_passed = True
-        outputs = []
-        for path in paths:
-            report = _run_one(str(path), args)
-            outputs.append(emit_report(report, args.format))
-            all_passed = all_passed and report.passed
-        print("\n\n".join(outputs))
-        return 0 if all_passed else 1
+        reports = [run_scenario(str(path)) for path in paths]
+        print("\n\n".join(emit_report(r, args.format) for r in reports))
+        return 0 if all(r.passed for r in reports) else 1
     except DisconnError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,7 @@ from .bundles import (BundlePoint, BundleTangent, HopfBundle, PrincipalBundle,
 from .errors import BundleMismatch, UnsupportedPresentation
 from .groups import GroupElement
 from .manifolds import EuclideanChart, TangentVector
-from .numdiff import DerivativeSpec, exterior_derivative, on_stack
+from .numdiff import exterior_derivative, on_stack
 
 
 class ConnectionForm:
@@ -108,8 +108,8 @@ def horizontal_lift(A: ConnectionForm, q: BundlePoint,
     return BundleTangent(q, some.components - vertical.components)
 
 
-def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
-              spec: DerivativeSpec = DerivativeSpec()) -> np.ndarray:
+def curvature(A: ConnectionForm, u: TangentVector,
+              w: TangentVector) -> np.ndarray:
     """Curvature two-form on a pair of base tangent vectors at one point.
 
     For a local connection, Omega(u, w) = d omega(u, w) - [omega(u),
@@ -126,7 +126,7 @@ def curvature(A: ConnectionForm, u: TangentVector, w: TangentVector,
                 "local curvature needs a Euclidean base chart")
         group = A.bundle.group
         d_omega = exterior_derivative(A.value, u.base, u.components,
-                                      w.components, spec)
+                                      w.components)
         if group.abelian:
             return d_omega
         return d_omega - groups.bracket(group, A.value(u.base, u.components),

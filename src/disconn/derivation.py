@@ -23,12 +23,11 @@ from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
                        discrete_horizontal_lift, eval_discrete)
 from .errors import OutsideDomain
 from .manifolds import TangentVector
-from .numdiff import (DerivativeSpec, by_column, lost_step, on_stack,
-                      richardson_derivative)
+from .numdiff import by_column, lost_step, on_stack, richardson_derivative
 
 
 def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
-                    v: BundleTangent, spec: DerivativeSpec) -> np.ndarray:
+                    v: BundleTangent) -> np.ndarray:
     """Second-slot derivative of A_d at (q, q) in the direction v; NaN
     where the smallest difference step along the base is lost to rounding."""
 
@@ -36,14 +35,14 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
         value = eval_discrete(Ad, q, bundles.bundle_curve(q, v, t))
         return groups.log(value)
 
-    derivative = richardson_derivative(f, spec, check_consistency=True)
+    derivative = richardson_derivative(f, check_consistency=True)
     lost = lost_step(bundles.project(q),
-                     (bundles.tangent_projection(v).components,), spec)
+                     (bundles.tangent_projection(v).components,))
     return np.where(lost, np.nan, derivative)
 
 
 def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
-                           delta_components, spec: DerivativeSpec):
+                           delta_components):
     """omega(m)(delta) = d/dt log C(m, step(m, t delta)) at t = 0 for the
     pair map C of a local discrete form with an abelian group, on
     (d, *stack) stacks.
@@ -70,12 +69,11 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
         return group.log_data(group.wrap(
             on_stack(Ad.pair_map(m, m_t), group.dim, stack)))
 
-    derivative = richardson_derivative(f, spec, check_consistency=True)
-    return np.where(lost_step(m, (delta,), spec), np.nan, derivative)
+    derivative = richardson_derivative(f, check_consistency=True)
+    return np.where(lost_step(m, (delta,)), np.nan, derivative)
 
 
-def derive_connection(Ad: DiscreteConnectionForm,
-                      spec: DerivativeSpec = DerivativeSpec()) -> ConnectionForm:
+def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
     """Continuous connection obtained by differentiating a discrete one.
 
     On a trivial bundle the result is a local one-form on the base that
@@ -86,7 +84,7 @@ def derive_connection(Ad: DiscreteConnectionForm,
     bundle = Ad.bundle
     if isinstance(Ad, TrivialLocalDiscrete) and bundle.group.abelian:
         def omega(m_coords, delta_components):
-            return _local_pair_derivative(Ad, m_coords, delta_components, spec)
+            return _local_pair_derivative(Ad, m_coords, delta_components)
 
         return TrivialLocalConnection(bundle, omega)
     if isinstance(bundle, TrivialBundle):
@@ -95,7 +93,7 @@ def derive_connection(Ad: DiscreteConnectionForm,
                                     groups.identity(bundle.group))
             v = bundles.make_trivial_tangent(
                 q, delta_components, np.zeros(bundle.group.dim))
-            return pair_derivative(Ad, q, v, spec)
+            return pair_derivative(Ad, q, v)
 
         def omega(m_coords, delta_components):
             return by_column(at_point, m_coords, delta_components)
@@ -103,14 +101,13 @@ def derive_connection(Ad: DiscreteConnectionForm,
         return TrivialLocalConnection(bundle, omega)
 
     def rule(v: BundleTangent):
-        return pair_derivative(Ad, v.base_point, v, spec)
+        return pair_derivative(Ad, v.base_point, v)
 
     return GenericConnection(bundle, rule)
 
 
 def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
-                      delta_m: TangentVector,
-                      spec: DerivativeSpec = DerivativeSpec()) -> BundleTangent:
+                      delta_m: TangentVector) -> BundleTangent:
     """Derivative of the discrete horizontal lift in its base slot."""
     m, base = bundles.project(q), q.bundle.base
 
@@ -118,15 +115,14 @@ def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
         stepped = base.geodesic_step(m, t * delta_m.components)
         return bundles.local_coords(q, discrete_horizontal_lift(Ad, q, stepped))
 
-    comps = richardson_derivative(f, spec, check_consistency=True)
+    comps = richardson_derivative(f, check_consistency=True)
     return BundleTangent(q, comps)
 
 
 def check_diagram(Ad: DiscreteConnectionForm, q: BundlePoint,
-                  delta_m: TangentVector,
-                  spec: DerivativeSpec = DerivativeSpec()) -> float:
+                  delta_m: TangentVector) -> float:
     """Defect between the derived lift and the lift of the derived form."""
-    direct = derive_horizontal(Ad, q, delta_m, spec)
-    via_form = connections.horizontal_lift(derive_connection(Ad, spec), q,
+    direct = derive_horizontal(Ad, q, delta_m)
+    via_form = connections.horizontal_lift(derive_connection(Ad), q,
                                            delta_m)
     return float(np.linalg.norm(direct.components - via_form.components))

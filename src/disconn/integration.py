@@ -112,7 +112,7 @@ def hopf_geodesic_retraction(bundle: HopfBundle) -> BundleRetraction:
         if norm < 1e-300:
             return q
         p = np.cos(norm) * q.ambient + np.sin(norm) * v.components / norm
-        return BundlePoint.hopf(bundle, p / np.linalg.norm(p))
+        return BundlePoint(bundle, ambient=p / np.linalg.norm(p))
 
     return BundleRetraction(bundle, step, np.pi)
 

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (BasePointMismatch, NewtonDivergence, OutsideDomain)
-from .numdiff import DerivativeSpec, richardson_derivative
+from .numdiff import richardson_derivative
 
 EUCLIDEAN_RADIUS_SENTINEL = 1e18
 # Residual norm at which `invert_extended` stops, and its iteration budget.
@@ -270,8 +270,7 @@ def invert_extended(R: Retraction, x, y) -> TangentVector:
         f"after {NEWTON_MAX_ITER} iterations")
 
 
-def check_retraction_axioms(R: Retraction, x, v: TangentVector,
-                            spec=DerivativeSpec()) -> float:
+def check_retraction_axioms(R: Retraction, x, v: TangentVector) -> float:
     """Defect of d/dt R_x(t v)|_0 = v, via Richardson finite differences."""
     if np.linalg.norm(v.base - x) > 1e-12:
         raise BasePointMismatch("tangent vector not anchored at x")
@@ -283,7 +282,7 @@ def check_retraction_axioms(R: Retraction, x, v: TangentVector,
     def curve(t):
         return R.step(x, t * v.components)
 
-    slope = richardson_derivative(curve, spec)
+    slope = richardson_derivative(curve)
     return float(max(base_defect, np.linalg.norm(slope - v.components)))
 
 

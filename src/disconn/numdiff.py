@@ -1,8 +1,11 @@
 """Numerical kernels: difference quotients, quadrature and defect reduction.
 
-All directional derivatives in the library go through `richardson_derivative`:
-central differences with steps h and h/2 plus Richardson extrapolation.
-Documented accuracy is about 1e-7 relative on unit-scale smooth inputs.
+The numerical policy is one set of module constants.  All directional
+derivatives go through `richardson_derivative`: central differences with
+steps STEP and STEP / 2 plus one Richardson extrapolation step, about 1e-7
+relative on unit-scale smooth inputs.  All line integrals go through
+`gauss_legendre_line_integral`: QUADRATURE_PANELS panels of
+QUADRATURE_ORDER Gauss-Legendre nodes.
 
 Stacks.  The abelian route on trivial bundles evaluates many points in one
 call.  Points and tangents are then ``(d, *stack)`` arrays, coordinate axis
@@ -16,34 +19,18 @@ order as a loop over the columns, so its results are equal bit for bit.
 """
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonDifferentiable
 
-DEFAULT_STEP = 1e-4
-# The Richardson tableau costs O(levels^2), and at 16 levels the smallest
-# step h / 2^15 stays above 3e-13 for every admissible base step h.
-MAX_RICHARDSON_LEVELS = 16
-# Relative gap allowed between the last two tableau entries when
+STEP = 1e-4
+# Relative gap allowed between the extrapolated and the coarse slope when
 # `richardson_derivative` checks consistency.
 CONSISTENCY_TOL = 1e-5
-
-
-@dataclass(frozen=True)
-class DerivativeSpec:
-    """Step-size policy for directional difference quotients."""
-
-    base_step: float = DEFAULT_STEP
-    richardson_levels: int = 2
-
-    def __post_init__(self):
-        if not (1e-8 <= self.base_step <= 1e-2):
-            raise ValueError("base_step must lie in [1e-8, 1e-2]")
-        if not 1 <= self.richardson_levels <= MAX_RICHARDSON_LEVELS:
-            raise ValueError("richardson_levels must lie in "
-                             f"[1, {MAX_RICHARDSON_LEVELS}]")
+QUADRATURE_ORDER = 8
+QUADRATURE_PANELS = 16
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
 
 
 def central_slope(f, h):
@@ -51,31 +38,20 @@ def central_slope(f, h):
     return (np.asarray(f(h), dtype=float) - np.asarray(f(-h), dtype=float)) / (2.0 * h)
 
 
-def richardson_derivative(f, spec=DerivativeSpec(), check_consistency=False):
+def richardson_derivative(f, check_consistency=False):
     """Derivative of f at 0, f vector valued and defined near 0.
 
-    Builds a Richardson tableau from central slopes at h, h/2, ... With the
-    default two levels this is one extrapolation step.  When
-    `check_consistency` is set, the last two tableau entries must agree to
-    CONSISTENCY_TOL (relative to scale 1 + |value|) or NonDifferentiable is
-    raised.  A stacked f returns (k, *stack) values; the test then applies
-    to each column, and one failing column raises.
+    One Richardson extrapolation step on the central slopes at STEP and
+    STEP / 2.  When `check_consistency` is set, the extrapolated and the
+    coarse slope must agree to CONSISTENCY_TOL (relative to scale
+    1 + |value|) or NonDifferentiable is raised.  A stacked f returns
+    (k, *stack) values; the test then applies to each column, and one
+    failing column raises.
     """
-    h = spec.base_step
-    slopes = [central_slope(f, h / 2 ** k) for k in range(spec.richardson_levels)]
-    # Standard Richardson tableau for O(h^2) central differences.
-    tableau = [slopes]
-    for level in range(1, spec.richardson_levels):
-        prev = tableau[-1]
-        factor = 4.0 ** level
-        tableau.append([
-            (factor * prev[i + 1] - prev[i]) / (factor - 1.0)
-            for i in range(len(prev) - 1)
-        ])
-    best = tableau[-1][0]
-    if check_consistency and spec.richardson_levels >= 2:
-        gap = np.ravel(np.linalg.norm(
-            np.atleast_1d(best - tableau[-2][0]), axis=0))
+    coarse = central_slope(f, STEP)
+    best = (4.0 * central_slope(f, STEP / 2) - coarse) / 3.0
+    if check_consistency:
+        gap = np.ravel(np.linalg.norm(np.atleast_1d(best - coarse), axis=0))
         scale = 1.0 + np.ravel(np.linalg.norm(np.atleast_1d(best), axis=0))
         bad = np.flatnonzero(gap > CONSISTENCY_TOL * scale)
         if bad.size:
@@ -86,22 +62,22 @@ def richardson_derivative(f, spec=DerivativeSpec(), check_consistency=False):
     return best
 
 
-def exterior_derivative(form, m, u, w, spec):
+def exterior_derivative(form, m, u, w):
     """d form (u, w) at m, form(point, tangent) -> values, for constant
     u and w, on stacks; NaN in a column whose smallest difference step is
     lost to rounding (m + h u barely moves from m)."""
-    d_uw = richardson_derivative(lambda t: form(m + t * u, w), spec)
-    d_wu = richardson_derivative(lambda t: form(m + t * w, u), spec)
-    return np.where(lost_step(m, (u, w), spec), np.nan, d_uw - d_wu)
+    d_uw = richardson_derivative(lambda t: form(m + t * u, w))
+    d_wu = richardson_derivative(lambda t: form(m + t * w, u))
+    return np.where(lost_step(m, (u, w)), np.nan, d_uw - d_wu)
 
 
-def lost_step(m, directions, spec):
+def lost_step(m, directions):
     """Mask over the stack of the (d, *stack) point m: True in a column
     where the smallest Richardson step h x along one of the directions x is
     lost to rounding, i.e. (m + h x) - m is off h x by more than half of
     it.  A difference quotient there sees no step (at 1e250, m + h x == m)
     and reads a wrong value, often exactly zero."""
-    h = spec.base_step / 2 ** (spec.richardson_levels - 1)
+    h = STEP / 2
     lost = np.zeros(np.shape(m)[1:], dtype=bool)
     for x in directions:
         step = h * x
@@ -110,35 +86,24 @@ def lost_step(m, directions, spec):
     return lost
 
 
-def gauss_legendre_line_integral(f, a, b, order=8, panels=16):
-    """Integrate the vector-valued f over [a, b] by composite Gauss-Legendre.
+def gauss_legendre_line_integral(f, a, b):
+    """Integrate the vector-valued f over [a, b] by the composite rule.
 
-    f is called once, with the vector of all order * panels nodes, and
-    returns values with the node axis last; a value without that axis is
-    constant.  The weighted values are summed one node after another in
-    panel order, as a loop over the nodes would.
+    f is called once, with the vector of all nodes, and returns values
+    with the node axis last; a value without that axis is constant.  The
+    weighted values are summed one node after another in panel order, as a
+    loop over the nodes would.
     """
-    nodes, weights = _gauss_legendre_rule(order)
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.linspace(a, b, QUADRATURE_PANELS + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * nodes).ravel()
-    coeffs = (half[:, None] * weights).ravel()
+    x = (mid[:, None] + half[:, None] * _NODES).ravel()
+    coeffs = (half[:, None] * _WEIGHTS).ravel()
     values = np.asarray(f(x), dtype=float)
     if values.shape[-1:] != x.shape:
         values = values[..., None]
     # A sequential prefix sum, not the pairwise summation of np.sum.
     return np.add.accumulate(coeffs * values, axis=-1)[..., -1]
-
-
-@functools.lru_cache(maxsize=16)
-def _gauss_legendre_rule(order):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]; one
-    eigensolve per order, not one per integral."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
 
 
 def on_stack(values, dim, stack):

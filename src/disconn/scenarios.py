@@ -2,12 +2,12 @@
 
 A scenario is a JSON object describing a bundle, optionally a connection
 and one or more discrete connections, and a list of named checks with
-tolerances.  Sampling is driven by a counter-based PRNG (Philox) keyed by
-the scenario seed and the check index, so reports are deterministic for a
-fixed config.
+tolerances; it is the only source of a run's settings.  Sampling is
+driven by a counter-based PRNG (Philox) keyed by the scenario seed and the
+check index, so reports are deterministic for a fixed config.
 
-Schema (`load_scenario` rejects unknown keys, unknown `integrator` keys
-included, and malformed values with a `ParseError`):
+Schema (`load_scenario` rejects unknown keys, unknown `integrator` and
+builtin keys included, and malformed values with a `ParseError`):
 
     {
       "name": str,
@@ -27,14 +27,16 @@ included, and malformed values with a `ParseError`):
                   {"kind": "local", "pair_map": <builtin>}
                   | {"kind": "integrated"}
                   | {"kind": "flat", "omega": <builtin>}
-                  | {"kind": "matched", "reference": <spec>},
+                  | {"kind": "matched",
+                     "reference": <spec> other than matched},
       "integrator": {"retraction": "straight"|"exp"|"great_circle"
                                    |"skewed"|"chart",
                      "domain_radius": float},  # default from the base:
                                                # pi/2 on spheres
       "checks": [{"name": str, "tolerance": float > 0,  # default 1e-8
                   "samples": int > 0, "pair": [[x, ...], [x, ...]],
-                  "fiber": [[g, ...], [g, ...]], "min_difference": float}, ...]
+                  "fiber": [[g, ...], [g, ...]],
+                  "min_difference": float > 0}, ...]
     }
 
 One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
@@ -42,7 +44,8 @@ One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
 "powers": [...], "dx": j}, ...]} on d base coordinates, with c finite,
 at most d non-negative integer powers and 0 <= j < d.  Pair-map builtins:
 "zero", "trapezoid_x_dy", "left_x_dy", or {"name": "quadratic_f", "f":
-"zero" | "one" | "sin_product" | {"const": value}}.
+"zero" | "one" | "sin_product" | {"const": value}}.  Builtin objects take
+no other keys.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
 from .bundles import BundlePoint, DomainSpec, HopfBundle, TrivialBundle
 from .errors import ParseError, UnknownBuiltin
 from .manifolds import EuclideanChart, Sphere, TangentVector
-from .numdiff import DerivativeSpec, worst_defect
+from .numdiff import worst_defect
 
 
 def rng_for(seed, stream):
@@ -120,6 +123,7 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
         scalar = _OMEGA_BUILTINS[spec]
         name = spec
     elif isinstance(spec, dict) and spec.get("name") == "polynomial":
+        _require_keys(spec, {"name", "terms"}, "polynomial")
         scalar = _polynomial_rule(spec.get("terms"), bundle.base.coord_size)
         name = "polynomial"
     else:
@@ -145,6 +149,7 @@ def pair_map_builtin(spec, group):
             raise UnknownBuiltin(f"unknown pair-map builtin {spec!r}")
     elif isinstance(spec, dict) and spec.get("name") == "quadratic_f":
         name = "quadratic_f"
+        _require_keys(spec, {"name", "f"}, "quadratic_f")
         f_spec = spec.get("f", "one")
         if f_spec == "zero":
             f = lambda x0, x1: 0.0
@@ -153,6 +158,7 @@ def pair_map_builtin(spec, group):
         elif f_spec == "sin_product":
             f = lambda x0, x1: np.sin(x0 * x1)
         elif isinstance(f_spec, dict) and _is_number(f_spec.get("const")):
+            _require_keys(f_spec, {"const"}, "f table")
             c = float(f_spec["const"])
             f = lambda x0, x1: c
         else:
@@ -163,6 +169,11 @@ def pair_map_builtin(spec, group):
     if group.dim != 1:
         raise ParseError("builtin pair maps target one-dimensional groups")
     return (lambda m0, m1: np.array([rule(m0, m1)])), name
+
+
+def _require_keys(spec, allowed, what):
+    unknown = set(spec) - allowed
+    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
 
 
 def _probe(rule, size, name):
@@ -178,12 +189,6 @@ def _probe(rule, size, name):
 # Context construction
 
 DEFAULT_TOLERANCE = 1e-8
-# numpy documents its Gauss-Legendre nodes as tested up to degree 100, and
-# their cost grows with the square of the order.
-MAX_QUADRATURE_ORDER = 100
-# The composite rule evaluates all order * panels nodes at once, so this
-# caps a rule at 100 000 nodes.
-MAX_QUADRATURE_PANELS = 1000
 
 
 def _is_int(value):
@@ -200,6 +205,10 @@ def _is_number(value):
     return isinstance(value, float) and math.isfinite(value)
 
 
+def _is_positive(value):
+    return _is_number(value) and value > 0
+
+
 def _is_numbers(value, size=None):
     return isinstance(value, list) and all(map(_is_number, value)) \
         and size in (None, len(value))
@@ -210,6 +219,9 @@ def _is_rows(value, rows=None, size=None):
     return isinstance(value, list) and rows in (None, len(value)) \
         and all(_is_numbers(row, size) for row in value)
 
+
+_REFERENCE_KINDS = {"local": {"pair_map": (str, dict)}, "integrated": {},
+                    "flat": {"omega": (str, dict)}}
 
 # Object types of the schema: {key: test}, or {"kind": {tag: {key: test}}}
 # for a tagged object.  A test is a predicate, a tuple of Python types, a
@@ -230,15 +242,16 @@ _SCHEMA = {
     "connection": {"kind": {"local": {"omega": (str, dict)},
                             "hopf_canonical": {},
                             "hopf_perturbed": {"epsilon?": _is_number}}},
-    "discrete": {"kind": {"local": {"pair_map": (str, dict)},
-                          "integrated": {}, "flat": {"omega": (str, dict)},
-                          "matched": {"reference": "discrete"}}},
+    "discrete": {"kind": {**_REFERENCE_KINDS,
+                          "matched": {"reference": "reference"}}},
+    # Not matched: each level of nesting multiplies the evaluation cost.
+    "reference": {"kind": _REFERENCE_KINDS},
     "integrator": {"retraction?": (str,), "domain_radius?": _is_number},
     "check": {"name": (str,), "samples?": _is_count,
-              "tolerance?": lambda v: _is_number(v) and v > 0,
+              "tolerance?": _is_positive,
               "pair?": functools.partial(_is_rows, rows=2),
               "fiber?": functools.partial(_is_rows, rows=2),
-              "min_difference?": _is_number},
+              "min_difference?": _is_positive},
 }
 
 
@@ -277,18 +290,14 @@ def _discrete_specs(cfg):
     return [raw] if isinstance(raw, dict) else raw
 
 
-def load_scenario(path, integrator=None):
-    """Read a scenario file and check it against the schema; the entries of
-    `integrator` replace those of the file's integrator block and pass the
-    same check."""
+def load_scenario(path):
+    """Read a scenario file and check it against the schema."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
     _validate(cfg, "scenario", "scenario")
-    cfg["integrator"] = {**cfg.get("integrator", {}), **(integrator or {})}
-    _validate(cfg["integrator"], "integrator", "scenario.integrator")
     hopf = cfg["bundle"]["kind"] == "hopf"
     connection = cfg.get("connection")
     _require(connection is None
@@ -313,30 +322,13 @@ def _build_bundle(spec):
 class ScenarioContext:
     """Everything a check needs, built from a config load_scenario passed."""
 
-    def __init__(self, cfg, fd_spec=DerivativeSpec(),
-                 quadrature_order=abelian.QUADRATURE_ORDER,
-                 quadrature_panels=abelian.QUADRATURE_PANELS, anchor=None):
-        _require(_is_count(quadrature_order) and _is_count(quadrature_panels),
-                 "quadrature order and panels must be positive integers")
-        _require(quadrature_order <= MAX_QUADRATURE_ORDER,
-                 f"quadrature order must be at most {MAX_QUADRATURE_ORDER}")
-        _require(quadrature_panels <= MAX_QUADRATURE_PANELS,
-                 f"quadrature panels must be at most {MAX_QUADRATURE_PANELS}")
+    def __init__(self, cfg):
         self.name = cfg["name"]
         self.seed = int(cfg["seed"])
         self.sample_count = int(cfg.get("sample_count", 100))
-        self.fd_spec = fd_spec
-        self.quadrature_order = quadrature_order
-        self.quadrature_panels = quadrature_panels
 
         self.bundle = _build_bundle(cfg["bundle"])
         self.box = self._resolve_box(cfg.get("box"))
-        size = self.bundle.base.coord_size
-        self.anchor = np.asarray(
-            anchor if anchor is not None else np.zeros(size), dtype=float)
-        _require(self.anchor.shape == (size,)
-                 and np.isfinite(self.anchor).all(),
-                 f"anchor must have {size} finite coordinates")
 
         hopf = isinstance(self.bundle, HopfBundle)
         integ = cfg.get("integrator", {})
@@ -397,17 +389,14 @@ class ScenarioContext:
         if kind == "flat":
             return abelian.flat_integrate_local(
                 one_form_builtin(spec["omega"], self.bundle), self.domain,
-                closedness_samples=self._gate_samples(), spec=self.fd_spec,
-                order=self.quadrature_order, panels=self.quadrature_panels)
+                closedness_samples=self._gate_samples())
         if kind == "matched":
             if self.connection is None:
                 raise ParseError("matched discrete needs a connection")
             reference = self._build_discrete(spec["reference"])
             return abelian.curvature_matched_integrate(
-                self.connection, reference, anchor=self.anchor,
-                match_samples=self._gate_samples(),
-                spec=self.fd_spec, order=self.quadrature_order,
-                panels=self.quadrature_panels)
+                self.connection, reference,
+                match_samples=self._gate_samples())
 
     def _gate_samples(self):
         """(m, u, w) samples of the flat and matched constructors' gates."""
@@ -535,8 +524,7 @@ def check_retraction_axioms(ctx, params, rng, n):
         cap = 0.2 * min(rule.domain_radius, 2.0)
         if v.norm > cap:
             v = v.scaled(cap / v.norm)
-        defects.append(manifolds.check_retraction_axioms(rule, m, v,
-                                                        ctx.fd_spec))
+        defects.append(manifolds.check_retraction_axioms(rule, m, v))
     return worst_defect(defects)
 
 
@@ -556,7 +544,7 @@ def check_exp_log_roundtrip(ctx, params, rng, n):
 def check_derive_roundtrip(ctx, params, rng, n):
     A = _need_connection(ctx)
     Ad = _first_discrete(ctx)
-    derived = derivation.derive_connection(Ad, ctx.fd_spec)
+    derived = derivation.derive_connection(Ad)
     defects = []
     for _ in range(n):
         q = ctx.sample_point(rng)
@@ -574,7 +562,7 @@ def check_lift_roundtrip(ctx, params, rng, n):
     for _ in range(n):
         q = ctx.sample_point(rng)
         dm = ctx.sample_base_tangent(rng, bundles.project(q))
-        direct = derivation.derive_horizontal(Ad, q, dm, ctx.fd_spec)
+        direct = derivation.derive_horizontal(Ad, q, dm)
         lifted = connections.horizontal_lift(A, q, dm)
         defects.append(float(np.linalg.norm(
             direct.components - lifted.components)))
@@ -587,7 +575,7 @@ def check_diagram(ctx, params, rng, n):
     for _ in range(n):
         q = ctx.sample_point(rng)
         dm = ctx.sample_base_tangent(rng, bundles.project(q))
-        defects.append(derivation.check_diagram(Ad, q, dm, ctx.fd_spec))
+        defects.append(derivation.check_diagram(Ad, q, dm))
     return worst_defect(defects)
 
 
@@ -604,13 +592,13 @@ def check_discrete_flatness(ctx, params, rng, n):
 
 def check_derived_curvature(ctx, params, rng, n):
     Ad = _first_discrete(ctx)
-    derived = derivation.derive_connection(Ad, ctx.fd_spec)
+    derived = derivation.derive_connection(Ad)
     defects = []
     for _ in range(n):
         m = ctx.sample_base_point(rng)
         u = ctx.sample_base_tangent(rng, m)
         w = ctx.sample_base_tangent(rng, m)
-        value = connections.curvature(derived, u, w, ctx.fd_spec)
+        value = connections.curvature(derived, u, w)
         defects.append(float(np.linalg.norm(value)))
     return worst_defect(defects)
 
@@ -640,15 +628,15 @@ def check_distinctness(ctx, params, rng, n):
 def check_same_derived_curvature(ctx, params, rng, n):
     if len(ctx.discretes) < 2:
         raise ParseError("check needs two discrete connections")
-    d1 = derivation.derive_connection(ctx.discretes[0], ctx.fd_spec)
-    d2 = derivation.derive_connection(ctx.discretes[1], ctx.fd_spec)
+    d1 = derivation.derive_connection(ctx.discretes[0])
+    d2 = derivation.derive_connection(ctx.discretes[1])
     defects = []
     for _ in range(n):
         m = ctx.sample_base_point(rng)
         u = ctx.sample_base_tangent(rng, m)
         w = ctx.sample_base_tangent(rng, m)
-        c1 = connections.curvature(d1, u, w, ctx.fd_spec)
-        c2 = connections.curvature(d2, u, w, ctx.fd_spec)
+        c1 = connections.curvature(d1, u, w)
+        c2 = connections.curvature(d2, u, w)
         defects.append(float(np.linalg.norm(c1 - c2)))
     return worst_defect(defects)
 
@@ -671,18 +659,16 @@ def check_same_discrete_curvature(ctx, params, rng, n):
 def check_closed_form(ctx, params, rng, n):
     if not isinstance(ctx.connection, connections.TrivialLocalConnection):
         raise ParseError("closed_form check needs a local connection")
-    return abelian.worst_exterior_defect(
-        ctx.connection, ctx.sample_forms(rng, n), ctx.fd_spec)
+    return abelian.worst_exterior_defect(ctx.connection,
+                                         ctx.sample_forms(rng, n))
 
 
 def check_uniqueness_pair(ctx, params, rng, n):
     """Agreement of a reference discrete connection with the
     curvature-matched integral of its own derived connection."""
     Ad_ref = _first_discrete(ctx)
-    A = derivation.derive_connection(Ad_ref, ctx.fd_spec)
-    rebuilt = abelian.curvature_matched_integrate(
-        A, Ad_ref, anchor=ctx.anchor, spec=ctx.fd_spec,
-        order=ctx.quadrature_order, panels=ctx.quadrature_panels)
+    A = derivation.derive_connection(Ad_ref)
+    rebuilt = abelian.curvature_matched_integrate(A, Ad_ref)
     defects = []
     for _ in range(n):
         q0 = ctx.sample_point(rng)

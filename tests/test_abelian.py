@@ -129,11 +129,20 @@ class TestPrimitive:
     def test_additivity_on_rays(self):
         B, _ = plane_bundle()
         A = TrivialLocalConnection(B, lambda m, v: np.array([2 * m[0] * v[0]]))
-        f = primitive_on_segments(A, [0.0, 0.0])
+        f = primitive_on_segments(A)
         # d(x^2): the primitive from the origin is x^2.
         assert f(np.array([1.5, 7.0]))[0] == pytest.approx(2.25, abs=1e-12)
         # Memoized reevaluation returns the identical array.
         assert f(np.array([1.5, 7.0]))[0] == pytest.approx(2.25, abs=1e-12)
+
+    def test_anchored_at_the_origin(self):
+        B, _ = plane_bundle()
+        # d(x^2 + x y): the primitive from the origin vanishes there.
+        A = TrivialLocalConnection(B, lambda m, v: np.array(
+            [(2 * m[0] + m[1]) * v[0] + m[0] * v[1]]))
+        f = primitive_on_segments(A)
+        assert f(np.zeros(2))[0] == 0.0
+        assert f(np.array([1.0, -2.0]))[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 class TestCurvatureMatched:

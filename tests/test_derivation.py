@@ -12,7 +12,7 @@ from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NonDifferentiable
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart, TangentVector
-from disconn.numdiff import DerivativeSpec
+from disconn.numdiff import STEP, central_slope, richardson_derivative
 
 
 def plane_bundle():
@@ -34,7 +34,7 @@ class TestPairDerivative:
         Ad = trapezoid(B, U)
         q = BundlePoint.trivial(B, [2.0, 3.0], [0.0])
         v = make_trivial_tangent(q, [0.0, 1.0], [0.0])
-        value = pair_derivative(Ad, q, v, DerivativeSpec())
+        value = pair_derivative(Ad, q, v)
         assert value[0] == pytest.approx(2.0, abs=1e-9)
 
     def test_fiber_direction_gives_identity(self):
@@ -42,7 +42,7 @@ class TestPairDerivative:
         Ad = trapezoid(B, U)
         q = BundlePoint.trivial(B, [0.7, -0.4], [1.0])
         v = make_trivial_tangent(q, [0.0, 0.0], [1.3])
-        value = pair_derivative(Ad, q, v, DerivativeSpec())
+        value = pair_derivative(Ad, q, v)
         assert value[0] == pytest.approx(1.3, abs=1e-9)
 
     def test_quadratic_families_share_derivative(self):
@@ -50,7 +50,6 @@ class TestPairDerivative:
         # yields the same derived form: the pure fiber term.
         B = TrivialBundle(EuclideanChart(1), Translation(1))
         U = DomainSpec(B, 1e18)
-        spec = DerivativeSpec()
         q = BundlePoint.trivial(B, [0.5], [0.0])
         v = make_trivial_tangent(q, [1.0], [2.0])
         for f in (lambda x0, x1: 0.0, lambda x0, x1: 1.0,
@@ -60,7 +59,7 @@ class TestPairDerivative:
                 lambda m0, m1, f=f: np.array(
                     [(m1[0] - m0[0]) ** 2 * f(m0[0], m1[0])]),
                 U)
-            value = pair_derivative(Ad, q, v, spec)
+            value = pair_derivative(Ad, q, v)
             assert value[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_richardson_consistency_rejects_kinks(self):
@@ -74,7 +73,7 @@ class TestPairDerivative:
         q = BundlePoint.trivial(B, [0.0], [0.0])
         v = make_trivial_tangent(q, [1.0], [0.0])
         with pytest.raises(NonDifferentiable):
-            pair_derivative(Ad, q, v, DerivativeSpec())
+            pair_derivative(Ad, q, v)
 
 
 class TestDeriveConnection:
@@ -131,13 +130,11 @@ class TestDeriveHorizontal:
             assert check_diagram(Ad, q, dm) <= 1e-8
 
 
-class TestSpecValidation:
-    def test_step_bounds(self):
-        with pytest.raises(ValueError):
-            DerivativeSpec(base_step=1e-9)
-        with pytest.raises(ValueError):
-            DerivativeSpec(base_step=0.1)
-
-    def test_levels_bound(self):
-        with pytest.raises(ValueError):
-            DerivativeSpec(richardson_levels=0)
+class TestRichardson:
+    def test_one_extrapolation_step(self):
+        f = lambda t: np.array([np.sin(1.0 + t), np.exp(2.0 * t)])
+        coarse = central_slope(f, STEP)
+        want = (4.0 * central_slope(f, STEP / 2) - coarse) / 3.0
+        got = richardson_derivative(f, check_consistency=True)
+        assert np.array_equal(got, want)
+        assert got == pytest.approx([np.cos(1.0), 2.0], rel=1e-9)

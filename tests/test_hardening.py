@@ -20,8 +20,8 @@ from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NotClosed
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart, TangentVector
-from disconn.numdiff import DerivativeSpec, worst_defect
-from disconn.scenarios import ScenarioContext, load_scenario
+from disconn.numdiff import worst_defect
+from disconn.scenarios import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -132,7 +132,7 @@ class TestUnmeasurableDefects:
         for m, finite in (([1e250, 1e250], False), ([2.0, 3.0], True)):
             q = BundlePoint.trivial(Ad.bundle, m, [0.0])
             v = make_trivial_tangent(q, [0.0, 1.0], [0.0])
-            value = pair_derivative(Ad, q, v, DerivativeSpec())
+            value = pair_derivative(Ad, q, v)
             assert np.isfinite(value[0]) == finite
 
     def test_stacked_derivative_is_nan_only_in_the_lost_column(self):
@@ -187,94 +187,26 @@ class TestMalformedInputExitsTwo:
     def test_zero_domain_radius_reaches_the_domain(self, tmp_path, capsys):
         cfg = plane(checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
                              "samples": 3}])
-        path = write_scenario(tmp_path, cfg)
-        assert main(["run", path]) == 0
-        assert main(["run", path, "--domain-radius", "0"]) == 2
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 0
+        cfg["integrator"] = {"domain_radius": 0}
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
         assert "base_radius" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--quadrature-order",
-                                      "--quadrature-panels"])
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_quadrature_settings_must_be_positive(self, tmp_path, capsys,
-                                                  flag, value):
-        # A flat discrete integrates by quadrature while it is checked.
-        cfg = plane(discrete={"kind": "flat", "omega": "closed_xy"},
-                    checks=[{"name": "discrete_axioms", "tolerance": 1e-9,
-                             "samples": 2}])
-        path = write_scenario(tmp_path, cfg)
-        assert main(["run", path]) == 0
-        assert main(["run", path, flag, value]) == 2
-        assert "ParseError" in capsys.readouterr().err
-
-    def test_quadrature_order_is_at_most_100(self, tmp_path, capsys):
-        # Gauss-Legendre nodes cost grows with the square of the order;
-        # an unbounded order ran out of memory inside numpy.
-        cfg = plane(discrete={"kind": "flat", "omega": "closed_xy"},
-                    checks=[{"name": "discrete_axioms", "tolerance": 1e-9,
-                             "samples": 2}])
-        path = write_scenario(tmp_path, cfg)
-        assert main(["run", path, "--quadrature-order", "100"]) == 0
-        assert main(["run", path, "--quadrature-order", "101"]) == 2
-        assert "ParseError" in capsys.readouterr().err
-
-    def test_quadrature_panels_are_at_most_1000(self, tmp_path, capsys):
-        # The composite rule allocates all order * panels nodes at once, so
-        # an unbounded panel count would be killed rather than exit 2.  Only
-        # the context is built for 1000; the larger values exit before any
-        # rule is allocated.
-        cfg = plane(discrete={"kind": "flat", "omega": "closed_xy"},
-                    checks=[{"name": "discrete_axioms", "tolerance": 1e-9,
-                             "samples": 2}])
-        path = write_scenario(tmp_path, cfg)
-        ctx = ScenarioContext(load_scenario(path), quadrature_panels=1000)
-        assert ctx.quadrature_panels == 1000
-        for value in ["1001", "1000000000"]:
-            assert main(["run", path, "--quadrature-panels", value]) == 2
-            assert "ParseError" in capsys.readouterr().err
-
-    def test_fd_levels_are_at_most_16(self, tmp_path, capsys):
-        # 4.0 ** level in the Richardson tableau overflowed at 512 levels
-        # and escaped main as an OverflowError.
-        cfg = plane(checks=[{"name": "retraction_axioms", "tolerance": 1e-6,
-                             "samples": 2}])
-        path = write_scenario(tmp_path, cfg)
-        assert main(["run", path, "--fd-levels", "16"]) == 0
-        capsys.readouterr()
-        for value in ["17", "1000", "100000000"]:
-            assert main(["run", path, "--fd-levels", value]) == 2
-            err = capsys.readouterr().err
-            assert "richardson_levels" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("point", ["1", "1,2,3", "nan,0", "0,inf"])
-    def test_base_point_needs_one_finite_coordinate_per_axis(
-            self, tmp_path, capsys, point):
-        cfg = plane(checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_domain_radius_must_be_finite(self, tmp_path, capsys, radius):
+        cfg = plane(integrator={"domain_radius": radius},
+                    checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
                              "samples": 3}])
-        path = write_scenario(tmp_path, cfg)
-        assert main(["run", path, "--base-point", point]) == 2
-        assert "ParseError: anchor" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("radius", ["nan", "inf"])
-    def test_domain_radius_option_passes_the_schema(self, tmp_path, capsys,
-                                                    radius):
-        # --domain-radius enters the integrator block and is checked by the
-        # same schema entry as a value written in the file.
-        cfg = plane(checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
-                             "samples": 3}])
-        path = write_scenario(tmp_path, cfg)
-        assert main(["run", path, "--domain-radius", radius]) == 2
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"bad scenario.integrator.domain_radius: {float(radius)}" in err
+        assert f"bad scenario.integrator.domain_radius: {radius}" in err
 
-    def test_base_point_at_the_origin_keeps_the_verdict(self, capsys):
-        # The curvature-matched scenario anchors its primitive at the
-        # base point, which defaults to the origin.
-        path = str(ROOT / "scenarios" / "curvature_matched.json")
-        assert main(["run", path, "--format", "json"]) == 0
-        default = capsys.readouterr().out
-        assert main(["run", path, "--format", "json",
-                     "--base-point", "0,0"]) == 0
-        assert capsys.readouterr().out == default
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("extra", [
         {"integrator": {"metric": "round"}},
@@ -292,6 +224,22 @@ class TestMalformedInputExitsTwo:
         {"discrete": [{"kind": "local", "pair_map": "zero"}] * 2,
          "checks": [{"name": "distinctness", "pair": 5}]},
         {"checks": ["exp_log_roundtrip"]},
+        # Unknown keys in builtin objects.
+        {"connection": {"kind": "local", "omega": {
+            "name": "polynomial", "junk": 5, "terms": []}}},
+        {"discrete": {"kind": "local", "pair_map": {
+            "name": "quadratic_f", "f": "one", "junk": 1}}},
+        {"discrete": {"kind": "local", "pair_map": {
+            "name": "quadratic_f", "f": {"const": 2, "junk": 1}}}},
+        # A bound of 0 or less would PASS two identical pair maps.
+        *({"discrete": [{"kind": "local", "pair_map": "zero"}] * 2,
+           "checks": [{"name": "distinctness", "pair": [[0, 0], [1, 1]],
+                       "min_difference": bound}]} for bound in (0, -1)),
+        # Each level of matched nesting multiplied the evaluation cost.
+        {"connection": {"kind": "local", "omega": "x_dy"},
+         "discrete": {"kind": "matched", "reference": {
+             "kind": "matched", "reference": {
+                 "kind": "local", "pair_map": "trapezoid_x_dy"}}}},
     ])
     def test_malformed_nested_config(self, tmp_path, capsys, extra):
         path = write_scenario(tmp_path, plane(**extra))
@@ -415,8 +363,8 @@ CUBIC = {"name": "polynomial", "terms": [
 
 
 class TestFlatClosednessGate:
-    """The flat constructor's closedness gate differentiates with the
-    --fd-step and --fd-levels of the run, as the closed_form check does."""
+    """The flat constructor's closedness gate accepts a closed polynomial
+    form, as the closed_form check does."""
 
     CFG = plane(connection={"kind": "local", "omega": CUBIC},
                 discrete={"kind": "flat", "omega": CUBIC},
@@ -427,12 +375,10 @@ class TestFlatClosednessGate:
         # 3x^2 y dx + x^3 dy = d(x^3 y).
         assert main(["run", write_scenario(tmp_path, self.CFG)]) == 0
 
-    def test_coarse_steps_reach_the_gate(self, tmp_path, capsys):
-        # One level at h = 1e-2 leaves an O(h^2) error in d omega, which
-        # the gate must see as well as the check.
-        path = write_scenario(tmp_path, self.CFG)
-        assert main(["run", path, "--fd-step", "1e-2",
-                     "--fd-levels", "1"]) == 2
+    def test_open_form_is_stopped_at_the_gate(self, tmp_path, capsys):
+        # x dy is not closed: d(x dy) = dx dy.
+        cfg = dict(self.CFG, discrete={"kind": "flat", "omega": "x_dy"})
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
         assert "NotClosed" in capsys.readouterr().err
 
 
@@ -457,8 +403,10 @@ class TestSphereBase:
         assert main(["run", path, "--format", "json"]) == 0
         default = capsys.readouterr().out
         assert json.loads(default)["passed"] is True
-        assert main(["run", path, "--format", "json",
-                     "--domain-radius", repr(math.pi / 2.0)]) == 0
+        cfg = dict(self.S2_INTEGRATED,
+                   integrator={"domain_radius": math.pi / 2.0})
+        assert main(["run", write_scenario(tmp_path, cfg, "pi2.json"),
+                     "--format", "json"]) == 0
         assert capsys.readouterr().out == default
 
     @pytest.mark.parametrize("bundle", [

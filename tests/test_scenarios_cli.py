@@ -162,10 +162,6 @@ class TestCli:
         assert main(["run", str(tmp_path / "absent.json")]) == 2
         assert "error" in capsys.readouterr().err
 
-    def test_bad_fd_step_exit_two(self, tmp_path, capsys):
-        path = write_scenario(tmp_path, minimal())
-        assert main(["run", path, "--fd-step", "1.0"]) == 2
-
     def test_verify_all_empty_dir_exit_two(self, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -187,10 +183,33 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "minimal"
 
-    def test_retraction_override_breaks_equivariance(self, tmp_path):
+    def test_skewed_retraction_breaks_equivariance(self, tmp_path):
         cfg = minimal(connection={"kind": "local", "omega": "zero"},
                       checks=[{"name": "retraction_equivariance",
                                "tolerance": 1e-8, "samples": 10}])
-        path = write_scenario(tmp_path, cfg)
-        assert main(["run", path]) == 0
-        assert main(["run", path, "--retraction", "skewed"]) == 1
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 0
+        cfg["integrator"] = {"retraction": "skewed"}
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 1
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--fd-step", "1e-4"), ("--fd-levels", "2"),
+        ("--quadrature-order", "8"), ("--quadrature-panels", "16"),
+        ("--base-point", "0,0"), ("--retraction", "skewed"),
+        ("--domain-radius", "1")])
+    def test_tuning_flags_are_rejected(self, tmp_path, capsys, flag, value):
+        # Every setting of a run lives in the scenario file.
+        path = write_scenario(tmp_path, minimal())
+        with pytest.raises(SystemExit) as stop:
+            main(["run", path, flag, value])
+        assert stop.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify-all"])
+    def test_help_lists_only_format(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        options = {word.rstrip(",") for word in out.split()
+                   if word.startswith("-")}
+        assert options == {"-h", "--help", "--format"}

@@ -4,7 +4,7 @@ same bits as a loop over its columns."""
 import numpy as np
 import pytest
 
-from disconn import groups, numdiff, scenarios
+from disconn import groups, scenarios
 from disconn.abelian import (PRIMITIVE_CACHE_SIZE,
                              curvature_matched_integrate,
                              descend_continuous_difference,
@@ -19,7 +19,8 @@ from disconn.groups import Circle, Torus, Translation
 from disconn.integration import (integrate_connection,
                                  trivial_product_retraction)
 from disconn.manifolds import EuclideanChart
-from disconn.numdiff import (DerivativeSpec, exterior_derivative,
+from disconn.numdiff import (QUADRATURE_ORDER, QUADRATURE_PANELS,
+                             exterior_derivative,
                              gauss_legendre_line_integral, worst_defect)
 
 # One (group, one-form, pair map) per structure group: R^1, U(1), T^2.
@@ -48,11 +49,11 @@ def by_loop(fn, m, v):
                     axis=-1)
 
 
-def reference_quadrature(f, a, b, order=8, panels=16):
+def reference_quadrature(f, a, b):
     """Composite Gauss-Legendre as a loop over the nodes, one call each."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
     total = None
-    edges = np.linspace(a, b, panels + 1)
+    edges = np.linspace(a, b, QUADRATURE_PANELS + 1)
     for left, right in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (left + right)
         half = 0.5 * (right - left)
@@ -91,13 +92,12 @@ class TestStackedEqualsLoop:
         B, _, pair_map = case
         Ad = TrivialLocalDiscrete(B, pair_map, DomainSpec(B, 1e18))
         omega = derive_connection(Ad).omega
-        spec = DerivativeSpec()
         m, v = stack_of(5)
         for i in range(5):
             q = BundlePoint.trivial(B, m[:, i], groups.identity(B.group))
             lift = make_trivial_tangent(q, v[:, i], np.zeros(B.group.dim))
             assert np.array_equal(omega(m[:, i], v[:, i]),
-                                  pair_derivative(Ad, q, lift, spec))
+                                  pair_derivative(Ad, q, lift))
 
     def test_descended_difference(self, case):
         B, form, pair_map = case
@@ -118,7 +118,7 @@ class TestStackedEqualsLoop:
     def test_flat_pair_map_broadcasts(self, case):
         B, form, _ = case
         Ad = flat_integrate_local(TrivialLocalConnection(B, form),
-                                  DomainSpec(B, 1e18), order=4, panels=3)
+                                  DomainSpec(B, 1e18))
         m0, m1 = stack_of(6)
         assert np.array_equal(Ad.pair_map(m0, m1),
                               by_loop(Ad.pair_map, m0, m1))
@@ -132,30 +132,28 @@ class TestQuadrature:
             calls.append(np.shape(x))
             return np.array([np.sin(3.0 * x), x ** 2 - x])
 
-        got = gauss_legendre_line_integral(f, -0.3, 1.7, order=5, panels=7)
-        assert calls == [(35,)]
-        want = reference_quadrature(f, -0.3, 1.7, order=5, panels=7)
+        got = gauss_legendre_line_integral(f, -0.3, 1.7)
+        assert calls == [(QUADRATURE_ORDER * QUADRATURE_PANELS,)]
+        want = reference_quadrature(f, -0.3, 1.7)
         assert np.array_equal(got, want)
 
-    def test_one_eigensolve_per_order(self, monkeypatch):
-        solves = []
-        leggauss = np.polynomial.legendre.leggauss
-
-        def counting(order):
-            solves.append(order)
-            return leggauss(order)
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-        numdiff._gauss_legendre_rule.cache_clear()
+    def test_rule_is_built_once_at_import(self, monkeypatch):
         f = lambda x: np.array([np.sin(3.0 * x)])
-        got = [gauss_legendre_line_integral(f, -0.3, 1.7, order=order)
-               for order in (13, 5, 13, 5)]
-        assert solves == [13, 5]
-        assert np.array_equal(got[0], got[2])
-        assert np.array_equal(got[3], reference_quadrature(
-            f, -0.3, 1.7, order=5))
-        nodes, weights = numdiff._gauss_legendre_rule(13)
-        assert not nodes.flags.writeable and not weights.flags.writeable
+        want = reference_quadrature(f, -0.3, 1.7)
+
+        def no_eigensolve(order):
+            raise AssertionError("Gauss-Legendre rule rebuilt per call")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_eigensolve)
+        for _ in range(2):
+            assert np.array_equal(
+                gauss_legendre_line_integral(f, -0.3, 1.7), want)
+
+    def test_exact_up_to_degree_15(self):
+        # Eight nodes per panel integrate each panel's degree-15 piece exactly.
+        got = gauss_legendre_line_integral(lambda x: x ** 15, -0.3, 1.7)
+        want = (1.7 ** 16 - 0.3 ** 16) / 16.0
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_constant_lambda(self):
         got = gauss_legendre_line_integral(lambda x: np.array([2.0, -1.0]),
@@ -169,26 +167,20 @@ class TestCurvatureMatchedPointwise:
     """The matched form's values equal a node-by-node evaluation of the
     primitive of the descended difference."""
 
-    ORDER, PANELS = 3, 2
-
     def pointwise_matched(self, A, Ad_ref, q0, q1):
         eps = descend_continuous_difference(A, derive_connection(Ad_ref))
 
-        anchor = np.zeros(2)
-
         def f(m):
-            direction = m - anchor
-            return reference_quadrature(
-                lambda t: eps.value(anchor + t * direction, direction),
-                0.0, 1.0, order=self.ORDER, panels=self.PANELS)
+            # The primitive is anchored at the origin.
+            return reference_quadrature(lambda t: eps.value(t * m, m),
+                                        0.0, 1.0)
 
         m0, m1 = q0.base_point, q1.base_point
         correction = groups.exp(A.bundle.group, f(m1) - f(m0))
         return groups.compose(eval_discrete(Ad_ref, q0, q1), correction)
 
     def check(self, A, Ad_ref):
-        Ad = curvature_matched_integrate(A, Ad_ref, order=self.ORDER,
-                                         panels=self.PANELS)
+        Ad = curvature_matched_integrate(A, Ad_ref)
         B = A.bundle
         for m0, m1, y in (([0.2, -0.3], [0.5, 0.1], 0.4),
                           ([-0.6, 0.4], [-0.2, 0.9], -1.1)):
@@ -202,8 +194,7 @@ class TestCurvatureMatchedPointwise:
         B = TrivialBundle(EuclideanChart(2), Translation(1))
         closed = TrivialLocalConnection(
             B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        Ad_ref = flat_integrate_local(closed, DomainSpec(B, 1e18),
-                                      order=self.ORDER, panels=self.PANELS)
+        Ad_ref = flat_integrate_local(closed, DomainSpec(B, 1e18))
         # d(x^2): closed, so its curvature matches the flat reference.
         A = TrivialLocalConnection(B, lambda m, v: np.array([2 * m[0] * v[0]]))
         self.check(A, Ad_ref)
@@ -241,7 +232,7 @@ class TestClosedFormCheck:
             u = rng.uniform(-1.0, 1.0, 2)
             w = rng.uniform(-1.0, 1.0, 2)
             defects.append(float(np.linalg.norm(exterior_derivative(
-                ctx.connection.value, m, u, w, ctx.fd_spec))))
+                ctx.connection.value, m, u, w))))
         return worst_defect(defects)
 
     @pytest.mark.parametrize("omega", ["x_dy", "closed_xy", POLYNOMIAL])
@@ -293,7 +284,7 @@ class TestPrimitiveCache:
     def test_cache_stays_at_its_bound(self):
         B = TrivialBundle(EuclideanChart(2), Translation(1))
         A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[0]]))
-        f = primitive_on_segments(A, [0.0, 0.0], order=1, panels=1)
+        f = primitive_on_segments(A)
         points = np.random.default_rng(3).uniform(-1.0, 1.0, (10 ** 4, 2))
         for p in points:
             f(p)
