@@ -45,7 +45,7 @@ q0 = BundlePoint.trivial(B, [0.0], [0.0])
 q1 = BundlePoint.trivial(B, [2.0], [5.0])
 print("values at the pair ((0,0), (2,5)):")
 for label, Ad in family.items():
-    print(f"  {label:<16} A_d = {eval_discrete(Ad, q0, q1).data[0]:+.4f}")
+    print(f"  {label:<16} A_d = {eval_discrete(Ad, q0, q1)[0]:+.4f}")
 
 print("\nderived connection on v = (dx = 1, dy = 2) at x = 0.5:")
 q = BundlePoint.trivial(B, [0.5], [0.0])
@@ -63,6 +63,6 @@ worst = 0.0
 for _ in range(25):
     a = BundlePoint.trivial(B, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
     b = BundlePoint.trivial(B, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-    worst = max(worst, abs(eval_discrete(Ad_ref, a, b).data[0]
-                           - eval_discrete(rebuilt, a, b).data[0]))
+    worst = max(worst, abs(eval_discrete(Ad_ref, a, b)[0]
+                           - eval_discrete(rebuilt, a, b)[0]))
 print(f"\nrebuild from own derived form, max disagreement: {worst:.3e}")

@@ -35,7 +35,7 @@ Ad = integrate_connection(A, trivial_product_retraction(B),
 print("discrete connection induced by omega = x dy, straight retraction")
 q0 = BundlePoint.trivial(B, [0.4, 0.0], [0.0])
 q1 = BundlePoint.trivial(B, [0.4, 0.5], [0.0])
-print(f"  A_d((0.4,0.0,e), (0.4,0.5,e)) = {eval_discrete(Ad, q0, q1).data[0]:+.6f}"
+print(f"  A_d((0.4,0.0,e), (0.4,0.5,e)) = {eval_discrete(Ad, q0, q1)[0]:+.6f}"
       "   (straight vertical segment: x0 * dy = 0.2)")
 
 A_back = derive_connection(Ad)

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bundles, derivation, groups
+from . import bundles, derivation
 from .bundles import DomainSpec
 from .connections import ConnectionForm, TrivialLocalConnection
 from .discrete import (ComposedDiscrete, DiscreteConnectionForm,
@@ -142,7 +142,7 @@ def flat_integrate_local(A: TrivialLocalConnection, domain: DomainSpec,
 
     def pair_map(m0, m1):
         value = _segment_integral(A, m0, m1)
-        return bundle.group.exp_data(value)
+        return bundle.group.exp(value)
 
     return TrivialLocalDiscrete(bundle, pair_map, domain, name="flat")
 
@@ -181,7 +181,8 @@ def curvature_matched_integrate(A: ConnectionForm,
     if A.bundle != Ad_ref.bundle:
         raise CurvatureMismatch("connection and reference bundles differ")
     bundle = A.bundle
-    _require_abelian(bundle.group)
+    G = bundle.group
+    _require_abelian(G)
     _require_euclidean_base(bundle.base, "curvature-matched integration")
 
     A_ref = derivation.derive_connection(Ad_ref)
@@ -197,8 +198,7 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     def rule(q0, q1):
         base_value = eval_discrete(Ad_ref, q0, q1)
-        correction = groups.exp(
-            bundle.group, f(bundles.project(q1)) - f(bundles.project(q0)))
-        return groups.compose(base_value, correction)
+        correction = G.exp(f(bundles.project(q1)) - f(bundles.project(q0)))
+        return G.compose(base_value, correction)
 
     return ComposedDiscrete(bundle, rule, Ad_ref.domain, name="matched")

@@ -7,16 +7,21 @@ Two families are instantiated:
   ``z1 = q0 + i q1``, ``z2 = q2 + i q3`` and the circle acting by a common
   phase on both complex coordinates.
 
-Base points are coordinate arrays and Hopf points unit arrays in R^4;
-`BundlePoint.trivial` and `BundlePoint.hopf` validate the values that
-enter, and the bundle operations use the bare constructor.
+Base points are coordinate arrays, group parts are group element data
+(see `groups`) and Hopf points unit arrays in R^4; `BundlePoint.trivial`
+and `BundlePoint.hopf` validate the values that enter, and the bundle
+operations use the bare constructor.  A group element acting on a point
+is its data array; the structure group that reads it is
+``q.bundle.group``.
 
-Tangent vectors on trivial bundles carry a base block (ambient/chart
-components on the base) followed by a fiber block holding the
-right-trivialized velocity, i.e. an algebra vector.  Hopf tangents are
-ambient R^4 vectors orthogonal to the point.  A Hopf tangent over a base
-direction delta is the closed form J^T delta / 4, with J the Jacobian of
-the projection (`any_lift`); it is horizontal for the canonical connection.
+A base tangent is its components array (see `manifolds`): `any_lift`
+takes one and `tangent_projection` returns one.  Tangent vectors on
+trivial bundles carry a base block (ambient/chart components on the base)
+followed by a fiber block holding the right-trivialized velocity, i.e. an
+algebra vector.  Hopf tangents are ambient R^4 vectors orthogonal to the
+point.  A Hopf tangent over a base direction delta is the closed form
+J^T delta / 4, with J the Jacobian of the projection (`any_lift`); it is
+horizontal for the canonical connection.
 """
 
 from __future__ import annotations
@@ -25,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import groups
 from .errors import KindMismatch, NotSameFiber
-from .groups import GroupElement, GroupKind, Torus
-from .manifolds import ManifoldKind, Sphere, TangentVector
+from .groups import GroupKind, Torus
+from .manifolds import ManifoldKind, Sphere
 
 
 class PrincipalBundle:
@@ -52,16 +56,15 @@ class HopfBundle(PrincipalBundle):
 class BundlePoint:
     bundle: PrincipalBundle
     base_point: np.ndarray = None        # trivial bundles
-    group_part: GroupElement = None      # trivial bundles
+    group_part: np.ndarray = None        # trivial bundles
     ambient: np.ndarray = None           # Hopf
 
     @staticmethod
     def trivial(bundle, m, g):
         if not isinstance(bundle, TrivialBundle):
             raise ValueError("expected a trivial bundle")
-        if not isinstance(g, GroupElement):
-            g = GroupElement.of(bundle.group, g)
-        return BundlePoint(bundle, bundle.base.validate(m), g)
+        return BundlePoint(bundle, bundle.base.validate(m),
+                           bundle.group.wrap(g))
 
     @staticmethod
     def hopf(bundle, ambient):
@@ -153,29 +156,28 @@ def project(q: BundlePoint) -> np.ndarray:
     return hopf_projection_coords(q.ambient)
 
 
-def act(g: GroupElement, q: BundlePoint) -> BundlePoint:
-    if g.kind != q.bundle.group:
-        raise KindMismatch("group element does not match the structure group")
+def act(g, q: BundlePoint) -> BundlePoint:
     if isinstance(q.bundle, TrivialBundle):
         return BundlePoint(q.bundle, q.base_point,
-                           groups.compose(g, q.group_part))
-    theta = float(np.asarray(g.data).reshape(1)[0])
+                           q.bundle.group.compose(g, q.group_part))
+    theta = float(np.asarray(g).reshape(1)[0])
     return BundlePoint(q.bundle, ambient=_hopf_rotate(q.ambient, theta))
 
 
-def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> GroupElement:
+def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
     """The unique g with act(g, q1) = q2, defined for points in one fiber."""
     m1, m2 = project(q1), project(q2)
     if q1.bundle.base.distance(m1, m2) > 1e-9:
         raise NotSameFiber("points project to different base points")
     if isinstance(q1.bundle, TrivialBundle):
-        return groups.compose(q2.group_part, groups.inverse(q1.group_part))
+        G = q1.bundle.group
+        return G.compose(q2.group_part, G.inverse(q1.group_part))
     z1, z2 = _hopf_complex_pairs(q1.ambient)
     w1, w2 = _hopf_complex_pairs(q2.ambient)
     inner = np.conj(z1) * w1 + np.conj(z2) * w2
     if abs(abs(inner) - 1.0) > 1e-9:
         raise NotSameFiber("points are not related by the circle action")
-    return GroupElement.of(q1.bundle.group, [np.angle(inner)])
+    return q1.bundle.group.wrap([np.angle(inner)])
 
 
 def infinitesimal_generator(q: BundlePoint, xi) -> BundleTangent:
@@ -186,39 +188,37 @@ def infinitesimal_generator(q: BundlePoint, xi) -> BundleTangent:
     return BundleTangent(q, theta_dot * _hopf_i_times(q.ambient))
 
 
-def tangent_lift_action(g: GroupElement, v: BundleTangent) -> BundleTangent:
+def tangent_lift_action(g, v: BundleTangent) -> BundleTangent:
     q = v.base_point
-    if g.kind != q.bundle.group:
-        raise KindMismatch("group element does not match the structure group")
     if isinstance(q.bundle, TrivialBundle):
         base, fiber = split_trivial(v)
-        return make_trivial_tangent(act(g, q), base, groups.adjoint(g, fiber))
-    theta = float(np.asarray(g.data).reshape(1)[0])
+        return make_trivial_tangent(act(g, q), base,
+                                    q.bundle.group.adjoint(g, fiber))
+    theta = float(np.asarray(g).reshape(1)[0])
     return BundleTangent(act(g, q), _hopf_rotate(v.components, theta))
 
 
-def tangent_projection(v: BundleTangent) -> TangentVector:
-    """Pushforward of a bundle tangent along the projection to the base."""
+def tangent_projection(v: BundleTangent) -> np.ndarray:
+    """Components of the pushforward of a bundle tangent along the
+    projection to the base, a tangent at project(v.base_point)."""
     q = v.base_point
     if isinstance(q.bundle, TrivialBundle):
         base, _ = split_trivial(v)
-        return TangentVector(project(q), np.array(base))
-    J = hopf_projection_jacobian(q.ambient)
-    return TangentVector(project(q), J @ v.components)
+        return np.array(base)
+    return hopf_projection_jacobian(q.ambient) @ v.components
 
 
-def any_lift(q: BundlePoint, delta_m: TangentVector) -> BundleTangent:
+def any_lift(q: BundlePoint, delta_m) -> BundleTangent:
     """Some tangent at q projecting to delta_m (no horizontality implied)."""
     if isinstance(q.bundle, TrivialBundle):
-        return make_trivial_tangent(q, delta_m.components,
-                                    np.zeros(q.bundle.group.dim))
+        return make_trivial_tangent(q, delta_m, np.zeros(q.bundle.group.dim))
     # J J^T = 4 I and J q = 2 phi(q), so for delta tangent at phi(q) the
     # minimum-norm solution of J v = delta is J^T delta / 4: it is orthogonal
     # to q and to the fiber direction i q, i.e. horizontal for the canonical
     # connection.  Projecting delta first keeps the result tangent at q.
     J = hopf_projection_jacobian(q.ambient)
     m = 0.5 * (J @ q.ambient)
-    delta = delta_m.components - np.dot(m, delta_m.components) * m
+    delta = delta_m - np.dot(m, delta_m) * m
     return BundleTangent(q, J.T @ delta / 4.0)
 
 
@@ -227,8 +227,9 @@ def bundle_curve(q: BundlePoint, v: BundleTangent, t: float) -> BundlePoint:
     if isinstance(q.bundle, TrivialBundle):
         base, fiber = split_trivial(v)
         m = q.bundle.base.geodesic_step(q.base_point, t * base)
-        step = groups.exp(q.bundle.group, t * fiber)
-        return BundlePoint(q.bundle, m, groups.compose(step, q.group_part))
+        G = q.bundle.group
+        return BundlePoint(q.bundle, m,
+                           G.compose(G.exp(t * fiber), q.group_part))
     p = q.ambient + t * v.components
     return BundlePoint(q.bundle, ambient=p / np.linalg.norm(p))
 
@@ -240,8 +241,9 @@ def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
         base_kind = q0.bundle.base
         base = base_kind.project_tangent(q0.base_point,
                                          p.base_point - q0.base_point)
-        rel = groups.compose(p.group_part, groups.inverse(q0.group_part))
-        return np.concatenate([base, groups.log(rel)])
+        G = q0.bundle.group
+        rel = G.compose(p.group_part, G.inverse(q0.group_part))
+        return np.concatenate([base, G.log(rel)])
     diff = p.ambient - q0.ambient
     return diff - np.dot(q0.ambient, diff) * q0.ambient
 
@@ -256,7 +258,7 @@ def point_distance(q1: BundlePoint, q2: BundlePoint) -> float:
         raise KindMismatch("points live on different bundles")
     if isinstance(q1.bundle, TrivialBundle):
         base = q1.bundle.base.distance(q1.base_point, q2.base_point)
-        fiber = groups.group_distance(q1.group_part, q2.group_part)
+        fiber = q1.bundle.group.distance(q1.group_part, q2.group_part)
         return float(np.hypot(base, fiber))
     return float(np.linalg.norm(q1.ambient - q2.ambient))
 
@@ -264,7 +266,7 @@ def point_distance(q1: BundlePoint, q2: BundlePoint) -> float:
 def section_over(bundle: PrincipalBundle, m) -> BundlePoint:
     """A reference point in the fiber over the base point m."""
     if isinstance(bundle, TrivialBundle):
-        return BundlePoint(bundle, m, groups.identity(bundle.group))
+        return BundlePoint(bundle, m, bundle.group.identity())
     return BundlePoint(bundle, ambient=hopf_section(m))
 
 

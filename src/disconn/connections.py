@@ -2,7 +2,8 @@
 
 A connection value is an algebra vector, a plain ``(dim,)`` float array of
 the bundle's structure group; `eval_connection` and `curvature` return
-one.
+one.  Base tangents are component arrays, with their base point passed
+beside them (`curvature(A, m, u, w)`).
 
 Presentations:
 
@@ -28,12 +29,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import bundles, groups
+from . import bundles
 from .bundles import (BundlePoint, BundleTangent, HopfBundle, PrincipalBundle,
                       TrivialBundle)
 from .errors import BundleMismatch, UnsupportedPresentation
-from .groups import GroupElement
-from .manifolds import EuclideanChart, TangentVector
+from .manifolds import EuclideanChart
 from .numdiff import exterior_derivative, on_stack
 
 
@@ -86,12 +86,12 @@ def eval_connection(A: ConnectionForm, v: BundleTangent) -> np.ndarray:
     if isinstance(A, TrivialLocalConnection):
         base, fiber = bundles.split_trivial(v)
         omega_val = A.value(q.base_point, base)
-        return groups.adjoint(q.group_part, omega_val) + fiber
+        return q.bundle.group.adjoint(q.group_part, omega_val) + fiber
     if isinstance(A, HopfConnection):
         value = _hopf_canonical_value(q.ambient, v.components)
         if A.epsilon:
             m = bundles.project(q)
-            u = bundles.tangent_projection(v).components
+            u = bundles.tangent_projection(v)
             value = value + A.epsilon * _sphere_beta(m, u)
         return np.array([value], dtype=float)
     if isinstance(A, GenericConnection):
@@ -100,7 +100,7 @@ def eval_connection(A: ConnectionForm, v: BundleTangent) -> np.ndarray:
 
 
 def horizontal_lift(A: ConnectionForm, q: BundlePoint,
-                    delta_m: TangentVector) -> BundleTangent:
+                    delta_m) -> BundleTangent:
     """The unique tangent at q over delta_m annihilated by A."""
     some = bundles.any_lift(q, delta_m)
     xi = eval_connection(A, some)
@@ -108,9 +108,8 @@ def horizontal_lift(A: ConnectionForm, q: BundlePoint,
     return BundleTangent(q, some.components - vertical.components)
 
 
-def curvature(A: ConnectionForm, u: TangentVector,
-              w: TangentVector) -> np.ndarray:
-    """Curvature two-form on a pair of base tangent vectors at one point.
+def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
+    """Curvature two-form on a pair of base tangent vectors u, w at m.
 
     For a local connection, Omega(u, w) = d omega(u, w) - [omega(u),
     omega(w)] with d omega(u, w) = u(omega(w)) - w(omega(u)): the sign of
@@ -118,31 +117,26 @@ def curvature(A: ConnectionForm, u: TangentVector,
     under which omega = -h^{-1} dh is flat for every map h into the group.
     With an abelian group the bracket vanishes and is not evaluated.
     """
-    if np.linalg.norm(u.base - w.base) > 1e-12:
-        raise ValueError("curvature needs tangents at a common base point")
     if isinstance(A, TrivialLocalConnection):
         if not isinstance(A.bundle.base, EuclideanChart):
             raise UnsupportedPresentation(
                 "local curvature needs a Euclidean base chart")
         group = A.bundle.group
-        d_omega = exterior_derivative(A.value, u.base, u.components,
-                                      w.components)
+        d_omega = exterior_derivative(A.value, m, u, w)
         if group.abelian:
             return d_omega
-        return d_omega - groups.bracket(group, A.value(u.base, u.components),
-                                        A.value(w.base, w.components))
+        return d_omega - group.bracket(A.value(m, u), A.value(m, w))
     if isinstance(A, HopfConnection):
         # The exterior derivative of the canonical form is the constant
         # ambient two-form 2(da^db + dc^dd); evaluate it on horizontal lifts.
-        q = bundles.section_over(A.bundle, u.base)
+        q = bundles.section_over(A.bundle, m)
         hu = horizontal_lift(A, q, u).components
         hw = horizontal_lift(A, q, w).components
         value = 2.0 * (hu[0] * hw[1] - hu[1] * hw[0]
                        + hu[2] * hw[3] - hu[3] * hw[2])
         if A.epsilon:
             # d(pullback of beta) evaluated on lifts is d beta on u, w.
-            uc, wc = u.components, w.components
-            value += A.epsilon * 2.0 * (uc[0] * wc[1] - uc[1] * wc[0])
+            value += A.epsilon * 2.0 * (u[0] * w[1] - u[1] * w[0])
         return np.array([value], dtype=float)
     raise UnsupportedPresentation(
         "curvature is not available for this presentation")
@@ -154,9 +148,8 @@ def verticality_defect(A: ConnectionForm, q: BundlePoint, xi) -> float:
     return float(np.linalg.norm(value - xi))
 
 
-def equivariance_defect(A: ConnectionForm, g: GroupElement,
-                        v: BundleTangent) -> float:
+def equivariance_defect(A: ConnectionForm, g, v: BundleTangent) -> float:
     """|A(g . v) - Ad_g A(v)|."""
     moved = eval_connection(A, bundles.tangent_lift_action(g, v))
-    expected = groups.adjoint(g, eval_connection(A, v))
+    expected = A.bundle.group.adjoint(g, eval_connection(A, v))
     return float(np.linalg.norm(moved - expected))

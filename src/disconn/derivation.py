@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import bundles, connections, groups
+from . import bundles, connections
 from .bundles import BundlePoint, BundleTangent, TrivialBundle
 from .connections import ConnectionForm, GenericConnection, TrivialLocalConnection
 from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
                        discrete_horizontal_lift, eval_discrete)
 from .errors import OutsideDomain
-from .manifolds import TangentVector
 from .numdiff import by_column, lost_step, on_stack, richardson_derivative
 
 
@@ -33,11 +32,10 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
 
     def f(t):
         value = eval_discrete(Ad, q, bundles.bundle_curve(q, v, t))
-        return groups.log(value)
+        return q.bundle.group.log(value)
 
     derivative = richardson_derivative(f, check_consistency=True)
-    lost = lost_step(bundles.project(q),
-                     (bundles.tangent_projection(v).components,))
+    lost = lost_step(bundles.project(q), (bundles.tangent_projection(v),))
     return np.where(lost, np.nan, derivative)
 
 
@@ -66,7 +64,7 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
             raise OutsideDomain(
                 f"pair at base distance {dist[outside[0]]:.4g} "
                 f"outside radius {Ad.domain.base_radius:.4g}")
-        return group.log_data(group.wrap(
+        return group.log(group.wrap(
             on_stack(Ad.pair_map(m, m_t), group.dim, stack)))
 
     derivative = richardson_derivative(f, check_consistency=True)
@@ -89,8 +87,9 @@ def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
         return TrivialLocalConnection(bundle, omega)
     if isinstance(bundle, TrivialBundle):
         def at_point(m_coords, delta_components):
-            q = BundlePoint.trivial(bundle, m_coords,
-                                    groups.identity(bundle.group))
+            # Not BundlePoint.trivial: wrapping the identity on a torus
+            # would turn its 0.0 into -0.0.
+            q = bundles.section_over(bundle, bundle.base.validate(m_coords))
             v = bundles.make_trivial_tangent(
                 q, delta_components, np.zeros(bundle.group.dim))
             return pair_derivative(Ad, q, v)
@@ -107,12 +106,12 @@ def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
 
 
 def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
-                      delta_m: TangentVector) -> BundleTangent:
+                      delta_m) -> BundleTangent:
     """Derivative of the discrete horizontal lift in its base slot."""
     m, base = bundles.project(q), q.bundle.base
 
     def f(t):
-        stepped = base.geodesic_step(m, t * delta_m.components)
+        stepped = base.geodesic_step(m, t * delta_m)
         return bundles.local_coords(q, discrete_horizontal_lift(Ad, q, stepped))
 
     comps = richardson_derivative(f, check_consistency=True)
@@ -120,7 +119,7 @@ def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
 
 
 def check_diagram(Ad: DiscreteConnectionForm, q: BundlePoint,
-                  delta_m: TangentVector) -> float:
+                  delta_m) -> float:
     """Defect between the derived lift and the lift of the derived form."""
     direct = derive_horizontal(Ad, q, delta_m)
     via_form = connections.horizontal_lift(derive_connection(Ad), q,

@@ -19,11 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from . import bundles, groups
+import numpy as np
+
+from . import bundles
 from .bundles import (BundlePoint, DomainSpec, PrincipalBundle, TrivialBundle,
                       domain_contains)
 from .errors import BundleMismatch, OutsideDomain, UnsupportedPresentation
-from .groups import GroupElement
 
 
 class DiscreteConnectionForm:
@@ -42,13 +43,13 @@ class TrivialLocalDiscrete(DiscreteConnectionForm):
 @dataclass(frozen=True)
 class ComposedDiscrete(DiscreteConnectionForm):
     bundle: PrincipalBundle
-    rule: Callable  # (BundlePoint, BundlePoint) -> GroupElement
+    rule: Callable  # (BundlePoint, BundlePoint) -> group element data
     domain: DomainSpec
     name: str = "composed"
 
 
 def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
-                  q1: BundlePoint) -> GroupElement:
+                  q1: BundlePoint) -> np.ndarray:
     if q0.bundle != Ad.bundle or q1.bundle != Ad.bundle:
         raise BundleMismatch("points do not live on the form's bundle")
     if not domain_contains(Ad.domain, q0, q1):
@@ -56,11 +57,10 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
             f"pair at base distance {bundles.base_distance(q0, q1):.4g} "
             f"outside radius {Ad.domain.base_radius:.4g}")
     if isinstance(Ad, TrivialLocalDiscrete):
-        c = GroupElement.of(
-            Ad.bundle.group, Ad.pair_map(q0.base_point, q1.base_point))
-        return groups.compose(
-            q1.group_part,
-            groups.compose(c, groups.inverse(q0.group_part)))
+        G = Ad.bundle.group
+        c = G.wrap(Ad.pair_map(q0.base_point, q1.base_point))
+        return G.compose(q1.group_part,
+                         G.compose(c, G.inverse(q0.group_part)))
     if isinstance(Ad, ComposedDiscrete):
         return Ad.rule(q0, q1)
     raise UnsupportedPresentation(f"unknown discrete presentation {Ad!r}")
@@ -72,31 +72,33 @@ def discrete_horizontal_lift(Ad: DiscreteConnectionForm, q: BundlePoint,
     over m by the inverse of the discrete connection value."""
     q_prime = bundles.section_over(Ad.bundle, m)
     g = eval_discrete(Ad, q, q_prime)
-    return bundles.act(groups.inverse(g), q_prime)
+    return bundles.act(Ad.bundle.group.inverse(g), q_prime)
 
 
 def discrete_curvature(Ad: DiscreteConnectionForm, q0: BundlePoint,
-                       q1: BundlePoint, q2: BundlePoint) -> GroupElement:
+                       q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
     """Triangle holonomy A_d(q0,q2)^{-1} A_d(q1,q2) A_d(q0,q1)."""
-    return groups.compose(
-        groups.inverse(eval_discrete(Ad, q0, q2)),
-        groups.compose(eval_discrete(Ad, q1, q2),
-                       eval_discrete(Ad, q0, q1)))
+    G = Ad.bundle.group
+    return G.compose(G.inverse(eval_discrete(Ad, q0, q2)),
+                     G.compose(eval_discrete(Ad, q1, q2),
+                               eval_discrete(Ad, q0, q1)))
 
 
 def identity_defect(Ad: DiscreteConnectionForm, q: BundlePoint) -> float:
-    return groups.distance_to_identity(eval_discrete(Ad, q, q))
+    G = Ad.bundle.group
+    return G.distance(eval_discrete(Ad, q, q), G.identity())
 
 
-def discrete_equivariance_defect(Ad: DiscreteConnectionForm,
-                                 g: GroupElement, g_prime: GroupElement,
+def discrete_equivariance_defect(Ad: DiscreteConnectionForm, g, g_prime,
                                  q0: BundlePoint, q1: BundlePoint) -> float:
+    G = Ad.bundle.group
     moved = eval_discrete(Ad, bundles.act(g, q0), bundles.act(g_prime, q1))
-    expected = groups.compose(
-        g_prime, groups.compose(eval_discrete(Ad, q0, q1), groups.inverse(g)))
-    return groups.group_distance(moved, expected)
+    expected = G.compose(
+        g_prime, G.compose(eval_discrete(Ad, q0, q1), G.inverse(g)))
+    return G.distance(moved, expected)
 
 
 def flatness_defect(Ad: DiscreteConnectionForm, q0: BundlePoint,
                     q1: BundlePoint, q2: BundlePoint) -> float:
-    return groups.distance_to_identity(discrete_curvature(Ad, q0, q1, q2))
+    G = Ad.bundle.group
+    return G.distance(discrete_curvature(Ad, q0, q1, q2), G.identity())

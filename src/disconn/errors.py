@@ -6,7 +6,7 @@ class DisconnError(Exception):
 
 
 class KindMismatch(DisconnError):
-    """Operands belong to different groups or algebras."""
+    """Bundle points belong to different bundles."""
 
 
 class OutsideInjectivityRadius(DisconnError):
@@ -19,10 +19,6 @@ class OutsideDomain(DisconnError):
 
 class NewtonDivergence(DisconnError):
     """Newton solver failed to reach the residual tolerance."""
-
-
-class BasePointMismatch(DisconnError):
-    """Tangent vectors or lifts anchored at different base points."""
 
 
 class BundleMismatch(DisconnError):

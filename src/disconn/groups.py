@@ -1,15 +1,19 @@
 """Matrix Lie groups and their algebras.
 
 Supported structure groups: translation groups R^k, the circle, tori T^n
-and SO(3).  Circle and torus elements are stored as angles reduced to
-(-pi, pi]; SO(3) elements as orthogonal 3x3 matrices.  An algebra element
-is a plain ``(dim,)`` float array (so(3) via the hat map); the functions
-that take one also take the group kind or an element of the group, and
-`exp` and `adjoint` reshape it to ``(dim,)``, so another length raises.
+and SO(3).  A group element is its data array: a ``(dim,)`` vector for
+translations, angles reduced to (-pi, pi] for circles and tori, and an
+orthogonal 3x3 matrix for SO(3).  An algebra element is a plain
+``(dim,)`` float array (so(3) via the hat map).  The arithmetic lives on
+the group kind, which the caller holds (``bundle.group``):
+``G.compose(a, b)``, ``G.exp(x)``, ``G.distance(a, b)`` and so on.
+`GroupKind.wrap` validates element data where it enters the library;
+`exp` and `adjoint` reshape their algebra argument to ``(dim,)``, so
+another length raises.
 
-The data operations of the abelian groups (`Translation`, and its
-subclass `Torus`, which reduces angles) also accept ``(dim, *stack)``
-stacks of elements, coordinate axis first, and act column by column.
+The operations of the abelian groups (`Translation`, and its subclass
+`Torus`, which reduces angles) also accept ``(dim, *stack)`` stacks of
+elements, coordinate axis first, and act column by column.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch, OutsideInjectivityRadius
+from .errors import OutsideInjectivityRadius
 
 _TWO_PI = 2.0 * np.pi
 
@@ -30,7 +34,7 @@ def reduce_angle(theta):
 
 def _stacked_vector(data, dim):
     """Vector data of shape (dim,), or a (dim, *stack) stack of them."""
-    data = np.asarray(data, dtype=float)
+    data = np.array(data, dtype=float)
     return data.reshape((dim,) + data.shape[1:])
 
 
@@ -55,29 +59,29 @@ class GroupKind:
         """Validate/normalize raw element data."""
         raise NotImplementedError
 
-    def identity_data(self):
+    def identity(self):
         raise NotImplementedError
 
-    # -- group arithmetic on raw data -------------------------------------
-    def compose_data(self, a, b):
+    # -- group arithmetic -------------------------------------------------
+    def compose(self, a, b):
         raise NotImplementedError
 
-    def inverse_data(self, a):
+    def inverse(self, a):
         raise NotImplementedError
 
-    def exp_data(self, x):
+    def exp(self, x):
         raise NotImplementedError
 
-    def log_data(self, a):
+    def log(self, a):
         raise NotImplementedError
 
-    def adjoint_data(self, a, x):
+    def adjoint(self, a, x):
         raise NotImplementedError
 
-    def bracket_data(self, x, y):
+    def bracket(self, x, y):
         raise NotImplementedError
 
-    def distance_data(self, a, b):
+    def distance(self, a, b):
         """Bi-invariant distance used by defect reports."""
         raise NotImplementedError
 
@@ -95,28 +99,29 @@ class Translation(GroupKind):
     def wrap(self, data):
         return _stacked_vector(data, self.dim)
 
-    def identity_data(self):
+    def identity(self):
         return np.zeros(self.dim)
 
-    def compose_data(self, a, b):
+    def compose(self, a, b):
         return a + b
 
-    def inverse_data(self, a):
+    def inverse(self, a):
         return -a
 
-    def exp_data(self, x):
-        return np.array(x, dtype=float)
+    def exp(self, x):
+        # The element whose data is x; a torus reduces it.
+        return self.wrap(x)
 
-    def log_data(self, a):
+    def log(self, a):
         return np.array(a, dtype=float)
 
-    def adjoint_data(self, a, x):
-        return np.array(x, dtype=float)
+    def adjoint(self, a, x):
+        return _stacked_vector(x, self.dim)
 
-    def bracket_data(self, x, y):
+    def bracket(self, x, y):
         return np.zeros(self.dim)
 
-    def distance_data(self, a, b):
+    def distance(self, a, b):
         return float(np.linalg.norm(a - b))
 
 
@@ -127,16 +132,13 @@ class Torus(Translation):
     def wrap(self, data):
         return reduce_angle(super().wrap(data))
 
-    def compose_data(self, a, b):
+    def compose(self, a, b):
         return reduce_angle(a + b)
 
-    def inverse_data(self, a):
+    def inverse(self, a):
         return reduce_angle(-a)
 
-    def exp_data(self, x):
-        return reduce_angle(x)
-
-    def distance_data(self, a, b):
+    def distance(self, a, b):
         return float(np.linalg.norm(reduce_angle(a - b)))
 
 
@@ -158,16 +160,17 @@ class SO3(GroupKind):
             raise ValueError("SO3 matrix must have positive determinant")
         return M
 
-    def identity_data(self):
+    def identity(self):
         return np.eye(3)
 
-    def compose_data(self, a, b):
+    def compose(self, a, b):
         return a @ b
 
-    def inverse_data(self, a):
+    def inverse(self, a):
         return a.T.copy()
 
-    def exp_data(self, x):
+    def exp(self, x):
+        x = np.asarray(x, dtype=float).reshape(3)
         theta = float(np.linalg.norm(x))
         W = hat(x)
         if theta < 1e-12:
@@ -175,7 +178,7 @@ class SO3(GroupKind):
         return (np.eye(3) + np.sin(theta) / theta * W
                 + (1.0 - np.cos(theta)) / theta ** 2 * W @ W)
 
-    def log_data(self, a):
+    def log(self, a):
         cos_theta = np.clip((np.trace(a) - 1.0) / 2.0, -1.0, 1.0)
         theta = float(np.arccos(cos_theta))
         if theta >= np.pi - 1e-6:
@@ -185,69 +188,14 @@ class SO3(GroupKind):
             return unhat(0.5 * (a - a.T))
         return unhat(theta / (2.0 * np.sin(theta)) * (a - a.T))
 
-    def adjoint_data(self, a, x):
-        return a @ np.asarray(x, dtype=float)
+    def adjoint(self, a, x):
+        return a @ np.asarray(x, dtype=float).reshape(3)
 
-    def bracket_data(self, x, y):
+    def bracket(self, x, y):
         return np.cross(x, y)
 
-    def distance_data(self, a, b):
+    def distance(self, a, b):
         return float(np.linalg.norm(a - b))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    kind: GroupKind
-    data: np.ndarray
-
-    @staticmethod
-    def of(kind, data):
-        return GroupElement(kind, kind.wrap(data))
-
-
-def identity(kind) -> GroupElement:
-    return GroupElement(kind, kind.identity_data())
-
-
-def _require_same_kind(a, b):
-    if a.kind != b.kind:
-        raise KindMismatch(f"{a.kind} vs {b.kind}")
-
-
-def compose(a: GroupElement, b: GroupElement) -> GroupElement:
-    _require_same_kind(a, b)
-    return GroupElement(a.kind, a.kind.compose_data(a.data, b.data))
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    return GroupElement(a.kind, a.kind.inverse_data(a.data))
-
-
-def exp(kind: GroupKind, x) -> GroupElement:
-    x = np.asarray(x, dtype=float).reshape(kind.dim)
-    return GroupElement(kind, kind.exp_data(x))
-
-
-def log(g: GroupElement) -> np.ndarray:
-    return g.kind.log_data(g.data)
-
-
-def adjoint(g: GroupElement, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(g.kind.dim)
-    return g.kind.adjoint_data(g.data, x)
-
-
-def bracket(kind: GroupKind, x, y) -> np.ndarray:
-    return kind.bracket_data(x, y)
-
-
-def group_distance(a: GroupElement, b: GroupElement) -> float:
-    _require_same_kind(a, b)
-    return a.kind.distance_data(a.data, b.data)
-
-
-def distance_to_identity(a: GroupElement) -> float:
-    return group_distance(a, identity(a.kind))
 
 
 def kind_from_tag(tag, dim=None) -> GroupKind:

@@ -16,14 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import bundles, groups, manifolds
+from . import bundles, manifolds
 from .bundles import (BundlePoint, BundleTangent, DomainSpec, HopfBundle,
                       PrincipalBundle, TrivialBundle)
 from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch, OutsideDomain
-from .groups import GroupElement
-from .manifolds import Retraction, TangentVector
+from .manifolds import Retraction
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +39,7 @@ def build_invariant_metric(A: ConnectionForm) -> Callable:
     def pairing(u, w):
         pu = bundles.tangent_projection(u)
         pw = bundles.tangent_projection(w)
-        horizontal = float(np.dot(pu.components, pw.components))
+        horizontal = float(np.dot(pu, pw))
         au = eval_connection(A, u)
         aw = eval_connection(A, w)
         return float(horizontal + np.dot(au, aw))
@@ -48,7 +47,7 @@ def build_invariant_metric(A: ConnectionForm) -> Callable:
     return pairing
 
 
-def metric_invariance_defect(pairing, g: GroupElement, u: BundleTangent,
+def metric_invariance_defect(pairing, g, u: BundleTangent,
                              w: BundleTangent) -> float:
     moved = pairing(bundles.tangent_lift_action(g, u),
                     bundles.tangent_lift_action(g, w))
@@ -72,11 +71,12 @@ def trivial_product_retraction(bundle: TrivialBundle) -> BundleRetraction:
     exp(xi) g, and exp intertwines the adjoint action with conjugation.
     """
     base_exp = manifolds.metric_exponential(bundle.base)
+    G = bundle.group
 
     def step(q, v):
         base, fiber = bundles.split_trivial(v)
         m = base_exp.step(q.base_point, base)
-        g = groups.compose(groups.exp(bundle.group, fiber), q.group_part)
+        g = G.compose(G.exp(fiber), q.group_part)
         return BundlePoint(bundle, m, g)
 
     return BundleRetraction(bundle, step, base_exp.domain_radius)
@@ -90,14 +90,14 @@ def trivial_skewed_retraction(bundle: TrivialBundle) -> BundleRetraction:
     control for the equivariance check.
     """
     base_exp = manifolds.metric_exponential(bundle.base)
+    G = bundle.group
 
     def step(q, v):
         base, fiber = bundles.split_trivial(v)
         m = base_exp.step(q.base_point, base)
         skew = 0.3 * float(np.linalg.norm(fiber)) ** 2 \
-            * float(np.linalg.norm(groups.log(q.group_part)))
-        g = groups.compose(groups.exp(bundle.group, fiber + skew),
-                           q.group_part)
+            * float(np.linalg.norm(G.log(q.group_part)))
+        g = G.compose(G.exp(fiber + skew), q.group_part)
         return BundlePoint(bundle, m, g)
 
     return BundleRetraction(bundle, step, base_exp.domain_radius)
@@ -126,8 +126,7 @@ def retract_bundle(R: BundleRetraction, v: BundleTangent) -> BundlePoint:
     return R.step(v.base_point, v)
 
 
-def equivariance_defect(R: BundleRetraction, g: GroupElement,
-                        v: BundleTangent) -> float:
+def equivariance_defect(R: BundleRetraction, g, v: BundleTangent) -> float:
     """Distance between R(g . v) and g . R(v)."""
     moved = retract_bundle(R, bundles.tangent_lift_action(g, v))
     expected = bundles.act(g, retract_bundle(R, v))
@@ -150,8 +149,7 @@ def reduced_retraction(A: ConnectionForm, R: BundleRetraction) -> Retraction:
 
     def step(m, components):
         q = bundles.section_over(bundle, m)
-        delta = TangentVector(m, base_kind.project_tangent(m, components))
-        h = horizontal_lift(A, q, delta)
+        h = horizontal_lift(A, q, base_kind.project_tangent(m, components))
         return bundles.project(R.step(q, h))
 
     return Retraction(base_kind, step, domain_radius)

@@ -3,9 +3,11 @@
 Instantiated manifolds: Euclidean charts R^d and unit spheres S^{d-1} in
 ambient R^d.  A point is the plain float array of its coordinates, and
 the manifold kind that reads it is held by the caller; points on spheres
-are unit ambient vectors, and tangent vectors are ambient vectors
-orthogonal to the base point.  `ManifoldKind.validate` checks a point where
-it enters the library; internal steps pass arrays that are already valid.
+are unit ambient vectors.  A tangent vector is the array of its components
+(ambient vectors orthogonal to the base point on spheres), and its base
+point travels as a separate argument.  `ManifoldKind.validate` checks a
+point where it enters the library; internal steps pass arrays that are
+already valid.
 
 The built-in retraction rule is ``metric_exponential``, the geodesic
 exponential (straight lines on R^d, great circles on spheres).
@@ -29,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (BasePointMismatch, NewtonDivergence, OutsideDomain)
+from .errors import NewtonDivergence, OutsideDomain
 from .numdiff import richardson_derivative
 
 EUCLIDEAN_RADIUS_SENTINEL = 1e18
@@ -189,19 +191,6 @@ class Sphere(ManifoldKind):
 
 
 @dataclass(frozen=True)
-class TangentVector:
-    base: np.ndarray        # coordinates of the base point
-    components: np.ndarray
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.components))
-
-    def scaled(self, t):
-        return TangentVector(self.base, t * self.components)
-
-
-@dataclass(frozen=True)
 class Retraction:
     kind: ManifoldKind
     step: Callable          # (point coords, tangent components) -> point coords
@@ -222,17 +211,19 @@ def default_radius(kind):
     raise ValueError(f"no default radius for {kind!r}")
 
 
-def retract(R: Retraction, v: TangentVector) -> np.ndarray:
+def retract(R: Retraction, x, v) -> np.ndarray:
     """The point R_x(v); the step is supplied by the caller, so its output
     is validated."""
-    if v.norm >= R.domain_radius:
+    norm = float(np.linalg.norm(v))
+    if norm >= R.domain_radius:
         raise OutsideDomain(
-            f"|v| = {v.norm:.4g} >= domain radius {R.domain_radius:.4g}")
-    return R.kind.validate(R.step(v.base, v.components))
+            f"|v| = {norm:.4g} >= domain radius {R.domain_radius:.4g}")
+    return R.kind.validate(R.step(x, v))
 
 
-def invert_extended(R: Retraction, x, y) -> TangentVector:
-    """Tangent vector v at x with retract(R, v) = y, by Newton in a chart."""
+def invert_extended(R: Retraction, x, y) -> np.ndarray:
+    """Components of the tangent v at x with retract(R, x, v) = y, by
+    Newton in a chart."""
     kind = R.kind
     if kind.distance(x, y) >= R.domain_radius / 2.0:
         raise OutsideDomain("target too far from the anchor point")
@@ -253,8 +244,7 @@ def invert_extended(R: Retraction, x, y) -> TangentVector:
     for _ in range(NEWTON_MAX_ITER):
         r = residual(c)
         if np.linalg.norm(r) <= NEWTON_TOL:
-            v = from_chart(c)
-            return TangentVector(x, kind.project_tangent(x, v))
+            return kind.project_tangent(x, from_chart(c))
         J = np.empty((n, n))
         h = 1e-7 * (1.0 + np.linalg.norm(c))
         for j in range(n):
@@ -270,20 +260,18 @@ def invert_extended(R: Retraction, x, y) -> TangentVector:
         f"after {NEWTON_MAX_ITER} iterations")
 
 
-def check_retraction_axioms(R: Retraction, x, v: TangentVector) -> float:
+def check_retraction_axioms(R: Retraction, x, v) -> float:
     """Defect of d/dt R_x(t v)|_0 = v, via Richardson finite differences."""
-    if np.linalg.norm(v.base - x) > 1e-12:
-        raise BasePointMismatch("tangent vector not anchored at x")
-    zero = TangentVector(x, np.zeros(R.kind.coord_size))
-    base_defect = np.linalg.norm(retract(R, zero) - x)
-    if v.norm == 0.0:
+    base_defect = np.linalg.norm(
+        retract(R, x, np.zeros(R.kind.coord_size)) - x)
+    if np.linalg.norm(v) == 0.0:
         return float(base_defect)
 
     def curve(t):
-        return R.step(x, t * v.components)
+        return R.step(x, t * v)
 
     slope = richardson_derivative(curve)
-    return float(max(base_defect, np.linalg.norm(slope - v.components)))
+    return float(max(base_defect, np.linalg.norm(slope - v)))
 
 
 def kind_from_tag(tag, dim=None) -> ManifoldKind:

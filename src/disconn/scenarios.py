@@ -12,12 +12,13 @@ builtin keys included, and malformed values with a `ParseError`):
     {
       "name": str,
       "seed": int in [0, 2**64),
-      "sample_count": int > 0,                 # default 100
+      "sample_count": int in [1, MAX_SAMPLES], # default 100
       "box": [[lo, hi], ...],                  # base sampling box, optional,
                                                # only on an R^d base
       "bundle": {"kind": "trivial",
-                 "base": {"kind": "R^d", "dim": int > 0} | {"kind": "S2"|"S3"},
-                 "group": {"kind": "R^k"|"T^n", "dim": int > 0}
+                 "base": {"kind": "R^d", "dim": int in [1, MAX_DIM]}
+                         | {"kind": "S2"|"S3"},
+                 "group": {"kind": "R^k"|"T^n", "dim": int in [1, MAX_DIM]}
                           | {"kind": "U1"|"SO3"}}
                 | {"kind": "hopf"},  # only with hopf_* and integrated kinds
       "connection": {"kind": "local", "omega": <builtin>}
@@ -34,7 +35,8 @@ builtin keys included, and malformed values with a `ParseError`):
                      "domain_radius": float},  # default from the base:
                                                # pi/2 on spheres
       "checks": [{"name": str, "tolerance": float > 0,  # default 1e-8
-                  "samples": int > 0, "pair": [[x, ...], [x, ...]],
+                  "samples": int in [1, MAX_SAMPLES],
+                  "pair": [[x, ...], [x, ...]],
                   "fiber": [[g, ...], [g, ...]],
                   "min_difference": float > 0}, ...]
     }
@@ -42,10 +44,10 @@ builtin keys included, and malformed values with a `ParseError`):
 One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
 "dx", "y_dx", or {"name": "polynomial", "terms": [{"coeff": c,
 "powers": [...], "dx": j}, ...]} on d base coordinates, with c finite,
-at most d non-negative integer powers and 0 <= j < d.  Pair-map builtins:
-"zero", "trapezoid_x_dy", "left_x_dy", or {"name": "quadratic_f", "f":
-"zero" | "one" | "sin_product" | {"const": value}}.  Builtin objects take
-no other keys.
+at most d non-negative integer powers in float range and 0 <= j < d.
+Pair-map builtins: "zero", "trapezoid_x_dy", "left_x_dy", or {"name":
+"quadratic_f", "f": "zero" | "one" | "sin_product" | {"const": value}}.
+Builtin objects take no other keys.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
                integration, manifolds)
 from .bundles import BundlePoint, DomainSpec, HopfBundle, TrivialBundle
 from .errors import ParseError, UnknownBuiltin
-from .manifolds import EuclideanChart, Sphere, TangentVector
+from .manifolds import EuclideanChart, Sphere
 from .numdiff import worst_defect
 
 
@@ -76,12 +78,14 @@ def rng_for(seed, stream):
 
 def _is_term(term, size):
     """A polynomial term on `size` coordinates: a finite coefficient, at
-    most `size` non-negative integer powers and a differential index."""
+    most `size` non-negative integer powers in float range and a
+    differential index."""
     return (isinstance(term, dict) and set(term) == {"coeff", "powers", "dx"}
             and _is_number(term["coeff"])
             and isinstance(term["powers"], list)
             and len(term["powers"]) <= size
-            and all(_is_int(p) and p >= 0 for p in term["powers"])
+            and all(_is_int(p) and p >= 0 and _is_number(p)
+                    for p in term["powers"])
             and _is_int(term["dx"]) and 0 <= term["dx"] < size)
 
 
@@ -189,14 +193,20 @@ def _probe(rule, size, name):
 # Context construction
 
 DEFAULT_TOLERANCE = 1e-8
+# Largest sample count and largest R^d, R^k or T^n dimension a scenario may
+# ask for.  closed_form keeps all its samples in one stack, and arrays are
+# sized by the dimension; the bundled scenarios and the benchmark stay at
+# 100 samples and dimension 3.
+MAX_SAMPLES = 100_000
+MAX_DIM = 16
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_count(value):
-    return _is_int(value) and value > 0
+def _is_count(value, most):
+    return _is_int(value) and 0 < value <= most
 
 
 def _is_number(value):
@@ -220,6 +230,9 @@ def _is_rows(value, rows=None, size=None):
         and all(_is_numbers(row, size) for row in value)
 
 
+_is_sample_count = functools.partial(_is_count, most=MAX_SAMPLES)
+_is_dim = functools.partial(_is_count, most=MAX_DIM)
+
 _REFERENCE_KINDS = {"local": {"pair_map": (str, dict)}, "integrated": {},
                     "flat": {"omega": (str, dict)}}
 
@@ -229,15 +242,15 @@ _REFERENCE_KINDS = {"local": {"pair_map": (str, dict)}, "integrated": {},
 _SCHEMA = {
     "scenario": {
         "name": (str,), "seed": lambda v: _is_int(v) and 0 <= v < 2 ** 64,
-        "sample_count?": _is_count, "bundle": "bundle",
+        "sample_count?": _is_sample_count, "bundle": "bundle",
         "box?": functools.partial(_is_rows, size=2),
         "connection?": "connection", "integrator?": "integrator",
         "discrete?": (dict, list),
         "checks?": ["check"]},
     "bundle": {"kind": {"trivial": {"base": "base", "group": "group"},
                         "hopf": {}}},
-    "base": {"kind": {"R^d": {"dim": _is_count}, "S2": {}, "S3": {}}},
-    "group": {"kind": {"R^k": {"dim": _is_count}, "T^n": {"dim": _is_count},
+    "base": {"kind": {"R^d": {"dim": _is_dim}, "S2": {}, "S3": {}}},
+    "group": {"kind": {"R^k": {"dim": _is_dim}, "T^n": {"dim": _is_dim},
                        "U1": {}, "SO3": {}}},
     "connection": {"kind": {"local": {"omega": (str, dict)},
                             "hopf_canonical": {},
@@ -247,7 +260,7 @@ _SCHEMA = {
     # Not matched: each level of nesting multiplies the evaluation cost.
     "reference": {"kind": _REFERENCE_KINDS},
     "integrator": {"retraction?": (str,), "domain_radius?": _is_number},
-    "check": {"name": (str,), "samples?": _is_count,
+    "check": {"name": (str,), "samples?": _is_sample_count,
               "tolerance?": _is_positive,
               "pair?": functools.partial(_is_rows, rows=2),
               "fiber?": functools.partial(_is_rows, rows=2),
@@ -418,10 +431,10 @@ class ScenarioContext:
         return base.validate(vec / np.linalg.norm(vec))
 
     def sample_group(self, rng):
-        g = self.bundle.group
-        if isinstance(g, groups.SO3):
-            return groups.exp(g, rng.uniform(-1.0, 1.0, 3))
-        return groups.GroupElement.of(g, rng.uniform(-1.0, 1.0, g.dim))
+        G = self.bundle.group
+        if isinstance(G, groups.SO3):
+            return G.exp(rng.uniform(-1.0, 1.0, 3))
+        return G.wrap(rng.uniform(-1.0, 1.0, G.dim))
 
     def sample_point(self, rng):
         q = bundles.section_over(self.bundle, self.sample_base_point(rng))
@@ -429,7 +442,7 @@ class ScenarioContext:
 
     def sample_base_tangent(self, rng, m):
         comps = rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
-        return TangentVector(m, self.bundle.base.project_tangent(m, comps))
+        return self.bundle.base.project_tangent(m, comps)
 
     def sample_bundle_tangent(self, rng, q):
         if isinstance(self.bundle, TrivialBundle):
@@ -445,15 +458,14 @@ class ScenarioContext:
         """Second point whose base distance from q stays inside the domain."""
         m = bundles.project(q)
         direction = self.sample_base_tangent(rng, m)
+        norm = float(np.linalg.norm(direction))
         cap = min(self.domain.base_radius, 2.0)
-        if direction.norm > 1e-12:
-            scale = radius_fraction * cap * rng.uniform(0.05, 1.0) \
-                / direction.norm
+        if norm > 1e-12:
+            scale = radius_fraction * cap * rng.uniform(0.05, 1.0) / norm
         else:
             scale = 0.0
         base = self.bundle.base
-        stepped = base.validate(base.geodesic_step(
-            m, scale * direction.components))
+        stepped = base.validate(base.geodesic_step(m, scale * direction))
         over = bundles.section_over(self.bundle, stepped)
         return bundles.act(self.sample_group(rng), over)
 
@@ -522,22 +534,21 @@ def check_retraction_axioms(ctx, params, rng, n):
         m = ctx.sample_base_point(rng)
         v = ctx.sample_base_tangent(rng, m)
         cap = 0.2 * min(rule.domain_radius, 2.0)
-        if v.norm > cap:
-            v = v.scaled(cap / v.norm)
+        norm = float(np.linalg.norm(v))
+        if norm > cap:
+            v = (cap / norm) * v
         defects.append(manifolds.check_retraction_axioms(rule, m, v))
     return worst_defect(defects)
 
 
 def check_exp_log_roundtrip(ctx, params, rng, n):
-    kind = ctx.bundle.group
+    G = ctx.bundle.group
     defects = []
     for _ in range(n):
-        xi = rng.uniform(-1.0, 1.0, kind.dim) * 2.8 / np.sqrt(kind.dim)
-        back = groups.log(groups.exp(kind, xi))
-        defects.append(float(np.linalg.norm(back - xi)))
+        xi = rng.uniform(-1.0, 1.0, G.dim) * 2.8 / np.sqrt(G.dim)
+        defects.append(float(np.linalg.norm(G.log(G.exp(xi)) - xi)))
         g = ctx.sample_group(rng)
-        back = groups.exp(kind, groups.log(g))
-        defects.append(groups.group_distance(back, g))
+        defects.append(G.distance(G.exp(G.log(g)), g))
     return worst_defect(defects)
 
 
@@ -598,7 +609,7 @@ def check_derived_curvature(ctx, params, rng, n):
         m = ctx.sample_base_point(rng)
         u = ctx.sample_base_tangent(rng, m)
         w = ctx.sample_base_tangent(rng, m)
-        value = connections.curvature(derived, u, w)
+        value = connections.curvature(derived, m, u, w)
         defects.append(float(np.linalg.norm(value)))
     return worst_defect(defects)
 
@@ -609,18 +620,13 @@ def check_distinctness(ctx, params, rng, n):
     pair = params.get("pair")
     if pair is None:
         raise ParseError("distinctness check needs a designated pair")
-    fiber = params.get("fiber")
-    if fiber is None:
-        e = groups.identity(ctx.bundle.group)
-        g0 = g1 = e
-    else:
-        g0 = groups.GroupElement.of(ctx.bundle.group, fiber[0])
-        g1 = groups.GroupElement.of(ctx.bundle.group, fiber[1])
-    q0 = BundlePoint.trivial(ctx.bundle, np.asarray(pair[0], dtype=float), g0)
-    q1 = BundlePoint.trivial(ctx.bundle, np.asarray(pair[1], dtype=float), g1)
+    G = ctx.bundle.group
+    fiber = params.get("fiber") or [G.identity()] * 2
+    q0 = BundlePoint.trivial(ctx.bundle, pair[0], fiber[0])
+    q1 = BundlePoint.trivial(ctx.bundle, pair[1], fiber[1])
     v0 = discrete.eval_discrete(ctx.discretes[0], q0, q1)
     v1 = discrete.eval_discrete(ctx.discretes[1], q0, q1)
-    observed = groups.group_distance(v0, v1)
+    observed = G.distance(v0, v1)
     required = float(params.get("min_difference", 0.1))
     return worst_defect([required - observed])
 
@@ -635,8 +641,8 @@ def check_same_derived_curvature(ctx, params, rng, n):
         m = ctx.sample_base_point(rng)
         u = ctx.sample_base_tangent(rng, m)
         w = ctx.sample_base_tangent(rng, m)
-        c1 = connections.curvature(d1, u, w)
-        c2 = connections.curvature(d2, u, w)
+        c1 = connections.curvature(d1, m, u, w)
+        c2 = connections.curvature(d2, m, u, w)
         defects.append(float(np.linalg.norm(c1 - c2)))
     return worst_defect(defects)
 
@@ -652,7 +658,7 @@ def check_same_discrete_curvature(ctx, params, rng, n):
         q2 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
         b1 = discrete.discrete_curvature(d1, q0, q1, q2)
         b2 = discrete.discrete_curvature(d2, q0, q1, q2)
-        defects.append(groups.group_distance(b1, b2))
+        defects.append(ctx.bundle.group.distance(b1, b2))
     return worst_defect(defects)
 
 
@@ -675,7 +681,7 @@ def check_uniqueness_pair(ctx, params, rng, n):
         q1 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.5)
         v_ref = discrete.eval_discrete(Ad_ref, q0, q1)
         v_new = discrete.eval_discrete(rebuilt, q0, q1)
-        defects.append(groups.group_distance(v_ref, v_new))
+        defects.append(ctx.bundle.group.distance(v_ref, v_new))
     return worst_defect(defects)
 
 

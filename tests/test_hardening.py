@@ -19,9 +19,9 @@ from disconn.derivation import derive_connection, pair_derivative
 from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NotClosed
 from disconn.groups import Translation
-from disconn.manifolds import EuclideanChart, TangentVector
+from disconn.manifolds import EuclideanChart
 from disconn.numdiff import worst_defect
-from disconn.scenarios import load_scenario
+from disconn.scenarios import MAX_DIM, MAX_SAMPLES, load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -81,9 +81,9 @@ class TestUnmeasurableDefects:
         A = TrivialLocalConnection(bundle,
                                    lambda m, v: np.array([m[0] * v[1]]))
         m = np.array([1e250, 1e250])
-        u = TangentVector(m, np.array([1.0, 0.0]))
-        w = TangentVector(m, np.array([0.0, 1.0]))
-        assert math.isnan(curvature(A, u, w)[0])
+        u = np.array([1.0, 0.0])
+        w = np.array([0.0, 1.0])
+        assert math.isnan(curvature(A, m, u, w)[0])
 
     @pytest.mark.parametrize("check", ["derived_curvature",
                                        "same_derived_curvature"])
@@ -170,12 +170,38 @@ class TestUnmeasurableDefects:
 
 
 class TestMalformedInputExitsTwo:
-    @pytest.mark.parametrize("samples", [-5, 0, 2.5, "3", True])
+    @pytest.mark.parametrize("samples",
+                             [-5, 0, 2.5, "3", True, MAX_SAMPLES + 1])
     def test_samples_not_a_positive_integer(self, tmp_path, capsys, samples):
-        cfg = plane(checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
-                             "samples": samples}])
+        # Above the cap a run allocated without bound: closed_form keeps
+        # every sample in one stack.
+        check = {"name": "exp_log_roundtrip", "tolerance": 1e-10}
+        for cfg in (plane(checks=[dict(check, samples=samples)]),
+                    plane(sample_count=samples, checks=[check])):
+            assert main(["run", write_scenario(tmp_path, cfg)]) == 2
+            assert "ParseError" in capsys.readouterr().err
+
+    def test_caps_are_inclusive(self, tmp_path):
+        cfg = plane(sample_count=MAX_SAMPLES,
+                    checks=[{"name": "exp_log_roundtrip",
+                             "samples": MAX_SAMPLES}])
+        cfg["bundle"]["base"]["dim"] = MAX_DIM
+        load_scenario(write_scenario(tmp_path, cfg))
+
+    @pytest.mark.parametrize("dim", [MAX_DIM + 1, 2 ** 62, 10 ** 20])
+    @pytest.mark.parametrize("part, kind", [("base", "R^d"),
+                                            ("group", "R^k"),
+                                            ("group", "T^n")])
+    def test_huge_dim_is_a_parse_error(self, tmp_path, capsys, part, kind,
+                                       dim):
+        # Uncapped, 10**20 overflowed and 2**62 ran out of memory, each
+        # with a traceback.
+        cfg = plane(checks=[{"name": "exp_log_roundtrip", "samples": 2}])
+        cfg["bundle"][part] = {"kind": kind, "dim": dim}
         assert main(["run", write_scenario(tmp_path, cfg)]) == 2
-        assert "ParseError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"ParseError: bad scenario.bundle.{part}.dim" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
     def test_non_finite_tolerance(self, tmp_path, capsys, tolerance):
@@ -259,6 +285,7 @@ class TestMalformedInputExitsTwo:
         {"coeff": 1, "powers": [1, 0], "dx": 2},
         {"coeff": 1, "powers": [1, 0]},
         {"coeff": 1, "powers": [1, 0], "dx": 1, "axis": 0},
+        {"coeff": 1, "powers": [10 ** 400, 0], "dx": 1},  # beyond float
     ])
     def test_malformed_polynomial_term(self, tmp_path, capsys, term):
         omega = {"name": "polynomial", "terms": [term]}

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from disconn import manifolds
-from disconn.errors import BasePointMismatch, NewtonDivergence, OutsideDomain
+from disconn.errors import NewtonDivergence, OutsideDomain
 from disconn.manifolds import (EuclideanChart, Retraction, Sphere,
-                               TangentVector, check_retraction_axioms,
+                               check_retraction_axioms,
                                invert_extended, metric_exponential, retract)
 
 
@@ -23,7 +23,7 @@ def random_sphere_point(rng, n=3):
 def random_sphere_tangent(rng, p, scale=1.0):
     kind = Sphere(len(p))
     v = kind.project_tangent(p, rng.normal(size=kind.coord_size))
-    return TangentVector(p, scale * v)
+    return scale * v
 
 
 class TestEuclidean:
@@ -91,28 +91,27 @@ class TestRetraction:
         kind = Sphere(3)
         R = metric_exponential(kind)
         p = np.array([0.0, 0.0, 1.0])
-        assert np.array_equal(retract(R, TangentVector(p, np.zeros(3))), p)
+        assert np.array_equal(retract(R, p, np.zeros(3)), p)
 
     def test_step_leaving_the_sphere_is_rejected(self):
         # The step is supplied by the caller, so retract validates its output.
         kind = Sphere(3)
         R = Retraction(kind, lambda p, v: p + v, np.pi / 2)
-        v = TangentVector(np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.5, 0.0]))
+        p = np.array([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            retract(R, v)
+            retract(R, p, np.array([0.0, 0.5, 0.0]))
 
     def test_domain_radius_enforced(self):
         kind = Sphere(3)
         R = metric_exponential(kind)
         p = np.array([1.0, 0.0, 0.0])
-        v = TangentVector(p, np.array([0.0, 2.0, 0.0]))
         with pytest.raises(OutsideDomain):
-            retract(R, v)
+            retract(R, p, np.array([0.0, 2.0, 0.0]))
 
     def test_axioms_euclidean(self):
         kind = EuclideanChart(2)
         p = np.array([0.3, -0.4])
-        v = TangentVector(p, np.array([0.8, 0.1]))
+        v = np.array([0.8, 0.1])
         assert check_retraction_axioms(metric_exponential(kind), p, v) <= 1e-9
 
     def test_axioms_sphere(self):
@@ -130,17 +129,9 @@ class TestRetraction:
         kind = EuclideanChart(2)
         R = Retraction(kind, lambda p, v: p + v + 1.0, 1e18)
         p = np.array([0.3, -0.4])
-        v = TangentVector(p, np.array([0.8, 0.1]))
+        v = np.array([0.8, 0.1])
         assert check_retraction_axioms(R, p, v) >= 1.0
-        assert check_retraction_axioms(
-            R, p, TangentVector(p, np.zeros(2))) >= 1.0
-
-    def test_base_point_mismatch(self):
-        kind = EuclideanChart(1)
-        x = np.array([0.0])
-        v = TangentVector(np.array([1.0]), np.array([1.0]))
-        with pytest.raises(BasePointMismatch):
-            check_retraction_axioms(metric_exponential(kind), x, v)
+        assert check_retraction_axioms(R, p, np.zeros(2)) >= 1.0
 
 
 class TestInvertExtended:
@@ -150,7 +141,7 @@ class TestInvertExtended:
         x = np.array([1.0, 1.0])
         y = np.array([1.4, 0.2])
         v = invert_extended(R, x, y)
-        assert np.allclose(v.components, [0.4, -0.8], atol=1e-12)
+        assert np.allclose(v, [0.4, -0.8], atol=1e-12)
 
     def test_sphere_exponential_roundtrip(self):
         kind = Sphere(3)
@@ -159,9 +150,9 @@ class TestInvertExtended:
         for _ in range(25):
             x = random_sphere_point(rng)
             v = random_sphere_tangent(rng, x, scale=0.2)
-            y = retract(R, v)
+            y = retract(R, x, v)
             back = invert_extended(R, x, y)
-            assert np.linalg.norm(back.components - v.components) <= 1e-10
+            assert np.linalg.norm(back - v) <= 1e-10
 
     def test_sphere_chart_rule_roundtrip(self):
         R = sphere_chart_rule()
@@ -171,9 +162,9 @@ class TestInvertExtended:
             if x[2] < -0.5:
                 continue
             v = random_sphere_tangent(rng, x, scale=0.1)
-            y = retract(R, v)
+            y = retract(R, x, v)
             back = invert_extended(R, x, y)
-            assert np.linalg.norm(back.components - v.components) <= 1e-9
+            assert np.linalg.norm(back - v) <= 1e-9
 
     def test_small_steps_resolved_accurately(self):
         # Tangent recovery error must stay far below the finite-difference
@@ -183,9 +174,9 @@ class TestInvertExtended:
         rng = np.random.default_rng(19)
         x = random_sphere_point(rng)
         v = random_sphere_tangent(rng, x, scale=1e-4)
-        y = retract(R, v)
+        y = retract(R, x, v)
         back = invert_extended(R, x, y)
-        assert np.linalg.norm(back.components - v.components) <= 1e-13
+        assert np.linalg.norm(back - v) <= 1e-13
 
     def test_far_target_rejected(self):
         kind = Sphere(3)

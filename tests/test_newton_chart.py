@@ -14,8 +14,8 @@ from disconn.connections import HopfConnection, eval_connection
 from disconn.errors import OutsideDomain
 from disconn.integration import hopf_geodesic_retraction, reduced_retraction
 from disconn.manifolds import (EuclideanChart, Retraction, Sphere,
-                               TangentVector, invert_extended,
-                               metric_exponential, retract)
+                               invert_extended, metric_exponential,
+                               retract)
 
 
 def unit(v):
@@ -64,7 +64,7 @@ def hopf_reduced(connection):
 
 def random_tangent(rng, kind, x, length):
     v = kind.project_tangent(x, rng.normal(size=kind.coord_size))
-    return TangentVector(x, length * unit(v))
+    return length * unit(v)
 
 
 class TestNormalChartNewton:
@@ -90,11 +90,11 @@ class TestNormalChartNewton:
         for _ in range(20):
             x = random_point(rng, R.kind)
             v = random_tangent(rng, R.kind, x, 0.4 * R.domain_radius)
-            y = retract(R, v)
+            y = retract(R, x, v)
             calls.clear()
             w = invert_extended(counted, x, y)
             assert len(calls) == 1
-            assert np.max(np.abs(w.components - v.components)) <= 1e-12
+            assert np.max(np.abs(w - v)) <= 1e-12
 
     @pytest.mark.parametrize("kind", [Sphere(3), Sphere(4)])
     def test_center_is_zero_and_antipode_is_outside(self, kind):
@@ -127,10 +127,9 @@ class TestNormalChartNewton:
         rng = np.random.default_rng(23)
         for _ in range(300):
             x = unit(rng.normal(size=3))
-            y = kind.geodesic_step(
-                x, random_tangent(rng, kind, x, reach).components)
+            y = kind.geodesic_step(x, random_tangent(rng, kind, x, reach))
             v = invert_extended(R, x, y)
-            assert np.max(np.abs(R.step(x, v.components) - y)) <= 1e-11
+            assert np.max(np.abs(R.step(x, v) - y)) <= 1e-11
 
 
 class TestOneBasisPerSolve:
@@ -148,9 +147,9 @@ class TestOneBasisPerSolve:
 
     def solve_and_count(self, calls, R, x, v):
         calls.clear()
-        y = retract(R, v)
+        y = retract(R, x, v)
         w = invert_extended(R, x, y)
-        assert np.allclose(w.components, v.components, atol=1e-9)
+        assert np.allclose(w, v, atol=1e-9)
         return len(calls)
 
     def test_sphere_geodesic(self, basis_count):
@@ -159,8 +158,7 @@ class TestOneBasisPerSolve:
         rng = np.random.default_rng(13)
         for _ in range(5):
             x = unit(rng.normal(size=4))
-            v = TangentVector(x, 0.3 * unit(kind.project_tangent(
-                x, rng.normal(size=4))))
+            v = 0.3 * unit(kind.project_tangent(x, rng.normal(size=4)))
             assert self.solve_and_count(basis_count, R, x, v) == 1
 
     def test_reduced_hopf_retraction(self, basis_count):
@@ -168,8 +166,7 @@ class TestOneBasisPerSolve:
         R = reduced_retraction(HopfConnection(H),
                                hopf_geodesic_retraction(H))
         x = unit([0.3, -0.5, 0.8])
-        v = TangentVector(x, Sphere(3).project_tangent(
-            x, np.array([0.1, 0.2, 0.05])))
+        v = Sphere(3).project_tangent(x, np.array([0.1, 0.2, 0.05]))
         assert self.solve_and_count(basis_count, R, x, v) == 1
 
 
@@ -193,10 +190,10 @@ class TestClosedFormHopfLift:
         q = BundlePoint.hopf(H, unit(q_raw))
         m = hopf_projection_coords(q.ambient)
         delta = np.asarray(d_raw) - np.dot(m, d_raw) * m
-        tangent = any_lift(q, TangentVector(m, delta))
+        tangent = any_lift(q, delta)
         lift = tangent.components
         # A direction off the tangent plane is projected onto it first.
-        off_plane = any_lift(q, TangentVector(m, np.asarray(d_raw)))
+        off_plane = any_lift(q, np.asarray(d_raw))
         assert np.max(np.abs(off_plane.components - lift)) <= 1e-14
         J = hopf_projection_jacobian(q.ambient)
         assert np.max(np.abs(J @ lift - delta)) <= 1e-14

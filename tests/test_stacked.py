@@ -4,7 +4,7 @@ same bits as a loop over its columns."""
 import numpy as np
 import pytest
 
-from disconn import groups, scenarios
+from disconn import bundles, scenarios
 from disconn.abelian import (PRIMITIVE_CACHE_SIZE,
                              curvature_matched_integrate,
                              descend_continuous_difference,
@@ -94,7 +94,7 @@ class TestStackedEqualsLoop:
         omega = derive_connection(Ad).omega
         m, v = stack_of(5)
         for i in range(5):
-            q = BundlePoint.trivial(B, m[:, i], groups.identity(B.group))
+            q = bundles.section_over(B, m[:, i])
             lift = make_trivial_tangent(q, v[:, i], np.zeros(B.group.dim))
             assert np.array_equal(omega(m[:, i], v[:, i]),
                                   pair_derivative(Ad, q, lift))
@@ -110,7 +110,7 @@ class TestStackedEqualsLoop:
         assert np.array_equal(got, by_loop(eps.value, m, v))
         # ... and equals the difference of eval_connection on base lifts.
         for i in range(9):
-            q = BundlePoint.trivial(B, m[:, i], groups.identity(B.group))
+            q = bundles.section_over(B, m[:, i])
             lift = make_trivial_tangent(q, v[:, i], np.zeros(B.group.dim))
             direct = eval_connection(A, lift) - eval_connection(A_ref, lift)
             assert np.array_equal(got[:, i], direct)
@@ -176,8 +176,9 @@ class TestCurvatureMatchedPointwise:
                                         0.0, 1.0)
 
         m0, m1 = q0.base_point, q1.base_point
-        correction = groups.exp(A.bundle.group, f(m1) - f(m0))
-        return groups.compose(eval_discrete(Ad_ref, q0, q1), correction)
+        correction = A.bundle.group.exp(f(m1) - f(m0))
+        return A.bundle.group.compose(eval_discrete(Ad_ref, q0, q1),
+                                      correction)
 
     def check(self, A, Ad_ref):
         Ad = curvature_matched_integrate(A, Ad_ref)

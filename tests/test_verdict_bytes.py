@@ -6,6 +6,8 @@
 
 and `tests/data/workload_<name>.json` that of the benchmark workload
 `<name>` at seed 0, generated by `bench/workloads.py`.
+`tests/data/demo_<name>.txt` is the exact standard output of
+`python demos/<name>_demo.py`.
 
 A change that moves any digit of any defect fails here and shows the
 diff; regenerate a file only together with an account of every digit
@@ -14,6 +16,7 @@ that moved.
 
 import difflib
 import importlib.util
+import runpy
 from pathlib import Path
 
 import pytest
@@ -26,11 +29,14 @@ DATA = ROOT / "tests" / "data"
 
 def assert_verify_all_matches(capsys, directory, pinned):
     assert main(["verify-all", str(directory), "--format", "json"]) == 0
-    got = capsys.readouterr().out
+    assert_output_matches(capsys.readouterr().out, pinned)
+
+
+def assert_output_matches(got, pinned):
     want = pinned.read_text()
     diff = "".join(difflib.unified_diff(
         want.splitlines(keepends=True), got.splitlines(keepends=True),
-        str(pinned.relative_to(ROOT)), "verify-all output"))
+        str(pinned.relative_to(ROOT)), "output"))
     assert got == want, diff
 
 
@@ -49,3 +55,11 @@ def test_benchmark_workload_json_is_unchanged(capsys, tmp_path, workload):
     workloads.write(workloads.generate(workload, 0), tmp_path)
     assert_verify_all_matches(capsys, tmp_path,
                               DATA / f"workload_{workload}.json")
+
+
+@pytest.mark.parametrize("demo", ["nonuniqueness", "roundtrip"])
+def test_demo_output_is_unchanged(capsys, demo):
+    runpy.run_path(str(ROOT / "demos" / f"{demo}_demo.py"),
+                   run_name="__main__")
+    assert_output_matches(capsys.readouterr().out,
+                          DATA / f"demo_{demo}.txt")
