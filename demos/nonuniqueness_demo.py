@@ -18,7 +18,7 @@ Run:  python3 demos/nonuniqueness_demo.py
 import numpy as np
 
 from disconn.abelian import curvature_matched_integrate
-from disconn.bundles import BundlePoint, DomainSpec, TrivialBundle, make_trivial_tangent
+from disconn.bundles import BundlePoint, TrivialBundle, make_trivial_tangent
 from disconn.connections import eval_connection
 from disconn.derivation import derive_connection
 from disconn.discrete import TrivialLocalDiscrete, eval_discrete
@@ -26,13 +26,12 @@ from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
 
 B = TrivialBundle(EuclideanChart(1), Translation(1))
-U = DomainSpec(B, 1e18)
 
 
 def member(f):
     return TrivialLocalDiscrete(
         B, lambda m0, m1: np.array([(m1[0] - m0[0]) ** 2 * f(m0[0], m1[0])]),
-        U, name="quadratic")
+        1e18, name="quadratic")
 
 
 family = {
@@ -51,7 +50,7 @@ print("\nderived connection on v = (dx = 1, dy = 2) at x = 0.5:")
 q = BundlePoint.trivial(B, [0.5], [0.0])
 v = make_trivial_tangent(q, [1.0], [2.0])
 for label, Ad in family.items():
-    value = eval_connection(derive_connection(Ad), v)[0]
+    value = eval_connection(derive_connection(Ad), q, v)[0]
     print(f"  {label:<16} F_C(A_d)(v) = {value:+.6f}   (all equal dy(v) = 2)")
 
 # Rebuild one member from its derived form; agreement is the uniqueness

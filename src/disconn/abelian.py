@@ -31,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from . import bundles, derivation
-from .bundles import DomainSpec
 from .connections import ConnectionForm, TrivialLocalConnection
 from .discrete import (ComposedDiscrete, DiscreteConnectionForm,
                        TrivialLocalDiscrete, eval_discrete)
@@ -124,10 +123,10 @@ def _segment_integral(A: TrivialLocalConnection, m0, m1):
     return gauss_legendre_line_integral(integrand, 0.0, 1.0)
 
 
-def flat_integrate_local(A: TrivialLocalConnection, domain: DomainSpec,
+def flat_integrate_local(A: TrivialLocalConnection, domain_radius: float,
                          closedness_samples=()) -> TrivialLocalDiscrete:
     """Flat discrete connection generated by a local connection with a
-    closed one-form.
+    closed one-form, on pairs closer than domain_radius.
 
     The pair map exponentiates the line integral of omega over the straight
     segment between base points; closedness makes triangle holonomies
@@ -144,7 +143,7 @@ def flat_integrate_local(A: TrivialLocalConnection, domain: DomainSpec,
         value = _segment_integral(A, m0, m1)
         return bundle.group.exp(value)
 
-    return TrivialLocalDiscrete(bundle, pair_map, domain, name="flat")
+    return TrivialLocalDiscrete(bundle, pair_map, domain_radius, name="flat")
 
 
 def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
@@ -201,4 +200,5 @@ def curvature_matched_integrate(A: ConnectionForm,
         correction = G.exp(f(bundles.project(q1)) - f(bundles.project(q0)))
         return G.compose(base_value, correction)
 
-    return ComposedDiscrete(bundle, rule, Ad_ref.domain, name="matched")
+    return ComposedDiscrete(bundle, rule, Ad_ref.domain_radius,
+                            name="matched")

@@ -14,14 +14,16 @@ operations use the bare constructor.  A group element acting on a point
 is its data array; the structure group that reads it is
 ``q.bundle.group``.
 
-A base tangent is its components array (see `manifolds`): `any_lift`
-takes one and `tangent_projection` returns one.  Tangent vectors on
-trivial bundles carry a base block (ambient/chart components on the base)
-followed by a fiber block holding the right-trivialized velocity, i.e. an
-algebra vector.  Hopf tangents are ambient R^4 vectors orthogonal to the
-point.  A Hopf tangent over a base direction delta is the closed form
-J^T delta / 4, with J the Jacobian of the projection (`any_lift`); it is
-horizontal for the canonical connection.
+A tangent is its components array, with its point passed beside it: a
+base tangent at ``m`` as in `manifolds` (`any_lift` takes one and
+`tangent_projection` returns one), a bundle tangent at ``q`` as
+``(q, v)``.  Tangents on trivial bundles carry a base block (ambient/chart
+components on the base) followed by a fiber block holding the
+right-trivialized velocity, i.e. an algebra vector.  Hopf tangents are
+ambient R^4 vectors orthogonal to the point.  A Hopf tangent over a base
+direction delta is the closed form J^T delta / 4, with J the Jacobian of
+the projection (`any_lift`); it is horizontal for the canonical
+connection.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KindMismatch, NotSameFiber
+from .errors import BundleMismatch, NotSameFiber
 from .groups import GroupKind, Torus
 from .manifolds import ManifoldKind, Sphere
 
@@ -74,28 +76,18 @@ class BundlePoint:
         return BundlePoint(bundle, ambient=q)
 
 
-@dataclass(frozen=True)
-class BundleTangent:
-    base_point: BundlePoint
-    components: np.ndarray
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.components))
+def split_trivial(q: BundlePoint, v) -> tuple:
+    """(base block, fiber block) of a tangent v at q on a trivial bundle."""
+    n = q.bundle.base.coord_size
+    return v[:n], v[n:]
 
 
-def split_trivial(v: BundleTangent):
-    """(base block, fiber block) of a tangent on a trivial bundle."""
-    bundle = v.base_point.bundle
-    n = bundle.base.coord_size
-    return v.components[:n], v.components[n:]
-
-
-def make_trivial_tangent(q: BundlePoint, base_components, fiber_vector):
+def make_trivial_tangent(q: BundlePoint, base_components,
+                         fiber_vector) -> np.ndarray:
     base = np.asarray(base_components, dtype=float).reshape(
         q.bundle.base.coord_size)
     fiber = np.asarray(fiber_vector, dtype=float).reshape(q.bundle.group.dim)
-    return BundleTangent(q, np.concatenate([base, fiber]))
+    return np.concatenate([base, fiber])
 
 
 # ---------------------------------------------------------------------------
@@ -180,35 +172,33 @@ def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
     return q1.bundle.group.wrap([np.angle(inner)])
 
 
-def infinitesimal_generator(q: BundlePoint, xi) -> BundleTangent:
+def infinitesimal_generator(q: BundlePoint, xi) -> np.ndarray:
     if isinstance(q.bundle, TrivialBundle):
         return make_trivial_tangent(
             q, np.zeros(q.bundle.base.coord_size), xi)
     theta_dot = float(np.asarray(xi, dtype=float).reshape(1)[0])
-    return BundleTangent(q, theta_dot * _hopf_i_times(q.ambient))
+    return theta_dot * _hopf_i_times(q.ambient)
 
 
-def tangent_lift_action(g, v: BundleTangent) -> BundleTangent:
-    q = v.base_point
+def tangent_lift_action(g, q: BundlePoint, v) -> np.ndarray:
+    """The tangent g . v at act(g, q) of a tangent v at q."""
     if isinstance(q.bundle, TrivialBundle):
-        base, fiber = split_trivial(v)
-        return make_trivial_tangent(act(g, q), base,
-                                    q.bundle.group.adjoint(g, fiber))
+        base, fiber = split_trivial(q, v)
+        return make_trivial_tangent(q, base, q.bundle.group.adjoint(g, fiber))
     theta = float(np.asarray(g).reshape(1)[0])
-    return BundleTangent(act(g, q), _hopf_rotate(v.components, theta))
+    return _hopf_rotate(v, theta)
 
 
-def tangent_projection(v: BundleTangent) -> np.ndarray:
-    """Components of the pushforward of a bundle tangent along the
-    projection to the base, a tangent at project(v.base_point)."""
-    q = v.base_point
+def tangent_projection(q: BundlePoint, v) -> np.ndarray:
+    """Components of the pushforward of a tangent v at q along the
+    projection to the base, a tangent at project(q)."""
     if isinstance(q.bundle, TrivialBundle):
-        base, _ = split_trivial(v)
+        base, _ = split_trivial(q, v)
         return np.array(base)
-    return hopf_projection_jacobian(q.ambient) @ v.components
+    return hopf_projection_jacobian(q.ambient) @ v
 
 
-def any_lift(q: BundlePoint, delta_m) -> BundleTangent:
+def any_lift(q: BundlePoint, delta_m) -> np.ndarray:
     """Some tangent at q projecting to delta_m (no horizontality implied)."""
     if isinstance(q.bundle, TrivialBundle):
         return make_trivial_tangent(q, delta_m, np.zeros(q.bundle.group.dim))
@@ -219,18 +209,18 @@ def any_lift(q: BundlePoint, delta_m) -> BundleTangent:
     J = hopf_projection_jacobian(q.ambient)
     m = 0.5 * (J @ q.ambient)
     delta = delta_m - np.dot(m, delta_m) * m
-    return BundleTangent(q, J.T @ delta / 4.0)
+    return J.T @ delta / 4.0
 
 
-def bundle_curve(q: BundlePoint, v: BundleTangent, t: float) -> BundlePoint:
+def bundle_curve(q: BundlePoint, v, t: float) -> BundlePoint:
     """A smooth curve through q with velocity v, used by difference quotients."""
     if isinstance(q.bundle, TrivialBundle):
-        base, fiber = split_trivial(v)
+        base, fiber = split_trivial(q, v)
         m = q.bundle.base.geodesic_step(q.base_point, t * base)
         G = q.bundle.group
         return BundlePoint(q.bundle, m,
                            G.compose(G.exp(t * fiber), q.group_part))
-    p = q.ambient + t * v.components
+    p = q.ambient + t * v
     return BundlePoint(q.bundle, ambient=p / np.linalg.norm(p))
 
 
@@ -255,7 +245,7 @@ def base_distance(q1: BundlePoint, q2: BundlePoint) -> float:
 def point_distance(q1: BundlePoint, q2: BundlePoint) -> float:
     """Distance on the total space (base distance plus fiber distance)."""
     if q1.bundle != q2.bundle:
-        raise KindMismatch("points live on different bundles")
+        raise BundleMismatch("points live on different bundles")
     if isinstance(q1.bundle, TrivialBundle):
         base = q1.bundle.base.distance(q1.base_point, q2.base_point)
         fiber = q1.bundle.group.distance(q1.group_part, q2.group_part)
@@ -269,20 +259,3 @@ def section_over(bundle: PrincipalBundle, m) -> BundlePoint:
         return BundlePoint(bundle, m, bundle.group.identity())
     return BundlePoint(bundle, ambient=hopf_section(m))
 
-
-@dataclass(frozen=True)
-class DomainSpec:
-    """D-type neighborhood of the diagonal, cut out by a base-distance radius."""
-
-    bundle: PrincipalBundle
-    base_radius: float
-
-    def __post_init__(self):
-        if not self.base_radius > 0:
-            raise ValueError("base_radius must be positive")
-
-
-def domain_contains(U: DomainSpec, q1: BundlePoint, q2: BundlePoint) -> bool:
-    if q1.bundle != U.bundle or q2.bundle != U.bundle:
-        raise KindMismatch("points do not live on the domain's bundle")
-    return base_distance(q1, q2) < U.base_radius

@@ -2,8 +2,9 @@
 
 A connection value is an algebra vector, a plain ``(dim,)`` float array of
 the bundle's structure group; `eval_connection` and `curvature` return
-one.  Base tangents are component arrays, with their base point passed
-beside them (`curvature(A, m, u, w)`).
+one.  Tangents are component arrays, with their point passed beside
+them: a bundle tangent as ``(q, v)`` (`eval_connection(A, q, v)`), a base
+tangent as ``(m, u)`` (`curvature(A, m, u, w)`).
 
 Presentations:
 
@@ -30,8 +31,7 @@ from typing import Callable
 import numpy as np
 
 from . import bundles
-from .bundles import (BundlePoint, BundleTangent, HopfBundle, PrincipalBundle,
-                      TrivialBundle)
+from .bundles import BundlePoint, HopfBundle, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, UnsupportedPresentation
 from .manifolds import EuclideanChart
 from .numdiff import exterior_derivative, on_stack
@@ -64,7 +64,7 @@ class HopfConnection(ConnectionForm):
 @dataclass(frozen=True)
 class GenericConnection(ConnectionForm):
     bundle: PrincipalBundle
-    rule: Callable  # BundleTangent -> algebra vector
+    rule: Callable  # (BundlePoint, tangent components) -> algebra vector
 
 
 def _hopf_canonical_value(q, v):
@@ -79,33 +79,30 @@ def _sphere_beta(m, u):
     return m[0] * u[1] - m[1] * u[0]
 
 
-def eval_connection(A: ConnectionForm, v: BundleTangent) -> np.ndarray:
-    q = v.base_point
+def eval_connection(A: ConnectionForm, q: BundlePoint, v) -> np.ndarray:
+    """A_q(v) for a tangent v at q."""
     if q.bundle != A.bundle:
         raise BundleMismatch("tangent does not live on the connection's bundle")
     if isinstance(A, TrivialLocalConnection):
-        base, fiber = bundles.split_trivial(v)
+        base, fiber = bundles.split_trivial(q, v)
         omega_val = A.value(q.base_point, base)
         return q.bundle.group.adjoint(q.group_part, omega_val) + fiber
     if isinstance(A, HopfConnection):
-        value = _hopf_canonical_value(q.ambient, v.components)
+        value = _hopf_canonical_value(q.ambient, v)
         if A.epsilon:
             m = bundles.project(q)
-            u = bundles.tangent_projection(v)
+            u = bundles.tangent_projection(q, v)
             value = value + A.epsilon * _sphere_beta(m, u)
         return np.array([value], dtype=float)
-    if isinstance(A, GenericConnection):
-        return A.rule(v)
-    raise UnsupportedPresentation(f"unknown connection presentation {A!r}")
+    return A.rule(q, v)
 
 
 def horizontal_lift(A: ConnectionForm, q: BundlePoint,
-                    delta_m) -> BundleTangent:
+                    delta_m) -> np.ndarray:
     """The unique tangent at q over delta_m annihilated by A."""
     some = bundles.any_lift(q, delta_m)
-    xi = eval_connection(A, some)
-    vertical = bundles.infinitesimal_generator(q, xi)
-    return BundleTangent(q, some.components - vertical.components)
+    xi = eval_connection(A, q, some)
+    return some - bundles.infinitesimal_generator(q, xi)
 
 
 def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
@@ -130,8 +127,8 @@ def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
         # The exterior derivative of the canonical form is the constant
         # ambient two-form 2(da^db + dc^dd); evaluate it on horizontal lifts.
         q = bundles.section_over(A.bundle, m)
-        hu = horizontal_lift(A, q, u).components
-        hw = horizontal_lift(A, q, w).components
+        hu = horizontal_lift(A, q, u)
+        hw = horizontal_lift(A, q, w)
         value = 2.0 * (hu[0] * hw[1] - hu[1] * hw[0]
                        + hu[2] * hw[3] - hu[3] * hw[2])
         if A.epsilon:
@@ -144,12 +141,13 @@ def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
 
 def verticality_defect(A: ConnectionForm, q: BundlePoint, xi) -> float:
     """|A(generator(q, xi)) - xi|."""
-    value = eval_connection(A, bundles.infinitesimal_generator(q, xi))
+    value = eval_connection(A, q, bundles.infinitesimal_generator(q, xi))
     return float(np.linalg.norm(value - xi))
 
 
-def equivariance_defect(A: ConnectionForm, g, v: BundleTangent) -> float:
-    """|A(g . v) - Ad_g A(v)|."""
-    moved = eval_connection(A, bundles.tangent_lift_action(g, v))
-    expected = A.bundle.group.adjoint(g, eval_connection(A, v))
+def equivariance_defect(A: ConnectionForm, g, q: BundlePoint, v) -> float:
+    """|A(g . v) - Ad_g A(v)| for a tangent v at q."""
+    moved = eval_connection(A, bundles.act(g, q),
+                            bundles.tangent_lift_action(g, q, v))
+    expected = A.bundle.group.adjoint(g, eval_connection(A, q, v))
     return float(np.linalg.norm(moved - expected))

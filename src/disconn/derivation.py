@@ -8,16 +8,20 @@ slot along the diagonal: the value on a tangent vector v at q is
 for any curve q(t) through q with velocity v.  On trivial bundles the
 result is packaged as a genuine local one-form (so curvature is available
 downstream); elsewhere it stays an opaque evaluation rule.  The companion
-map differentiates discrete horizontal lifts, and the diagram check
-confirms that the two constructions produce the same horizontal subspaces.
+map differentiates discrete horizontal lifts; the `diagram` check of
+`scenarios` confirms that the two constructions produce the same
+horizontal subspaces.  A bundle tangent is its components array with its
+point passed beside it (`pair_derivative(Ad, q, v)`).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from . import bundles, connections
-from .bundles import BundlePoint, BundleTangent, TrivialBundle
+from . import bundles
+from .bundles import BundlePoint, TrivialBundle
 from .connections import ConnectionForm, GenericConnection, TrivialLocalConnection
 from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
                        discrete_horizontal_lift, eval_discrete)
@@ -26,8 +30,9 @@ from .numdiff import by_column, lost_step, on_stack, richardson_derivative
 
 
 def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
-                    v: BundleTangent) -> np.ndarray:
-    """Second-slot derivative of A_d at (q, q) in the direction v; NaN
+                    v) -> np.ndarray:
+    """Second-slot derivative of A_d at (q, q) in the direction of the
+    tangent v at q; NaN
     where the smallest difference step along the base is lost to rounding."""
 
     def f(t):
@@ -35,7 +40,7 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
         return q.bundle.group.log(value)
 
     derivative = richardson_derivative(f, check_consistency=True)
-    lost = lost_step(bundles.project(q), (bundles.tangent_projection(v),))
+    lost = lost_step(bundles.project(q), (bundles.tangent_projection(q, v),))
     return np.where(lost, np.nan, derivative)
 
 
@@ -59,11 +64,11 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
     def f(t):
         m_t = base.geodesic_step(m, t * delta)
         dist = np.ravel(base.distance(m, m_t))
-        outside = np.flatnonzero(~(dist < Ad.domain.base_radius))
+        outside = np.flatnonzero(~(dist < Ad.domain_radius))
         if outside.size:
             raise OutsideDomain(
                 f"pair at base distance {dist[outside[0]]:.4g} "
-                f"outside radius {Ad.domain.base_radius:.4g}")
+                f"outside radius {Ad.domain_radius:.4g}")
         return group.log(group.wrap(
             on_stack(Ad.pair_map(m, m_t), group.dim, stack)))
 
@@ -99,14 +104,11 @@ def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
 
         return TrivialLocalConnection(bundle, omega)
 
-    def rule(v: BundleTangent):
-        return pair_derivative(Ad, v.base_point, v)
-
-    return GenericConnection(bundle, rule)
+    return GenericConnection(bundle, functools.partial(pair_derivative, Ad))
 
 
 def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
-                      delta_m) -> BundleTangent:
+                      delta_m) -> np.ndarray:
     """Derivative of the discrete horizontal lift in its base slot."""
     m, base = bundles.project(q), q.bundle.base
 
@@ -114,14 +116,4 @@ def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
         stepped = base.geodesic_step(m, t * delta_m)
         return bundles.local_coords(q, discrete_horizontal_lift(Ad, q, stepped))
 
-    comps = richardson_derivative(f, check_consistency=True)
-    return BundleTangent(q, comps)
-
-
-def check_diagram(Ad: DiscreteConnectionForm, q: BundlePoint,
-                  delta_m) -> float:
-    """Defect between the derived lift and the lift of the derived form."""
-    direct = derive_horizontal(Ad, q, delta_m)
-    via_form = connections.horizontal_lift(derive_connection(Ad), q,
-                                           delta_m)
-    return float(np.linalg.norm(direct.components - via_form.components))
+    return richardson_derivative(f, check_consistency=True)

@@ -3,7 +3,8 @@
 A discrete connection assigns a group element to pairs of nearby bundle
 points, equal to the identity on the diagonal and equivariant for the
 product action: ``A_d(g.q0, g'.q1) = g' A_d(q0, q1) g^{-1}``.  Pairs are
-restricted to a neighborhood of the diagonal described by a ``DomainSpec``.
+restricted to the neighborhood of the diagonal where the base distance is
+below the form's ``domain_radius``.
 
 Presentations:
 
@@ -22,21 +23,20 @@ from typing import Callable
 import numpy as np
 
 from . import bundles
-from .bundles import (BundlePoint, DomainSpec, PrincipalBundle, TrivialBundle,
-                      domain_contains)
-from .errors import BundleMismatch, OutsideDomain, UnsupportedPresentation
+from .bundles import BundlePoint, PrincipalBundle, TrivialBundle
+from .errors import BundleMismatch, OutsideDomain
 
 
 class DiscreteConnectionForm:
     bundle: PrincipalBundle
-    domain: DomainSpec
+    domain_radius: float
 
 
 @dataclass(frozen=True)
 class TrivialLocalDiscrete(DiscreteConnectionForm):
     bundle: TrivialBundle
     pair_map: Callable  # (m0 coords, m1 coords) -> group element data
-    domain: DomainSpec
+    domain_radius: float
     name: str = "local"
 
 
@@ -44,7 +44,7 @@ class TrivialLocalDiscrete(DiscreteConnectionForm):
 class ComposedDiscrete(DiscreteConnectionForm):
     bundle: PrincipalBundle
     rule: Callable  # (BundlePoint, BundlePoint) -> group element data
-    domain: DomainSpec
+    domain_radius: float
     name: str = "composed"
 
 
@@ -52,18 +52,17 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
                   q1: BundlePoint) -> np.ndarray:
     if q0.bundle != Ad.bundle or q1.bundle != Ad.bundle:
         raise BundleMismatch("points do not live on the form's bundle")
-    if not domain_contains(Ad.domain, q0, q1):
+    distance = bundles.base_distance(q0, q1)
+    if not distance < Ad.domain_radius:
         raise OutsideDomain(
-            f"pair at base distance {bundles.base_distance(q0, q1):.4g} "
-            f"outside radius {Ad.domain.base_radius:.4g}")
+            f"pair at base distance {distance:.4g} "
+            f"outside radius {Ad.domain_radius:.4g}")
     if isinstance(Ad, TrivialLocalDiscrete):
         G = Ad.bundle.group
         c = G.wrap(Ad.pair_map(q0.base_point, q1.base_point))
         return G.compose(q1.group_part,
                          G.compose(c, G.inverse(q0.group_part)))
-    if isinstance(Ad, ComposedDiscrete):
-        return Ad.rule(q0, q1)
-    raise UnsupportedPresentation(f"unknown discrete presentation {Ad!r}")
+    return Ad.rule(q0, q1)
 
 
 def discrete_horizontal_lift(Ad: DiscreteConnectionForm, q: BundlePoint,

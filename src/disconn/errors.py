@@ -5,10 +5,6 @@ class DisconnError(Exception):
     """Base class for all library errors."""
 
 
-class KindMismatch(DisconnError):
-    """Bundle points belong to different bundles."""
-
-
 class OutsideInjectivityRadius(DisconnError):
     """Group logarithm requested outside its principal branch."""
 

@@ -7,6 +7,10 @@ direction from phi(q0) to phi(q1), lift it horizontally and retract to get
 the horizontal representative over phi(q1), then read off the fiber
 translation carrying that representative to q1.  Differentiating the
 result recovers A.
+
+A bundle tangent is its components array with its point passed beside it
+(`retract_bundle(R, q, v)`), and the induced discrete connection is
+defined on pairs closer than ``domain_radius`` on the base.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import bundles, manifolds
-from .bundles import (BundlePoint, BundleTangent, DomainSpec, HopfBundle,
-                      PrincipalBundle, TrivialBundle)
+from .bundles import BundlePoint, HopfBundle, PrincipalBundle, TrivialBundle
 from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch, OutsideDomain
@@ -30,28 +33,27 @@ from .manifolds import Retraction
 
 def build_invariant_metric(A: ConnectionForm) -> Callable:
     """Group-invariant metric splitting tangents with the connection A: the
-    pairing (u, w) -> float of two bundle tangents at a common point.
+    pairing (q, u, w) -> float of two bundle tangents at a common point q.
 
     Pairs the base projections with the flat (chart or ambient) metric and
     the connection values with the Euclidean pairing on the algebra, which
     is invariant under the adjoint action for every supported group.
     """
-    def pairing(u, w):
-        pu = bundles.tangent_projection(u)
-        pw = bundles.tangent_projection(w)
+    def pairing(q, u, w):
+        pu = bundles.tangent_projection(q, u)
+        pw = bundles.tangent_projection(q, w)
         horizontal = float(np.dot(pu, pw))
-        au = eval_connection(A, u)
-        aw = eval_connection(A, w)
+        au = eval_connection(A, q, u)
+        aw = eval_connection(A, q, w)
         return float(horizontal + np.dot(au, aw))
 
     return pairing
 
 
-def metric_invariance_defect(pairing, g, u: BundleTangent,
-                             w: BundleTangent) -> float:
-    moved = pairing(bundles.tangent_lift_action(g, u),
-                    bundles.tangent_lift_action(g, w))
-    return abs(moved - pairing(u, w))
+def metric_invariance_defect(pairing, g, q: BundlePoint, u, w) -> float:
+    moved = pairing(bundles.act(g, q), bundles.tangent_lift_action(g, q, u),
+                    bundles.tangent_lift_action(g, q, w))
+    return abs(moved - pairing(q, u, w))
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +62,7 @@ def metric_invariance_defect(pairing, g, u: BundleTangent,
 @dataclass(frozen=True)
 class BundleRetraction:
     bundle: PrincipalBundle
-    step: Callable[[BundlePoint, BundleTangent], BundlePoint]
+    step: Callable  # (BundlePoint, tangent components) -> BundlePoint
     domain_radius: float
 
 
@@ -74,7 +76,7 @@ def trivial_product_retraction(bundle: TrivialBundle) -> BundleRetraction:
     G = bundle.group
 
     def step(q, v):
-        base, fiber = bundles.split_trivial(v)
+        base, fiber = bundles.split_trivial(q, v)
         m = base_exp.step(q.base_point, base)
         g = G.compose(G.exp(fiber), q.group_part)
         return BundlePoint(bundle, m, g)
@@ -93,7 +95,7 @@ def trivial_skewed_retraction(bundle: TrivialBundle) -> BundleRetraction:
     G = bundle.group
 
     def step(q, v):
-        base, fiber = bundles.split_trivial(v)
+        base, fiber = bundles.split_trivial(q, v)
         m = base_exp.step(q.base_point, base)
         skew = 0.3 * float(np.linalg.norm(fiber)) ** 2 \
             * float(np.linalg.norm(G.log(q.group_part)))
@@ -108,28 +110,30 @@ def hopf_geodesic_retraction(bundle: HopfBundle) -> BundleRetraction:
     so the rule is equivariant."""
 
     def step(q, v):
-        norm = float(np.linalg.norm(v.components))
+        norm = float(np.linalg.norm(v))
         if norm < 1e-300:
             return q
-        p = np.cos(norm) * q.ambient + np.sin(norm) * v.components / norm
+        p = np.cos(norm) * q.ambient + np.sin(norm) * v / norm
         return BundlePoint(bundle, ambient=p / np.linalg.norm(p))
 
     return BundleRetraction(bundle, step, np.pi)
 
 
-def retract_bundle(R: BundleRetraction, v: BundleTangent) -> BundlePoint:
-    if v.base_point.bundle != R.bundle:
+def retract_bundle(R: BundleRetraction, q: BundlePoint, v) -> BundlePoint:
+    if q.bundle != R.bundle:
         raise BundleMismatch("tangent does not live on the retraction's bundle")
-    if v.norm >= R.domain_radius:
+    norm = float(np.linalg.norm(v))
+    if norm >= R.domain_radius:
         raise OutsideDomain(
-            f"|v| = {v.norm:.4g} >= domain radius {R.domain_radius:.4g}")
-    return R.step(v.base_point, v)
+            f"|v| = {norm:.4g} >= domain radius {R.domain_radius:.4g}")
+    return R.step(q, v)
 
 
-def equivariance_defect(R: BundleRetraction, g, v: BundleTangent) -> float:
-    """Distance between R(g . v) and g . R(v)."""
-    moved = retract_bundle(R, bundles.tangent_lift_action(g, v))
-    expected = bundles.act(g, retract_bundle(R, v))
+def equivariance_defect(R: BundleRetraction, g, q: BundlePoint, v) -> float:
+    """Distance between R(g . v) and g . R(v) for a tangent v at q."""
+    moved = retract_bundle(R, bundles.act(g, q),
+                           bundles.tangent_lift_action(g, q, v))
+    expected = bundles.act(g, retract_bundle(R, q, v))
     return bundles.point_distance(moved, expected)
 
 
@@ -156,10 +160,11 @@ def reduced_retraction(A: ConnectionForm, R: BundleRetraction) -> Retraction:
 
 
 def integrate_connection(A: ConnectionForm, R: BundleRetraction,
-                         domain: DomainSpec) -> DiscreteConnectionForm:
-    """Discrete connection induced by A and an equivariant retraction R."""
-    if A.bundle != R.bundle or domain.bundle != A.bundle:
-        raise BundleMismatch("connection, retraction and domain must agree")
+                         domain_radius: float) -> DiscreteConnectionForm:
+    """Discrete connection induced by A and an equivariant retraction R, on
+    pairs closer than domain_radius on the base."""
+    if A.bundle != R.bundle:
+        raise BundleMismatch("connection and retraction bundles differ")
     bundle = A.bundle
     reduced = reduced_retraction(A, R)
 
@@ -167,7 +172,7 @@ def integrate_connection(A: ConnectionForm, R: BundleRetraction,
         m0, m1 = bundles.project(q0), bundles.project(q1)
         delta = manifolds.invert_extended(reduced, m0, m1)
         h = horizontal_lift(A, q0, delta)
-        q_h = retract_bundle(R, h)
+        q_h = retract_bundle(R, q0, h)
         return bundles.fiber_translation(q_h, q1)
 
-    return ComposedDiscrete(bundle, rule, domain, name="integrated")
+    return ComposedDiscrete(bundle, rule, domain_radius, name="integrated")

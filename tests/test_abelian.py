@@ -8,8 +8,8 @@ from disconn.abelian import (check_closed, curvature_matched_integrate,
                              descend_continuous_difference,
                              flat_integrate_local, primitive_on_segments,
                              worst_exterior_defect)
-from disconn.bundles import (BundlePoint, DomainSpec, HopfBundle,
-                             TrivialBundle, make_trivial_tangent)
+from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
+                             make_trivial_tangent)
 from disconn.connections import (GenericConnection, HopfConnection,
                                  TrivialLocalConnection, eval_connection)
 from disconn.derivation import derive_connection
@@ -23,7 +23,7 @@ from disconn.manifolds import EuclideanChart, Sphere
 
 def plane_bundle():
     B = TrivialBundle(EuclideanChart(2), Translation(1))
-    return B, DomainSpec(B, 1e18)
+    return B, 1e18
 
 
 def trapezoid(B, U):
@@ -51,8 +51,8 @@ class TestDescent:
         B, _ = plane_bundle()
         A0 = TrivialLocalConnection(B, lambda m, v: np.array([0.0]))
 
-        def rule(v):
-            base, fiber = bundles.split_trivial(v)
+        def rule(q, v):
+            base, fiber = bundles.split_trivial(q, v)
             return np.array([base[0] + fiber[0]])
 
         with pytest.raises(UnsupportedPresentation):
@@ -116,14 +116,14 @@ class TestFlatIntegration:
         A = derive_connection(self.Ad)
         q = self.q([0.5, -0.7], 0.0)
         v = make_trivial_tangent(q, [1.0, 0.0], [0.0])
-        got = eval_connection(A, v)[0]
+        got = eval_connection(A, q, v)[0]
         assert got == pytest.approx(-0.7, abs=1e-9)
 
     def test_sphere_base_rejected(self):
         B = TrivialBundle(Sphere(3), Translation(1))
         A = TrivialLocalConnection(B, lambda m, v: np.array([0.0]))
         with pytest.raises(UnsupportedPresentation):
-            flat_integrate_local(A, DomainSpec(B, 1.0))
+            flat_integrate_local(A, 1.0)
 
 
 class TestPrimitive:
@@ -180,7 +180,8 @@ class TestCurvatureMatched:
             q = self.q(rng.uniform(-1, 1, 2), rng.uniform(-2, 2))
             v = make_trivial_tangent(q, rng.uniform(-1, 1, 2),
                                      rng.uniform(-1, 1, 1))
-            diff = eval_connection(A_back, v) - eval_connection(self.A, v)
+            diff = (eval_connection(A_back, q, v)
+                    - eval_connection(self.A, q, v))
             assert np.linalg.norm(diff) <= 1e-7
 
     def test_curvature_mismatch_rejected(self):

@@ -2,18 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disconn import bundles
-from disconn.bundles import (BundlePoint, BundleTangent, DomainSpec,
-                             HopfBundle, TrivialBundle, act, any_lift,
-                             base_distance, bundle_curve, domain_contains,
+from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
+                             any_lift, base_distance, bundle_curve,
                              fiber_translation, hopf_projection_coords,
                              infinitesimal_generator, local_coords,
                              make_trivial_tangent, point_distance, project,
                              section_over, split_trivial,
                              tangent_lift_action, tangent_projection)
-from disconn.errors import NotSameFiber
-from disconn.groups import Circle, SO3, Translation
+from disconn.discrete import TrivialLocalDiscrete, eval_discrete
+from disconn.errors import BundleMismatch, NotSameFiber, OutsideDomain
+from disconn.groups import Circle, SO3, Torus
 from disconn.manifolds import EuclideanChart, Sphere
 
 
@@ -57,8 +58,8 @@ class TestTrivialBundle:
         B = make_trivial()
         q = BundlePoint.trivial(B, [1.0, 2.0], [0.0])
         v = infinitesimal_generator(q, np.array([1.7]))
-        assert np.allclose(tangent_projection(v), 0.0)
-        _, fiber = split_trivial(v)
+        assert np.allclose(tangent_projection(q, v), 0.0)
+        _, fiber = split_trivial(q, v)
         assert fiber[0] == pytest.approx(1.7)
 
     def test_tangent_lift_adjoint_so3(self):
@@ -67,8 +68,8 @@ class TestTrivialBundle:
         q = BundlePoint.trivial(B, [0.0], e)
         v = make_trivial_tangent(q, [0.0], [1.0, 0.0, 0.0])
         g = B.group.exp([0.0, 0.0, np.pi / 2])
-        moved = tangent_lift_action(g, v)
-        _, fiber = split_trivial(moved)
+        moved = tangent_lift_action(g, q, v)
+        _, fiber = split_trivial(act(g, q), moved)
         assert np.allclose(fiber, [0.0, 1.0, 0.0], atol=1e-14)
 
     def test_curve_velocity(self):
@@ -78,7 +79,7 @@ class TestTrivialBundle:
         h = 1e-6
         plus = bundle_curve(q, v, h)
         slope = local_coords(q, plus) / h
-        assert np.allclose(slope, v.components, atol=1e-5)
+        assert np.allclose(slope, v, atol=1e-5)
 
 
 class TestHopf:
@@ -122,13 +123,13 @@ class TestHopf:
         v = infinitesimal_generator(q, xi)
         h = 1e-6
         fd = (act(H.group.wrap([h]), q).ambient - q.ambient) / h
-        assert np.allclose(v.components, fd, atol=1e-5)
+        assert np.allclose(v, fd, atol=1e-5)
 
     def test_generator_projects_to_zero(self):
         rng = np.random.default_rng(41)
         q = random_hopf_point(rng)
         v = infinitesimal_generator(q, np.array([2.0]))
-        assert np.allclose(tangent_projection(v), 0.0, atol=1e-12)
+        assert np.allclose(tangent_projection(q, v), 0.0, atol=1e-12)
 
     def test_any_lift_projects_back(self):
         rng = np.random.default_rng(43)
@@ -138,8 +139,8 @@ class TestHopf:
             m = project(q)
             u = H.base.project_tangent(m, rng.normal(size=3))
             lift = any_lift(q, u)
-            assert np.allclose(tangent_projection(lift), u, atol=1e-9)
-            assert abs(np.dot(lift.components, q.ambient)) <= 1e-9
+            assert np.allclose(tangent_projection(q, lift), u, atol=1e-9)
+            assert abs(np.dot(lift, q.ambient)) <= 1e-9
 
     def test_section_covers_sphere(self):
         H = HopfBundle()
@@ -158,27 +159,37 @@ class TestHopf:
 
 
 class TestDomain:
+    """A domain is a radius: a discrete form evaluates pairs whose base
+    distance is below it and raises OutsideDomain on the others."""
+
+    @staticmethod
+    def zero_form(B, radius):
+        return TrivialLocalDiscrete(B, lambda m0, m1: np.array([0.0]),
+                                    radius)
+
     def test_domain_contains(self):
         B = make_trivial()
-        U = DomainSpec(B, 1.0)
+        Ad = self.zero_form(B, 1.0)
         q0 = BundlePoint.trivial(B, [0.0, 0.0], [0.0])
         q1 = BundlePoint.trivial(B, [0.5, 0.0], [2.0])
         q2 = BundlePoint.trivial(B, [2.0, 0.0], [0.0])
-        assert domain_contains(U, q0, q1)
-        assert not domain_contains(U, q0, q2)
-
-    def test_positive_radius_required(self):
-        with pytest.raises(ValueError):
-            DomainSpec(make_trivial(), 0.0)
+        eval_discrete(Ad, q0, q1)
+        with pytest.raises(OutsideDomain):
+            eval_discrete(Ad, q0, q2)
 
     def test_action_invariance_of_domain(self):
         # Membership depends only on base points, hence is G x G invariant.
         B = make_trivial()
-        U = DomainSpec(B, 1.0)
+        Ad = self.zero_form(B, 1.0)
         q0 = BundlePoint.trivial(B, [0.0, 0.0], [0.0])
         q1 = BundlePoint.trivial(B, [0.5, 0.0], [0.0])
         g = B.group.wrap([2.0])
-        assert domain_contains(U, act(g, q0), q1)
+        eval_discrete(Ad, act(g, q0), q1)
+
+    def test_point_distance_rejects_other_bundles(self):
+        q0 = BundlePoint.trivial(make_trivial(), [0.0, 0.0], [0.0])
+        with pytest.raises(BundleMismatch):
+            point_distance(q0, random_hopf_point(np.random.default_rng(59)))
 
 
 class TestBoundaryValidation:
@@ -205,3 +216,75 @@ class TestBoundaryValidation:
         q = BundlePoint.trivial(make_trivial(), [0.0, 0.0], [0.0])
         with pytest.raises(ValueError):
             infinitesimal_generator(q, np.array([1.0, 2.0]))
+
+
+# The tangent API as properties: a bundle tangent is a components array v
+# at a point q.  Points are g . section(m) with m in a box (R^d) or on the
+# sphere (Hopf); group elements are exponentials of algebra vectors in
+# [-1, 1]^dim; tangents have entries in [-2, 2], made orthogonal to q on
+# the Hopf bundle.
+TANGENT_BUNDLES = [HopfBundle(), TrivialBundle(EuclideanChart(2), Circle()),
+                   TrivialBundle(EuclideanChart(2), Torus(2)),
+                   TrivialBundle(EuclideanChart(3), SO3())]
+
+
+def floats(size, bound):
+    return st.lists(st.floats(-bound, bound), min_size=size,
+                    max_size=size).map(np.asarray)
+
+
+def group_elements(G):
+    return floats(G.dim, 1.0).map(G.exp)
+
+
+def points(B):
+    if isinstance(B, HopfBundle):
+        base = floats(3, 1.0).filter(lambda x: np.linalg.norm(x) > 0.1) \
+            .map(lambda x: x / np.linalg.norm(x))
+    else:
+        base = floats(B.base.coord_size, 2.0)
+    return st.tuples(group_elements(B.group), base).map(
+        lambda gm: act(gm[0], section_over(B, gm[1])))
+
+
+def tangents(q):
+    B = q.bundle
+    if isinstance(B, HopfBundle):
+        return floats(4, 2.0).map(
+            lambda v: v - np.dot(v, q.ambient) * q.ambient)
+    return floats(B.base.coord_size + B.group.dim, 2.0)
+
+
+def assert_close(a, b):
+    assert np.max(np.abs(np.asarray(a) - np.asarray(b))) <= 1e-12
+
+
+@pytest.mark.parametrize("B", TANGENT_BUNDLES, ids=repr)
+class TestTangentActionLaws:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_action_commutes_with_projection(self, B, data):
+        q = data.draw(points(B))
+        v = data.draw(tangents(q))
+        g = data.draw(group_elements(B.group))
+        assert_close(tangent_projection(act(g, q),
+                                        tangent_lift_action(g, q, v)),
+                     tangent_projection(q, v))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_lift_action_is_an_action(self, B, data):
+        q = data.draw(points(B))
+        v = data.draw(tangents(q))
+        g, h = (data.draw(group_elements(B.group)) for _ in range(2))
+        assert_close(
+            tangent_lift_action(g, act(h, q), tangent_lift_action(h, q, v)),
+            tangent_lift_action(B.group.compose(g, h), q, v))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_generator_is_vertical(self, B, data):
+        q = data.draw(points(B))
+        xi = data.draw(floats(B.group.dim, 2.0))
+        assert_close(tangent_projection(q, infinitesimal_generator(q, xi)),
+                     0.0)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from disconn import bundles, connections
-from disconn.bundles import (BundlePoint, BundleTangent, DomainSpec,
-                             HopfBundle, TrivialBundle,
+from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              infinitesimal_generator, make_trivial_tangent,
                              split_trivial, tangent_projection)
 from disconn.connections import (GenericConnection, HopfConnection,
@@ -34,7 +33,7 @@ def random_hopf(rng):
 def random_hopf_tangent(rng, q):
     v = rng.normal(size=4)
     v -= np.dot(v, q.ambient) * q.ambient
-    return BundleTangent(q, v)
+    return v
 
 
 class TestEvalTrivial:
@@ -43,13 +42,13 @@ class TestEvalTrivial:
         B, A = x_dy_bundle()
         q = BundlePoint.trivial(B, [2.0, 3.0], [0.0])
         v = make_trivial_tangent(q, [0.0, 1.0], [0.0])
-        assert eval_connection(A, v)[0] == pytest.approx(2.0)
+        assert eval_connection(A, q, v)[0] == pytest.approx(2.0)
 
     def test_vertical_reproduces_generator(self):
         B, A = x_dy_bundle()
         q = BundlePoint.trivial(B, [0.7, -0.1], [4.0])
         xi = np.array([1.7])
-        value = eval_connection(A, infinitesimal_generator(q, xi))
+        value = eval_connection(A, q, infinitesimal_generator(q, xi))
         assert value[0] == pytest.approx(1.7)
 
     def test_adjoint_twist_nonabelian(self):
@@ -60,7 +59,7 @@ class TestEvalTrivial:
         g = SO3().exp([0.0, 0.0, np.pi / 2])
         q = BundlePoint.trivial(B, [0.0], g)
         v = make_trivial_tangent(q, [1.0], [0.0, 0.0, 0.0])
-        assert np.allclose(eval_connection(A, v), [0.0, 1.0, 0.0],
+        assert np.allclose(eval_connection(A, q, v), [0.0, 1.0, 0.0],
                            atol=1e-14)
 
 
@@ -70,8 +69,8 @@ class TestHorizontalLift:
         q = BundlePoint.trivial(B, [1.0, 1.0], [0.3])
         dm = np.array([0.4, -0.2])
         h = horizontal_lift(A, q, dm)
-        assert np.allclose(tangent_projection(h), dm, atol=1e-12)
-        assert np.linalg.norm(eval_connection(A, h)) <= 1e-12
+        assert np.allclose(tangent_projection(q, h), dm, atol=1e-12)
+        assert np.linalg.norm(eval_connection(A, q, h)) <= 1e-12
 
     def test_fiber_part_minus_x(self):
         # omega = x dy: lifting (0, 1) at base x forces fiber part -x.
@@ -79,14 +78,14 @@ class TestHorizontalLift:
         x = 1.37
         q = BundlePoint.trivial(B, [x, 0.0], [0.0])
         dm = np.array([0.0, 1.0])
-        _, fiber = split_trivial(horizontal_lift(A, q, dm))
+        _, fiber = split_trivial(q, horizontal_lift(A, q, dm))
         assert fiber[0] == pytest.approx(-x)
 
     def test_zero_gives_zero(self):
         B, A = x_dy_bundle()
         q = BundlePoint.trivial(B, [2.0, 3.0], [1.0])
         dm = np.zeros(2)
-        assert horizontal_lift(A, q, dm).norm == 0.0
+        assert np.linalg.norm(horizontal_lift(A, q, dm)) == 0.0
 
     def test_hopf_lift_annihilated(self):
         rng = np.random.default_rng(53)
@@ -96,8 +95,8 @@ class TestHorizontalLift:
             m = bundles.project(q)
             u = A.bundle.base.project_tangent(m, rng.normal(size=3))
             h = horizontal_lift(A, q, u)
-            assert abs(eval_connection(A, h)[0]) <= 1e-12
-            assert np.allclose(tangent_projection(h), u, atol=1e-9)
+            assert abs(eval_connection(A, q, h)[0]) <= 1e-12
+            assert np.allclose(tangent_projection(q, h), u, atol=1e-9)
 
 
 class TestCurvature:
@@ -176,12 +175,12 @@ class TestHopfConnection:
         rng = np.random.default_rng(83)
         for _ in range(20):
             q = random_hopf(rng)
-            yield random_hopf_tangent(rng, q)
+            yield q, random_hopf_tangent(rng, q)
 
     @staticmethod
-    def canonical(v):
-        a, b, c, d = v.base_point.ambient
-        va, vb, vc, vd = v.components
+    def canonical(q, v):
+        a, b, c, d = q.ambient
+        va, vb, vc, vd = v
         return a * vb - b * va + c * vd - d * vc
 
     def test_canonical_is_the_round_formula_without_projecting(
@@ -191,18 +190,18 @@ class TestHopfConnection:
         monkeypatch.setattr(bundles, "project",
                             lambda q: calls.append(q) or project(q))
         A = HopfConnection(HopfBundle())
-        for v in self.samples():
-            assert eval_connection(A, v)[0] == self.canonical(v)
+        for q, v in self.samples():
+            assert eval_connection(A, q, v)[0] == self.canonical(q, v)
         assert calls == []
 
     def test_perturbed_adds_epsilon_beta(self):
         A = HopfConnection(HopfBundle(), 0.1)
-        for v in self.samples():
-            m = bundles.project(v.base_point)
-            u = tangent_projection(v)
+        for q, v in self.samples():
+            m = bundles.project(q)
+            u = tangent_projection(q, v)
             beta = m[0] * u[1] - m[1] * u[0]
-            assert (eval_connection(A, v)[0]
-                    == self.canonical(v) + 0.1 * beta)
+            assert (eval_connection(A, q, v)[0]
+                    == self.canonical(q, v) + 0.1 * beta)
 
     def test_epsilon_defaults_to_zero(self):
         H = HopfBundle()
@@ -251,7 +250,7 @@ class TestNonAbelianCurvature:
         A = pure_gauge_so3()
         B = A.bundle
         Ad = integrate_connection(A, trivial_product_retraction(B),
-                                  DomainSpec(B, 1e18))
+                                  1e18)
         derived = derive_connection(Ad)
         assert max_curvature(derived, np.random.default_rng(67), 10) <= 1e-9
 
@@ -268,7 +267,7 @@ class TestAxioms:
             xi = rng.uniform(-1, 1, 1)
             g = B.group.wrap(rng.uniform(-3, 3, 1))
             assert verticality_defect(A, q, xi) <= 1e-12
-            assert equivariance_defect(A, g, v) <= 1e-12
+            assert equivariance_defect(A, g, q, v) <= 1e-12
 
     def test_hopf_defects_zero(self):
         rng = np.random.default_rng(67)
@@ -281,15 +280,15 @@ class TestAxioms:
                 xi = rng.uniform(-1, 1, 1)
                 g = H.group.wrap(rng.uniform(-3, 3, 1))
                 assert verticality_defect(A, q, xi) <= 1e-9
-                assert equivariance_defect(A, g, v) <= 1e-9
+                assert equivariance_defect(A, g, q, v) <= 1e-9
 
     def test_broken_form_flagged(self):
         # A fiber-dependent "omega" breaks equivariance for U1... the group
         # is abelian, so break verticality instead with a scaled fiber term.
         B = TrivialBundle(EuclideanChart(2), Circle())
 
-        def rule(v):
-            base, fiber = split_trivial(v)
+        def rule(q, v):
+            base, fiber = split_trivial(q, v)
             return 0.5 * fiber
 
         A = GenericConnection(B, rule)

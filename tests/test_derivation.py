@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from disconn import bundles, connections
-from disconn.bundles import BundlePoint, DomainSpec, TrivialBundle, make_trivial_tangent
-from disconn.connections import TrivialLocalConnection, eval_connection
-from disconn.derivation import (check_diagram, derive_connection,
-                                derive_horizontal, pair_derivative)
+from disconn import bundles
+from disconn.bundles import BundlePoint, TrivialBundle, make_trivial_tangent
+from disconn.connections import (TrivialLocalConnection, eval_connection,
+                                 horizontal_lift)
+from disconn.derivation import (derive_connection, derive_horizontal,
+                                pair_derivative)
 from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NonDifferentiable
 from disconn.groups import Translation
@@ -17,7 +18,7 @@ from disconn.numdiff import STEP, central_slope, richardson_derivative
 
 def plane_bundle():
     B = TrivialBundle(EuclideanChart(2), Translation(1))
-    return B, DomainSpec(B, 1e18)
+    return B, 1e18
 
 
 def trapezoid(B, U):
@@ -49,7 +50,7 @@ class TestPairDerivative:
         # C = (x1 - x0)^2 f(x0, x1) is second order in the step, so every f
         # yields the same derived form: the pure fiber term.
         B = TrivialBundle(EuclideanChart(1), Translation(1))
-        U = DomainSpec(B, 1e18)
+        U = 1e18
         q = BundlePoint.trivial(B, [0.5], [0.0])
         v = make_trivial_tangent(q, [1.0], [2.0])
         for f in (lambda x0, x1: 0.0, lambda x0, x1: 1.0,
@@ -66,7 +67,7 @@ class TestPairDerivative:
         # t |t|^(1/2) is C^1 but not C^2 on the diagonal, so the central
         # slope depends on the step and the Richardson levels disagree.
         B = TrivialBundle(EuclideanChart(1), Translation(1))
-        U = DomainSpec(B, 1e18)
+        U = 1e18
         Ad = TrivialLocalDiscrete(
             B, lambda m0, m1: np.array(
                 [(m1[0] - m0[0]) * abs(m1[0] - m0[0]) ** 0.5]), U)
@@ -92,8 +93,8 @@ class TestDeriveConnection:
                                     rng.uniform(-2, 2, 1))
             v = make_trivial_tangent(q, rng.uniform(-1, 1, 2),
                                      rng.uniform(-1, 1, 1))
-            got = eval_connection(A, v)
-            want = eval_connection(exact, v)
+            got = eval_connection(A, q, v)
+            want = eval_connection(exact, q, v)
             assert np.linalg.norm(got - want) <= 1e-8
 
     def test_zero_family_derives_to_fiber_projection(self):
@@ -102,7 +103,7 @@ class TestDeriveConnection:
         A = derive_connection(Ad)
         q = BundlePoint.trivial(B, [0.3, 0.3], [0.0])
         v = make_trivial_tangent(q, [5.0, -2.0], [0.7])
-        assert eval_connection(A, v)[0] == pytest.approx(0.7, abs=1e-9)
+        assert eval_connection(A, q, v)[0] == pytest.approx(0.7, abs=1e-9)
 
 
 class TestDeriveHorizontal:
@@ -114,19 +115,22 @@ class TestDeriveHorizontal:
         q = BundlePoint.trivial(B, [2.0, 0.0], [0.0])
         dm = np.array([0.0, 1.0])
         h = derive_horizontal(Ad, q, dm)
-        base, fiber = bundles.split_trivial(h)
+        base, fiber = bundles.split_trivial(q, h)
         assert np.allclose(base, [0.0, 1.0], atol=1e-9)
         assert fiber[0] == pytest.approx(-2.0, abs=1e-8)
 
     def test_diagram_commutes(self):
+        # The derived lift is the horizontal lift of the derived form.
         B, U = plane_bundle()
         Ad = trapezoid(B, U)
+        A = derive_connection(Ad)
         rng = np.random.default_rng(89)
         for _ in range(10):
             q = BundlePoint.trivial(B, rng.uniform(-1, 1, 2),
                                     rng.uniform(-2, 2, 1))
             dm = rng.uniform(-1, 1, 2)
-            assert check_diagram(Ad, q, dm) <= 1e-8
+            assert np.linalg.norm(derive_horizontal(Ad, q, dm)
+                                  - horizontal_lift(A, q, dm)) <= 1e-8
 
 
 class TestRichardson:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from disconn import bundles, discrete
-from disconn.bundles import BundlePoint, DomainSpec, TrivialBundle, act
+from disconn.bundles import BundlePoint, TrivialBundle, act
 from disconn.discrete import (ComposedDiscrete, TrivialLocalDiscrete,
                               discrete_curvature,
                               discrete_equivariance_defect,
@@ -18,12 +18,12 @@ from disconn.manifolds import EuclideanChart
 def line_bundle():
     """R x R: base coordinate x, fiber coordinate y with additive action."""
     B = TrivialBundle(EuclideanChart(1), Translation(1))
-    return B, DomainSpec(B, 1e18)
+    return B, 1e18
 
 
 def plane_bundle():
     B = TrivialBundle(EuclideanChart(2), Translation(1))
-    return B, DomainSpec(B, 1e18)
+    return B, 1e18
 
 
 def quadratic_family(B, U, f):
@@ -66,7 +66,7 @@ class TestEval:
 
     def test_outside_domain_rejected(self):
         B = TrivialBundle(EuclideanChart(1), Translation(1))
-        Ad = quadratic_family(B, DomainSpec(B, 1.0), lambda x0, x1: 1.0)
+        Ad = quadratic_family(B, 1.0, lambda x0, x1: 1.0)
         q0 = BundlePoint.trivial(B, [0.0], [0.0])
         q1 = BundlePoint.trivial(B, [2.0], [0.0])
         with pytest.raises(OutsideDomain):

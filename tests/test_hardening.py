@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from disconn.abelian import check_closed, worst_exterior_defect
-from disconn.bundles import (BundlePoint, DomainSpec, TrivialBundle,
-                             make_trivial_tangent)
+from disconn.bundles import BundlePoint, TrivialBundle, make_trivial_tangent
 from disconn.cli import main
 from disconn.connections import TrivialLocalConnection, curvature
 from disconn.derivation import derive_connection, pair_derivative
@@ -125,7 +124,7 @@ class TestUnmeasurableDefects:
         bundle = TrivialBundle(EuclideanChart(2), Translation(1))
         return TrivialLocalDiscrete(
             bundle, lambda m0, m1: np.array([m0[0] * (m1[1] - m0[1])]),
-            DomainSpec(bundle, 1e18))
+            1e18)
 
     def test_pair_derivative_of_lost_step_reads_nan(self):
         Ad = self.left_x_dy()
@@ -211,12 +210,16 @@ class TestMalformedInputExitsTwo:
         assert "ParseError" in capsys.readouterr().err
 
     def test_zero_domain_radius_reaches_the_domain(self, tmp_path, capsys):
+        # The schema rejects a radius that is not positive before any
+        # domain is built.
         cfg = plane(checks=[{"name": "exp_log_roundtrip", "tolerance": 1e-10,
                              "samples": 3}])
         assert main(["run", write_scenario(tmp_path, cfg)]) == 0
-        cfg["integrator"] = {"domain_radius": 0}
-        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
-        assert "base_radius" in capsys.readouterr().err
+        for radius in (0, -1.0):
+            cfg["integrator"] = {"domain_radius": radius}
+            assert main(["run", write_scenario(tmp_path, cfg)]) == 2
+            assert (f"ParseError: bad scenario.integrator.domain_radius: "
+                    f"{radius}" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
     def test_domain_radius_must_be_finite(self, tmp_path, capsys, radius):

@@ -190,14 +190,13 @@ class TestClosedFormHopfLift:
         q = BundlePoint.hopf(H, unit(q_raw))
         m = hopf_projection_coords(q.ambient)
         delta = np.asarray(d_raw) - np.dot(m, d_raw) * m
-        tangent = any_lift(q, delta)
-        lift = tangent.components
+        lift = any_lift(q, delta)
         # A direction off the tangent plane is projected onto it first.
         off_plane = any_lift(q, np.asarray(d_raw))
-        assert np.max(np.abs(off_plane.components - lift)) <= 1e-14
+        assert np.max(np.abs(off_plane - lift)) <= 1e-14
         J = hopf_projection_jacobian(q.ambient)
         assert np.max(np.abs(J @ lift - delta)) <= 1e-14
         assert abs(np.dot(q.ambient, lift)) <= 1e-14
-        value = eval_connection(HopfConnection(H), tangent)
+        value = eval_connection(HopfConnection(H), q, lift)
         assert abs(value[0]) <= 1e-14
         assert np.max(np.abs(lift - lstsq_lift(q.ambient, delta))) <= 1e-14
