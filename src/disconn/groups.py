@@ -179,14 +179,19 @@ class SO3(GroupKind):
                 + (1.0 - np.cos(theta)) / theta ** 2 * W @ W)
 
     def log(self, a):
-        cos_theta = np.clip((np.trace(a) - 1.0) / 2.0, -1.0, 1.0)
-        theta = float(np.arccos(cos_theta))
+        # The angle comes from both the skew part, 2 sin(theta) times the
+        # axis, and the trace, 1 + 2 cos(theta); atan2 of the two keeps it
+        # well conditioned up to the cut, where arccos of the trace alone
+        # loses half the digits.
+        w = unhat(a - a.T)
+        sin_theta = float(np.linalg.norm(w)) / 2.0
+        theta = float(np.arctan2(sin_theta, (np.trace(a) - 1.0) / 2.0))
         if theta >= np.pi - 1e-6:
             raise OutsideInjectivityRadius(
                 f"rotation angle {theta:.6f} too close to pi")
         if theta < 1e-12:
-            return unhat(0.5 * (a - a.T))
-        return unhat(theta / (2.0 * np.sin(theta)) * (a - a.T))
+            return 0.5 * w
+        return theta / (2.0 * sin_theta) * w
 
     def adjoint(self, a, x):
         return a @ np.asarray(x, dtype=float).reshape(3)
