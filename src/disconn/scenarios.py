@@ -32,8 +32,8 @@ builtin keys included, and malformed values with a `ParseError`):
                      "reference": <spec> other than matched},
       "integrator": {"retraction": "straight"|"exp"|"great_circle"
                                    |"skewed"|"chart",
-                     "domain_radius": float},  # default from the base:
-                                               # pi/2 on spheres
+                     "domain_radius": float > 0},  # default from the
+                                                   # base: pi/2 on spheres
       "checks": [{"name": str, "tolerance": float > 0,  # default 1e-8
                   "samples": int in [1, MAX_SAMPLES],
                   "pair": [[x, ...], [x, ...]],

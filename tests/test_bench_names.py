@@ -38,7 +38,7 @@ def tracer_spans(tree):
             and node.args and isinstance(node.args[0], ast.Constant)}
 
 
-def library_names():
+def test_bench_names_are_public_library_functions():
     trees = [ast.parse((ROOT / "bench" / name).read_text())
              for name in ("layers.py", "tracer.py")]
     names = {s for tree in trees for s in string_constants(tree)
@@ -46,17 +46,9 @@ def library_names():
     spans = set().union(*map(tracer_spans, trees))
     metrics = {metric["name"] for metric in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["per_layer"]}
-    return names - spans - metrics
-
-
-def test_tracer_spans_are_found():
-    tree = ast.parse((ROOT / "bench" / "tracer.py").read_text())
     assert {"abelian.primitive_lookup", "integration.reduced_step",
-            "scenarios.context"} <= tracer_spans(tree)
-
-
-def test_bench_names_are_public_library_functions():
-    names = library_names()
+            "scenarios.context"} <= spans
+    names -= spans | metrics
     assert {"connections.eval_connection", "discrete.eval_discrete",
             "integration.retract_bundle"} <= names
     missing = []
