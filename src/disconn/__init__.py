@@ -3,12 +3,13 @@
 Modules:
 
 * ``groups`` -- matrix Lie groups (translations, tori, SO(3));
-* ``manifolds`` -- base manifolds and retractions;
+* ``manifolds`` -- base manifolds, and retractions on bases and bundles;
 * ``bundles`` -- trivial bundles and the Hopf bundle;
 * ``connections`` -- connection one-forms, lifts, curvature;
 * ``discrete`` -- discrete connection forms and discrete curvature;
 * ``derivation`` -- differentiating discrete data back to connections;
-* ``integration`` -- retraction-based integration of connections;
+* ``integration`` -- bundle retraction rules and retraction-based
+  integration of connections;
 * ``abelian`` -- descent, flat and curvature-matched integration;
 * ``scenarios`` / ``cli`` -- the JSON-driven verification harness.
 """

@@ -8,11 +8,11 @@ Two families are instantiated:
   phase on both complex coordinates.
 
 Base points are coordinate arrays, group parts are group element data
-(see `groups`) and Hopf points unit arrays in R^4; `BundlePoint.trivial`
-and `BundlePoint.hopf` validate the values that enter, and the bundle
-operations use the bare constructor.  A group element acting on a point
-is its data array; the structure group that reads it is
-``q.bundle.group``.
+(see `groups`) and Hopf points unit arrays in R^4, the bundle's
+``total_space``; `BundlePoint.trivial` and `BundlePoint.hopf` validate
+the values that enter, and the bundle operations use the bare
+constructor.  A group element acting on a point is its data array; the
+structure group that reads it is ``q.bundle.group``.
 
 A tangent is its components array, with its point passed beside it: a
 base tangent at ``m`` as in `manifolds` (`any_lift` takes one and
@@ -52,6 +52,7 @@ class TrivialBundle(PrincipalBundle):
 class HopfBundle(PrincipalBundle):
     base = Sphere(3)
     group = Torus(1)
+    total_space = Sphere(4)
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,8 @@ class BundlePoint:
 
     @staticmethod
     def hopf(bundle, ambient):
-        q = np.asarray(ambient, dtype=float).reshape(4)
-        if abs(np.linalg.norm(q) - 1.0) > 1e-12:
-            raise ValueError("Hopf point must be a unit vector in R^4")
-        return BundlePoint(bundle, ambient=q)
+        return BundlePoint(bundle,
+                           ambient=bundle.total_space.validate(ambient))
 
 
 def split_trivial(q: BundlePoint, v) -> tuple:

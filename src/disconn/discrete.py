@@ -95,9 +95,3 @@ def discrete_equivariance_defect(Ad: DiscreteConnectionForm, g, g_prime,
     expected = G.compose(
         g_prime, G.compose(eval_discrete(Ad, q0, q1), G.inverse(g)))
     return G.distance(moved, expected)
-
-
-def flatness_defect(Ad: DiscreteConnectionForm, q0: BundlePoint,
-                    q1: BundlePoint, q2: BundlePoint) -> float:
-    G = Ad.bundle.group
-    return G.distance(discrete_curvature(Ad, q0, q1, q2), G.identity())

@@ -8,23 +8,25 @@ the horizontal representative over phi(q1), then read off the fiber
 translation carrying that representative to q1.  Differentiating the
 result recovers A.
 
-A bundle tangent is its components array with its point passed beside it
-(`retract_bundle(R, q, v)`), and the induced discrete connection is
-defined on pairs closer than ``domain_radius`` on the base.
+A bundle retraction is a `manifolds.Retraction` whose space is the
+bundle: its step maps a `BundlePoint` and tangent components to a
+`BundlePoint`, and `retract_bundle(R, q, v)` applies it after the same
+radius test as `manifolds.retract`.  A bundle tangent is its components
+array with its point passed beside it, and the induced discrete
+connection is defined on pairs closer than ``domain_radius`` on the base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import bundles, manifolds
-from .bundles import BundlePoint, HopfBundle, PrincipalBundle, TrivialBundle
+from .bundles import BundlePoint, HopfBundle, TrivialBundle
 from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
-from .errors import BundleMismatch, OutsideDomain
+from .errors import BundleMismatch
 from .manifolds import Retraction
 
 
@@ -59,77 +61,65 @@ def metric_invariance_defect(pairing, g, q: BundlePoint, u, w) -> float:
 # ---------------------------------------------------------------------------
 # Bundle retractions
 
-@dataclass(frozen=True)
-class BundleRetraction:
-    bundle: PrincipalBundle
-    step: Callable  # (BundlePoint, tangent components) -> BundlePoint
-    domain_radius: float
-
-
-def trivial_product_retraction(bundle: TrivialBundle) -> BundleRetraction:
+def trivial_product_retraction(bundle: TrivialBundle) -> Retraction:
     """Metric exponential on the base block, group exponential on the fiber.
 
     Equivariant for every structure group: the fiber step sends (g, xi) to
     exp(xi) g, and exp intertwines the adjoint action with conjugation.
     """
-    base_exp = manifolds.metric_exponential(bundle.base)
     G = bundle.group
 
     def step(q, v):
         base, fiber = bundles.split_trivial(q, v)
-        m = base_exp.step(q.base_point, base)
+        m = bundle.base.geodesic_step(q.base_point, base)
         g = G.compose(G.exp(fiber), q.group_part)
         return BundlePoint(bundle, m, g)
 
-    return BundleRetraction(bundle, step, base_exp.domain_radius)
+    return Retraction(bundle, step, bundle.base.default_radius)
 
 
-def trivial_skewed_retraction(bundle: TrivialBundle) -> BundleRetraction:
+def trivial_skewed_retraction(bundle: TrivialBundle) -> Retraction:
     """Valid retraction whose fiber step depends on the group representative.
 
-    The second-order term couples the fiber step to the stored coordinates
-    of the group element, which change under the action; used as a negative
-    control for the equivariance check.
+    The straight step, with a second-order term added to the fiber block
+    that couples it to the stored coordinates of the group element, which
+    change under the action; used as a negative control for the
+    equivariance check.
     """
-    base_exp = manifolds.metric_exponential(bundle.base)
+    straight = trivial_product_retraction(bundle)
     G = bundle.group
 
     def step(q, v):
         base, fiber = bundles.split_trivial(q, v)
-        m = base_exp.step(q.base_point, base)
         skew = 0.3 * float(np.linalg.norm(fiber)) ** 2 \
             * float(np.linalg.norm(G.log(q.group_part)))
-        g = G.compose(G.exp(fiber + skew), q.group_part)
-        return BundlePoint(bundle, m, g)
+        return straight.step(q, np.concatenate([base, fiber + skew]))
 
-    return BundleRetraction(bundle, step, base_exp.domain_radius)
+    return Retraction(bundle, step, straight.domain_radius)
 
 
-def hopf_geodesic_retraction(bundle: HopfBundle) -> BundleRetraction:
+def hopf_geodesic_retraction(bundle: HopfBundle) -> Retraction:
     """Great-circle steps on the round S^3; circle rotations are isometries,
     so the rule is equivariant."""
+    sphere = bundle.total_space
 
     def step(q, v):
-        norm = float(np.linalg.norm(v))
-        if norm < 1e-300:
+        if float(np.linalg.norm(v)) < 1e-300:
             return q
-        p = np.cos(norm) * q.ambient + np.sin(norm) * v / norm
+        p = sphere.geodesic_step(q.ambient, v)
         return BundlePoint(bundle, ambient=p / np.linalg.norm(p))
 
-    return BundleRetraction(bundle, step, np.pi)
+    return Retraction(bundle, step, np.pi)
 
 
-def retract_bundle(R: BundleRetraction, q: BundlePoint, v) -> BundlePoint:
-    if q.bundle != R.bundle:
+def retract_bundle(R: Retraction, q: BundlePoint, v) -> BundlePoint:
+    if q.bundle != R.space:
         raise BundleMismatch("tangent does not live on the retraction's bundle")
-    norm = float(np.linalg.norm(v))
-    if norm >= R.domain_radius:
-        raise OutsideDomain(
-            f"|v| = {norm:.4g} >= domain radius {R.domain_radius:.4g}")
+    R.require_inside(v)
     return R.step(q, v)
 
 
-def equivariance_defect(R: BundleRetraction, g, q: BundlePoint, v) -> float:
+def equivariance_defect(R: Retraction, g, q: BundlePoint, v) -> float:
     """Distance between R(g . v) and g . R(v) for a tangent v at q."""
     moved = retract_bundle(R, bundles.act(g, q),
                            bundles.tangent_lift_action(g, q, v))
@@ -140,16 +130,16 @@ def equivariance_defect(R: BundleRetraction, g, q: BundlePoint, v) -> float:
 # ---------------------------------------------------------------------------
 # Reduced retraction and integration
 
-def reduced_retraction(A: ConnectionForm, R: BundleRetraction) -> Retraction:
+def reduced_retraction(A: ConnectionForm, R: Retraction) -> Retraction:
     """Base retraction phi(R(horizontal lift)), independent of the fiber
     point by equivariance of A and R.  Its radius is capped at the base's
     default: on Hopf, horizontal great circles of S^3 project onto base
     geodesics at twice the speed."""
-    if A.bundle != R.bundle:
+    if A.bundle != R.space:
         raise BundleMismatch("connection and retraction bundles differ")
     bundle = A.bundle
     base_kind = bundle.base
-    domain_radius = min(R.domain_radius, manifolds.default_radius(base_kind))
+    domain_radius = min(R.domain_radius, base_kind.default_radius)
 
     def step(m, components):
         q = bundles.section_over(bundle, m)
@@ -159,11 +149,11 @@ def reduced_retraction(A: ConnectionForm, R: BundleRetraction) -> Retraction:
     return Retraction(base_kind, step, domain_radius)
 
 
-def integrate_connection(A: ConnectionForm, R: BundleRetraction,
+def integrate_connection(A: ConnectionForm, R: Retraction,
                          domain_radius: float) -> DiscreteConnectionForm:
     """Discrete connection induced by A and an equivariant retraction R, on
     pairs closer than domain_radius on the base."""
-    if A.bundle != R.bundle:
+    if A.bundle != R.space:
         raise BundleMismatch("connection and retraction bundles differ")
     bundle = A.bundle
     reduced = reduced_retraction(A, R)

@@ -9,8 +9,14 @@ point travels as a separate argument.  `ManifoldKind.validate` checks a
 point where it enters the library; internal steps pass arrays that are
 already valid.
 
-The built-in retraction rule is ``metric_exponential``, the geodesic
-exponential (straight lines on R^d, great circles on spheres).
+A `Retraction` is one type on any space: a step rule and the radius of
+the ball of tangents it accepts, tested by `Retraction.require_inside`.
+Its ``space`` is a `ManifoldKind`, whose step maps point coordinates and
+tangent components to point coordinates (a base retraction, `retract`),
+or a bundle, whose step maps a `BundlePoint` and tangent components to a
+`BundlePoint` (`integration.retract_bundle`).  The built-in base rule is
+``metric_exponential``, the geodesic exponential (straight lines on R^d,
+great circles on spheres) with the kind's ``default_radius``.
 `Sphere.chart_line_step` is a straight step in a fixed stereographic chart
 instead; it does not commute with rotations.
 
@@ -43,6 +49,7 @@ NEWTON_MAX_ITER = 50
 class ManifoldKind:
     dim: int            # dimension of the manifold
     coord_size: int     # length of the coordinate vector of a point
+    default_radius: float   # retraction domain radius when none is given
 
     def validate(self, coords):
         raise NotImplementedError
@@ -68,6 +75,7 @@ class ManifoldKind:
 @dataclass(frozen=True)
 class EuclideanChart(ManifoldKind):
     dim: int
+    default_radius = EUCLIDEAN_RADIUS_SENTINEL     # unbounded
 
     def __post_init__(self):
         if self.dim < 1:
@@ -105,6 +113,7 @@ class Sphere(ManifoldKind):
     """Unit sphere of dimension ambient_dim - 1 in R^ambient_dim."""
 
     ambient_dim: int
+    default_radius = np.pi / 2.0    # a quarter great circle
 
     def __post_init__(self):
         if self.ambient_dim < 2:
@@ -192,39 +201,33 @@ class Sphere(ManifoldKind):
 
 @dataclass(frozen=True)
 class Retraction:
-    kind: ManifoldKind
-    step: Callable          # (point coords, tangent components) -> point coords
+    space: object   # a ManifoldKind, or a bundle (see integration)
+    step: Callable  # (point, tangent components) -> point of the space
     domain_radius: float
+
+    def require_inside(self, v):
+        """Raise OutsideDomain unless |v| is below the domain radius."""
+        norm = float(np.linalg.norm(v))
+        if norm >= self.domain_radius:
+            raise OutsideDomain(
+                f"|v| = {norm:.4g} >= domain radius {self.domain_radius:.4g}")
 
 
 def metric_exponential(kind) -> Retraction:
-    return Retraction(kind, kind.geodesic_step, default_radius(kind))
-
-
-def default_radius(kind):
-    """Domain radius of a base when none is given: unbounded (the
-    sentinel) on R^d, a quarter great circle on spheres."""
-    if isinstance(kind, EuclideanChart):
-        return EUCLIDEAN_RADIUS_SENTINEL
-    if isinstance(kind, Sphere):
-        return np.pi / 2.0
-    raise ValueError(f"no default radius for {kind!r}")
+    return Retraction(kind, kind.geodesic_step, kind.default_radius)
 
 
 def retract(R: Retraction, x, v) -> np.ndarray:
-    """The point R_x(v); the step is supplied by the caller, so its output
-    is validated."""
-    norm = float(np.linalg.norm(v))
-    if norm >= R.domain_radius:
-        raise OutsideDomain(
-            f"|v| = {norm:.4g} >= domain radius {R.domain_radius:.4g}")
-    return R.kind.validate(R.step(x, v))
+    """The point R_x(v) on a base; the step is supplied by the caller, so
+    its output is validated."""
+    R.require_inside(v)
+    return R.space.validate(R.step(x, v))
 
 
 def invert_extended(R: Retraction, x, y) -> np.ndarray:
     """Components of the tangent v at x with retract(R, x, v) = y, by
     Newton in a chart."""
-    kind = R.kind
+    kind = R.space
     if kind.distance(x, y) >= R.domain_radius / 2.0:
         raise OutsideDomain("target too far from the anchor point")
 
@@ -263,7 +266,7 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
 def check_retraction_axioms(R: Retraction, x, v) -> float:
     """Defect of d/dt R_x(t v)|_0 = v, via Richardson finite differences."""
     base_defect = np.linalg.norm(
-        retract(R, x, np.zeros(R.kind.coord_size)) - x)
+        retract(R, x, np.zeros(R.space.coord_size)) - x)
     if np.linalg.norm(v) == 0.0:
         return float(base_defect)
 
@@ -280,6 +283,4 @@ def kind_from_tag(tag, dim=None) -> ManifoldKind:
         return EuclideanChart(dim)
     if tag == "S2":
         return Sphere(3)
-    if tag == "S3":
-        return Sphere(4)
     raise ValueError(f"unknown manifold tag {tag!r}")

@@ -17,7 +17,7 @@ builtin keys included, and malformed values with a `ParseError`):
                                                # only on an R^d base
       "bundle": {"kind": "trivial",
                  "base": {"kind": "R^d", "dim": int in [1, MAX_DIM]}
-                         | {"kind": "S2"|"S3"},
+                         | {"kind": "S2"},
                  "group": {"kind": "R^k"|"T^n", "dim": int in [1, MAX_DIM]}
                           | {"kind": "U1"|"SO3"}}
                 | {"kind": "hopf"},  # only with hopf_* and integrated kinds
@@ -41,12 +41,12 @@ builtin keys included, and malformed values with a `ParseError`):
                   "min_difference": float > 0}, ...]
     }
 
-One-form builtins: "zero", "x_dy", "closed_xy", "x_dy_plus_dx2", "dy",
-"dx", "y_dx", or {"name": "polynomial", "terms": [{"coeff": c,
-"powers": [...], "dx": j}, ...]} on d base coordinates, with c finite,
-at most d non-negative integer powers in float range and 0 <= j < d.
-Pair-map builtins: "zero", "trapezoid_x_dy", "left_x_dy", or {"name":
-"quadratic_f", "f": "zero" | "one" | "sin_product" | {"const": value}}.
+One-form builtins: "zero", "x_dy", "y_dx", "closed_xy", "x_dy_plus_dx2",
+or {"name": "polynomial", "terms": [{"coeff": c, "powers": [...],
+"dx": j}, ...]} on d base coordinates, with c finite, at most d
+non-negative integer powers in float range and 0 <= j < d.  Pair-map
+builtins: "zero", "trapezoid_x_dy", "left_x_dy", or {"name":
+"quadratic_f", "f": "zero" | "one" | {"const": c}}, for (x1 - x0)^2 f.
 Builtin objects take no other keys.
 """
 
@@ -63,7 +63,7 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
                integration, manifolds)
 from .bundles import BundlePoint, HopfBundle, TrivialBundle
 from .errors import ParseError, UnknownBuiltin
-from .manifolds import EuclideanChart, Sphere
+from .manifolds import EuclideanChart
 from .numdiff import worst_defect
 
 
@@ -113,8 +113,6 @@ _OMEGA_BUILTINS = {
     "y_dx": lambda m, v: m[1] * v[0],
     "closed_xy": lambda m, v: m[1] * v[0] + m[0] * v[1],
     "x_dy_plus_dx2": lambda m, v: m[0] * v[1] + 2.0 * m[0] * v[0],
-    "dy": lambda m, v: v[1],
-    "dx": lambda m, v: v[0],
 }
 
 
@@ -139,40 +137,45 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
         bundle, lambda m, v: np.array([scalar(m, v)]))
 
 
-def pair_map_builtin(spec, group):
-    """Resolve a pair-map builtin to (m0, m1) -> group element data."""
+_PAIR_MAP_BUILTINS = {
+    "zero": lambda m0, m1: 0.0,
+    "trapezoid_x_dy": lambda m0, m1: 0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1]),
+    "left_x_dy": lambda m0, m1: m0[0] * (m1[1] - m0[1]),
+}
+
+# The constant f of the quadratic_f pair map (x1 - x0)^2 f.
+_F_TABLES = {"zero": 0.0, "one": 1.0}
+
+
+def pair_map_builtin(spec, bundle,
+                     domain_radius) -> discrete.TrivialLocalDiscrete:
+    """Resolve a pair-map builtin (string tag or quadratic_f object) to a
+    local discrete connection on the trivial bundle."""
     if isinstance(spec, str):
-        name = spec
-        if spec == "zero":
-            rule = lambda m0, m1: 0.0
-        elif spec == "trapezoid_x_dy":
-            rule = lambda m0, m1: 0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])
-        elif spec == "left_x_dy":
-            rule = lambda m0, m1: m0[0] * (m1[1] - m0[1])
-        else:
+        if spec not in _PAIR_MAP_BUILTINS:
             raise UnknownBuiltin(f"unknown pair-map builtin {spec!r}")
+        rule = _PAIR_MAP_BUILTINS[spec]
+        name = spec
     elif isinstance(spec, dict) and spec.get("name") == "quadratic_f":
-        name = "quadratic_f"
         _require_keys(spec, {"name", "f"}, "quadratic_f")
-        f_spec = spec.get("f", "one")
-        if f_spec == "zero":
-            f = lambda x0, x1: 0.0
-        elif f_spec == "one":
-            f = lambda x0, x1: 1.0
-        elif f_spec == "sin_product":
-            f = lambda x0, x1: np.sin(x0 * x1)
-        elif isinstance(f_spec, dict) and _is_number(f_spec.get("const")):
-            _require_keys(f_spec, {"const"}, "f table")
-            c = float(f_spec["const"])
-            f = lambda x0, x1: c
+        f = spec.get("f", "one")
+        if isinstance(f, str) and f in _F_TABLES:
+            c = _F_TABLES[f]
+        elif isinstance(f, dict) and _is_number(f.get("const")):
+            _require_keys(f, {"const"}, "f table")
+            c = float(f["const"])
         else:
-            raise UnknownBuiltin(f"unknown f table {f_spec!r}")
-        rule = lambda m0, m1: (m1[0] - m0[0]) ** 2 * f(m0[0], m1[0])
+            raise UnknownBuiltin(f"unknown f table {f!r}")
+        rule = lambda m0, m1: (m1[0] - m0[0]) ** 2 * c
+        name = "quadratic_f"
     else:
         raise UnknownBuiltin(f"unknown pair-map spec {spec!r}")
-    if group.dim != 1:
+    if bundle.group.dim != 1:
         raise ParseError("builtin pair maps target one-dimensional groups")
-    return (lambda m0, m1: np.array([rule(m0, m1)])), name
+    _probe(rule, bundle.base.coord_size, name)
+    return discrete.TrivialLocalDiscrete(
+        bundle, lambda m0, m1: np.array([rule(m0, m1)]), domain_radius,
+        name=name)
 
 
 def _require_keys(spec, allowed, what):
@@ -249,7 +252,7 @@ _SCHEMA = {
         "checks?": ["check"]},
     "bundle": {"kind": {"trivial": {"base": "base", "group": "group"},
                         "hopf": {}}},
-    "base": {"kind": {"R^d": {"dim": _is_dim}, "S2": {}, "S3": {}}},
+    "base": {"kind": {"R^d": {"dim": _is_dim}, "S2": {}}},
     "group": {"kind": {"R^k": {"dim": _is_dim}, "T^n": {"dim": _is_dim},
                        "U1": {}, "SO3": {}}},
     "connection": {"kind": {"local": {"omega": (str, dict)},
@@ -346,7 +349,7 @@ class ScenarioContext:
         hopf = isinstance(self.bundle, HopfBundle)
         integ = cfg.get("integrator", {})
         self.domain_radius = float(integ.get(
-            "domain_radius", manifolds.default_radius(self.bundle.base)))
+            "domain_radius", self.bundle.base.default_radius))
         self.connection = self._build_connection(cfg.get("connection"))
         self.retraction = self._build_retraction(
             integ.get("retraction", "great_circle" if hopf else "straight"))
@@ -389,11 +392,8 @@ class ScenarioContext:
     def _build_discrete(self, spec):
         kind = spec["kind"]
         if kind == "local":
-            pair_map, name = pair_map_builtin(spec["pair_map"],
-                                              self.bundle.group)
-            _probe(pair_map, self.bundle.base.coord_size, name)
-            return discrete.TrivialLocalDiscrete(self.bundle, pair_map,
-                                                 self.domain_radius, name=name)
+            return pair_map_builtin(spec["pair_map"], self.bundle,
+                                    self.domain_radius)
         if kind == "integrated":
             if self.connection is None:
                 raise ParseError("integrated discrete needs a connection")
@@ -451,9 +451,8 @@ class ScenarioContext:
             fiber = rng.uniform(-1.0, 1.0, self.bundle.group.dim)
             base = self.bundle.base.project_tangent(q.base_point, base)
             return bundles.make_trivial_tangent(q, base, fiber)
-        vec = rng.uniform(-1.0, 1.0, 4)
-        vec -= np.dot(vec, q.ambient) * q.ambient
-        return vec
+        return self.bundle.total_space.project_tangent(
+            q.ambient, rng.uniform(-1.0, 1.0, 4))
 
     def sample_nearby_point(self, rng, q, radius_fraction=0.4):
         """Second point whose base distance from q stays inside the domain."""
@@ -474,13 +473,13 @@ class ScenarioContext:
 def _hopf_chart_retraction(bundle):
     """Straight steps in a fixed stereographic chart of S^3; breaks
     equivariance (negative control)."""
-    sphere = Sphere(4)
+    sphere = bundle.total_space
 
     def step(q, v):
         return BundlePoint.hopf(
             bundle, sphere.chart_line_step(q.ambient, v))
 
-    return integration.BundleRetraction(bundle, step, np.pi / 2.0)
+    return manifolds.Retraction(bundle, step, np.pi / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -490,6 +489,12 @@ def _first_discrete(ctx):
     if not ctx.discretes:
         raise ParseError("check needs a discrete connection in the scenario")
     return ctx.discretes[0]
+
+
+def _two_discretes(ctx):
+    if len(ctx.discretes) < 2:
+        raise ParseError("check needs two discrete connections")
+    return ctx.discretes[0], ctx.discretes[1]
 
 
 def _need_connection(ctx):
@@ -592,76 +597,71 @@ def check_diagram(ctx, params, rng, n):
     return _lift_defect(ctx, rng, n, derivation.derive_connection(Ad), Ad)
 
 
-def check_discrete_flatness(ctx, params, rng, n):
-    Ad = _first_discrete(ctx)
-    defects = []
-    for _ in range(n):
-        q0 = ctx.sample_point(rng)
-        q1 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
-        q2 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
-        defects.append(discrete.flatness_defect(Ad, q0, q1, q2))
-    return worst_defect(defects)
-
-
-def check_derived_curvature(ctx, params, rng, n):
-    Ad = _first_discrete(ctx)
-    derived = derivation.derive_connection(Ad)
-    defects = []
-    for _ in range(n):
-        m = ctx.sample_base_point(rng)
-        u = ctx.sample_base_tangent(rng, m)
-        w = ctx.sample_base_tangent(rng, m)
-        value = connections.curvature(derived, m, u, w)
-        defects.append(float(np.linalg.norm(value)))
-    return worst_defect(defects)
-
-
-def check_distinctness(ctx, params, rng, n):
-    if len(ctx.discretes) < 2:
-        raise ParseError("distinctness check needs two discrete connections")
-    pair = params.get("pair")
-    if pair is None:
-        raise ParseError("distinctness check needs a designated pair")
+def _holonomy_gap(ctx, rng, n, d1, d2=None):
+    """Worst distance between the triangle holonomies of d1 and d2, or of
+    d1 and the identity when d2 is None, over n sampled triangles."""
     G = ctx.bundle.group
-    fiber = params.get("fiber") or [G.identity()] * 2
-    q0 = BundlePoint.trivial(ctx.bundle, pair[0], fiber[0])
-    q1 = BundlePoint.trivial(ctx.bundle, pair[1], fiber[1])
-    v0 = discrete.eval_discrete(ctx.discretes[0], q0, q1)
-    v1 = discrete.eval_discrete(ctx.discretes[1], q0, q1)
-    observed = G.distance(v0, v1)
-    required = float(params.get("min_difference", 0.1))
-    return worst_defect([required - observed])
-
-
-def check_same_derived_curvature(ctx, params, rng, n):
-    if len(ctx.discretes) < 2:
-        raise ParseError("check needs two discrete connections")
-    d1 = derivation.derive_connection(ctx.discretes[0])
-    d2 = derivation.derive_connection(ctx.discretes[1])
-    defects = []
-    for _ in range(n):
-        m = ctx.sample_base_point(rng)
-        u = ctx.sample_base_tangent(rng, m)
-        w = ctx.sample_base_tangent(rng, m)
-        c1 = connections.curvature(d1, m, u, w)
-        c2 = connections.curvature(d2, m, u, w)
-        defects.append(float(np.linalg.norm(c1 - c2)))
-    return worst_defect(defects)
-
-
-def check_same_discrete_curvature(ctx, params, rng, n):
-    if len(ctx.discretes) < 2:
-        raise ParseError("check needs two discrete connections")
-    d1, d2 = ctx.discretes[0], ctx.discretes[1]
     defects = []
     for _ in range(n):
         q0 = ctx.sample_point(rng)
         q1 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
         q2 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
         b1 = discrete.discrete_curvature(d1, q0, q1, q2)
-        b2 = discrete.discrete_curvature(d2, q0, q1, q2)
-        defects.append(ctx.bundle.group.distance(b1, b2))
+        b2 = (G.identity() if d2 is None
+              else discrete.discrete_curvature(d2, q0, q1, q2))
+        defects.append(G.distance(b1, b2))
     return worst_defect(defects)
+
+
+def _derived_curvature_gap(ctx, rng, n, *discretes):
+    """Worst norm of the curvature of the connection derived from one
+    discrete, or of the difference of two, over n sampled base points and
+    pairs of directions."""
+    derived = [derivation.derive_connection(Ad) for Ad in discretes]
+    defects = []
+    for _ in range(n):
+        m = ctx.sample_base_point(rng)
+        u = ctx.sample_base_tangent(rng, m)
+        w = ctx.sample_base_tangent(rng, m)
+        values = [connections.curvature(A, m, u, w) for A in derived]
+        defects.append(float(np.linalg.norm(
+            functools.reduce(np.subtract, values))))
+    return worst_defect(defects)
+
+
+def check_discrete_flatness(ctx, params, rng, n):
+    return _holonomy_gap(ctx, rng, n, _first_discrete(ctx))
+
+
+def check_derived_curvature(ctx, params, rng, n):
+    return _derived_curvature_gap(ctx, rng, n, _first_discrete(ctx))
+
+
+def check_distinctness(ctx, params, rng, n):
+    Ad0, Ad1 = _two_discretes(ctx)
+    pair = params.get("pair")
+    if pair is None:
+        raise ParseError("distinctness check needs a designated pair")
+    G = ctx.bundle.group
+    fiber = params.get("fiber") or [G.identity()] * 2
+    try:
+        q0, q1 = (BundlePoint.trivial(ctx.bundle, m, g)
+                  for m, g in zip(pair, fiber))
+    except ValueError as exc:
+        raise ParseError(f"distinctness pair is not a pair of points of "
+                         f"the bundle: {exc}") from exc
+    observed = G.distance(discrete.eval_discrete(Ad0, q0, q1),
+                          discrete.eval_discrete(Ad1, q0, q1))
+    required = float(params.get("min_difference", 0.1))
+    return worst_defect([required - observed])
+
+
+def check_same_derived_curvature(ctx, params, rng, n):
+    return _derived_curvature_gap(ctx, rng, n, *_two_discretes(ctx))
+
+
+def check_same_discrete_curvature(ctx, params, rng, n):
+    return _holonomy_gap(ctx, rng, n, *_two_discretes(ctx))
 
 
 def check_closed_form(ctx, params, rng, n):

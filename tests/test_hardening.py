@@ -305,12 +305,32 @@ class TestMalformedInputExitsTwo:
         assert "ParseError: bad scenario.checks[0].tolerance" \
             in capsys.readouterr().err
 
-    def test_distinctness_pair_row_of_wrong_length(self, tmp_path, capsys):
-        cfg = plane(discrete=[{"kind": "local", "pair_map": "zero"}] * 2,
-                    checks=[{"name": "distinctness",
-                             "pair": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]}])
+    @pytest.mark.parametrize("cfg", [
+        # A pair row of the wrong length.
+        plane(discrete=[{"kind": "local", "pair_map": "zero"}] * 2,
+              checks=[{"name": "distinctness",
+                       "pair": [[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]}]),
+        # A fiber row of the wrong length.
+        plane(discrete=[{"kind": "local", "pair_map": "zero"}] * 2,
+              checks=[{"name": "distinctness", "pair": [[0.0, 0.0], [1.0, 1.0]],
+                       "fiber": [[0.0, 0.0], [1.0, 1.0]]}]),
+        # A pair row off the unit sphere.
+        plane(bundle={"kind": "trivial", "base": {"kind": "S2"},
+                      "group": {"kind": "U1"}},
+              discrete=[{"kind": "local", "pair_map": "zero"}] * 2,
+              checks=[{"name": "distinctness",
+                       "pair": [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}]),
+        # The Hopf bundle, whose points are not (base, fiber) pairs.
+        {"name": "hopf", "seed": 5, "bundle": {"kind": "hopf"},
+         "connection": {"kind": "hopf_canonical"},
+         "discrete": [{"kind": "integrated"}] * 2,
+         "checks": [{"name": "distinctness",
+                     "pair": [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]}]},
+    ], ids=["pair_length", "fiber_length", "pair_off_sphere", "hopf"])
+    def test_malformed_distinctness_input(self, tmp_path, capsys, cfg):
         assert main(["run", write_scenario(tmp_path, cfg)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(
+            "error: ParseError: distinctness pair")
 
 
 SWEEP_BASE = {

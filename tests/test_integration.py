@@ -11,6 +11,7 @@ from disconn.connections import (HopfConnection, TrivialLocalConnection,
 from disconn.derivation import derive_connection
 from disconn.discrete import (discrete_equivariance_defect, eval_discrete,
                               identity_defect)
+from disconn.errors import BundleMismatch, OutsideDomain
 from disconn.groups import Circle, Translation
 from disconn.integration import (build_invariant_metric, equivariance_defect,
                                  hopf_geodesic_retraction,
@@ -18,7 +19,8 @@ from disconn.integration import (build_invariant_metric, equivariance_defect,
                                  reduced_retraction, retract_bundle,
                                  trivial_product_retraction,
                                  trivial_skewed_retraction)
-from disconn.manifolds import EuclideanChart, Sphere
+from disconn.manifolds import (EuclideanChart, Sphere, metric_exponential,
+                               retract)
 from disconn.scenarios import ScenarioContext
 
 
@@ -65,6 +67,57 @@ class TestMetric:
                                      rng.uniform(-1, 1, 1))
             g = B.group.wrap(rng.uniform(-3, 3, 1))
             assert metric_invariance_defect(gm, g, q, u, w) <= 1e-12
+
+
+PLANE = TrivialBundle(EuclideanChart(2), Circle())
+HOPF = HopfBundle()
+
+BUNDLE_RETRACTIONS = {
+    "straight": lambda: trivial_product_retraction(PLANE),
+    "skewed": lambda: trivial_skewed_retraction(PLANE),
+    "great_circle": lambda: hopf_geodesic_retraction(HOPF),
+    "chart": lambda: ScenarioContext({
+        "name": "chart", "seed": 0, "bundle": {"kind": "hopf"},
+        "integrator": {"retraction": "chart"}}).retraction,
+}
+
+
+def point_of(bundle):
+    """A point of the bundle and the length of its tangent arrays."""
+    if bundle == HOPF:
+        return bundles.section_over(bundle, np.array([0.0, 0.0, 1.0])), 4
+    return bundles.section_over(bundle, np.zeros(2)), 3
+
+
+def at_radius(R, size):
+    """A tangent whose length is exactly the retraction's radius."""
+    v = np.zeros(size)
+    v[1] = R.domain_radius
+    return v
+
+
+class TestSharedRadiusRule:
+    # Base and bundle retractions are one type with one radius test.
+    @pytest.mark.parametrize("kind, x", [
+        (EuclideanChart(2), [0.0, 0.0]), (Sphere(3), [0.0, 0.0, 1.0])])
+    def test_retract_rejects_a_tangent_at_the_radius(self, kind, x):
+        R = metric_exponential(kind)
+        with pytest.raises(OutsideDomain):
+            retract(R, np.array(x), at_radius(R, kind.coord_size))
+
+    @pytest.mark.parametrize("name", BUNDLE_RETRACTIONS)
+    def test_retract_bundle_rejects_a_tangent_at_the_radius(self, name):
+        R = BUNDLE_RETRACTIONS[name]()
+        q, size = point_of(R.space)
+        with pytest.raises(OutsideDomain):
+            retract_bundle(R, q, at_radius(R, size))
+
+    @pytest.mark.parametrize("name", BUNDLE_RETRACTIONS)
+    def test_retract_bundle_rejects_a_point_of_another_bundle(self, name):
+        R = BUNDLE_RETRACTIONS[name]()
+        q, size = point_of(PLANE if R.space == HOPF else HOPF)
+        with pytest.raises(BundleMismatch):
+            retract_bundle(R, q, np.zeros(size))
 
 
 class TestRetractions:

@@ -88,8 +88,8 @@ class TestNormalChartNewton:
         counted = dataclasses.replace(R, step=counting)
         rng = np.random.default_rng(17)
         for _ in range(20):
-            x = random_point(rng, R.kind)
-            v = random_tangent(rng, R.kind, x, 0.4 * R.domain_radius)
+            x = random_point(rng, R.space)
+            v = random_tangent(rng, R.space, x, 0.4 * R.domain_radius)
             y = retract(R, x, v)
             calls.clear()
             w = invert_extended(counted, x, y)
@@ -122,7 +122,7 @@ class TestNormalChartNewton:
 
     def test_perturbed_hopf_solves_to_the_edge_of_the_domain(self):
         R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
-        kind = R.kind
+        kind = R.space
         reach = 0.99 * R.domain_radius / 2.0
         rng = np.random.default_rng(23)
         for _ in range(300):

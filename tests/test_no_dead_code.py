@@ -1,10 +1,13 @@
 """Every top-level function, class and module constant of the library is
 used somewhere: in the library, the demos or the benchmark, and every
 parameter with a default is set by some call there.  Tests do not count,
-because a name or a knob that only tests reach is dead code with a test."""
+because a name or a knob that only tests reach is dead code with a test.
+Every scenario input that the library names (a builtin, a tagged kind, a
+check) is used by some scenario, workload, demo or test."""
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
 from disconn import scenarios
@@ -140,3 +143,39 @@ def test_checks_are_public_functions_of_scenarios():
         assert fn.__module__ == scenarios.__name__, name
         assert not fn.__name__.startswith("_"), name
         assert getattr(scenarios, fn.__name__) is fn, name
+
+
+def json_strings(value):
+    """The strings of a parsed JSON value, object keys left out."""
+    if isinstance(value, str):
+        return {value}
+    items = value.values() if isinstance(value, dict) else (
+        value if isinstance(value, list) else [])
+    return set().union(*map(json_strings, items))
+
+
+def python_strings(path):
+    """The string literals of a Python file, dict-display keys left out."""
+    tree = ast.parse(path.read_text(), str(path))
+    keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict)
+            for key in node.keys}
+    return {node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in keys}
+
+
+def test_every_scenario_input_is_exercised():
+    # A builtin, kind or check that no scenario file, workload, demo or
+    # test names as a value is an input that nothing runs.
+    used = set()
+    for path in sorted((ROOT / "scenarios").glob("*.json")):
+        used |= json_strings(json.loads(path.read_text()))
+    for path in [ROOT / "bench" / "workloads.py",
+                 *sorted((ROOT / "demos").rglob("*.py")),
+                 *sorted((ROOT / "tests").rglob("*.py"))]:
+        used |= python_strings(path)
+    kinds = {tag for fields in scenarios._SCHEMA.values()
+             if "kind" in fields for tag in fields["kind"]}
+    inputs = (set(scenarios._OMEGA_BUILTINS) | set(scenarios._PAIR_MAP_BUILTINS)
+              | set(scenarios._F_TABLES) | kinds | set(scenarios.CHECKS))
+    assert sorted(inputs - used) == []

@@ -78,13 +78,17 @@ class TestBuiltins:
 
     def test_unknown_pair_map(self):
         with pytest.raises(UnknownBuiltin):
-            pair_map_builtin("no_such_map", Translation(1))
+            pair_map_builtin("no_such_map",
+                             TrivialBundle(EuclideanChart(1), Translation(1)),
+                             1.0)
 
     def test_quadratic_pair_map_const(self):
-        rule, name = pair_map_builtin(
-            {"name": "quadratic_f", "f": {"const": 2.0}}, Translation(1))
-        assert name == "quadratic_f"
-        assert rule(np.array([0.0]), np.array([3.0]))[0] == pytest.approx(18.0)
+        Ad = pair_map_builtin(
+            {"name": "quadratic_f", "f": {"const": 2.0}},
+            TrivialBundle(EuclideanChart(1), Translation(1)), 1.0)
+        assert Ad.name == "quadratic_f"
+        assert Ad.pair_map(np.array([0.0]),
+                           np.array([3.0]))[0] == pytest.approx(18.0)
 
 
 class TestSampling:
