@@ -20,7 +20,9 @@ Every one-form here is a `TrivialLocalConnection`, evaluated on stacks by
 its `value` (see `numdiff`): ``(d, *stack)`` points and tangents give
 ``(k, *stack)`` values, so each segment integral evaluates its integrand
 once, on all quadrature nodes, and the descended difference of two local
-connections evaluates a stack in one call.
+connections evaluates a stack in one call.  A primitive takes a stack of
+end points too, so the four stencil points of a derivative cost one
+segment integral.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .errors import (BundleMismatch, CurvatureMismatch, NotClosed,
                      UnsupportedGroup, UnsupportedPresentation)
 from .groups import GroupKind
 from .manifolds import EuclideanChart, ManifoldKind
-from .numdiff import (exterior_derivative, gauss_legendre_line_integral,
-                      worst_defect)
+from .numdiff import (columns, exterior_derivative,
+                      gauss_legendre_line_integral, worst_defect)
 
 # Primitive values kept per primitive.  Curvature-matched evaluations look
 # a point up again within a few lookups, so a small bound keeps every hit.
@@ -112,8 +114,8 @@ def descend_continuous_difference(
 def _segment_integral(A: TrivialLocalConnection, m0, m1):
     """Integral of the one-form of A over the straight segments m0 -> m1,
     for (d, *stack) endpoints; the integrand takes all nodes at once."""
-    m0 = np.asarray(m0, dtype=float)[..., None]
-    m1 = np.asarray(m1, dtype=float)[..., None]
+    m0, m1 = columns(np.asarray(m0, dtype=float), np.asarray(m1, dtype=float))
+    m0, m1 = m0[..., None], m1[..., None]
     direction = m1 - m0
 
     def integrand(t):
@@ -148,19 +150,21 @@ def flat_integrate_local(A: TrivialLocalConnection, domain_radius: float,
 
 def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
     """f(m) = integral of the one-form of A over the straight segment
-    from the origin to m.
+    from the origin to m, for a point m or a (d, *stack) stack of them.
 
-    Values are cached per point in a least-recently-used cache of
-    PRIMITIVE_CACHE_SIZE entries; `f.cache_info()` reports its use.
+    Values are cached per point or stack in a least-recently-used cache
+    of PRIMITIVE_CACHE_SIZE entries; `f.cache_info()` reports its use.
     """
     origin = np.zeros(A.bundle.base.coord_size)
 
     @functools.lru_cache(maxsize=PRIMITIVE_CACHE_SIZE)
-    def integral_to(key):
-        return _segment_integral(A, origin, np.frombuffer(key))
+    def integral_to(shape, key):
+        return _segment_integral(A, origin,
+                                 np.frombuffer(key).reshape(shape))
 
     def f(m_coords):
-        return integral_to(np.asarray(m_coords, dtype=float).tobytes())
+        m = np.asarray(m_coords, dtype=float)
+        return integral_to(m.shape, m.tobytes())
 
     f.cache_info = integral_to.cache_info
     return f
@@ -197,8 +201,8 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     def rule(q0, q1):
         base_value = eval_discrete(Ad_ref, q0, q1)
-        correction = G.exp(f(bundles.project(q1)) - f(bundles.project(q0)))
-        return G.compose(base_value, correction)
+        f1, f0 = columns(f(bundles.project(q1)), f(bundles.project(q0)))
+        return G.compose(base_value, G.exp(f1 - f0))
 
     return ComposedDiscrete(bundle, rule, Ad_ref.domain_radius,
                             name="matched")

@@ -24,6 +24,15 @@ ambient R^4 vectors orthogonal to the point.  A Hopf tangent over a base
 direction delta is the closed form J^T delta / 4, with J the Jacobian of
 the projection (`any_lift`); it is horizontal for the canonical
 connection.
+
+Stacks (see `numdiff`).  A point's arrays may carry a trailing stack,
+``(d, *stack)``, and so may tangents and group elements; the bundle
+operations act column by column, and a single point or element broadcasts
+over a stack.  The point a tangent is attached to (the ``q`` of
+`any_lift`, `tangent_projection` and `infinitesimal_generator`, the
+``q0`` of `local_coords`) is one point with a stack of tangents; on the
+Hopf bundle stacks are ``(4, k)``.  Stacked group data needs an abelian
+group.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ import numpy as np
 from .errors import BundleMismatch, NotSameFiber
 from .groups import GroupKind, Torus
 from .manifolds import ManifoldKind, Sphere
+from .numdiff import column_norm, columns
 
 
 class PrincipalBundle:
@@ -83,26 +93,30 @@ def split_trivial(q: BundlePoint, v) -> tuple:
 
 def make_trivial_tangent(q: BundlePoint, base_components,
                          fiber_vector) -> np.ndarray:
-    base = np.asarray(base_components, dtype=float).reshape(
-        q.bundle.base.coord_size)
-    fiber = np.asarray(fiber_vector, dtype=float).reshape(q.bundle.group.dim)
+    base = np.asarray(base_components, dtype=float)
+    base = base.reshape((q.bundle.base.coord_size,) + base.shape[1:])
+    fiber = np.asarray(fiber_vector, dtype=float)
+    fiber = fiber.reshape((q.bundle.group.dim,) + fiber.shape[1:])
+    if base.shape[1:] != fiber.shape[1:]:
+        stack = np.broadcast_shapes(base.shape[1:], fiber.shape[1:])
+        base, fiber = (np.broadcast_to(
+            x.reshape(x.shape + (1,) * (len(stack) + 1 - x.ndim)),
+            x.shape[:1] + stack) for x in (base, fiber))
     return np.concatenate([base, fiber])
 
 
 # ---------------------------------------------------------------------------
 # Hopf helpers
 
-def _hopf_complex_pairs(q):
-    return complex(q[0], q[1]), complex(q[2], q[3])
-
-
 def _hopf_rotate(q, theta):
+    # The two complex coordinates are the rows of q as a (2, 2, *stack)
+    # array; rot is (2, 2, *stack) for a stack of angles, and matvec turns
+    # each row of each column.
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
-    out = np.empty(4)
-    out[0:2] = rot @ q[0:2]
-    out[2:4] = rot @ q[2:4]
-    return out
+    pairs = q.reshape((2, 2) + q.shape[1:] + (1,) * (rot.ndim - 1 - q.ndim))
+    out = np.matvec(rot, pairs, axes=[(0, 1), (1,), (1,)])
+    return out.reshape((4,) + out.shape[2:])
 
 
 def _hopf_i_times(q):
@@ -118,6 +132,7 @@ def hopf_projection_coords(q):
 
 
 def hopf_projection_jacobian(q):
+    """The (3, 4) Jacobian at one point q."""
     a, b, c, d = q
     return np.array([
         [2 * c, 2 * d, 2 * a, 2 * b],
@@ -127,8 +142,13 @@ def hopf_projection_jacobian(q):
 
 
 def hopf_section(m_coords):
-    """A point of S^3 over the given point of S^2."""
-    x, y, z = m_coords
+    """A point of S^3 over the given point of S^2; a (3, k) stack of base
+    points gives a (4, k) stack, one column at a time, since each column
+    takes its own chart."""
+    m = np.asarray(m_coords, dtype=float)
+    if m.ndim > 1:
+        return np.stack([hopf_section(column) for column in m.T], axis=-1)
+    x, y, z = m
     if z > -0.5:
         z1 = np.sqrt((1.0 + z) / 2.0)
         re2, im2 = x / (2.0 * z1), -y / (2.0 * z1)
@@ -151,32 +171,44 @@ def act(g, q: BundlePoint) -> BundlePoint:
     if isinstance(q.bundle, TrivialBundle):
         return BundlePoint(q.bundle, q.base_point,
                            q.bundle.group.compose(g, q.group_part))
-    theta = float(np.asarray(g).reshape(1)[0])
-    return BundlePoint(q.bundle, ambient=_hopf_rotate(q.ambient, theta))
+    return BundlePoint(q.bundle,
+                       ambient=_hopf_rotate(q.ambient, _circle_angle(g)))
+
+
+def _circle_angle(g):
+    """The angle of a circle element (1,), or the angles of a (1, *stack)
+    stack."""
+    g = np.asarray(g, dtype=float)
+    return g.reshape((1,) + g.shape[1:])[0]
 
 
 def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
     """The unique g with act(g, q1) = q2, defined for points in one fiber."""
     m1, m2 = project(q1), project(q2)
-    if q1.bundle.base.distance(m1, m2) > 1e-9:
+    if np.any(q1.bundle.base.distance(m1, m2) > 1e-9):
         raise NotSameFiber("points project to different base points")
     if isinstance(q1.bundle, TrivialBundle):
         G = q1.bundle.group
         return G.compose(q2.group_part, G.inverse(q1.group_part))
-    z1, z2 = _hopf_complex_pairs(q1.ambient)
-    w1, w2 = _hopf_complex_pairs(q2.ambient)
-    inner = np.conj(z1) * w1 + np.conj(z2) * w2
-    if abs(abs(inner) - 1.0) > 1e-9:
+    # The Hermitian product conj(z1) w1 + conj(z2) w2 on C^2, written out
+    # in real and imaginary parts as complex arithmetic computes them.
+    a, b, c, d = q1.ambient
+    e, f, g, h = q2.ambient
+    re = (a * e + b * f) + (c * g + d * h)
+    im = (a * f - b * e) + (c * h - d * g)
+    if (np.abs(np.hypot(re, im) - 1.0) > 1e-9).any():
         raise NotSameFiber("points are not related by the circle action")
-    return q1.bundle.group.wrap([np.angle(inner)])
+    return q1.bundle.group.wrap([np.arctan2(im, re)])
 
 
 def infinitesimal_generator(q: BundlePoint, xi) -> np.ndarray:
     if isinstance(q.bundle, TrivialBundle):
         return make_trivial_tangent(
             q, np.zeros(q.bundle.base.coord_size), xi)
-    theta_dot = float(np.asarray(xi, dtype=float).reshape(1)[0])
-    return theta_dot * _hopf_i_times(q.ambient)
+    xi = np.asarray(xi, dtype=float)
+    theta_dot, iq = columns(xi.reshape((1,) + xi.shape[1:]),
+                            _hopf_i_times(q.ambient))
+    return theta_dot * iq
 
 
 def tangent_lift_action(g, q: BundlePoint, v) -> np.ndarray:
@@ -184,8 +216,7 @@ def tangent_lift_action(g, q: BundlePoint, v) -> np.ndarray:
     if isinstance(q.bundle, TrivialBundle):
         base, fiber = split_trivial(q, v)
         return make_trivial_tangent(q, base, q.bundle.group.adjoint(g, fiber))
-    theta = float(np.asarray(g).reshape(1)[0])
-    return _hopf_rotate(v, theta)
+    return _hopf_rotate(v, _circle_angle(g))
 
 
 def tangent_projection(q: BundlePoint, v) -> np.ndarray:
@@ -207,20 +238,23 @@ def any_lift(q: BundlePoint, delta_m) -> np.ndarray:
     # connection.  Projecting delta first keeps the result tangent at q.
     J = hopf_projection_jacobian(q.ambient)
     m = 0.5 * (J @ q.ambient)
-    delta = delta_m - np.dot(m, delta_m) * m
-    return J.T @ delta / 4.0
+    return J.T @ q.bundle.base.project_tangent(m, delta_m) / 4.0
 
 
-def bundle_curve(q: BundlePoint, v, t: float) -> BundlePoint:
-    """A smooth curve through q with velocity v, used by difference quotients."""
+def bundle_curve(q: BundlePoint, v, t) -> BundlePoint:
+    """A smooth curve through q with velocity v, used by difference
+    quotients; a stack of times t gives a stack of points, with the time
+    axis last."""
     if isinstance(q.bundle, TrivialBundle):
         base, fiber = split_trivial(q, v)
-        m = q.bundle.base.geodesic_step(q.base_point, t * base)
+        m = q.bundle.base.geodesic_step(q.base_point,
+                                        np.multiply.outer(base, t))
         G = q.bundle.group
-        return BundlePoint(q.bundle, m,
-                           G.compose(G.exp(t * fiber), q.group_part))
-    p = q.ambient + t * v
-    return BundlePoint(q.bundle, ambient=p / np.linalg.norm(p))
+        return BundlePoint(q.bundle, m, G.compose(
+            G.exp(np.multiply.outer(fiber, t)), q.group_part))
+    q_t, tv = columns(q.ambient, np.multiply.outer(v, t))
+    p = q_t + tv
+    return BundlePoint(q.bundle, ambient=p / column_norm(p))
 
 
 def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
@@ -228,13 +262,13 @@ def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
     equals the curve's tangent components at q0."""
     if isinstance(q0.bundle, TrivialBundle):
         base_kind = q0.bundle.base
-        base = base_kind.project_tangent(q0.base_point,
-                                         p.base_point - q0.base_point)
+        base = base_kind.project_tangent(
+            q0.base_point, np.subtract(*columns(p.base_point, q0.base_point)))
         G = q0.bundle.group
         rel = G.compose(p.group_part, G.inverse(q0.group_part))
-        return np.concatenate([base, G.log(rel)])
-    diff = p.ambient - q0.ambient
-    return diff - np.dot(q0.ambient, diff) * q0.ambient
+        return make_trivial_tangent(q0, base, G.log(rel))
+    diff = np.subtract(*columns(p.ambient, q0.ambient))
+    return q0.bundle.total_space.project_tangent(q0.ambient, diff)
 
 
 def base_distance(q1: BundlePoint, q2: BundlePoint) -> float:

@@ -13,12 +13,14 @@ Presentations:
   ``A(dm (+) xi) = Ad_g omega_m(dm) + xi`` with the fiber velocity ``xi``
   right-trivialized.  Its `value` evaluates ``omega`` on stacks (see
   `numdiff`): ``(d, *stack)`` points and tangents give ``(k, *stack)``
-  values.
+  values, in one call with an abelian group and one column at a time
+  otherwise.
 * ``HopfConnection`` -- the round connection on S^3 -> S^2,
   ``A_q(v) = Im <q, v>`` in the Hermitian pairing on C^2, plus
   ``epsilon`` times the pullback of ``beta = x dy - y dx`` from the base
   sphere; ``epsilon = 0`` is the canonical connection, whose evaluation
-  never projects to the base.
+  never projects to the base.  Its evaluation takes one point with a
+  ``(4, k)`` stack of tangents.
 * ``GenericConnection`` -- an opaque evaluation rule, used for forms
   produced by differentiating discrete data.
 """
@@ -34,7 +36,7 @@ from . import bundles
 from .bundles import BundlePoint, HopfBundle, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, UnsupportedPresentation
 from .manifolds import EuclideanChart
-from .numdiff import exterior_derivative, on_stack
+from .numdiff import by_column, exterior_derivative, on_stack
 
 
 class ConnectionForm:
@@ -48,11 +50,16 @@ class TrivialLocalConnection(ConnectionForm):
 
     def value(self, m_coords, v_components):
         """omega as (k, *stack) values at (d, *stack) points and tangents;
-        a single point gives a (k,) vector."""
+        a single point gives a (k,) vector.  A non-abelian omega, such as
+        one built from SO(3) exponentials, is evaluated column by column."""
         m = np.asarray(m_coords, dtype=float)
         v = np.asarray(v_components, dtype=float)
         stack = np.broadcast_shapes(m.shape[1:], v.shape[1:])
-        return on_stack(self.omega(m, v), self.bundle.group.dim, stack)
+        if self.bundle.group.abelian:
+            values = self.omega(m, v)
+        else:
+            values = by_column(self.omega, m, v)
+        return on_stack(values, self.bundle.group.dim, stack)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,12 @@ map differentiates discrete horizontal lifts; the `diagram` check of
 `scenarios` confirms that the two constructions produce the same
 horizontal subspaces.  A bundle tangent is its components array with its
 point passed beside it (`pair_derivative(Ad, q, v)`).
+
+Each derivative evaluates its difference stencil as one stack (see
+`numdiff`): one `eval_discrete` call on the four stencil points, so an
+integrated form runs one Newton solve for all four.  Non-abelian group
+elements have no stack; their stencil points are evaluated one at a
+time.
 """
 
 from __future__ import annotations
@@ -26,7 +32,8 @@ from .connections import ConnectionForm, GenericConnection, TrivialLocalConnecti
 from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
                        discrete_horizontal_lift, eval_discrete)
 from .errors import OutsideDomain
-from .numdiff import by_column, lost_step, on_stack, richardson_derivative
+from .numdiff import (by_column, columns, lost_step, on_stack,
+                      richardson_derivative)
 
 
 def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
@@ -39,9 +46,19 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
         value = eval_discrete(Ad, q, bundles.bundle_curve(q, v, t))
         return q.bundle.group.log(value)
 
-    derivative = richardson_derivative(f, check_consistency=True)
+    derivative = _stencil_derivative(q.bundle.group, f)
     lost = lost_step(bundles.project(q), (bundles.tangent_projection(q, v),))
     return np.where(lost, np.nan, derivative)
+
+
+def _stencil_derivative(group, f):
+    """The consistency-checked Richardson derivative of f; with a
+    non-abelian group, f takes the stencil one point at a time."""
+    if not group.abelian:
+        return richardson_derivative(
+            lambda t: np.stack([f(s) for s in t], axis=-1),
+            check_consistency=True)
+    return richardson_derivative(f, check_consistency=True)
 
 
 def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
@@ -57,20 +74,20 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
     consistency test and the lost-step NaN are the same.
     """
     base, group = Ad.bundle.base, Ad.bundle.group
-    m = base.validate(m_coords)
-    delta = np.asarray(delta_components, dtype=float).reshape(m.shape)
-    stack = m.shape[1:]
+    m, delta = np.broadcast_arrays(*columns(
+        base.validate(m_coords), np.asarray(delta_components, dtype=float)))
+    m0, delta0 = m[..., None], delta[..., None]
 
     def f(t):
-        m_t = base.geodesic_step(m, t * delta)
-        dist = np.ravel(base.distance(m, m_t))
+        m_t = base.geodesic_step(m0, t * delta0)
+        dist = np.ravel(base.distance(m0, m_t))
         outside = np.flatnonzero(~(dist < Ad.domain_radius))
         if outside.size:
             raise OutsideDomain(
                 f"pair at base distance {dist[outside[0]]:.4g} "
                 f"outside radius {Ad.domain_radius:.4g}")
         return group.log(group.wrap(
-            on_stack(Ad.pair_map(m, m_t), group.dim, stack)))
+            on_stack(Ad.pair_map(m0, m_t), group.dim, m_t.shape[1:])))
 
     derivative = richardson_derivative(f, check_consistency=True)
     return np.where(lost_step(m, (delta,)), np.nan, derivative)
@@ -113,7 +130,7 @@ def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
     m, base = bundles.project(q), q.bundle.base
 
     def f(t):
-        stepped = base.geodesic_step(m, t * delta_m)
+        stepped = base.geodesic_step(m, np.multiply.outer(delta_m, t))
         return bundles.local_coords(q, discrete_horizontal_lift(Ad, q, stepped))
 
-    return richardson_derivative(f, check_consistency=True)
+    return _stencil_derivative(q.bundle.group, f)

@@ -13,6 +13,9 @@ Presentations:
   ``A_d((m0, g0), (m1, g1)) = g1 C(m0, m1) g0^{-1}``;
 * ``ComposedDiscrete`` -- an opaque pair rule, used for forms assembled
   from a continuous connection and a retraction.
+
+`eval_discrete` also takes a stack of second points (see `numdiff`) with
+an abelian group, and gives a stack of values.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
                   q1: BundlePoint) -> np.ndarray:
     if q0.bundle != Ad.bundle or q1.bundle != Ad.bundle:
         raise BundleMismatch("points do not live on the form's bundle")
-    distance = bundles.base_distance(q0, q1)
+    distance = np.max(bundles.base_distance(q0, q1))
     if not distance < Ad.domain_radius:
         raise OutsideDomain(
             f"pair at base distance {distance:.4g} "

@@ -13,7 +13,9 @@ another length raises.
 
 The operations of the abelian groups (`Translation`, and its subclass
 `Torus`, which reduces angles) also accept ``(dim, *stack)`` stacks of
-elements, coordinate axis first, and act column by column.
+elements, coordinate axis first, and act column by column; `compose`
+combines a single element with every column of a stack (see
+`numdiff.columns`).  SO(3) elements have no stack.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideInjectivityRadius
+from .numdiff import columns
 
 _TWO_PI = 2.0 * np.pi
 
@@ -103,6 +106,7 @@ class Translation(GroupKind):
         return np.zeros(self.dim)
 
     def compose(self, a, b):
+        a, b = columns(a, b)
         return a + b
 
     def inverse(self, a):
@@ -133,7 +137,7 @@ class Torus(Translation):
         return reduce_angle(super().wrap(data))
 
     def compose(self, a, b):
-        return reduce_angle(a + b)
+        return reduce_angle(super().compose(a, b))
 
     def inverse(self, a):
         return reduce_angle(-a)

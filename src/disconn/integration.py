@@ -14,6 +14,13 @@ bundle: its step maps a `BundlePoint` and tangent components to a
 radius test as `manifolds.retract`.  A bundle tangent is its components
 array with its point passed beside it, and the induced discrete
 connection is defined on pairs closer than ``domain_radius`` on the base.
+
+Every step takes one point with a ``(d, *stack)`` stack of tangents (see
+`numdiff`) and steps each column on its own; so do the reduced
+retraction, whose stacks `manifolds.invert_extended` solves in one Newton
+solve, and the induced discrete connection, whose second point may be a
+stack.  With a non-abelian group the reduced step takes the columns one
+at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch
 from .manifolds import Retraction
+from .numdiff import by_column, column_norm
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +99,8 @@ def trivial_skewed_retraction(bundle: TrivialBundle) -> Retraction:
 
     def step(q, v):
         base, fiber = bundles.split_trivial(q, v)
-        skew = 0.3 * float(np.linalg.norm(fiber)) ** 2 \
-            * float(np.linalg.norm(G.log(q.group_part)))
+        skew = 0.3 * column_norm(fiber) ** 2 \
+            * column_norm(G.log(q.group_part))
         return straight.step(q, np.concatenate([base, fiber + skew]))
 
     return Retraction(bundle, step, straight.domain_radius)
@@ -100,14 +108,13 @@ def trivial_skewed_retraction(bundle: TrivialBundle) -> Retraction:
 
 def hopf_geodesic_retraction(bundle: HopfBundle) -> Retraction:
     """Great-circle steps on the round S^3; circle rotations are isometries,
-    so the rule is equivariant."""
+    so the rule is equivariant.  The step is `Sphere.geodesic_step`, one
+    norm per column and unit to rounding; a zero step returns q's point
+    exactly."""
     sphere = bundle.total_space
 
     def step(q, v):
-        if float(np.linalg.norm(v)) < 1e-300:
-            return q
-        p = sphere.geodesic_step(q.ambient, v)
-        return BundlePoint(bundle, ambient=p / np.linalg.norm(p))
+        return BundlePoint(bundle, ambient=sphere.geodesic_step(q.ambient, v))
 
     return Retraction(bundle, step, np.pi)
 
@@ -141,10 +148,15 @@ def reduced_retraction(A: ConnectionForm, R: Retraction) -> Retraction:
     base_kind = bundle.base
     domain_radius = min(R.domain_radius, base_kind.default_radius)
 
-    def step(m, components):
+    def lifted_step(m, components):
         q = bundles.section_over(bundle, m)
         h = horizontal_lift(A, q, base_kind.project_tangent(m, components))
         return bundles.project(R.step(q, h))
+
+    def step(m, components):
+        if bundle.group.abelian:
+            return lifted_step(m, components)
+        return by_column(lifted_step, m, components)
 
     return Retraction(base_kind, step, domain_radius)
 

@@ -20,6 +20,10 @@ great circles on spheres) with the kind's ``default_radius``.
 `Sphere.chart_line_step` is a straight step in a fixed stereographic chart
 instead; it does not commute with rotations.
 
+Stacks (see `numdiff`): the kinds' operations also take ``(d, *stack)``
+stacks, and a step takes one point with a stack of tangents; on spheres
+the stacks are ``(d, k)``.
+
 Local inversion of the extended retraction runs a Newton iteration in the
 normal chart centered at the anchor point: a point's chart coordinates are
 its geodesic log in an orthonormal tangent basis (the closed-form log on
@@ -27,7 +31,14 @@ spheres, a shift on R^d).  `ManifoldKind.chart_at` builds the chart once
 per solve; a sphere's basis is one Householder reflection.  Every
 retraction is the identity to first order (DR_x(0) = id), so Newton starts
 at the target's chart coordinates: exact for ``metric_exponential``,
-first-order accurate for every other rule.
+first-order accurate for every other rule.  `invert_extended` solves a
+stack of targets from one anchor together.  Each column carries an active
+mask and stops at its own first residual <= NEWTON_TOL; each iteration
+makes one step call for the residuals of the active columns, one step call
+for the 2n central-difference probes of all their Jacobians, and one
+stacked linear solve.  A target outside the domain, an antipodal one or a
+column that does not converge within NEWTON_MAX_ITER fails the whole
+solve.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NewtonDivergence, OutsideDomain
-from .numdiff import richardson_derivative
+from .numdiff import column_norm, columns, richardson_derivative
 
 EUCLIDEAN_RADIUS_SENTINEL = 1e18
 # Residual norm at which `invert_extended` stops, and its iteration budget.
@@ -85,8 +96,6 @@ class EuclideanChart(ManifoldKind):
     def coord_size(self):
         return self.dim
 
-    # validate, project_tangent, distance and geodesic_step also take
-    # (dim, *stack) stacks of points, coordinate axis first.
     def validate(self, coords):
         x = np.asarray(coords, dtype=float)
         return x.reshape((self.dim,) + x.shape[1:])
@@ -95,16 +104,19 @@ class EuclideanChart(ManifoldKind):
         return self.validate(components)
 
     def distance(self, a, b):
-        diff = a - b
-        if diff.ndim > 1:
-            return np.linalg.norm(diff, axis=0)
-        return float(np.linalg.norm(diff))
+        a, b = columns(a, b)
+        norm = column_norm(a - b)
+        return norm if norm.ndim else float(norm)
 
     def chart_at(self, center):
-        return (lambda point: point - center,
-                lambda c: np.array(c, dtype=float))
+        def to_chart(point):
+            point, c = columns(point, center)
+            return point - c
+
+        return to_chart, lambda c: np.array(c, dtype=float)
 
     def geodesic_step(self, point, components):
+        point, components = columns(point, components)
         return point + components
 
 
@@ -128,20 +140,25 @@ class Sphere(ManifoldKind):
         return self.ambient_dim
 
     def validate(self, coords):
-        x = np.asarray(coords, dtype=float).reshape(self.ambient_dim)
-        if abs(np.linalg.norm(x) - 1.0) > 1e-12:
+        x = np.asarray(coords, dtype=float)
+        x = x.reshape((self.ambient_dim,) + x.shape[1:])
+        if (np.abs(column_norm(x) - 1.0) > 1e-12).any():
             raise ValueError("sphere point must be a unit vector to 1e-12")
         return x
 
     def project_tangent(self, point, components):
-        v = np.asarray(components, dtype=float).reshape(self.ambient_dim)
-        return v - np.dot(point, v) * point
+        # point is one point; components one ambient vector or a
+        # (ambient_dim, k) stack of them.
+        v = np.asarray(components, dtype=float)
+        v = v.reshape((self.ambient_dim,) + v.shape[1:])
+        return v - np.multiply.outer(point, np.dot(point, v))
 
     def distance(self, a, b):
         # Chord-based formula: well conditioned for nearby points, where
         # arccos of the dot product loses half the significant digits.
-        chord = float(np.linalg.norm(a - b))
-        return 2.0 * float(np.arcsin(np.clip(0.5 * chord, 0.0, 1.0)))
+        a, b = columns(a, b)
+        angle = 2.0 * np.arcsin(np.clip(0.5 * column_norm(a - b), 0.0, 1.0))
+        return angle if angle.ndim else float(angle)
 
     def tangent_basis(self, center):
         """Orthonormal basis of the tangent space, columns of the result."""
@@ -153,21 +170,21 @@ class Sphere(ManifoldKind):
         w = np.array(center, dtype=float)
         w[k] += np.copysign(1.0, center[k])
         H = np.eye(self.ambient_dim) - np.outer(w, (2.0 / np.dot(w, w)) * w)
-        return np.delete(H, k, axis=1)
+        return H[:, np.arange(self.ambient_dim) != k]
 
     def chart_at(self, center):
         # Normal coordinates at `center`: the geodesic log in the basis B.
         B = self.tangent_basis(center)
 
         def to_chart(point):
+            # point is one point or a (ambient_dim, k) stack of them.
             cos = np.dot(center, point)
-            if 1.0 + cos < 1e-12:
+            if (1.0 + cos < 1e-12).any():
                 raise OutsideDomain("point is antipodal to the chart center")
             sin_part = B.T @ point
-            s = float(np.linalg.norm(sin_part))
-            if s < 1e-300:
-                return sin_part
-            return np.arctan2(s, cos) / s * sin_part
+            s = column_norm(sin_part)
+            # At the center, s = 0 and the log is 0 (arctan2(0, cos) = 0).
+            return np.arctan2(s, cos) / np.maximum(s, 1e-300) * sin_part
 
         def from_chart(c):
             return B @ np.asarray(c, dtype=float)
@@ -175,28 +192,29 @@ class Sphere(ManifoldKind):
         return to_chart, from_chart
 
     def geodesic_step(self, point, components):
-        norm = float(np.linalg.norm(components))
-        if norm < 1e-300:
-            return point.copy()
-        return np.cos(norm) * point + np.sin(norm) * components / norm
+        # One norm per column.  A zero column returns the point's column:
+        # cos 0 = 1, and sin 0 * v = 0 whatever the denominator.
+        norm = column_norm(components)
+        point, components = columns(point, components)
+        return (np.cos(norm) * point
+                + np.sin(norm) * components / np.maximum(norm, 1e-300))
 
     def chart_line_step(self, point, components):
         # Fixed stereographic chart from the last-coordinate pole; the chart
         # does not rotate with the point, which is what makes this rule a
         # negative control for equivariance checks.
         n = self.ambient_dim
+        point, components = columns(point, components)
         pole = point[n - 1]
-        if 1.0 + pole < 1e-9:
+        if (1.0 + pole < 1e-9).any():
             raise OutsideDomain("point too close to the chart's south pole")
         u = point[:n - 1] / (1.0 + pole)
         du = (components[:n - 1] / (1.0 + pole)
               - point[:n - 1] * components[n - 1] / (1.0 + pole) ** 2)
         u = u + du
-        s = float(np.dot(u, u))
-        out = np.empty(n)
-        out[:n - 1] = 2.0 * u / (1.0 + s)
-        out[n - 1] = (1.0 - s) / (1.0 + s)
-        return out
+        s = np.add.reduce(u * u, axis=0)
+        return np.concatenate([2.0 * u / (1.0 + s),
+                               [(1.0 - s) / (1.0 + s)]])
 
 
 @dataclass(frozen=True)
@@ -206,8 +224,9 @@ class Retraction:
     domain_radius: float
 
     def require_inside(self, v):
-        """Raise OutsideDomain unless |v| is below the domain radius."""
-        norm = float(np.linalg.norm(v))
+        """Raise OutsideDomain unless |v| is below the domain radius, in
+        every column of a stack."""
+        norm = float(np.max(column_norm(v)))
         if norm >= self.domain_radius:
             raise OutsideDomain(
                 f"|v| = {norm:.4g} >= domain radius {self.domain_radius:.4g}")
@@ -226,40 +245,68 @@ def retract(R: Retraction, x, v) -> np.ndarray:
 
 def invert_extended(R: Retraction, x, y) -> np.ndarray:
     """Components of the tangent v at x with retract(R, x, v) = y, by
-    Newton in a chart."""
+    Newton in a chart; y is one point, or a (d, *stack) stack of targets
+    solved together from the one anchor x, giving (d, *stack) components.
+
+    Each column stops at its own first residual <= NEWTON_TOL.  In each
+    iteration the 2n difference probes of the Jacobians of all columns
+    still active go through one step call, and one stacked linear solve
+    updates them."""
     kind = R.space
-    if kind.distance(x, y) >= R.domain_radius / 2.0:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    stack = y.shape[1:]
+    targets = y.reshape(y.shape[0], -1)
+    if (kind.distance(x, targets) >= R.domain_radius / 2.0).any():
         raise OutsideDomain("target too far from the anchor point")
 
     to_chart, from_chart = kind.chart_at(x)
-    target = to_chart(y)
-    zero_chart = to_chart(x)
 
-    def residual(c):
-        v = from_chart(c)
-        p = R.step(x, kind.project_tangent(x, v))
-        return to_chart(p) - target
+    def step_chart(c):
+        return to_chart(R.step(x, kind.project_tangent(x, from_chart(c))))
 
-    # Initial guess: the normal coordinates of the target, exact for the
+    def chart_of_step(c):
+        # For (n, k) columns c.  A single column steps unstacked, where
+        # arithmetic on its scalar coordinates is cheaper than on rows of
+        # length one.
+        if c.shape[1] == 1:
+            return step_chart(c[:, 0])[:, None]
+        return step_chart(c)
+
+    # Initial guess: the normal coordinates of the targets, exact for the
     # metric exponential and first-order accurate for any retraction.
     n = kind.dim
-    c = target - zero_chart
+    charts = to_chart(np.concatenate([x[:, None], targets], axis=1))
+    target = charts[:, 1:]
+    c = target - charts[:, :1]
+    solution = np.empty_like(c)
+    active = np.arange(c.shape[1])
+    # Probe offsets e_j, then -e_j, in units of the difference step h.
+    offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1)[:, None]
     for _ in range(NEWTON_MAX_ITER):
-        r = residual(c)
-        if np.linalg.norm(r) <= NEWTON_TOL:
-            return kind.project_tangent(x, from_chart(c))
-        J = np.empty((n, n))
-        h = 1e-7 * (1.0 + np.linalg.norm(c))
-        for j in range(n):
-            dc = np.zeros(n)
-            dc[j] = h
-            J[:, j] = (residual(c + dc) - residual(c - dc)) / (2.0 * h)
+        r = chart_of_step(c) - target
+        done = column_norm(r) <= NEWTON_TOL
+        if done.any():
+            solution[:, active[done]] = c[:, done]
+            if done.all():
+                return kind.project_tangent(
+                    x, from_chart(solution.reshape((n,) + stack)))
+            keep = ~done
+            active, c, r, target = (active[keep], c[:, keep], r[:, keep],
+                                    target[:, keep])
+        # The probes c +- h e_j of every column, laid out (n, active, 2n).
+        h = 1e-7 * (1.0 + column_norm(c))
+        probes = c[:, :, None] + h[:, None] * offsets
+        rp = (chart_of_step(probes.reshape(n, -1)).reshape(probes.shape)
+              - target[:, :, None])
+        J = (rp[:, :, :n] - rp[:, :, n:]) / (2.0 * h[:, None])
         try:
-            c = c - np.linalg.solve(J, r)
+            step = np.linalg.solve(J.transpose(1, 0, 2), r.T[:, :, None])
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence("singular Jacobian") from exc
+        c = c - step[:, :, 0].T
+    residual = np.max(column_norm(chart_of_step(c) - target))
     raise NewtonDivergence(
-        f"residual {np.linalg.norm(residual(c)):.3e} > {NEWTON_TOL:.1e} "
+        f"residual {residual:.3e} > {NEWTON_TOL:.1e} "
         f"after {NEWTON_MAX_ITER} iterations")
 
 
@@ -271,7 +318,7 @@ def check_retraction_axioms(R: Retraction, x, v) -> float:
         return float(base_defect)
 
     def curve(t):
-        return R.step(x, t * v)
+        return R.step(x, np.multiply.outer(v, t))
 
     slope = richardson_derivative(curve)
     return float(max(base_defect, np.linalg.norm(slope - v)))

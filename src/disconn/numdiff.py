@@ -7,15 +7,22 @@ relative on unit-scale smooth inputs.  All line integrals go through
 `gauss_legendre_line_integral`: QUADRATURE_PANELS panels of
 QUADRATURE_ORDER Gauss-Legendre nodes.
 
-Stacks.  The abelian route on trivial bundles evaluates many points in one
-call.  Points and tangents are then ``(d, *stack)`` arrays, coordinate axis
-first, and values are ``(k, *stack)`` arrays; a single point is the empty
-stack ``()``.  A point and its tangent share one stack.  Callables written
-for single points, such as ``lambda m, v: np.array([m[0] * v[1]])``, work
-unchanged on stacks, because ``m[0]`` is then a whole row; a constant value
-such as ``np.array([0.0])`` is broadcast by the caller (`on_stack`).
-Stacked evaluation performs the same floating-point operations in the same
-order as a loop over the columns, so its results are equal bit for bit.
+Stacks.  Many points are evaluated in one call.  Points and tangents are
+then ``(d, *stack)`` arrays, coordinate axis first, and values are
+``(k, *stack)`` arrays; a single point is the empty stack ``()``.  A point
+and its tangent share one stack, or one of them is single: `columns`
+appends singleton axes to the single one, so that it broadcasts over every
+column of the other.  Callables written for single points, such as
+``lambda m, v: np.array([m[0] * v[1]])``, work unchanged on stacks,
+because ``m[0]`` is then a whole row; a constant value such as
+``np.array([0.0])`` is broadcast by the caller (`on_stack`).  The
+difference stencil is a stack too: `richardson_derivative` calls its
+function once, with the four steps ``[STEP, -STEP, STEP / 2, -STEP / 2]``
+as one trailing stack axis, and the function returns its values with that
+axis last.  Elementwise operations on a stack perform the same
+floating-point operations in the same order as a loop over the columns,
+so their results are equal bit for bit; reductions over the coordinate
+axis (norms, dot products, matrix products) may differ in the last bit.
 """
 
 import functools
@@ -30,26 +37,27 @@ STEP = 1e-4
 CONSISTENCY_TOL = 1e-5
 QUADRATURE_ORDER = 8
 QUADRATURE_PANELS = 16
+# The difference steps of `richardson_derivative`, in the order it reads them.
+_STENCIL = np.array([STEP, -STEP, STEP / 2, -STEP / 2])
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
-
-
-def central_slope(f, h):
-    """(f(h) - f(-h)) / (2h) with vector-valued f."""
-    return (np.asarray(f(h), dtype=float) - np.asarray(f(-h), dtype=float)) / (2.0 * h)
 
 
 def richardson_derivative(f, check_consistency=False):
     """Derivative of f at 0, f vector valued and defined near 0.
 
-    One Richardson extrapolation step on the central slopes at STEP and
-    STEP / 2.  When `check_consistency` is set, the extrapolated and the
-    coarse slope must agree to CONSISTENCY_TOL (relative to scale
-    1 + |value|) or NonDifferentiable is raised.  A stacked f returns
-    (k, *stack) values; the test then applies to each column, and one
-    failing column raises.
+    f is called once, with the stencil [STEP, -STEP, STEP / 2, -STEP / 2],
+    and returns its values with the stencil axis last: (k, 4), or
+    (k, *stack, 4) for a stacked f.  One Richardson extrapolation step on
+    the central slopes at STEP and STEP / 2.  When `check_consistency` is
+    set, the extrapolated and the coarse slope must agree to
+    CONSISTENCY_TOL (relative to scale 1 + |value|) or NonDifferentiable is
+    raised; on a stack the test applies to each column, and one failing
+    column raises.
     """
-    coarse = central_slope(f, STEP)
-    best = (4.0 * central_slope(f, STEP / 2) - coarse) / 3.0
+    values = np.asarray(f(_STENCIL), dtype=float)
+    coarse = (values[..., 0] - values[..., 1]) / (2.0 * STEP)
+    fine = (values[..., 2] - values[..., 3]) / STEP
+    best = (4.0 * fine - coarse) / 3.0
     if check_consistency:
         gap = np.ravel(np.linalg.norm(np.atleast_1d(best - coarse), axis=0))
         scale = 1.0 + np.ravel(np.linalg.norm(np.atleast_1d(best), axis=0))
@@ -66,8 +74,9 @@ def exterior_derivative(form, m, u, w):
     """d form (u, w) at m, form(point, tangent) -> values, for constant
     u and w, on stacks; NaN in a column whose smallest difference step is
     lost to rounding (m + h u barely moves from m)."""
-    d_uw = richardson_derivative(lambda t: form(m + t * u, w))
-    d_wu = richardson_derivative(lambda t: form(m + t * w, u))
+    m0, u0, w0 = (np.asarray(x, dtype=float)[..., None] for x in (m, u, w))
+    d_uw = richardson_derivative(lambda t: form(m0 + t * u0, w0))
+    d_wu = richardson_derivative(lambda t: form(m0 + t * w0, u0))
     return np.where(lost_step(m, (u, w)), np.nan, d_uw - d_wu)
 
 
@@ -106,6 +115,28 @@ def gauss_legendre_line_integral(f, a, b):
     return np.add.accumulate(coeffs * values, axis=-1)[..., -1]
 
 
+def columns(a, b):
+    """(a, b) as arrays, with singleton axes appended to the one of lower
+    rank: a single (d,) point then broadcasts over every column of a
+    (d, *stack) stack, since numpy aligns trailing axes."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.ndim < b.ndim:
+        a = a.reshape(a.shape + (1,) * (b.ndim - a.ndim))
+    elif b.ndim < a.ndim:
+        b = b.reshape(b.shape + (1,) * (a.ndim - b.ndim))
+    return a, b
+
+
+def column_norm(x):
+    """Euclidean norm of a (d,) vector, or of each column of a (d, *stack)
+    stack; the same bits as np.linalg.norm(x) and np.linalg.norm(x,
+    axis=0), without their argument handling."""
+    x = np.asarray(x)
+    if x.ndim > 1:
+        return np.sqrt(np.add.reduce(x * x, axis=0))
+    return np.sqrt(x.dot(x))
+
+
 def on_stack(values, dim, stack):
     """Values of a callable as a (dim, *stack) array: a constant (dim,)
     value is broadcast over the stack, and with the empty stack the result
@@ -120,16 +151,15 @@ def on_stack(values, dim, stack):
 
 def by_column(fn, m, v):
     """fn(point, tangent) -> (k,) evaluated over (d, *stack) arrays, one
-    column after another; a single point is passed through."""
-    m = np.asarray(m, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if m.ndim <= 1 and v.ndim <= 1:
+    column after another; a single point and tangent are passed through."""
+    m, v = columns(np.asarray(m, dtype=float), np.asarray(v, dtype=float))
+    if m.ndim <= 1:
         return fn(m, v)
     m, v = np.broadcast_arrays(m, v)
     stack = m.shape[1:]
-    columns = [np.asarray(fn(m[(slice(None),) + i], v[(slice(None),) + i]),
-                          dtype=float) for i in np.ndindex(stack)]
-    return np.stack(columns, axis=-1).reshape(columns[0].shape + stack)
+    values = [np.asarray(fn(m[(slice(None),) + i], v[(slice(None),) + i]),
+                         dtype=float) for i in np.ndindex(stack)]
+    return np.stack(values, axis=-1).reshape(values[0].shape + stack)
 
 
 def worst_defect(defects):

@@ -13,7 +13,7 @@ from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NonDifferentiable
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
-from disconn.numdiff import STEP, central_slope, richardson_derivative
+from disconn.numdiff import STEP, richardson_derivative
 
 
 def plane_bundle():
@@ -133,6 +133,10 @@ class TestDeriveHorizontal:
                                   - horizontal_lift(A, q, dm)) <= 1e-8
 
 
+def central_slope(f, h):
+    return (f(h) - f(-h)) / (2.0 * h)
+
+
 class TestRichardson:
     def test_one_extrapolation_step(self):
         f = lambda t: np.array([np.sin(1.0 + t), np.exp(2.0 * t)])
@@ -141,3 +145,14 @@ class TestRichardson:
         got = richardson_derivative(f, check_consistency=True)
         assert np.array_equal(got, want)
         assert got == pytest.approx([np.cos(1.0), 2.0], rel=1e-9)
+
+    def test_f_is_called_once_on_the_stencil(self):
+        calls = []
+
+        def f(t):
+            calls.append(np.array(t))
+            return np.array([np.sin(1.0 + t)])
+
+        richardson_derivative(f)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], [STEP, -STEP, STEP / 2, -STEP / 2])

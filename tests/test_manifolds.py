@@ -125,9 +125,11 @@ class TestRetraction:
 
     def test_shifted_rule_fails_the_base_axiom(self):
         # R_x(v) = x + v + 1 is off by (1, 1) at v = 0; the zero tangent
-        # must reach the rule for the defect to show.
+        # must reach the rule for the defect to show.  A step takes one
+        # point with a stack of tangents, so x + v is the straight step.
         kind = EuclideanChart(2)
-        R = Retraction(kind, lambda p, v: p + v + 1.0, 1e18)
+        R = Retraction(kind, lambda p, v: kind.geodesic_step(p, v) + 1.0,
+                       1e18)
         p = np.array([0.3, -0.4])
         v = np.array([0.8, 0.1])
         assert check_retraction_axioms(R, p, v) >= 1.0

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from disconn.bundles import (BundlePoint, HopfBundle, any_lift,
                              hopf_projection_coords, hopf_projection_jacobian)
 from disconn.connections import HopfConnection, eval_connection
-from disconn.errors import OutsideDomain
+from disconn.errors import NewtonDivergence, OutsideDomain
 from disconn.integration import hopf_geodesic_retraction, reduced_retraction
 from disconn.manifolds import (EuclideanChart, Retraction, Sphere,
                                invert_extended, metric_exponential,
@@ -130,6 +130,65 @@ class TestNormalChartNewton:
             y = kind.geodesic_step(x, random_tangent(rng, kind, x, reach))
             v = invert_extended(R, x, y)
             assert np.max(np.abs(R.step(x, v) - y)) <= 1e-11
+
+
+def counting_columns(R):
+    """R with a step that records the number of columns of each call."""
+    widths = []
+
+    def step(point, components):
+        widths.append(np.shape(components)[1] if np.ndim(components) > 1
+                      else 1)
+        return R.step(point, components)
+
+    return dataclasses.replace(R, step=step), widths
+
+
+class TestStackedNewton:
+    def test_columns_stop_at_their_own_residual(self):
+        # The anchor itself converges at its first residual; a far target
+        # of the perturbed Hopf reduction needs two Newton updates.
+        R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
+        kind = R.space
+        x = unit([0.3, -0.5, 0.8])
+        far = kind.geodesic_step(
+            x, kind.project_tangent(x, [0.0, 0.45, 0.3]))
+        counted, widths = counting_columns(R)
+        alone = []
+        for y in (x, far):
+            widths.clear()
+            alone.append((invert_extended(counted, x, y), list(widths)))
+        widths.clear()
+        both = invert_extended(counted, x, np.stack([x, far], axis=-1))
+        assert both.shape == (3, 2)
+        for i, (v, steps) in enumerate(alone):
+            assert np.max(np.abs(both[:, i] - v)) <= 1e-15
+        # The anchor stops after one residual; the far column then goes
+        # on alone: residual, 2n = 4 probes, residual, ...
+        assert alone[0][1] == [1]
+        assert len(alone[1][1]) >= 5
+        assert widths == [2] + alone[1][1][1:]
+
+    def test_one_target_outside_the_domain_raises(self):
+        R = hopf_reduced(HopfConnection)
+        kind = R.space
+        x = unit([0.3, -0.5, 0.8])
+        near = kind.geodesic_step(x, kind.project_tangent(x, [0.1, 0.0, 0.0]))
+        for bad in (-x, kind.geodesic_step(
+                x, kind.project_tangent(x, [0.0, 1.2, 0.9]))):
+            with pytest.raises(OutsideDomain):
+                invert_extended(R, x, np.stack([near, bad], axis=-1))
+
+    def test_one_diverging_column_raises(self):
+        # R_x(v) = x + v^2 reaches no target below x: that column's Newton
+        # iteration diverges, while x + 0.25 alone converges to v = 0.5.
+        kind = EuclideanChart(1)
+        R = Retraction(kind, lambda p, v: kind.geodesic_step(p, v * v), 10.0)
+        x = np.array([0.1])
+        good, bad = x + 0.25, x - 0.3
+        assert invert_extended(R, x, good) == pytest.approx(0.5, abs=1e-12)
+        with pytest.raises(NewtonDivergence):
+            invert_extended(R, x, np.stack([good, bad], axis=-1))
 
 
 class TestOneBasisPerSolve:

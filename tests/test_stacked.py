@@ -1,5 +1,6 @@
-"""Stacked evaluation on the abelian route: a stack of points gives the
-same bits as a loop over its columns."""
+"""Stacked evaluation: on the abelian route a stack of points gives the
+same bits as a loop over its columns, and a stack of tangents steps every
+retraction column by column."""
 
 import numpy as np
 import pytest
@@ -9,18 +10,23 @@ from disconn.abelian import (PRIMITIVE_CACHE_SIZE,
                              curvature_matched_integrate,
                              descend_continuous_difference,
                              flat_integrate_local, primitive_on_segments)
-from disconn.bundles import BundlePoint, TrivialBundle, make_trivial_tangent
-from disconn.connections import TrivialLocalConnection, eval_connection
+from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
+                             make_trivial_tangent, section_over)
+from disconn.connections import (HopfConnection, TrivialLocalConnection,
+                                 eval_connection)
 from disconn.derivation import derive_connection, pair_derivative
 from disconn.discrete import TrivialLocalDiscrete, eval_discrete
 from disconn.errors import NonDifferentiable, OutsideDomain
 from disconn.groups import Circle, Torus, Translation
-from disconn.integration import (integrate_connection,
-                                 trivial_product_retraction)
-from disconn.manifolds import EuclideanChart
+from disconn.integration import (hopf_geodesic_retraction,
+                                 integrate_connection, reduced_retraction,
+                                 trivial_product_retraction,
+                                 trivial_skewed_retraction)
+from disconn.manifolds import EuclideanChart, Sphere, metric_exponential
 from disconn.numdiff import (QUADRATURE_ORDER, QUADRATURE_PANELS,
                              exterior_derivative,
                              gauss_legendre_line_integral, worst_defect)
+from disconn.scenarios import _hopf_chart_retraction
 
 # One (group, one-form, pair map) per structure group: R^1, U(1), T^2.
 CASES = {
@@ -294,3 +300,129 @@ class TestPrimitiveCache:
         assert info.currsize == PRIMITIVE_CACHE_SIZE
         f(points[-1])
         assert f.cache_info().hits == 1
+
+
+# ---------------------------------------------------------------------------
+# Stacked retraction steps: every column steps on its own.
+
+STEP_TOL = 1e-15
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def tangent_stack(rng, kind, x, k, length=0.3):
+    """k tangents at x as a (coord_size, k) stack, the last one zero."""
+    v = rng.normal(size=(kind.coord_size, k))
+    v = np.stack([kind.project_tangent(x, v[:, i]) for i in range(k)], -1)
+    v = length * v / np.linalg.norm(v, axis=0)
+    v[:, -1] = 0.0
+    return v
+
+
+def point_columns(p, k):
+    """The k columns of a stepped stack, as flat arrays: a base point, or
+    a bundle point's coordinates."""
+    if not isinstance(p, BundlePoint):
+        return [p[:, i] for i in range(k)]
+    if p.ambient is not None:
+        return [p.ambient[:, i] for i in range(k)]
+    return [np.concatenate([p.base_point[:, i], p.group_part[:, i]])
+            for i in range(k)]
+
+
+def point_array(p):
+    if not isinstance(p, BundlePoint):
+        return p
+    if p.ambient is not None:
+        return p.ambient
+    return np.concatenate([p.base_point, p.group_part])
+
+
+def assert_columns_step_alone(step, x, v):
+    k = v.shape[1]
+    stacked = point_columns(step(x, v), k)
+    for i in range(k):
+        single = point_array(step(x, v[:, i]))
+        assert single.shape == stacked[i].shape
+        assert np.max(np.abs(stacked[i] - single)) <= STEP_TOL
+
+
+TORUS_PLANE = TrivialBundle(EuclideanChart(2), Torus(2))
+
+
+def torus_form(m, v):
+    return np.array([m[0] * v[1], m[1] * v[1] - v[0]])
+
+
+BUNDLE_RULES = {
+    "straight": (TORUS_PLANE, trivial_product_retraction,
+                 lambda B: TrivialLocalConnection(B, torus_form)),
+    "skewed": (TORUS_PLANE, trivial_skewed_retraction,
+               lambda B: TrivialLocalConnection(B, torus_form)),
+    "great_circle": (HopfBundle(), hopf_geodesic_retraction,
+                     lambda B: HopfConnection(B, 0.1)),
+    "hopf_chart": (HopfBundle(), _hopf_chart_retraction,
+                   lambda B: HopfConnection(B, 0.1)),
+}
+
+
+class TestStackedStepsKeepColumnsApart:
+    @pytest.mark.parametrize("kind", [EuclideanChart(2), Sphere(3)])
+    def test_metric_exponential(self, kind):
+        rng = np.random.default_rng(31)
+        R = metric_exponential(kind)
+        for _ in range(5):
+            x = rng.normal(size=kind.coord_size)
+            if isinstance(kind, Sphere):
+                x = unit(x)
+            assert_columns_step_alone(R.step, x, tangent_stack(rng, kind, x, 6))
+
+    def test_sphere_chart_line_step(self):
+        rng = np.random.default_rng(37)
+        kind = Sphere(3)
+        for _ in range(5):
+            x = unit(rng.normal(size=3) + [0.0, 0.0, 1.0])
+            assert_columns_step_alone(kind.chart_line_step, x,
+                                      tangent_stack(rng, kind, x, 6))
+
+    @pytest.mark.parametrize("name", sorted(BUNDLE_RULES))
+    def test_bundle_retraction(self, name):
+        B, make, _ = BUNDLE_RULES[name]
+        R = make(B)
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            if isinstance(B, HopfBundle):
+                m = unit(rng.normal(size=3) + [0.0, 0.0, 1.5])
+                q = act(rng.uniform(-1.0, 1.0, 1), section_over(B, m))
+                v = tangent_stack(rng, B.total_space, q.ambient, 6)
+            else:
+                q = BundlePoint.trivial(B, rng.uniform(-1.0, 1.0, 2),
+                                        rng.uniform(-1.0, 1.0, 2))
+                v = 0.3 * rng.uniform(-1.0, 1.0, (4, 6))
+                v[:, -1] = 0.0
+            assert_columns_step_alone(R.step, q, v)
+
+    @pytest.mark.parametrize("name", sorted(BUNDLE_RULES))
+    def test_reduced_retraction(self, name):
+        B, make, connection = BUNDLE_RULES[name]
+        R = reduced_retraction(connection(B), make(B))
+        rng = np.random.default_rng(43)
+        for _ in range(5):
+            if isinstance(B, HopfBundle):
+                m = unit(rng.normal(size=3) + [0.0, 0.0, 1.5])
+            else:
+                m = rng.uniform(-1.0, 1.0, 2)
+            assert_columns_step_alone(R.step, m,
+                                      tangent_stack(rng, B.base, m, 6))
+
+    def test_zero_great_circle_step_returns_the_point_exactly(self):
+        B = HopfBundle()
+        R = hopf_geodesic_retraction(B)
+        q = act(np.array([0.4]), section_over(B, unit(np.array([0.2, -0.3,
+                                                                0.9]))))
+        rng = np.random.default_rng(47)
+        v = tangent_stack(rng, B.total_space, q.ambient, 3)
+        assert np.array_equal(R.step(q, v).ambient[:, -1], q.ambient)
+        assert np.array_equal(R.step(q, np.zeros(4)).ambient, q.ambient)
