@@ -321,18 +321,10 @@ def tangent_stack(rng, kind, x, k, length=0.3):
     return v
 
 
-def point_columns(p, k):
-    """The k columns of a stepped stack, as flat arrays: a base point, or
-    a bundle point's coordinates."""
-    if not isinstance(p, BundlePoint):
-        return [p[:, i] for i in range(k)]
-    if p.ambient is not None:
-        return [p.ambient[:, i] for i in range(k)]
-    return [np.concatenate([p.base_point[:, i], p.group_part[:, i]])
-            for i in range(k)]
-
-
 def point_array(p):
+    """The coordinates of a stepped point, or of a stack of them: a base
+    point, a Hopf point's ambient vector, or a trivial bundle point's base
+    and group parts."""
     if not isinstance(p, BundlePoint):
         return p
     if p.ambient is not None:
@@ -341,12 +333,12 @@ def point_array(p):
 
 
 def assert_columns_step_alone(step, x, v):
-    k = v.shape[1]
-    stacked = point_columns(step(x, v), k)
-    for i in range(k):
+    stacked = point_array(step(x, v))
+    assert stacked.shape[1:] == v.shape[1:]
+    for i in range(v.shape[1]):
         single = point_array(step(x, v[:, i]))
-        assert single.shape == stacked[i].shape
-        assert np.max(np.abs(stacked[i] - single)) <= STEP_TOL
+        assert single.shape == stacked[:, i].shape
+        assert np.max(np.abs(stacked[:, i] - single)) <= STEP_TOL
 
 
 TORUS_PLANE = TrivialBundle(EuclideanChart(2), Torus(2))
