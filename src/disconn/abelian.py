@@ -40,7 +40,7 @@ from .errors import (BundleMismatch, CurvatureMismatch, NotClosed,
                      UnsupportedGroup, UnsupportedPresentation)
 from .groups import GroupKind
 from .manifolds import EuclideanChart, ManifoldKind
-from .numdiff import (columns, exterior_derivative,
+from .numdiff import (_columns, exterior_derivative,
                       gauss_legendre_line_integral, worst_defect)
 
 # Primitive values kept per primitive.  Curvature-matched evaluations look
@@ -114,7 +114,7 @@ def descend_continuous_difference(
 def _segment_integral(A: TrivialLocalConnection, m0, m1):
     """Integral of the one-form of A over the straight segments m0 -> m1,
     for (d, *stack) endpoints; the integrand takes all nodes at once."""
-    m0, m1 = columns(np.asarray(m0, dtype=float), np.asarray(m1, dtype=float))
+    m0, m1 = _columns(np.asarray(m0, dtype=float), np.asarray(m1, dtype=float))
     m0, m1 = m0[..., None], m1[..., None]
     direction = m1 - m0
 
@@ -201,7 +201,7 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     def rule(q0, q1):
         base_value = eval_discrete(Ad_ref, q0, q1)
-        f1, f0 = columns(f(bundles.project(q1)), f(bundles.project(q0)))
+        f1, f0 = _columns(f(bundles.project(q1)), f(bundles.project(q0)))
         return G.compose(base_value, G.exp(f1 - f0))
 
     return ComposedDiscrete(bundle, rule, Ad_ref.domain_radius,

@@ -31,8 +31,7 @@ operations act column by column, and a single point or element broadcasts
 over a stack.  The point a tangent is attached to (the ``q`` of
 `any_lift`, `tangent_projection` and `infinitesimal_generator`, the
 ``q0`` of `local_coords`) is one point with a stack of tangents; on the
-Hopf bundle stacks are ``(4, k)``.  Stacked group data needs an abelian
-group.
+Hopf bundle stacks are ``(4, k)``.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import numpy as np
 from .errors import BundleMismatch, NotSameFiber
 from .groups import GroupKind, Torus
 from .manifolds import ManifoldKind, Sphere
-from .numdiff import column_norm, columns
+from .numdiff import _column_norm, _columns
 
 
 class PrincipalBundle:
@@ -109,13 +108,12 @@ def make_trivial_tangent(q: BundlePoint, base_components,
 # Hopf helpers
 
 def _hopf_rotate(q, theta):
-    # The two complex coordinates are the rows of q as a (2, 2, *stack)
-    # array; rot is (2, 2, *stack) for a stack of angles, and matvec turns
-    # each row of each column.
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    pairs = q.reshape((2, 2) + q.shape[1:] + (1,) * (rot.ndim - 1 - q.ndim))
-    out = np.matvec(rot, pairs, axes=[(0, 1), (1,), (1,)])
+    # Multiplication by e^{i theta} on both complex coordinates, written
+    # out in real and imaginary parts; a stack of angles turns the columns
+    # of a stack of points one by one, or one point into a stack.
+    re, c = _columns(q[0::2], np.cos(theta)[None])
+    im, s = _columns(q[1::2], np.sin(theta)[None])
+    out = np.stack([c * re - s * im, s * re + c * im], axis=1)
     return out.reshape((4,) + out.shape[2:])
 
 
@@ -206,7 +204,7 @@ def infinitesimal_generator(q: BundlePoint, xi) -> np.ndarray:
         return make_trivial_tangent(
             q, np.zeros(q.bundle.base.coord_size), xi)
     xi = np.asarray(xi, dtype=float)
-    theta_dot, iq = columns(xi.reshape((1,) + xi.shape[1:]),
+    theta_dot, iq = _columns(xi.reshape((1,) + xi.shape[1:]),
                             _hopf_i_times(q.ambient))
     return theta_dot * iq
 
@@ -252,9 +250,9 @@ def bundle_curve(q: BundlePoint, v, t) -> BundlePoint:
         G = q.bundle.group
         return BundlePoint(q.bundle, m, G.compose(
             G.exp(np.multiply.outer(fiber, t)), q.group_part))
-    q_t, tv = columns(q.ambient, np.multiply.outer(v, t))
+    q_t, tv = _columns(q.ambient, np.multiply.outer(v, t))
     p = q_t + tv
-    return BundlePoint(q.bundle, ambient=p / column_norm(p))
+    return BundlePoint(q.bundle, ambient=p / _column_norm(p))
 
 
 def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
@@ -263,11 +261,11 @@ def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
     if isinstance(q0.bundle, TrivialBundle):
         base_kind = q0.bundle.base
         base = base_kind.project_tangent(
-            q0.base_point, np.subtract(*columns(p.base_point, q0.base_point)))
+            q0.base_point, np.subtract(*_columns(p.base_point, q0.base_point)))
         G = q0.bundle.group
         rel = G.compose(p.group_part, G.inverse(q0.group_part))
         return make_trivial_tangent(q0, base, G.log(rel))
-    diff = np.subtract(*columns(p.ambient, q0.ambient))
+    diff = np.subtract(*_columns(p.ambient, q0.ambient))
     return q0.bundle.total_space.project_tangent(q0.ambient, diff)
 
 

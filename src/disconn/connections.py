@@ -13,8 +13,9 @@ Presentations:
   ``A(dm (+) xi) = Ad_g omega_m(dm) + xi`` with the fiber velocity ``xi``
   right-trivialized.  Its `value` evaluates ``omega`` on stacks (see
   `numdiff`): ``(d, *stack)`` points and tangents give ``(k, *stack)``
-  values, in one call with an abelian group and one column at a time
-  otherwise.
+  values.  ``omega`` takes the whole stack with an abelian group; with a
+  non-abelian group it is written for one point and is called one column
+  at a time, while the group arithmetic around it takes the stack.
 * ``HopfConnection`` -- the round connection on S^3 -> S^2,
   ``A_q(v) = Im <q, v>`` in the Hermitian pairing on C^2, plus
   ``epsilon`` times the pullback of ``beta = x dy - y dx`` from the base
@@ -51,7 +52,7 @@ class TrivialLocalConnection(ConnectionForm):
     def value(self, m_coords, v_components):
         """omega as (k, *stack) values at (d, *stack) points and tangents;
         a single point gives a (k,) vector.  A non-abelian omega, such as
-        one built from SO(3) exponentials, is evaluated column by column."""
+        one built from SO(3) exponentials, takes one point at a time."""
         m = np.asarray(m_coords, dtype=float)
         v = np.asarray(v_components, dtype=float)
         stack = np.broadcast_shapes(m.shape[1:], v.shape[1:])

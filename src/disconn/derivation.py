@@ -15,9 +15,7 @@ point passed beside it (`pair_derivative(Ad, q, v)`).
 
 Each derivative evaluates its difference stencil as one stack (see
 `numdiff`): one `eval_discrete` call on the four stencil points, so an
-integrated form runs one Newton solve for all four.  Non-abelian group
-elements have no stack; their stencil points are evaluated one at a
-time.
+integrated form runs one Newton solve for all four.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from .connections import ConnectionForm, GenericConnection, TrivialLocalConnecti
 from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
                        discrete_horizontal_lift, eval_discrete)
 from .errors import OutsideDomain
-from .numdiff import (by_column, columns, lost_step, on_stack,
+from .numdiff import (_columns, by_column, lost_step, on_stack,
                       richardson_derivative)
 
 
@@ -46,19 +44,9 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
         value = eval_discrete(Ad, q, bundles.bundle_curve(q, v, t))
         return q.bundle.group.log(value)
 
-    derivative = _stencil_derivative(q.bundle.group, f)
+    derivative = richardson_derivative(f, check_consistency=True)
     lost = lost_step(bundles.project(q), (bundles.tangent_projection(q, v),))
     return np.where(lost, np.nan, derivative)
-
-
-def _stencil_derivative(group, f):
-    """The consistency-checked Richardson derivative of f; with a
-    non-abelian group, f takes the stencil one point at a time."""
-    if not group.abelian:
-        return richardson_derivative(
-            lambda t: np.stack([f(s) for s in t], axis=-1),
-            check_consistency=True)
-    return richardson_derivative(f, check_consistency=True)
 
 
 def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
@@ -74,7 +62,7 @@ def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
     consistency test and the lost-step NaN are the same.
     """
     base, group = Ad.bundle.base, Ad.bundle.group
-    m, delta = np.broadcast_arrays(*columns(
+    m, delta = np.broadcast_arrays(*_columns(
         base.validate(m_coords), np.asarray(delta_components, dtype=float)))
     m0, delta0 = m[..., None], delta[..., None]
 
@@ -133,4 +121,4 @@ def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
         stepped = base.geodesic_step(m, np.multiply.outer(delta_m, t))
         return bundles.local_coords(q, discrete_horizontal_lift(Ad, q, stepped))
 
-    return _stencil_derivative(q.bundle.group, f)
+    return richardson_derivative(f, check_consistency=True)

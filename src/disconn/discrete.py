@@ -14,8 +14,11 @@ Presentations:
 * ``ComposedDiscrete`` -- an opaque pair rule, used for forms assembled
   from a continuous connection and a retraction.
 
-`eval_discrete` also takes a stack of second points (see `numdiff`) with
-an abelian group, and gives a stack of values.
+`eval_discrete` also takes a stack of second points (see `numdiff`) and
+gives a stack of values.  A pair map C is called on the whole stack with
+an abelian group; with a non-abelian group it is written for one pair of
+points, as a connection's omega is (see `connections`), and is called one
+column at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from . import bundles
 from .bundles import BundlePoint, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, OutsideDomain
+from .numdiff import by_column
 
 
 class DiscreteConnectionForm:
@@ -62,7 +66,11 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
             f"outside radius {Ad.domain_radius:.4g}")
     if isinstance(Ad, TrivialLocalDiscrete):
         G = Ad.bundle.group
-        c = G.wrap(Ad.pair_map(q0.base_point, q1.base_point))
+        if G.abelian:
+            c = Ad.pair_map(q0.base_point, q1.base_point)
+        else:
+            c = by_column(Ad.pair_map, q0.base_point, q1.base_point)
+        c = G.wrap(c)
         return G.compose(q1.group_part,
                          G.compose(c, G.inverse(q0.group_part)))
     return Ad.rule(q0, q1)

@@ -14,8 +14,11 @@ another length raises.
 The operations of the abelian groups (`Translation`, and its subclass
 `Torus`, which reduces angles) also accept ``(dim, *stack)`` stacks of
 elements, coordinate axis first, and act column by column; `compose`
-combines a single element with every column of a stack (see
-`numdiff.columns`).  SO(3) elements have no stack.
+combines a single element with every column of a stack.  SO(3) takes
+stacks too, ``(3, 3, *stack)`` matrices and ``(3, *stack)`` algebra
+vectors: `wrap`, `exp`, `log`, `compose` and `adjoint` apply the
+single-element arithmetic to one column after another, and a single argument is used
+for every column; `inverse` and `bracket` act on all columns at once.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideInjectivityRadius
-from .numdiff import columns
+from .numdiff import _columns
 
 _TWO_PI = 2.0 * np.pi
 
@@ -39,6 +42,20 @@ def _stacked_vector(data, dim):
     """Vector data of shape (dim,), or a (dim, *stack) stack of them."""
     data = np.array(data, dtype=float)
     return data.reshape((dim,) + data.shape[1:])
+
+
+def _each_column(single, ranks, *args):
+    """single(*args) over the trailing stack of its arguments, one column
+    after another; an argument of rank ranks[i] (2 for a matrix, 1 for a
+    vector) carries no stack and is passed to every column."""
+    args = [np.asarray(a, dtype=float) for a in args]
+    stack = np.broadcast_shapes(*(a.shape[r:] for a, r in zip(args, ranks)))
+    if not stack:
+        return single(*args)
+    values = [single(*(a[(slice(None),) * r + i] if a.ndim > r else a
+                       for a, r in zip(args, ranks)))
+              for i in np.ndindex(stack)]
+    return np.stack(values, axis=-1).reshape(values[0].shape + stack)
 
 
 def hat(w):
@@ -106,7 +123,7 @@ class Translation(GroupKind):
         return np.zeros(self.dim)
 
     def compose(self, a, b):
-        a, b = columns(a, b)
+        a, b = _columns(a, b)
         return a + b
 
     def inverse(self, a):
@@ -157,24 +174,38 @@ class SO3(GroupKind):
     abelian = False
 
     def wrap(self, data):
-        M = np.asarray(data, dtype=float).reshape(3, 3)
+        return _each_column(self._wrap, (2,), data)
+
+    def identity(self):
+        return np.eye(3)
+
+    def compose(self, a, b):
+        return _each_column(np.matmul, (2, 2), a, b)
+
+    def inverse(self, a):
+        return np.swapaxes(a, 0, 1).copy()
+
+    def exp(self, x):
+        return _each_column(self._exp, (1,), x)
+
+    def log(self, a):
+        return _each_column(self._log, (2,), a)
+
+    def adjoint(self, a, x):
+        return _each_column(self._adjoint, (2, 1), a, x)
+
+    @staticmethod
+    def _wrap(data):
+        M = data.reshape(3, 3)
         if np.linalg.norm(M.T @ M - np.eye(3)) > 1e-10:
             raise ValueError("SO3 matrix is not orthogonal to 1e-10")
         if np.linalg.det(M) <= 0:
             raise ValueError("SO3 matrix must have positive determinant")
         return M
 
-    def identity(self):
-        return np.eye(3)
-
-    def compose(self, a, b):
-        return a @ b
-
-    def inverse(self, a):
-        return a.T.copy()
-
-    def exp(self, x):
-        x = np.asarray(x, dtype=float).reshape(3)
+    @staticmethod
+    def _exp(x):
+        x = x.reshape(3)
         theta = float(np.linalg.norm(x))
         W = hat(x)
         if theta < 1e-12:
@@ -182,7 +213,8 @@ class SO3(GroupKind):
         return (np.eye(3) + np.sin(theta) / theta * W
                 + (1.0 - np.cos(theta)) / theta ** 2 * W @ W)
 
-    def log(self, a):
+    @staticmethod
+    def _log(a):
         # The angle comes from both the skew part, 2 sin(theta) times the
         # axis, and the trace, 1 + 2 cos(theta); atan2 of the two keeps it
         # well conditioned up to the cut, where arccos of the trace alone
@@ -197,11 +229,12 @@ class SO3(GroupKind):
             return 0.5 * w
         return theta / (2.0 * sin_theta) * w
 
-    def adjoint(self, a, x):
-        return a @ np.asarray(x, dtype=float).reshape(3)
+    @staticmethod
+    def _adjoint(a, x):
+        return a @ x.reshape(3)
 
     def bracket(self, x, y):
-        return np.cross(x, y)
+        return np.cross(x, y, axis=0)
 
     def distance(self, a, b):
         return float(np.linalg.norm(a - b))

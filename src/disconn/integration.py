@@ -19,8 +19,7 @@ Every step takes one point with a ``(d, *stack)`` stack of tangents (see
 `numdiff`) and steps each column on its own; so do the reduced
 retraction, whose stacks `manifolds.invert_extended` solves in one Newton
 solve, and the induced discrete connection, whose second point may be a
-stack.  With a non-abelian group the reduced step takes the columns one
-at a time.
+stack.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch
 from .manifolds import Retraction
-from .numdiff import by_column, column_norm
+from .numdiff import _column_norm
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +98,8 @@ def trivial_skewed_retraction(bundle: TrivialBundle) -> Retraction:
 
     def step(q, v):
         base, fiber = bundles.split_trivial(q, v)
-        skew = 0.3 * column_norm(fiber) ** 2 \
-            * column_norm(G.log(q.group_part))
+        skew = 0.3 * _column_norm(fiber) ** 2 \
+            * _column_norm(G.log(q.group_part))
         return straight.step(q, np.concatenate([base, fiber + skew]))
 
     return Retraction(bundle, step, straight.domain_radius)
@@ -148,15 +147,10 @@ def reduced_retraction(A: ConnectionForm, R: Retraction) -> Retraction:
     base_kind = bundle.base
     domain_radius = min(R.domain_radius, base_kind.default_radius)
 
-    def lifted_step(m, components):
+    def step(m, components):
         q = bundles.section_over(bundle, m)
         h = horizontal_lift(A, q, base_kind.project_tangent(m, components))
         return bundles.project(R.step(q, h))
-
-    def step(m, components):
-        if bundle.group.abelian:
-            return lifted_step(m, components)
-        return by_column(lifted_step, m, components)
 
     return Retraction(base_kind, step, domain_radius)
 

@@ -10,7 +10,7 @@ QUADRATURE_ORDER Gauss-Legendre nodes.
 Stacks.  Many points are evaluated in one call.  Points and tangents are
 then ``(d, *stack)`` arrays, coordinate axis first, and values are
 ``(k, *stack)`` arrays; a single point is the empty stack ``()``.  A point
-and its tangent share one stack, or one of them is single: `columns`
+and its tangent share one stack, or one of them is single: `_columns`
 appends singleton axes to the single one, so that it broadcasts over every
 column of the other.  Callables written for single points, such as
 ``lambda m, v: np.array([m[0] * v[1]])``, work unchanged on stacks,
@@ -115,7 +115,7 @@ def gauss_legendre_line_integral(f, a, b):
     return np.add.accumulate(coeffs * values, axis=-1)[..., -1]
 
 
-def columns(a, b):
+def _columns(a, b):
     """(a, b) as arrays, with singleton axes appended to the one of lower
     rank: a single (d,) point then broadcasts over every column of a
     (d, *stack) stack, since numpy aligns trailing axes."""
@@ -127,7 +127,7 @@ def columns(a, b):
     return a, b
 
 
-def column_norm(x):
+def _column_norm(x):
     """Euclidean norm of a (d,) vector, or of each column of a (d, *stack)
     stack; the same bits as np.linalg.norm(x) and np.linalg.norm(x,
     axis=0), without their argument handling."""
@@ -152,7 +152,7 @@ def on_stack(values, dim, stack):
 def by_column(fn, m, v):
     """fn(point, tangent) -> (k,) evaluated over (d, *stack) arrays, one
     column after another; a single point and tangent are passed through."""
-    m, v = columns(np.asarray(m, dtype=float), np.asarray(v, dtype=float))
+    m, v = _columns(np.asarray(m, dtype=float), np.asarray(v, dtype=float))
     if m.ndim <= 1:
         return fn(m, v)
     m, v = np.broadcast_arrays(m, v)

@@ -11,7 +11,7 @@ from disconn.derivation import (derive_connection, derive_horizontal,
                                 pair_derivative)
 from disconn.discrete import TrivialLocalDiscrete
 from disconn.errors import NonDifferentiable
-from disconn.groups import Translation
+from disconn.groups import SO3, Translation
 from disconn.manifolds import EuclideanChart
 from disconn.numdiff import STEP, richardson_derivative
 
@@ -104,6 +104,36 @@ class TestDeriveConnection:
         q = BundlePoint.trivial(B, [0.3, 0.3], [0.0])
         v = make_trivial_tangent(q, [5.0, -2.0], [0.7])
         assert eval_connection(A, q, v)[0] == pytest.approx(0.7, abs=1e-9)
+
+
+class TestNonAbelianPairMap:
+    # C(m0, m1) = exp(m1_x - m0_x, m0_x (m1_y - m0_y), 0) in SO(3), a pair
+    # map written for one pair of points: it derives to
+    # omega(m)(u) = (u_x, m_x u_y, 0).
+    @staticmethod
+    def local_form():
+        G = SO3()
+        B = TrivialBundle(EuclideanChart(2), G)
+        return TrivialLocalDiscrete(
+            B, lambda m0, m1: G.exp([m1[0] - m0[0],
+                                     m0[0] * (m1[1] - m0[1]), 0.0]), 1e18)
+
+    def test_pair_derivative(self):
+        Ad = self.local_form()
+        g = SO3().exp([0.1, 0.2, 0.3])
+        q = BundlePoint.trivial(Ad.bundle, [0.7, -0.2], g)
+        v = make_trivial_tangent(q, [0.4, -0.9], [0.0, 0.0, 0.0])
+        value = pair_derivative(Ad, q, v)
+        # At group part g the value is Ad_g omega(m)(u).
+        expected = SO3().adjoint(g, [0.4, 0.7 * -0.9, 0.0])
+        assert np.max(np.abs(value - expected)) <= 1e-9
+
+    def test_derived_form_on_a_stack(self):
+        derived = derive_connection(self.local_form())
+        rng = np.random.default_rng(71)
+        m, u = rng.uniform(-1.0, 1.0, (2, 2, 5))
+        expected = np.stack([u[0], m[0] * u[1], np.zeros(5)])
+        assert np.max(np.abs(derived.value(m, u) - expected)) <= 1e-9
 
 
 class TestDeriveHorizontal:

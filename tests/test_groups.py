@@ -147,6 +147,46 @@ class TestSO3:
             SO3().wrap(np.eye(3) + 0.01)
 
 
+class TestSO3Stacks:
+    # A (3, *stack) stack of algebra vectors, or a (3, 3, *stack) stack of
+    # matrices, gives the bits of the single-element arithmetic on each
+    # column, and a single argument is used for every column.
+    def test_stacked_ops_equal_their_columns(self):
+        G = SO3()
+        rng = np.random.default_rng(53)
+        x, y = rng.uniform(-1.5, 1.5, (2, 3, 5))
+        a, b = G.exp(x), G.exp(y)
+        assert a.shape == (3, 3, 5)
+        g = G.exp(rng.uniform(-1.0, 1.0, 3))
+        for i in range(5):
+            assert np.array_equal(a[..., i], G.exp(x[:, i]))
+            assert np.array_equal(G.log(a)[:, i], G.log(a[..., i]))
+            assert np.array_equal(G.compose(a, b)[..., i],
+                                  G.compose(a[..., i], b[..., i]))
+            assert np.array_equal(G.compose(g, b)[..., i],
+                                  G.compose(g, b[..., i]))
+            assert np.array_equal(G.inverse(a)[..., i], G.inverse(a[..., i]))
+            assert np.array_equal(G.adjoint(a, y)[:, i],
+                                  G.adjoint(a[..., i], y[:, i]))
+            assert np.array_equal(G.adjoint(g, y)[:, i], G.adjoint(g, y[:, i]))
+            assert np.array_equal(G.bracket(x, y)[:, i],
+                                  G.bracket(x[:, i], y[:, i]))
+
+    def test_two_stack_axes(self):
+        G = SO3()
+        x = np.random.default_rng(59).uniform(-1.0, 1.0, (3, 2, 2))
+        a = G.exp(x)
+        assert a.shape == (3, 3, 2, 2)
+        assert np.array_equal(G.log(a).reshape(3, 4),
+                              G.log(a.reshape(3, 3, 4)))
+
+    def test_one_column_near_pi_raises(self):
+        G = SO3()
+        x = np.stack([[0.1, 0.2, 0.3], [np.pi - 1e-9, 0.0, 0.0]], axis=-1)
+        with pytest.raises(OutsideInjectivityRadius):
+            G.log(G.exp(x))
+
+
 class TestKindChecks:
     def test_kind_from_tag(self):
         assert groups.kind_from_tag("R^k", dim=3) == Translation(3)

@@ -169,6 +169,21 @@ class TestStackedNewton:
         assert len(alone[1][1]) >= 5
         assert widths == [2] + alone[1][1][1:]
 
+    def test_two_stack_axes_solve_as_their_columns(self):
+        # A (3, 2, 2) stack of targets on the sphere gives (3, 2, 2)
+        # components, each those of its column in a (3, 4) stack.
+        R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
+        kind = R.space
+        x = unit([0.3, -0.5, 0.8])
+        rng = np.random.default_rng(29)
+        targets = np.stack([kind.geodesic_step(
+            x, random_tangent(rng, kind, x, 0.5)) for _ in range(4)],
+            axis=-1)
+        flat = invert_extended(R, x, targets)
+        square = invert_extended(R, x, targets.reshape(3, 2, 2))
+        assert square.shape == (3, 2, 2)
+        assert np.array_equal(square.reshape(3, 4), flat)
+
     def test_one_target_outside_the_domain_raises(self):
         R = hopf_reduced(HopfConnection)
         kind = R.space

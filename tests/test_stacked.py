@@ -17,7 +17,7 @@ from disconn.connections import (HopfConnection, TrivialLocalConnection,
 from disconn.derivation import derive_connection, pair_derivative
 from disconn.discrete import TrivialLocalDiscrete, eval_discrete
 from disconn.errors import NonDifferentiable, OutsideDomain
-from disconn.groups import Circle, Torus, Translation
+from disconn.groups import SO3, Circle, Torus, Translation
 from disconn.integration import (hopf_geodesic_retraction,
                                  integrate_connection, reduced_retraction,
                                  trivial_product_retraction,
@@ -329,7 +329,9 @@ def point_array(p):
         return p
     if p.ambient is not None:
         return p.ambient
-    return np.concatenate([p.base_point, p.group_part])
+    stack = p.base_point.shape[1:]
+    return np.concatenate([p.base_point,
+                           p.group_part.reshape((-1,) + stack)])
 
 
 def assert_columns_step_alone(step, x, v):
@@ -348,11 +350,22 @@ def torus_form(m, v):
     return np.array([m[0] * v[1], m[1] * v[1] - v[0]])
 
 
+SO3_PLANE = TrivialBundle(EuclideanChart(2), SO3())
+
+
+def so3_form(m, v):
+    # A non-abelian one-form: its value takes one point at a time.
+    return SO3().adjoint(SO3().exp([m[1], 0.0, m[0]]),
+                         [v[0], v[1] - v[0], 0.5 * v[1]])
+
+
 BUNDLE_RULES = {
     "straight": (TORUS_PLANE, trivial_product_retraction,
                  lambda B: TrivialLocalConnection(B, torus_form)),
     "skewed": (TORUS_PLANE, trivial_skewed_retraction,
                lambda B: TrivialLocalConnection(B, torus_form)),
+    "straight_so3": (SO3_PLANE, trivial_product_retraction,
+                     lambda B: TrivialLocalConnection(B, so3_form)),
     "great_circle": (HopfBundle(), hopf_geodesic_retraction,
                      lambda B: HopfConnection(B, 0.1)),
     "hopf_chart": (HopfBundle(), _hopf_chart_retraction,
@@ -390,9 +403,10 @@ class TestStackedStepsKeepColumnsApart:
                 q = act(rng.uniform(-1.0, 1.0, 1), section_over(B, m))
                 v = tangent_stack(rng, B.total_space, q.ambient, 6)
             else:
+                G = B.group
                 q = BundlePoint.trivial(B, rng.uniform(-1.0, 1.0, 2),
-                                        rng.uniform(-1.0, 1.0, 2))
-                v = 0.3 * rng.uniform(-1.0, 1.0, (4, 6))
+                                        G.exp(rng.uniform(-1.0, 1.0, G.dim)))
+                v = 0.3 * rng.uniform(-1.0, 1.0, (2 + G.dim, 6))
                 v[:, -1] = 0.0
             assert_columns_step_alone(R.step, q, v)
 
