@@ -43,7 +43,7 @@ import numpy as np
 from .errors import BundleMismatch, NotSameFiber
 from .groups import GroupKind, Torus
 from .manifolds import ManifoldKind, Sphere
-from .numdiff import _column_norm, _columns
+from .numdiff import _column_norm, _columns, _largest
 
 
 class PrincipalBundle:
@@ -109,12 +109,13 @@ def make_trivial_tangent(q: BundlePoint, base_components,
 
 def _hopf_rotate(q, theta):
     # Multiplication by e^{i theta} on both complex coordinates, written
-    # out in real and imaginary parts; a stack of angles turns the columns
-    # of a stack of points one by one, or one point into a stack.
-    re, c = _columns(q[0::2], np.cos(theta)[None])
-    im, s = _columns(q[1::2], np.sin(theta)[None])
-    out = np.stack([c * re - s * im, s * re + c * im], axis=1)
-    return out.reshape((4,) + out.shape[2:])
+    # out in real and imaginary parts.  The rows broadcast, so a stack of
+    # angles turns the columns of a stack of points one by one, or one
+    # point into a stack.
+    c, s = np.cos(theta), np.sin(theta)
+    a, b, x, y = q
+    return np.array([c * a - s * b, s * a + c * b, c * x - s * y,
+                     s * x + c * y])
 
 
 def _hopf_i_times(q):
@@ -183,7 +184,7 @@ def _circle_angle(g):
 def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
     """The unique g with act(g, q1) = q2, defined for points in one fiber."""
     m1, m2 = project(q1), project(q2)
-    if np.any(q1.bundle.base.distance(m1, m2) > 1e-9):
+    if _largest(q1.bundle.base.distance(m1, m2)) > 1e-9:
         raise NotSameFiber("points project to different base points")
     if isinstance(q1.bundle, TrivialBundle):
         G = q1.bundle.group
@@ -194,7 +195,7 @@ def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
     e, f, g, h = q2.ambient
     re = (a * e + b * f) + (c * g + d * h)
     im = (a * f - b * e) + (c * h - d * g)
-    if (np.abs(np.hypot(re, im) - 1.0) > 1e-9).any():
+    if _largest(np.abs(np.hypot(re, im) - 1.0)) > 1e-9:
         raise NotSameFiber("points are not related by the circle action")
     return q1.bundle.group.wrap([np.arctan2(im, re)])
 

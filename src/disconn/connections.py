@@ -55,7 +55,9 @@ class TrivialLocalConnection(ConnectionForm):
         one built from SO(3) exponentials, takes one point at a time."""
         m = np.asarray(m_coords, dtype=float)
         v = np.asarray(v_components, dtype=float)
-        stack = np.broadcast_shapes(m.shape[1:], v.shape[1:])
+        stack = m.shape[1:]
+        if stack != v.shape[1:]:
+            stack = np.broadcast_shapes(stack, v.shape[1:])
         if self.bundle.group.abelian:
             values = self.omega(m, v)
         else:

@@ -31,7 +31,7 @@ import numpy as np
 from . import bundles
 from .bundles import BundlePoint, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, OutsideDomain
-from .numdiff import by_column
+from .numdiff import _largest, by_column
 
 
 class DiscreteConnectionForm:
@@ -59,7 +59,7 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
                   q1: BundlePoint) -> np.ndarray:
     if q0.bundle != Ad.bundle or q1.bundle != Ad.bundle:
         raise BundleMismatch("points do not live on the form's bundle")
-    distance = np.max(bundles.base_distance(q0, q1))
+    distance = _largest(bundles.base_distance(q0, q1))
     if not distance < Ad.domain_radius:
         raise OutsideDomain(
             f"pair at base distance {distance:.4g} "

@@ -16,9 +16,10 @@ The operations of the abelian groups (`Translation`, and its subclass
 elements, coordinate axis first, and act column by column; `compose`
 combines a single element with every column of a stack.  SO(3) takes
 stacks too, ``(3, 3, *stack)`` matrices and ``(3, *stack)`` algebra
-vectors: `wrap`, `exp`, `log`, `compose` and `adjoint` apply the
-single-element arithmetic to one column after another, and a single argument is used
-for every column; `inverse` and `bracket` act on all columns at once.
+vectors: `wrap`, `exp`, `log`, `compose` and `adjoint` run their
+single-element arithmetic on one column after another, and a single
+argument is used for every column; `inverse` and `bracket` act on all
+columns at once.
 """
 
 from __future__ import annotations
@@ -44,15 +45,13 @@ def _stacked_vector(data, dim):
     return data.reshape((dim,) + data.shape[1:])
 
 
-def _each_column(single, ranks, *args):
-    """single(*args) over the trailing stack of its arguments, one column
-    after another; an argument of rank ranks[i] (2 for a matrix, 1 for a
-    vector) carries no stack and is passed to every column."""
+def _each_column(method, ranks, *args):
+    """method(*args) on one column of a trailing stack after another: an
+    argument with more axes than its rank ranks[i] (2 for a matrix, 1 for
+    a vector) is a stack, and one without is passed to every column."""
     args = [np.asarray(a, dtype=float) for a in args]
     stack = np.broadcast_shapes(*(a.shape[r:] for a, r in zip(args, ranks)))
-    if not stack:
-        return single(*args)
-    values = [single(*(a[(slice(None),) * r + i] if a.ndim > r else a
+    values = [method(*(a[(slice(None),) * r + i] if a.ndim > r else a
                        for a, r in zip(args, ranks)))
               for i in np.ndindex(stack)]
     return np.stack(values, axis=-1).reshape(values[0].shape + stack)
@@ -154,7 +153,8 @@ class Torus(Translation):
         return reduce_angle(super().wrap(data))
 
     def compose(self, a, b):
-        return reduce_angle(super().compose(a, b))
+        a, b = _columns(a, b)
+        return reduce_angle(a + b)
 
     def inverse(self, a):
         return reduce_angle(-a)
@@ -174,37 +174,31 @@ class SO3(GroupKind):
     abelian = False
 
     def wrap(self, data):
-        return _each_column(self._wrap, (2,), data)
-
-    def identity(self):
-        return np.eye(3)
-
-    def compose(self, a, b):
-        return _each_column(np.matmul, (2, 2), a, b)
-
-    def inverse(self, a):
-        return np.swapaxes(a, 0, 1).copy()
-
-    def exp(self, x):
-        return _each_column(self._exp, (1,), x)
-
-    def log(self, a):
-        return _each_column(self._log, (2,), a)
-
-    def adjoint(self, a, x):
-        return _each_column(self._adjoint, (2, 1), a, x)
-
-    @staticmethod
-    def _wrap(data):
-        M = data.reshape(3, 3)
+        M = np.asarray(data, dtype=float)
+        if M.ndim > 2:
+            return _each_column(self.wrap, (2,), M)
+        M = M.reshape(3, 3)
         if np.linalg.norm(M.T @ M - np.eye(3)) > 1e-10:
             raise ValueError("SO3 matrix is not orthogonal to 1e-10")
         if np.linalg.det(M) <= 0:
             raise ValueError("SO3 matrix must have positive determinant")
         return M
 
-    @staticmethod
-    def _exp(x):
+    def identity(self):
+        return np.eye(3)
+
+    def compose(self, a, b):
+        if a.ndim > 2 or b.ndim > 2:
+            return _each_column(self.compose, (2, 2), a, b)
+        return a @ b
+
+    def inverse(self, a):
+        return np.swapaxes(a, 0, 1).copy()
+
+    def exp(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim > 1:
+            return _each_column(self.exp, (1,), x)
         x = x.reshape(3)
         theta = float(np.linalg.norm(x))
         W = hat(x)
@@ -213,8 +207,9 @@ class SO3(GroupKind):
         return (np.eye(3) + np.sin(theta) / theta * W
                 + (1.0 - np.cos(theta)) / theta ** 2 * W @ W)
 
-    @staticmethod
-    def _log(a):
+    def log(self, a):
+        if a.ndim > 2:
+            return _each_column(self.log, (2,), a)
         # The angle comes from both the skew part, 2 sin(theta) times the
         # axis, and the trace, 1 + 2 cos(theta); atan2 of the two keeps it
         # well conditioned up to the cut, where arccos of the trace alone
@@ -229,8 +224,10 @@ class SO3(GroupKind):
             return 0.5 * w
         return theta / (2.0 * sin_theta) * w
 
-    @staticmethod
-    def _adjoint(a, x):
+    def adjoint(self, a, x):
+        x = np.asarray(x, dtype=float)
+        if a.ndim > 2 or x.ndim > 1:
+            return _each_column(self.adjoint, (2, 1), a, x)
         return a @ x.reshape(3)
 
     def bracket(self, x, y):

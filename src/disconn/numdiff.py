@@ -137,6 +137,13 @@ def _column_norm(x):
     return np.sqrt(x.dot(x))
 
 
+def _largest(x):
+    """The largest entry of a numpy scalar or array, NaN if one is NaN; on
+    a mask, whether any entry is set.  A scalar is returned as it is, which
+    skips the reduction a single point would otherwise pay for."""
+    return x.max() if x.ndim else x
+
+
 def on_stack(values, dim, stack):
     """Values of a callable as a (dim, *stack) array: a constant (dim,)
     value is broadcast over the stack, and with the empty stack the result
