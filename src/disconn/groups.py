@@ -122,7 +122,8 @@ class Translation(GroupKind):
         return np.zeros(self.dim)
 
     def compose(self, a, b):
-        a, b = _columns(a, b)
+        if a.ndim != b.ndim:
+            a, b = _columns(a, b)
         return a + b
 
     def inverse(self, a):
@@ -153,7 +154,8 @@ class Torus(Translation):
         return reduce_angle(super().wrap(data))
 
     def compose(self, a, b):
-        a, b = _columns(a, b)
+        if a.ndim != b.ndim:
+            a, b = _columns(a, b)
         return reduce_angle(a + b)
 
     def inverse(self, a):
