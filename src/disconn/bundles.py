@@ -27,11 +27,13 @@ connection.
 
 Stacks (see `numdiff`).  A point's arrays may carry a trailing stack,
 ``(d, *stack)``, and so may tangents and group elements; the bundle
-operations act column by column, and a single point or element broadcasts
-over a stack.  The point a tangent is attached to (the ``q`` of
-`any_lift`, `tangent_projection` and `infinitesimal_generator`, the
-``q0`` of `local_coords`) is one point with a stack of tangents; on the
-Hopf bundle stacks are ``(4, k)``.
+operations act column by column.  A point and the tangents attached to it
+(the ``q`` of `any_lift`, `tangent_projection` and
+`infinitesimal_generator`, the ``q0`` of `local_coords`), or two points,
+share one stack, or the shorter stack is a prefix of the longer one and
+broadcasts over it (`numdiff._columns`); a single point or element is the
+empty prefix.  The Hopf projection Jacobian is applied as explicit sums
+over the coordinate axis, the same operations for one column or a stack.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import numpy as np
 from .errors import BundleMismatch, NotSameFiber
 from .groups import GroupKind, Torus
 from .manifolds import ManifoldKind, Sphere
-from .numdiff import _column_norm, _columns, _largest
+from .numdiff import _column_norm, _columns, _largest, _loop_norm
 
 
 class PrincipalBundle:
@@ -130,31 +132,40 @@ def hopf_projection_coords(q):
                      a * a + b * b - c * c - d * d])
 
 
-def hopf_projection_jacobian(q):
-    """The (3, 4) Jacobian at one point q."""
-    a, b, c, d = q
-    return np.array([
-        [2 * c, 2 * d, 2 * a, 2 * b],
-        [-2 * d, 2 * c, 2 * b, -2 * a],
-        [2 * a, 2 * b, -2 * c, -2 * d],
-    ])
+def _hopf_push(q, v):
+    """J v for the (3, 4) Jacobian J of `hopf_projection_coords` at q, as
+    explicit sums; q and v share a stack, or the stack of q is a prefix of
+    that of v."""
+    (a, b, c, d), (va, vb, vc, vd) = _columns(q, v)
+    return 2.0 * np.array([c * va + d * vb + a * vc + b * vd,
+                           -d * va + c * vb + b * vc - a * vd,
+                           a * va + b * vb - c * vc - d * vd])
+
+
+def _hopf_pull(q, w):
+    """J^T w at q for w in R^3, as explicit sums, stacked as `_hopf_push`."""
+    (a, b, c, d), (x, y, z) = _columns(q, w)
+    return 2.0 * np.array([c * x - d * y + a * z,
+                           d * x + c * y + b * z,
+                           a * x + b * y - c * z,
+                           b * x - a * y - d * z])
 
 
 def hopf_section(m_coords):
-    """A point of S^3 over the given point of S^2; a (3, k) stack of base
-    points gives a (4, k) stack, one column at a time, since each column
-    takes its own chart."""
-    m = np.asarray(m_coords, dtype=float)
-    if m.ndim > 1:
-        return np.stack([hopf_section(column) for column in m.T], axis=-1)
-    x, y, z = m
-    if z > -0.5:
-        z1 = np.sqrt((1.0 + z) / 2.0)
-        re2, im2 = x / (2.0 * z1), -y / (2.0 * z1)
-        return np.array([z1, 0.0, re2, im2])
-    s = np.sqrt((1.0 - z) / 2.0)
-    re1, im1 = x / (2.0 * s), y / (2.0 * s)
-    return np.array([re1, im1, s, 0.0])
+    """A point of S^3 over the given point of S^2, or a (4, *stack) stack
+    of them over a (3, *stack) stack.  A column takes the chart around the
+    north pole when z > -0.5 and the one around the south pole otherwise."""
+    x, y, z = np.asarray(m_coords, dtype=float)
+    north = z > -0.5
+    # r = sqrt((1 + z) / 2) on the north chart and sqrt((1 - z) / 2) on the
+    # south one, at least 1 / 2 either way: no column divides by zero, and
+    # the sign +-1 multiplies z exactly, so each chart keeps its own bits.
+    r = np.sqrt((1.0 + (2.0 * north - 1.0) * z) / 2.0)
+    re, im = x / (2.0 * r), y / (2.0 * r)
+    zero = 0.0 * r
+    q = np.array([re, im, r, zero])
+    np.copyto(q, np.array([r, zero, re, -im]), where=north)
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +202,7 @@ def fiber_translation(q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
         return G.compose(q2.group_part, G.inverse(q1.group_part))
     # The Hermitian product conj(z1) w1 + conj(z2) w2 on C^2, written out
     # in real and imaginary parts as complex arithmetic computes them.
-    a, b, c, d = q1.ambient
-    e, f, g, h = q2.ambient
+    (a, b, c, d), (e, f, g, h) = _columns(q1.ambient, q2.ambient)
     re = (a * e + b * f) + (c * g + d * h)
     im = (a * f - b * e) + (c * h - d * g)
     if _largest(np.abs(np.hypot(re, im) - 1.0)) > 1e-9:
@@ -224,7 +234,7 @@ def tangent_projection(q: BundlePoint, v) -> np.ndarray:
     if isinstance(q.bundle, TrivialBundle):
         base, _ = split_trivial(q, v)
         return np.array(base)
-    return hopf_projection_jacobian(q.ambient) @ v
+    return _hopf_push(q.ambient, v)
 
 
 def any_lift(q: BundlePoint, delta_m) -> np.ndarray:
@@ -235,9 +245,9 @@ def any_lift(q: BundlePoint, delta_m) -> np.ndarray:
     # minimum-norm solution of J v = delta is J^T delta / 4: it is orthogonal
     # to q and to the fiber direction i q, i.e. horizontal for the canonical
     # connection.  Projecting delta first keeps the result tangent at q.
-    J = hopf_projection_jacobian(q.ambient)
-    m = 0.5 * (J @ q.ambient)
-    return J.T @ q.bundle.base.project_tangent(m, delta_m) / 4.0
+    m = 0.5 * _hopf_push(q.ambient, q.ambient)
+    delta = q.bundle.base.project_tangent(m, delta_m)
+    return _hopf_pull(q.ambient, delta) / 4.0
 
 
 def bundle_curve(q: BundlePoint, v, t) -> BundlePoint:
@@ -270,19 +280,23 @@ def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
     return q0.bundle.total_space.project_tangent(q0.ambient, diff)
 
 
-def base_distance(q1: BundlePoint, q2: BundlePoint) -> float:
+def base_distance(q1: BundlePoint, q2: BundlePoint):
+    """Distance of the projections, one per column of a stack."""
     return q1.bundle.base.distance(project(q1), project(q2))
 
 
-def point_distance(q1: BundlePoint, q2: BundlePoint) -> float:
-    """Distance on the total space (base distance plus fiber distance)."""
+def point_distance(q1: BundlePoint, q2: BundlePoint):
+    """Distance on the total space (base distance plus fiber distance): a
+    float for two points, one distance per column when one is a stack."""
     if q1.bundle != q2.bundle:
         raise BundleMismatch("points live on different bundles")
     if isinstance(q1.bundle, TrivialBundle):
         base = q1.bundle.base.distance(q1.base_point, q2.base_point)
         fiber = q1.bundle.group.distance(q1.group_part, q2.group_part)
-        return float(np.hypot(base, fiber))
-    return float(np.linalg.norm(q1.ambient - q2.ambient))
+        distance = np.hypot(*_columns(base, fiber))
+    else:
+        distance = _loop_norm(np.subtract(*_columns(q1.ambient, q2.ambient)))
+    return float(distance) if np.ndim(distance) == 0 else distance
 
 
 def section_over(bundle: PrincipalBundle, m) -> BundlePoint:

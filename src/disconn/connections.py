@@ -20,10 +20,13 @@ Presentations:
   ``A_q(v) = Im <q, v>`` in the Hermitian pairing on C^2, plus
   ``epsilon`` times the pullback of ``beta = x dy - y dx`` from the base
   sphere; ``epsilon = 0`` is the canonical connection, whose evaluation
-  never projects to the base.  Its evaluation takes one point with a
-  ``(4, k)`` stack of tangents.
+  never projects to the base.
 * ``GenericConnection`` -- an opaque evaluation rule, used for forms
   produced by differentiating discrete data.
+
+`eval_connection` and `horizontal_lift` take stacks (see `numdiff`): a
+point and its tangents share one stack, or the point's stack is a prefix
+of the tangents' and broadcasts over them, as in `bundles`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from . import bundles
 from .bundles import BundlePoint, HopfBundle, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, UnsupportedPresentation
 from .manifolds import EuclideanChart
-from .numdiff import by_column, exterior_derivative, on_stack
+from .numdiff import _columns, by_column, exterior_derivative, on_stack
 
 
 class ConnectionForm:
@@ -53,8 +56,8 @@ class TrivialLocalConnection(ConnectionForm):
         """omega as (k, *stack) values at (d, *stack) points and tangents;
         a single point gives a (k,) vector.  A non-abelian omega, such as
         one built from SO(3) exponentials, takes one point at a time."""
-        m = np.asarray(m_coords, dtype=float)
-        v = np.asarray(v_components, dtype=float)
+        m, v = _columns(np.asarray(m_coords, dtype=float),
+                        np.asarray(v_components, dtype=float))
         stack = m.shape[1:]
         if stack != v.shape[1:]:
             stack = np.broadcast_shapes(stack, v.shape[1:])
@@ -79,13 +82,13 @@ class GenericConnection(ConnectionForm):
 
 def _hopf_canonical_value(q, v):
     # Im <q, v> for q, v in R^4 ~ C^2 with the first slot conjugated.
-    a, b, c, d = q
-    va, vb, vc, vd = v
+    (a, b, c, d), (va, vb, vc, vd) = _columns(q, v)
     return a * vb - b * va + c * vd - d * vc
 
 
 def _sphere_beta(m, u):
     # beta = x dy - y dx restricted to S^2.
+    m, u = _columns(m, u)
     return m[0] * u[1] - m[1] * u[0]
 
 

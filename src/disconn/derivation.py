@@ -15,7 +15,10 @@ point passed beside it (`pair_derivative(Ad, q, v)`).
 
 Each derivative evaluates its difference stencil as one stack (see
 `numdiff`): one `eval_discrete` call on the four stencil points, so an
-integrated form runs one Newton solve for all four.
+integrated form runs one Newton solve for all four.  `pair_derivative`
+and `derive_horizontal` also take a stack of points with their tangents
+or base directions, and then make that one call for every column and
+its stencil together.
 """
 
 from __future__ import annotations
@@ -30,15 +33,15 @@ from .connections import ConnectionForm, GenericConnection, TrivialLocalConnecti
 from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
                        discrete_horizontal_lift, eval_discrete)
 from .errors import OutsideDomain
-from .numdiff import (_columns, by_column, lost_step, on_stack,
-                      richardson_derivative)
+from .numdiff import _columns, lost_step, on_stack, richardson_derivative
 
 
 def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
                     v) -> np.ndarray:
     """Second-slot derivative of A_d at (q, q) in the direction of the
-    tangent v at q; NaN
-    where the smallest difference step along the base is lost to rounding."""
+    tangent v at q, or one per column of a stack of points and tangents;
+    NaN where the smallest difference step along the base is lost to
+    rounding."""
 
     def f(t):
         value = eval_discrete(Ad, q, bundles.bundle_curve(q, v, t))
@@ -86,8 +89,10 @@ def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
 
     On a trivial bundle the result is a local one-form on the base that
     takes (d, *stack) stacks: a local discrete form with an abelian group
-    is differentiated through its pair map on the whole stack, any other
-    form column by column through `pair_derivative`.
+    is differentiated through its pair map, any other form through
+    `pair_derivative`, each on the whole stack.  (A one-form with a
+    non-abelian group is evaluated one column at a time; see
+    `TrivialLocalConnection.value`.)
     """
     bundle = Ad.bundle
     if isinstance(Ad, TrivialLocalDiscrete) and bundle.group.abelian:
@@ -96,16 +101,16 @@ def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
 
         return TrivialLocalConnection(bundle, omega)
     if isinstance(bundle, TrivialBundle):
-        def at_point(m_coords, delta_components):
+        def omega(m_coords, delta_components):
+            m, delta = np.broadcast_arrays(*_columns(
+                bundle.base.validate(m_coords),
+                np.asarray(delta_components, dtype=float)))
             # Not BundlePoint.trivial: wrapping the identity on a torus
             # would turn its 0.0 into -0.0.
-            q = bundles.section_over(bundle, bundle.base.validate(m_coords))
+            q = bundles.section_over(bundle, m)
             v = bundles.make_trivial_tangent(
-                q, delta_components, np.zeros(bundle.group.dim))
+                q, delta, np.zeros(bundle.group.dim))
             return pair_derivative(Ad, q, v)
-
-        def omega(m_coords, delta_components):
-            return by_column(at_point, m_coords, delta_components)
 
         return TrivialLocalConnection(bundle, omega)
 
@@ -114,7 +119,8 @@ def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
 
 def derive_horizontal(Ad: DiscreteConnectionForm, q: BundlePoint,
                       delta_m) -> np.ndarray:
-    """Derivative of the discrete horizontal lift in its base slot."""
+    """Derivative of the discrete horizontal lift in its base slot, or one
+    per column of a stack of points and base directions."""
     m, base = bundles.project(q), q.bundle.base
 
     def f(t):

@@ -14,11 +14,14 @@ Presentations:
 * ``ComposedDiscrete`` -- an opaque pair rule, used for forms assembled
   from a continuous connection and a retraction.
 
-`eval_discrete` also takes a stack of second points (see `numdiff`) and
-gives a stack of values.  A pair map C is called on the whole stack with
+`eval_discrete` also takes stacks of pairs (see `numdiff`) and gives a
+stack of values: the two points share one stack, or the stack of the
+first is a prefix of that of the second and broadcasts over it, as a
+single first point does.  A pair map C is called on the whole stack with
 an abelian group; with a non-abelian group it is written for one pair of
 points, as a connection's omega is (see `connections`), and is called one
-column at a time.
+column at a time.  The defects take stacks too and give one defect per
+column.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from . import bundles
 from .bundles import BundlePoint, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, OutsideDomain
-from .numdiff import _largest, by_column
+from .numdiff import _columns, _largest, by_column
 
 
 class DiscreteConnectionForm:
@@ -67,7 +70,7 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
     if isinstance(Ad, TrivialLocalDiscrete):
         G = Ad.bundle.group
         if G.abelian:
-            c = Ad.pair_map(q0.base_point, q1.base_point)
+            c = Ad.pair_map(*_columns(q0.base_point, q1.base_point))
         else:
             c = by_column(Ad.pair_map, q0.base_point, q1.base_point)
         c = G.wrap(c)
@@ -94,13 +97,17 @@ def discrete_curvature(Ad: DiscreteConnectionForm, q0: BundlePoint,
                                eval_discrete(Ad, q0, q1)))
 
 
-def identity_defect(Ad: DiscreteConnectionForm, q: BundlePoint) -> float:
+def identity_defect(Ad: DiscreteConnectionForm, q: BundlePoint):
+    """Distance of A_d(q, q) from the identity: a float, or one per column
+    of a stack of points."""
     G = Ad.bundle.group
     return G.distance(eval_discrete(Ad, q, q), G.identity())
 
 
 def discrete_equivariance_defect(Ad: DiscreteConnectionForm, g, g_prime,
-                                 q0: BundlePoint, q1: BundlePoint) -> float:
+                                 q0: BundlePoint, q1: BundlePoint):
+    """Distance between A_d(g.q0, g'.q1) and g' A_d(q0, q1) g^{-1}: a float,
+    or one per column of stacks of pairs and group elements."""
     G = Ad.bundle.group
     moved = eval_discrete(Ad, bundles.act(g, q0), bundles.act(g_prime, q1))
     expected = G.compose(

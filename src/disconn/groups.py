@@ -19,7 +19,8 @@ stacks too, ``(3, 3, *stack)`` matrices and ``(3, *stack)`` algebra
 vectors: `wrap`, `exp`, `log`, `compose` and `adjoint` run their
 single-element arithmetic on one column after another, and a single
 argument is used for every column; `inverse` and `bracket` act on all
-columns at once.
+columns at once.  `distance` of two elements is a float; with a stack it
+is one distance per column, with the bits of that column's float.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideInjectivityRadius
-from .numdiff import _columns
+from .numdiff import _columns, _loop_norm
 
 _TWO_PI = 2.0 * np.pi
 
@@ -48,9 +49,16 @@ def _stacked_vector(data, dim):
 def _each_column(method, ranks, *args):
     """method(*args) on one column of a trailing stack after another: an
     argument with more axes than its rank ranks[i] (2 for a matrix, 1 for
-    a vector) is a stack, and one without is passed to every column."""
+    a vector) is a stack, and one without is passed to every column.  A
+    shorter stack is a prefix of the longer ones and broadcasts over them,
+    as `numdiff._columns` broadcasts."""
     args = [np.asarray(a, dtype=float) for a in args]
+    depth = max(a.ndim - r for a, r in zip(args, ranks))
+    args = [a.reshape(a.shape + (1,) * (depth + r - a.ndim)) if a.ndim > r
+            else a for a, r in zip(args, ranks)]
     stack = np.broadcast_shapes(*(a.shape[r:] for a, r in zip(args, ranks)))
+    args = [np.broadcast_to(a, a.shape[:r] + stack) if a.ndim > r else a
+            for a, r in zip(args, ranks)]
     values = [method(*(a[(slice(None),) * r + i] if a.ndim > r else a
                        for a, r in zip(args, ranks)))
               for i in np.ndindex(stack)]
@@ -101,7 +109,8 @@ class GroupKind:
         raise NotImplementedError
 
     def distance(self, a, b):
-        """Bi-invariant distance used by defect reports."""
+        """Bi-invariant distance used by defect reports: a float for two
+        elements, one distance per column when one of them is a stack."""
         raise NotImplementedError
 
 
@@ -143,7 +152,7 @@ class Translation(GroupKind):
         return np.zeros(self.dim)
 
     def distance(self, a, b):
-        return float(np.linalg.norm(a - b))
+        return _distances(np.subtract(*_columns(a, b)))
 
 
 class Torus(Translation):
@@ -162,7 +171,7 @@ class Torus(Translation):
         return reduce_angle(-a)
 
     def distance(self, a, b):
-        return float(np.linalg.norm(reduce_angle(a - b)))
+        return _distances(reduce_angle(np.subtract(*_columns(a, b))))
 
 
 def Circle() -> Torus:
@@ -236,7 +245,18 @@ class SO3(GroupKind):
         return np.cross(x, y, axis=0)
 
     def distance(self, a, b):
+        if a.ndim > 2 or b.ndim > 2:
+            a, b = _columns(a, b)
+            diff = a - b
+            return _loop_norm(diff.reshape((9,) + diff.shape[2:]))
         return float(np.linalg.norm(a - b))
+
+
+def _distances(diff):
+    """The norm of a (dim,) difference as a float, or of each column of a
+    (dim, *stack) stack of them."""
+    lengths = _loop_norm(diff)
+    return float(lengths) if diff.ndim < 2 else lengths
 
 
 def kind_from_tag(tag, dim=None) -> GroupKind:

@@ -15,11 +15,12 @@ radius test as `manifolds.retract`.  A bundle tangent is its components
 array with its point passed beside it, and the induced discrete
 connection is defined on pairs closer than ``domain_radius`` on the base.
 
-Every step takes one point with a ``(d, *stack)`` stack of tangents (see
-`numdiff`) and steps each column on its own; so do the reduced
-retraction, whose stacks `manifolds.invert_extended` solves in one Newton
-solve, and the induced discrete connection, whose second point may be a
-stack.
+Every step takes a point with a ``(d, *stack)`` stack of tangents (see
+`numdiff`) and steps each column on its own; the point is one point, or a
+stack of points whose stack is a prefix of the tangents' and broadcasts
+over them.  So do the reduced retraction, whose stacks
+`manifolds.invert_extended` solves in one Newton solve with one anchor per
+column, and the induced discrete connection, which takes stacks of pairs.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch
 from .manifolds import Retraction
-from .numdiff import _column_norm
+from .numdiff import _column_norm, _columns
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +99,8 @@ def trivial_skewed_retraction(bundle: TrivialBundle) -> Retraction:
 
     def step(q, v):
         base, fiber = bundles.split_trivial(q, v)
-        skew = 0.3 * _column_norm(fiber) ** 2 \
-            * _column_norm(G.log(q.group_part))
+        skew = np.multiply(*_columns(0.3 * _column_norm(fiber) ** 2,
+                                     _column_norm(G.log(q.group_part))))
         return straight.step(q, np.concatenate([base, fiber + skew]))
 
     return Retraction(bundle, step, straight.domain_radius)

@@ -21,24 +21,29 @@ great circles on spheres) with the kind's ``default_radius``.
 instead; it does not commute with rotations.
 
 Stacks (see `numdiff`): the kinds' operations also take ``(d, *stack)``
-stacks, and a step takes one point with a stack of tangents; on spheres
-the stacks are ``(d, k)``.
+stacks.  A point and its tangents, or the two points of a distance, share
+one stack, or the point's stack is a prefix of the other's and broadcasts
+over it (`numdiff._columns`); a single point is the empty prefix.  A step
+thus takes one point, or a stack of points, with a stack of tangents.
 
 Local inversion of the extended retraction runs a Newton iteration in the
 normal chart centered at the anchor point: a point's chart coordinates are
 its geodesic log in an orthonormal tangent basis (the closed-form log on
 spheres, a shift on R^d).  `ManifoldKind.chart_at` builds the chart once
-per solve; a sphere's basis is one Householder reflection.  Every
-retraction is the identity to first order (DR_x(0) = id), so Newton starts
-at the target's chart coordinates: exact for ``metric_exponential``,
-first-order accurate for every other rule.  `invert_extended` solves a
-stack of targets from one anchor together.  Each column carries an active
-mask and stops at its own first residual <= NEWTON_TOL; each iteration
-makes one step call for the residuals of the active columns, one step call
-for the 2n central-difference probes of all their Jacobians, and one
-stacked linear solve.  A target outside the domain, an antipodal one or a
-column that does not converge within NEWTON_MAX_ITER fails the whole
-solve.
+per solve, with one Householder reflection per anchor on a sphere; a
+stack of anchors gets new charts for the anchors left when columns stop.
+Every retraction is the identity to first order (DR_x(0) = id), so Newton
+starts at the target's chart coordinates: exact for
+``metric_exponential``, first-order accurate for every other rule.
+`invert_extended` solves a stack of targets together, from one anchor or
+from a stack of anchors that broadcasts over the targets.  Each column
+carries an active mask and stops at its own first residual <= NEWTON_TOL;
+its anchor and chart stop with it.  Each iteration makes one step call for
+the residuals of the active columns, one step call for the 2n
+central-difference probes of all their Jacobians, each probe at its
+column's anchor, and one stacked linear solve.  A target outside the
+domain, an antipodal one or a column that does not converge within
+NEWTON_MAX_ITER fails the whole solve.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import NewtonDivergence, OutsideDomain
-from .numdiff import _column_norm, _columns, _largest, richardson_derivative
+from .numdiff import (_column_dot, _column_norm, _columns, _largest,
+                      _loop_dot, _loop_norm, richardson_derivative)
 
 EUCLIDEAN_RADIUS_SENTINEL = 1e18
 # Residual norm at which `invert_extended` stops, and its iteration budget.
@@ -76,7 +82,9 @@ class ManifoldKind:
         """Normal chart centered at a point, used by the Newton inversion:
         the pair (to_chart, from_chart) of closures mapping a point to the
         coordinates of its geodesic log at `center` and chart coordinates to
-        tangent components at `center`."""
+        tangent components at `center`.  A (d, *stack) stack of centers
+        gives one chart per center, broadcast over the points and
+        coordinates of each column."""
         raise NotImplementedError
 
     def geodesic_step(self, point, components):
@@ -104,8 +112,7 @@ class EuclideanChart(ManifoldKind):
         return self.validate(components)
 
     def distance(self, a, b):
-        a, b = _columns(a, b)
-        return _column_norm(a - b)
+        return _loop_norm(np.subtract(*_columns(a, b)))
 
     def chart_at(self, center):
         def to_chart(point):
@@ -146,46 +153,59 @@ class Sphere(ManifoldKind):
         return x
 
     def project_tangent(self, point, components):
-        # point is one point; components one ambient vector or a
-        # (ambient_dim, k) stack of them.
+        # Each column of components onto the tangent space at its point.
         v = np.asarray(components, dtype=float)
         v = v.reshape((self.ambient_dim,) + v.shape[1:])
-        return v - np.multiply.outer(point, np.dot(point, v))
+        point, v = _columns(point, v)
+        return v - point * _column_dot(point, v)
 
     def distance(self, a, b):
         # Chord-based formula: well conditioned for nearby points, where
         # arccos of the dot product loses half the significant digits.
-        a, b = _columns(a, b)
-        return 2.0 * np.arcsin(np.minimum(0.5 * _column_norm(a - b), 1.0))
+        chord = _loop_norm(np.subtract(*_columns(a, b)))
+        return 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
 
     def tangent_basis(self, center):
-        """Orthonormal basis of the tangent space, columns of the result."""
+        """Orthonormal basis of the tangent space, columns of the result:
+        (n, n - 1) at one point, (n, n - 1, *stack) at a stack of points."""
         # The Householder reflection H = I - 2 w w^T / (w . w) with
         # w = x + sign(x_k) e_k, k = argmax |x_k|, maps e_k to -sign(x_k) x;
         # its other columns are orthonormal and orthogonal to x.  Since
         # |x_k| >= 1/sqrt(n), w . w = 2 (1 + |x_k|) >= 2.
-        k = int(np.argmax(np.abs(center)))
-        w = np.array(center, dtype=float)
-        w[k] += np.copysign(1.0, center[k])
-        H = np.eye(self.ambient_dim) - np.outer(w, (2.0 / np.dot(w, w)) * w)
-        return np.delete(H, k, axis=1)
+        n = self.ambient_dim
+        x = np.asarray(center, dtype=float)
+        k = np.argmax(np.abs(x), axis=0)
+        rows = np.arange(n).reshape((n,) + (1,) * k.ndim)
+        w = np.where(rows == k, x + np.copysign(1.0, x), x)
+        H = (np.eye(n).reshape((n, n) + (1,) * k.ndim)
+             - w[:, None] * ((2.0 / _loop_dot(w, w)) * w)[None, :])
+        # Drop column k of each reflection.
+        kept = np.arange(n - 1).reshape((n - 1,) + (1,) * k.ndim)
+        return np.take_along_axis(H, (kept + (kept >= k))[None], axis=1)
 
     def chart_at(self, center):
         # Normal coordinates at `center`: the geodesic log in the basis B.
+        # A stack of centers keeps each basis as one C-ordered matrix, the
+        # layout of a single basis, so its products have a single basis's
+        # bits.
         B = self.tangent_basis(center)
+        stack = B.shape[2:]
+        if stack:
+            B = np.ascontiguousarray(
+                B.transpose(tuple(range(2, B.ndim)) + (0, 1)))
+        B_T = np.swapaxes(B, -1, -2)
 
         def to_chart(point):
-            # point is one point or a (ambient_dim, k) stack of them.
-            cos = np.dot(center, point)
+            cos = _column_dot(center, point)
             if _largest(1.0 + cos < 1e-12):
                 raise OutsideDomain("point is antipodal to the chart center")
-            sin_part = B.T @ point
+            sin_part = _per_anchor(B_T, point, stack)
             s = _column_norm(sin_part)
             # At the center, s = 0 and the log is 0 (arctan2(0, cos) = 0).
             return np.arctan2(s, cos) / np.maximum(s, 1e-300) * sin_part
 
         def from_chart(c):
-            return B @ np.asarray(c, dtype=float)
+            return _per_anchor(B, c, stack)
 
         return to_chart, from_chart
 
@@ -213,6 +233,27 @@ class Sphere(ManifoldKind):
         s = np.add.reduce(u * u, axis=0)
         return np.concatenate([2.0 * u / (1.0 + s),
                                [(1.0 - s) / (1.0 + s)]])
+
+
+def _per_anchor(M, c, stack):
+    """M c for one matrix M (rows, cols), or for a stack of them
+    (*stack, rows, cols), one per anchor; c is (cols, *stack, *more) and
+    the result (rows, *stack, *more)."""
+    c = np.asarray(c, dtype=float)
+    rows = M.shape[-2]
+    if not stack:
+        if c.ndim > 2:
+            return (M @ c.reshape(c.shape[0], -1)).reshape(
+                (rows,) + c.shape[1:])
+        return M @ c
+    # Each anchor's block of c as one C-ordered (cols, more) matrix.
+    k = len(stack)
+    more = c.shape[1 + k:]
+    blocks = c.reshape(c.shape[:1] + stack + (-1,)).transpose(
+        tuple(range(1, k + 1)) + (0, k + 1))
+    out = np.matmul(M, np.ascontiguousarray(blocks))
+    return out.transpose((k,) + tuple(range(k)) + (k + 1,)).reshape(
+        (rows,) + stack + more)
 
 
 @dataclass(frozen=True)
@@ -243,32 +284,41 @@ def retract(R: Retraction, x, v) -> np.ndarray:
 
 def invert_extended(R: Retraction, x, y) -> np.ndarray:
     """Components of the tangent v at x with retract(R, x, v) = y, by
-    Newton in a chart; y is one point, or a (d, *stack) stack of targets
-    solved together from the one anchor x, giving (d, *stack) components.
+    Newton in a chart.  y is one point or a (d, *stack) stack of targets,
+    solved together; x is one anchor for all of them, or a stack of anchors
+    whose stack is a prefix of the targets' and which broadcasts over them
+    (`numdiff._columns`).  The result has the shape of y.
 
-    Each column stops at its own first residual <= NEWTON_TOL.  In each
-    iteration the 2n difference probes of the Jacobians of all columns
-    still active go through one step call, and one stacked linear solve
+    Each column stops at its own first residual <= NEWTON_TOL, and its
+    anchor and chart stop with it.  In each iteration the 2n difference
+    probes of the Jacobians of all columns still active go through one step
+    call, each probe at its column's anchor, and one stacked linear solve
     updates them."""
     kind = R.space
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     # One target is solved as an (n,) vector, a stack as (n, k) columns:
     # solved as an (n, 1) stack, a one-pair integrated evaluation takes
     # about 1.2 times as long on the Hopf bundle and 1.6 times on R^2 x U(1).
+    # A stack of anchors gets one anchor per target column.
     stack = y.shape[1:]
+    if x.ndim > 1:
+        x = np.broadcast_to(_columns(x, y)[0], y.shape)
     if len(stack) > 1:
         y = y.reshape(y.shape[0], -1)
+        x = x.reshape(x.shape[0], -1) if x.ndim > 1 else x
     if _largest(kind.distance(x, y)) >= R.domain_radius / 2.0:
         raise OutsideDomain("target too far from the anchor point")
 
-    to_chart, from_chart = kind.chart_at(x)
+    def chart(anchor):
+        to_chart, from_chart = kind.chart_at(anchor)
 
-    def tangent(c):
-        return kind.project_tangent(x, from_chart(c))
+        def step_chart(c):
+            v = kind.project_tangent(anchor, from_chart(c))
+            return v, to_chart(R.step(anchor, v))
 
-    def step_chart(c):
-        return to_chart(R.step(x, tangent(c)))
+        return to_chart, step_chart
 
+    to_chart, step_chart = chart(x)
     # Initial guess: the normal coordinates of the targets, exact for the
     # metric exponential and first-order accurate for any retraction.
     n = kind.dim
@@ -279,8 +329,8 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     # iterating.
     solution = active = None
     for _ in range(NEWTON_MAX_ITER):
-        v = tangent(c)
-        r = to_chart(R.step(x, v)) - target
+        v, r = step_chart(c)
+        r = r - target
         norms = _column_norm(r)
         if _largest(norms) <= NEWTON_TOL:
             if solution is not None:
@@ -295,13 +345,15 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
             keep = ~done
             active, c, r, target = (active[keep], c[:, keep], r[:, keep],
                                     target[:, keep])
+            if x.ndim > 1:
+                x = x[:, keep]
+                to_chart, step_chart = chart(x)
         # The probes c +- h e_j of every column, laid out (n, active, 2n).
         columns, residuals = c.reshape(n, -1), r.reshape(n, -1)
         offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1)[:, None]
         h = 1e-7 * (1.0 + _column_norm(columns))
         probes = columns[:, :, None] + h[:, None] * offsets
-        rp = (step_chart(probes.reshape(n, -1)).reshape(probes.shape)
-              - target.reshape(n, -1)[:, :, None])
+        rp = step_chart(probes)[1] - target.reshape(n, -1)[:, :, None]
         J = (rp[:, :, :n] - rp[:, :, n:]) / (2.0 * h[:, None])
         try:
             step = np.linalg.solve(J.transpose(1, 0, 2),
@@ -309,7 +361,7 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence("singular Jacobian") from exc
         c = c - step[:, :, 0].T.reshape(c.shape)
-    residual = np.max(_column_norm(step_chart(c) - target))
+    residual = np.max(_column_norm(step_chart(c)[1] - target))
     raise NewtonDivergence(
         f"residual {residual:.3e} > {NEWTON_TOL:.1e} "
         f"after {NEWTON_MAX_ITER} iterations")

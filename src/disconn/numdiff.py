@@ -9,10 +9,14 @@ QUADRATURE_ORDER Gauss-Legendre nodes.
 
 Stacks.  Many points are evaluated in one call.  Points and tangents are
 then ``(d, *stack)`` arrays, coordinate axis first, and values are
-``(k, *stack)`` arrays; a single point is the empty stack ``()``.  A point
-and its tangent share one stack, or one of them is single: `_columns`
-appends singleton axes to the single one, so that it broadcasts over every
-column of the other.  Callables written for single points, such as
+``(k, *stack)`` arrays; a single point is the empty stack ``()``.  The
+broadcast rule: two arrays that go together (a point and its tangents,
+the two points of a pair, an anchor and its targets) share one stack, or
+the stack of one is a prefix of the stack of the other.  `_columns`
+appends singleton axes to the shorter one, so that each of its columns
+broadcasts over the trailing axes of the other: a single point over every
+column, a stack of k points over a (k, 4) stack of stencil points.
+Callables written for single points, such as
 ``lambda m, v: np.array([m[0] * v[1]])``, work unchanged on stacks,
 because ``m[0]`` is then a whole row; a constant value such as
 ``np.array([0.0])`` is broadcast by the caller (`on_stack`).  The
@@ -21,8 +25,11 @@ function once, with the four steps ``[STEP, -STEP, STEP / 2, -STEP / 2]``
 as one trailing stack axis, and the function returns its values with that
 axis last.  Elementwise operations on a stack perform the same
 floating-point operations in the same order as a loop over the columns,
-so their results are equal bit for bit; reductions over the coordinate
-axis (norms, dot products, matrix products) may differ in the last bit.
+so their results are equal bit for bit.  Reductions over the coordinate
+axis of a stack (`_column_dot`, `_column_norm`) sum one coordinate after
+another, where np.dot on a single vector may fuse and reorder, so they may
+differ in the last bit; `_loop_dot` and `_loop_norm` keep np.dot's bits
+on every column, for distances and defects.
 """
 
 import functools
@@ -127,14 +134,52 @@ def _columns(a, b):
     return a, b
 
 
+def _column_dot(a, b):
+    """Dot product over the coordinate axis: a number for two (d,) vectors,
+    with the bits of np.dot, and one per column of a stack, summed one
+    coordinate after another; a single vector or a shorter stack is
+    broadcast by `_columns`."""
+    a, b = _columns(a, b)
+    if a.ndim > 1:
+        return np.add.reduce(a * b, axis=0)
+    return a.dot(b)
+
+
 def _column_norm(x):
     """Euclidean norm of a (d,) vector, or of each column of a (d, *stack)
     stack; the same bits as np.linalg.norm(x) and np.linalg.norm(x,
     axis=0), without their argument handling."""
     x = np.asarray(x)
-    if x.ndim > 1:
-        return np.sqrt(np.add.reduce(x * x, axis=0))
-    return np.sqrt(x.dot(x))
+    return np.sqrt(_column_dot(x, x))
+
+
+def _loop_dot(a, b):
+    """Dot product over the coordinate axis with the bits of np.dot on each
+    column alone: a number for two (d,) vectors, one per column of a
+    stack.  Each column is one item of a stacked matmul, which runs the
+    BLAS dot product that np.dot runs on one vector.  Slower than
+    `_column_dot` on a stack; distances use it, so that a stacked check
+    reports the bits of a loop over its samples, and so do the Householder
+    bases of `manifolds.Sphere`, so that a stack of anchors gets the bases
+    of its anchors alone."""
+    a, b = _columns(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if a.ndim < 2:
+        return a.dot(b)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    products = np.matmul(_rows(a)[..., None, :], _rows(b)[..., :, None])
+    return products[..., 0, 0]
+
+
+def _loop_norm(x):
+    """np.linalg.norm of a (d,) vector, or of each column of a (d, *stack)
+    stack with the bits np.linalg.norm gives that column alone."""
+    return np.sqrt(_loop_dot(x, x))
+
+
+def _rows(x):
+    """The columns of a (d, *stack) stack as C-ordered rows, (*stack, d)."""
+    return np.ascontiguousarray(x.transpose(tuple(range(1, x.ndim)) + (0,)))
 
 
 def _largest(x):

@@ -64,7 +64,7 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
 from .bundles import BundlePoint, HopfBundle, TrivialBundle
 from .errors import ParseError, UnknownBuiltin
 from .manifolds import EuclideanChart
-from .numdiff import worst_defect
+from .numdiff import _loop_norm, worst_defect
 
 
 def rng_for(seed, stream):
@@ -485,6 +485,22 @@ def _hopf_chart_retraction(bundle):
 # ---------------------------------------------------------------------------
 # Named checks
 
+def _stacked(samples):
+    """A list of sample tuples as one tuple of stacks, sample index last:
+    arrays are stacked, and so are the arrays of bundle points."""
+    def stack(items):
+        q = items[0]
+        if not isinstance(q, BundlePoint):
+            return np.stack(items, axis=-1)
+        if q.ambient is not None:
+            return BundlePoint(q.bundle, ambient=stack(
+                [p.ambient for p in items]))
+        return BundlePoint(q.bundle, stack([p.base_point for p in items]),
+                           stack([p.group_part for p in items]))
+
+    return tuple(stack(list(items)) for items in zip(*samples))
+
+
 def _first_discrete(ctx):
     if not ctx.discretes:
         raise ParseError("check needs a discrete connection in the scenario")
@@ -518,16 +534,15 @@ def check_connection_axioms(ctx, params, rng, n):
 
 def check_discrete_axioms(ctx, params, rng, n):
     Ad = _first_discrete(ctx)
-    defects = []
+    samples = []
     for _ in range(n):
         q0 = ctx.sample_point(rng)
         q1 = ctx.sample_nearby_point(rng, q0)
-        g = ctx.sample_group(rng)
-        g2 = ctx.sample_group(rng)
-        defects.append(discrete.identity_defect(Ad, q0))
-        defects.append(discrete.discrete_equivariance_defect(
-            Ad, g, g2, q0, q1))
-    return worst_defect(defects)
+        samples.append((q0, q1, ctx.sample_group(rng), ctx.sample_group(rng)))
+    q0, q1, g, g2 = _stacked(samples)
+    return worst_defect([
+        discrete.identity_defect(Ad, q0),
+        discrete.discrete_equivariance_defect(Ad, g, g2, q0, q1)])
 
 
 def check_retraction_axioms(ctx, params, rng, n):
@@ -562,28 +577,28 @@ def check_derive_roundtrip(ctx, params, rng, n):
     A = _need_connection(ctx)
     Ad = _first_discrete(ctx)
     derived = derivation.derive_connection(Ad)
-    defects = []
+    samples = []
     for _ in range(n):
         q = ctx.sample_point(rng)
-        v = ctx.sample_bundle_tangent(rng, q)
-        lhs = connections.eval_connection(derived, q, v)
-        rhs = connections.eval_connection(A, q, v)
-        defects.append(float(np.linalg.norm(lhs - rhs)))
-    return worst_defect(defects)
+        samples.append((q, ctx.sample_bundle_tangent(rng, q)))
+    q, v = _stacked(samples)
+    lhs = connections.eval_connection(derived, q, v)
+    rhs = connections.eval_connection(A, q, v)
+    return worst_defect(_loop_norm(lhs - rhs))
 
 
 def _lift_defect(ctx, rng, n, A, Ad):
     """Worst distance between the derivative of the discrete horizontal
     lift of Ad and the horizontal lift of A, over n sampled points and
     base directions."""
-    defects = []
+    samples = []
     for _ in range(n):
         q = ctx.sample_point(rng)
-        dm = ctx.sample_base_tangent(rng, bundles.project(q))
-        direct = derivation.derive_horizontal(Ad, q, dm)
-        lifted = connections.horizontal_lift(A, q, dm)
-        defects.append(float(np.linalg.norm(direct - lifted)))
-    return worst_defect(defects)
+        samples.append((q, ctx.sample_base_tangent(rng, bundles.project(q))))
+    q, dm = _stacked(samples)
+    direct = derivation.derive_horizontal(Ad, q, dm)
+    lifted = connections.horizontal_lift(A, q, dm)
+    return worst_defect(_loop_norm(direct - lifted))
 
 
 def check_lift_roundtrip(ctx, params, rng, n):

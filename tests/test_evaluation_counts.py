@@ -1,12 +1,14 @@
 """How many evaluations one verify-all makes, on the benchmark workload
 hopf-newton at seed 0.
 
-A derivative evaluates its four-point difference stencil in one call, so
-each Richardson derivative calls its function once, and the integrated
-Hopf form makes one `eval_discrete` call, with one Newton solve for all
-four stencil points.  Per scenario the solves are 24 for discrete_axioms
-(3 per sample), 8 for derive_roundtrip and 8 for lift_roundtrip (1 per
-sample); evaluating the stencil one point at a time would make 32 each.
+A check draws its samples one at a time and then evaluates them as one
+stack, and a derivative evaluates its four-point difference stencil in
+the same call, so each Richardson derivative calls its function once and
+the integrated Hopf form makes one `eval_discrete` call, with one Newton
+solve, per stacked evaluation.  Per scenario the solves are 3 for
+discrete_axioms (A_d(q0, q0), A_d(g q0, g' q1) and A_d(q0, q1), each on
+all samples), 1 for derive_roundtrip and 1 for lift_roundtrip; one solve
+per sample would make 24, 8 and 8.
 """
 
 import importlib.util
@@ -65,5 +67,5 @@ def test_hopf_newton_seed_0(counts, tmp_path, capsys):
     workloads.write(workloads.generate("hopf-newton", 0), tmp_path)
     assert main(["verify-all", str(tmp_path), "--format", "json"]) == 0
     capsys.readouterr()
-    assert counts == {"invert_extended": 80, "eval_discrete": 80,
-                      "richardson_derivative": 32, "f": 32}
+    assert counts == {"invert_extended": 10, "eval_discrete": 10,
+                      "richardson_derivative": 4, "f": 4}

@@ -1,5 +1,5 @@
-"""Newton in the normal chart, one chart per solve, and the closed-form
-Hopf horizontal lift."""
+"""Newton in the normal chart, one chart per solve (one per anchor of a
+stack of anchors), and the closed-form Hopf horizontal lift."""
 
 import dataclasses
 
@@ -8,11 +8,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from disconn.bundles import (BundlePoint, HopfBundle, any_lift,
-                             hopf_projection_coords, hopf_projection_jacobian)
-from disconn.connections import HopfConnection, eval_connection
+from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
+                             any_lift, hopf_projection_coords)
+from disconn.connections import (HopfConnection, TrivialLocalConnection,
+                                 eval_connection)
 from disconn.errors import NewtonDivergence, OutsideDomain
-from disconn.integration import hopf_geodesic_retraction, reduced_retraction
+from disconn.groups import Circle
+from disconn.integration import (hopf_geodesic_retraction, reduced_retraction,
+                                 trivial_product_retraction,
+                                 trivial_skewed_retraction)
 from disconn.manifolds import (EuclideanChart, Retraction, Sphere,
                                invert_extended, metric_exponential,
                                retract)
@@ -206,6 +210,124 @@ class TestStackedNewton:
             invert_extended(R, x, np.stack([good, bad], axis=-1))
 
 
+def plane_reduced(make):
+    B = TrivialBundle(EuclideanChart(2), Circle())
+    A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
+    return reduced_retraction(A, make(B))
+
+
+def quadratic_plane():
+    # R_x(v) = x + v + 0.2 (v0^2, v0 v1): Newton iterates on R^2 too.
+    kind = EuclideanChart(2)
+
+    def step(x, v):
+        v = np.asarray(v, dtype=float)
+        bend = 0.2 * np.array([v[0] * v[0], v[0] * v[1]])
+        return kind.geodesic_step(x, v + bend)
+
+    return Retraction(kind, step, 2.0)
+
+
+# A stacked solve on R^d is bit for bit the loop of single solves.  On
+# spheres a stack sums its coordinates one after another where one target
+# takes np.dot, so columns may differ by a few ulps of their norm; on the
+# perturbed Hopf reduction Newton's last update carries that difference
+# over from the iterate before it.
+ANCHOR_CASES = {
+    "r2_straight": (lambda: plane_reduced(trivial_product_retraction), 0),
+    "r2_skewed": (lambda: plane_reduced(trivial_skewed_retraction), 0),
+    "r2_quadratic": (quadratic_plane, 0),
+    "s2_exp": (lambda: metric_exponential(Sphere(3)), 4),
+    "hopf_perturbed": (
+        lambda: hopf_reduced(lambda H: HopfConnection(H, 0.1)), 64),
+}
+
+
+def anchors_and_targets(R, rng, k, *stencil):
+    """k anchors and a target near each, with a trailing stencil axis of
+    scaled targets when `stencil` gives the scales."""
+    kind = R.space
+    x = np.stack([random_point(rng, kind) for _ in range(k)], axis=-1)
+    v = np.stack([random_tangent(rng, kind, x[:, i],
+                                 rng.uniform(0.05, 0.45) * min(
+                                     R.domain_radius, 2.0))
+                  for i in range(k)], axis=-1)
+    if stencil:
+        v = np.multiply.outer(v, stencil)
+    return x, kind.geodesic_step(x, v)
+
+
+def assert_within_ulps(stacked, singles, ulps):
+    if ulps == 0:
+        assert np.array_equal(stacked, singles)
+        return
+    scale = np.spacing(np.linalg.norm(singles, axis=0))
+    assert np.all(np.abs(stacked - singles) <= ulps * scale)
+
+
+class TestAnchorStacks:
+    @pytest.mark.parametrize("name", sorted(ANCHOR_CASES))
+    def test_anchor_stack_gives_the_single_solves(self, name):
+        make, ulps = ANCHOR_CASES[name]
+        R = make()
+        rng = np.random.default_rng(53)
+        x, y = anchors_and_targets(R, rng, 6)
+        stacked = invert_extended(R, x, y)
+        assert stacked.shape == y.shape
+        singles = np.stack([invert_extended(R, x[:, i], y[:, i])
+                            for i in range(6)], axis=-1)
+        assert_within_ulps(stacked, singles, ulps)
+
+    @pytest.mark.parametrize("name", sorted(ANCHOR_CASES))
+    def test_anchor_stack_broadcasts_over_a_stencil(self, name):
+        # (d, k) anchors with (d, k, 4) targets: each anchor serves its own
+        # four targets, as one anchor with a (d, 4) stack does.
+        make, ulps = ANCHOR_CASES[name]
+        R = make()
+        rng = np.random.default_rng(59)
+        x, y = anchors_and_targets(R, rng, 5, 1.0, -1.0, 0.5, -0.5)
+        stacked = invert_extended(R, x, y)
+        assert stacked.shape == y.shape
+        singles = np.stack([invert_extended(R, x[:, i], y[:, i])
+                            for i in range(5)], axis=1)
+        assert_within_ulps(stacked, singles, ulps)
+
+    @pytest.mark.parametrize("name", ["r2_quadratic", "hopf_perturbed"])
+    def test_a_column_that_stops_early_keeps_its_iterate(self, name):
+        # The first target is its own anchor and converges at the first
+        # residual; the others need Newton updates.  The stopped column
+        # leaves the stack with its anchor: later steps see fewer anchors.
+        make, ulps = ANCHOR_CASES[name]
+        counted, widths = counting_columns(make())
+        points = []
+        step = counted.step
+        counted = dataclasses.replace(
+            counted, step=lambda p, v: points.append(np.shape(p)) or step(
+                p, v))
+        rng = np.random.default_rng(61)
+        x, y = anchors_and_targets(counted, rng, 3)
+        y[:, 0] = x[:, 0]
+        stacked = invert_extended(counted, x, y)
+        assert widths[0] == 3 and min(widths) == 2
+        assert {shape[1] for shape in points} == {3, 2}
+        singles = np.stack([invert_extended(counted, x[:, i], y[:, i])
+                            for i in range(3)], axis=-1)
+        assert_within_ulps(stacked, singles, ulps)
+        assert np.max(np.abs(stacked[:, 0])) <= 1e-15
+
+    def test_one_target_outside_the_domain_raises(self):
+        R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
+        kind = R.space
+        rng = np.random.default_rng(67)
+        x, y = anchors_and_targets(R, rng, 3)
+        far = kind.geodesic_step(
+            x[:, 1], random_tangent(rng, kind, x[:, 1], 0.9))
+        for bad in (far, -x[:, 1]):
+            y[:, 1] = bad
+            with pytest.raises(OutsideDomain):
+                invert_extended(R, x, y)
+
+
 class TestOneBasisPerSolve:
     @pytest.fixture
     def basis_count(self, monkeypatch):
@@ -245,6 +367,16 @@ class TestOneBasisPerSolve:
 
 
 coordinate = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+def hopf_projection_jacobian(q):
+    """The (3, 4) Jacobian of `hopf_projection_coords` at q."""
+    a, b, c, d = q
+    return np.array([
+        [2 * c, 2 * d, 2 * a, 2 * b],
+        [-2 * d, 2 * c, 2 * b, -2 * a],
+        [2 * a, 2 * b, -2 * c, -2 * d],
+    ])
 
 
 def lstsq_lift(q, delta):
