@@ -40,7 +40,8 @@ from . import bundles
 from .bundles import BundlePoint, HopfBundle, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, UnsupportedPresentation
 from .manifolds import EuclideanChart
-from .numdiff import _columns, by_column, exterior_derivative, on_stack
+from .numdiff import (_column_norm, _columns, by_column, exterior_derivative,
+                      on_stack)
 
 
 class ConnectionForm:
@@ -155,7 +156,7 @@ def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
 def verticality_defect(A: ConnectionForm, q: BundlePoint, xi) -> float:
     """|A(generator(q, xi)) - xi|."""
     value = eval_connection(A, q, bundles.infinitesimal_generator(q, xi))
-    return float(np.linalg.norm(value - xi))
+    return float(_column_norm(value - xi))
 
 
 def equivariance_defect(A: ConnectionForm, g, q: BundlePoint, v) -> float:
@@ -163,4 +164,4 @@ def equivariance_defect(A: ConnectionForm, g, q: BundlePoint, v) -> float:
     moved = eval_connection(A, bundles.act(g, q),
                             bundles.tangent_lift_action(g, q, v))
     expected = A.bundle.group.adjoint(g, eval_connection(A, q, v))
-    return float(np.linalg.norm(moved - expected))
+    return float(_column_norm(moved - expected))

@@ -137,8 +137,8 @@ def _columns(a, b):
 def _column_dot(a, b):
     """Dot product over the coordinate axis: a number for two (d,) vectors,
     with the bits of np.dot, and one per column of a stack, summed one
-    coordinate after another; a single vector or a shorter stack is
-    broadcast by `_columns`."""
+    coordinate after another as `_column_norm` sums; a single vector or a
+    shorter stack is broadcast by `_columns`."""
     a, b = _columns(a, b)
     if a.ndim > 1:
         return np.add.reduce(a * b, axis=0)
@@ -150,7 +150,9 @@ def _column_norm(x):
     stack; the same bits as np.linalg.norm(x) and np.linalg.norm(x,
     axis=0), without their argument handling."""
     x = np.asarray(x)
-    return np.sqrt(_column_dot(x, x))
+    if x.ndim > 1:
+        return np.sqrt(np.add.reduce(x * x, axis=0))
+    return np.sqrt(x.dot(x))
 
 
 def _loop_dot(a, b):
@@ -174,7 +176,12 @@ def _loop_dot(a, b):
 def _loop_norm(x):
     """np.linalg.norm of a (d,) vector, or of each column of a (d, *stack)
     stack with the bits np.linalg.norm gives that column alone."""
-    return np.sqrt(_loop_dot(x, x))
+    x = np.asarray(x, dtype=float)
+    if x.ndim < 2:
+        return np.sqrt(x.dot(x))
+    rows = _rows(x)
+    squares = np.matmul(rows[..., None, :], rows[..., :, None])
+    return np.sqrt(squares[..., 0, 0])
 
 
 def _rows(x):

@@ -64,7 +64,7 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
 from .bundles import BundlePoint, HopfBundle, TrivialBundle
 from .errors import ParseError, UnknownBuiltin
 from .manifolds import EuclideanChart
-from .numdiff import _loop_norm, worst_defect
+from .numdiff import _column_norm, _loop_norm, worst_defect
 
 
 def rng_for(seed, stream):
@@ -429,7 +429,7 @@ class ScenarioContext:
         if self.box is not None:
             return base.validate(rng.uniform(self.box[:, 0], self.box[:, 1]))
         vec = rng.normal(size=base.coord_size)
-        return base.validate(vec / np.linalg.norm(vec))
+        return base.validate(vec / _column_norm(vec))
 
     def sample_group(self, rng):
         G = self.bundle.group
@@ -458,7 +458,7 @@ class ScenarioContext:
         """Second point whose base distance from q stays inside the domain."""
         m = bundles.project(q)
         direction = self.sample_base_tangent(rng, m)
-        norm = float(np.linalg.norm(direction))
+        norm = float(_column_norm(direction))
         cap = min(self.domain_radius, 2.0)
         if norm > 1e-12:
             scale = radius_fraction * cap * rng.uniform(0.05, 1.0) / norm
@@ -555,7 +555,7 @@ def check_retraction_axioms(ctx, params, rng, n):
         m = ctx.sample_base_point(rng)
         v = ctx.sample_base_tangent(rng, m)
         cap = 0.2 * min(rule.domain_radius, 2.0)
-        norm = float(np.linalg.norm(v))
+        norm = float(_column_norm(v))
         if norm > cap:
             v = (cap / norm) * v
         defects.append(manifolds.check_retraction_axioms(rule, m, v))
@@ -721,7 +721,7 @@ def check_retraction_equivariance(ctx, params, rng, n):
         q = ctx.sample_point(rng)
         v = ctx.sample_bundle_tangent(rng, q)
         cap = 0.2 * min(ctx.retraction.domain_radius, 2.0)
-        norm = float(np.linalg.norm(v))
+        norm = float(_column_norm(v))
         if norm > cap:
             v = v * cap / norm
         g = ctx.sample_group(rng)
