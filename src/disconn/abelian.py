@@ -40,7 +40,7 @@ from .errors import (BundleMismatch, CurvatureMismatch, NotClosed,
                      UnsupportedGroup, UnsupportedPresentation)
 from .groups import GroupKind
 from .manifolds import EuclideanChart, ManifoldKind
-from .numdiff import (_columns, exterior_derivative,
+from .numdiff import (_column_norm, _columns, exterior_derivative,
                       gauss_legendre_line_integral, worst_defect)
 
 # Primitive values kept per primitive.  Curvature-matched evaluations look
@@ -74,8 +74,7 @@ def worst_exterior_defect(A: TrivialLocalConnection, samples) -> float:
         return 0.0
     m, u, w = (np.asarray(np.stack(column, axis=-1), dtype=float)
                for column in zip(*samples))
-    return worst_defect(np.linalg.norm(
-        exterior_derivative(A.value, m, u, w), axis=0))
+    return worst_defect(_column_norm(exterior_derivative(A.value, m, u, w)))
 
 
 def check_closed(A: TrivialLocalConnection, samples) -> float:

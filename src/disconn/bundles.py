@@ -45,7 +45,7 @@ import numpy as np
 from .errors import BundleMismatch, NotSameFiber
 from .groups import GroupKind, Torus
 from .manifolds import ManifoldKind, Sphere
-from .numdiff import _column_norm, _columns, _largest, _loop_norm
+from .numdiff import _column_norm, _columns, _largest
 
 
 class PrincipalBundle:
@@ -286,17 +286,15 @@ def base_distance(q1: BundlePoint, q2: BundlePoint):
 
 
 def point_distance(q1: BundlePoint, q2: BundlePoint):
-    """Distance on the total space (base distance plus fiber distance): a
-    float for two points, one distance per column when one is a stack."""
+    """Distance on the total space (base distance plus fiber distance),
+    one per column of a stack."""
     if q1.bundle != q2.bundle:
         raise BundleMismatch("points live on different bundles")
     if isinstance(q1.bundle, TrivialBundle):
         base = q1.bundle.base.distance(q1.base_point, q2.base_point)
         fiber = q1.bundle.group.distance(q1.group_part, q2.group_part)
-        distance = np.hypot(*_columns(base, fiber))
-    else:
-        distance = _loop_norm(np.subtract(*_columns(q1.ambient, q2.ambient)))
-    return float(distance) if np.ndim(distance) == 0 else distance
+        return np.hypot(*_columns(base, fiber))
+    return _column_norm(np.subtract(*_columns(q1.ambient, q2.ambient)))
 
 
 def section_over(bundle: PrincipalBundle, m) -> BundlePoint:

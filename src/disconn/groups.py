@@ -8,19 +8,22 @@ orthogonal 3x3 matrix for SO(3).  An algebra element is a plain
 the group kind, which the caller holds (``bundle.group``):
 ``G.compose(a, b)``, ``G.exp(x)``, ``G.distance(a, b)`` and so on.
 `GroupKind.wrap` validates element data where it enters the library;
-`exp` and `adjoint` reshape their algebra argument to ``(dim,)``, so
-another length raises.
+`exp` and `adjoint` reshape their algebra argument to ``(dim, *stack)``,
+so a first axis of another length raises.
 
-The operations of the abelian groups (`Translation`, and its subclass
-`Torus`, which reduces angles) also accept ``(dim, *stack)`` stacks of
-elements, coordinate axis first, and act column by column; `compose`
-combines a single element with every column of a stack.  SO(3) takes
-stacks too, ``(3, 3, *stack)`` matrices and ``(3, *stack)`` algebra
-vectors: `wrap`, `exp`, `log`, `compose` and `adjoint` run their
-single-element arithmetic on one column after another, and a single
-argument is used for every column; `inverse` and `bracket` act on all
-columns at once.  `distance` of two elements is a float; with a stack it
-is one distance per column, with the bits of that column's float.
+Every operation also takes stacks, coordinate axis first: ``(dim,
+*stack)`` vectors for the abelian groups (`Translation`, and its subclass
+`Torus`, which reduces angles) and for algebra elements, ``(3, 3,
+*stack)`` matrices for SO(3).  Two arguments share one stack, or the
+stack of one is a prefix of the other's and broadcasts over it
+(`numdiff._columns`).  A single element is the empty stack, and it takes
+the same code and the same arithmetic as every column of a stack: SO(3)'s
+`wrap`, `exp` (Rodrigues, with the small-angle branch as a mask), `log`
+(the atan2 form, its cut guard on the whole stack), `compose`, `adjoint`
+and `distance` are each written once, their matrix products as the
+coordinate sums of `numdiff._column_dot`.  So a single call equals its
+column of a stack bit for bit.  `distance` gives one distance per column,
+and a numpy scalar for two single elements.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OutsideInjectivityRadius
-from .numdiff import _columns, _loop_norm
+from .numdiff import (_column_dot, _column_norm, _columns, _largest,
+                      _matvec)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -46,29 +50,12 @@ def _stacked_vector(data, dim):
     return data.reshape((dim,) + data.shape[1:])
 
 
-def _each_column(method, ranks, *args):
-    """method(*args) on one column of a trailing stack after another: an
-    argument with more axes than its rank ranks[i] (2 for a matrix, 1 for
-    a vector) is a stack, and one without is passed to every column.  A
-    shorter stack is a prefix of the longer ones and broadcasts over them,
-    as `numdiff._columns` broadcasts."""
-    args = [np.asarray(a, dtype=float) for a in args]
-    depth = max(a.ndim - r for a, r in zip(args, ranks))
-    args = [a.reshape(a.shape + (1,) * (depth + r - a.ndim)) if a.ndim > r
-            else a for a, r in zip(args, ranks)]
-    stack = np.broadcast_shapes(*(a.shape[r:] for a, r in zip(args, ranks)))
-    args = [np.broadcast_to(a, a.shape[:r] + stack) if a.ndim > r else a
-            for a, r in zip(args, ranks)]
-    values = [method(*(a[(slice(None),) * r + i] if a.ndim > r else a
-                       for a, r in zip(args, ranks)))
-              for i in np.ndindex(stack)]
-    return np.stack(values, axis=-1).reshape(values[0].shape + stack)
-
-
 def hat(w):
-    """Hat map sending a 3-vector to the matching skew matrix."""
+    """Hat map sending a 3-vector to the matching skew matrix, or a
+    (3, *stack) stack of them to (3, 3, *stack) matrices."""
     x, y, z = w
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    o = np.zeros_like(x)
+    return np.array([[o, -z, y], [z, o, -x], [-y, x, o]])
 
 
 def unhat(W):
@@ -109,8 +96,8 @@ class GroupKind:
         raise NotImplementedError
 
     def distance(self, a, b):
-        """Bi-invariant distance used by defect reports: a float for two
-        elements, one distance per column when one of them is a stack."""
+        """Bi-invariant distance used by defect reports, one per column of
+        a stack (a numpy scalar for two single elements)."""
         raise NotImplementedError
 
 
@@ -152,7 +139,7 @@ class Translation(GroupKind):
         return np.zeros(self.dim)
 
     def distance(self, a, b):
-        return _distances(np.subtract(*_columns(a, b)))
+        return _column_norm(np.subtract(*_columns(a, b)))
 
 
 class Torus(Translation):
@@ -171,7 +158,7 @@ class Torus(Translation):
         return reduce_angle(-a)
 
     def distance(self, a, b):
-        return _distances(reduce_angle(np.subtract(*_columns(a, b))))
+        return _column_norm(reduce_angle(np.subtract(*_columns(a, b))))
 
 
 def Circle() -> Torus:
@@ -186,12 +173,13 @@ class SO3(GroupKind):
 
     def wrap(self, data):
         M = np.asarray(data, dtype=float)
-        if M.ndim > 2:
-            return _each_column(self.wrap, (2,), M)
-        M = M.reshape(3, 3)
-        if np.linalg.norm(M.T @ M - np.eye(3)) > 1e-10:
+        M = M.reshape((3, 3) + M.shape[2:])
+        # Both tests are written so that a NaN entry fails them.
+        gap = self.distance(self.compose(self.inverse(M), M), np.eye(3))
+        if not np.all(gap <= 1e-10):
             raise ValueError("SO3 matrix is not orthogonal to 1e-10")
-        if np.linalg.det(M) <= 0:
+        det = _column_dot(M[:, 0], np.cross(M[:, 1], M[:, 2], axis=0))
+        if not np.all(det > 0.0):
             raise ValueError("SO3 matrix must have positive determinant")
         return M
 
@@ -199,64 +187,50 @@ class SO3(GroupKind):
         return np.eye(3)
 
     def compose(self, a, b):
-        if a.ndim > 2 or b.ndim > 2:
-            return _each_column(self.compose, (2, 2), a, b)
-        return a @ b
+        # (a b)_ij = sum_k a_ik b_kj, summed over k as `_column_dot` sums.
+        return _column_dot(np.swapaxes(a, 0, 1)[:, :, None], b[:, None])
 
     def inverse(self, a):
         return np.swapaxes(a, 0, 1).copy()
 
     def exp(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim > 1:
-            return _each_column(self.exp, (1,), x)
-        x = x.reshape(3)
-        theta = float(np.linalg.norm(x))
+        x = _stacked_vector(x, 3)
+        theta = _column_norm(x)
         W = hat(x)
-        if theta < 1e-12:
-            return np.eye(3) + W + 0.5 * W @ W
-        return (np.eye(3) + np.sin(theta) / theta * W
-                + (1.0 - np.cos(theta)) / theta ** 2 * W @ W)
+        # Below 1e-12 the Rodrigues coefficients take their limits 1 and
+        # 1/2; the mask keeps the division away from zero.
+        small = theta < 1e-12
+        safe = np.where(small, 1.0, theta)
+        a = np.where(small, 1.0, np.sin(safe) / safe)
+        b = np.where(small, 0.5, (1.0 - np.cos(safe)) / safe ** 2)
+        identity = np.eye(3).reshape((3, 3) + (1,) * theta.ndim)
+        return identity + a * W + b * self.compose(W, W)
 
     def log(self, a):
-        if a.ndim > 2:
-            return _each_column(self.log, (2,), a)
         # The angle comes from both the skew part, 2 sin(theta) times the
         # axis, and the trace, 1 + 2 cos(theta); atan2 of the two keeps it
         # well conditioned up to the cut, where arccos of the trace alone
         # loses half the digits.
-        w = unhat(a - a.T)
-        sin_theta = float(np.linalg.norm(w)) / 2.0
-        theta = float(np.arctan2(sin_theta, (np.trace(a) - 1.0) / 2.0))
-        if theta >= np.pi - 1e-6:
+        w = unhat(a - self.inverse(a))
+        sin_theta = _column_norm(w) / 2.0
+        cos_theta = (a[0, 0] + a[1, 1] + a[2, 2] - 1.0) / 2.0
+        theta = np.arctan2(sin_theta, cos_theta)
+        if _largest(theta >= np.pi - 1e-6):
             raise OutsideInjectivityRadius(
-                f"rotation angle {theta:.6f} too close to pi")
-        if theta < 1e-12:
-            return 0.5 * w
-        return theta / (2.0 * sin_theta) * w
+                f"rotation angle {np.nanmax(theta):.6f} too close to pi")
+        small = theta < 1e-12
+        return np.where(
+            small, 0.5, theta / (2.0 * np.where(small, 1.0, sin_theta))) * w
 
     def adjoint(self, a, x):
-        x = np.asarray(x, dtype=float)
-        if a.ndim > 2 or x.ndim > 1:
-            return _each_column(self.adjoint, (2, 1), a, x)
-        return a @ x.reshape(3)
+        return _matvec(a, _stacked_vector(x, 3))
 
     def bracket(self, x, y):
         return np.cross(x, y, axis=0)
 
     def distance(self, a, b):
-        if a.ndim > 2 or b.ndim > 2:
-            a, b = _columns(a, b)
-            diff = a - b
-            return _loop_norm(diff.reshape((9,) + diff.shape[2:]))
-        return float(np.linalg.norm(a - b))
-
-
-def _distances(diff):
-    """The norm of a (dim,) difference as a float, or of each column of a
-    (dim, *stack) stack of them."""
-    lengths = _loop_norm(diff)
-    return float(lengths) if diff.ndim < 2 else lengths
+        diff = np.subtract(*_columns(a, b))
+        return _column_norm(diff.reshape((9,) + diff.shape[2:]))
 
 
 def kind_from_tag(tag, dim=None) -> GroupKind:

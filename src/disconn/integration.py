@@ -35,7 +35,7 @@ from .connections import ConnectionForm, eval_connection, horizontal_lift
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch
 from .manifolds import Retraction
-from .numdiff import _column_norm, _columns
+from .numdiff import _column_dot, _column_norm, _columns
 
 
 # ---------------------------------------------------------------------------
@@ -52,10 +52,10 @@ def build_invariant_metric(A: ConnectionForm) -> Callable:
     def pairing(q, u, w):
         pu = bundles.tangent_projection(q, u)
         pw = bundles.tangent_projection(q, w)
-        horizontal = float(np.dot(pu, pw))
+        horizontal = float(_column_dot(pu, pw))
         au = eval_connection(A, q, u)
         aw = eval_connection(A, q, w)
-        return float(horizontal + np.dot(au, aw))
+        return float(horizontal + _column_dot(au, aw))
 
     return pairing
 

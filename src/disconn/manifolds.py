@@ -24,14 +24,20 @@ Stacks (see `numdiff`): the kinds' operations also take ``(d, *stack)``
 stacks.  A point and its tangents, or the two points of a distance, share
 one stack, or the point's stack is a prefix of the other's and broadcasts
 over it (`numdiff._columns`); a single point is the empty prefix.  A step
-thus takes one point, or a stack of points, with a stack of tangents.
+thus takes one point, or a stack of points, with a stack of tangents.  A
+single point goes through the same code and the same arithmetic as each
+column of a stack, reductions over the coordinate axis included, so it
+gets the bits of its column.
 
 Local inversion of the extended retraction runs a Newton iteration in the
 normal chart centered at the anchor point: a point's chart coordinates are
 its geodesic log in an orthonormal tangent basis (the closed-form log on
 spheres, a shift on R^d).  `ManifoldKind.chart_at` builds the chart once
-per solve, with one Householder reflection per anchor on a sphere; a
-stack of anchors gets new charts for the anchors left when columns stop.
+per solve, with one Householder reflection per anchor on a sphere, and
+applies each basis by the coordinate sums of `numdiff._matvec`; a stack
+of anchors is a stack of bases, each applied to its own columns, and it
+gets new charts for the anchors left when columns stop.  So a stacked
+solve gives each column the bits of its single solve.
 Every retraction is the identity to first order (DR_x(0) = id), so Newton
 starts at the target's chart coordinates: exact for
 ``metric_exponential``, first-order accurate for every other rule.
@@ -55,7 +61,7 @@ import numpy as np
 
 from .errors import NewtonDivergence, OutsideDomain
 from .numdiff import (_column_dot, _column_norm, _columns, _largest,
-                      _loop_dot, _loop_norm, richardson_derivative)
+                      _matvec, richardson_derivative)
 
 EUCLIDEAN_RADIUS_SENTINEL = 1e18
 # Residual norm at which `invert_extended` stops, and its iteration budget.
@@ -112,7 +118,7 @@ class EuclideanChart(ManifoldKind):
         return self.validate(components)
 
     def distance(self, a, b):
-        return _loop_norm(np.subtract(*_columns(a, b)))
+        return _column_norm(np.subtract(*_columns(a, b)))
 
     def chart_at(self, center):
         def to_chart(point):
@@ -148,7 +154,8 @@ class Sphere(ManifoldKind):
     def validate(self, coords):
         x = np.asarray(coords, dtype=float)
         x = x.reshape((self.ambient_dim,) + x.shape[1:])
-        if _largest(np.abs(_column_norm(x) - 1.0)) > 1e-12:
+        # Written so that a NaN coordinate fails the test.
+        if not _largest(np.abs(_column_norm(x) - 1.0)) <= 1e-12:
             raise ValueError("sphere point must be a unit vector to 1e-12")
         return x
 
@@ -162,7 +169,7 @@ class Sphere(ManifoldKind):
     def distance(self, a, b):
         # Chord-based formula: well conditioned for nearby points, where
         # arccos of the dot product loses half the significant digits.
-        chord = _loop_norm(np.subtract(*_columns(a, b)))
+        chord = _column_norm(np.subtract(*_columns(a, b)))
         return 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
 
     def tangent_basis(self, center):
@@ -178,34 +185,27 @@ class Sphere(ManifoldKind):
         rows = np.arange(n).reshape((n,) + (1,) * k.ndim)
         w = np.where(rows == k, x + np.copysign(1.0, x), x)
         H = (np.eye(n).reshape((n, n) + (1,) * k.ndim)
-             - w[:, None] * ((2.0 / _loop_dot(w, w)) * w)[None, :])
+             - w[:, None] * ((2.0 / _column_dot(w, w)) * w)[None, :])
         # Drop column k of each reflection.
         kept = np.arange(n - 1).reshape((n - 1,) + (1,) * k.ndim)
         return np.take_along_axis(H, (kept + (kept >= k))[None], axis=1)
 
     def chart_at(self, center):
         # Normal coordinates at `center`: the geodesic log in the basis B.
-        # A stack of centers keeps each basis as one C-ordered matrix, the
-        # layout of a single basis, so its products have a single basis's
-        # bits.
         B = self.tangent_basis(center)
-        stack = B.shape[2:]
-        if stack:
-            B = np.ascontiguousarray(
-                B.transpose(tuple(range(2, B.ndim)) + (0, 1)))
-        B_T = np.swapaxes(B, -1, -2)
+        B_T = np.swapaxes(B, 0, 1)
 
         def to_chart(point):
             cos = _column_dot(center, point)
             if _largest(1.0 + cos < 1e-12):
                 raise OutsideDomain("point is antipodal to the chart center")
-            sin_part = _per_anchor(B_T, point, stack)
+            sin_part = _matvec(B_T, point)
             s = _column_norm(sin_part)
             # At the center, s = 0 and the log is 0 (arctan2(0, cos) = 0).
             return np.arctan2(s, cos) / np.maximum(s, 1e-300) * sin_part
 
         def from_chart(c):
-            return _per_anchor(B, c, stack)
+            return _matvec(B, c)
 
         return to_chart, from_chart
 
@@ -230,30 +230,9 @@ class Sphere(ManifoldKind):
         du = (components[:n - 1] / (1.0 + pole)
               - point[:n - 1] * components[n - 1] / (1.0 + pole) ** 2)
         u = u + du
-        s = np.add.reduce(u * u, axis=0)
+        s = _column_dot(u, u)
         return np.concatenate([2.0 * u / (1.0 + s),
                                [(1.0 - s) / (1.0 + s)]])
-
-
-def _per_anchor(M, c, stack):
-    """M c for one matrix M (rows, cols), or for a stack of them
-    (*stack, rows, cols), one per anchor; c is (cols, *stack, *more) and
-    the result (rows, *stack, *more)."""
-    c = np.asarray(c, dtype=float)
-    rows = M.shape[-2]
-    if not stack:
-        if c.ndim > 2:
-            return (M @ c.reshape(c.shape[0], -1)).reshape(
-                (rows,) + c.shape[1:])
-        return M @ c
-    # Each anchor's block of c as one C-ordered (cols, more) matrix.
-    k = len(stack)
-    more = c.shape[1 + k:]
-    blocks = c.reshape(c.shape[:1] + stack + (-1,)).transpose(
-        tuple(range(1, k + 1)) + (0, k + 1))
-    out = np.matmul(M, np.ascontiguousarray(blocks))
-    return out.transpose((k,) + tuple(range(k)) + (k + 1,)).reshape(
-        (rows,) + stack + more)
 
 
 @dataclass(frozen=True)
@@ -266,7 +245,8 @@ class Retraction:
         """Raise OutsideDomain unless |v| is below the domain radius, in
         every column of a stack."""
         norm = float(_largest(_column_norm(v)))
-        if norm >= self.domain_radius:
+        # Written so that a NaN component fails the test.
+        if not norm < self.domain_radius:
             raise OutsideDomain(
                 f"|v| = {norm:.4g} >= domain radius {self.domain_radius:.4g}")
 
@@ -369,16 +349,16 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
 
 def check_retraction_axioms(R: Retraction, x, v) -> float:
     """Defect of d/dt R_x(t v)|_0 = v, via Richardson finite differences."""
-    base_defect = np.linalg.norm(
+    base_defect = _column_norm(
         retract(R, x, np.zeros(R.space.coord_size)) - x)
-    if np.linalg.norm(v) == 0.0:
+    if _column_norm(v) == 0.0:
         return float(base_defect)
 
     def curve(t):
         return R.step(x, np.multiply.outer(v, t))
 
     slope = richardson_derivative(curve)
-    return float(max(base_defect, np.linalg.norm(slope - v)))
+    return float(max(base_defect, _column_norm(slope - v)))
 
 
 def kind_from_tag(tag, dim=None) -> ManifoldKind:

@@ -26,13 +26,18 @@ as one trailing stack axis, and the function returns its values with that
 axis last.  Elementwise operations on a stack perform the same
 floating-point operations in the same order as a loop over the columns,
 so their results are equal bit for bit.  Reductions over the coordinate
-axis of a stack (`_column_dot`, `_column_norm`) sum one coordinate after
-another, where np.dot on a single vector may fuse and reorder, so they may
-differ in the last bit; `_loop_dot` and `_loop_norm` keep np.dot's bits
-on every column, for distances and defects.
+axis keep that property by one rule: a single point is a stack of one.
+`_column_dot` and `_column_norm` sum one coordinate after another, the
+same operations on a (d,) vector as on every column of a stack, and every
+small matrix product is made of such sums (`_matvec`), so a point alone
+and the same point inside a stack give the same bits.  (np.dot and
+np.add.reduce cannot serve: np.dot may fuse and reorder, and from eight
+coordinates on np.add.reduce sums a contiguous vector pairwise, in
+another order than a column of a stack.)
 """
 
 import functools
+import operator
 
 import numpy as np
 
@@ -66,8 +71,8 @@ def richardson_derivative(f, check_consistency=False):
     fine = (values[..., 2] - values[..., 3]) / STEP
     best = (4.0 * fine - coarse) / 3.0
     if check_consistency:
-        gap = np.ravel(np.linalg.norm(np.atleast_1d(best - coarse), axis=0))
-        scale = 1.0 + np.ravel(np.linalg.norm(np.atleast_1d(best), axis=0))
+        gap = np.ravel(_column_norm(np.atleast_1d(best - coarse)))
+        scale = 1.0 + np.ravel(_column_norm(np.atleast_1d(best)))
         bad = np.flatnonzero(gap > CONSISTENCY_TOL * scale)
         if bad.size:
             i = bad[0]
@@ -97,8 +102,7 @@ def lost_step(m, directions):
     lost = np.zeros(np.shape(m)[1:], dtype=bool)
     for x in directions:
         step = h * x
-        lost |= (np.linalg.norm((m + step) - m - step, axis=0)
-                 > 0.5 * np.linalg.norm(step, axis=0))
+        lost |= _column_norm((m + step) - m - step) > 0.5 * _column_norm(step)
     return lost
 
 
@@ -135,58 +139,27 @@ def _columns(a, b):
 
 
 def _column_dot(a, b):
-    """Dot product over the coordinate axis: a number for two (d,) vectors,
-    with the bits of np.dot, and one per column of a stack, summed one
-    coordinate after another as `_column_norm` sums; a single vector or a
-    shorter stack is broadcast by `_columns`."""
+    """Dot product over the coordinate axis, one per column of (d, *stack)
+    arrays, summed one coordinate after another; two (d,) vectors are the
+    empty stack.  A single vector or a shorter stack is broadcast by
+    `_columns`."""
     a, b = _columns(a, b)
-    if a.ndim > 1:
-        return np.add.reduce(a * b, axis=0)
-    return a.dot(b)
+    return functools.reduce(operator.add, a * b)
 
 
 def _column_norm(x):
-    """Euclidean norm of a (d,) vector, or of each column of a (d, *stack)
-    stack; the same bits as np.linalg.norm(x) and np.linalg.norm(x,
-    axis=0), without their argument handling."""
+    """Euclidean norm of each column of a (d, *stack) stack, summed as
+    `_column_dot` sums; a (d,) vector is the empty stack."""
     x = np.asarray(x)
-    if x.ndim > 1:
-        return np.sqrt(np.add.reduce(x * x, axis=0))
-    return np.sqrt(x.dot(x))
+    return np.sqrt(functools.reduce(operator.add, x * x))
 
 
-def _loop_dot(a, b):
-    """Dot product over the coordinate axis with the bits of np.dot on each
-    column alone: a number for two (d,) vectors, one per column of a
-    stack.  Each column is one item of a stacked matmul, which runs the
-    BLAS dot product that np.dot runs on one vector.  Slower than
-    `_column_dot` on a stack; distances use it, so that a stacked check
-    reports the bits of a loop over its samples, and so do the Householder
-    bases of `manifolds.Sphere`, so that a stack of anchors gets the bases
-    of its anchors alone."""
-    a, b = _columns(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    if a.ndim < 2:
-        return a.dot(b)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    products = np.matmul(_rows(a)[..., None, :], _rows(b)[..., :, None])
-    return products[..., 0, 0]
-
-
-def _loop_norm(x):
-    """np.linalg.norm of a (d,) vector, or of each column of a (d, *stack)
-    stack with the bits np.linalg.norm gives that column alone."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim < 2:
-        return np.sqrt(x.dot(x))
-    rows = _rows(x)
-    squares = np.matmul(rows[..., None, :], rows[..., :, None])
-    return np.sqrt(squares[..., 0, 0])
-
-
-def _rows(x):
-    """The columns of a (d, *stack) stack as C-ordered rows, (*stack, d)."""
-    return np.ascontiguousarray(x.transpose(tuple(range(1, x.ndim)) + (0,)))
+def _matvec(M, x):
+    """M x for a (rows, cols, *stack) stack of matrices and a (cols, *more)
+    stack of vectors, the matrices' stack a prefix of the vectors': each
+    entry is a `_column_dot`, and a single matrix or vector is the empty
+    stack."""
+    return _column_dot(np.swapaxes(M, 0, 1), np.asarray(x)[:, None])
 
 
 def _largest(x):

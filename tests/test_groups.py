@@ -146,31 +146,56 @@ class TestSO3:
         with pytest.raises(ValueError):
             SO3().wrap(np.eye(3) + 0.01)
 
+    def test_wrap_rejects_nan_and_reflections(self):
+        with pytest.raises(ValueError):
+            SO3().wrap(np.full((3, 3), np.nan))
+        with pytest.raises(ValueError):
+            SO3().wrap(-np.eye(3))
+        stack = np.stack([np.eye(3), np.diag([1.0, 1.0, np.nan])], axis=-1)
+        with pytest.raises(ValueError):
+            SO3().wrap(stack)
+
 
 class TestSO3Stacks:
     # A (3, *stack) stack of algebra vectors, or a (3, 3, *stack) stack of
-    # matrices, gives the bits of the single-element arithmetic on each
-    # column, and a single argument is used for every column.
+    # matrices, gives the bits of the single calls on each column, and a
+    # single argument is used for every column.  Column 0 lies below the
+    # 1e-12 small-angle threshold of exp and log.
+    def columns(self, rng):
+        x = rng.uniform(-1.5, 1.5, (3, 7))
+        x[:, 0] = [3e-13, -2e-13, 1e-13]
+        return x
+
     def test_stacked_ops_equal_their_columns(self):
         G = SO3()
         rng = np.random.default_rng(53)
-        x, y = rng.uniform(-1.5, 1.5, (2, 3, 5))
+        x, y = self.columns(rng), self.columns(rng)
         a, b = G.exp(x), G.exp(y)
-        assert a.shape == (3, 3, 5)
+        assert a.shape == (3, 3, 7)
         g = G.exp(rng.uniform(-1.0, 1.0, 3))
-        for i in range(5):
-            assert np.array_equal(a[..., i], G.exp(x[:, i]))
-            assert np.array_equal(G.log(a)[:, i], G.log(a[..., i]))
-            assert np.array_equal(G.compose(a, b)[..., i],
-                                  G.compose(a[..., i], b[..., i]))
-            assert np.array_equal(G.compose(g, b)[..., i],
-                                  G.compose(g, b[..., i]))
-            assert np.array_equal(G.inverse(a)[..., i], G.inverse(a[..., i]))
-            assert np.array_equal(G.adjoint(a, y)[:, i],
-                                  G.adjoint(a[..., i], y[:, i]))
-            assert np.array_equal(G.adjoint(g, y)[:, i], G.adjoint(g, y[:, i]))
-            assert np.array_equal(G.bracket(x, y)[:, i],
-                                  G.bracket(x[:, i], y[:, i]))
+        stacked = {
+            "wrap": G.wrap(a), "exp": a, "log": G.log(a),
+            "compose": G.compose(a, b), "compose_g": G.compose(g, b),
+            "compose_by_g": G.compose(a, g), "inverse": G.inverse(a),
+            "adjoint": G.adjoint(a, y), "adjoint_g": G.adjoint(g, y),
+            "adjoint_xi": G.adjoint(a, y[:, 1]),
+            "bracket": G.bracket(x, y), "distance": G.distance(a, b),
+            "distance_g": G.distance(g, b)}
+        for i in range(7):
+            ai, bi, xi, yi = a[..., i], b[..., i], x[:, i], y[:, i]
+            single = {
+                "wrap": G.wrap(ai), "exp": G.exp(xi), "log": G.log(ai),
+                "compose": G.compose(ai, bi), "compose_g": G.compose(g, bi),
+                "compose_by_g": G.compose(ai, g), "inverse": G.inverse(ai),
+                "adjoint": G.adjoint(ai, yi), "adjoint_g": G.adjoint(g, yi),
+                "adjoint_xi": G.adjoint(ai, y[:, 1]),
+                "bracket": G.bracket(xi, yi), "distance": G.distance(ai, bi),
+                "distance_g": G.distance(g, bi)}
+            for name, value in single.items():
+                assert np.array_equal(stacked[name][..., i], value), name
+        # Column 0 takes the small-angle branch of log.
+        a0 = a[..., 0]
+        assert np.array_equal(stacked["log"][:, 0], 0.5 * unhat(a0 - a0.T))
 
     def test_two_stack_axes(self):
         G = SO3()
@@ -182,7 +207,9 @@ class TestSO3Stacks:
 
     def test_one_column_near_pi_raises(self):
         G = SO3()
-        x = np.stack([[0.1, 0.2, 0.3], [np.pi - 1e-9, 0.0, 0.0]], axis=-1)
+        x = self.columns(np.random.default_rng(61))
+        x[:, 4] = [0.0, np.pi - 5e-7, 0.0]
+        G.log(G.exp(x[:, :4]))
         with pytest.raises(OutsideInjectivityRadius):
             G.log(G.exp(x))
 

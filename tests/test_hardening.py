@@ -2,9 +2,13 @@
 and trivial bundles over spheres run every derivation check."""
 
 import copy
+import functools
 import importlib.util
 import json
 import math
+import operator
+import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -485,3 +489,57 @@ class TestSphereBase:
         assert main(["run", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["checks"][0]["passed"] is True
+
+
+# Leaf values of the mutation probe: out of range, non-finite, and of the
+# wrong type.
+MUTANT_VALUES = [-1, 0, 1e300, 1e40, math.nan, math.inf, "", None, [], {}]
+
+
+def leaf_paths(node, path=()):
+    """The key paths of every scalar and empty container of a JSON tree."""
+    if isinstance(node, dict):
+        children = list(node.items())
+    elif isinstance(node, list):
+        children = list(enumerate(node))
+    else:
+        children = []
+    if not children:
+        yield path
+    for key, child in children:
+        yield from leaf_paths(child, path + (key,))
+
+
+def mutant(rng, cfg):
+    """cfg with at most 5 samples per check and 1-3 leaves replaced by a
+    value of MUTANT_VALUES or deleted."""
+    cfg = copy.deepcopy(cfg)
+    cfg["sample_count"] = min(cfg.get("sample_count", 5), 5)
+    for check in cfg["checks"]:
+        check["samples"] = min(check.get("samples", 5), 5)
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(leaf_paths(cfg)))
+        if not path:
+            break
+        parent = functools.reduce(operator.getitem, path[:-1], cfg)
+        if rng.random() < 0.2:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = rng.choice(MUTANT_VALUES)
+    return cfg
+
+
+def test_mutated_bundled_scenarios_exit_0_1_or_2(tmp_path, capsys):
+    # Every mutant gives a verdict or a typed error; any other exception
+    # escapes main and fails the test.
+    rng = random.Random(16)
+    bundled = [json.loads(path.read_text())
+               for path in sorted((ROOT / "scenarios").glob("*.json"))]
+    codes = Counter()
+    for i in range(200):
+        path = tmp_path / f"mutant{i}.json"
+        path.write_text(json.dumps(mutant(rng, rng.choice(bundled))))
+        codes[main(["run", str(path), "--format", "json"])] += 1
+        capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}
+    assert codes[0] and codes[2]

@@ -43,6 +43,13 @@ class TestSphere:
         with pytest.raises(ValueError):
             Sphere(3).validate([1.0, 1.0, 0.0])
 
+    def test_validation_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Sphere(3).validate([np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError):
+            Sphere(3).validate(np.stack([np.eye(3)[0], [np.nan, 0.0, 0.0]],
+                                        axis=-1))
+
     def test_distance_quarter_circle(self):
         kind = Sphere(3)
         a = np.array([1.0, 0.0, 0.0])
@@ -107,6 +114,12 @@ class TestRetraction:
         p = np.array([1.0, 0.0, 0.0])
         with pytest.raises(OutsideDomain):
             retract(R, p, np.array([0.0, 2.0, 0.0]))
+
+    def test_nan_tangent_is_outside_the_domain(self):
+        R = metric_exponential(Sphere(3))
+        p = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(OutsideDomain):
+            retract(R, p, np.array([0.0, np.nan, 0.0]))
 
     def test_axioms_euclidean(self):
         kind = EuclideanChart(2)

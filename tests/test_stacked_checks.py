@@ -9,9 +9,9 @@ from disconn import bundles, connections, derivation, discrete
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              hopf_projection_coords, hopf_section,
                              point_distance)
-from disconn.groups import SO3, Circle, Torus, Translation, reduce_angle
+from disconn.groups import SO3, Circle, Torus, Translation
 from disconn.manifolds import EuclideanChart
-from disconn.numdiff import worst_defect
+from disconn.numdiff import _column_norm, worst_defect
 from disconn.scenarios import CHECKS, ScenarioContext, rng_for
 
 K = 7
@@ -32,21 +32,30 @@ class TestPerColumnDistances:
         stacked = G.distance(a, b)
         loop = [G.distance(a[..., i], b[..., i]) for i in range(K)]
         assert stacked.shape == (K,)
-        assert all(type(d) is float for d in loop)
+        assert all(np.shape(d) == () for d in loop)
         assert np.array_equal(stacked, loop)
         # A single element broadcasts over a stack.
         assert np.array_equal(G.distance(a[..., 0], b),
                               [G.distance(a[..., 0], b[..., i])
                                for i in range(K)])
 
-    @pytest.mark.parametrize("G", [Translation(3), Torus(2), SO3()],
-                             ids=repr)
-    def test_single_elements_keep_the_float_of_the_whole_norm(self, G):
+    @pytest.mark.parametrize("G", [Translation(3), Translation(9), Torus(2),
+                                   SO3()], ids=repr)
+    def test_a_single_element_equals_its_column_of_a_stack(self, G):
+        # Bit for bit in every layout: a stack of one column, a stack laid
+        # out column-major, and two stack axes.  From eight coordinates on
+        # (Translation(9), SO(3)'s nine entries) np.add.reduce would sum a
+        # single vector pairwise and a column of a stack one by one.
         rng = np.random.default_rng(6)
-        for _ in range(50):
-            a, b = (group_stack(G, rng, 1)[..., 0] for _ in range(2))
-            diff = reduce_angle(a - b) if isinstance(G, Torus) else a - b
-            assert G.distance(a, b) == float(np.linalg.norm(diff))
+        a, b = group_stack(G, rng, 6), group_stack(G, rng, 6)
+        singles = [G.distance(a[..., i], b[..., i]) for i in range(6)]
+        assert np.array_equal(G.distance(a, b), singles)
+        assert np.array_equal(G.distance(np.asfortranarray(a), b), singles)
+        grid = [x.reshape(x.shape[:-1] + (2, 3)) for x in (a, b)]
+        assert np.array_equal(G.distance(*grid).ravel(), singles)
+        for i in range(6):
+            assert np.array_equal(
+                G.distance(a[..., i:i + 1], b[..., i:i + 1]), [singles[i]])
 
     @pytest.mark.parametrize("bundle", [
         TrivialBundle(EuclideanChart(2), Torus(2)),
@@ -74,7 +83,7 @@ class TestPerColumnDistances:
         stacked = point_distance(p, q)
         loop = [point_distance(column(p, i), column(q, i)) for i in range(K)]
         assert stacked.shape == (K,)
-        assert all(type(d) is float for d in loop)
+        assert all(np.shape(d) == () for d in loop)
         assert np.array_equal(stacked, loop)
 
 
@@ -140,7 +149,7 @@ def loop_derive_roundtrip(ctx, rng, n):
         v = ctx.sample_bundle_tangent(rng, q)
         lhs = connections.eval_connection(derived, q, v)
         rhs = connections.eval_connection(ctx.connection, q, v)
-        defects.append(float(np.linalg.norm(lhs - rhs)))
+        defects.append(_column_norm(lhs - rhs))
     return worst_defect(defects)
 
 
@@ -152,7 +161,18 @@ def loop_lift_defect(ctx, rng, n, A):
         dm = ctx.sample_base_tangent(rng, bundles.project(q))
         direct = derivation.derive_horizontal(Ad, q, dm)
         lifted = connections.horizontal_lift(A, q, dm)
-        defects.append(float(np.linalg.norm(direct - lifted)))
+        defects.append(_column_norm(direct - lifted))
+    return worst_defect(defects)
+
+
+def loop_exp_log_roundtrip(ctx, rng, n):
+    G = ctx.bundle.group
+    defects = []
+    for _ in range(n):
+        xi = rng.uniform(-1.0, 1.0, G.dim) * 2.8 / np.sqrt(G.dim)
+        defects.append(_column_norm(G.log(G.exp(xi)) - xi))
+        g = ctx.sample_group(rng)
+        defects.append(G.distance(G.exp(G.log(g)), g))
     return worst_defect(defects)
 
 
@@ -163,6 +183,7 @@ LOOPS = {
         ctx, rng, n, ctx.connection),
     "diagram": lambda ctx, rng, n: loop_lift_defect(
         ctx, rng, n, derivation.derive_connection(ctx.discretes[0])),
+    "exp_log_roundtrip": loop_exp_log_roundtrip,
 }
 
 SCENARIOS = {
@@ -179,23 +200,21 @@ SCENARIOS = {
                                       "epsilon": 0.1},
                        "discrete": {"kind": "integrated"},
                        "integrator": {"retraction": "great_circle"}},
+    "R3xSO3": {"name": "r3-so3", "seed": 13, "box": [[-1.0, 1.0]] * 3,
+               "bundle": {"kind": "trivial",
+                          "base": {"kind": "R^d", "dim": 3},
+                          "group": {"kind": "SO3"}}},
 }
-# Worst defects of the Hopf checks may differ from the loop's by rounding:
-# the stacked Newton sums its coordinates one after another where a single
-# pair takes np.dot, and a difference quotient scales that by 1 / STEP.
-# The defects are 1e-16 to 1e-11; the largest gap seen is 4e-18.
-HOPF_GAP = 1e-16
-
-
-@pytest.mark.parametrize("check", sorted(LOOPS))
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+# Every check runs on the U(1) scenarios; the SO(3) one has no connection.
+CASES = [(scenario, check) for scenario in ("R2xU1", "hopf-perturbed")
+         for check in sorted(LOOPS)] + [("R3xSO3", "exp_log_roundtrip")]
+# The loops take the library's norm of each sample, so the stacked check
+# must give their worst defect bit for bit.
+@pytest.mark.parametrize("scenario,check", CASES)
 def test_stacked_check_is_the_per_sample_loop(scenario, check):
     ctx = ScenarioContext(SCENARIOS[scenario])
     for index in range(3):
         n = 6
         stacked = CHECKS[check](ctx, {}, rng_for(ctx.seed, index), n)
         loop = LOOPS[check](ctx, rng_for(ctx.seed, index), n)
-        if scenario.startswith("hopf"):
-            assert abs(stacked - loop) <= HOPF_GAP
-        else:
-            assert stacked == loop
+        assert stacked == loop
