@@ -66,19 +66,15 @@ def _require_euclidean_base(base: ManifoldKind, what: str):
 
 
 def worst_exterior_defect(A: TrivialLocalConnection, samples) -> float:
-    """Worst |d omega (u, w)| of the one-form of A over (m, u, w) samples,
-    for constant-coefficient extensions of u and w, evaluated as one stack;
-    NaN when a difference step is lost to rounding at some m."""
-    samples = list(samples)
-    if not samples:
-        return 0.0
-    m, u, w = (np.asarray(np.stack(column, axis=-1), dtype=float)
-               for column in zip(*samples))
-    return worst_defect(_column_norm(exterior_derivative(A.value, m, u, w)))
+    """Worst |d omega (u, w)| of the one-form of A over the samples (m, u,
+    w), a (d, *stack) stack of points and two of constant directions, for
+    constant-coefficient extensions of u and w; NaN when a difference step
+    is lost to rounding at some m."""
+    return worst_defect(_column_norm(exterior_derivative(A.value, *samples)))
 
 
 def check_closed(A: TrivialLocalConnection, samples) -> float:
-    """Worst exterior-derivative defect over (m, u, w) samples; raise if
+    """Worst exterior-derivative defect over the (m, u, w) stacks; raise if
     the form fails to be closed at CLOSEDNESS_TOL."""
     worst = worst_exterior_defect(A, samples)
     if not worst <= CLOSEDNESS_TOL:
@@ -125,19 +121,19 @@ def _segment_integral(A: TrivialLocalConnection, m0, m1):
 
 
 def flat_integrate_local(A: TrivialLocalConnection, domain_radius: float,
-                         closedness_samples=()) -> TrivialLocalDiscrete:
+                         closedness_samples=None) -> TrivialLocalDiscrete:
     """Flat discrete connection generated by a local connection with a
     closed one-form, on pairs closer than domain_radius.
 
     The pair map exponentiates the line integral of omega over the straight
     segment between base points; closedness makes triangle holonomies
-    vanish up to quadrature error.  The form must be closed at
-    `closedness_samples` (`check_closed`).
+    vanish up to quadrature error.  The form must be closed at the (m, u,
+    w) stacks `closedness_samples` (`check_closed`), when they are given.
     """
     bundle = A.bundle
     _require_abelian(bundle.group)
     _require_euclidean_base(bundle.base, "flat integration")
-    if closedness_samples:
+    if closedness_samples is not None:
         check_closed(A, closedness_samples)
 
     def pair_map(m0, m1):
@@ -171,14 +167,15 @@ def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
 
 def curvature_matched_integrate(A: ConnectionForm,
                                 Ad_ref: DiscreteConnectionForm,
-                                match_samples=()) -> DiscreteConnectionForm:
+                                match_samples=None) -> DiscreteConnectionForm:
     """Discrete connection deriving to A, built from a curvature-matched
     reference discrete connection.
 
     The descended difference of A and the derived reference connection is
     closed when the curvatures match; its primitive f corrects the
-    reference pairwise by exp(f(m1) - f(m0)).  Over `match_samples`, the
-    difference's exterior derivative must stay within MATCH_TOL.
+    reference pairwise by exp(f(m1) - f(m0)).  Over the (m, u, w) stacks
+    `match_samples`, when they are given, the difference's exterior
+    derivative must stay within MATCH_TOL.
     """
     if A.bundle != Ad_ref.bundle:
         raise CurvatureMismatch("connection and reference bundles differ")
@@ -189,7 +186,7 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     A_ref = derivation.derive_connection(Ad_ref)
     eps = descend_continuous_difference(A, A_ref)
-    if match_samples:
+    if match_samples is not None:
         worst = worst_exterior_defect(eps, match_samples)
         if not worst <= MATCH_TOL:
             raise CurvatureMismatch(

@@ -26,7 +26,8 @@ Presentations:
 
 `eval_connection` and `horizontal_lift` take stacks (see `numdiff`): a
 point and its tangents share one stack, or the point's stack is a prefix
-of the tangents' and broadcasts over them, as in `bundles`.
+of the tangents' and broadcasts over them, as in `bundles`.  The axiom
+defects take stacks too and give one defect per column.
 """
 
 from __future__ import annotations
@@ -153,15 +154,17 @@ def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
         "curvature is not available for this presentation")
 
 
-def verticality_defect(A: ConnectionForm, q: BundlePoint, xi) -> float:
-    """|A(generator(q, xi)) - xi|."""
+def verticality_defect(A: ConnectionForm, q: BundlePoint, xi):
+    """|A(generator(q, xi)) - xi|, one per column of a stack of points and
+    algebra vectors."""
     value = eval_connection(A, q, bundles.infinitesimal_generator(q, xi))
-    return float(_column_norm(value - xi))
+    return _column_norm(value - xi)
 
 
-def equivariance_defect(A: ConnectionForm, g, q: BundlePoint, v) -> float:
-    """|A(g . v) - Ad_g A(v)| for a tangent v at q."""
+def equivariance_defect(A: ConnectionForm, g, q: BundlePoint, v):
+    """|A(g . v) - Ad_g A(v)| for a tangent v at q, one per column of
+    stacks of points, tangents and group elements."""
     moved = eval_connection(A, bundles.act(g, q),
                             bundles.tangent_lift_action(g, q, v))
     expected = A.bundle.group.adjoint(g, eval_connection(A, q, v))
-    return float(_column_norm(moved - expected))
+    return _column_norm(moved - expected)

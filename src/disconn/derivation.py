@@ -18,7 +18,8 @@ Each derivative evaluates its difference stencil as one stack (see
 integrated form runs one Newton solve for all four.  `pair_derivative`
 and `derive_horizontal` also take a stack of points with their tangents
 or base directions, and then make that one call for every column and
-its stencil together.
+its stencil together.  Every discrete form, a local pair map included,
+is differentiated by the one rule, `pair_derivative`.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ import numpy as np
 from . import bundles
 from .bundles import BundlePoint, TrivialBundle
 from .connections import ConnectionForm, GenericConnection, TrivialLocalConnection
-from .discrete import (DiscreteConnectionForm, TrivialLocalDiscrete,
-                       discrete_horizontal_lift, eval_discrete)
-from .errors import OutsideDomain
-from .numdiff import _columns, lost_step, on_stack, richardson_derivative
+from .discrete import (DiscreteConnectionForm, discrete_horizontal_lift,
+                       eval_discrete)
+from .numdiff import _columns, lost_step, richardson_derivative
 
 
 def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
@@ -52,54 +52,16 @@ def pair_derivative(Ad: DiscreteConnectionForm, q: BundlePoint,
     return np.where(lost, np.nan, derivative)
 
 
-def _local_pair_derivative(Ad: TrivialLocalDiscrete, m_coords,
-                           delta_components):
-    """omega(m)(delta) = d/dt log C(m, step(m, t delta)) at t = 0 for the
-    pair map C of a local discrete form with an abelian group, on
-    (d, *stack) stacks.
-
-    This is `pair_derivative` at the identity section with a base
-    direction: with an abelian group, composing with the identity and its
-    inverse changes no bits, so the value is log(wrap(C)), and the
-    validation of the base point, the domain test, the Richardson
-    consistency test and the lost-step NaN are the same.
-    """
-    base, group = Ad.bundle.base, Ad.bundle.group
-    m, delta = np.broadcast_arrays(*_columns(
-        base.validate(m_coords), np.asarray(delta_components, dtype=float)))
-    m0, delta0 = m[..., None], delta[..., None]
-
-    def f(t):
-        m_t = base.geodesic_step(m0, t * delta0)
-        dist = np.ravel(base.distance(m0, m_t))
-        outside = np.flatnonzero(~(dist < Ad.domain_radius))
-        if outside.size:
-            raise OutsideDomain(
-                f"pair at base distance {dist[outside[0]]:.4g} "
-                f"outside radius {Ad.domain_radius:.4g}")
-        return group.log(group.wrap(
-            on_stack(Ad.pair_map(m0, m_t), group.dim, m_t.shape[1:])))
-
-    derivative = richardson_derivative(f, check_consistency=True)
-    return np.where(lost_step(m, (delta,)), np.nan, derivative)
-
-
 def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
     """Continuous connection obtained by differentiating a discrete one.
 
     On a trivial bundle the result is a local one-form on the base that
-    takes (d, *stack) stacks: a local discrete form with an abelian group
-    is differentiated through its pair map, any other form through
-    `pair_derivative`, each on the whole stack.  (A one-form with a
-    non-abelian group is evaluated one column at a time; see
-    `TrivialLocalConnection.value`.)
+    takes (d, *stack) stacks: its value is `pair_derivative` at the
+    identity section in the direction of the base tangent, on the whole
+    stack.  (A one-form with a non-abelian group is evaluated one column
+    at a time; see `TrivialLocalConnection.value`.)
     """
     bundle = Ad.bundle
-    if isinstance(Ad, TrivialLocalDiscrete) and bundle.group.abelian:
-        def omega(m_coords, delta_components):
-            return _local_pair_derivative(Ad, m_coords, delta_components)
-
-        return TrivialLocalConnection(bundle, omega)
     if isinstance(bundle, TrivialBundle):
         def omega(m_coords, delta_components):
             m, delta = np.broadcast_arrays(*_columns(

@@ -43,7 +43,8 @@ from .numdiff import _column_dot, _column_norm, _columns
 
 def build_invariant_metric(A: ConnectionForm) -> Callable:
     """Group-invariant metric splitting tangents with the connection A: the
-    pairing (q, u, w) -> float of two bundle tangents at a common point q.
+    pairing (q, u, w) of two bundle tangents at a common point q, one value
+    per column of a stack of points and tangents.
 
     Pairs the base projections with the flat (chart or ambient) metric and
     the connection values with the Euclidean pairing on the algebra, which
@@ -52,18 +53,20 @@ def build_invariant_metric(A: ConnectionForm) -> Callable:
     def pairing(q, u, w):
         pu = bundles.tangent_projection(q, u)
         pw = bundles.tangent_projection(q, w)
-        horizontal = float(_column_dot(pu, pw))
+        horizontal = _column_dot(pu, pw)
         au = eval_connection(A, q, u)
         aw = eval_connection(A, q, w)
-        return float(horizontal + _column_dot(au, aw))
+        return horizontal + _column_dot(au, aw)
 
     return pairing
 
 
-def metric_invariance_defect(pairing, g, q: BundlePoint, u, w) -> float:
+def metric_invariance_defect(pairing, g, q: BundlePoint, u, w):
+    """|pairing(g . u, g . w) - pairing(u, w)| at q and g . q, one per
+    column of stacks of points, tangents and group elements."""
     moved = pairing(bundles.act(g, q), bundles.tangent_lift_action(g, q, u),
                     bundles.tangent_lift_action(g, q, w))
-    return abs(moved - pairing(q, u, w))
+    return np.abs(moved - pairing(q, u, w))
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +129,9 @@ def retract_bundle(R: Retraction, q: BundlePoint, v) -> BundlePoint:
     return R.step(q, v)
 
 
-def equivariance_defect(R: Retraction, g, q: BundlePoint, v) -> float:
-    """Distance between R(g . v) and g . R(v) for a tangent v at q."""
+def equivariance_defect(R: Retraction, g, q: BundlePoint, v):
+    """Distance between R(g . v) and g . R(v) for a tangent v at q, one
+    per column of stacks of points, tangents and group elements."""
     moved = retract_bundle(R, bundles.act(g, q),
                            bundles.tangent_lift_action(g, q, v))
     expected = bundles.act(g, retract_bundle(R, q, v))

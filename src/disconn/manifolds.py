@@ -347,18 +347,17 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
         f"after {NEWTON_MAX_ITER} iterations")
 
 
-def check_retraction_axioms(R: Retraction, x, v) -> float:
-    """Defect of d/dt R_x(t v)|_0 = v, via Richardson finite differences."""
-    base_defect = _column_norm(
-        retract(R, x, np.zeros(R.space.coord_size)) - x)
-    if _column_norm(v) == 0.0:
-        return float(base_defect)
+def check_retraction_axioms(R: Retraction, x, v):
+    """Defect of R_x(0) = x and d/dt R_x(t v)|_0 = v, the slope by
+    Richardson finite differences, one per column of a stack of points and
+    tangents; NaN where either defect is NaN."""
+    base_defect = _column_norm(retract(R, x, np.zeros(np.shape(v))) - x)
 
     def curve(t):
         return R.step(x, np.multiply.outer(v, t))
 
     slope = richardson_derivative(curve)
-    return float(max(base_defect, _column_norm(slope - v)))
+    return np.maximum(base_defect, _column_norm(slope - v))
 
 
 def kind_from_tag(tag, dim=None) -> ManifoldKind:

@@ -6,6 +6,18 @@ tolerances; it is the only source of a run's settings.  Sampling is
 driven by a counter-based PRNG (Philox) keyed by the scenario seed and the
 check index, so reports are deterministic for a fixed config.
 
+The sampling rule.  A check draws its raw values one sample at a time:
+the draws of sample i in a fixed order (the `ScenarioContext.draw_*`
+methods: base point, algebra vector, tangent, ...), then those of sample
+i + 1, so sample i takes the same values whatever the sample count.  The
+check then builds its points, tangents and group elements once on the
+stacked draws, sample axis last, and makes one library call per
+evaluation.  `run_check` hands a check at most STACK_SAMPLES samples per
+call, all from the check's one generator, and reports the worst defect
+over the calls; a sample gets the bits of its column whatever the stack
+it is in, so neither the stack size nor the split changes a verdict.
+Sample i of check k can thus be replayed from (seed, k, i).
+
 Schema (`load_scenario` rejects unknown keys, unknown `integrator` and
 builtin keys included, and malformed values with a `ParseError`):
 
@@ -197,11 +209,15 @@ def _probe(rule, size, name):
 
 DEFAULT_TOLERANCE = 1e-8
 # Largest sample count and largest R^d, R^k or T^n dimension a scenario may
-# ask for.  closed_form keeps all its samples in one stack, and arrays are
-# sized by the dimension; the bundled scenarios and the benchmark stay at
-# 100 samples and dimension 3.
+# ask for.  A check's time grows with its samples and its arrays with the
+# dimension; the bundled scenarios and the benchmark stay at 100 samples
+# and dimension 3.
 MAX_SAMPLES = 100_000
 MAX_DIM = 16
+# Most samples a check evaluates in one stack: `run_check` hands it the
+# samples in stacks of at most this many, so memory does not grow with the
+# sample count.  The bundled scenarios and the benchmark fit in one stack.
+STACK_SAMPLES = 100
 
 
 def _is_int(value):
@@ -413,61 +429,72 @@ class ScenarioContext:
                 match_samples=self._gate_samples())
 
     def _gate_samples(self):
-        """(m, u, w) samples of the flat and matched constructors' gates."""
-        return self.sample_forms(rng_for(self.seed, 997), 25)
+        """(m, u, w) stacks of the flat and matched constructors' gates."""
+        return _forms(self, rng_for(self.seed, 997), 25)
 
-    # -- samplers ----------------------------------------------------------
-    def sample_forms(self, rng, n):
-        """n samples (m, u, w) of a base point and two constant base
-        directions, drawn in that order, for exterior derivatives."""
-        size = self.bundle.base.coord_size
-        return [(self.sample_base_point(rng), rng.uniform(-1.0, 1.0, size),
-                 rng.uniform(-1.0, 1.0, size)) for _ in range(n)]
+    # -- raw draws: one sample's values from the check's generator ---------
+    def draw_base(self, rng):
+        if self.box is not None:
+            return rng.uniform(self.box[:, 0], self.box[:, 1])
+        return rng.normal(size=self.bundle.base.coord_size)
 
-    def sample_base_point(self, rng):
+    def draw_algebra(self, rng):
+        """An algebra vector, also the raw values of a group element."""
+        return rng.uniform(-1.0, 1.0, self.bundle.group.dim)
+
+    def draw_base_tangent(self, rng):
+        return rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
+
+    def draw_tangent(self, rng):
+        """A bundle tangent: base block and fiber block on a trivial
+        bundle, an ambient R^4 vector on the Hopf bundle."""
+        if isinstance(self.bundle, TrivialBundle):
+            size = self.bundle.base.coord_size + self.bundle.group.dim
+        else:
+            size = 4
+        return rng.uniform(-1.0, 1.0, size)
+
+    def draw_scale(self, rng):
+        return rng.uniform(0.05, 1.0)
+
+    # -- samples built from raw draws, on stacks ---------------------------
+    def base_points(self, raw):
         base = self.bundle.base
         if self.box is not None:
-            return base.validate(rng.uniform(self.box[:, 0], self.box[:, 1]))
-        vec = rng.normal(size=base.coord_size)
-        return base.validate(vec / _column_norm(vec))
+            return base.validate(raw)
+        return base.validate(raw / _column_norm(raw))
 
-    def sample_group(self, rng):
+    def group_elements(self, raw):
         G = self.bundle.group
         if isinstance(G, groups.SO3):
-            return G.exp(rng.uniform(-1.0, 1.0, 3))
-        return G.wrap(rng.uniform(-1.0, 1.0, G.dim))
+            return G.exp(raw)
+        return G.wrap(raw)
 
-    def sample_point(self, rng):
-        q = bundles.section_over(self.bundle, self.sample_base_point(rng))
-        return bundles.act(self.sample_group(rng), q)
+    def points(self, raw_base, raw_group):
+        q = bundles.section_over(self.bundle, self.base_points(raw_base))
+        return bundles.act(self.group_elements(raw_group), q)
 
-    def sample_base_tangent(self, rng, m):
-        comps = rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
-        return self.bundle.base.project_tangent(m, comps)
-
-    def sample_bundle_tangent(self, rng, q):
+    def bundle_tangents(self, q, raw):
         if isinstance(self.bundle, TrivialBundle):
-            base = rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
-            fiber = rng.uniform(-1.0, 1.0, self.bundle.group.dim)
-            base = self.bundle.base.project_tangent(q.base_point, base)
-            return bundles.make_trivial_tangent(q, base, fiber)
-        return self.bundle.total_space.project_tangent(
-            q.ambient, rng.uniform(-1.0, 1.0, 4))
+            size = self.bundle.base.coord_size
+            base = self.bundle.base.project_tangent(q.base_point, raw[:size])
+            return bundles.make_trivial_tangent(q, base, raw[size:])
+        return self.bundle.total_space.project_tangent(q.ambient, raw)
 
-    def sample_nearby_point(self, rng, q, radius_fraction=0.4):
-        """Second point whose base distance from q stays inside the domain."""
-        m = bundles.project(q)
-        direction = self.sample_base_tangent(rng, m)
-        norm = float(_column_norm(direction))
-        cap = min(self.domain_radius, 2.0)
-        if norm > 1e-12:
-            scale = radius_fraction * cap * rng.uniform(0.05, 1.0) / norm
-        else:
-            scale = 0.0
+    def nearby_points(self, q, raw_direction, raw_scale, raw_group,
+                      radius_fraction):
+        """Second points whose base distance from q stays inside the
+        domain, from the draws (base tangent, scale, algebra)."""
         base = self.bundle.base
+        m = bundles.project(q)
+        direction = base.project_tangent(m, raw_direction)
+        norm = _column_norm(direction)
+        cap = min(self.domain_radius, 2.0)
+        scale = np.where(norm > 1e-12, radius_fraction * cap * raw_scale
+                         / np.maximum(norm, 1e-12), 0.0)
         stepped = base.validate(base.geodesic_step(m, scale * direction))
         over = bundles.section_over(self.bundle, stepped)
-        return bundles.act(self.sample_group(rng), over)
+        return bundles.act(self.group_elements(raw_group), over)
 
 
 def _hopf_chart_retraction(bundle):
@@ -485,20 +512,20 @@ def _hopf_chart_retraction(bundle):
 # ---------------------------------------------------------------------------
 # Named checks
 
-def _stacked(samples):
-    """A list of sample tuples as one tuple of stacks, sample index last:
-    arrays are stacked, and so are the arrays of bundle points."""
-    def stack(items):
-        q = items[0]
-        if not isinstance(q, BundlePoint):
-            return np.stack(items, axis=-1)
-        if q.ambient is not None:
-            return BundlePoint(q.bundle, ambient=stack(
-                [p.ambient for p in items]))
-        return BundlePoint(q.bundle, stack([p.base_point for p in items]),
-                           stack([p.group_part for p in items]))
+def _draws(rng, n, *draws):
+    """The raw values of n samples, one array per draw with the sample axis
+    last: the draws of a sample in the order given, then the next sample's,
+    in the order of a loop over the samples."""
+    rows = [[draw(rng) for draw in draws] for _ in range(n)]
+    return [np.stack(column, axis=-1) for column in zip(*rows)]
 
-    return tuple(stack(list(items)) for items in zip(*samples))
+
+def _forms(ctx, rng, n):
+    """(m, u, w) stacks of base points and two constant base directions,
+    for exterior derivatives."""
+    m, u, w = _draws(rng, n, ctx.draw_base, ctx.draw_base_tangent,
+                     ctx.draw_base_tangent)
+    return ctx.base_points(m), u, w
 
 
 def _first_discrete(ctx):
@@ -521,28 +548,27 @@ def _need_connection(ctx):
 
 def check_connection_axioms(ctx, params, rng, n):
     A = _need_connection(ctx)
-    defects = []
-    for _ in range(n):
-        q = ctx.sample_point(rng)
-        v = ctx.sample_bundle_tangent(rng, q)
-        xi = rng.uniform(-1.0, 1.0, ctx.bundle.group.dim)
-        g = ctx.sample_group(rng)
-        defects.append(connections.verticality_defect(A, q, xi))
-        defects.append(connections.equivariance_defect(A, g, q, v))
-    return worst_defect(defects)
+    m, h, v, xi, g = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
+                            ctx.draw_tangent, ctx.draw_algebra,
+                            ctx.draw_algebra)
+    q = ctx.points(m, h)
+    return worst_defect([
+        connections.verticality_defect(A, q, xi),
+        connections.equivariance_defect(A, ctx.group_elements(g), q,
+                                        ctx.bundle_tangents(q, v))])
 
 
 def check_discrete_axioms(ctx, params, rng, n):
     Ad = _first_discrete(ctx)
-    samples = []
-    for _ in range(n):
-        q0 = ctx.sample_point(rng)
-        q1 = ctx.sample_nearby_point(rng, q0)
-        samples.append((q0, q1, ctx.sample_group(rng), ctx.sample_group(rng)))
-    q0, q1, g, g2 = _stacked(samples)
+    m, h, d, s, h1, g, g2 = _draws(
+        rng, n, ctx.draw_base, ctx.draw_algebra, ctx.draw_base_tangent,
+        ctx.draw_scale, ctx.draw_algebra, ctx.draw_algebra, ctx.draw_algebra)
+    q0 = ctx.points(m, h)
+    q1 = ctx.nearby_points(q0, d, s, h1, 0.4)
     return worst_defect([
         discrete.identity_defect(Ad, q0),
-        discrete.discrete_equivariance_defect(Ad, g, g2, q0, q1)])
+        discrete.discrete_equivariance_defect(
+            Ad, ctx.group_elements(g), ctx.group_elements(g2), q0, q1)])
 
 
 def check_retraction_axioms(ctx, params, rng, n):
@@ -550,38 +576,31 @@ def check_retraction_axioms(ctx, params, rng, n):
         rule = integration.reduced_retraction(ctx.connection, ctx.retraction)
     else:
         rule = manifolds.metric_exponential(ctx.bundle.base)
-    defects = []
-    for _ in range(n):
-        m = ctx.sample_base_point(rng)
-        v = ctx.sample_base_tangent(rng, m)
-        cap = 0.2 * min(rule.domain_radius, 2.0)
-        norm = float(_column_norm(v))
-        if norm > cap:
-            v = (cap / norm) * v
-        defects.append(manifolds.check_retraction_axioms(rule, m, v))
-    return worst_defect(defects)
+    m, v = _draws(rng, n, ctx.draw_base, ctx.draw_base_tangent)
+    m = ctx.base_points(m)
+    v = ctx.bundle.base.project_tangent(m, v)
+    norm = _column_norm(v)
+    cap = 0.2 * min(rule.domain_radius, 2.0)
+    v = np.where(norm > cap, (cap / np.maximum(norm, cap)) * v, v)
+    return worst_defect(manifolds.check_retraction_axioms(rule, m, v))
 
 
 def check_exp_log_roundtrip(ctx, params, rng, n):
     G = ctx.bundle.group
-    samples = []
-    for _ in range(n):
-        xi = rng.uniform(-1.0, 1.0, G.dim) * 2.8 / np.sqrt(G.dim)
-        samples.append((xi, ctx.sample_group(rng)))
-    xi, g = _stacked(samples)
+    xi, g = _draws(rng, n, ctx.draw_algebra, ctx.draw_algebra)
+    xi = xi * 2.8 / np.sqrt(G.dim)
+    g = ctx.group_elements(g)
     return worst_defect([_column_norm(G.log(G.exp(xi)) - xi),
                          G.distance(G.exp(G.log(g)), g)])
 
 
 def check_derive_roundtrip(ctx, params, rng, n):
     A = _need_connection(ctx)
-    Ad = _first_discrete(ctx)
-    derived = derivation.derive_connection(Ad)
-    samples = []
-    for _ in range(n):
-        q = ctx.sample_point(rng)
-        samples.append((q, ctx.sample_bundle_tangent(rng, q)))
-    q, v = _stacked(samples)
+    derived = derivation.derive_connection(_first_discrete(ctx))
+    m, h, v = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
+                     ctx.draw_tangent)
+    q = ctx.points(m, h)
+    v = ctx.bundle_tangents(q, v)
     lhs = connections.eval_connection(derived, q, v)
     rhs = connections.eval_connection(A, q, v)
     return worst_defect(_column_norm(lhs - rhs))
@@ -591,11 +610,10 @@ def _lift_defect(ctx, rng, n, A, Ad):
     """Worst distance between the derivative of the discrete horizontal
     lift of Ad and the horizontal lift of A, over n sampled points and
     base directions."""
-    samples = []
-    for _ in range(n):
-        q = ctx.sample_point(rng)
-        samples.append((q, ctx.sample_base_tangent(rng, bundles.project(q))))
-    q, dm = _stacked(samples)
+    m, h, dm = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
+                      ctx.draw_base_tangent)
+    q = ctx.points(m, h)
+    dm = ctx.bundle.base.project_tangent(bundles.project(q), dm)
     direct = derivation.derive_horizontal(Ad, q, dm)
     lifted = connections.horizontal_lift(A, q, dm)
     return worst_defect(_column_norm(direct - lifted))
@@ -616,16 +634,16 @@ def _holonomy_gap(ctx, rng, n, d1, d2=None):
     """Worst distance between the triangle holonomies of d1 and d2, or of
     d1 and the identity when d2 is None, over n sampled triangles."""
     G = ctx.bundle.group
-    defects = []
-    for _ in range(n):
-        q0 = ctx.sample_point(rng)
-        q1 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
-        q2 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.2)
-        b1 = discrete.discrete_curvature(d1, q0, q1, q2)
-        b2 = (G.identity() if d2 is None
-              else discrete.discrete_curvature(d2, q0, q1, q2))
-        defects.append(G.distance(b1, b2))
-    return worst_defect(defects)
+    nearby = (ctx.draw_base_tangent, ctx.draw_scale, ctx.draw_algebra)
+    m, h, *raw = _draws(rng, n, ctx.draw_base, ctx.draw_algebra, *nearby,
+                        *nearby)
+    q0 = ctx.points(m, h)
+    q1 = ctx.nearby_points(q0, *raw[:3], 0.2)
+    q2 = ctx.nearby_points(q0, *raw[3:], 0.2)
+    b1 = discrete.discrete_curvature(d1, q0, q1, q2)
+    b2 = (G.identity() if d2 is None
+          else discrete.discrete_curvature(d2, q0, q1, q2))
+    return worst_defect(G.distance(b1, b2))
 
 
 def _derived_curvature_gap(ctx, rng, n, *discretes):
@@ -633,14 +651,12 @@ def _derived_curvature_gap(ctx, rng, n, *discretes):
     discrete, or of the difference of two, over n sampled base points and
     pairs of directions."""
     derived = [derivation.derive_connection(Ad) for Ad in discretes]
-    defects = []
-    for _ in range(n):
-        m = ctx.sample_base_point(rng)
-        u = ctx.sample_base_tangent(rng, m)
-        w = ctx.sample_base_tangent(rng, m)
-        values = [connections.curvature(A, m, u, w) for A in derived]
-        defects.append(_column_norm(functools.reduce(np.subtract, values)))
-    return worst_defect(defects)
+    m, u, w = _draws(rng, n, ctx.draw_base, ctx.draw_base_tangent,
+                     ctx.draw_base_tangent)
+    m = ctx.base_points(m)
+    u, w = (ctx.bundle.base.project_tangent(m, x) for x in (u, w))
+    values = [connections.curvature(A, m, u, w) for A in derived]
+    return worst_defect(_column_norm(functools.reduce(np.subtract, values)))
 
 
 def check_discrete_flatness(ctx, params, rng, n):
@@ -681,8 +697,7 @@ def check_same_discrete_curvature(ctx, params, rng, n):
 def check_closed_form(ctx, params, rng, n):
     if not isinstance(ctx.connection, connections.TrivialLocalConnection):
         raise ParseError("closed_form check needs a local connection")
-    return abelian.worst_exterior_defect(ctx.connection,
-                                         ctx.sample_forms(rng, n))
+    return abelian.worst_exterior_defect(ctx.connection, _forms(ctx, rng, n))
 
 
 def check_uniqueness_pair(ctx, params, rng, n):
@@ -691,42 +706,37 @@ def check_uniqueness_pair(ctx, params, rng, n):
     Ad_ref = _first_discrete(ctx)
     A = derivation.derive_connection(Ad_ref)
     rebuilt = abelian.curvature_matched_integrate(A, Ad_ref)
-    defects = []
-    for _ in range(n):
-        q0 = ctx.sample_point(rng)
-        q1 = ctx.sample_nearby_point(rng, q0, radius_fraction=0.5)
-        v_ref = discrete.eval_discrete(Ad_ref, q0, q1)
-        v_new = discrete.eval_discrete(rebuilt, q0, q1)
-        defects.append(ctx.bundle.group.distance(v_ref, v_new))
-    return worst_defect(defects)
+    m, h, d, s, h1 = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
+                            ctx.draw_base_tangent, ctx.draw_scale,
+                            ctx.draw_algebra)
+    q0 = ctx.points(m, h)
+    q1 = ctx.nearby_points(q0, d, s, h1, 0.5)
+    v_ref = discrete.eval_discrete(Ad_ref, q0, q1)
+    v_new = discrete.eval_discrete(rebuilt, q0, q1)
+    return worst_defect(ctx.bundle.group.distance(v_ref, v_new))
 
 
 def check_metric_invariance(ctx, params, rng, n):
-    A = _need_connection(ctx)
-    gm = integration.build_invariant_metric(A)
-    defects = []
-    for _ in range(n):
-        q = ctx.sample_point(rng)
-        u = ctx.sample_bundle_tangent(rng, q)
-        w = ctx.sample_bundle_tangent(rng, q)
-        g = ctx.sample_group(rng)
-        defects.append(integration.metric_invariance_defect(gm, g, q, u, w))
-    return worst_defect(defects)
+    gm = integration.build_invariant_metric(_need_connection(ctx))
+    m, h, u, w, g = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
+                           ctx.draw_tangent, ctx.draw_tangent,
+                           ctx.draw_algebra)
+    q = ctx.points(m, h)
+    u, w = (ctx.bundle_tangents(q, x) for x in (u, w))
+    return worst_defect(integration.metric_invariance_defect(
+        gm, ctx.group_elements(g), q, u, w))
 
 
 def check_retraction_equivariance(ctx, params, rng, n):
-    defects = []
-    for _ in range(n):
-        q = ctx.sample_point(rng)
-        v = ctx.sample_bundle_tangent(rng, q)
-        cap = 0.2 * min(ctx.retraction.domain_radius, 2.0)
-        norm = float(_column_norm(v))
-        if norm > cap:
-            v = v * cap / norm
-        g = ctx.sample_group(rng)
-        defects.append(integration.equivariance_defect(
-            ctx.retraction, g, q, v))
-    return worst_defect(defects)
+    m, h, v, g = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
+                        ctx.draw_tangent, ctx.draw_algebra)
+    q = ctx.points(m, h)
+    v = ctx.bundle_tangents(q, v)
+    norm = _column_norm(v)
+    cap = 0.2 * min(ctx.retraction.domain_radius, 2.0)
+    v = np.where(norm > cap, v * cap / np.maximum(norm, cap), v)
+    return worst_defect(integration.equivariance_defect(
+        ctx.retraction, ctx.group_elements(g), q, v))
 
 
 CHECKS = {
@@ -756,5 +766,8 @@ def run_check(ctx, index, check_cfg):
         raise UnknownBuiltin(f"unknown check {name!r}")
     n = int(check_cfg.get("samples", ctx.sample_count))
     rng = rng_for(ctx.seed, index)
-    defect = CHECKS[name](ctx, check_cfg, rng, n)
-    return float(defect), n
+    check = CHECKS[name]
+    defect = worst_defect([
+        check(ctx, check_cfg, rng, min(STACK_SAMPLES, n - start))
+        for start in range(0, n, STACK_SAMPLES)])
+    return defect, n

@@ -78,13 +78,13 @@ class TestClosedness:
         B, _ = plane_bundle()
         A = TrivialLocalConnection(
             B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        samples = [([0.3, -0.2], [1.0, 0.0], [0.0, 1.0])]
+        samples = np.array([[[0.3], [-0.2]], [[1.0], [0.0]], [[0.0], [1.0]]])
         assert worst_exterior_defect(A, samples) <= 1e-9
 
     def test_x_dy_rejected(self):
         B, _ = plane_bundle()
         A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
-        samples = [([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])]
+        samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
         with pytest.raises(NotClosed):
             check_closed(A, samples)
 
@@ -158,8 +158,10 @@ class TestCurvatureMatched:
         return BundlePoint.trivial(self.B, m, [y])
 
     def test_mismatch_defect_small(self):
-        samples = [([0.2, -0.1], [1.0, 0.0], [0.0, 1.0]),
-                   ([-0.4, 0.3], [1.0, 0.0], [0.0, 1.0])]
+        # The (m, u, w) stacks of two samples, one column each.
+        samples = np.array([[[0.2, -0.4], [-0.1, 0.3]],
+                            [[1.0, 1.0], [0.0, 0.0]],
+                            [[0.0, 0.0], [1.0, 1.0]]])
         eps = descend_continuous_difference(self.A,
                                             derive_connection(self.Ad_ref))
         assert worst_exterior_defect(eps, samples) <= 1e-6
@@ -188,7 +190,7 @@ class TestCurvatureMatched:
         # 2x dy has derived curvature 2 dx dy, twice the trapezoid's.
         A_bad = TrivialLocalConnection(
             self.B, lambda m, v: np.array([2 * m[0] * v[1]]))
-        samples = [([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])]
+        samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
         with pytest.raises(CurvatureMismatch):
             curvature_matched_integrate(A_bad, self.Ad_ref,
                                         match_samples=samples)

@@ -278,7 +278,7 @@ def test_criterion_9_negative_controls():
 
     # Non-closed one-form rejected by flat integration.
     x_dy = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
-    samples = [([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])]
+    samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
     with pytest.raises(NotClosed):
         flat_integrate_local(x_dy, U, closedness_samples=samples)
 

@@ -1,14 +1,24 @@
 """How many evaluations one verify-all makes, on the benchmark workload
 hopf-newton at seed 0.
 
-A check draws its samples one at a time and then evaluates them as one
-stack, and a derivative evaluates its four-point difference stencil in
-the same call, so each Richardson derivative calls its function once and
-the integrated Hopf form makes one `eval_discrete` call, with one Newton
-solve, per stacked evaluation.  Per scenario the solves are 3 for
+Every check draws its samples one at a time and then evaluates them as
+one stack, and a derivative evaluates its four-point difference stencil
+in the same call, so each Richardson derivative calls its function once
+and the integrated Hopf form makes one `eval_discrete` call, with one
+Newton solve, per stacked evaluation.  Per scenario the solves are 3 for
 discrete_axioms (A_d(q0, q0), A_d(g q0, g' q1) and A_d(q0, q1), each on
 all samples), 1 for derive_roundtrip and 1 for lift_roundtrip; one solve
 per sample would make 24, 8 and 8.
+
+`eval_connection` and `retract_bundle` are counted at every call, nested
+ones included.  Over the two scenarios, connection_axioms evaluates the
+connection 6 times (A at the generator, at g . v and at v, per
+scenario); the integrated form's solves and rules evaluate it 24 times in
+discrete_axioms, 10 in derive_roundtrip (with the 2 direct evaluations
+per scenario) and 8 in lift_roundtrip, and they retract 6, 2 and 2 times;
+retraction_equivariance retracts 4 times (R(g . v) and R(v) per
+scenario).  One evaluation per sample made 90 `eval_connection` and 42
+`retract_bundle` calls.
 """
 
 import importlib.util
@@ -19,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import disconn
-from disconn import discrete, manifolds, numdiff
+from disconn import connections, discrete, integration, manifolds, numdiff
 from disconn.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,7 +63,9 @@ def counts(monkeypatch):
 
     rebind_everywhere(monkeypatch, richardson, counting_richardson)
     for module, name in ((manifolds, "invert_extended"),
-                         (discrete, "eval_discrete")):
+                         (discrete, "eval_discrete"),
+                         (connections, "eval_connection"),
+                         (integration, "retract_bundle")):
         original = getattr(module, name)
         rebind_everywhere(monkeypatch, original, counting(name, original))
     return counter
@@ -68,4 +80,5 @@ def test_hopf_newton_seed_0(counts, tmp_path, capsys):
     assert main(["verify-all", str(tmp_path), "--format", "json"]) == 0
     capsys.readouterr()
     assert counts == {"invert_extended": 10, "eval_discrete": 10,
-                      "richardson_derivative": 4, "f": 4}
+                      "richardson_derivative": 4, "f": 4,
+                      "eval_connection": 48, "retract_bundle": 14}

@@ -64,7 +64,8 @@ class TestUnmeasurableDefects:
         A = TrivialLocalConnection(
             TrivialBundle(EuclideanChart(2), Translation(1)),
             lambda m, v: np.array([m[0] * v[1]]))
-        samples = [([1e250, 1e250], [1.0, 0.0], [0.0, 1.0])]
+        samples = np.array([[[1e250], [1e250]], [[1.0], [0.0]],
+                            [[0.0], [1.0]]])
         assert math.isnan(worst_exterior_defect(A, samples))
         with pytest.raises(NotClosed):
             check_closed(A, samples)
@@ -176,8 +177,8 @@ class TestMalformedInputExitsTwo:
     @pytest.mark.parametrize("samples",
                              [-5, 0, 2.5, "3", True, MAX_SAMPLES + 1])
     def test_samples_not_a_positive_integer(self, tmp_path, capsys, samples):
-        # Above the cap a run allocated without bound: closed_form keeps
-        # every sample in one stack.
+        # The cap bounds a check's time; its memory is bounded by
+        # scenarios.STACK_SAMPLES whatever the sample count.
         check = {"name": "exp_log_roundtrip", "tolerance": 1e-10}
         for cfg in (plane(checks=[dict(check, samples=samples)]),
                     plane(sample_count=samples, checks=[check])):

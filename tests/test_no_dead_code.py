@@ -1,6 +1,7 @@
-"""Every top-level function, class and module constant of the library is
-used somewhere: in the library, the demos or the benchmark, and every
-parameter with a default is set by some call there.  Tests do not count,
+"""Every top-level function, class and module constant of the library, and
+every method of its classes, is used somewhere: in the library, the demos
+or the benchmark, and every parameter with a default is set by some call
+there.  Tests do not count,
 because a name or a knob that only tests reach is dead code with a test.
 Every scenario input that the library names (a builtin, a tagged kind, a
 check) is used by some scenario, workload, demo or test."""
@@ -62,6 +63,28 @@ def test_every_top_level_name_is_referenced():
     used = referenced_names()
     dead = [qual for qual, name in top_level_definitions()
             if name not in used]
+    assert dead == []
+
+
+def methods():
+    """(qualified name, name) of each method of a top-level class, dunder
+    methods left out: Python calls those itself."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for f in node.body:
+                if (isinstance(f, ast.FunctionDef)
+                        and not (f.name.startswith("__")
+                                 and f.name.endswith("__"))):
+                    yield f"{path.stem}.{node.name}.{f.name}", f.name
+
+
+def test_every_method_is_referenced():
+    # A method is reached as an attribute, so its name must be read
+    # somewhere; an old sampler left beside its replacement fails here.
+    used = referenced_names()
+    dead = [qual for qual, name in methods() if name not in used]
     assert dead == []
 
 

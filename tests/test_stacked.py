@@ -92,8 +92,8 @@ class TestStackedEqualsLoop:
         assert np.array_equal(omega(m, v), by_loop(omega, m, v))
 
     def test_derived_omega_equals_pair_derivative(self, case):
-        # The direct derivative of the pair map takes the same group
-        # operations as pair_derivative through bundle_curve/eval_discrete.
+        # The derived one-form of a local discrete form is pair_derivative
+        # at the identity section, in the direction of the base tangent.
         B, _, pair_map = case
         Ad = TrivialLocalDiscrete(B, pair_map, 1e18)
         omega = derive_connection(Ad).omega
@@ -235,9 +235,10 @@ class TestClosedFormCheck:
         rng = scenarios.rng_for(ctx.seed, 0)
         defects = []
         for _ in range(n):
-            m = ctx.sample_base_point(rng)
-            u = rng.uniform(-1.0, 1.0, 2)
-            w = rng.uniform(-1.0, 1.0, 2)
+            m, u, w = (x[..., 0] for x in scenarios._draws(
+                rng, 1, ctx.draw_base, ctx.draw_base_tangent,
+                ctx.draw_base_tangent))
+            m = ctx.base_points(m)
             defects.append(float(np.linalg.norm(exterior_derivative(
                 ctx.connection.value, m, u, w))))
         return worst_defect(defects)

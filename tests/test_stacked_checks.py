@@ -1,17 +1,19 @@
 """Stacks of samples: per-column distances, the Hopf section on a stack,
-and checks that evaluate all their samples as one stack against the loop
-over single samples that they replace."""
+every sampled check, which evaluates its samples as one stack, against the
+loop over single samples that it replaces, and the bound on the stacks
+that `run_check` hands a check."""
 
 import numpy as np
 import pytest
 
-from disconn import bundles, connections, derivation, discrete
+from disconn import (abelian, bundles, connections, derivation, discrete,
+                     integration, manifolds, scenarios)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              hopf_projection_coords, hopf_section,
                              point_distance)
 from disconn.groups import SO3, Circle, Torus, Translation
 from disconn.manifolds import EuclideanChart
-from disconn.numdiff import _column_norm, worst_defect
+from disconn.numdiff import _column_norm, exterior_derivative, worst_defect
 from disconn.scenarios import CHECKS, ScenarioContext, rng_for
 
 K = 7
@@ -125,19 +127,100 @@ class TestHopfSectionStack:
 
 
 # ---------------------------------------------------------------------------
-# Stacked checks against the per-sample loops they replace.
+# Stacked checks against the per-sample loops they replace.  A loop draws
+# each sample through the checks' own raw draws with n = 1, then builds it
+# and calls the library on that single sample.
+
+def draw(rng, *draws):
+    """One sample's raw values: each draw's column of a stack of one."""
+    return [x[..., 0] for x in scenarios._draws(rng, 1, *draws)]
+
+
+def nearby(ctx, rng, q, fraction):
+    """A second point near q, one sample as the checks drew it before they
+    stacked: the scale is a Python float, and a zero direction stays put."""
+    d, s, h = draw(rng, ctx.draw_base_tangent, ctx.draw_scale,
+                   ctx.draw_algebra)
+    base = ctx.bundle.base
+    m = bundles.project(q)
+    direction = base.project_tangent(m, d)
+    norm = float(_column_norm(direction))
+    cap = min(ctx.domain_radius, 2.0)
+    scale = fraction * cap * float(s) / norm if norm > 1e-12 else 0.0
+    stepped = base.validate(base.geodesic_step(m, scale * direction))
+    return bundles.act(ctx.group_elements(h),
+                       bundles.section_over(ctx.bundle, stepped))
+
+
+def point(ctx, rng):
+    return ctx.points(*draw(rng, ctx.draw_base, ctx.draw_algebra))
+
+
+def bundle_tangent(ctx, rng, q):
+    return ctx.bundle_tangents(q, *draw(rng, ctx.draw_tangent))
+
+
+def group(ctx, rng):
+    return ctx.group_elements(*draw(rng, ctx.draw_algebra))
+
+
+def capped(v, cap, scaled):
+    norm = float(_column_norm(v))
+    return scaled(v, cap, norm) if norm > cap else v
+
+
+def loop_connection_axioms(ctx, rng, n):
+    A = ctx.connection
+    defects = []
+    for _ in range(n):
+        q = point(ctx, rng)
+        v = bundle_tangent(ctx, rng, q)
+        xi, = draw(rng, ctx.draw_algebra)
+        g = group(ctx, rng)
+        defects.append(connections.verticality_defect(A, q, xi))
+        defects.append(connections.equivariance_defect(A, g, q, v))
+    return worst_defect(defects)
+
 
 def loop_discrete_axioms(ctx, rng, n):
     Ad = ctx.discretes[0]
     defects = []
     for _ in range(n):
-        q0 = ctx.sample_point(rng)
-        q1 = ctx.sample_nearby_point(rng, q0)
-        g = ctx.sample_group(rng)
-        g2 = ctx.sample_group(rng)
+        q0 = point(ctx, rng)
+        q1 = nearby(ctx, rng, q0, 0.4)
+        g = group(ctx, rng)
+        g2 = group(ctx, rng)
         defects.append(discrete.identity_defect(Ad, q0))
         defects.append(discrete.discrete_equivariance_defect(
             Ad, g, g2, q0, q1))
+    return worst_defect(defects)
+
+
+def loop_retraction_axioms(ctx, rng, n):
+    if ctx.connection is not None:
+        rule = integration.reduced_retraction(ctx.connection, ctx.retraction)
+    else:
+        rule = manifolds.metric_exponential(ctx.bundle.base)
+    defects = []
+    for _ in range(n):
+        m, v = draw(rng, ctx.draw_base, ctx.draw_base_tangent)
+        m = ctx.base_points(m)
+        v = capped(ctx.bundle.base.project_tangent(m, v),
+                   0.2 * min(rule.domain_radius, 2.0),
+                   lambda v, cap, norm: (cap / norm) * v)
+        defects.append(manifolds.check_retraction_axioms(rule, m, v))
+    return worst_defect(defects)
+
+
+def loop_exp_log_roundtrip(ctx, rng, n):
+    G = ctx.bundle.group
+    defects = []
+    for _ in range(n):
+        xi, = draw(rng, ctx.draw_algebra)
+        xi = xi * 2.8 / np.sqrt(G.dim)
+        defects.append(_column_norm(G.log(G.exp(xi)) - xi))
+        g = group(ctx, rng)
+        defects.append(G.distance(G.exp(G.log(g)), g))
     return worst_defect(defects)
 
 
@@ -145,8 +228,8 @@ def loop_derive_roundtrip(ctx, rng, n):
     derived = derivation.derive_connection(ctx.discretes[0])
     defects = []
     for _ in range(n):
-        q = ctx.sample_point(rng)
-        v = ctx.sample_bundle_tangent(rng, q)
+        q = point(ctx, rng)
+        v = bundle_tangent(ctx, rng, q)
         lhs = connections.eval_connection(derived, q, v)
         rhs = connections.eval_connection(ctx.connection, q, v)
         defects.append(_column_norm(lhs - rhs))
@@ -157,34 +240,121 @@ def loop_lift_defect(ctx, rng, n, A):
     Ad = ctx.discretes[0]
     defects = []
     for _ in range(n):
-        q = ctx.sample_point(rng)
-        dm = ctx.sample_base_tangent(rng, bundles.project(q))
+        q = point(ctx, rng)
+        dm, = draw(rng, ctx.draw_base_tangent)
+        dm = ctx.bundle.base.project_tangent(bundles.project(q), dm)
         direct = derivation.derive_horizontal(Ad, q, dm)
         lifted = connections.horizontal_lift(A, q, dm)
         defects.append(_column_norm(direct - lifted))
     return worst_defect(defects)
 
 
-def loop_exp_log_roundtrip(ctx, rng, n):
+def loop_holonomy_gap(ctx, rng, n, d1, d2=None):
     G = ctx.bundle.group
     defects = []
     for _ in range(n):
-        xi = rng.uniform(-1.0, 1.0, G.dim) * 2.8 / np.sqrt(G.dim)
-        defects.append(_column_norm(G.log(G.exp(xi)) - xi))
-        g = ctx.sample_group(rng)
-        defects.append(G.distance(G.exp(G.log(g)), g))
+        q0 = point(ctx, rng)
+        q1 = nearby(ctx, rng, q0, 0.2)
+        q2 = nearby(ctx, rng, q0, 0.2)
+        b1 = discrete.discrete_curvature(d1, q0, q1, q2)
+        b2 = (G.identity() if d2 is None
+              else discrete.discrete_curvature(d2, q0, q1, q2))
+        defects.append(G.distance(b1, b2))
+    return worst_defect(defects)
+
+
+def loop_derived_curvature_gap(ctx, rng, n, *discretes):
+    derived = [derivation.derive_connection(Ad) for Ad in discretes]
+    defects = []
+    for _ in range(n):
+        m, u, w = draw(rng, ctx.draw_base, ctx.draw_base_tangent,
+                       ctx.draw_base_tangent)
+        m = ctx.base_points(m)
+        u, w = (ctx.bundle.base.project_tangent(m, x) for x in (u, w))
+        values = [connections.curvature(A, m, u, w) for A in derived]
+        defects.append(_column_norm(values[0] - values[-1]
+                                    if len(values) > 1 else values[0]))
+    return worst_defect(defects)
+
+
+def loop_closed_form(ctx, rng, n):
+    defects = []
+    for _ in range(n):
+        m, u, w = draw(rng, ctx.draw_base, ctx.draw_base_tangent,
+                       ctx.draw_base_tangent)
+        defects.append(_column_norm(exterior_derivative(
+            ctx.connection.value, ctx.base_points(m), u, w)))
+    return worst_defect(defects)
+
+
+def loop_uniqueness_pair(ctx, rng, n):
+    Ad_ref = ctx.discretes[0]
+    rebuilt = abelian.curvature_matched_integrate(
+        derivation.derive_connection(Ad_ref), Ad_ref)
+    defects = []
+    for _ in range(n):
+        q0 = point(ctx, rng)
+        q1 = nearby(ctx, rng, q0, 0.5)
+        defects.append(ctx.bundle.group.distance(
+            discrete.eval_discrete(Ad_ref, q0, q1),
+            discrete.eval_discrete(rebuilt, q0, q1)))
+    return worst_defect(defects)
+
+
+def loop_metric_invariance(ctx, rng, n):
+    gm = integration.build_invariant_metric(ctx.connection)
+    defects = []
+    for _ in range(n):
+        q = point(ctx, rng)
+        u = bundle_tangent(ctx, rng, q)
+        w = bundle_tangent(ctx, rng, q)
+        g = group(ctx, rng)
+        defects.append(integration.metric_invariance_defect(gm, g, q, u, w))
+    return worst_defect(defects)
+
+
+def loop_retraction_equivariance(ctx, rng, n):
+    defects = []
+    for _ in range(n):
+        q = point(ctx, rng)
+        v = capped(bundle_tangent(ctx, rng, q),
+                   0.2 * min(ctx.retraction.domain_radius, 2.0),
+                   lambda v, cap, norm: v * cap / norm)
+        g = group(ctx, rng)
+        defects.append(integration.equivariance_defect(
+            ctx.retraction, g, q, v))
     return worst_defect(defects)
 
 
 LOOPS = {
+    "connection_axioms": loop_connection_axioms,
     "discrete_axioms": loop_discrete_axioms,
+    "retraction_axioms": loop_retraction_axioms,
+    "exp_log_roundtrip": loop_exp_log_roundtrip,
     "derive_roundtrip": loop_derive_roundtrip,
     "lift_roundtrip": lambda ctx, rng, n: loop_lift_defect(
         ctx, rng, n, ctx.connection),
     "diagram": lambda ctx, rng, n: loop_lift_defect(
         ctx, rng, n, derivation.derive_connection(ctx.discretes[0])),
-    "exp_log_roundtrip": loop_exp_log_roundtrip,
+    "discrete_flatness": lambda ctx, rng, n: loop_holonomy_gap(
+        ctx, rng, n, ctx.discretes[0]),
+    "derived_curvature": lambda ctx, rng, n: loop_derived_curvature_gap(
+        ctx, rng, n, ctx.discretes[0]),
+    "same_derived_curvature": lambda ctx, rng, n: loop_derived_curvature_gap(
+        ctx, rng, n, *ctx.discretes[:2]),
+    "same_discrete_curvature": lambda ctx, rng, n: loop_holonomy_gap(
+        ctx, rng, n, *ctx.discretes[:2]),
+    "closed_form": loop_closed_form,
+    "uniqueness_pair": loop_uniqueness_pair,
+    "metric_invariance": loop_metric_invariance,
+    "retraction_equivariance": loop_retraction_equivariance,
 }
+
+
+def test_every_sampled_check_has_a_loop():
+    # distinctness evaluates one designated pair and draws nothing.
+    assert set(LOOPS) == set(CHECKS) - {"distinctness"}
+
 
 SCENARIOS = {
     "R2xU1": {"name": "r2-u1", "seed": 11, "box": [[-1.5, 1.5]] * 2,
@@ -204,10 +374,47 @@ SCENARIOS = {
                "bundle": {"kind": "trivial",
                           "base": {"kind": "R^d", "dim": 3},
                           "group": {"kind": "SO3"}}},
+    # Base points drawn from a normal distribution and normalized.
+    "S2xU1": {"name": "s2-u1", "seed": 14,
+              "bundle": {"kind": "trivial", "base": {"kind": "S2"},
+                         "group": {"kind": "U1"}},
+              "connection": {"kind": "local", "omega": "x_dy"},
+              "discrete": {"kind": "integrated"},
+              "integrator": {"retraction": "straight",
+                             "domain_radius": 1.0}},
+    "matched-R2xR": {"name": "matched", "seed": 15,
+                     "bundle": {"kind": "trivial",
+                                "base": {"kind": "R^d", "dim": 2},
+                                "group": {"kind": "R^k", "dim": 1}},
+                     "connection": {"kind": "local",
+                                    "omega": "x_dy_plus_dx2"},
+                     "discrete": [
+                         {"kind": "matched",
+                          "reference": {"kind": "local",
+                                        "pair_map": "trapezoid_x_dy"}},
+                         {"kind": "local", "pair_map": "trapezoid_x_dy"}]},
 }
-# Every check runs on the U(1) scenarios; the SO(3) one has no connection.
+FIRST_FIVE = ["derive_roundtrip", "diagram", "discrete_axioms",
+              "exp_log_roundtrip", "lift_roundtrip"]
 CASES = [(scenario, check) for scenario in ("R2xU1", "hopf-perturbed")
-         for check in sorted(LOOPS)] + [("R3xSO3", "exp_log_roundtrip")]
+         for check in FIRST_FIVE] + [("R3xSO3", "exp_log_roundtrip")]
+CASES += [(scenario, check) for scenario, checks in [
+    ("R2xU1", ["closed_form", "connection_axioms", "derived_curvature",
+               "discrete_flatness", "metric_invariance",
+               "retraction_axioms", "retraction_equivariance"]),
+    ("hopf-perturbed", ["connection_axioms", "discrete_flatness",
+                        "metric_invariance", "retraction_axioms",
+                        "retraction_equivariance"]),
+    ("R3xSO3", ["retraction_axioms"]),
+    ("S2xU1", ["connection_axioms", "derive_roundtrip", "discrete_axioms",
+               "metric_invariance", "retraction_axioms",
+               "retraction_equivariance"]),
+    ("matched-R2xR", ["closed_form", "derived_curvature",
+                      "discrete_flatness", "same_derived_curvature",
+                      "same_discrete_curvature", "uniqueness_pair"]),
+] for check in checks]
+
+
 # The loops take the library's norm of each sample, so the stacked check
 # must give their worst defect bit for bit.
 @pytest.mark.parametrize("scenario,check", CASES)
@@ -218,3 +425,22 @@ def test_stacked_check_is_the_per_sample_loop(scenario, check):
         stacked = CHECKS[check](ctx, {}, rng_for(ctx.seed, index), n)
         loop = LOOPS[check](ctx, rng_for(ctx.seed, index), n)
         assert stacked == loop
+
+
+def test_run_check_hands_out_bounded_stacks(monkeypatch):
+    # 250 samples reach the check as stacks of 100, 100 and 50 drawn from
+    # one generator, and give the defect of one 250-column stack.
+    ctx = ScenarioContext(SCENARIOS["R2xU1"])
+    check = CHECKS["discrete_axioms"]
+    sizes = []
+
+    def recording(ctx, params, rng, n):
+        sizes.append(n)
+        return check(ctx, params, rng, n)
+
+    monkeypatch.setitem(CHECKS, "discrete_axioms", recording)
+    defect, n = scenarios.run_check(ctx, 2, {"name": "discrete_axioms",
+                                             "samples": 250})
+    assert (sizes, n) == ([100, 100, 50], 250)
+    assert scenarios.STACK_SAMPLES == 100
+    assert defect == check(ctx, {}, rng_for(ctx.seed, 2), 250)
