@@ -7,7 +7,7 @@ Every setting of a run lives in the scenario file; the command line picks
 only the files and the report format.
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on
-configuration or runtime errors.
+configuration or runtime errors, any exception a run raises included.
 
 JSON reports are strict JSON and deterministic for a fixed config and
 seed; a defect that is not finite prints as null, and per-check wall
@@ -135,6 +135,9 @@ def main(argv=None) -> int:
         return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,9 +13,9 @@ Presentations:
   ``A(dm (+) xi) = Ad_g omega_m(dm) + xi`` with the fiber velocity ``xi``
   right-trivialized.  Its `value` evaluates ``omega`` on stacks (see
   `numdiff`): ``(d, *stack)`` points and tangents give ``(k, *stack)``
-  values.  ``omega`` takes the whole stack with an abelian group; with a
-  non-abelian group it is written for one point and is called one column
-  at a time, while the group arithmetic around it takes the stack.
+  values.  ``omega`` takes the whole stack in one call, whatever the
+  group; an so(3)-valued ``omega`` builds its SO(3) elements on the stack
+  too.
 * ``HopfConnection`` -- the round connection on S^3 -> S^2,
   ``A_q(v) = Im <q, v>`` in the Hermitian pairing on C^2, plus
   ``epsilon`` times the pullback of ``beta = x dy - y dx`` from the base
@@ -41,8 +41,7 @@ from . import bundles
 from .bundles import BundlePoint, HopfBundle, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, UnsupportedPresentation
 from .manifolds import EuclideanChart
-from .numdiff import (_column_norm, _columns, by_column, exterior_derivative,
-                      on_stack)
+from .numdiff import _column_norm, _columns, exterior_derivative, on_stack
 
 
 class ConnectionForm:
@@ -55,19 +54,14 @@ class TrivialLocalConnection(ConnectionForm):
     omega: Callable  # (base coords, base tangent components) -> algebra vector
 
     def value(self, m_coords, v_components):
-        """omega as (k, *stack) values at (d, *stack) points and tangents;
-        a single point gives a (k,) vector.  A non-abelian omega, such as
-        one built from SO(3) exponentials, takes one point at a time."""
+        """omega as (k, *stack) values at (d, *stack) points and tangents,
+        from one call; a single point gives a (k,) vector."""
         m, v = _columns(np.asarray(m_coords, dtype=float),
                         np.asarray(v_components, dtype=float))
         stack = m.shape[1:]
         if stack != v.shape[1:]:
             stack = np.broadcast_shapes(stack, v.shape[1:])
-        if self.bundle.group.abelian:
-            values = self.omega(m, v)
-        else:
-            values = by_column(self.omega, m, v)
-        return on_stack(values, self.bundle.group.dim, stack)
+        return on_stack(self.omega(m, v), self.bundle.group.dim, stack)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ integrated form runs one Newton solve for all four.  `pair_derivative`
 and `derive_horizontal` also take a stack of points with their tangents
 or base directions, and then make that one call for every column and
 its stencil together.  Every discrete form, a local pair map included,
-is differentiated by the one rule, `pair_derivative`.
+is differentiated by the one rule, `pair_derivative`, and the one-form
+derived on a trivial bundle makes one `pair_derivative` call per stack,
+whatever the group.
 """
 
 from __future__ import annotations
@@ -57,9 +59,8 @@ def derive_connection(Ad: DiscreteConnectionForm) -> ConnectionForm:
 
     On a trivial bundle the result is a local one-form on the base that
     takes (d, *stack) stacks: its value is `pair_derivative` at the
-    identity section in the direction of the base tangent, on the whole
-    stack.  (A one-form with a non-abelian group is evaluated one column
-    at a time; see `TrivialLocalConnection.value`.)
+    identity section in the direction of the base tangent, one call on the
+    whole stack, whatever the group.
     """
     bundle = Ad.bundle
     if isinstance(bundle, TrivialBundle):

@@ -17,11 +17,9 @@ Presentations:
 `eval_discrete` also takes stacks of pairs (see `numdiff`) and gives a
 stack of values: the two points share one stack, or the stack of the
 first is a prefix of that of the second and broadcasts over it, as a
-single first point does.  A pair map C is called on the whole stack with
-an abelian group; with a non-abelian group it is written for one pair of
-points, as a connection's omega is (see `connections`), and is called one
-column at a time.  The defects take stacks too and give one defect per
-column.
+single first point does.  A pair map C is called once on the whole stack
+of base pairs, whatever the group, as a connection's omega is (see
+`numdiff`).  The defects take stacks too and give one defect per column.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ import numpy as np
 from . import bundles
 from .bundles import BundlePoint, PrincipalBundle, TrivialBundle
 from .errors import BundleMismatch, OutsideDomain
-from .numdiff import _columns, _largest, by_column
+from .numdiff import _columns, _largest
 
 
 class DiscreteConnectionForm:
@@ -69,11 +67,7 @@ def eval_discrete(Ad: DiscreteConnectionForm, q0: BundlePoint,
             f"outside radius {Ad.domain_radius:.4g}")
     if isinstance(Ad, TrivialLocalDiscrete):
         G = Ad.bundle.group
-        if G.abelian:
-            c = Ad.pair_map(*_columns(q0.base_point, q1.base_point))
-        else:
-            c = by_column(Ad.pair_map, q0.base_point, q1.base_point)
-        c = G.wrap(c)
+        c = G.wrap(Ad.pair_map(*_columns(q0.base_point, q1.base_point)))
         return G.compose(q1.group_part,
                          G.compose(c, G.inverse(q0.group_part)))
     return Ad.rule(q0, q1)

@@ -35,21 +35,20 @@ its geodesic log in an orthonormal tangent basis (the closed-form log on
 spheres, a shift on R^d).  `ManifoldKind.chart_at` builds the chart once
 per solve, with one Householder reflection per anchor on a sphere, and
 applies each basis by the coordinate sums of `numdiff._matvec`; a stack
-of anchors is a stack of bases, each applied to its own columns, and it
-gets new charts for the anchors left when columns stop.  So a stacked
-solve gives each column the bits of its single solve.
+of anchors is a stack of bases, each applied to its own columns.
 Every retraction is the identity to first order (DR_x(0) = id), so Newton
 starts at the target's chart coordinates: exact for
 ``metric_exponential``, first-order accurate for every other rule.
 `invert_extended` solves a stack of targets together, from one anchor or
-from a stack of anchors that broadcasts over the targets.  Each column
-carries an active mask and stops at its own first residual <= NEWTON_TOL;
-its anchor and chart stop with it.  Each iteration makes one step call for
-the residuals of the active columns, one step call for the 2n
-central-difference probes of all their Jacobians, each probe at its
-column's anchor, and one stacked linear solve.  A target outside the
-domain, an antipodal one or a column that does not converge within
-NEWTON_MAX_ITER fails the whole solve.
+from a stack of anchors that broadcasts over the targets, and the stack
+stays whole until every column has converged.  A column whose residual is
+<= NEWTON_TOL keeps its chart coordinates from then on, so every later
+residual gives it the same tangent: the bits of its single solve.  Each
+iteration makes one step call for the residuals of all columns, one step
+call for the 2n central-difference probes of all their Jacobians, each
+probe at its column's anchor, and one stacked linear solve.  A target
+outside the domain, an antipodal one or a column that does not converge
+within NEWTON_MAX_ITER fails the whole solve.
 """
 
 from __future__ import annotations
@@ -269,11 +268,11 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     whose stack is a prefix of the targets' and which broadcasts over them
     (`numdiff._columns`).  The result has the shape of y.
 
-    Each column stops at its own first residual <= NEWTON_TOL, and its
-    anchor and chart stop with it.  In each iteration the 2n difference
-    probes of the Jacobians of all columns still active go through one step
+    A column keeps its chart coordinates from its first residual
+    <= NEWTON_TOL on, while the others iterate.  In each iteration the 2n
+    difference probes of the Jacobians of all columns go through one step
     call, each probe at its column's anchor, and one stacked linear solve
-    updates them."""
+    updates the columns not yet converged."""
     kind = R.space
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     # One target is solved as an (n,) vector, a stack as (n, k) columns:
@@ -289,46 +288,24 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     if _largest(kind.distance(x, y)) >= R.domain_radius / 2.0:
         raise OutsideDomain("target too far from the anchor point")
 
-    def chart(anchor):
-        to_chart, from_chart = kind.chart_at(anchor)
+    to_chart, from_chart = kind.chart_at(x)
 
-        def step_chart(c):
-            v = kind.project_tangent(anchor, from_chart(c))
-            return v, to_chart(R.step(anchor, v))
+    def step_chart(c):
+        v = kind.project_tangent(x, from_chart(c))
+        return v, to_chart(R.step(x, v))
 
-        return to_chart, step_chart
-
-    to_chart, step_chart = chart(x)
     # Initial guess: the normal coordinates of the targets, exact for the
     # metric exponential and first-order accurate for any retraction.
     n = kind.dim
     target = to_chart(y)
     c = np.subtract(*_columns(target, to_chart(x)))
-    # The tangents of columns that stop before the others wait in
-    # `solution`; `active` holds the stack index of each column still
-    # iterating.
-    solution = active = None
     for _ in range(NEWTON_MAX_ITER):
         v, r = step_chart(c)
         r = r - target
         norms = _column_norm(r)
         if _largest(norms) <= NEWTON_TOL:
-            if solution is not None:
-                solution[:, active] = v
-                v = solution
             return v.reshape(v.shape[:1] + stack)
-        done = norms <= NEWTON_TOL
-        if done.any():
-            if solution is None:
-                solution, active = np.empty_like(v), np.arange(v.shape[1])
-            solution[:, active[done]] = v[:, done]
-            keep = ~done
-            active, c, r, target = (active[keep], c[:, keep], r[:, keep],
-                                    target[:, keep])
-            if x.ndim > 1:
-                x = x[:, keep]
-                to_chart, step_chart = chart(x)
-        # The probes c +- h e_j of every column, laid out (n, active, 2n).
+        # The probes c +- h e_j of every column, laid out (n, columns, 2n).
         columns, residuals = c.reshape(n, -1), r.reshape(n, -1)
         offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1)[:, None]
         h = 1e-7 * (1.0 + _column_norm(columns))
@@ -340,7 +317,9 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
                                    residuals.T[:, :, None])
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence("singular Jacobian") from exc
-        c = c - step[:, :, 0].T.reshape(c.shape)
+        # A converged column keeps its c; a NaN residual iterates on.
+        c = np.where(norms <= NEWTON_TOL, c,
+                     c - step[:, :, 0].T.reshape(c.shape))
     residual = np.max(_column_norm(step_chart(c)[1] - target))
     raise NewtonDivergence(
         f"residual {residual:.3e} > {NEWTON_TOL:.1e} "

@@ -16,14 +16,15 @@ the stack of one is a prefix of the stack of the other.  `_columns`
 appends singleton axes to the shorter one, so that each of its columns
 broadcasts over the trailing axes of the other: a single point over every
 column, a stack of k points over a (k, 4) stack of stencil points.
-Callables written for single points, such as
-``lambda m, v: np.array([m[0] * v[1]])``, work unchanged on stacks,
-because ``m[0]`` is then a whole row; a constant value such as
-``np.array([0.0])`` is broadcast by the caller (`on_stack`).  The
-difference stencil is a stack too: `richardson_derivative` calls its
-function once, with the four steps ``[STEP, -STEP, STEP / 2, -STEP / 2]``
-as one trailing stack axis, and the function returns its values with that
-axis last.  Elementwise operations on a stack perform the same
+Every one-form and pair map is called once on the whole stack, whatever
+its group: ``lambda m, v: np.array([m[0] * v[1]])`` takes a stack as it
+is, because ``m[0]`` is then a whole row.  An entry that does not depend
+on the point is written on the stack, ``0.0 * v[0]``, when other entries
+do; a value that is constant as a whole, such as ``np.array([0.0])``, is
+broadcast by the caller (`on_stack`).  The difference stencil is a stack
+too: `richardson_derivative` calls its function once, with the four steps
+``[STEP, -STEP, STEP / 2, -STEP / 2]`` as one trailing stack axis, and the
+function returns its values with that axis last.  Elementwise operations on a stack perform the same
 floating-point operations in the same order as a loop over the columns,
 so their results are equal bit for bit.  Reductions over the coordinate
 axis keep that property by one rule: a single point is a stack of one.
@@ -179,19 +180,6 @@ def on_stack(values, dim, stack):
     if values.size == dim:
         values = values.reshape((dim,) + (1,) * len(stack))
     return np.broadcast_to(values, (dim,) + tuple(stack))
-
-
-def by_column(fn, m, v):
-    """fn(point, tangent) -> (k,) evaluated over (d, *stack) arrays, one
-    column after another; a single point and tangent are passed through."""
-    m, v = _columns(np.asarray(m, dtype=float), np.asarray(v, dtype=float))
-    if m.ndim <= 1:
-        return fn(m, v)
-    m, v = np.broadcast_arrays(m, v)
-    stack = m.shape[1:]
-    values = [np.asarray(fn(m[(slice(None),) + i], v[(slice(None),) + i]),
-                         dtype=float) for i in np.ndindex(stack)]
-    return np.stack(values, axis=-1).reshape(values[0].shape + stack)
 
 
 def worst_defect(defects):

@@ -55,7 +55,7 @@ class TestEvalTrivial:
         # At group element g, the base contribution is Ad_g omega(dm).
         B = TrivialBundle(EuclideanChart(1), SO3())
         A = TrivialLocalConnection(
-            B, lambda m, v: np.array([v[0], 0.0, 0.0]))
+            B, lambda m, v: np.array([v[0], 0.0 * v[0], 0.0 * v[0]]))
         g = SO3().exp([0.0, 0.0, np.pi / 2])
         q = BundlePoint.trivial(B, [0.0], g)
         v = make_trivial_tangent(q, [1.0], [0.0, 0.0, 0.0])
@@ -214,10 +214,12 @@ def pure_gauge_so3():
     Y the first two so(3) basis vectors: v_x Ad_{exp(-y Y)} X + v_y Y,
     negated."""
     G = SO3()
-    X, Y = np.eye(3)[0], np.eye(3)[1]
+    Y = np.eye(3)[1]
 
     def omega(m, v):
-        return -(v[0] * (G.exp(-m[1] * Y) @ X) + v[1] * Y)
+        # exp(-y Y) X is the first column of exp(-y Y), on the stack.
+        return -(v[0] * G.exp(np.multiply.outer(-Y, m[1]))[:, 0]
+                 + np.multiply.outer(Y, v[1]))
 
     return TrivialLocalConnection(TrivialBundle(EuclideanChart(2), G), omega)
 
@@ -241,7 +243,7 @@ class TestNonAbelianCurvature:
         # omega = dx e_x + dy e_y: d omega = 0, [e_x, e_y] = e_z.
         B = TrivialBundle(EuclideanChart(2), SO3())
         A = TrivialLocalConnection(
-            B, lambda m, v: np.array([v[0], v[1], 0.0]))
+            B, lambda m, v: np.array([v[0], v[1], 0.0 * v[0]]))
         m = np.array([0.3, -0.7])
         value = curvature(A, m, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         assert np.max(np.abs(value - [0.0, 0.0, -1.0])) <= 1e-9

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from disconn import bundles
+from disconn import bundles, derivation
 from disconn.bundles import BundlePoint, TrivialBundle, make_trivial_tangent
 from disconn.connections import (TrivialLocalConnection, eval_connection,
                                  horizontal_lift)
@@ -108,15 +108,15 @@ class TestDeriveConnection:
 
 class TestNonAbelianPairMap:
     # C(m0, m1) = exp(m1_x - m0_x, m0_x (m1_y - m0_y), 0) in SO(3), a pair
-    # map written for one pair of points: it derives to
-    # omega(m)(u) = (u_x, m_x u_y, 0).
+    # map on stacks of pairs: it derives to omega(m)(u) = (u_x, m_x u_y, 0).
     @staticmethod
     def local_form():
         G = SO3()
         B = TrivialBundle(EuclideanChart(2), G)
         return TrivialLocalDiscrete(
             B, lambda m0, m1: G.exp([m1[0] - m0[0],
-                                     m0[0] * (m1[1] - m0[1]), 0.0]), 1e18)
+                                     m0[0] * (m1[1] - m0[1]),
+                                     0.0 * m1[0]]), 1e18)
 
     def test_pair_derivative(self):
         Ad = self.local_form()
@@ -128,12 +128,21 @@ class TestNonAbelianPairMap:
         expected = SO3().adjoint(g, [0.4, 0.7 * -0.9, 0.0])
         assert np.max(np.abs(value - expected)) <= 1e-9
 
-    def test_derived_form_on_a_stack(self):
+    def test_derived_form_on_a_stack(self, monkeypatch):
+        # The whole stack goes through one pair_derivative call.
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return pair_derivative(*args)
+
+        monkeypatch.setattr(derivation, "pair_derivative", counting)
         derived = derive_connection(self.local_form())
         rng = np.random.default_rng(71)
         m, u = rng.uniform(-1.0, 1.0, (2, 2, 5))
         expected = np.stack([u[0], m[0] * u[1], np.zeros(5)])
         assert np.max(np.abs(derived.value(m, u) - expected)) <= 1e-9
+        assert len(calls) == 1
 
 
 class TestDeriveHorizontal:

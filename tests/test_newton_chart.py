@@ -177,11 +177,12 @@ class TestStackedNewton:
         assert both.shape == (3, 2)
         for i, (v, steps) in enumerate(alone):
             assert np.max(np.abs(both[:, i] - v)) <= 1e-15
-        # The anchor stops after one residual; the far column then goes
-        # on alone: residual, 2n = 4 probes, residual, ...
+        # The anchor converges at its first residual and keeps its
+        # iterate; the stack stays whole for as many step calls as the far
+        # column takes alone: residual, 2n = 4 probes, residual, ...
         assert alone[0][1] == [1]
         assert len(alone[1][1]) >= 5
-        assert widths == [2] + alone[1][1][1:]
+        assert widths == [2] * len(alone[1][1])
 
     def test_two_stack_axes_solve_as_their_columns(self):
         # A (3, 2, 2) stack of targets on the sphere gives (3, 2, 2)
@@ -292,8 +293,8 @@ class TestAnchorStacks:
     @pytest.mark.parametrize("name", ["r2_quadratic", "hopf_perturbed"])
     def test_a_column_that_stops_early_keeps_its_iterate(self, name):
         # The first target is its own anchor and converges at the first
-        # residual; the others need Newton updates.  The stopped column
-        # leaves the stack with its anchor: later steps see fewer anchors.
+        # residual; the others need Newton updates.  The converged column
+        # keeps its iterate, and every step sees all three anchors.
         R = ANCHOR_CASES[name]()
         anchors = []
 
@@ -305,7 +306,7 @@ class TestAnchorStacks:
         x, y = anchors_and_targets(R, rng, 3)
         y[:, 0] = x[:, 0]
         stacked = invert_extended(dataclasses.replace(R, step=step), x, y)
-        assert anchors[:2] == [3, 2]
+        assert len(anchors) > 1 and set(anchors) == {3}
         singles = np.stack([invert_extended(R, x[:, i], y[:, i])
                             for i in range(3)], axis=-1)
         assert np.array_equal(stacked, singles)
@@ -360,6 +361,26 @@ class TestOneBasisPerSolve:
         x = unit([0.3, -0.5, 0.8])
         v = Sphere(3).project_tangent(x, np.array([0.1, 0.2, 0.05]))
         assert self.solve_and_count(basis_count, R, x, v) == 1
+
+    def test_anchor_stack_whose_columns_stop_apart(self, basis_count):
+        # The first target is its own anchor and converges at the first
+        # residual, the others later: the chart of the three anchors is
+        # built once for the whole solve.
+        R = ANCHOR_CASES["hopf_perturbed"]()
+        rng = np.random.default_rng(61)
+        x, y = anchors_and_targets(R, rng, 3)
+        y[:, 0] = x[:, 0]
+        residuals = []
+
+        def step(point, components):
+            residuals.append(np.ndim(components))
+            return R.step(point, components)
+
+        basis_count.clear()
+        invert_extended(dataclasses.replace(R, step=step), x, y)
+        # At least two Newton updates: one residual call per iteration.
+        assert residuals.count(2) >= 3
+        assert len(basis_count) == 1
 
 
 coordinate = st.floats(-1.0, 1.0, allow_nan=False)

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from disconn import cli
 from disconn.bundles import TrivialBundle
 from disconn.cli import emit_report, main, run_scenario
 from disconn.errors import ParseError, UnknownBuiltin
@@ -186,6 +187,19 @@ class TestCli:
         assert main(["run", path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scenario"] == "minimal"
+
+    @pytest.mark.parametrize("error", [MemoryError("no room for the stack"),
+                                       RuntimeError("solver gave up")])
+    def test_any_other_exception_exits_two(self, tmp_path, capsys,
+                                           monkeypatch, error):
+        # Exit 1 would read as "a check failed".
+        def failing(path):
+            raise error
+
+        monkeypatch.setattr(cli, "run_scenario", failing)
+        assert main(["run", write_scenario(tmp_path, minimal())]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {type(error).__name__}: {error}\n")
 
     def test_skewed_retraction_breaks_equivariance(self, tmp_path):
         cfg = minimal(connection={"kind": "local", "omega": "zero"},

@@ -1,6 +1,6 @@
-"""Stacked evaluation: on the abelian route a stack of points gives the
-same bits as a loop over its columns, and a stack of tangents steps every
-retraction column by column."""
+"""Stacked evaluation: a stack of points gives the same bits as a loop
+over its columns, on the abelian route and for SO(3) forms alike, and a
+stack of tangents steps every retraction column by column."""
 
 import numpy as np
 import pytest
@@ -44,6 +44,19 @@ CASES = {
 }
 
 
+def so3_form(m, v):
+    # A non-abelian one-form, evaluated on the whole stack.
+    return SO3().adjoint(SO3().exp([m[1], 0.0 * m[0], m[0]]),
+                         [v[0], v[1] - v[0], 0.5 * v[1]])
+
+
+# CASES and an SO(3) case, for the tests that build nothing abelian.
+ANY_GROUP_CASES = {**CASES, "SO3": (
+    SO3(), so3_form,
+    lambda m0, m1: SO3().exp([m1[0] - m0[0], m0[0] * (m1[1] - m0[1]),
+                              0.5 * (m1[1] - m0[1])]))}
+
+
 def stack_of(n, d=2, seed=7):
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, (d, n)), rng.uniform(-1.0, 1.0, (d, n))
@@ -75,26 +88,33 @@ def case(request):
     return B, form, pair_map
 
 
+@pytest.fixture(params=sorted(ANY_GROUP_CASES))
+def any_case(request):
+    group, form, pair_map = ANY_GROUP_CASES[request.param]
+    B = TrivialBundle(EuclideanChart(2), group)
+    return B, form, pair_map
+
+
 class TestStackedEqualsLoop:
-    def test_one_form(self, case):
-        B, form, _ = case
+    def test_one_form(self, any_case):
+        B, form, _ = any_case
         A = TrivialLocalConnection(B, form)
         m, v = stack_of(9)
         got = A.value(m, v)
         assert got.shape == (B.group.dim, 9)
         assert np.array_equal(got, by_loop(A.value, m, v))
 
-    def test_derived_omega(self, case):
-        B, _, pair_map = case
+    def test_derived_omega(self, any_case):
+        B, _, pair_map = any_case
         Ad = TrivialLocalDiscrete(B, pair_map, 1e18)
         omega = derive_connection(Ad).omega
         m, v = stack_of(9)
         assert np.array_equal(omega(m, v), by_loop(omega, m, v))
 
-    def test_derived_omega_equals_pair_derivative(self, case):
+    def test_derived_omega_equals_pair_derivative(self, any_case):
         # The derived one-form of a local discrete form is pair_derivative
         # at the identity section, in the direction of the base tangent.
-        B, _, pair_map = case
+        B, _, pair_map = any_case
         Ad = TrivialLocalDiscrete(B, pair_map, 1e18)
         omega = derive_connection(Ad).omega
         m, v = stack_of(5)
@@ -352,12 +372,6 @@ def torus_form(m, v):
 
 
 SO3_PLANE = TrivialBundle(EuclideanChart(2), SO3())
-
-
-def so3_form(m, v):
-    # A non-abelian one-form: its value takes one point at a time.
-    return SO3().adjoint(SO3().exp([m[1], 0.0, m[0]]),
-                         [v[0], v[1] - v[0], 0.5 * v[1]])
 
 
 BUNDLE_RULES = {

@@ -444,3 +444,22 @@ def test_run_check_hands_out_bounded_stacks(monkeypatch):
     assert (sizes, n) == ([100, 100, 50], 250)
     assert scenarios.STACK_SAMPLES == 100
     assert defect == check(ctx, {}, rng_for(ctx.seed, 2), 250)
+
+
+def test_distinctness_evaluates_its_pair_once(monkeypatch):
+    # distinctness draws nothing: 250 samples make one call, whose two
+    # eval_discrete are the two discretes at the designated pair, and the
+    # report still reads 250 samples.
+    ctx = ScenarioContext(SCENARIOS["matched-R2xR"])
+    calls = []
+    original = discrete.eval_discrete
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(discrete, "eval_discrete", counting)
+    defect, n = scenarios.run_check(ctx, 0, {
+        "name": "distinctness", "samples": 250,
+        "pair": [[0.1, 0.2], [0.4, -0.3]], "min_difference": 1e-3})
+    assert (len(calls), n) == (2, 250)
