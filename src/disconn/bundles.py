@@ -32,8 +32,10 @@ operations act column by column.  A point and the tangents attached to it
 `infinitesimal_generator`, the ``q0`` of `local_coords`), or two points,
 share one stack, or the shorter stack is a prefix of the longer one and
 broadcasts over it (`numdiff._columns`); a single point or element is the
-empty prefix.  The Hopf projection Jacobian is applied as explicit sums
-over the coordinate axis, the same operations for one column or a stack.
+empty prefix.  `join` stacks rows of points on a new trailing axis, so
+that several pairs go through one call.  The Hopf projection Jacobian is
+applied as explicit sums over the coordinate axis, the same operations
+for one column or a stack.
 """
 
 from __future__ import annotations
@@ -98,12 +100,58 @@ def make_trivial_tangent(q: BundlePoint, base_components,
     base = base.reshape((q.bundle.base.coord_size,) + base.shape[1:])
     fiber = np.asarray(fiber_vector, dtype=float)
     fiber = fiber.reshape((q.bundle.group.dim,) + fiber.shape[1:])
-    if base.shape[1:] != fiber.shape[1:]:
-        stack = np.broadcast_shapes(base.shape[1:], fiber.shape[1:])
-        base, fiber = (np.broadcast_to(
-            x.reshape(x.shape + (1,) * (len(stack) + 1 - x.ndim)),
-            x.shape[:1] + stack) for x in (base, fiber))
-    return np.concatenate([base, fiber])
+    if base.shape[1:] == fiber.shape[1:]:
+        return np.concatenate([base, fiber])
+    # One block is broadcast over the other's stack as it is assigned.
+    v = np.empty((len(base) + len(fiber),)
+                 + _joint_stack([base.shape[1:], fiber.shape[1:]]))
+    _put(v[:len(base)], base)
+    _put(v[len(base):], fiber)
+    return v
+
+
+def _joint_stack(stacks):
+    """The stack that the given stacks broadcast to, each a prefix of it
+    (`numdiff._columns`)."""
+    depth = max(map(len, stacks))
+    return np.broadcast_shapes(*(s + (1,) * (depth - len(s)) for s in stacks))
+
+
+def _put(out, x):
+    """Assign x to out, the stack of x a prefix of that of out."""
+    out[...] = x.reshape(x.shape + (1,) * (out.ndim - x.ndim))
+
+
+def join(*rows) -> tuple:
+    """Points stacked on a new trailing axis, one point per row: a row of
+    k points gives a point whose stack is (*stack, k), with the row's
+    point j at index j of the new axis.  Every point of every row is first
+    broadcast to one stack, of which each point's stack is a prefix
+    (`numdiff._columns`), so joined rows go together as their points did.
+    The points must live on one bundle."""
+    points = [q for row in rows for q in row]
+    bundle = points[0].bundle
+    if any(q.bundle != bundle for q in points):
+        raise BundleMismatch("points live on different bundles")
+    if isinstance(bundle, TrivialBundle):
+        # (field, rank of one value): a group element may be a matrix.
+        fields = (("base_point", 1),
+                  ("group_part", np.ndim(bundle.group.identity())))
+    else:
+        fields = (("ambient", 1),)
+    stack = _joint_stack([getattr(q, name).shape[rank:]
+                          for q in points for name, rank in fields])
+
+    def joined(row, name, rank):
+        first = getattr(row[0], name)
+        out = np.empty(first.shape[:rank] + stack + (len(row),))
+        for j, q in enumerate(row):
+            _put(out[..., j], getattr(q, name))
+        return out
+
+    return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)
+                                        for name, rank in fields})
+                 for row in rows)
 
 
 # ---------------------------------------------------------------------------

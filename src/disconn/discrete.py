@@ -19,7 +19,12 @@ stack of values: the two points share one stack, or the stack of the
 first is a prefix of that of the second and broadcasts over it, as a
 single first point does.  A pair map C is called once on the whole stack
 of base pairs, whatever the group, as a connection's omega is (see
-`numdiff`).  The defects take stacks too and give one defect per column.
+`numdiff`).  A law that reads several pairs (the triangle holonomy, the
+two axioms) joins them on a new trailing stack axis (`bundles.join`) and
+makes one `eval_discrete` call, so an integrated form makes one Newton
+solve for all of them; a pair gets the bits of its column whatever the
+stack it is in, so the joined values equal separate calls bit for bit.
+The defects take stacks too and give one defect per column.
 """
 
 from __future__ import annotations
@@ -82,28 +87,33 @@ def discrete_horizontal_lift(Ad: DiscreteConnectionForm, q: BundlePoint,
     return bundles.act(Ad.bundle.group.inverse(g), q_prime)
 
 
+def _eval_pairs(Ad: DiscreteConnectionForm, firsts, seconds) -> list:
+    """eval_discrete at each pair (firsts[j], seconds[j]), in one call on
+    the pairs joined on a new trailing stack axis (`bundles.join`); the
+    values, one per pair, are that call's columns on the new axis."""
+    q0, q1 = bundles.join(firsts, seconds)
+    values = eval_discrete(Ad, q0, q1)
+    return [values[..., j] for j in range(len(firsts))]
+
+
 def discrete_curvature(Ad: DiscreteConnectionForm, q0: BundlePoint,
                        q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
     """Triangle holonomy A_d(q0,q2)^{-1} A_d(q1,q2) A_d(q0,q1)."""
     G = Ad.bundle.group
-    return G.compose(G.inverse(eval_discrete(Ad, q0, q2)),
-                     G.compose(eval_discrete(Ad, q1, q2),
-                               eval_discrete(Ad, q0, q1)))
+    a02, a12, a01 = _eval_pairs(Ad, [q0, q1, q0], [q2, q2, q1])
+    return G.compose(G.inverse(a02), G.compose(a12, a01))
 
 
-def identity_defect(Ad: DiscreteConnectionForm, q: BundlePoint):
-    """Distance of A_d(q, q) from the identity: a float, or one per column
-    of a stack of points."""
+def axiom_defects(Ad: DiscreteConnectionForm, g, g_prime, q0: BundlePoint,
+                  q1: BundlePoint) -> tuple:
+    """(identity defect, equivariance defect): the distance of A_d(q0, q0)
+    from the identity, and that between A_d(g.q0, g'.q1) and
+    g' A_d(q0, q1) g^{-1}.  Each is a float, or one per column of stacks
+    of pairs and group elements; the three pairs are evaluated in one
+    call."""
     G = Ad.bundle.group
-    return G.distance(eval_discrete(Ad, q, q), G.identity())
-
-
-def discrete_equivariance_defect(Ad: DiscreteConnectionForm, g, g_prime,
-                                 q0: BundlePoint, q1: BundlePoint):
-    """Distance between A_d(g.q0, g'.q1) and g' A_d(q0, q1) g^{-1}: a float,
-    or one per column of stacks of pairs and group elements."""
-    G = Ad.bundle.group
-    moved = eval_discrete(Ad, bundles.act(g, q0), bundles.act(g_prime, q1))
-    expected = G.compose(
-        g_prime, G.compose(eval_discrete(Ad, q0, q1), G.inverse(g)))
-    return G.distance(moved, expected)
+    diagonal, moved, value = _eval_pairs(
+        Ad, [q0, bundles.act(g, q0), q0], [q0, bundles.act(g_prime, q1), q1])
+    expected = G.compose(g_prime, G.compose(value, G.inverse(g)))
+    return (G.distance(diagonal, G.identity()),
+            G.distance(moved, expected))

@@ -6,17 +6,21 @@ tolerances; it is the only source of a run's settings.  Sampling is
 driven by a counter-based PRNG (Philox) keyed by the scenario seed and the
 check index, so reports are deterministic for a fixed config.
 
-The sampling rule.  A check draws its raw values one sample at a time:
-the draws of sample i in a fixed order (the `ScenarioContext.draw_*`
-methods: base point, algebra vector, tangent, ...), then those of sample
-i + 1, so sample i takes the same values whatever the sample count.  The
-check then builds its points, tangents and group elements once on the
-stacked draws, sample axis last, and makes one library call per
-evaluation.  `run_check` hands a check at most STACK_SAMPLES samples per
-call, all from the check's one generator, and reports the worst defect
-over the calls (`distinctness`, which evaluates one designated pair, is
-called once); a sample gets the bits of its column whatever the stack
-it is in, so neither the stack size nor the split changes a verdict.
+The sampling rule.  A check takes its raw values in the order of a loop
+over the samples: the blocks of sample i in a fixed order (the
+`ScenarioContext.draw_*` methods describe them: base point, algebra
+vector, tangent, ...), then those of sample i + 1, so sample i takes the
+same values whatever the sample count.  When every block is uniform, a
+stack of samples is one generator call, split per block; a block of
+standard normals (a sphere base without a box) keeps the draws sample by
+sample, one call per block (`_draws`).  The check then builds its points,
+tangents and group elements once on the stacked draws, sample axis last,
+and makes one library call per evaluation.  `run_check` hands a check at
+most STACK_SAMPLES samples per call, all from the check's one generator,
+and reports the worst defect over the calls (`distinctness`, which
+evaluates one designated pair, is called once); a sample gets the bits of
+its column whatever the stack it is in, so neither the stack size nor the
+split changes a verdict.
 Sample i of check k can thus be replayed from (seed, k, i).
 
 Schema (`load_scenario` rejects unknown keys, unknown `integrator` and
@@ -66,6 +70,7 @@ Builtin objects take no other keys.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import sys
@@ -382,7 +387,13 @@ class ScenarioContext:
         if box is None:
             box = [[-1.0, 1.0]] * dim
         _require(len(box) == dim, "box does not match base dimension")
-        return np.asarray(box, dtype=float)
+        box = np.asarray(box, dtype=float)
+        with np.errstate(over="ignore"):
+            width = box[:, 1] - box[:, 0]
+        _require(np.all(width >= 0.0) and np.all(np.isfinite(width)),
+                 f"box rows need lo <= hi and a width in float range: "
+                 f"{box.tolist()}")
+        return box
 
     def _build_connection(self, spec):
         if spec is None:
@@ -433,30 +444,34 @@ class ScenarioContext:
         """(m, u, w) stacks of the flat and matched constructors' gates."""
         return _forms(self, rng_for(self.seed, 997), 25)
 
-    # -- raw draws: one sample's values from the check's generator ---------
-    def draw_base(self, rng):
-        if self.box is not None:
-            return rng.uniform(self.box[:, 0], self.box[:, 1])
-        return rng.normal(size=self.bundle.base.coord_size)
+    # -- raw draws: the blocks of values one sample takes ----------------
+    # A uniform block is its (low, span) columns, one row per value, each
+    # value low + span * U for U uniform on [0, 1), as
+    # `rng.uniform(low, low + span)` draws it; a scalar (low, span) is one
+    # value per sample.  A normal block is its count of standard normals.
+    # `_draws` draws the blocks.
+    def draw_base(self):
+        if self.box is None:
+            return self.bundle.base.coord_size
+        return self.box[:, :1], self.box[:, 1:] - self.box[:, :1]
 
-    def draw_algebra(self, rng):
+    def draw_algebra(self):
         """An algebra vector, also the raw values of a group element."""
-        return rng.uniform(-1.0, 1.0, self.bundle.group.dim)
+        return _symmetric(self.bundle.group.dim)
 
-    def draw_base_tangent(self, rng):
-        return rng.uniform(-1.0, 1.0, self.bundle.base.coord_size)
+    def draw_base_tangent(self):
+        return _symmetric(self.bundle.base.coord_size)
 
-    def draw_tangent(self, rng):
+    def draw_tangent(self):
         """A bundle tangent: base block and fiber block on a trivial
         bundle, an ambient R^4 vector on the Hopf bundle."""
         if isinstance(self.bundle, TrivialBundle):
-            size = self.bundle.base.coord_size + self.bundle.group.dim
-        else:
-            size = 4
-        return rng.uniform(-1.0, 1.0, size)
+            return _symmetric(self.bundle.base.coord_size
+                              + self.bundle.group.dim)
+        return _symmetric(4)
 
-    def draw_scale(self, rng):
-        return rng.uniform(0.05, 1.0)
+    def draw_scale(self):
+        return 0.05, 1.0 - 0.05
 
     # -- samples built from raw draws, on stacks ---------------------------
     def base_points(self, raw):
@@ -510,19 +525,47 @@ def _hopf_chart_retraction(bundle):
 # ---------------------------------------------------------------------------
 # Named checks
 
-def _draws(rng, n, *draws):
-    """The raw values of n samples, one array per draw with the sample axis
-    last: the draws of a sample in the order given, then the next sample's,
-    in the order of a loop over the samples."""
-    rows = [[draw(rng) for draw in draws] for _ in range(n)]
-    return [np.stack(column, axis=-1) for column in zip(*rows)]
+def _symmetric(size):
+    """The uniform block of `size` values in [-1, 1)."""
+    return np.full((size, 1), -1.0), np.full((size, 1), 2.0)
+
+
+def _draws(rng, n, *blocks):
+    """The raw values of n samples, one array per block (the
+    `ScenarioContext.draw_*` methods describe them) with the sample axis
+    last: the blocks of a sample in the order given, then the next
+    sample's, in the order of a loop over the samples.  When every block
+    is uniform, the n samples are one stream of uniforms, taken by one
+    generator call and split per block.  A normal block takes a number of
+    raw values that depends on the values (the ziggurat rejects some), so
+    with one the draws go sample by sample, one call per block.  Either
+    way a uniform block's values are low + span * U, computed once on its
+    whole stack."""
+    normal = [isinstance(block, int) for block in blocks]
+    shapes = [(block,) if is_normal else np.shape(block[0])[:-1]
+              for block, is_normal in zip(blocks, normal)]
+    if any(normal):
+        rows = [[rng.normal(size=shape) if is_normal else rng.random(shape)
+                 for shape, is_normal in zip(shapes, normal)]
+                for _ in range(n)]
+        raw = [np.stack(column, axis=-1) for column in zip(*rows)]
+    else:
+        sizes = [math.prod(shape) for shape in shapes]
+        # The stream is sample-major; each block's rows are laid out
+        # C-contiguous, as the loop's np.stack lays them out.
+        stream = np.ascontiguousarray(rng.random((n, sum(sizes))).T)
+        ends = itertools.accumulate(sizes)
+        raw = [stream[end - size:end].reshape(shape + (n,))
+               for shape, size, end in zip(shapes, sizes, ends)]
+    return [x if is_normal else block[0] + block[1] * x
+            for block, is_normal, x in zip(blocks, normal, raw)]
 
 
 def _forms(ctx, rng, n):
     """(m, u, w) stacks of base points and two constant base directions,
     for exterior derivatives."""
-    m, u, w = _draws(rng, n, ctx.draw_base, ctx.draw_base_tangent,
-                     ctx.draw_base_tangent)
+    m, u, w = _draws(rng, n, ctx.draw_base(), ctx.draw_base_tangent(),
+                     ctx.draw_base_tangent())
     return ctx.base_points(m), u, w
 
 
@@ -546,9 +589,9 @@ def _need_connection(ctx):
 
 def check_connection_axioms(ctx, params, rng, n):
     A = _need_connection(ctx)
-    m, h, v, xi, g = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
-                            ctx.draw_tangent, ctx.draw_algebra,
-                            ctx.draw_algebra)
+    m, h, v, xi, g = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
+                            ctx.draw_tangent(), ctx.draw_algebra(),
+                            ctx.draw_algebra())
     q = ctx.points(m, h)
     return worst_defect([
         connections.verticality_defect(A, q, xi),
@@ -559,14 +602,13 @@ def check_connection_axioms(ctx, params, rng, n):
 def check_discrete_axioms(ctx, params, rng, n):
     Ad = _first_discrete(ctx)
     m, h, d, s, h1, g, g2 = _draws(
-        rng, n, ctx.draw_base, ctx.draw_algebra, ctx.draw_base_tangent,
-        ctx.draw_scale, ctx.draw_algebra, ctx.draw_algebra, ctx.draw_algebra)
+        rng, n, ctx.draw_base(), ctx.draw_algebra(), ctx.draw_base_tangent(),
+        ctx.draw_scale(), ctx.draw_algebra(), ctx.draw_algebra(),
+        ctx.draw_algebra())
     q0 = ctx.points(m, h)
     q1 = ctx.nearby_points(q0, d, s, h1, 0.4)
-    return worst_defect([
-        discrete.identity_defect(Ad, q0),
-        discrete.discrete_equivariance_defect(
-            Ad, ctx.group_elements(g), ctx.group_elements(g2), q0, q1)])
+    return worst_defect(discrete.axiom_defects(
+        Ad, ctx.group_elements(g), ctx.group_elements(g2), q0, q1))
 
 
 def check_retraction_axioms(ctx, params, rng, n):
@@ -574,7 +616,7 @@ def check_retraction_axioms(ctx, params, rng, n):
         rule = integration.reduced_retraction(ctx.connection, ctx.retraction)
     else:
         rule = manifolds.metric_exponential(ctx.bundle.base)
-    m, v = _draws(rng, n, ctx.draw_base, ctx.draw_base_tangent)
+    m, v = _draws(rng, n, ctx.draw_base(), ctx.draw_base_tangent())
     m = ctx.base_points(m)
     v = ctx.bundle.base.project_tangent(m, v)
     norm = _column_norm(v)
@@ -585,7 +627,7 @@ def check_retraction_axioms(ctx, params, rng, n):
 
 def check_exp_log_roundtrip(ctx, params, rng, n):
     G = ctx.bundle.group
-    xi, g = _draws(rng, n, ctx.draw_algebra, ctx.draw_algebra)
+    xi, g = _draws(rng, n, ctx.draw_algebra(), ctx.draw_algebra())
     xi = xi * 2.8 / np.sqrt(G.dim)
     g = ctx.group_elements(g)
     return worst_defect([_column_norm(G.log(G.exp(xi)) - xi),
@@ -595,8 +637,8 @@ def check_exp_log_roundtrip(ctx, params, rng, n):
 def check_derive_roundtrip(ctx, params, rng, n):
     A = _need_connection(ctx)
     derived = derivation.derive_connection(_first_discrete(ctx))
-    m, h, v = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
-                     ctx.draw_tangent)
+    m, h, v = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
+                     ctx.draw_tangent())
     q = ctx.points(m, h)
     v = ctx.bundle_tangents(q, v)
     lhs = connections.eval_connection(derived, q, v)
@@ -608,8 +650,8 @@ def _lift_defect(ctx, rng, n, A, Ad):
     """Worst distance between the derivative of the discrete horizontal
     lift of Ad and the horizontal lift of A, over n sampled points and
     base directions."""
-    m, h, dm = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
-                      ctx.draw_base_tangent)
+    m, h, dm = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
+                      ctx.draw_base_tangent())
     q = ctx.points(m, h)
     dm = ctx.bundle.base.project_tangent(bundles.project(q), dm)
     direct = derivation.derive_horizontal(Ad, q, dm)
@@ -632,8 +674,8 @@ def _holonomy_gap(ctx, rng, n, d1, d2=None):
     """Worst distance between the triangle holonomies of d1 and d2, or of
     d1 and the identity when d2 is None, over n sampled triangles."""
     G = ctx.bundle.group
-    nearby = (ctx.draw_base_tangent, ctx.draw_scale, ctx.draw_algebra)
-    m, h, *raw = _draws(rng, n, ctx.draw_base, ctx.draw_algebra, *nearby,
+    nearby = (ctx.draw_base_tangent(), ctx.draw_scale(), ctx.draw_algebra())
+    m, h, *raw = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(), *nearby,
                         *nearby)
     q0 = ctx.points(m, h)
     q1 = ctx.nearby_points(q0, *raw[:3], 0.2)
@@ -649,8 +691,8 @@ def _derived_curvature_gap(ctx, rng, n, *discretes):
     discrete, or of the difference of two, over n sampled base points and
     pairs of directions."""
     derived = [derivation.derive_connection(Ad) for Ad in discretes]
-    m, u, w = _draws(rng, n, ctx.draw_base, ctx.draw_base_tangent,
-                     ctx.draw_base_tangent)
+    m, u, w = _draws(rng, n, ctx.draw_base(), ctx.draw_base_tangent(),
+                     ctx.draw_base_tangent())
     m = ctx.base_points(m)
     u, w = (ctx.bundle.base.project_tangent(m, x) for x in (u, w))
     values = [connections.curvature(A, m, u, w) for A in derived]
@@ -704,9 +746,9 @@ def check_uniqueness_pair(ctx, params, rng, n):
     Ad_ref = _first_discrete(ctx)
     A = derivation.derive_connection(Ad_ref)
     rebuilt = abelian.curvature_matched_integrate(A, Ad_ref)
-    m, h, d, s, h1 = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
-                            ctx.draw_base_tangent, ctx.draw_scale,
-                            ctx.draw_algebra)
+    m, h, d, s, h1 = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
+                            ctx.draw_base_tangent(), ctx.draw_scale(),
+                            ctx.draw_algebra())
     q0 = ctx.points(m, h)
     q1 = ctx.nearby_points(q0, d, s, h1, 0.5)
     v_ref = discrete.eval_discrete(Ad_ref, q0, q1)
@@ -716,9 +758,9 @@ def check_uniqueness_pair(ctx, params, rng, n):
 
 def check_metric_invariance(ctx, params, rng, n):
     gm = integration.build_invariant_metric(_need_connection(ctx))
-    m, h, u, w, g = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
-                           ctx.draw_tangent, ctx.draw_tangent,
-                           ctx.draw_algebra)
+    m, h, u, w, g = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
+                           ctx.draw_tangent(), ctx.draw_tangent(),
+                           ctx.draw_algebra())
     q = ctx.points(m, h)
     u, w = (ctx.bundle_tangents(q, x) for x in (u, w))
     return worst_defect(integration.metric_invariance_defect(
@@ -726,8 +768,8 @@ def check_metric_invariance(ctx, params, rng, n):
 
 
 def check_retraction_equivariance(ctx, params, rng, n):
-    m, h, v, g = _draws(rng, n, ctx.draw_base, ctx.draw_algebra,
-                        ctx.draw_tangent, ctx.draw_algebra)
+    m, h, v, g = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
+                        ctx.draw_tangent(), ctx.draw_algebra())
     q = ctx.points(m, h)
     v = ctx.bundle_tangents(q, v)
     norm = _column_norm(v)

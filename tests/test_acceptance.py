@@ -245,9 +245,8 @@ def test_criterion_8_axiom_suites():
         q1, _ = sample_trivial(B, rng)
         g = B.group.wrap(rng.uniform(-3, 3, 1))
         g2 = B.group.wrap(rng.uniform(-3, 3, 1))
-        worst_disc = max(
-            worst_disc, discrete.identity_defect(Ad, q0),
-            discrete.discrete_equivariance_defect(Ad, g, g2, q0, q1))
+        worst_disc = max(worst_disc,
+                         *discrete.axiom_defects(Ad, g, g2, q0, q1))
 
     worst_retr = 0.0
     kind = EuclideanChart(2)

@@ -1,24 +1,29 @@
-"""How many evaluations one verify-all makes, on the benchmark workload
-hopf-newton at seed 0.
+"""How many evaluations one verify-all makes, on the benchmark workloads
+hopf-newton and breadth at seed 0.
 
-Every check draws its samples one at a time and then evaluates them as
-one stack, and a derivative evaluates its four-point difference stencil
-in the same call, so each Richardson derivative calls its function once
-and the integrated Hopf form makes one `eval_discrete` call, with one
-Newton solve, per stacked evaluation.  Per scenario the solves are 3 for
-discrete_axioms (A_d(q0, q0), A_d(g q0, g' q1) and A_d(q0, q1), each on
-all samples), 1 for derive_roundtrip and 1 for lift_roundtrip; one solve
-per sample would make 24, 8 and 8.
+Every check evaluates its samples as one stack, and a derivative
+evaluates its four-point difference stencil in the same call, so each
+Richardson derivative calls its function once.  A law that reads several
+pairs joins them into one stack, so an integrated form makes one
+`eval_discrete` call, with one Newton solve, per check: on hopf-newton,
+per scenario, 1 for discrete_axioms (the pairs (q0, q0), (g q0, g' q1)
+and (q0, q1) joined), 1 for derive_roundtrip and 1 for lift_roundtrip.
+One call per pair made 3 solves for discrete_axioms, and one per sample
+made 24.
 
 `eval_connection` and `retract_bundle` are counted at every call, nested
-ones included.  Over the two scenarios, connection_axioms evaluates the
-connection 6 times (A at the generator, at g . v and at v, per
-scenario); the integrated form's solves and rules evaluate it 24 times in
-discrete_axioms, 10 in derive_roundtrip (with the 2 direct evaluations
-per scenario) and 8 in lift_roundtrip, and they retract 6, 2 and 2 times;
-retraction_equivariance retracts 4 times (R(g . v) and R(v) per
-scenario).  One evaluation per sample made 90 `eval_connection` and 42
+ones included.  On hopf-newton, over the two scenarios, connection_axioms
+evaluates the connection 6 times (A at the generator, at g . v and at v,
+per scenario); the integrated form's solves and rules evaluate it 10
+times in discrete_axioms, 10 in derive_roundtrip (with the 2 direct
+evaluations per scenario) and 8 in lift_roundtrip, and they retract 2, 2
+and 2 times; retraction_equivariance retracts 4 times (R(g . v) and R(v)
+per scenario).  One call per pair made 48 `eval_connection` and 14
 `retract_bundle` calls.
+
+On breadth, five discrete_axioms checks and one discrete_flatness check
+make one `eval_discrete` call each, 27 in all, and the four integrated
+forms solve 14 times; one call per pair made 39 and 22.
 """
 
 import importlib.util
@@ -71,14 +76,23 @@ def counts(monkeypatch):
     return counter
 
 
-def test_hopf_newton_seed_0(counts, tmp_path, capsys):
+COUNTS = {
+    "hopf-newton": {"invert_extended": 6, "eval_discrete": 6,
+                    "richardson_derivative": 4, "f": 4,
+                    "eval_connection": 34, "retract_bundle": 10},
+    "breadth": {"invert_extended": 14, "eval_discrete": 27,
+                "richardson_derivative": 31, "f": 31,
+                "eval_connection": 61, "retract_bundle": 18},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(COUNTS))
+def test_workload_seed_0(workload, counts, tmp_path, capsys):
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
-    workloads.write(workloads.generate("hopf-newton", 0), tmp_path)
+    workloads.write(workloads.generate(workload, 0), tmp_path)
     assert main(["verify-all", str(tmp_path), "--format", "json"]) == 0
     capsys.readouterr()
-    assert counts == {"invert_extended": 10, "eval_discrete": 10,
-                      "richardson_derivative": 4, "f": 4,
-                      "eval_connection": 48, "retract_bundle": 14}
+    assert counts == COUNTS[workload]

@@ -9,8 +9,7 @@ from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
                                  eval_connection, horizontal_lift)
 from disconn.derivation import derive_connection
-from disconn.discrete import (discrete_equivariance_defect, eval_discrete,
-                              identity_defect)
+from disconn.discrete import axiom_defects, eval_discrete
 from disconn.errors import BundleMismatch, OutsideDomain
 from disconn.groups import Circle, Translation
 from disconn.integration import (build_invariant_metric, equivariance_defect,
@@ -239,8 +238,9 @@ class TestIntegration:
                                      rng.uniform(-3, 3, 1))
             g0 = B.group.wrap(rng.uniform(-3, 3, 1))
             g1 = B.group.wrap(rng.uniform(-3, 3, 1))
-            assert identity_defect(Ad, q0) <= 1e-9
-            assert discrete_equivariance_defect(Ad, g0, g1, q0, q1) <= 1e-9
+            identity, equivariance = axiom_defects(Ad, g0, g1, q0, q1)
+            assert identity <= 1e-9
+            assert equivariance <= 1e-9
 
     def test_roundtrip_trivial(self):
         B, A, U = x_dy_setup()

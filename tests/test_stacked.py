@@ -124,6 +124,32 @@ class TestStackedEqualsLoop:
             assert np.array_equal(omega(m[:, i], v[:, i]),
                                   pair_derivative(Ad, q, lift))
 
+    def test_trivial_tangent_broadcasts_a_block(self, any_case):
+        # A single base block over a stack of fiber blocks, the reverse,
+        # and a stack over two axes whose first axis the other block's
+        # stack fills: the tangents of the columns, bit for bit.
+        B = any_case[0]
+        q = section_over(B, np.zeros(2))
+        rng = np.random.default_rng(12)
+        base = rng.uniform(-1.0, 1.0, (2, 6))
+        fiber = rng.uniform(-1.0, 1.0, (B.group.dim, 6))
+
+        def columns(b, f):
+            return np.stack([make_trivial_tangent(q, b(i), f(i))
+                             for i in range(6)], axis=-1)
+
+        assert np.array_equal(
+            make_trivial_tangent(q, base[:, 0], fiber),
+            columns(lambda i: base[:, 0], lambda i: fiber[:, i]))
+        assert np.array_equal(
+            make_trivial_tangent(q, base, fiber[:, 0]),
+            columns(lambda i: base[:, i], lambda i: fiber[:, 0]))
+        grid = make_trivial_tangent(q, base.reshape(2, 2, 3), fiber[:, :2])
+        assert grid.shape == (2 + B.group.dim, 2, 3)
+        assert np.array_equal(
+            grid.reshape(-1, 6),
+            columns(lambda i: base[:, i], lambda i: fiber[:, i // 3]))
+
     def test_descended_difference(self, case):
         B, form, pair_map = case
         A = TrivialLocalConnection(B, form)
@@ -256,8 +282,8 @@ class TestClosedFormCheck:
         defects = []
         for _ in range(n):
             m, u, w = (x[..., 0] for x in scenarios._draws(
-                rng, 1, ctx.draw_base, ctx.draw_base_tangent,
-                ctx.draw_base_tangent))
+                rng, 1, ctx.draw_base(), ctx.draw_base_tangent(),
+                ctx.draw_base_tangent()))
             m = ctx.base_points(m)
             defects.append(float(np.linalg.norm(exterior_derivative(
                 ctx.connection.value, m, u, w))))

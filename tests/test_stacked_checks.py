@@ -11,6 +11,7 @@ from disconn import (abelian, bundles, connections, derivation, discrete,
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              hopf_projection_coords, hopf_section,
                              point_distance)
+from disconn.errors import ParseError
 from disconn.groups import SO3, Circle, Torus, Translation
 from disconn.manifolds import EuclideanChart
 from disconn.numdiff import _column_norm, exterior_derivative, worst_defect
@@ -139,8 +140,8 @@ def draw(rng, *draws):
 def nearby(ctx, rng, q, fraction):
     """A second point near q, one sample as the checks drew it before they
     stacked: the scale is a Python float, and a zero direction stays put."""
-    d, s, h = draw(rng, ctx.draw_base_tangent, ctx.draw_scale,
-                   ctx.draw_algebra)
+    d, s, h = draw(rng, ctx.draw_base_tangent(), ctx.draw_scale(),
+                   ctx.draw_algebra())
     base = ctx.bundle.base
     m = bundles.project(q)
     direction = base.project_tangent(m, d)
@@ -153,20 +154,39 @@ def nearby(ctx, rng, q, fraction):
 
 
 def point(ctx, rng):
-    return ctx.points(*draw(rng, ctx.draw_base, ctx.draw_algebra))
+    return ctx.points(*draw(rng, ctx.draw_base(), ctx.draw_algebra()))
 
 
 def bundle_tangent(ctx, rng, q):
-    return ctx.bundle_tangents(q, *draw(rng, ctx.draw_tangent))
+    return ctx.bundle_tangents(q, *draw(rng, ctx.draw_tangent()))
 
 
 def group(ctx, rng):
-    return ctx.group_elements(*draw(rng, ctx.draw_algebra))
+    return ctx.group_elements(*draw(rng, ctx.draw_algebra()))
 
 
 def capped(v, cap, scaled):
     norm = float(_column_norm(v))
     return scaled(v, cap, norm) if norm > cap else v
+
+
+def separate_axiom_defects(Ad, g, g2, q0, q1):
+    """The two axiom defects, one eval_discrete call per pair."""
+    G = Ad.bundle.group
+    diagonal = discrete.eval_discrete(Ad, q0, q0)
+    moved = discrete.eval_discrete(Ad, bundles.act(g, q0),
+                                   bundles.act(g2, q1))
+    expected = G.compose(
+        g2, G.compose(discrete.eval_discrete(Ad, q0, q1), G.inverse(g)))
+    return G.distance(diagonal, G.identity()), G.distance(moved, expected)
+
+
+def separate_curvature(Ad, q0, q1, q2):
+    """The triangle holonomy, one eval_discrete call per pair."""
+    G = Ad.bundle.group
+    return G.compose(G.inverse(discrete.eval_discrete(Ad, q0, q2)),
+                     G.compose(discrete.eval_discrete(Ad, q1, q2),
+                               discrete.eval_discrete(Ad, q0, q1)))
 
 
 def loop_connection_axioms(ctx, rng, n):
@@ -175,7 +195,7 @@ def loop_connection_axioms(ctx, rng, n):
     for _ in range(n):
         q = point(ctx, rng)
         v = bundle_tangent(ctx, rng, q)
-        xi, = draw(rng, ctx.draw_algebra)
+        xi, = draw(rng, ctx.draw_algebra())
         g = group(ctx, rng)
         defects.append(connections.verticality_defect(A, q, xi))
         defects.append(connections.equivariance_defect(A, g, q, v))
@@ -190,9 +210,7 @@ def loop_discrete_axioms(ctx, rng, n):
         q1 = nearby(ctx, rng, q0, 0.4)
         g = group(ctx, rng)
         g2 = group(ctx, rng)
-        defects.append(discrete.identity_defect(Ad, q0))
-        defects.append(discrete.discrete_equivariance_defect(
-            Ad, g, g2, q0, q1))
+        defects.extend(separate_axiom_defects(Ad, g, g2, q0, q1))
     return worst_defect(defects)
 
 
@@ -203,7 +221,7 @@ def loop_retraction_axioms(ctx, rng, n):
         rule = manifolds.metric_exponential(ctx.bundle.base)
     defects = []
     for _ in range(n):
-        m, v = draw(rng, ctx.draw_base, ctx.draw_base_tangent)
+        m, v = draw(rng, ctx.draw_base(), ctx.draw_base_tangent())
         m = ctx.base_points(m)
         v = capped(ctx.bundle.base.project_tangent(m, v),
                    0.2 * min(rule.domain_radius, 2.0),
@@ -216,7 +234,7 @@ def loop_exp_log_roundtrip(ctx, rng, n):
     G = ctx.bundle.group
     defects = []
     for _ in range(n):
-        xi, = draw(rng, ctx.draw_algebra)
+        xi, = draw(rng, ctx.draw_algebra())
         xi = xi * 2.8 / np.sqrt(G.dim)
         defects.append(_column_norm(G.log(G.exp(xi)) - xi))
         g = group(ctx, rng)
@@ -241,7 +259,7 @@ def loop_lift_defect(ctx, rng, n, A):
     defects = []
     for _ in range(n):
         q = point(ctx, rng)
-        dm, = draw(rng, ctx.draw_base_tangent)
+        dm, = draw(rng, ctx.draw_base_tangent())
         dm = ctx.bundle.base.project_tangent(bundles.project(q), dm)
         direct = derivation.derive_horizontal(Ad, q, dm)
         lifted = connections.horizontal_lift(A, q, dm)
@@ -256,9 +274,9 @@ def loop_holonomy_gap(ctx, rng, n, d1, d2=None):
         q0 = point(ctx, rng)
         q1 = nearby(ctx, rng, q0, 0.2)
         q2 = nearby(ctx, rng, q0, 0.2)
-        b1 = discrete.discrete_curvature(d1, q0, q1, q2)
+        b1 = separate_curvature(d1, q0, q1, q2)
         b2 = (G.identity() if d2 is None
-              else discrete.discrete_curvature(d2, q0, q1, q2))
+              else separate_curvature(d2, q0, q1, q2))
         defects.append(G.distance(b1, b2))
     return worst_defect(defects)
 
@@ -267,8 +285,8 @@ def loop_derived_curvature_gap(ctx, rng, n, *discretes):
     derived = [derivation.derive_connection(Ad) for Ad in discretes]
     defects = []
     for _ in range(n):
-        m, u, w = draw(rng, ctx.draw_base, ctx.draw_base_tangent,
-                       ctx.draw_base_tangent)
+        m, u, w = draw(rng, ctx.draw_base(), ctx.draw_base_tangent(),
+                       ctx.draw_base_tangent())
         m = ctx.base_points(m)
         u, w = (ctx.bundle.base.project_tangent(m, x) for x in (u, w))
         values = [connections.curvature(A, m, u, w) for A in derived]
@@ -280,8 +298,8 @@ def loop_derived_curvature_gap(ctx, rng, n, *discretes):
 def loop_closed_form(ctx, rng, n):
     defects = []
     for _ in range(n):
-        m, u, w = draw(rng, ctx.draw_base, ctx.draw_base_tangent,
-                       ctx.draw_base_tangent)
+        m, u, w = draw(rng, ctx.draw_base(), ctx.draw_base_tangent(),
+                       ctx.draw_base_tangent())
         defects.append(_column_norm(exterior_derivative(
             ctx.connection.value, ctx.base_points(m), u, w)))
     return worst_defect(defects)
@@ -393,6 +411,11 @@ SCENARIOS = {
                           "reference": {"kind": "local",
                                         "pair_map": "trapezoid_x_dy"}},
                          {"kind": "local", "pair_map": "trapezoid_x_dy"}]},
+    "flat-R2xR": {"name": "flat", "seed": 16,
+                  "bundle": {"kind": "trivial",
+                             "base": {"kind": "R^d", "dim": 2},
+                             "group": {"kind": "R^k", "dim": 1}},
+                  "discrete": {"kind": "flat", "omega": "closed_xy"}},
 }
 FIRST_FIVE = ["derive_roundtrip", "diagram", "discrete_axioms",
               "exp_log_roundtrip", "lift_roundtrip"]
@@ -463,3 +486,148 @@ def test_distinctness_evaluates_its_pair_once(monkeypatch):
         "name": "distinctness", "samples": 250,
         "pair": [[0.1, 0.2], [0.4, -0.3]], "min_difference": 1e-3})
     assert (len(calls), n) == (2, 250)
+
+
+# ---------------------------------------------------------------------------
+# Sampling: the blocks of a check against the per-sample draws they replace.
+
+def reference_draw(ctx, rng, name):
+    """One sample's values of one block, one generator call each."""
+    if name == "base":
+        if ctx.box is not None:
+            return rng.uniform(ctx.box[:, 0], ctx.box[:, 1])
+        return rng.normal(size=ctx.bundle.base.coord_size)
+    if name == "scale":
+        return rng.uniform(0.05, 1.0)
+    size = {"algebra": ctx.bundle.group.dim,
+            "base_tangent": ctx.bundle.base.coord_size,
+            "tangent": (4 if isinstance(ctx.bundle, HopfBundle) else
+                        ctx.bundle.base.coord_size + ctx.bundle.group.dim)}
+    return rng.uniform(-1.0, 1.0, size[name])
+
+
+BLOCKS = ["base", "algebra", "tangent", "scale", "base_tangent", "algebra",
+          "scale"]
+
+
+def reference_draws(ctx, rng, n, names):
+    rows = [[reference_draw(ctx, rng, name) for name in names]
+            for _ in range(n)]
+    return [np.stack(column, axis=-1) for column in zip(*rows)]
+
+
+def blocks(ctx, names):
+    return [getattr(ctx, f"draw_{name}")() for name in names]
+
+
+class CallCounter:
+    """A generator that counts the calls made to its methods."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self.rng, name)
+
+
+class TestDraws:
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_blocks_are_the_per_sample_draws(self, scenario):
+        # Box R^2 and R^3 bases, U(1), R and SO(3) groups, a normal S^2 base
+        # and the Hopf bundle, whose tangent block has four values.
+        ctx = ScenarioContext(SCENARIOS[scenario])
+        got = scenarios._draws(rng_for(ctx.seed, 0), 9, *blocks(ctx, BLOCKS))
+        want = reference_draws(ctx, rng_for(ctx.seed, 0), 9, BLOCKS)
+        assert [x.shape for x in got] == [x.shape for x in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("scenario", ["R2xU1", "S2xU1"])
+    def test_stacks_of_one_check_continue_one_stream(self, scenario):
+        # 250 samples in stacks of 100, 100 and 50 from one generator.
+        ctx = ScenarioContext(SCENARIOS[scenario])
+        rng = rng_for(ctx.seed, 3)
+        parts = [scenarios._draws(rng, n, *blocks(ctx, BLOCKS))
+                 for n in (100, 100, 50)]
+        got = [np.concatenate(x, axis=-1) for x in zip(*parts)]
+        want = reference_draws(ctx, rng_for(ctx.seed, 3), 250, BLOCKS)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("scenario,calls", [
+        ("R2xU1", ["random"] * 3),
+        # A normal base block: one call per block and sample.
+        ("S2xU1", (["normal"] + ["random"] * 6) * 250)])
+    def test_one_generator_call_per_uniform_stack(self, monkeypatch,
+                                                  scenario, calls):
+        ctx = ScenarioContext(SCENARIOS[scenario])
+        generators = []
+
+        def counting_rng(seed, stream):
+            generators.append(CallCounter(rng_for(seed, stream)))
+            return generators[-1]
+
+        monkeypatch.setattr(scenarios, "rng_for", counting_rng)
+        scenarios.run_check(ctx, 1, {"name": "discrete_axioms",
+                                     "samples": 250})
+        assert [g.calls for g in generators] == [calls]
+
+    @pytest.mark.parametrize("box", [[[1.0, -1.0], [0.0, 1.0]],
+                                     [[-1e308, 1e308], [0.0, 1.0]]])
+    def test_box_rows_uniform_refuses(self, box):
+        # A reversed row, or one whose width overflows: rng.uniform raises
+        # on both, so the box is refused where the context is built.
+        with pytest.raises(ParseError, match="box rows"):
+            ScenarioContext(dict(SCENARIOS["R2xU1"], box=box))
+
+
+# ---------------------------------------------------------------------------
+# Joined pairs: one eval_discrete call on the pairs joined on a new stack
+# axis, against one call per pair.
+
+FORMS = {
+    "local": ("matched-R2xR", 1),
+    "matched": ("matched-R2xR", 0),
+    "flat": ("flat-R2xR", 0),
+    "integrated-R2xU1": ("R2xU1", 0),
+    "integrated-hopf-perturbed": ("hopf-perturbed", 0),
+}
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("n", [None, 6])
+def test_joined_pairs_are_the_separate_calls(form, n):
+    # n = None draws single points, n = 6 stacks of six.
+    scenario, index = FORMS[form]
+    ctx = ScenarioContext(SCENARIOS[scenario])
+    Ad = ctx.discretes[index]
+    rng = rng_for(ctx.seed, 0)
+    algebra = ctx.draw_algebra()
+    nearby = (ctx.draw_base_tangent(), ctx.draw_scale(), algebra)
+    m, h, *raw, g, g2 = scenarios._draws(rng, n or 1, ctx.draw_base(),
+                                         algebra, *nearby, *nearby,
+                                         algebra, algebra)
+    if n is None:
+        m, h, *raw, g, g2 = (x[..., 0] for x in (m, h, *raw, g, g2))
+    q0 = ctx.points(m, h)
+    q1 = ctx.nearby_points(q0, *raw[:3], 0.2)
+    q2 = ctx.nearby_points(q0, *raw[3:], 0.2)
+    g, g2 = ctx.group_elements(g), ctx.group_elements(g2)
+    assert np.array_equal(discrete.discrete_curvature(Ad, q0, q1, q2),
+                          separate_curvature(Ad, q0, q1, q2))
+    joined = discrete.axiom_defects(Ad, g, g2, q0, q1)
+    separate = separate_axiom_defects(Ad, g, g2, q0, q1)
+    assert all(np.shape(x) == np.shape(m)[1:] for x in joined)
+    assert all(np.array_equal(a, b) for a, b in zip(joined, separate))
+
+
+def test_joined_pairs_of_a_single_point_and_a_stack():
+    # The first point alone, the others stacks: the joined call broadcasts
+    # it over their stack as a single first point of a pair is.
+    ctx = ScenarioContext(SCENARIOS["R2xU1"])
+    Ad = ctx.discretes[0]
+    rng = np.random.default_rng(17)
+    q0 = ctx.points(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 1))
+    q1, q2 = (ctx.points(rng.uniform(-1.0, 1.0, (2, 5)),
+                         rng.uniform(-1.0, 1.0, (1, 5))) for _ in range(2))
+    assert np.array_equal(discrete.discrete_curvature(Ad, q0, q1, q2),
+                          separate_curvature(Ad, q0, q1, q2))
