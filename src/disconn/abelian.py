@@ -22,12 +22,13 @@ its `value` (see `numdiff`): ``(d, *stack)`` points and tangents give
 once, on all quadrature nodes, and the descended difference of two local
 connections evaluates a stack in one call.  A primitive takes a stack of
 end points too, so the four stencil points of a derivative cost one
-segment integral.
+segment integral.  It keeps no state between calls: each call integrates
+each distinct end point of its stack once, and a curvature-matched
+evaluation joins the end points of its pairs into one such call.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable
 
 import numpy as np
@@ -43,9 +44,6 @@ from .manifolds import EuclideanChart, ManifoldKind
 from .numdiff import (_column_norm, _columns, exterior_derivative,
                       gauss_legendre_line_integral, worst_defect)
 
-# Primitive values kept per primitive.  Curvature-matched evaluations look
-# a point up again within a few lookups, so a small bound keeps every hit.
-PRIMITIVE_CACHE_SIZE = 64
 # Largest d omega defect the flat gate accepts, and largest curvature
 # mismatch the matched gate accepts.
 CLOSEDNESS_TOL = 1e-8
@@ -147,21 +145,25 @@ def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
     """f(m) = integral of the one-form of A over the straight segment
     from the origin to m, for a point m or a (d, *stack) stack of them.
 
-    Values are cached per point or stack in a least-recently-used cache
-    of PRIMITIVE_CACHE_SIZE entries; `f.cache_info()` reports its use.
+    On a stack, f integrates each distinct column once, in one segment
+    integral, and scatters the values back over the stack.  Columns are
+    told apart by their bytes, so 0.0 and -0.0 stay apart; a column gets
+    the bits of its own integral (see `numdiff`).  Nothing is kept
+    between calls.
     """
     origin = np.zeros(A.bundle.base.coord_size)
 
-    @functools.lru_cache(maxsize=PRIMITIVE_CACHE_SIZE)
-    def integral_to(shape, key):
-        return _segment_integral(A, origin,
-                                 np.frombuffer(key).reshape(shape))
-
     def f(m_coords):
         m = np.asarray(m_coords, dtype=float)
-        return integral_to(m.shape, m.tobytes())
+        if m.ndim == 1:
+            return _segment_integral(A, origin, m)
+        columns = np.ascontiguousarray(m.reshape(len(m), -1).T)
+        keys = columns.view(np.dtype((np.void, m.itemsize * len(m)))).ravel()
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        values = _segment_integral(
+            A, origin, distinct.view(float).reshape(-1, len(m)).T)
+        return values[:, inverse].reshape(values.shape[:1] + m.shape[1:])
 
-    f.cache_info = integral_to.cache_info
     return f
 
 
@@ -173,9 +175,12 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     The descended difference of A and the derived reference connection is
     closed when the curvatures match; its primitive f corrects the
-    reference pairwise by exp(f(m1) - f(m0)).  Over the (m, u, w) stacks
-    `match_samples`, when they are given, the difference's exterior
-    derivative must stay within MATCH_TOL.
+    reference pairwise by exp(f(m1) - f(m0)).  Each evaluation computes
+    f(m1) and f(m0) in one call of f, on the end points joined on a
+    trailing axis, so each distinct end point of a stack of pairs is
+    integrated once.  Over the (m, u, w) stacks `match_samples`, when they
+    are given, the difference's exterior derivative must stay within
+    MATCH_TOL.
     """
     if A.bundle != Ad_ref.bundle:
         raise CurvatureMismatch("connection and reference bundles differ")
@@ -197,8 +202,10 @@ def curvature_matched_integrate(A: ConnectionForm,
 
     def rule(q0, q1):
         base_value = eval_discrete(Ad_ref, q0, q1)
-        f1, f0 = _columns(f(bundles.project(q1)), f(bundles.project(q0)))
-        return G.compose(base_value, G.exp(f1 - f0))
+        m1, m0 = np.broadcast_arrays(*_columns(bundles.project(q1),
+                                               bundles.project(q0)))
+        ends = f(np.stack((m1, m0), axis=-1))
+        return G.compose(base_value, G.exp(ends[..., 0] - ends[..., 1]))
 
     return ComposedDiscrete(bundle, rule, Ad_ref.domain_radius,
                             name="matched")

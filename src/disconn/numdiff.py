@@ -24,10 +24,13 @@ do; a value that is constant as a whole, such as ``np.array([0.0])``, is
 broadcast by the caller (`on_stack`).  The difference stencil is a stack
 too: `richardson_derivative` calls its function once, with the four steps
 ``[STEP, -STEP, STEP / 2, -STEP / 2]`` as one trailing stack axis, and the
-function returns its values with that axis last.  Elementwise operations on a stack perform the same
-floating-point operations in the same order as a loop over the columns,
-so their results are equal bit for bit.  Reductions over the coordinate
-axis keep that property by one rule: a single point is a stack of one.
+function returns its values with that axis last.  `exterior_derivative`
+takes both of its slopes in one such call, with the two directions on a
+pair axis before the stencil axis.  Elementwise operations on a stack
+perform the same floating-point operations in the same order as a loop
+over the columns, so their results are equal bit for bit.  Reductions
+over the coordinate axis keep that property by one rule: a single point
+is a stack of one.
 `_column_dot` and `_column_norm` sum one coordinate after another, the
 same operations on a (d,) vector as on every column of a stack, and every
 small matrix product is made of such sums (`_matvec`), so a point alone
@@ -86,11 +89,20 @@ def richardson_derivative(f, check_consistency=False):
 def exterior_derivative(form, m, u, w):
     """d form (u, w) at m, form(point, tangent) -> values, for constant
     u and w, on stacks; NaN in a column whose smallest difference step is
-    lost to rounding (m + h u barely moves from m)."""
-    m0, u0, w0 = (np.asarray(x, dtype=float)[..., None] for x in (m, u, w))
-    d_uw = richardson_derivative(lambda t: form(m0 + t * u0, w0))
-    d_wu = richardson_derivative(lambda t: form(m0 + t * w0, u0))
-    return np.where(lost_step(m, (u, w)), np.nan, d_uw - d_wu)
+    lost to rounding (m + h u barely moves from m).
+
+    The two slopes u(form(w)) and w(form(u)) are one `richardson_derivative`
+    call: the steps along u and along w sit on a trailing pair axis, before
+    the stencil axis, so form is called once."""
+    u, w = np.broadcast_arrays(np.asarray(u, dtype=float),
+                               np.asarray(w, dtype=float))
+    m0 = np.asarray(m, dtype=float)[..., None, None]
+    directions = np.stack((u, w), axis=-1)[..., None]
+    tangents = np.stack((w, u), axis=-1)[..., None]
+    slopes = richardson_derivative(
+        lambda t: form(m0 + t * directions, tangents))
+    return np.where(lost_step(m, (u, w)), np.nan,
+                    slopes[..., 0] - slopes[..., 1])
 
 
 def lost_step(m, directions):

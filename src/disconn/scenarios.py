@@ -85,6 +85,11 @@ from .manifolds import EuclideanChart
 from .numdiff import _column_norm, worst_defect
 
 
+# The stream of the flat and matched constructors' gate samples, outside
+# the range of check indices, which are the streams of the checks.
+GATE_STREAM = 2 ** 64 - 1
+
+
 def rng_for(seed, stream):
     """Counter-based generator for one check of one scenario."""
     key = np.array([seed, stream], dtype=np.uint64)
@@ -298,29 +303,45 @@ def _require(ok, message):
         raise ParseError(message)
 
 
+def _path(where):
+    """A _validate path as its message reads it: ("scenario", "checks", 1,
+    "tolerance") is scenario.checks[1].tolerance."""
+    head, *steps = where
+    return head + "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
+                          for step in steps)
+
+
 def _validate(value, test, where):
-    """Raise a ParseError unless value passes test (see _SCHEMA)."""
+    """Raise a ParseError unless value passes test (see _SCHEMA).  where is
+    the path to value, a tuple of its root's name, keys and list indices;
+    it is joined only for a message."""
     if isinstance(test, list):
-        _require(isinstance(value, list), f"{where} must be a list")
+        if not isinstance(value, list):
+            raise ParseError(f"{_path(where)} must be a list")
         for i, item in enumerate(value):
-            _validate(item, test[0], f"{where}[{i}]")
+            _validate(item, test[0], where + (i,))
     elif not isinstance(test, str):
-        ok = isinstance(value, test) if isinstance(test, tuple) else test(value)
-        _require(ok, f"bad {where}: {value!r}")
+        if not (isinstance(value, test) if isinstance(test, tuple)
+                else test(value)):
+            raise ParseError(f"bad {_path(where)}: {value!r}")
     else:
         fields = _SCHEMA[test]
-        _require(isinstance(value, dict), f"{where} must be an object")
+        if not isinstance(value, dict):
+            raise ParseError(f"{_path(where)} must be an object")
         if "kind" in fields:
             tags, kind = fields["kind"], value.get("kind")
-            _require(isinstance(kind, str) and kind in tags,
-                     f"{where} needs a kind among {sorted(tags)}")
+            if not (isinstance(kind, str) and kind in tags):
+                raise ParseError(
+                    f"{_path(where)} needs a kind among {sorted(tags)}")
             fields = dict(tags[kind], kind=(str,))
         keys = {key.rstrip("?"): key for key in fields}
         unknown = set(value) - set(keys)
-        _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+        if unknown:
+            raise ParseError(
+                f"unknown {_path(where)} keys: {sorted(unknown)}")
         for name, key in keys.items():
             if name in value or name == key:
-                _validate(value.get(name), fields[key], f"{where}.{name}")
+                _validate(value.get(name), fields[key], where + (name,))
 
 
 def _discrete_specs(cfg):
@@ -335,14 +356,14 @@ def load_scenario(path):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
-    _validate(cfg, "scenario", "scenario")
+    _validate(cfg, "scenario", ("scenario",))
     hopf = cfg["bundle"]["kind"] == "hopf"
     connection = cfg.get("connection")
     _require(connection is None
              or connection["kind"].startswith("hopf") == hopf,
              "connection kind does not fit the bundle")
     for i, spec in enumerate(_discrete_specs(cfg)):
-        _validate(spec, "discrete", f"discrete[{i}]")
+        _validate(spec, "discrete", ("discrete", i))
         _require(not hopf or spec["kind"] == "integrated",
                  "the Hopf bundle takes only integrated discretes")
     return cfg
@@ -442,7 +463,7 @@ class ScenarioContext:
 
     def _gate_samples(self):
         """(m, u, w) stacks of the flat and matched constructors' gates."""
-        return _forms(self, rng_for(self.seed, 997), 25)
+        return _forms(self, rng_for(self.seed, GATE_STREAM), 25)
 
     # -- raw draws: the blocks of values one sample takes ----------------
     # A uniform block is its (low, span) columns, one row per value, each

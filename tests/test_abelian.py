@@ -133,8 +133,6 @@ class TestPrimitive:
         f = primitive_on_segments(A)
         # d(x^2): the primitive from the origin is x^2.
         assert f(np.array([1.5, 7.0]))[0] == pytest.approx(2.25, abs=1e-12)
-        # Memoized reevaluation returns the identical array.
-        assert f(np.array([1.5, 7.0]))[0] == pytest.approx(2.25, abs=1e-12)
 
     def test_anchored_at_the_origin(self):
         B, _ = plane_bundle()

@@ -111,8 +111,8 @@ class TestCurvature:
         assert value[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_abelian_curvature_skips_the_bracket(self):
-        # Two Richardson derivatives evaluate omega once each, on their
-        # whole stencil: 2 evaluations, none for the zero bracket of R.
+        # One Richardson derivative takes both slopes, on a pair axis, and
+        # their whole stencil: 1 evaluation, none for the zero bracket of R.
         calls = []
 
         def omega(m, v):
@@ -121,7 +121,7 @@ class TestCurvature:
 
         A = TrivialLocalConnection(self.B, omega)
         value = curvature(A, self.m, self.u, self.w)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert value[0] == curvature(self.A, self.m, self.u, self.w)[0]
 
     def test_closed_form_flat(self):

@@ -1,10 +1,11 @@
 """How many evaluations one verify-all makes, on the benchmark workloads
-hopf-newton and breadth at seed 0.
+matched-deep, hopf-newton and breadth at seed 0.
 
 Every check evaluates its samples as one stack, and a derivative
 evaluates its four-point difference stencil in the same call, so each
-Richardson derivative calls its function once.  A law that reads several
-pairs joins them into one stack, so an integrated form makes one
+Richardson derivative calls its function once.  An exterior derivative
+takes both of its slopes in one Richardson call.  A law that reads
+several pairs joins them into one stack, so an integrated form makes one
 `eval_discrete` call, with one Newton solve, per check: on hopf-newton,
 per scenario, 1 for discrete_axioms (the pairs (q0, q0), (g q0, g' q1)
 and (q0, q1) joined), 1 for derive_roundtrip and 1 for lift_roundtrip.
@@ -19,11 +20,30 @@ times in discrete_axioms, 10 in derive_roundtrip (with the 2 direct
 evaluations per scenario) and 8 in lift_roundtrip, and they retract 2, 2
 and 2 times; retraction_equivariance retracts 4 times (R(g . v) and R(v)
 per scenario).  One call per pair made 48 `eval_connection` and 14
-`retract_bundle` calls.
+`retract_bundle` calls.  hopf-newton takes no exterior derivative and no
+line integral.
+
+On matched-deep, a curvature-matched evaluation integrates the end points
+m1 and m0 of its pairs in one line integral, whose integrand, the
+descended difference, holds one Richardson derivative and one
+`eval_discrete` call of the reference.  The matched gate's exterior
+derivative takes 2 Richardson calls (its own and the reference's, inside
+the difference) and 1 `eval_discrete`; derive_roundtrip takes 2, 3 and 1
+line integral, same_discrete_curvature 1, 4 (the local form's holonomy
+included) and 1, and discrete_axioms 1, 3 and 1: 6 Richardson calls, 11
+`eval_discrete` calls and 3 line integrals.  Two integrals per matched
+evaluation and two Richardson calls per exterior derivative made 11, 15
+and 6.
 
 On breadth, five discrete_axioms checks and one discrete_flatness check
-make one `eval_discrete` call each, 27 in all, and the four integrated
-forms solve 14 times; one call per pair made 39 and 22.
+make one `eval_discrete` call each, and the four integrated forms solve
+14 times.  The exterior derivatives take 1 Richardson call in the flat
+gate and 1 in closed_form, 2 in derived_curvature (its own and, inside
+it, the derived flat form's, with 1 `eval_discrete` call and 1 line
+integral) and 4 in same_derived_curvature (2 for each derived form, with
+2 `eval_discrete` calls): 23 Richardson calls, 24 `eval_discrete` calls
+and 4 line integrals in all.  One Richardson call per slope doubled
+these and made 31, 27 and 5.
 """
 
 import importlib.util
@@ -70,18 +90,23 @@ def counts(monkeypatch):
     for module, name in ((manifolds, "invert_extended"),
                          (discrete, "eval_discrete"),
                          (connections, "eval_connection"),
-                         (integration, "retract_bundle")):
+                         (integration, "retract_bundle"),
+                         (numdiff, "gauss_legendre_line_integral")):
         original = getattr(module, name)
         rebind_everywhere(monkeypatch, original, counting(name, original))
     return counter
 
 
 COUNTS = {
+    "matched-deep": {"eval_discrete": 11, "richardson_derivative": 6,
+                     "f": 6, "gauss_legendre_line_integral": 3,
+                     "eval_connection": 2},
     "hopf-newton": {"invert_extended": 6, "eval_discrete": 6,
                     "richardson_derivative": 4, "f": 4,
                     "eval_connection": 34, "retract_bundle": 10},
-    "breadth": {"invert_extended": 14, "eval_discrete": 27,
-                "richardson_derivative": 31, "f": 31,
+    "breadth": {"invert_extended": 14, "eval_discrete": 24,
+                "richardson_derivative": 23, "f": 23,
+                "gauss_legendre_line_integral": 4,
                 "eval_connection": 61, "retract_bundle": 18},
 }
 

@@ -12,7 +12,8 @@ from disconn.cli import emit_report, main, run_scenario
 from disconn.errors import ParseError, UnknownBuiltin
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
-from disconn.scenarios import (load_scenario, one_form_builtin,
+from disconn.scenarios import (GATE_STREAM, ScenarioContext, _forms,
+                               load_scenario, one_form_builtin,
                                pair_map_builtin, rng_for)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -55,6 +56,24 @@ class TestParsing:
         path = write_scenario(tmp_path, cfg)
         with pytest.raises(ParseError):
             load_scenario(path)
+
+    @pytest.mark.parametrize("cfg,message", [
+        (minimal(checks=[{"name": "closed_form"},
+                         {"name": "closed_form", "tolerance": -1.0}]),
+         "bad scenario.checks[1].tolerance: -1.0"),
+        (minimal(checks=[{"name": "closed_form", "zzz": 1}]),
+         "unknown scenario.checks[0] keys: ['zzz']"),
+        (minimal(discrete=[{"kind": "local", "pair_map": "trapezoid_x_dy"},
+                           {"kind": "matched",
+                            "reference": {"kind": "local",
+                                          "pair_map": 3}}]),
+         "bad discrete[1].reference.pair_map: 3"),
+    ])
+    def test_message_names_the_nested_path(self, tmp_path, cfg, message):
+        path = write_scenario(tmp_path, cfg)
+        with pytest.raises(ParseError) as info:
+            load_scenario(path)
+        assert str(info.value) == message
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -102,6 +121,16 @@ class TestSampling:
         a = rng_for(42, 3).uniform(size=5)
         b = rng_for(42, 4).uniform(size=5)
         assert not np.array_equal(a, b)
+
+    def test_gate_stream_is_no_check_stream(self):
+        # The flat and matched gates draw from a stream of their own, past
+        # every index a list of checks can have, and so not from that of
+        # the check at index 997.
+        ctx = ScenarioContext(minimal(box=[[-1.0, 1.0]] * 2))
+        gate = ctx._gate_samples()
+        check = _forms(ctx, rng_for(ctx.seed, 997), 25)
+        assert not any(np.array_equal(a, b) for a, b in zip(gate, check))
+        assert GATE_STREAM >= 2 ** 63
 
 
 class TestRunScenario:

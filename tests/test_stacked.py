@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from disconn import bundles, scenarios
-from disconn.abelian import (PRIMITIVE_CACHE_SIZE,
-                             curvature_matched_integrate,
+from disconn.abelian import (curvature_matched_integrate,
                              descend_continuous_difference,
                              flat_integrate_local, primitive_on_segments)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
@@ -25,7 +24,8 @@ from disconn.integration import (hopf_geodesic_retraction,
 from disconn.manifolds import EuclideanChart, Sphere, metric_exponential
 from disconn.numdiff import (QUADRATURE_ORDER, QUADRATURE_PANELS,
                              exterior_derivative,
-                             gauss_legendre_line_integral, worst_defect)
+                             gauss_legendre_line_integral, lost_step,
+                             richardson_derivative, worst_defect)
 from disconn.scenarios import _hopf_chart_retraction
 
 # One (group, one-form, pair map) per structure group: R^1, U(1), T^2.
@@ -60,6 +60,19 @@ ANY_GROUP_CASES = {**CASES, "SO3": (
 def stack_of(n, d=2, seed=7):
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 1.0, (d, n)), rng.uniform(-1.0, 1.0, (d, n))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def two_call_exterior_derivative(form, m, u, w):
+    """d form (u, w) at m with one Richardson call per slope."""
+    m0, u0, w0 = (np.asarray(x, dtype=float)[..., None] for x in (m, u, w))
+    d_uw = richardson_derivative(lambda t: form(m0 + t * u0, w0))
+    d_wu = richardson_derivative(lambda t: form(m0 + t * w0, u0))
+    return np.where(lost_step(m, (u, w)), np.nan, d_uw - d_wu)
 
 
 def by_loop(fn, m, v):
@@ -174,6 +187,20 @@ class TestStackedEqualsLoop:
         m0, m1 = stack_of(6)
         assert np.array_equal(Ad.pair_map(m0, m1),
                               by_loop(Ad.pair_map, m0, m1))
+
+    def test_exterior_derivative_is_the_two_call_reference(self, any_case):
+        # Both slopes in one Richardson call, on a pair axis: the bits of
+        # one call per slope, for a one-form and a derived one, on a
+        # stack, on two stack axes and at a single point.
+        B, form, pair_map = any_case
+        forms = [form, derive_connection(
+            TrivialLocalDiscrete(B, pair_map, 1e18)).omega]
+        (m, u), (w, _) = stack_of(6), stack_of(6, seed=8)
+        for value in forms:
+            for x in ((m, u, w), tuple(y.reshape(2, 2, 3) for y in (m, u, w)),
+                      (m[:, 0], u[:, 0], w[:, 0])):
+                assert same_bits(exterior_derivative(value, *x),
+                                 two_call_exterior_derivative(value, *x))
 
 
 class TestQuadrature:
@@ -334,19 +361,46 @@ class TestStackedFailures:
             omega(m, far)
 
 
-class TestPrimitiveCache:
-    def test_cache_stays_at_its_bound(self):
+class TestPrimitiveDedup:
+    """The primitive integrates each distinct column of a stack once, and
+    every column gets the bits of a call on that column alone."""
+
+    def primitive(self, seen):
         B = TrivialBundle(EuclideanChart(2), Translation(1))
-        A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[0]]))
-        f = primitive_on_segments(A)
-        points = np.random.default_rng(3).uniform(-1.0, 1.0, (10 ** 4, 2))
-        for p in points:
-            f(p)
-        info = f.cache_info()
-        assert info.misses == 10 ** 4
-        assert info.currsize == PRIMITIVE_CACHE_SIZE
-        f(points[-1])
-        assert f.cache_info().hits == 1
+        _, form, pair_map = CASES["R1"]
+        eps = descend_continuous_difference(
+            TrivialLocalConnection(B, form),
+            derive_connection(TrivialLocalDiscrete(B, pair_map, 1e18)))
+
+        def value(m, v):
+            # The segment from the origin to m has direction m.
+            seen.append(np.asarray(v)[..., 0])
+            return eps.value(m, v)
+
+        return primitive_on_segments(TrivialLocalConnection(B, value))
+
+    def points(self):
+        # Repeats, a 0.0 / -0.0 pair, on two stack axes: 5 distinct of 8.
+        p, q = stack_of(2)[0].T
+        columns = [p, q, [0.0, 0.5], p, [-0.0, 0.5], q, p, [0.3, -0.0]]
+        return np.array(columns).T.reshape(2, 2, 4)
+
+    def test_stack_is_the_per_column_calls(self):
+        f = self.primitive([])
+        m = self.points()
+        got = f(m)
+        assert got.shape == (1, 2, 4)
+        for i in np.ndindex(m.shape[1:]):
+            column = m[(slice(None),) + i]
+            assert same_bits(got[(slice(None),) + i], f(column))
+
+    def test_integrand_sees_each_distinct_column_once(self):
+        seen = []
+        f = self.primitive(seen)
+        f(self.points())
+        (ends,) = seen
+        assert ends.shape == (2, 5)
+        assert len({ends[:, i].tobytes() for i in range(5)}) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from disconn import (abelian, bundles, connections, derivation, discrete,
-                     integration, manifolds, scenarios)
+                     integration, manifolds, numdiff, scenarios)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              hopf_projection_coords, hopf_section,
                              point_distance)
@@ -631,3 +631,53 @@ def test_joined_pairs_of_a_single_point_and_a_stack():
                          rng.uniform(-1.0, 1.0, (1, 5))) for _ in range(2))
     assert np.array_equal(discrete.discrete_curvature(Ad, q0, q1, q2),
                           separate_curvature(Ad, q0, q1, q2))
+
+
+def two_call_matched(ctx):
+    """The matched form of matched-R2xR, with f(m1) and f(m0) integrated
+    in two calls on the whole stacks of end points."""
+    A, Ad_ref = ctx.connection, ctx.discretes[1]
+    eps = abelian.descend_continuous_difference(
+        A, derivation.derive_connection(Ad_ref))
+    origin = np.zeros(2)
+    G = A.bundle.group
+
+    def rule(q0, q1):
+        f1, f0 = numdiff._columns(
+            abelian._segment_integral(eps, origin, bundles.project(q1)),
+            abelian._segment_integral(eps, origin, bundles.project(q0)))
+        return G.compose(discrete.eval_discrete(Ad_ref, q0, q1),
+                         G.exp(f1 - f0))
+
+    return discrete.ComposedDiscrete(A.bundle, rule,
+                                     ctx.discretes[0].domain_radius)
+
+
+@pytest.mark.parametrize("n", [None, 6])
+def test_joined_matched_rule_is_the_two_call_rule(n):
+    # The axiom pairs and the triangle pairs, joined as the laws join
+    # them: one primitive call on their end points gives the bits of one
+    # call for the m1 and one for the m0 end points.
+    ctx = ScenarioContext(SCENARIOS["matched-R2xR"])
+    Ad = ctx.discretes[0]
+    reference = two_call_matched(ctx)
+    rng = rng_for(ctx.seed, 0)
+    algebra = ctx.draw_algebra()
+    nearby = (ctx.draw_base_tangent(), ctx.draw_scale(), algebra)
+    m, h, *raw, g, g2 = scenarios._draws(rng, n or 1, ctx.draw_base(),
+                                         algebra, *nearby, *nearby,
+                                         algebra, algebra)
+    if n is None:
+        m, h, *raw, g, g2 = (x[..., 0] for x in (m, h, *raw, g, g2))
+    q0 = ctx.points(m, h)
+    q1 = ctx.nearby_points(q0, *raw[:3], 0.2)
+    q2 = ctx.nearby_points(q0, *raw[3:], 0.2)
+    g, g2 = ctx.group_elements(g), ctx.group_elements(g2)
+    firsts = [[q0, q1, q0], [q0, bundles.act(g, q0), q0]]
+    seconds = [[q2, q2, q1], [q0, bundles.act(g2, q1), q1]]
+    for pairs in zip(firsts, seconds):
+        joined = bundles.join(*pairs)
+        got = discrete.eval_discrete(Ad, *joined)
+        want = discrete.eval_discrete(reference, *joined)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
