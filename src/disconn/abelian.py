@@ -145,18 +145,16 @@ def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
     """f(m) = integral of the one-form of A over the straight segment
     from the origin to m, for a point m or a (d, *stack) stack of them.
 
-    On a stack, f integrates each distinct column once, in one segment
-    integral, and scatters the values back over the stack.  Columns are
-    told apart by their bytes, so 0.0 and -0.0 stay apart; a column gets
-    the bits of its own integral (see `numdiff`).  Nothing is kept
-    between calls.
+    f integrates each distinct column once, in one segment integral, and
+    scatters the values back over the stack; a point is a stack of one
+    column.  Columns are told apart by their bytes, so 0.0 and -0.0 stay
+    apart; a column gets the bits of its own integral (see `numdiff`).
+    Nothing is kept between calls.
     """
     origin = np.zeros(A.bundle.base.coord_size)
 
     def f(m_coords):
         m = np.asarray(m_coords, dtype=float)
-        if m.ndim == 1:
-            return _segment_integral(A, origin, m)
         columns = np.ascontiguousarray(m.reshape(len(m), -1).T)
         keys = columns.view(np.dtype((np.void, m.itemsize * len(m)))).ravel()
         distinct, inverse = np.unique(keys, return_inverse=True)

@@ -303,45 +303,31 @@ def _require(ok, message):
         raise ParseError(message)
 
 
-def _path(where):
-    """A _validate path as its message reads it: ("scenario", "checks", 1,
-    "tolerance") is scenario.checks[1].tolerance."""
-    head, *steps = where
-    return head + "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
-                          for step in steps)
-
-
 def _validate(value, test, where):
-    """Raise a ParseError unless value passes test (see _SCHEMA).  where is
-    the path to value, a tuple of its root's name, keys and list indices;
-    it is joined only for a message."""
+    """Raise a ParseError unless value passes test (see _SCHEMA).  A leaf's
+    message, with the repr of its value, is formatted only when it fails."""
     if isinstance(test, list):
-        if not isinstance(value, list):
-            raise ParseError(f"{_path(where)} must be a list")
+        _require(isinstance(value, list), f"{where} must be a list")
         for i, item in enumerate(value):
-            _validate(item, test[0], where + (i,))
+            _validate(item, test[0], f"{where}[{i}]")
     elif not isinstance(test, str):
-        if not (isinstance(value, test) if isinstance(test, tuple)
-                else test(value)):
-            raise ParseError(f"bad {_path(where)}: {value!r}")
+        ok = isinstance(value, test) if isinstance(test, tuple) else test(value)
+        if not ok:
+            raise ParseError(f"bad {where}: {value!r}")
     else:
         fields = _SCHEMA[test]
-        if not isinstance(value, dict):
-            raise ParseError(f"{_path(where)} must be an object")
+        _require(isinstance(value, dict), f"{where} must be an object")
         if "kind" in fields:
             tags, kind = fields["kind"], value.get("kind")
-            if not (isinstance(kind, str) and kind in tags):
-                raise ParseError(
-                    f"{_path(where)} needs a kind among {sorted(tags)}")
+            _require(isinstance(kind, str) and kind in tags,
+                     f"{where} needs a kind among {sorted(tags)}")
             fields = dict(tags[kind], kind=(str,))
         keys = {key.rstrip("?"): key for key in fields}
         unknown = set(value) - set(keys)
-        if unknown:
-            raise ParseError(
-                f"unknown {_path(where)} keys: {sorted(unknown)}")
+        _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
         for name, key in keys.items():
             if name in value or name == key:
-                _validate(value.get(name), fields[key], where + (name,))
+                _validate(value.get(name), fields[key], f"{where}.{name}")
 
 
 def _discrete_specs(cfg):
@@ -356,14 +342,14 @@ def load_scenario(path):
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
-    _validate(cfg, "scenario", ("scenario",))
+    _validate(cfg, "scenario", "scenario")
     hopf = cfg["bundle"]["kind"] == "hopf"
     connection = cfg.get("connection")
     _require(connection is None
              or connection["kind"].startswith("hopf") == hopf,
              "connection kind does not fit the bundle")
     for i, spec in enumerate(_discrete_specs(cfg)):
-        _validate(spec, "discrete", ("discrete", i))
+        _validate(spec, "discrete", f"discrete[{i}]")
         _require(not hopf or spec["kind"] == "integrated",
                  "the Hopf bundle takes only integrated discretes")
     return cfg

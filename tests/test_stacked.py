@@ -5,7 +5,7 @@ stack of tangents steps every retraction column by column."""
 import numpy as np
 import pytest
 
-from disconn import bundles, scenarios
+from disconn import abelian, bundles, scenarios
 from disconn.abelian import (curvature_matched_integrate,
                              descend_continuous_difference,
                              flat_integrate_local, primitive_on_segments)
@@ -365,7 +365,7 @@ class TestPrimitiveDedup:
     """The primitive integrates each distinct column of a stack once, and
     every column gets the bits of a call on that column alone."""
 
-    def primitive(self, seen):
+    def connection(self, seen):
         B = TrivialBundle(EuclideanChart(2), Translation(1))
         _, form, pair_map = CASES["R1"]
         eps = descend_continuous_difference(
@@ -377,7 +377,7 @@ class TestPrimitiveDedup:
             seen.append(np.asarray(v)[..., 0])
             return eps.value(m, v)
 
-        return primitive_on_segments(TrivialLocalConnection(B, value))
+        return TrivialLocalConnection(B, value)
 
     def points(self):
         # Repeats, a 0.0 / -0.0 pair, on two stack axes: 5 distinct of 8.
@@ -386,17 +386,22 @@ class TestPrimitiveDedup:
         return np.array(columns).T.reshape(2, 2, 4)
 
     def test_stack_is_the_per_column_calls(self):
-        f = self.primitive([])
+        # Against one segment integral per column: the stack, and each
+        # column alone as a (d,) point.
+        A = self.connection([])
+        f = primitive_on_segments(A)
         m = self.points()
         got = f(m)
         assert got.shape == (1, 2, 4)
         for i in np.ndindex(m.shape[1:]):
             column = m[(slice(None),) + i]
-            assert same_bits(got[(slice(None),) + i], f(column))
+            reference = abelian._segment_integral(A, np.zeros(2), column)
+            assert same_bits(got[(slice(None),) + i], reference)
+            assert same_bits(f(column), reference)
 
     def test_integrand_sees_each_distinct_column_once(self):
         seen = []
-        f = self.primitive(seen)
+        f = primitive_on_segments(self.connection(seen))
         f(self.points())
         (ends,) = seen
         assert ends.shape == (2, 5)
