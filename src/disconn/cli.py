@@ -8,6 +8,10 @@ only the files and the report format.
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on
 configuration or runtime errors, any exception a run raises included.
+`main(argv)` returns the exit code and may be called any number of times
+in one process; the parser is built once, at import, and keeps no state
+between calls.  Usage errors still raise `SystemExit(2)` and `--help`
+raises `SystemExit(0)`, as argparse does.
 
 JSON reports are strict JSON and deterministic for a fixed config and
 seed; a defect that is not finite prints as null, and per-check wall
@@ -25,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List
 
-from .errors import DisconnError
 from .scenarios import (DEFAULT_TOLERANCE, ScenarioContext, load_scenario,
                         run_check)
 
@@ -102,7 +105,7 @@ def emit_report(report: Report, fmt: str = "table") -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="disconn",
         description="Verification harness for connections on principal "
@@ -118,8 +121,15 @@ def main(argv=None) -> int:
     for p in (run_p, all_p):
         p.add_argument("--format", choices=("table", "json"),
                        default="table")
+    return parser
 
-    args = parser.parse_args(argv)
+
+# The grammar never changes between calls, so it is built once, at import.
+_PARSER = _build_parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
 
     try:
         paths = ([args.scenario] if args.command == "run"
@@ -130,9 +140,6 @@ def main(argv=None) -> int:
         reports = [run_scenario(str(path)) for path in paths]
         print("\n\n".join(emit_report(r, args.format) for r in reports))
         return 0 if all(r.passed for r in reports) else 1
-    except DisconnError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """Scenario parsing, deterministic sampling, and the command-line interface."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -229,6 +230,52 @@ class TestCli:
         assert main(["run", write_scenario(tmp_path, minimal())]) == 2
         assert capsys.readouterr().err == (
             f"error: {type(error).__name__}: {error}\n")
+
+    @pytest.mark.parametrize("error", [OSError("disk went away"),
+                                       ValueError("no finite value")])
+    def test_os_and_value_errors_print_only_the_message(
+            self, tmp_path, capsys, monkeypatch, error):
+        def failing(path):
+            raise error
+
+        monkeypatch.setattr(cli, "run_scenario", failing)
+        assert main(["run", write_scenario(tmp_path, minimal())]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    def test_one_parser_per_process(self, tmp_path, capsys, monkeypatch):
+        # The parser is built at import; a call only parses.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cfg = minimal(checks=[{"name": "exp_log_roundtrip",
+                               "tolerance": 1e-10, "samples": 5}])
+        path = write_scenario(tmp_path, cfg)
+        for fmt in ("table", "json"):
+            assert main(["run", path, "--format", fmt]) == 0
+            assert main(["verify-all", str(tmp_path), "--format", fmt]) == 0
+        assert built == []
+        capsys.readouterr()
+
+        # --help and a usage error in between leave the next call as it was.
+        def verify_all():
+            code = main(["verify-all", str(tmp_path), "--format", "json"])
+            return code, capsys.readouterr().out
+
+        first = verify_all()
+        for argv, code in ((["run", "--help"], 0),
+                           (["run", path, "--fd-step", "1e-4"], 2)):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            assert stop.value.code == code
+        capsys.readouterr()
+        assert verify_all() == first
+        assert first[0] == 0 and json.loads(first[1])["passed"]
+        assert built == []
 
     def test_skewed_retraction_breaks_equivariance(self, tmp_path):
         cfg = minimal(connection={"kind": "local", "omega": "zero"},
