@@ -8,23 +8,21 @@ enables two integration routes that need no retraction:
   get a flat discrete connection;
 * curvature-matched integration -- given a reference discrete connection
   whose derived curvature agrees with the target connection's, correct the
-  reference by the exponentiated primitive of the descended difference.
-  The primitive is anchored at the origin of the base chart; the
-  correction exp(f(m1) - f(m0)) does not depend on the anchor.
+  reference by the exponentiated integral of the descended difference
+  over the segment between the base points of a pair.
 
 Both routes integrate over straight segments and require a global
 Euclidean base chart (a simply connected base with trivial first
-cohomology).
+cohomology), on which the integral of a closed form over the segment
+m0 -> m1 is f(m1) - f(m0) for any primitive f: no anchor point is needed.
 
 Every one-form here is a `TrivialLocalConnection`, evaluated on stacks by
 its `value` (see `numdiff`): ``(d, *stack)`` points and tangents give
 ``(k, *stack)`` values, so each segment integral evaluates its integrand
 once, on all quadrature nodes, and the descended difference of two local
-connections evaluates a stack in one call.  A primitive takes a stack of
-end points too, so the four stencil points of a derivative cost one
-segment integral.  It keeps no state between calls: each call integrates
-each distinct end point of its stack once, and a curvature-matched
-evaluation joins the end points of its pairs into one such call.
+connections evaluates a stack in one call.  Both routes take their
+segment integrals from `primitive_on_segments`, one call per stack of
+pairs, and keep no state between calls.
 """
 
 from __future__ import annotations
@@ -104,20 +102,6 @@ def descend_continuous_difference(
     return TrivialLocalConnection(A.bundle, form)
 
 
-def _segment_integral(A: TrivialLocalConnection, m0, m1):
-    """Integral of the one-form of A over the straight segments m0 -> m1,
-    for (d, *stack) endpoints; the integrand takes all nodes at once."""
-    m0, m1 = _columns(np.asarray(m0, dtype=float), np.asarray(m1, dtype=float))
-    m0, m1 = m0[..., None], m1[..., None]
-    direction = m1 - m0
-
-    def integrand(t):
-        points = m0 + t * direction
-        return A.value(points, np.broadcast_to(direction, points.shape))
-
-    return gauss_legendre_line_integral(integrand, 0.0, 1.0)
-
-
 def flat_integrate_local(A: TrivialLocalConnection, domain_radius: float,
                          closedness_samples=None) -> TrivialLocalDiscrete:
     """Flat discrete connection generated by a local connection with a
@@ -134,35 +118,44 @@ def flat_integrate_local(A: TrivialLocalConnection, domain_radius: float,
     if closedness_samples is not None:
         check_closed(A, closedness_samples)
 
+    increment = primitive_on_segments(A)
+
     def pair_map(m0, m1):
-        value = _segment_integral(A, m0, m1)
-        return bundle.group.exp(value)
+        return bundle.group.exp(increment(m0, m1))
 
     return TrivialLocalDiscrete(bundle, pair_map, domain_radius, name="flat")
 
 
 def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
-    """f(m) = integral of the one-form of A over the straight segment
-    from the origin to m, for a point m or a (d, *stack) stack of them.
+    """increment(m0, m1) = integral of the one-form of A over the straight
+    segments m0 -> m1, for (d, *stack) end points under the `numdiff`
+    prefix-broadcast rule; (k, *stack) values.
 
-    f integrates each distinct column once, in one segment integral, and
-    scatters the values back over the stack; a point is a stack of one
-    column.  Columns are told apart by their bytes, so 0.0 and -0.0 stay
-    apart; a column gets the bits of its own integral (see `numdiff`).
-    Nothing is kept between calls.
+    For a closed form this is f(m1) - f(m0) for every primitive f.  The
+    form is evaluated on the unit direction of each segment and the
+    integral scaled by its length: the same integral, since a one-form is
+    linear in its tangent, but a form that differentiates along its tangent
+    (a derived connection) then takes its difference steps at unit scale
+    whatever the segment's length.  A segment of length zero gets exactly
+    zero.  The integrand is called once per call, on all quadrature nodes
+    of all segments.
     """
-    origin = np.zeros(A.bundle.base.coord_size)
 
-    def f(m_coords):
-        m = np.asarray(m_coords, dtype=float)
-        columns = np.ascontiguousarray(m.reshape(len(m), -1).T)
-        keys = columns.view(np.dtype((np.void, m.itemsize * len(m)))).ravel()
-        distinct, inverse = np.unique(keys, return_inverse=True)
-        values = _segment_integral(
-            A, origin, distinct.view(float).reshape(-1, len(m)).T)
-        return values[:, inverse].reshape(values.shape[:1] + m.shape[1:])
+    def increment(m0, m1):
+        m0, m1 = _columns(np.asarray(m0, dtype=float),
+                          np.asarray(m1, dtype=float))
+        direction = m1 - m0
+        length = _column_norm(direction)
+        unit = direction / np.where(length > 0, length, 1)
 
-    return f
+        def integrand(t):
+            points = m0[..., None] + t * direction[..., None]
+            return A.value(points,
+                           np.broadcast_to(unit[..., None], points.shape))
+
+        return gauss_legendre_line_integral(integrand, 0.0, 1.0) * length
+
+    return increment
 
 
 def curvature_matched_integrate(A: ConnectionForm,
@@ -172,13 +165,11 @@ def curvature_matched_integrate(A: ConnectionForm,
     reference discrete connection.
 
     The descended difference of A and the derived reference connection is
-    closed when the curvatures match; its primitive f corrects the
-    reference pairwise by exp(f(m1) - f(m0)).  Each evaluation computes
-    f(m1) and f(m0) in one call of f, on the end points joined on a
-    trailing axis, so each distinct end point of a stack of pairs is
-    integrated once.  Over the (m, u, w) stacks `match_samples`, when they
-    are given, the difference's exterior derivative must stay within
-    MATCH_TOL.
+    closed when the curvatures match; its integral over the segment m0 ->
+    m1 between the base points of a pair corrects the reference pairwise by
+    exp of that increment, one `primitive_on_segments` call per stack of
+    pairs.  Over the (m, u, w) stacks `match_samples`, when they are given,
+    the difference's exterior derivative must stay within MATCH_TOL.
     """
     if A.bundle != Ad_ref.bundle:
         raise CurvatureMismatch("connection and reference bundles differ")
@@ -196,14 +187,12 @@ def curvature_matched_integrate(A: ConnectionForm,
                 f"derived curvatures differ: defect {worst:.3e} "
                 f"exceeds {MATCH_TOL:.1e}")
 
-    f = primitive_on_segments(eps)
+    increment = primitive_on_segments(eps)
 
     def rule(q0, q1):
-        base_value = eval_discrete(Ad_ref, q0, q1)
-        m1, m0 = np.broadcast_arrays(*_columns(bundles.project(q1),
-                                               bundles.project(q0)))
-        ends = f(np.stack((m1, m0), axis=-1))
-        return G.compose(base_value, G.exp(ends[..., 0] - ends[..., 1]))
+        return G.compose(eval_discrete(Ad_ref, q0, q1),
+                         G.exp(increment(bundles.project(q0),
+                                         bundles.project(q1))))
 
     return ComposedDiscrete(bundle, rule, Ad_ref.domain_radius,
                             name="matched")

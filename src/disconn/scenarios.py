@@ -51,7 +51,7 @@ builtin keys included, and malformed values with a `ParseError`):
                                    |"skewed"|"chart",
                      "domain_radius": float > 0},  # default from the
                                                    # base: pi/2 on spheres
-      "checks": [{"name": str, "tolerance": float > 0,  # default 1e-8
+      "checks": [{"name": key of CHECKS, "tolerance": float > 0,  # default 1e-8
                   "samples": int in [1, MAX_SAMPLES],
                   "pair": [[x, ...], [x, ...]],
                   "fiber": [[g, ...], [g, ...]],
@@ -290,7 +290,8 @@ _SCHEMA = {
     # Not matched: each level of nesting multiplies the evaluation cost.
     "reference": {"kind": _REFERENCE_KINDS},
     "integrator": {"retraction?": (str,), "domain_radius?": _is_positive},
-    "check": {"name": (str,), "samples?": _is_sample_count,
+    "check": {"name": lambda v: isinstance(v, str) and v in CHECKS,
+              "samples?": _is_sample_count,
               "tolerance?": _is_positive,
               "pair?": functools.partial(_is_rows, rows=2),
               "fiber?": functools.partial(_is_rows, rows=2),
@@ -809,8 +810,6 @@ CHECKS = {
 def run_check(ctx, index, check_cfg):
     """Run one named check; returns (max_defect, samples_used)."""
     name = check_cfg["name"]
-    if name not in CHECKS:
-        raise UnknownBuiltin(f"unknown check {name!r}")
     n = int(check_cfg.get("samples", ctx.sample_count))
     rng = rng_for(ctx.seed, index)
     check = CHECKS[name]

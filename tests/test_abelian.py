@@ -1,5 +1,7 @@
 """Abelian descent, flat integration, and curvature-matched integration."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from disconn.abelian import (check_closed, curvature_matched_integrate,
                              worst_exterior_defect)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              make_trivial_tangent)
+from disconn.cli import run_scenario
 from disconn.connections import (GenericConnection, HopfConnection,
                                  TrivialLocalConnection, eval_connection)
 from disconn.derivation import derive_connection
@@ -126,22 +129,44 @@ class TestFlatIntegration:
             flat_integrate_local(A, 1.0)
 
 
-class TestPrimitive:
-    def test_additivity_on_rays(self):
-        B, _ = plane_bundle()
-        A = TrivialLocalConnection(B, lambda m, v: np.array([2 * m[0] * v[0]]))
-        f = primitive_on_segments(A)
-        # d(x^2): the primitive from the origin is x^2.
-        assert f(np.array([1.5, 7.0]))[0] == pytest.approx(2.25, abs=1e-12)
+class TestIncrement:
+    """primitive_on_segments(A) integrates the one-form of A over the
+    straight segments m0 -> m1."""
 
-    def test_anchored_at_the_origin(self):
+    def exact(self):
+        # d(x^2 + x y + sin(x) y), with a primitive f for reference.
         B, _ = plane_bundle()
-        # d(x^2 + x y): the primitive from the origin vanishes there.
         A = TrivialLocalConnection(B, lambda m, v: np.array(
-            [(2 * m[0] + m[1]) * v[0] + m[0] * v[1]]))
-        f = primitive_on_segments(A)
-        assert f(np.zeros(2))[0] == 0.0
-        assert f(np.array([1.0, -2.0]))[0] == pytest.approx(-1.0, abs=1e-12)
+            [(2 * m[0] + m[1] + np.cos(m[0]) * m[1]) * v[0]
+             + (m[0] + np.sin(m[0])) * v[1]]))
+        return primitive_on_segments(A), (
+            lambda m: m[0] ** 2 + m[0] * m[1] + np.sin(m[0]) * m[1])
+
+    def test_increment_of_an_exact_form(self):
+        increment, f = self.exact()
+        a, b = np.array([0.3, -1.2]), np.array([1.5, 0.7])
+        assert increment(a, b)[0] == pytest.approx(f(b) - f(a), abs=1e-12)
+        # The segment from the origin gives the primitive vanishing there.
+        assert increment(np.zeros(2), b)[0] == pytest.approx(f(b),
+                                                             abs=1e-12)
+
+    def test_zero_on_the_diagonal(self):
+        # Exactly zero, so a discrete connection built on the increment
+        # meets its diagonal axiom exactly.
+        increment, _ = self.exact()
+        m = np.random.default_rng(7).uniform(-2.0, 2.0, (2, 3, 4))
+        got = increment(m, m)
+        assert got.shape == (1, 3, 4)
+        assert np.all(got == 0.0)
+        assert increment(m[:, 0, 0], m[:, 0, 0])[0] == 0.0
+
+    def test_additive_along_a_chain(self):
+        # A closed form: the increments of a -> b and b -> c add up to
+        # that of a -> c, on a stack of chains.
+        increment, _ = self.exact()
+        a, b, c = np.random.default_rng(8).uniform(-1.5, 1.5, (3, 2, 20))
+        chain = increment(a, b) + increment(b, c)
+        assert np.max(np.abs(chain - increment(a, c))) <= 1e-14
 
 
 class TestCurvatureMatched:
@@ -165,7 +190,7 @@ class TestCurvatureMatched:
         assert worst_exterior_defect(eps, samples) <= 1e-6
 
     def test_matched_rule_value(self):
-        # Correction primitive of 2x dx from the origin is x^2:
+        # The increment of 2x dx over m0 -> m1 is x1^2 - x0^2:
         # C = trapezoid + (x1^2 - x0^2).
         Ad = curvature_matched_integrate(self.A, self.Ad_ref)
         got = eval_discrete(Ad, self.q([0.3, 0.4]), self.q([1.0, 1.0]))
@@ -183,6 +208,16 @@ class TestCurvatureMatched:
             diff = (eval_connection(A_back, q, v)
                     - eval_connection(self.A, q, v))
             assert np.linalg.norm(diff) <= 1e-7
+
+    def test_bundled_scenario_derives_back_to_rounding(self):
+        # The derived reference inside the descended difference takes its
+        # difference steps along unit tangents, whatever the length of the
+        # segment, so the round trip stays far below STEP-scale rounding.
+        report = run_scenario(Path(__file__).resolve().parents[1]
+                              / "scenarios" / "curvature_matched.json")
+        (defect,) = [c.max_defect for c in report.checks
+                     if c.name == "derive_roundtrip"]
+        assert defect <= 1e-10
 
     def test_curvature_mismatch_rejected(self):
         # 2x dy has derived curvature 2 dx dy, twice the trapezoid's.

@@ -58,6 +58,22 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_scenario(path)
 
+    @pytest.mark.parametrize("name", ["no_such_check", ["closed_form"]])
+    def test_unknown_check_name_rejected_at_load(self, tmp_path, monkeypatch,
+                                                 name):
+        # The unknown name comes last: no check of the file may run first.
+        cfg = json.loads((SCENARIO_DIR / "curvature_matched.json")
+                         .read_text())
+        cfg["checks"].append({"name": name})
+        path = write_scenario(tmp_path, cfg)
+        with pytest.raises(ParseError, match=r"checks\[\d+\]\.name"):
+            load_scenario(path)
+        ran = []
+        monkeypatch.setattr(cli, "run_check",
+                            lambda *args: ran.append(args))
+        assert main(["verify-all", str(tmp_path)]) == 2
+        assert ran == []
+
     @pytest.mark.parametrize("cfg,message", [
         (minimal(checks=[{"name": "closed_form"},
                          {"name": "closed_form", "tolerance": -1.0}]),

@@ -5,7 +5,7 @@ stack of tangents steps every retraction column by column."""
 import numpy as np
 import pytest
 
-from disconn import abelian, bundles, scenarios
+from disconn import bundles, scenarios
 from disconn.abelian import (curvature_matched_integrate,
                              descend_continuous_difference,
                              flat_integrate_local, primitive_on_segments)
@@ -244,18 +244,19 @@ class TestQuadrature:
 
 class TestCurvatureMatchedPointwise:
     """The matched form's values equal a node-by-node evaluation of the
-    primitive of the descended difference."""
+    integral of the descended difference over the segment m0 -> m1."""
 
     def pointwise_matched(self, A, Ad_ref, q0, q1):
         eps = descend_continuous_difference(A, derive_connection(Ad_ref))
-
-        def f(m):
-            # The primitive is anchored at the origin.
-            return reference_quadrature(lambda t: eps.value(t * m, m),
-                                        0.0, 1.0)
-
         m0, m1 = q0.base_point, q1.base_point
-        correction = A.bundle.group.exp(f(m1) - f(m0))
+        direction = m1 - m0
+        # The form on the unit direction, the integral times the length.
+        length = np.sqrt(direction[0] * direction[0]
+                         + direction[1] * direction[1])
+        unit = direction / length
+        increment = reference_quadrature(
+            lambda t: eps.value(m0 + t * direction, unit), 0.0, 1.0) * length
+        correction = A.bundle.group.exp(increment)
         return A.bundle.group.compose(eval_discrete(Ad_ref, q0, q1),
                                       correction)
 
@@ -361,51 +362,33 @@ class TestStackedFailures:
             omega(m, far)
 
 
-class TestPrimitiveDedup:
-    """The primitive integrates each distinct column of a stack once, and
-    every column gets the bits of a call on that column alone."""
-
-    def connection(self, seen):
-        B = TrivialBundle(EuclideanChart(2), Translation(1))
-        _, form, pair_map = CASES["R1"]
-        eps = descend_continuous_difference(
-            TrivialLocalConnection(B, form),
-            derive_connection(TrivialLocalDiscrete(B, pair_map, 1e18)))
-
-        def value(m, v):
-            # The segment from the origin to m has direction m.
-            seen.append(np.asarray(v)[..., 0])
-            return eps.value(m, v)
-
-        return TrivialLocalConnection(B, value)
-
-    def points(self):
-        # Repeats, a 0.0 / -0.0 pair, on two stack axes: 5 distinct of 8.
-        p, q = stack_of(2)[0].T
-        columns = [p, q, [0.0, 0.5], p, [-0.0, 0.5], q, p, [0.3, -0.0]]
-        return np.array(columns).T.reshape(2, 2, 4)
+class TestIncrementStack:
+    """A stack of segments gets, column by column, the bits of a call on
+    that segment alone."""
 
     def test_stack_is_the_per_column_calls(self):
-        # Against one segment integral per column: the stack, and each
-        # column alone as a (d,) point.
-        A = self.connection([])
-        f = primitive_on_segments(A)
-        m = self.points()
-        got = f(m)
+        B = TrivialBundle(EuclideanChart(2), Translation(1))
+        _, form, pair_map = CASES["R1"]
+        increment = primitive_on_segments(descend_continuous_difference(
+            TrivialLocalConnection(B, form),
+            derive_connection(TrivialLocalDiscrete(B, pair_map, 1e18))))
+        p, q = stack_of(2)[0].T
+        # Repeats, a zero-length segment and a 0.0 / -0.0 pair, on two
+        # stack axes.
+        starts = [p, q, [0.0, 0.5], p, [-0.0, 0.5], q, p, [0.3, -0.0]]
+        ends = [q, p, [0.0, 0.5], q, [0.0, 0.5], q, [0.3, 0.0], p]
+        m0, m1 = (np.array(x).T.reshape(2, 2, 4) for x in (starts, ends))
+        got = increment(m0, m1)
         assert got.shape == (1, 2, 4)
-        for i in np.ndindex(m.shape[1:]):
-            column = m[(slice(None),) + i]
-            reference = abelian._segment_integral(A, np.zeros(2), column)
-            assert same_bits(got[(slice(None),) + i], reference)
-            assert same_bits(f(column), reference)
-
-    def test_integrand_sees_each_distinct_column_once(self):
-        seen = []
-        f = primitive_on_segments(self.connection(seen))
-        f(self.points())
-        (ends,) = seen
-        assert ends.shape == (2, 5)
-        assert len({ends[:, i].tobytes() for i in range(5)}) == 5
+        for i in np.ndindex(m0.shape[1:]):
+            column = (slice(None),) + i
+            assert same_bits(got[column],
+                             increment(m0[column], m1[column]))
+        # A single start point is broadcast over a stack of end points.
+        alone = increment(p, m1)
+        for i in np.ndindex(m1.shape[1:]):
+            column = (slice(None),) + i
+            assert same_bits(alone[column], increment(p, m1[column]))
 
 
 # ---------------------------------------------------------------------------
