@@ -4,7 +4,9 @@
     disconn verify-all <dir> [--format table|json]
 
 Every setting of a run lives in the scenario file; the command line picks
-only the files and the report format.
+only the files and the report format.  `main` loads every file and
+builds every context before it runs any check, so a malformed file exits
+2 before any check runs; only the distinctness points are judged later.
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on
 configuration or runtime errors, any exception a run raises included.
@@ -53,10 +55,8 @@ class Report:
         return all(c.passed for c in self.checks)
 
 
-def run_scenario(path) -> Report:
-    """Run every check of one scenario file."""
-    cfg = load_scenario(path)
-    ctx = ScenarioContext(cfg)
+def run_scenario(cfg, ctx) -> Report:
+    """Run every check of a loaded scenario config on its built context."""
     report = Report(ctx.name)
     for index, check_cfg in enumerate(cfg.get("checks", [])):
         start = time.perf_counter()
@@ -137,7 +137,10 @@ def main(argv=None) -> int:
         if not paths:
             print(f"no scenario files in {args.directory}", file=sys.stderr)
             return 2
-        reports = [run_scenario(str(path)) for path in paths]
+        configs = [load_scenario(str(path)) for path in paths]
+        contexts = [ScenarioContext(cfg) for cfg in configs]
+        reports = [run_scenario(cfg, ctx)
+                   for cfg, ctx in zip(configs, contexts)]
         print("\n\n".join(emit_report(r, args.format) for r in reports))
         return 0 if all(r.passed for r in reports) else 1
     except (OSError, ValueError) as exc:

@@ -45,9 +45,5 @@ class CurvatureMismatch(DisconnError):
     """Continuous and discrete curvature data are incompatible."""
 
 
-class UnknownBuiltin(DisconnError):
-    """Scenario references a builtin name that is not registered."""
-
-
 class ParseError(DisconnError):
     """Scenario file does not conform to the schema."""

@@ -161,11 +161,6 @@ class Torus(Translation):
         return _column_norm(reduce_angle(np.subtract(*_columns(a, b))))
 
 
-def Circle() -> Torus:
-    """The unit circle as a 1-torus."""
-    return Torus(1)
-
-
 @dataclass(frozen=True)
 class SO3(GroupKind):
     dim = 3
@@ -231,16 +226,3 @@ class SO3(GroupKind):
     def distance(self, a, b):
         diff = np.subtract(*_columns(a, b))
         return _column_norm(diff.reshape((9,) + diff.shape[2:]))
-
-
-def kind_from_tag(tag, dim=None) -> GroupKind:
-    """Group kind from its scenario-config string tag."""
-    if tag == "R^k":
-        return Translation(dim)
-    if tag == "U1":
-        return Circle()
-    if tag == "T^n":
-        return Torus(dim)
-    if tag == "SO3":
-        return SO3()
-    raise ValueError(f"unknown group tag {tag!r}")

@@ -337,12 +337,3 @@ def check_retraction_axioms(R: Retraction, x, v):
 
     slope = richardson_derivative(curve)
     return np.maximum(base_defect, _column_norm(slope - v))
-
-
-def kind_from_tag(tag, dim=None) -> ManifoldKind:
-    """Manifold kind from its scenario-config string tag."""
-    if tag == "R^d":
-        return EuclideanChart(dim)
-    if tag == "S2":
-        return Sphere(3)
-    raise ValueError(f"unknown manifold tag {tag!r}")

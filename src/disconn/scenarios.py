@@ -24,7 +24,8 @@ split changes a verdict.
 Sample i of check k can thus be replayed from (seed, k, i).
 
 Schema (`load_scenario` rejects unknown keys, unknown `integrator` and
-builtin keys included, and malformed values with a `ParseError`):
+builtin keys included, malformed values, and a scenario that lacks what
+one of its checks reads, with a `ParseError`):
 
     {
       "name": str,
@@ -43,27 +44,35 @@ builtin keys included, and malformed values with a `ParseError`):
                     | {"kind": "hopf_perturbed", "epsilon": float},
       "discrete": <spec> | [<spec>, ...] where <spec> is
                   {"kind": "local", "pair_map": <builtin>}
-                  | {"kind": "integrated"}
+                  | {"kind": "integrated"}  # needs a connection
                   | {"kind": "flat", "omega": <builtin>}
-                  | {"kind": "matched",
+                  | {"kind": "matched",     # needs a connection
                      "reference": <spec> other than matched},
-      "integrator": {"retraction": "straight"|"exp"|"great_circle"
-                                   |"skewed"|"chart",
+      "integrator": {"retraction": "straight"|"exp"|"skewed"  # trivial
+                                   |"great_circle"|"exp"|"chart",  # hopf
                      "domain_radius": float > 0},  # default from the
                                                    # base: pi/2 on spheres
       "checks": [{"name": key of CHECKS, "tolerance": float > 0,  # default 1e-8
                   "samples": int in [1, MAX_SAMPLES],
-                  "pair": [[x, ...], [x, ...]],
+                  "pair": [[x, ...], [x, ...]],  # distinctness only
                   "fiber": [[g, ...], [g, ...]],
                   "min_difference": float > 0}, ...]
     }
+
+The default retraction is "straight", on the Hopf bundle "great_circle".
+What each check reads besides the bundle (`_READS`): connection_axioms,
+metric_invariance a connection (retraction_axioms uses one if given);
+closed_form a local connection; derive_roundtrip, lift_roundtrip a
+connection and a discrete; discrete_axioms, diagram, discrete_flatness,
+derived_curvature, uniqueness_pair a discrete; same_derived_curvature,
+same_discrete_curvature two discretes, distinctness two and its "pair".
 
 One-form builtins: "zero", "x_dy", "y_dx", "closed_xy", "x_dy_plus_dx2",
 or {"name": "polynomial", "terms": [{"coeff": c, "powers": [...],
 "dx": j}, ...]} on d base coordinates, with c finite, at most d
 non-negative integer powers in float range and 0 <= j < d.  Pair-map
 builtins: "zero", "trapezoid_x_dy", "left_x_dy", or {"name":
-"quadratic_f", "f": "zero" | "one" | {"const": c}}, for (x1 - x0)^2 f.
+"quadratic_f", "f": "zero" | "one"}, for (x1 - x0)^2 f with f = 0 or 1.
 Builtin objects take no other keys.
 """
 
@@ -80,8 +89,8 @@ import numpy as np
 from . import (abelian, bundles, connections, derivation, discrete, groups,
                integration, manifolds)
 from .bundles import BundlePoint, HopfBundle, TrivialBundle
-from .errors import ParseError, UnknownBuiltin
-from .manifolds import EuclideanChart
+from .errors import ParseError
+from .manifolds import EuclideanChart, Sphere
 from .numdiff import _column_norm, worst_defect
 
 
@@ -144,7 +153,7 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
     local connection on the trivial bundle."""
     if isinstance(spec, str):
         if spec not in _OMEGA_BUILTINS:
-            raise UnknownBuiltin(f"unknown one-form builtin {spec!r}")
+            raise ParseError(f"unknown one-form builtin {spec!r}")
         scalar = _OMEGA_BUILTINS[spec]
         name = spec
     elif isinstance(spec, dict) and spec.get("name") == "polynomial":
@@ -152,7 +161,7 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
         scalar = _polynomial_rule(spec.get("terms"), bundle.base.coord_size)
         name = "polynomial"
     else:
-        raise UnknownBuiltin(f"unknown one-form spec {spec!r}")
+        raise ParseError(f"unknown one-form spec {spec!r}")
     if bundle.group.dim != 1:
         raise ParseError("builtin one-forms target one-dimensional algebras")
     _probe(scalar, bundle.base.coord_size, name)
@@ -176,23 +185,19 @@ def pair_map_builtin(spec, bundle,
     local discrete connection on the trivial bundle."""
     if isinstance(spec, str):
         if spec not in _PAIR_MAP_BUILTINS:
-            raise UnknownBuiltin(f"unknown pair-map builtin {spec!r}")
+            raise ParseError(f"unknown pair-map builtin {spec!r}")
         rule = _PAIR_MAP_BUILTINS[spec]
         name = spec
     elif isinstance(spec, dict) and spec.get("name") == "quadratic_f":
         _require_keys(spec, {"name", "f"}, "quadratic_f")
-        f = spec.get("f", "one")
-        if isinstance(f, str) and f in _F_TABLES:
-            c = _F_TABLES[f]
-        elif isinstance(f, dict) and _is_number(f.get("const")):
-            _require_keys(f, {"const"}, "f table")
-            c = float(f["const"])
-        else:
-            raise UnknownBuiltin(f"unknown f table {f!r}")
+        f = spec.get("f")
+        _require(isinstance(f, str) and f in _F_TABLES,
+                 f"unknown f table {f!r}")
+        c = _F_TABLES[f]
         rule = lambda m0, m1: (m1[0] - m0[0]) ** 2 * c
         name = "quadratic_f"
     else:
-        raise UnknownBuiltin(f"unknown pair-map spec {spec!r}")
+        raise ParseError(f"unknown pair-map spec {spec!r}")
     if bundle.group.dim != 1:
         raise ParseError("builtin pair maps target one-dimensional groups")
     _probe(rule, bundle.base.coord_size, name)
@@ -331,13 +336,50 @@ def _validate(value, test, where):
                 _validate(value.get(name), fields[key], f"{where}.{name}")
 
 
+def _hopf_chart_retraction(bundle):
+    """Straight steps in a fixed stereographic chart of S^3; breaks
+    equivariance (negative control)."""
+    sphere = bundle.total_space
+
+    def step(q, v):
+        return BundlePoint.hopf(
+            bundle, sphere.chart_line_step(q.ambient, v))
+
+    return manifolds.Retraction(bundle, step, np.pi / 2.0)
+
+
+# The retraction rule each (bundle kind, integrator.retraction tag) names.
+_RETRACTIONS = {
+    ("trivial", "straight"): integration.trivial_product_retraction,
+    ("trivial", "exp"): integration.trivial_product_retraction,
+    ("trivial", "skewed"): integration.trivial_skewed_retraction,
+    ("hopf", "great_circle"): integration.hopf_geodesic_retraction,
+    ("hopf", "exp"): integration.hopf_geodesic_retraction,
+    ("hopf", "chart"): _hopf_chart_retraction,
+}
+
+# The manifold or group each base or group tag names, from its "dim".
+_KINDS = {"R^d": EuclideanChart, "S2": lambda dim: Sphere(3),
+          "R^k": groups.Translation, "T^n": groups.Torus,
+          "U1": lambda dim: groups.Torus(1), "SO3": lambda dim: groups.SO3()}
+
+
 def _discrete_specs(cfg):
     raw = cfg.get("discrete", [])
     return [raw] if isinstance(raw, dict) else raw
 
 
+def _retraction_key(cfg):
+    """(bundle kind, retraction tag), the tag "straight" or, on the Hopf
+    bundle, "great_circle" by default."""
+    kind = cfg["bundle"]["kind"]
+    return kind, cfg.get("integrator", {}).get(
+        "retraction", "great_circle" if kind == "hopf" else "straight")
+
+
 def load_scenario(path):
-    """Read a scenario file and check it against the schema."""
+    """Read a scenario file and check it against the schema, and that it
+    holds what each of its checks reads (`_READS`)."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -349,10 +391,26 @@ def load_scenario(path):
     _require(connection is None
              or connection["kind"].startswith("hopf") == hopf,
              "connection kind does not fit the bundle")
-    for i, spec in enumerate(_discrete_specs(cfg)):
+    specs = _discrete_specs(cfg)
+    for i, spec in enumerate(specs):
         _validate(spec, "discrete", f"discrete[{i}]")
         _require(not hopf or spec["kind"] == "integrated",
                  "the Hopf bundle takes only integrated discretes")
+        _require(connection is not None
+                 or spec["kind"] not in ("integrated", "matched"),
+                 f"{spec['kind']} discrete needs a connection")
+    kind, tag = _retraction_key(cfg)
+    _require((kind, tag) in _RETRACTIONS,
+             f"unknown retraction {tag!r} on the {kind} bundle")
+    has = {"a connection": connection is not None,
+           "a local connection": (connection or {}).get("kind") == "local",
+           "a discrete": len(specs) > 0, "two discretes": len(specs) > 1}
+    for i, check in enumerate(cfg.get("checks", [])):
+        has["a pair"] = "pair" in check
+        missing = [need for need in sorted(_READS[check["name"]])
+                   if not has[need]]
+        _require(not missing, f"scenario.checks[{i}] ({check['name']}) "
+                              f"needs {' and '.join(missing)}")
     return cfg
 
 
@@ -360,9 +418,8 @@ def _build_bundle(spec):
     if spec["kind"] == "hopf":
         return HopfBundle()
     base, group = spec["base"], spec["group"]
-    return TrivialBundle(
-        manifolds.kind_from_tag(base["kind"], dim=base.get("dim")),
-        groups.kind_from_tag(group["kind"], dim=group.get("dim")))
+    return TrivialBundle(_KINDS[base["kind"]](base.get("dim")),
+                         _KINDS[group["kind"]](group.get("dim")))
 
 
 class ScenarioContext:
@@ -376,13 +433,10 @@ class ScenarioContext:
         self.bundle = _build_bundle(cfg["bundle"])
         self.box = self._resolve_box(cfg.get("box"))
 
-        hopf = isinstance(self.bundle, HopfBundle)
-        integ = cfg.get("integrator", {})
-        self.domain_radius = float(integ.get(
+        self.domain_radius = float(cfg.get("integrator", {}).get(
             "domain_radius", self.bundle.base.default_radius))
         self.connection = self._build_connection(cfg.get("connection"))
-        self.retraction = self._build_retraction(
-            integ.get("retraction", "great_circle" if hopf else "straight"))
+        self.retraction = _RETRACTIONS[_retraction_key(cfg)](self.bundle)
         self.discretes = [self._build_discrete(spec)
                           for spec in _discrete_specs(cfg)]
 
@@ -412,27 +466,12 @@ class ScenarioContext:
         epsilon = spec.get("epsilon", 0.1) if kind == "hopf_perturbed" else 0
         return connections.HopfConnection(self.bundle, float(epsilon))
 
-    def _build_retraction(self, tag):
-        if isinstance(self.bundle, HopfBundle):
-            if tag in ("great_circle", "exp"):
-                return integration.hopf_geodesic_retraction(self.bundle)
-            if tag == "chart":
-                return _hopf_chart_retraction(self.bundle)
-            raise ParseError(f"unknown Hopf retraction {tag!r}")
-        if tag in ("straight", "exp"):
-            return integration.trivial_product_retraction(self.bundle)
-        if tag == "skewed":
-            return integration.trivial_skewed_retraction(self.bundle)
-        raise ParseError(f"unknown retraction {tag!r}")
-
     def _build_discrete(self, spec):
         kind = spec["kind"]
         if kind == "local":
             return pair_map_builtin(spec["pair_map"], self.bundle,
                                     self.domain_radius)
         if kind == "integrated":
-            if self.connection is None:
-                raise ParseError("integrated discrete needs a connection")
             return integration.integrate_connection(
                 self.connection, self.retraction, self.domain_radius)
         if kind == "flat":
@@ -441,8 +480,6 @@ class ScenarioContext:
                 self.domain_radius,
                 closedness_samples=self._gate_samples())
         if kind == "matched":
-            if self.connection is None:
-                raise ParseError("matched discrete needs a connection")
             reference = self._build_discrete(spec["reference"])
             return abelian.curvature_matched_integrate(
                 self.connection, reference,
@@ -518,18 +555,6 @@ class ScenarioContext:
         return bundles.act(self.group_elements(raw_group), over)
 
 
-def _hopf_chart_retraction(bundle):
-    """Straight steps in a fixed stereographic chart of S^3; breaks
-    equivariance (negative control)."""
-    sphere = bundle.total_space
-
-    def step(q, v):
-        return BundlePoint.hopf(
-            bundle, sphere.chart_line_step(q.ambient, v))
-
-    return manifolds.Retraction(bundle, step, np.pi / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # Named checks
 
@@ -577,26 +602,8 @@ def _forms(ctx, rng, n):
     return ctx.base_points(m), u, w
 
 
-def _first_discrete(ctx):
-    if not ctx.discretes:
-        raise ParseError("check needs a discrete connection in the scenario")
-    return ctx.discretes[0]
-
-
-def _two_discretes(ctx):
-    if len(ctx.discretes) < 2:
-        raise ParseError("check needs two discrete connections")
-    return ctx.discretes[0], ctx.discretes[1]
-
-
-def _need_connection(ctx):
-    if ctx.connection is None:
-        raise ParseError("check needs a connection in the scenario")
-    return ctx.connection
-
-
 def check_connection_axioms(ctx, params, rng, n):
-    A = _need_connection(ctx)
+    A = ctx.connection
     m, h, v, xi, g = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
                             ctx.draw_tangent(), ctx.draw_algebra(),
                             ctx.draw_algebra())
@@ -608,7 +615,7 @@ def check_connection_axioms(ctx, params, rng, n):
 
 
 def check_discrete_axioms(ctx, params, rng, n):
-    Ad = _first_discrete(ctx)
+    Ad = ctx.discretes[0]
     m, h, d, s, h1, g, g2 = _draws(
         rng, n, ctx.draw_base(), ctx.draw_algebra(), ctx.draw_base_tangent(),
         ctx.draw_scale(), ctx.draw_algebra(), ctx.draw_algebra(),
@@ -643,8 +650,8 @@ def check_exp_log_roundtrip(ctx, params, rng, n):
 
 
 def check_derive_roundtrip(ctx, params, rng, n):
-    A = _need_connection(ctx)
-    derived = derivation.derive_connection(_first_discrete(ctx))
+    A = ctx.connection
+    derived = derivation.derive_connection(ctx.discretes[0])
     m, h, v = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
                      ctx.draw_tangent())
     q = ctx.points(m, h)
@@ -668,13 +675,12 @@ def _lift_defect(ctx, rng, n, A, Ad):
 
 
 def check_lift_roundtrip(ctx, params, rng, n):
-    return _lift_defect(ctx, rng, n, _need_connection(ctx),
-                        _first_discrete(ctx))
+    return _lift_defect(ctx, rng, n, ctx.connection, ctx.discretes[0])
 
 
 def check_diagram(ctx, params, rng, n):
     """The lift round trip against the connection derived from Ad."""
-    Ad = _first_discrete(ctx)
+    Ad = ctx.discretes[0]
     return _lift_defect(ctx, rng, n, derivation.derive_connection(Ad), Ad)
 
 
@@ -708,18 +714,16 @@ def _derived_curvature_gap(ctx, rng, n, *discretes):
 
 
 def check_discrete_flatness(ctx, params, rng, n):
-    return _holonomy_gap(ctx, rng, n, _first_discrete(ctx))
+    return _holonomy_gap(ctx, rng, n, ctx.discretes[0])
 
 
 def check_derived_curvature(ctx, params, rng, n):
-    return _derived_curvature_gap(ctx, rng, n, _first_discrete(ctx))
+    return _derived_curvature_gap(ctx, rng, n, ctx.discretes[0])
 
 
 def check_distinctness(ctx, params, rng, n):
-    Ad0, Ad1 = _two_discretes(ctx)
-    pair = params.get("pair")
-    if pair is None:
-        raise ParseError("distinctness check needs a designated pair")
+    Ad0, Ad1 = ctx.discretes[:2]
+    pair = params["pair"]
     G = ctx.bundle.group
     fiber = params.get("fiber") or [G.identity()] * 2
     try:
@@ -735,23 +739,21 @@ def check_distinctness(ctx, params, rng, n):
 
 
 def check_same_derived_curvature(ctx, params, rng, n):
-    return _derived_curvature_gap(ctx, rng, n, *_two_discretes(ctx))
+    return _derived_curvature_gap(ctx, rng, n, *ctx.discretes[:2])
 
 
 def check_same_discrete_curvature(ctx, params, rng, n):
-    return _holonomy_gap(ctx, rng, n, *_two_discretes(ctx))
+    return _holonomy_gap(ctx, rng, n, *ctx.discretes[:2])
 
 
 def check_closed_form(ctx, params, rng, n):
-    if not isinstance(ctx.connection, connections.TrivialLocalConnection):
-        raise ParseError("closed_form check needs a local connection")
     return abelian.worst_exterior_defect(ctx.connection, _forms(ctx, rng, n))
 
 
 def check_uniqueness_pair(ctx, params, rng, n):
     """Agreement of a reference discrete connection with the
     curvature-matched integral of its own derived connection."""
-    Ad_ref = _first_discrete(ctx)
+    Ad_ref = ctx.discretes[0]
     A = derivation.derive_connection(Ad_ref)
     rebuilt = abelian.curvature_matched_integrate(A, Ad_ref)
     m, h, d, s, h1 = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
@@ -765,7 +767,7 @@ def check_uniqueness_pair(ctx, params, rng, n):
 
 
 def check_metric_invariance(ctx, params, rng, n):
-    gm = integration.build_invariant_metric(_need_connection(ctx))
+    gm = integration.build_invariant_metric(ctx.connection)
     m, h, u, w, g = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
                            ctx.draw_tangent(), ctx.draw_tangent(),
                            ctx.draw_algebra())
@@ -786,6 +788,28 @@ def check_retraction_equivariance(ctx, params, rng, n):
     return worst_defect(integration.equivariance_defect(
         ctx.retraction, ctx.group_elements(g), q, v))
 
+
+# What each check reads beyond the bundle and its own stream; load_scenario
+# rejects a scenario that lacks any of it, so a check only evaluates.
+# "a pair" is the check entry's designated "pair".
+_READS = {
+    "connection_axioms": {"a connection"},
+    "discrete_axioms": {"a discrete"},
+    "retraction_axioms": set(),
+    "exp_log_roundtrip": set(),
+    "derive_roundtrip": {"a connection", "a discrete"},
+    "lift_roundtrip": {"a connection", "a discrete"},
+    "diagram": {"a discrete"},
+    "discrete_flatness": {"a discrete"},
+    "derived_curvature": {"a discrete"},
+    "distinctness": {"two discretes", "a pair"},
+    "same_derived_curvature": {"two discretes"},
+    "same_discrete_curvature": {"two discretes"},
+    "closed_form": {"a local connection"},
+    "uniqueness_pair": {"a discrete"},
+    "metric_invariance": {"a connection"},
+    "retraction_equivariance": set(),
+}
 
 CHECKS = {
     "connection_axioms": check_connection_axioms,

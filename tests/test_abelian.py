@@ -22,6 +22,7 @@ from disconn.errors import (BundleMismatch, CurvatureMismatch, NotClosed,
                             UnsupportedGroup, UnsupportedPresentation)
 from disconn.groups import SO3, Translation
 from disconn.manifolds import EuclideanChart, Sphere
+from disconn.scenarios import ScenarioContext, load_scenario
 
 
 def plane_bundle():
@@ -213,8 +214,9 @@ class TestCurvatureMatched:
         # The derived reference inside the descended difference takes its
         # difference steps along unit tangents, whatever the length of the
         # segment, so the round trip stays far below STEP-scale rounding.
-        report = run_scenario(Path(__file__).resolve().parents[1]
-                              / "scenarios" / "curvature_matched.json")
+        cfg = load_scenario(Path(__file__).resolve().parents[1]
+                            / "scenarios" / "curvature_matched.json")
+        report = run_scenario(cfg, ScenarioContext(cfg))
         (defect,) = [c.max_defect for c in report.checks
                      if c.name == "derive_roundtrip"]
         assert defect <= 1e-10

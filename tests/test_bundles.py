@@ -14,12 +14,12 @@ from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
                              tangent_lift_action, tangent_projection)
 from disconn.discrete import TrivialLocalDiscrete, eval_discrete
 from disconn.errors import BundleMismatch, NotSameFiber, OutsideDomain
-from disconn.groups import Circle, SO3, Torus
+from disconn.groups import SO3, Torus
 from disconn.manifolds import EuclideanChart, Sphere
 
 
 def make_trivial():
-    return TrivialBundle(EuclideanChart(2), Circle())
+    return TrivialBundle(EuclideanChart(2), Torus(1))
 
 
 def random_hopf_point(rng):
@@ -93,7 +93,7 @@ class TestHopf:
     def test_base_and_group_are_shared_constants(self):
         H = HopfBundle()
         assert H.base is HopfBundle.base and H.group is HopfBundle.group
-        assert H.base == Sphere(3) and H.group == Circle()
+        assert H.base == Sphere(3) and H.group == Torus(1)
 
     def test_projection_north_pole(self):
         # (1, 0, 0, 0) is |z1| = 1, z2 = 0, over the north pole.
@@ -197,7 +197,7 @@ class TestBoundaryValidation:
     the bundle operations build points from arrays that are already valid."""
 
     def test_trivial_rejects_non_unit_sphere_point(self):
-        B = TrivialBundle(Sphere(3), Circle())
+        B = TrivialBundle(Sphere(3), Torus(1))
         with pytest.raises(ValueError):
             BundlePoint.trivial(B, [1.0, 1.0, 0.0], [0.0])
         q = BundlePoint.trivial(B, [0.0, 1.0, 0.0], [0.0])
@@ -223,7 +223,7 @@ class TestBoundaryValidation:
 # sphere (Hopf); group elements are exponentials of algebra vectors in
 # [-1, 1]^dim; tangents have entries in [-2, 2], made orthogonal to q on
 # the Hopf bundle.
-TANGENT_BUNDLES = [HopfBundle(), TrivialBundle(EuclideanChart(2), Circle()),
+TANGENT_BUNDLES = [HopfBundle(), TrivialBundle(EuclideanChart(2), Torus(1)),
                    TrivialBundle(EuclideanChart(2), Torus(2)),
                    TrivialBundle(EuclideanChart(3), SO3())]
 

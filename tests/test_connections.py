@@ -13,7 +13,7 @@ from disconn.connections import (GenericConnection, HopfConnection,
                                  horizontal_lift, verticality_defect)
 from disconn.derivation import derive_connection
 from disconn.errors import UnsupportedPresentation
-from disconn.groups import Circle, SO3, Translation
+from disconn.groups import SO3, Torus, Translation
 from disconn.integration import (integrate_connection,
                                  trivial_product_retraction)
 from disconn.manifolds import EuclideanChart, Sphere
@@ -259,7 +259,7 @@ class TestNonAbelianCurvature:
 
 class TestAxioms:
     def test_trivial_defects_zero(self):
-        B, A = x_dy_bundle(Circle())
+        B, A = x_dy_bundle(Torus(1))
         rng = np.random.default_rng(61)
         for _ in range(50):
             q = BundlePoint.trivial(B, rng.uniform(-1, 1, 2),
@@ -287,7 +287,7 @@ class TestAxioms:
     def test_broken_form_flagged(self):
         # A fiber-dependent "omega" breaks equivariance for U1... the group
         # is abelian, so break verticality instead with a scaled fiber term.
-        B = TrivialBundle(EuclideanChart(2), Circle())
+        B = TrivialBundle(EuclideanChart(2), Torus(1))
 
         def rule(q, v):
             base, fiber = split_trivial(q, v)

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disconn import groups
+from disconn import scenarios
 from disconn.errors import OutsideInjectivityRadius
-from disconn.groups import (SO3, Circle, Torus, Translation, hat, unhat,
+from disconn.groups import (SO3, Torus, Translation, hat, unhat,
                             reduce_angle)
+from disconn.manifolds import EuclideanChart, Sphere
+from disconn.scenarios import ScenarioContext
 
 
 def so3_exp_series(w, terms=30):
@@ -59,17 +61,17 @@ class TestTranslation:
 
 class TestCircleTorus:
     def test_circle_wraps(self):
-        g = Circle().wrap([3 * np.pi])
+        g = Torus(1).wrap([3 * np.pi])
         assert g[0] == pytest.approx(np.pi)
 
     def test_compose_wraps(self):
-        k = Circle()
+        k = Torus(1)
         a = k.wrap([3.0])
         b = k.wrap([3.0])
         assert k.compose(a, b)[0] == pytest.approx(6.0 - 2 * np.pi)
 
     def test_distance_respects_wrap(self):
-        k = Circle()
+        k = Torus(1)
         a = k.wrap([np.pi - 0.1])
         b = k.wrap([-np.pi + 0.1])
         assert k.distance(a, b) == pytest.approx(0.2)
@@ -79,8 +81,6 @@ class TestCircleTorus:
         # bundle compare by class as well as by dimension.
         assert issubclass(Torus, Translation)
         assert Torus(1) != Translation(1)
-        assert groups.kind_from_tag("U1") == Torus(1) == Circle()
-        assert groups.kind_from_tag("R^k", dim=1) == Translation(1)
         x = np.array([2.5, -3.0])
         assert np.array_equal(Torus(2).compose(x, x), reduce_angle(x + x))
         assert np.array_equal(Translation(2).compose(x, x), x + x)
@@ -215,13 +215,23 @@ class TestSO3Stacks:
 
 
 class TestKindChecks:
-    def test_kind_from_tag(self):
-        assert groups.kind_from_tag("R^k", dim=3) == Translation(3)
-        assert groups.kind_from_tag("U1") == Torus(1)
-        assert groups.kind_from_tag("SO3") == SO3()
+    def test_scenario_tags_name_their_kinds(self):
+        # Each base and group tag of the scenario schema builds the kind
+        # it names.
+        named = {"R^d": EuclideanChart(3), "S2": Sphere(3),
+                 "R^k": Translation(3), "T^n": Torus(3), "U1": Torus(1),
+                 "SO3": SO3()}
+        for part in ("base", "group"):
+            for tag, fields in scenarios._SCHEMA[part]["kind"].items():
+                bundle = {"kind": "trivial", "base": {"kind": "S2"},
+                          "group": {"kind": "U1"}}
+                bundle[part] = {"kind": tag, **({"dim": 3} if fields else {})}
+                ctx = ScenarioContext({"name": tag, "seed": 0,
+                                       "bundle": bundle})
+                assert getattr(ctx.bundle, part) == named[tag]
 
     def test_abelian_flag(self):
-        assert Translation(1).abelian and Circle().abelian
+        assert Translation(1).abelian and Torus(1).abelian
         assert Torus(2).abelian
         assert not SO3().abelian
 
@@ -240,12 +250,12 @@ class TestAlgebraVectorLength:
     """Algebra values are plain arrays; exp and adjoint reshape them to the
     group's dimension, so a vector of the wrong length still raises."""
 
-    @pytest.mark.parametrize("kind", [Translation(2), Circle(), SO3()])
+    @pytest.mark.parametrize("kind", [Translation(2), Torus(1), SO3()])
     def test_exp_rejects_wrong_length(self, kind):
         with pytest.raises(ValueError):
             kind.exp(np.zeros(kind.dim + 1))
 
-    @pytest.mark.parametrize("kind", [Translation(2), Circle(), SO3()])
+    @pytest.mark.parametrize("kind", [Translation(2), Torus(1), SO3()])
     def test_adjoint_rejects_wrong_length(self, kind):
         g = kind.identity()
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ from disconn.connections import (HopfConnection, TrivialLocalConnection,
 from disconn.derivation import derive_connection
 from disconn.discrete import axiom_defects, eval_discrete
 from disconn.errors import BundleMismatch, OutsideDomain
-from disconn.groups import Circle, Translation
+from disconn.groups import Torus, Translation
 from disconn.integration import (build_invariant_metric, equivariance_defect,
                                  hopf_geodesic_retraction,
                                  integrate_connection, metric_invariance_defect,
@@ -54,7 +54,7 @@ class TestMetric:
         assert gm(q, vert, vert) == pytest.approx(1.0)
 
     def test_invariance(self):
-        B, A, _ = x_dy_setup(Circle())
+        B, A, _ = x_dy_setup(Torus(1))
         gm = build_invariant_metric(A)
         rng = np.random.default_rng(97)
         for _ in range(20):
@@ -68,7 +68,7 @@ class TestMetric:
             assert metric_invariance_defect(gm, g, q, u, w) <= 1e-12
 
 
-PLANE = TrivialBundle(EuclideanChart(2), Circle())
+PLANE = TrivialBundle(EuclideanChart(2), Torus(1))
 HOPF = HopfBundle()
 
 BUNDLE_RETRACTIONS = {
@@ -121,7 +121,7 @@ class TestSharedRadiusRule:
 
 class TestRetractions:
     def test_product_retraction_equivariant(self):
-        B, _, _ = x_dy_setup(Circle())
+        B, _, _ = x_dy_setup(Torus(1))
         R = trivial_product_retraction(B)
         rng = np.random.default_rng(101)
         for _ in range(30):
@@ -133,7 +133,7 @@ class TestRetractions:
             assert equivariance_defect(R, g, q, v) <= 1e-12
 
     def test_skewed_retraction_rejected(self):
-        B, _, _ = x_dy_setup(Circle())
+        B, _, _ = x_dy_setup(Torus(1))
         R = trivial_skewed_retraction(B)
         q = BundlePoint.trivial(B, [0.0, 0.0], [1.0])
         v = make_trivial_tangent(q, [0.1, 0.0], [0.5])
@@ -228,7 +228,7 @@ class TestIntegration:
                                                                   abs=1e-9)
 
     def test_axioms_hold(self):
-        B, A, U = x_dy_setup(Circle())
+        B, A, U = x_dy_setup(Torus(1))
         Ad = integrate_connection(A, trivial_product_retraction(B), U)
         rng = np.random.default_rng(107)
         for _ in range(10):

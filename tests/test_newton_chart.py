@@ -15,7 +15,7 @@ from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
                                  eval_connection)
 from disconn.errors import NewtonDivergence, OutsideDomain
-from disconn.groups import Circle
+from disconn.groups import Torus
 from disconn.integration import (hopf_geodesic_retraction, reduced_retraction,
                                  trivial_product_retraction,
                                  trivial_skewed_retraction)
@@ -222,7 +222,7 @@ class TestStackedNewton:
 
 
 def plane_reduced(make):
-    B = TrivialBundle(EuclideanChart(2), Circle())
+    B = TrivialBundle(EuclideanChart(2), Torus(1))
     A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
     return reduced_retraction(A, make(B))
 

@@ -199,6 +199,8 @@ def test_every_scenario_input_is_exercised():
         used |= python_strings(path)
     kinds = {tag for fields in scenarios._SCHEMA.values()
              if "kind" in fields for tag in fields["kind"]}
+    retractions = {tag for _, tag in scenarios._RETRACTIONS}
     inputs = (set(scenarios._OMEGA_BUILTINS) | set(scenarios._PAIR_MAP_BUILTINS)
-              | set(scenarios._F_TABLES) | kinds | set(scenarios.CHECKS))
+              | set(scenarios._F_TABLES) | kinds | retractions
+              | set(scenarios.CHECKS))
     assert sorted(inputs - used) == []

@@ -2,20 +2,21 @@
 
 import argparse
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from disconn import cli
+from disconn import cli, scenarios
 from disconn.bundles import TrivialBundle
 from disconn.cli import emit_report, main, run_scenario
-from disconn.errors import ParseError, UnknownBuiltin
+from disconn.errors import ParseError
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
-from disconn.scenarios import (GATE_STREAM, ScenarioContext, _forms,
+from disconn.scenarios import (CHECKS, GATE_STREAM, ScenarioContext, _forms,
                                load_scenario, one_form_builtin,
-                               pair_map_builtin, rng_for)
+                               pair_map_builtin, rng_for, run_check)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -24,6 +25,18 @@ def write_scenario(tmp_path, payload, name="s.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def run_file(path):
+    cfg = load_scenario(path)
+    return run_scenario(cfg, ScenarioContext(cfg))
+
+
+def bundled(name, **changes):
+    """A bundled scenario with some keys replaced; None drops a key."""
+    cfg = json.loads((SCENARIO_DIR / name).read_text())
+    cfg.update(changes)
+    return {key: value for key, value in cfg.items() if value is not None}
 
 
 def minimal(**extra):
@@ -58,21 +71,75 @@ class TestParsing:
         with pytest.raises(ParseError):
             load_scenario(path)
 
-    @pytest.mark.parametrize("name", ["no_such_check", ["closed_form"]])
-    def test_unknown_check_name_rejected_at_load(self, tmp_path, monkeypatch,
-                                                 name):
-        # The unknown name comes last: no check of the file may run first.
-        cfg = json.loads((SCENARIO_DIR / "curvature_matched.json")
-                         .read_text())
-        cfg["checks"].append({"name": name})
-        path = write_scenario(tmp_path, cfg)
-        with pytest.raises(ParseError, match=r"checks\[\d+\]\.name"):
-            load_scenario(path)
+    @pytest.mark.parametrize("cfg,message", [
+        # The unknown name comes last in a file whose checks pass.
+        (bundled("curvature_matched.json", checks=[
+            *bundled("curvature_matched.json")["checks"],
+            {"name": "no_such_check"}]),
+         r"bad scenario\.checks\[\d+\]\.name: 'no_such_check'"),
+        (bundled("curvature_matched.json", checks=[{"name": ["closed_form"]}]),
+         r"bad scenario\.checks\[0\]\.name"),
+        # Caught when the context is built, not by the schema.
+        (minimal(connection={"kind": "local", "omega": "nope"}),
+         "unknown one-form builtin 'nope'"),
+        (bundled("uniqueness.json", checks=[
+            *bundled("uniqueness.json")["checks"],
+            {"name": "derive_roundtrip"}]),
+         r"checks\[3\] \(derive_roundtrip\) needs a connection"),
+        (bundled("nonuniqueness.json", checks=[{"name": "distinctness"}]),
+         r"checks\[0\] \(distinctness\) needs a pair"),
+        (bundled("trivial_roundtrip.json", connection=None),
+         "integrated discrete needs a connection"),
+        (minimal(integrator={"retraction": "chart"}),
+         "unknown retraction 'chart' on the trivial bundle"),
+        (bundled("hopf_roundtrip.json", integrator={"retraction": "skewed"}),
+         "unknown retraction 'skewed' on the hopf bundle"),
+    ], ids=["unknown_check", "unhashable_check", "unknown_builtin",
+            "no_connection", "no_pair", "integrated_alone", "trivial_chart",
+            "hopf_skewed"])
+    def test_config_error_runs_no_check(self, tmp_path, capsys, monkeypatch,
+                                        cfg, message):
+        # A bundled file whose checks pass comes first: no check of any
+        # file may run before the error.
+        write_scenario(tmp_path, bundled("curvature_matched.json"), "a.json")
+        write_scenario(tmp_path, cfg, "b.json")
         ran = []
         monkeypatch.setattr(cli, "run_check",
                             lambda *args: ran.append(args))
         assert main(["verify-all", str(tmp_path)]) == 2
         assert ran == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ")
+        assert re.search(message, err)
+
+    @pytest.mark.parametrize("name", sorted(CHECKS))
+    def test_declared_reads_are_needed_and_enough(self, tmp_path, name):
+        # A scenario that holds just what _READS declares for a check
+        # loads and runs it; without any one of those reads it does not
+        # load.
+        def scenario(reads):
+            cfg = minimal(box=[[-1.0, 1.0]] * 2,
+                          checks=[{"name": name, "samples": 2}])
+            if reads & {"a connection", "a local connection"}:
+                cfg["connection"] = {"kind": "local", "omega": "x_dy"}
+            count = (2 if "two discretes" in reads
+                     else int("a discrete" in reads))
+            if count:
+                cfg["discrete"] = [{"kind": "local",
+                                    "pair_map": "trapezoid_x_dy"}] * count
+            if "a pair" in reads:
+                cfg["checks"][0]["pair"] = [[0.0, 0.0], [0.5, 0.5]]
+            return write_scenario(tmp_path, cfg)
+
+        reads = scenarios._READS[name]
+        cfg = load_scenario(scenario(reads))
+        assert run_check(ScenarioContext(cfg), 0, cfg["checks"][0])[1] == 2
+        for read in reads:
+            with pytest.raises(ParseError, match=f"needs {read}"):
+                load_scenario(scenario(reads - {read}))
+
+    def test_every_check_declares_its_reads(self):
+        assert set(scenarios._READS) == set(CHECKS)
 
     @pytest.mark.parametrize("cfg,message", [
         (minimal(checks=[{"name": "closed_form"},
@@ -101,7 +168,7 @@ class TestParsing:
 
 class TestBuiltins:
     def test_unknown_one_form(self):
-        with pytest.raises(UnknownBuiltin):
+        with pytest.raises(ParseError):
             one_form_builtin("no_such_form",
                              TrivialBundle(EuclideanChart(2), Translation(1)))
 
@@ -114,18 +181,22 @@ class TestBuiltins:
         assert A.value([2.0, 5.0], [0.0, 1.0])[0] == pytest.approx(12.0)
 
     def test_unknown_pair_map(self):
-        with pytest.raises(UnknownBuiltin):
+        with pytest.raises(ParseError):
             pair_map_builtin("no_such_map",
                              TrivialBundle(EuclideanChart(1), Translation(1)),
                              1.0)
 
-    def test_quadratic_pair_map_const(self):
-        Ad = pair_map_builtin(
-            {"name": "quadratic_f", "f": {"const": 2.0}},
-            TrivialBundle(EuclideanChart(1), Translation(1)), 1.0)
+    def test_quadratic_pair_map_f(self):
+        line = TrivialBundle(EuclideanChart(1), Translation(1))
+        Ad = pair_map_builtin({"name": "quadratic_f", "f": "one"}, line, 1.0)
         assert Ad.name == "quadratic_f"
         assert Ad.pair_map(np.array([0.0]),
-                           np.array([3.0]))[0] == pytest.approx(18.0)
+                           np.array([3.0]))[0] == pytest.approx(9.0)
+        # f is required, and one of the two tables.
+        for spec in ({"name": "quadratic_f"},
+                     {"name": "quadratic_f", "f": {"const": 2.0}}):
+            with pytest.raises(ParseError, match="unknown f table"):
+                pair_map_builtin(spec, line, 1.0)
 
 
 class TestSampling:
@@ -152,12 +223,12 @@ class TestSampling:
 
 class TestRunScenario:
     def test_bundled_nonuniqueness_passes(self):
-        report = run_scenario(str(SCENARIO_DIR / "nonuniqueness.json"))
+        report = run_file(str(SCENARIO_DIR / "nonuniqueness.json"))
         assert report.passed
         assert any(c.name == "distinctness" for c in report.checks)
 
     def test_zero_checks_is_trivially_passing(self, tmp_path):
-        report = run_scenario(write_scenario(tmp_path, minimal()))
+        report = run_file(write_scenario(tmp_path, minimal()))
         assert report.passed
         assert report.checks == []
 
@@ -165,7 +236,7 @@ class TestRunScenario:
         cfg = minimal(connection={"kind": "local", "omega": "x_dy"},
                       checks=[{"name": "closed_form", "tolerance": 1e-8,
                                "samples": 3}])
-        report = run_scenario(write_scenario(tmp_path, cfg))
+        report = run_file(write_scenario(tmp_path, cfg))
         assert not report.passed
         assert report.checks[0].max_defect > 0.1
 
@@ -174,7 +245,7 @@ class TestEmitReport:
     def make_report(self, tmp_path):
         cfg = minimal(checks=[{"name": "exp_log_roundtrip",
                                "tolerance": 1e-10, "samples": 5}])
-        return run_scenario(write_scenario(tmp_path, cfg))
+        return run_file(write_scenario(tmp_path, cfg))
 
     def test_json_omits_wall_time(self, tmp_path):
         out = emit_report(self.make_report(tmp_path), "json")
@@ -239,7 +310,7 @@ class TestCli:
     def test_any_other_exception_exits_two(self, tmp_path, capsys,
                                            monkeypatch, error):
         # Exit 1 would read as "a check failed".
-        def failing(path):
+        def failing(cfg, ctx):
             raise error
 
         monkeypatch.setattr(cli, "run_scenario", failing)
@@ -251,7 +322,7 @@ class TestCli:
                                        ValueError("no finite value")])
     def test_os_and_value_errors_print_only_the_message(
             self, tmp_path, capsys, monkeypatch, error):
-        def failing(path):
+        def failing(cfg, ctx):
             raise error
 
         monkeypatch.setattr(cli, "run_scenario", failing)

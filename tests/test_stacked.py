@@ -16,7 +16,7 @@ from disconn.connections import (HopfConnection, TrivialLocalConnection,
 from disconn.derivation import derive_connection, pair_derivative
 from disconn.discrete import TrivialLocalDiscrete, eval_discrete
 from disconn.errors import NonDifferentiable, OutsideDomain
-from disconn.groups import SO3, Circle, Torus, Translation
+from disconn.groups import SO3, Torus, Translation
 from disconn.integration import (hopf_geodesic_retraction,
                                  integrate_connection, reduced_retraction,
                                  trivial_product_retraction,
@@ -33,7 +33,7 @@ CASES = {
     "R1": (Translation(1),
            lambda m, v: np.array([m[0] * v[1] + np.sin(m[1]) * v[0]]),
            lambda m0, m1: np.array([0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])])),
-    "U1": (Circle(),
+    "U1": (Torus(1),
            lambda m, v: np.array([m[1] * m[1] * v[0]]),
            lambda m0, m1: np.array([np.cos(m0[1]) * (m1[0] - m0[0])
                                     + m1[1] - m0[1]])),
@@ -281,7 +281,7 @@ class TestCurvatureMatchedPointwise:
         self.check(A, Ad_ref)
 
     def test_integrated_reference(self):
-        B = TrivialBundle(EuclideanChart(2), Circle())
+        B = TrivialBundle(EuclideanChart(2), Torus(1))
         A0 = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
         Ad_ref = integrate_connection(A0, trivial_product_retraction(B),
                                       1e18)
