@@ -102,9 +102,15 @@ def make_trivial_tangent(q: BundlePoint, base_components,
     fiber = fiber.reshape((q.bundle.group.dim,) + fiber.shape[1:])
     if base.shape[1:] == fiber.shape[1:]:
         return np.concatenate([base, fiber])
-    # One block is broadcast over the other's stack as it is assigned.
-    v = np.empty((len(base) + len(fiber),)
-                 + _joint_stack([base.shape[1:], fiber.shape[1:]]))
+    # One block is broadcast over the other's stack as it is assigned; a
+    # single vector (the zero fiber or base of a lift) takes the other's.
+    if base.ndim == 1:
+        stack = fiber.shape[1:]
+    elif fiber.ndim == 1:
+        stack = base.shape[1:]
+    else:
+        stack = _joint_stack([base.shape[1:], fiber.shape[1:]])
+    v = np.empty((len(base) + len(fiber),) + stack)
     _put(v[:len(base)], base)
     _put(v[len(base):], fiber)
     return v

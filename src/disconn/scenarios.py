@@ -6,21 +6,24 @@ tolerances; it is the only source of a run's settings.  Sampling is
 driven by a counter-based PRNG (Philox) keyed by the scenario seed and the
 check index, so reports are deterministic for a fixed config.
 
-The sampling rule.  A check takes its raw values in the order of a loop
-over the samples: the blocks of sample i in a fixed order (the
+The sampling rule.  Each context owns one Philox bit generator, built
+(and `numpy.random` imported) on its first draw; `ScenarioContext.rng`
+re-keys it for each check, to the stream a fresh `Philox(key=[seed, k])`
+gives.  A check takes its raw values in the order of a loop over the
+samples: the blocks of sample i in a fixed order (the
 `ScenarioContext.draw_*` methods describe them: base point, algebra
 vector, tangent, ...), then those of sample i + 1, so sample i takes the
 same values whatever the sample count.  When every block is uniform, a
-stack of samples is one generator call, split per block; a block of
-standard normals (a sphere base without a box) keeps the draws sample by
-sample, one call per block (`_draws`).  The check then builds its points,
-tangents and group elements once on the stacked draws, sample axis last,
-and makes one library call per evaluation.  `run_check` hands a check at
-most STACK_SAMPLES samples per call, all from the check's one generator,
-and reports the worst defect over the calls (`distinctness`, which
-evaluates one designated pair, is called once); a sample gets the bits of
-its column whatever the stack it is in, so neither the stack size nor the
-split changes a verdict.
+stack of samples is one generator call, split per block; with a block of
+standard normals (a sphere base without a box) each sample takes one call
+per run of consecutive blocks of one kind (`_draws`).  The check then
+builds its points, tangents and group elements once on the stacked draws,
+sample axis last, and makes one library call per evaluation.  `run_check`
+hands a check at most STACK_SAMPLES samples per call, all from the
+check's one stream, and reports the worst defect over the calls
+(`distinctness`, which evaluates one designated pair, is called once); a
+sample gets the bits of its column whatever the stack it is in, so
+neither the stack size nor the split changes a verdict.
 Sample i of check k can thus be replayed from (seed, k, i).
 
 Schema (`load_scenario` rejects unknown keys, unknown `integrator` and
@@ -97,12 +100,6 @@ from .numdiff import _column_norm, worst_defect
 # The stream of the flat and matched constructors' gate samples, outside
 # the range of check indices, which are the streams of the checks.
 GATE_STREAM = 2 ** 64 - 1
-
-
-def rng_for(seed, stream):
-    """Counter-based generator for one check of one scenario."""
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +408,25 @@ def load_scenario(path):
                    if not has[need]]
         _require(not missing, f"scenario.checks[{i}] ({check['name']}) "
                               f"needs {' and '.join(missing)}")
+        if check["name"] == "distinctness":
+            _require_pair_rows(cfg["bundle"], check)
     return cfg
+
+
+def _require_pair_rows(spec, check):
+    """A distinctness entry's pair and fiber rows have the sizes of a base
+    point and a group element of a trivial bundle.  Whether a row lies on
+    the sphere, or is a rotation, is judged when the check builds the
+    points."""
+    _require(spec["kind"] == "trivial",
+             "distinctness pair needs a trivial bundle")
+    bundle = _build_bundle(spec)
+    sizes = {"pair": bundle.base.coord_size,
+             "fiber": np.size(bundle.group.identity())}
+    for key, size in sizes.items():
+        _require(_is_rows(check.get(key, []), size=size),
+                 f"distinctness pair is not a pair of points of the "
+                 f"bundle: {key} rows must have length {size}")
 
 
 def _build_bundle(spec):
@@ -431,7 +446,8 @@ class ScenarioContext:
         self.sample_count = int(cfg.get("sample_count", 100))
 
         self.bundle = _build_bundle(cfg["bundle"])
-        self.box = self._resolve_box(cfg.get("box"))
+        self.box, self._base_block = self._resolve_box(cfg.get("box"))
+        self._generator = None
 
         self.domain_radius = float(cfg.get("integrator", {}).get(
             "domain_radius", self.bundle.base.default_radius))
@@ -442,20 +458,25 @@ class ScenarioContext:
 
     # -- config resolution -------------------------------------------------
     def _resolve_box(self, box):
-        if not isinstance(self.bundle.base, EuclideanChart):
+        """The base box, None on a sphere, and the base block `draw_base`
+        describes: the box rows' read-only (low, span) columns, or on a
+        sphere its count of standard normals."""
+        base = self.bundle.base
+        if not isinstance(base, EuclideanChart):
             _require(box is None, "box needs an R^d base")
-            return None
-        dim = self.bundle.base.dim
+            return None, base.coord_size
         if box is None:
-            box = [[-1.0, 1.0]] * dim
-        _require(len(box) == dim, "box does not match base dimension")
+            box = [[-1.0, 1.0]] * base.dim
+        _require(len(box) == base.dim, "box does not match base dimension")
         box = np.asarray(box, dtype=float)
+        box.flags.writeable = False
         with np.errstate(over="ignore"):
-            width = box[:, 1] - box[:, 0]
-        _require(np.all(width >= 0.0) and np.all(np.isfinite(width)),
+            span = box[:, 1:] - box[:, :1]
+        span.flags.writeable = False
+        _require(np.all(span >= 0.0) and np.all(np.isfinite(span)),
                  f"box rows need lo <= hi and a width in float range: "
                  f"{box.tolist()}")
-        return box
+        return box, (box[:, :1], span)
 
     def _build_connection(self, spec):
         if spec is None:
@@ -487,18 +508,32 @@ class ScenarioContext:
 
     def _gate_samples(self):
         """(m, u, w) stacks of the flat and matched constructors' gates."""
-        return _forms(self, rng_for(self.seed, GATE_STREAM), 25)
+        return _forms(self, self.rng(GATE_STREAM), 25)
+
+    def rng(self, stream):
+        """The generator of one stream of the scenario seed: a check's
+        index, or GATE_STREAM.  The context has one Philox bit generator,
+        built on its first draw; each call re-keys it to counter 0 and key
+        (seed, stream), the state of a fresh `Philox(key=[seed, stream])`.
+        So the generator returned is valid until the next call."""
+        key = np.array([self.seed, stream], dtype=np.uint64)
+        if self._generator is None:
+            self._generator = np.random.Generator(np.random.Philox(key=key))
+        self._generator.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": key},
+            "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return self._generator
 
     # -- raw draws: the blocks of values one sample takes ----------------
     # A uniform block is its (low, span) columns, one row per value, each
     # value low + span * U for U uniform on [0, 1), as
     # `rng.uniform(low, low + span)` draws it; a scalar (low, span) is one
     # value per sample.  A normal block is its count of standard normals.
-    # `_draws` draws the blocks.
+    # `_draws` draws the blocks; the columns are built once and read-only.
     def draw_base(self):
-        if self.box is None:
-            return self.bundle.base.coord_size
-        return self.box[:, :1], self.box[:, 1:] - self.box[:, :1]
+        return self._base_block
 
     def draw_algebra(self):
         """An algebra vector, also the raw values of a group element."""
@@ -558,38 +593,52 @@ class ScenarioContext:
 # ---------------------------------------------------------------------------
 # Named checks
 
+@functools.cache
 def _symmetric(size):
-    """The uniform block of `size` values in [-1, 1)."""
-    return np.full((size, 1), -1.0), np.full((size, 1), 2.0)
+    """The uniform block of `size` values in [-1, 1), built once per size
+    (at most 2 * MAX_DIM sizes) and read-only, since every context shares
+    it."""
+    low, span = np.full((size, 1), -1.0), np.full((size, 1), 2.0)
+    low.flags.writeable = span.flags.writeable = False
+    return low, span
 
 
 def _draws(rng, n, *blocks):
     """The raw values of n samples, one array per block (the
     `ScenarioContext.draw_*` methods describe them) with the sample axis
     last: the blocks of a sample in the order given, then the next
-    sample's, in the order of a loop over the samples.  When every block
-    is uniform, the n samples are one stream of uniforms, taken by one
-    generator call and split per block.  A normal block takes a number of
-    raw values that depends on the values (the ziggurat rejects some), so
-    with one the draws go sample by sample, one call per block.  Either
-    way a uniform block's values are low + span * U, computed once on its
-    whole stack."""
+    sample's, in the order of a loop over the samples.  The values go
+    into one sample-major stream, a row per sample, which is then split
+    per block.  When every block is uniform, the n rows are one generator
+    call.  A normal block takes a number of raw values that depends on the
+    values (the ziggurat rejects some), so with one each row takes one
+    call per run of consecutive blocks of one kind.  Either way a uniform
+    block's values are low + span * U, computed once on its whole
+    stack."""
     normal = [isinstance(block, int) for block in blocks]
     shapes = [(block,) if is_normal else np.shape(block[0])[:-1]
               for block, is_normal in zip(blocks, normal)]
+    sizes = [math.prod(shape) for shape in shapes]
+    ends = list(itertools.accumulate(sizes))
+    stream = np.empty((n, ends[-1]))
     if any(normal):
-        rows = [[rng.normal(size=shape) if is_normal else rng.random(shape)
-                 for shape, is_normal in zip(shapes, normal)]
-                for _ in range(n)]
-        raw = [np.stack(column, axis=-1) for column in zip(*rows)]
+        cuts = [0, *(end for end, a, b in zip(ends, normal, normal[1:])
+                     if a != b), ends[-1]]
+        kinds = [is_normal for is_normal, _ in itertools.groupby(normal)]
+        runs = list(zip(kinds, cuts, cuts[1:]))
+        for row in stream:
+            for is_normal, start, end in runs:
+                if is_normal:  # rng.normal takes no out
+                    row[start:end] = rng.normal(size=end - start)
+                else:
+                    rng.random(out=row[start:end])
     else:
-        sizes = [math.prod(shape) for shape in shapes]
-        # The stream is sample-major; each block's rows are laid out
-        # C-contiguous, as the loop's np.stack lays them out.
-        stream = np.ascontiguousarray(rng.random((n, sum(sizes))).T)
-        ends = itertools.accumulate(sizes)
-        raw = [stream[end - size:end].reshape(shape + (n,))
-               for shape, size, end in zip(shapes, sizes, ends)]
+        rng.random(out=stream)
+    # Each block's rows are laid out C-contiguous, as a loop's np.stack of
+    # the samples would lay them out.
+    stream = np.ascontiguousarray(stream.T)
+    raw = [stream[end - size:end].reshape(shape + (n,))
+           for shape, size, end in zip(shapes, sizes, ends)]
     return [x if is_normal else block[0] + block[1] * x
             for block, is_normal, x in zip(blocks, normal, raw)]
 
@@ -835,7 +884,7 @@ def run_check(ctx, index, check_cfg):
     """Run one named check; returns (max_defect, samples_used)."""
     name = check_cfg["name"]
     n = int(check_cfg.get("samples", ctx.sample_count))
-    rng = rng_for(ctx.seed, index)
+    rng = ctx.rng(index)
     check = CHECKS[name]
     # distinctness evaluates one designated pair: one call, whatever n.
     starts = range(0, 1 if name == "distinctness" else n, STACK_SAMPLES)

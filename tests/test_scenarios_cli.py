@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
 from disconn.scenarios import (CHECKS, GATE_STREAM, ScenarioContext, _forms,
                                load_scenario, one_form_builtin,
-                               pair_map_builtin, rng_for, run_check)
+                               pair_map_builtin, run_check)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -94,9 +97,16 @@ class TestParsing:
          "unknown retraction 'chart' on the trivial bundle"),
         (bundled("hopf_roundtrip.json", integrator={"retraction": "skewed"}),
          "unknown retraction 'skewed' on the hopf bundle"),
+        # Pair rows of two coordinates on an R^1 base, distinctness last.
+        (bundled("nonuniqueness.json", checks=[
+            *bundled("nonuniqueness.json")["checks"][1:],
+            {**bundled("nonuniqueness.json")["checks"][0],
+             "pair": [[0.0, 0.0], [2.0, 0.0]]}]),
+         r"distinctness pair is not a pair of points of the bundle: "
+         r"pair rows must have length 1"),
     ], ids=["unknown_check", "unhashable_check", "unknown_builtin",
             "no_connection", "no_pair", "integrated_alone", "trivial_chart",
-            "hopf_skewed"])
+            "hopf_skewed", "distinctness_pair_rows"])
     def test_config_error_runs_no_check(self, tmp_path, capsys, monkeypatch,
                                         cfg, message):
         # A bundled file whose checks pass comes first: no check of any
@@ -201,14 +211,52 @@ class TestBuiltins:
 
 class TestSampling:
     def test_stream_determinism(self):
-        a = rng_for(42, 3).uniform(size=5)
-        b = rng_for(42, 3).uniform(size=5)
+        ctx = ScenarioContext(minimal(seed=42))
+        a = ctx.rng(3).uniform(size=5)
+        b = ctx.rng(3).uniform(size=5)
         assert np.array_equal(a, b)
 
     def test_streams_independent(self):
-        a = rng_for(42, 3).uniform(size=5)
-        b = rng_for(42, 4).uniform(size=5)
+        ctx = ScenarioContext(minimal(seed=42))
+        a = ctx.rng(3).uniform(size=5)
+        b = ctx.rng(4).uniform(size=5)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed,stream", [(42, 3), (2 ** 64 - 1, 0),
+                                             (7, GATE_STREAM)])
+    def test_rekeyed_stream_is_a_fresh_philox(self, seed, stream):
+        # A stream left part way: an odd count of uniforms, normals, and a
+        # 32-bit integer draw that leaves half a 64-bit word buffered.
+        ctx = ScenarioContext(minimal(seed=seed))
+        rng = ctx.rng(5)
+        rng.random(7)
+        rng.standard_normal(3)
+        rng.integers(0, 1000, size=3, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        assert ctx.rng(stream) is rng
+        key = np.array([seed, stream], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        for draw in (lambda g: g.random(1000),
+                     lambda g: g.standard_normal(1000),
+                     lambda g: g.integers(0, 2 ** 31, 1000, dtype=np.int32)):
+            assert np.array_equal(draw(rng), draw(fresh))
+
+    def test_numpy_random_is_imported_on_the_first_draw(self):
+        # The Hopf scenario has no gate samples: its set-up draws nothing,
+        # so it neither builds a bit generator nor imports numpy.random.
+        path = SCENARIO_DIR / "hopf_roundtrip.json"
+        code = ("import sys\n"
+                "from disconn import cli, scenarios\n"
+                f"ctx = scenarios.ScenarioContext("
+                f"scenarios.load_scenario({str(path)!r}))\n"
+                "print('numpy.random' in sys.modules, ctx._generator)\n"
+                "ctx.rng(0)\n"
+                "print('numpy.random' in sys.modules)\n")
+        src = str(Path(scenarios.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+        assert out.split() == ["False", "None", "True"]
 
     def test_gate_stream_is_no_check_stream(self):
         # The flat and matched gates draw from a stream of their own, past
@@ -216,7 +264,7 @@ class TestSampling:
         # the check at index 997.
         ctx = ScenarioContext(minimal(box=[[-1.0, 1.0]] * 2))
         gate = ctx._gate_samples()
-        check = _forms(ctx, rng_for(ctx.seed, 997), 25)
+        check = _forms(ctx, ctx.rng(997), 25)
         assert not any(np.array_equal(a, b) for a, b in zip(gate, check))
         assert GATE_STREAM >= 2 ** 63
 

@@ -306,7 +306,7 @@ class TestClosedFormCheck:
             "connection": {"kind": "local", "omega": omega}})
 
     def per_sample_loop(self, ctx, n):
-        rng = scenarios.rng_for(ctx.seed, 0)
+        rng = ctx.rng(0)
         defects = []
         for _ in range(n):
             m, u, w = (x[..., 0] for x in scenarios._draws(

@@ -15,7 +15,7 @@ from disconn.errors import ParseError
 from disconn.groups import SO3, Torus, Translation
 from disconn.manifolds import EuclideanChart
 from disconn.numdiff import _column_norm, exterior_derivative, worst_defect
-from disconn.scenarios import CHECKS, ScenarioContext, rng_for
+from disconn.scenarios import CHECKS, ScenarioContext
 
 K = 7
 
@@ -445,8 +445,8 @@ def test_stacked_check_is_the_per_sample_loop(scenario, check):
     ctx = ScenarioContext(SCENARIOS[scenario])
     for index in range(3):
         n = 6
-        stacked = CHECKS[check](ctx, {}, rng_for(ctx.seed, index), n)
-        loop = LOOPS[check](ctx, rng_for(ctx.seed, index), n)
+        stacked = CHECKS[check](ctx, {}, ctx.rng(index), n)
+        loop = LOOPS[check](ctx, ctx.rng(index), n)
         assert stacked == loop
 
 
@@ -466,7 +466,7 @@ def test_run_check_hands_out_bounded_stacks(monkeypatch):
                                              "samples": 250})
     assert (sizes, n) == ([100, 100, 50], 250)
     assert scenarios.STACK_SAMPLES == 100
-    assert defect == check(ctx, {}, rng_for(ctx.seed, 2), 250)
+    assert defect == check(ctx, {}, ctx.rng(2), 250)
 
 
 def test_distinctness_evaluates_its_pair_once(monkeypatch):
@@ -537,8 +537,23 @@ class TestDraws:
         # Box R^2 and R^3 bases, U(1), R and SO(3) groups, a normal S^2 base
         # and the Hopf bundle, whose tangent block has four values.
         ctx = ScenarioContext(SCENARIOS[scenario])
-        got = scenarios._draws(rng_for(ctx.seed, 0), 9, *blocks(ctx, BLOCKS))
-        want = reference_draws(ctx, rng_for(ctx.seed, 0), 9, BLOCKS)
+        got = scenarios._draws(ctx.rng(0), 9, *blocks(ctx, BLOCKS))
+        want = reference_draws(ctx, ctx.rng(0), 9, BLOCKS)
+        assert [x.shape for x in got] == [x.shape for x in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("names", [
+        ["base", "algebra", "tangent", "scale"],
+        ["algebra", "tangent", "base", "scale", "base_tangent"],
+        ["algebra", "scale", "tangent", "base"],
+        ["algebra", "base", "base", "scale", "base", "base"],
+    ], ids=["first", "middle", "last", "adjacent"])
+    def test_normal_block_anywhere_is_the_per_sample_draws(self, names):
+        # The S^2 base is the normal block; each sample takes one call per
+        # run of blocks of one kind.
+        ctx = ScenarioContext(SCENARIOS["S2xU1"])
+        got = scenarios._draws(ctx.rng(0), 9, *blocks(ctx, names))
+        want = reference_draws(ctx, ctx.rng(0), 9, names)
         assert [x.shape for x in got] == [x.shape for x in want]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -546,27 +561,29 @@ class TestDraws:
     def test_stacks_of_one_check_continue_one_stream(self, scenario):
         # 250 samples in stacks of 100, 100 and 50 from one generator.
         ctx = ScenarioContext(SCENARIOS[scenario])
-        rng = rng_for(ctx.seed, 3)
+        rng = ctx.rng(3)
         parts = [scenarios._draws(rng, n, *blocks(ctx, BLOCKS))
                  for n in (100, 100, 50)]
         got = [np.concatenate(x, axis=-1) for x in zip(*parts)]
-        want = reference_draws(ctx, rng_for(ctx.seed, 3), 250, BLOCKS)
+        want = reference_draws(ctx, ctx.rng(3), 250, BLOCKS)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("scenario,calls", [
         ("R2xU1", ["random"] * 3),
-        # A normal base block: one call per block and sample.
-        ("S2xU1", (["normal"] + ["random"] * 6) * 250)])
+        # A normal base block: one call per sample and run of blocks of
+        # one kind, the base's normals and the six uniform blocks after.
+        ("S2xU1", ["normal", "random"] * 250)])
     def test_one_generator_call_per_uniform_stack(self, monkeypatch,
                                                   scenario, calls):
         ctx = ScenarioContext(SCENARIOS[scenario])
         generators = []
+        rng = ctx.rng
 
-        def counting_rng(seed, stream):
-            generators.append(CallCounter(rng_for(seed, stream)))
+        def counting_rng(stream):
+            generators.append(CallCounter(rng(stream)))
             return generators[-1]
 
-        monkeypatch.setattr(scenarios, "rng_for", counting_rng)
+        monkeypatch.setattr(ctx, "rng", counting_rng)
         scenarios.run_check(ctx, 1, {"name": "discrete_axioms",
                                      "samples": 250})
         assert [g.calls for g in generators] == [calls]
@@ -600,7 +617,7 @@ def test_joined_pairs_are_the_separate_calls(form, n):
     scenario, index = FORMS[form]
     ctx = ScenarioContext(SCENARIOS[scenario])
     Ad = ctx.discretes[index]
-    rng = rng_for(ctx.seed, 0)
+    rng = ctx.rng(0)
     algebra = ctx.draw_algebra()
     nearby = (ctx.draw_base_tangent(), ctx.draw_scale(), algebra)
     m, h, *raw, g, g2 = scenarios._draws(rng, n or 1, ctx.draw_base(),
@@ -640,7 +657,7 @@ def test_joined_matched_rule_is_exact_on_the_diagonal(n):
     # over a segment of length zero is exactly zero.
     ctx = ScenarioContext(SCENARIOS["matched-R2xR"])
     Ad, Ad_ref = ctx.discretes
-    rng = rng_for(ctx.seed, 0)
+    rng = ctx.rng(0)
     algebra = ctx.draw_algebra()
     nearby = (ctx.draw_base_tangent(), ctx.draw_scale(), algebra)
     m, h, *raw, g, g2 = scenarios._draws(rng, n or 1, ctx.draw_base(),

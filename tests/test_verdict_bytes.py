@@ -6,6 +6,12 @@
 
 and `tests/data/workload_<name>.json` that of the benchmark workload
 `<name>` at seed 0, generated by `bench/workloads.py`.
+`tests/data/workload_digests.json` holds the sha256 of that output for
+each workload at seeds 0-20, which
+
+    PYTHONPATH=src python tests/test_verdict_bytes.py
+
+prints.
 `tests/data/demo_<name>.txt` is the exact standard output of
 `python demos/<name>_demo.py`.
 
@@ -14,9 +20,15 @@ diff; regenerate a file only together with an account of every digit
 that moved.
 """
 
+import contextlib
 import difflib
+import hashlib
 import importlib.util
+import io
+import json
 import runpy
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -25,6 +37,35 @@ from disconn.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "tests" / "data"
+WORKLOADS = ["matched-deep", "hopf-newton", "breadth"]
+DIGEST_SEEDS = range(21)
+
+
+def bench_workloads():
+    """bench/workloads.py, loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def workload_digests(directory):
+    """{workload: {seed: sha256 of the verify-all JSON output}} over
+    DIGEST_SEEDS, the scenario files written under directory."""
+    workloads = bench_workloads()
+    digests = {}
+    for name in WORKLOADS:
+        digests[name] = {}
+        for seed in DIGEST_SEEDS:
+            files = Path(directory) / f"{name}-{seed}"
+            workloads.write(workloads.generate(name, seed), files)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                main(["verify-all", str(files), "--format", "json"])
+            digests[name][str(seed)] = hashlib.sha256(
+                out.getvalue().encode()).hexdigest()
+    return digests
 
 
 def assert_verify_all_matches(capsys, directory, pinned):
@@ -45,13 +86,9 @@ def test_verify_all_scenarios_json_is_unchanged(capsys):
                               DATA / "verify_all_scenarios.json")
 
 
-@pytest.mark.parametrize("workload",
-                         ["matched-deep", "hopf-newton", "breadth"])
+@pytest.mark.parametrize("workload", WORKLOADS)
 def test_benchmark_workload_json_is_unchanged(capsys, tmp_path, workload):
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "bench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = bench_workloads()
     workloads.write(workloads.generate(workload, 0), tmp_path)
     assert_verify_all_matches(capsys, tmp_path,
                               DATA / f"workload_{workload}.json")
@@ -63,3 +100,14 @@ def test_demo_output_is_unchanged(capsys, demo):
                    run_name="__main__")
     assert_output_matches(capsys.readouterr().out,
                           DATA / f"demo_{demo}.txt")
+
+
+def test_workload_digests_are_unchanged(tmp_path):
+    pinned = json.loads((DATA / "workload_digests.json").read_text())
+    assert workload_digests(tmp_path) == pinned
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as scratch:
+        json.dump(workload_digests(scratch), sys.stdout, indent=2)
+    print()
