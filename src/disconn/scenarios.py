@@ -13,12 +13,14 @@ gives.  A check takes its raw values in the order of a loop over the
 samples: the blocks of sample i in a fixed order (the
 `ScenarioContext.draw_*` methods describe them: base point, algebra
 vector, tangent, ...), then those of sample i + 1, so sample i takes the
-same values whatever the sample count.  When every block is uniform, a
-stack of samples is one generator call, split per block; with a block of
-standard normals (a sphere base without a box) each sample takes one call
-per run of consecutive blocks of one kind (`_draws`).  The check then
-builds its points, tangents and group elements once on the stacked draws,
-sample axis last, and makes one library call per evaluation.  `run_check`
+same values whatever the sample count.  Every block is uniform, so a
+stack is one generator call, split per block (`_draws`), and sample i of
+K values starts at raw value i * K of the stream.  A sphere base is the
+radial projection of a uniform point of the cube [-1, 1)^d: every point
+of the sphere can be drawn, at a density that varies by at most 3 sqrt 3
+on S^2 between corner and face-centre directions.  The check then builds
+its points, tangents and group elements once on the stacked draws, sample
+axis last, and makes one library call per evaluation.  `run_check`
 hands a check at most STACK_SAMPLES samples per call, all from the
 check's one stream, and reports the worst defect over the calls
 (`distinctness`, which evaluates one designated pair, is called once); a
@@ -378,9 +380,9 @@ def load_scenario(path):
     """Read a scenario file and check it against the schema, and that it
     holds what each of its checks reads (`_READS`)."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:  # RFC 8259: JSON is UTF-8
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ParseError(f"cannot parse scenario {path}: {exc}") from exc
     _validate(cfg, "scenario", "scenario")
     hopf = cfg["bundle"]["kind"] == "hopf"
@@ -460,11 +462,12 @@ class ScenarioContext:
     def _resolve_box(self, box):
         """The base box, None on a sphere, and the base block `draw_base`
         describes: the box rows' read-only (low, span) columns, or on a
-        sphere its count of standard normals."""
+        sphere the cube [-1, 1)^d of its ambient coordinates, which
+        `base_points` projects radially onto the sphere."""
         base = self.bundle.base
         if not isinstance(base, EuclideanChart):
             _require(box is None, "box needs an R^d base")
-            return None, base.coord_size
+            return None, _symmetric(base.coord_size)
         if box is None:
             box = [[-1.0, 1.0]] * base.dim
         _require(len(box) == base.dim, "box does not match base dimension")
@@ -527,11 +530,12 @@ class ScenarioContext:
         return self._generator
 
     # -- raw draws: the blocks of values one sample takes ----------------
-    # A uniform block is its (low, span) columns, one row per value, each
-    # value low + span * U for U uniform on [0, 1), as
-    # `rng.uniform(low, low + span)` draws it; a scalar (low, span) is one
-    # value per sample.  A normal block is its count of standard normals.
-    # `_draws` draws the blocks; the columns are built once and read-only.
+    # A block is its (low, span) columns, one row per value, each value
+    # low + span * U for U uniform on [0, 1), as `rng.uniform(low, low +
+    # span)` draws it; a scalar (low, span) is one value per sample.  A
+    # sphere base is the cube [-1, 1)^d, which `base_points` projects
+    # radially (on S^2 its density varies by a factor of at most 3 sqrt 3).
+    # `_draws` draws a stack in one generator call; columns are read-only.
     def draw_base(self):
         return self._base_block
 
@@ -607,40 +611,21 @@ def _draws(rng, n, *blocks):
     """The raw values of n samples, one array per block (the
     `ScenarioContext.draw_*` methods describe them) with the sample axis
     last: the blocks of a sample in the order given, then the next
-    sample's, in the order of a loop over the samples.  The values go
-    into one sample-major stream, a row per sample, which is then split
-    per block.  When every block is uniform, the n rows are one generator
-    call.  A normal block takes a number of raw values that depends on the
-    values (the ziggurat rejects some), so with one each row takes one
-    call per run of consecutive blocks of one kind.  Either way a uniform
-    block's values are low + span * U, computed once on its whole
-    stack."""
-    normal = [isinstance(block, int) for block in blocks]
-    shapes = [(block,) if is_normal else np.shape(block[0])[:-1]
-              for block, is_normal in zip(blocks, normal)]
+    sample's, in the order of a loop over the samples.  One generator call
+    fills a sample-major stream, a row of K values per sample, so sample i
+    starts at raw value i * K; it is split per block, each block's values
+    low + span * U computed once on its whole stack."""
+    shapes = [np.shape(low)[:-1] for low, _ in blocks]
     sizes = [math.prod(shape) for shape in shapes]
     ends = list(itertools.accumulate(sizes))
     stream = np.empty((n, ends[-1]))
-    if any(normal):
-        cuts = [0, *(end for end, a, b in zip(ends, normal, normal[1:])
-                     if a != b), ends[-1]]
-        kinds = [is_normal for is_normal, _ in itertools.groupby(normal)]
-        runs = list(zip(kinds, cuts, cuts[1:]))
-        for row in stream:
-            for is_normal, start, end in runs:
-                if is_normal:  # rng.normal takes no out
-                    row[start:end] = rng.normal(size=end - start)
-                else:
-                    rng.random(out=row[start:end])
-    else:
-        rng.random(out=stream)
+    rng.random(out=stream)
     # Each block's rows are laid out C-contiguous, as a loop's np.stack of
     # the samples would lay them out.
     stream = np.ascontiguousarray(stream.T)
-    raw = [stream[end - size:end].reshape(shape + (n,))
-           for shape, size, end in zip(shapes, sizes, ends)]
-    return [x if is_normal else block[0] + block[1] * x
-            for block, is_normal, x in zip(blocks, normal, raw)]
+    return [low + span * stream[end - size:end].reshape(shape + (n,))
+            for (low, span), shape, size, end in zip(blocks, shapes, sizes,
+                                                     ends)]
 
 
 def _forms(ctx, rng, n):

@@ -242,6 +242,19 @@ class TestMalformedInputExitsTwo:
         err = capsys.readouterr().err
         assert "ParseError" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("raw", [
+        b"\xff{}",
+        # Past Python's limit on the digits of an int literal, json.load
+        # raises a ValueError that is not a JSONDecodeError.
+        b'{"name": "n", "seed": ' + b"1" * 5000 + b"}",
+    ], ids=["not_utf8", "long_int"])
+    def test_undecodable_file_is_a_parse_error(self, tmp_path, capsys, raw):
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(raw)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("extra", [
         {"integrator": {"metric": "round"}},
         {"connection": {"kind": "hopf_canonical"}},

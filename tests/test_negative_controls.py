@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from disconn import bundles, groups, scenarios
+from disconn import (bundles, derivation, discrete, groups, manifolds,
+                     scenarios)
 from disconn.cli import main
 
 NEGATIVE_DIR = Path(__file__).resolve().parents[1] / "scenarios" / "negative"
@@ -23,8 +24,7 @@ NEGATIVE_DIR = Path(__file__).resolve().parents[1] / "scenarios" / "negative"
 # Checks that neither a scenario input nor a fault in FAULTS makes FAIL:
 # identities of the library's own constructions, or (uniqueness_pair) a
 # tautology.
-WITHOUT_CONTROL = {"connection_axioms", "retraction_axioms", "diagram",
-                   "uniqueness_pair"}
+WITHOUT_CONTROL = {"uniqueness_pair"}
 
 
 def reports_of(capsys):
@@ -69,9 +69,52 @@ def faulty_lift_action(action):
     return lifted
 
 
+def faulty_generator(generator):
+    """The fundamental vector field of xi, 0.1% too long."""
+    return lambda q, xi: 1.001 * generator(q, xi)
+
+
+def faulty_step(step):
+    """A Euclidean step along 1.001 times its components: the retraction's
+    derivative at zero is no longer the identity."""
+    return lambda kind, point, components: step(kind, point,
+                                                1.001 * components)
+
+
+def faulty_horizontal_lift(lift):
+    """The discrete horizontal lift moved along the fiber by
+    exp(1e-3 log A_d(q, section_over(m))): a fault in the lift alone, so
+    the connection derived from A_d stays right."""
+    def lifted(Ad, q, m):
+        G = Ad.bundle.group
+        value = discrete.eval_discrete(Ad, q,
+                                       bundles.section_over(Ad.bundle, m))
+        return bundles.act(G.exp(1e-3 * G.log(value)), lift(Ad, q, m))
+    return lifted
+
+
+def r2_u1(name, tolerance, **cfg):
+    """R^2 x U(1) with the connection x dy and one check of 20 samples."""
+    return {"box": [[-1.5, 1.5]] * 2,
+            "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+                       "group": {"kind": "U1"}},
+            "connection": {"kind": "local", "omega": "x_dy"},
+            "checks": [{"name": name, "tolerance": tolerance,
+                        "samples": 20}], **cfg}
+
+
 # Check name: (scenario, (owner, attribute, fault)); the fault takes the
 # attribute's value and returns its replacement.
 FAULTS = {
+    "connection_axioms": (
+        r2_u1("connection_axioms", 1e-8),
+        (bundles, "infinitesimal_generator", faulty_generator)),
+    "retraction_axioms": (
+        r2_u1("retraction_axioms", 1e-8),
+        (manifolds.EuclideanChart, "geodesic_step", faulty_step)),
+    "diagram": (
+        r2_u1("diagram", 1e-6, discrete={"kind": "integrated"}),
+        (derivation, "discrete_horizontal_lift", faulty_horizontal_lift)),
     "exp_log_roundtrip": (
         {"box": [[-1.0, 1.0]] * 3,
          "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 3},
@@ -80,12 +123,7 @@ FAULTS = {
                      "samples": 20}]},
         (groups.SO3, "log", faulty_log)),
     "metric_invariance": (
-        {"box": [[-1.5, 1.5]] * 2,
-         "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
-                    "group": {"kind": "U1"}},
-         "connection": {"kind": "local", "omega": "x_dy"},
-         "checks": [{"name": "metric_invariance", "tolerance": 1e-8,
-                     "samples": 20}]},
+        r2_u1("metric_invariance", 1e-8),
         (bundles, "tangent_lift_action", faulty_lift_action)),
 }
 

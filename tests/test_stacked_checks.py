@@ -392,7 +392,7 @@ SCENARIOS = {
                "bundle": {"kind": "trivial",
                           "base": {"kind": "R^d", "dim": 3},
                           "group": {"kind": "SO3"}}},
-    # Base points drawn from a normal distribution and normalized.
+    # Base points: uniform points of the cube, projected onto the sphere.
     "S2xU1": {"name": "s2-u1", "seed": 14,
               "bundle": {"kind": "trivial", "base": {"kind": "S2"},
                          "group": {"kind": "U1"}},
@@ -496,7 +496,7 @@ def reference_draw(ctx, rng, name):
     if name == "base":
         if ctx.box is not None:
             return rng.uniform(ctx.box[:, 0], ctx.box[:, 1])
-        return rng.normal(size=ctx.bundle.base.coord_size)
+        return rng.uniform(-1.0, 1.0, ctx.bundle.base.coord_size)
     if name == "scale":
         return rng.uniform(0.05, 1.0)
     size = {"algebra": ctx.bundle.group.dim,
@@ -534,26 +534,11 @@ class CallCounter:
 class TestDraws:
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_blocks_are_the_per_sample_draws(self, scenario):
-        # Box R^2 and R^3 bases, U(1), R and SO(3) groups, a normal S^2 base
+        # Box R^2 and R^3 bases, U(1), R and SO(3) groups, a cube S^2 base
         # and the Hopf bundle, whose tangent block has four values.
         ctx = ScenarioContext(SCENARIOS[scenario])
         got = scenarios._draws(ctx.rng(0), 9, *blocks(ctx, BLOCKS))
         want = reference_draws(ctx, ctx.rng(0), 9, BLOCKS)
-        assert [x.shape for x in got] == [x.shape for x in want]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    @pytest.mark.parametrize("names", [
-        ["base", "algebra", "tangent", "scale"],
-        ["algebra", "tangent", "base", "scale", "base_tangent"],
-        ["algebra", "scale", "tangent", "base"],
-        ["algebra", "base", "base", "scale", "base", "base"],
-    ], ids=["first", "middle", "last", "adjacent"])
-    def test_normal_block_anywhere_is_the_per_sample_draws(self, names):
-        # The S^2 base is the normal block; each sample takes one call per
-        # run of blocks of one kind.
-        ctx = ScenarioContext(SCENARIOS["S2xU1"])
-        got = scenarios._draws(ctx.rng(0), 9, *blocks(ctx, names))
-        want = reference_draws(ctx, ctx.rng(0), 9, names)
         assert [x.shape for x in got] == [x.shape for x in want]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
@@ -568,13 +553,11 @@ class TestDraws:
         want = reference_draws(ctx, ctx.rng(3), 250, BLOCKS)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
-    @pytest.mark.parametrize("scenario,calls", [
-        ("R2xU1", ["random"] * 3),
-        # A normal base block: one call per sample and run of blocks of
-        # one kind, the base's normals and the six uniform blocks after.
-        ("S2xU1", ["normal", "random"] * 250)])
+    # 250 samples in stacks of 100, 100 and 50: one call per stack, on a box
+    # base, a sphere base and the Hopf bundle alike.
+    @pytest.mark.parametrize("scenario", ["R2xU1", "S2xU1", "hopf-perturbed"])
     def test_one_generator_call_per_uniform_stack(self, monkeypatch,
-                                                  scenario, calls):
+                                                  scenario):
         ctx = ScenarioContext(SCENARIOS[scenario])
         generators = []
         rng = ctx.rng
@@ -586,7 +569,22 @@ class TestDraws:
         monkeypatch.setattr(ctx, "rng", counting_rng)
         scenarios.run_check(ctx, 1, {"name": "discrete_axioms",
                                      "samples": 250})
-        assert [g.calls for g in generators] == [calls]
+        assert [g.calls for g in generators] == [["random"] * 3]
+
+    @pytest.mark.parametrize("scenario", ["S2xU1", "hopf-perturbed"])
+    def test_sample_is_replayed_from_its_offset(self, scenario):
+        # Sample i of a stack is the one-sample draw that follows the i * K
+        # values of the samples before it in a freshly re-keyed stream.
+        ctx = ScenarioContext(SCENARIOS[scenario])
+        draws = blocks(ctx, BLOCKS)
+        K = sum(np.size(low) for low, _ in draws)
+        stack = scenarios._draws(ctx.rng(4), 9, *draws)
+        for i in range(9):
+            rng = ctx.rng(4)
+            rng.random(i * K)
+            one = scenarios._draws(rng, 1, *draws)
+            assert all(np.array_equal(x[..., i], y[..., 0])
+                       for x, y in zip(stack, one))
 
     @pytest.mark.parametrize("box", [[[1.0, -1.0], [0.0, 1.0]],
                                      [[-1e308, 1e308], [0.0, 1.0]]])
