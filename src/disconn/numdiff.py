@@ -4,8 +4,9 @@ The numerical policy is one set of module constants.  All directional
 derivatives go through `richardson_derivative`: central differences with
 steps STEP and STEP / 2 plus one Richardson extrapolation step, about 1e-7
 relative on unit-scale smooth inputs.  All line integrals go through
-`gauss_legendre_line_integral`: QUADRATURE_PANELS panels of
-QUADRATURE_ORDER Gauss-Legendre nodes.
+`gauss_legendre_line_integral`: one panel of QUADRATURE_ORDER = 8
+Gauss-Legendre nodes, exact to degree 15, the cap `scenarios` puts on the
+terms of a polynomial one-form.
 
 Stacks.  Many points are evaluated in one call.  Points and tangents are
 then ``(d, *stack)`` arrays, coordinate axis first, and values are
@@ -52,7 +53,6 @@ STEP = 1e-4
 # `richardson_derivative` checks consistency.
 CONSISTENCY_TOL = 1e-5
 QUADRATURE_ORDER = 8
-QUADRATURE_PANELS = 16
 # The difference steps of `richardson_derivative`, in the order it reads them.
 _STENCIL = np.array([STEP, -STEP, STEP / 2, -STEP / 2])
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
@@ -120,23 +120,17 @@ def lost_step(m, directions):
 
 
 def gauss_legendre_line_integral(f, a, b):
-    """Integrate the vector-valued f over [a, b] by the composite rule.
+    """Integrate the vector-valued f over [a, b] by one Gauss-Legendre
+    panel of QUADRATURE_ORDER nodes.
 
     f is called once, with the vector of all nodes, and returns values
-    with the node axis last; a value without that axis is constant.  The
-    weighted values are summed one node after another in panel order, as a
-    loop over the nodes would.
+    with the node axis last.  The weighted values are summed one node after
+    another, as a loop over the nodes would.
     """
-    edges = np.linspace(a, b, QUADRATURE_PANELS + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * _NODES).ravel()
-    coeffs = (half[:, None] * _WEIGHTS).ravel()
-    values = np.asarray(f(x), dtype=float)
-    if values.shape[-1:] != x.shape:
-        values = values[..., None]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = np.asarray(f(mid + half * _NODES), dtype=float)
     # A sequential prefix sum, not the pairwise summation of np.sum.
-    return np.add.accumulate(coeffs * values, axis=-1)[..., -1]
+    return np.add.accumulate(half * _WEIGHTS * values, axis=-1)[..., -1]
 
 
 def _columns(a, b):

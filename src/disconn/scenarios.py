@@ -75,8 +75,8 @@ same_discrete_curvature two discretes, distinctness two and its "pair".
 One-form builtins: "zero", "x_dy", "y_dx", "closed_xy", "x_dy_plus_dx2",
 or {"name": "polynomial", "terms": [{"coeff": c, "powers": [...],
 "dx": j}, ...]} on d base coordinates, with c finite, at most d
-non-negative integer powers in float range and 0 <= j < d.  Pair-map
-builtins: "zero", "trapezoid_x_dy", "left_x_dy", or {"name":
+non-negative integer powers of total degree at most 15 and 0 <= j < d.
+Pair-map builtins: "zero", "trapezoid_x_dy", "left_x_dy", or {"name":
 "quadratic_f", "f": "zero" | "one"}, for (x1 - x0)^2 f with f = 0 or 1.
 Builtin objects take no other keys.
 """
@@ -96,7 +96,7 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
 from .bundles import BundlePoint, HopfBundle, TrivialBundle
 from .errors import ParseError
 from .manifolds import EuclideanChart, Sphere
-from .numdiff import _column_norm, worst_defect
+from .numdiff import QUADRATURE_ORDER, _column_norm, worst_defect
 
 
 # The stream of the flat and matched constructors' gate samples, outside
@@ -109,14 +109,15 @@ GATE_STREAM = 2 ** 64 - 1
 
 def _is_term(term, size):
     """A polynomial term on `size` coordinates: a finite coefficient, at
-    most `size` non-negative integer powers in float range and a
-    differential index."""
+    most `size` non-negative integer powers and a differential index.  Its
+    total degree is at most 2 * QUADRATURE_ORDER - 1, the degree to which
+    the one quadrature panel of a line integral is exact."""
     return (isinstance(term, dict) and set(term) == {"coeff", "powers", "dx"}
             and _is_number(term["coeff"])
             and isinstance(term["powers"], list)
             and len(term["powers"]) <= size
-            and all(_is_int(p) and p >= 0 and _is_number(p)
-                    for p in term["powers"])
+            and all(_is_int(p) and p >= 0 for p in term["powers"])
+            and sum(term["powers"]) < 2 * QUADRATURE_ORDER
             and _is_int(term["dx"]) and 0 <= term["dx"] < size)
 
 

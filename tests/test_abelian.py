@@ -22,7 +22,8 @@ from disconn.errors import (BundleMismatch, CurvatureMismatch, NotClosed,
                             UnsupportedGroup, UnsupportedPresentation)
 from disconn.groups import SO3, Translation
 from disconn.manifolds import EuclideanChart, Sphere
-from disconn.scenarios import ScenarioContext, load_scenario
+from disconn.scenarios import (ScenarioContext, load_scenario,
+                               one_form_builtin)
 
 
 def plane_bundle():
@@ -168,6 +169,20 @@ class TestIncrement:
         a, b, c = np.random.default_rng(8).uniform(-1.5, 1.5, (3, 2, 20))
         chain = increment(a, b) + increment(b, c)
         assert np.max(np.abs(chain - increment(a, c))) <= 1e-14
+
+    def test_exact_at_the_degree_cap(self):
+        # d(x^8 y^8) as polynomial terms of degree 15, the largest a
+        # scenario may give: one quadrature panel is exact on it, so the
+        # increment is the primitive's difference up to rounding.
+        B, _ = plane_bundle()
+        A = one_form_builtin({"name": "polynomial", "terms": [
+            {"coeff": 8, "powers": [7, 8], "dx": 0},
+            {"coeff": 8, "powers": [8, 7], "dx": 1}]}, B)
+        m0, m1 = np.random.default_rng(9).uniform(0.0, 1.0, (2, 2, 200))
+        want = m1[0] ** 8 * m1[1] ** 8 - m0[0] ** 8 * m0[1] ** 8
+        got = primitive_on_segments(A)(m0, m1)
+        assert got.shape == (1, 200)
+        assert np.max(np.abs(got[0] - want)) <= 1e-14
 
 
 class TestCurvatureMatched:

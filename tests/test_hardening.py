@@ -307,6 +307,7 @@ class TestMalformedInputExitsTwo:
         {"coeff": 1, "powers": [1, 0]},
         {"coeff": 1, "powers": [1, 0], "dx": 1, "axis": 0},
         {"coeff": 1, "powers": [10 ** 400, 0], "dx": 1},  # beyond float
+        {"coeff": 1, "powers": [8, 8], "dx": 0},  # degree 16, past the exact rule
     ])
     def test_malformed_polynomial_term(self, tmp_path, capsys, term):
         omega = {"name": "polynomial", "terms": [term]}

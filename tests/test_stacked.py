@@ -2,6 +2,8 @@
 over its columns, on the abelian route and for SO(3) forms alike, and a
 stack of tangents steps every retraction column by column."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,7 @@ from disconn.integration import (hopf_geodesic_retraction,
                                  trivial_product_retraction,
                                  trivial_skewed_retraction)
 from disconn.manifolds import EuclideanChart, Sphere, metric_exponential
-from disconn.numdiff import (QUADRATURE_ORDER, QUADRATURE_PANELS,
-                             exterior_derivative,
+from disconn.numdiff import (QUADRATURE_ORDER, exterior_derivative,
                              gauss_legendre_line_integral, lost_step,
                              richardson_derivative, worst_defect)
 from disconn.scenarios import _hopf_chart_retraction
@@ -81,16 +82,13 @@ def by_loop(fn, m, v):
 
 
 def reference_quadrature(f, a, b):
-    """Composite Gauss-Legendre as a loop over the nodes, one call each."""
+    """One Gauss-Legendre panel as a loop over the nodes, one call each."""
     nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
     total = None
-    edges = np.linspace(a, b, QUADRATURE_PANELS + 1)
-    for left, right in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        for t, w in zip(nodes, weights):
-            value = half * w * np.asarray(f(mid + half * t), dtype=float)
-            total = value if total is None else total + value
+    for t, w in zip(nodes, weights):
+        value = half * w * np.asarray(f(mid + half * t), dtype=float)
+        total = value if total is None else total + value
     return total
 
 
@@ -212,7 +210,7 @@ class TestQuadrature:
             return np.array([np.sin(3.0 * x), x ** 2 - x])
 
         got = gauss_legendre_line_integral(f, -0.3, 1.7)
-        assert calls == [(QUADRATURE_ORDER * QUADRATURE_PANELS,)]
+        assert calls == [(QUADRATURE_ORDER,)]
         want = reference_quadrature(f, -0.3, 1.7)
         assert np.array_equal(got, want)
 
@@ -229,17 +227,29 @@ class TestQuadrature:
                 gauss_legendre_line_integral(f, -0.3, 1.7), want)
 
     def test_exact_up_to_degree_15(self):
-        # Eight nodes per panel integrate each panel's degree-15 piece exactly.
+        # One panel of eight nodes integrates degree 2 * 8 - 1 exactly.
         got = gauss_legendre_line_integral(lambda x: x ** 15, -0.3, 1.7)
         want = (1.7 ** 16 - 0.3 ** 16) / 16.0
         assert got == pytest.approx(want, rel=1e-13)
 
-    def test_constant_lambda(self):
-        got = gauss_legendre_line_integral(lambda x: np.array([2.0, -1.0]),
-                                           0.0, 3.0)
+    def test_not_exact_at_degree_16(self):
+        # Exactness ends at degree 15, the cap on a scenario's polynomial
+        # terms: on x^16 the rule misses by its error term
+        # (b - a)^17 (8!)^4 16! / (17 (16!)^3), here 4.65e-5, far above
+        # rounding.
+        got = gauss_legendre_line_integral(lambda x: x ** 16, -0.3, 1.7)
+        want = (1.7 ** 17 + 0.3 ** 17) / 17.0
+        error = 2.0 ** 17 * math.factorial(8) ** 4 / (
+            17 * math.factorial(16) ** 2)
+        assert error > 1e-6
+        assert got == pytest.approx(want - error, rel=1e-13)
+
+    def test_constant_written_on_the_nodes(self):
+        # A constant entry is written on the nodes, as `numdiff` asks of
+        # every stacked value: the node axis is always last.
+        got = gauss_legendre_line_integral(
+            lambda x: np.array([2.0 + 0.0 * x, -1.0 + 0.0 * x]), 0.0, 3.0)
         assert np.allclose(got, [6.0, -3.0], rtol=0, atol=1e-13)
-        assert gauss_legendre_line_integral(lambda x: 0.5, 1.0, 3.0) \
-            == pytest.approx(1.0, abs=1e-14)
 
 
 class TestCurvatureMatchedPointwise:
