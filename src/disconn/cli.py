@@ -6,8 +6,7 @@
 Every setting of a run lives in the scenario file; the command line picks
 only the files and the report format.  `main` loads every file and
 builds every context before it runs any check, so a malformed file exits
-2 before any check runs; only whether a distinctness point lies on the
-sphere, or its fiber row is a rotation, is judged later.
+2 before any check runs.
 
 Exit codes: 0 when every check passes, 1 when a check fails, 2 on
 configuration or runtime errors, any exception a run raises included.

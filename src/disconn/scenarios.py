@@ -59,8 +59,8 @@ one of its checks reads, with a `ParseError`):
                                                    # base: pi/2 on spheres
       "checks": [{"name": key of CHECKS, "tolerance": float > 0,  # default 1e-8
                   "samples": int in [1, MAX_SAMPLES],
-                  "pair": [[x, ...], [x, ...]],  # distinctness only
-                  "fiber": [[g, ...], [g, ...]],
+                  "pair": [[x, ...], [x, ...]],  # these three on
+                  "fiber": [[g, ...], [g, ...]],  # distinctness only
                   "min_difference": float > 0}, ...]
     }
 
@@ -72,12 +72,16 @@ connection and a discrete; discrete_axioms, diagram, discrete_flatness,
 derived_curvature, uniqueness_pair a discrete; same_derived_curvature,
 same_discrete_curvature two discretes, distinctness two and its "pair".
 
-One-form builtins: "zero", "x_dy", "y_dx", "closed_xy", "x_dy_plus_dx2",
-or {"name": "polynomial", "terms": [{"coeff": c, "powers": [...],
-"dx": j}, ...]} on d base coordinates, with c finite, at most d
-non-negative integer powers of total degree at most 15 and 0 <= j < d.
-Pair-map builtins: "zero", "trapezoid_x_dy", "left_x_dy", or {"name":
-"quadratic_f", "f": "zero" | "one"}, for (x1 - x0)^2 f with f = 0 or 1.
+A builtin is a table of terms (c, p, r), c * prod x^p * prod y^r, on the
+blocks (x, y) = (m, v) of a one-form or (mid, delta) = (0.5 * (m0 + m1),
+m1 - m0) of a pair map, whose derived connection is its part linear in
+delta (trapezoid_x_dy is x_dy's table); one that reads more coordinates
+than the base has is rejected.  One-forms: "zero", "x_dy", "y_dx",
+"closed_xy", "x_dy_plus_dx2", or {"name": "polynomial", "terms": [{"coeff":
+c, "powers": p, "dx": j}, ...]}, the terms (c, p, e_j) on d coordinates:
+c finite, at most d non-negative integer powers of total degree at most
+15, 0 <= j < d.  Pair maps: "zero", "trapezoid_x_dy", "left_x_dy", or
+{"name": "quadratic_f", "f": "zero" | "one"}, delta_0^2 f with f = 0 or 1.
 Builtin objects take no other keys.
 """
 
@@ -121,103 +125,94 @@ def _is_term(term, size):
             and _is_int(term["dx"]) and 0 <= term["dx"] < size)
 
 
-def _polynomial_rule(terms, size):
-    _require(isinstance(terms, list)
-             and all(_is_term(t, size) for t in terms),
-             f"bad polynomial terms: {terms!r}")
-    terms = [(float(t["coeff"]), t["powers"], t["dx"]) for t in terms]
-
-    def rule(m, v):
-        total = 0.0
-        for coeff, powers, dx in terms:
-            mono = coeff
-            for x, p in zip(m, powers):
-                mono *= x ** p
-            total += mono * v[dx]
-        return total
-
-    return rule
+# The builtin tables (see the module docstring), on (m, v) for a one-form
+# and on (mid, delta) for a pair map; quadratic_f's by its f.
+_X_DY = [(1, [1], [0, 1])]
+_ONE_FORMS = {"zero": [], "x_dy": _X_DY, "y_dx": [(1, [0, 1], [1])],
+              "closed_xy": [(1, [0, 1], [1]), *_X_DY],
+              "x_dy_plus_dx2": [*_X_DY, (2, [1], [1])]}
+_PAIR_MAPS = {"zero": [], "trapezoid_x_dy": _X_DY,
+              "left_x_dy": [*_X_DY, (-0.5, [], [1, 1])]}
+_QUADRATIC_F = {"zero": [], "one": [(1, [], [2])]}
 
 
-_OMEGA_BUILTINS = {
-    "zero": lambda m, v: 0.0,
-    "x_dy": lambda m, v: m[0] * v[1],
-    "y_dx": lambda m, v: m[1] * v[0],
-    "closed_xy": lambda m, v: m[1] * v[0] + m[0] * v[1],
-    "x_dy_plus_dx2": lambda m, v: m[0] * v[1] + 2.0 * m[0] * v[0],
-}
+def _polynomial(table, size, name):
+    """The evaluator (x, y) -> sum of the table's terms, 0.0 for none, on
+    blocks of `size` coordinates.  A term keeps only the factors that cost
+    work: its coefficient unless it is 1, and each coordinate of non-zero
+    power, read as is at power 1."""
+    _require(all(len(p) <= size and len(r) <= size for _, p, r in table),
+             f"builtin {name!r} reads too many coordinates")
+    terms = []
+    for c, p, r in table:
+        factors = [(block, i, e) for block, powers in enumerate((p, r))
+                   for i, e in enumerate(powers) if e]
+        terms.append((None if c == 1 and factors else float(c), factors))
+
+    def evaluate(x, y):
+        blocks = (x, y)
+        total = None
+        for value, factors in terms:
+            for block, i, e in factors:
+                f = blocks[block][i] if e == 1 else blocks[block][i] ** e
+                value = f if value is None else value * f
+            total = value if total is None else total + value
+        return 0.0 if total is None else total
+
+    return evaluate
 
 
 def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
-    """Resolve a one-form builtin (string tag or polynomial table) to a
+    """Resolve a one-form builtin (a name or a polynomial object) to a
     local connection on the trivial bundle."""
     if isinstance(spec, str):
-        if spec not in _OMEGA_BUILTINS:
-            raise ParseError(f"unknown one-form builtin {spec!r}")
-        scalar = _OMEGA_BUILTINS[spec]
-        name = spec
+        _require(spec in _ONE_FORMS, f"unknown one-form builtin {spec!r}")
+        table, name = _ONE_FORMS[spec], spec
     elif isinstance(spec, dict) and spec.get("name") == "polynomial":
         _require_keys(spec, {"name", "terms"}, "polynomial")
-        scalar = _polynomial_rule(spec.get("terms"), bundle.base.coord_size)
+        terms = spec.get("terms")
+        _require(isinstance(terms, list)
+                 and all(_is_term(t, bundle.base.coord_size)
+                         for t in terms),
+                 f"bad polynomial terms: {terms!r}")
+        table = [(t["coeff"], t["powers"], [0] * t["dx"] + [1])
+                 for t in terms]
         name = "polynomial"
     else:
         raise ParseError(f"unknown one-form spec {spec!r}")
-    if bundle.group.dim != 1:
-        raise ParseError("builtin one-forms target one-dimensional algebras")
-    _probe(scalar, bundle.base.coord_size, name)
+    _require(bundle.group.dim == 1,
+             "builtin one-forms target one-dimensional algebras")
+    omega = _polynomial(table, bundle.base.coord_size, name)
     return connections.TrivialLocalConnection(
-        bundle, lambda m, v: np.array([scalar(m, v)]))
-
-
-_PAIR_MAP_BUILTINS = {
-    "zero": lambda m0, m1: 0.0,
-    "trapezoid_x_dy": lambda m0, m1: 0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1]),
-    "left_x_dy": lambda m0, m1: m0[0] * (m1[1] - m0[1]),
-}
-
-# The constant f of the quadratic_f pair map (x1 - x0)^2 f.
-_F_TABLES = {"zero": 0.0, "one": 1.0}
+        bundle, lambda m, v: np.array([omega(m, v)]))
 
 
 def pair_map_builtin(spec, bundle,
                      domain_radius) -> discrete.TrivialLocalDiscrete:
-    """Resolve a pair-map builtin (string tag or quadratic_f object) to a
+    """Resolve a pair-map builtin (a name or a quadratic_f object) to a
     local discrete connection on the trivial bundle."""
     if isinstance(spec, str):
-        if spec not in _PAIR_MAP_BUILTINS:
-            raise ParseError(f"unknown pair-map builtin {spec!r}")
-        rule = _PAIR_MAP_BUILTINS[spec]
-        name = spec
+        _require(spec in _PAIR_MAPS, f"unknown pair-map builtin {spec!r}")
+        table, name = _PAIR_MAPS[spec], spec
     elif isinstance(spec, dict) and spec.get("name") == "quadratic_f":
         _require_keys(spec, {"name", "f"}, "quadratic_f")
         f = spec.get("f")
-        _require(isinstance(f, str) and f in _F_TABLES,
+        _require(isinstance(f, str) and f in _QUADRATIC_F,
                  f"unknown f table {f!r}")
-        c = _F_TABLES[f]
-        rule = lambda m0, m1: (m1[0] - m0[0]) ** 2 * c
-        name = "quadratic_f"
+        table, name = _QUADRATIC_F[f], "quadratic_f"
     else:
         raise ParseError(f"unknown pair-map spec {spec!r}")
-    if bundle.group.dim != 1:
-        raise ParseError("builtin pair maps target one-dimensional groups")
-    _probe(rule, bundle.base.coord_size, name)
+    _require(bundle.group.dim == 1,
+             "builtin pair maps target one-dimensional groups")
+    rule = _polynomial(table, bundle.base.coord_size, name)
     return discrete.TrivialLocalDiscrete(
-        bundle, lambda m0, m1: np.array([rule(m0, m1)]), domain_radius,
-        name=name)
+        bundle, lambda m0, m1: np.array([rule(0.5 * (m0 + m1), m1 - m0)]),
+        domain_radius, name=name)
 
 
 def _require_keys(spec, allowed, what):
     unknown = set(spec) - allowed
     _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
-
-
-def _probe(rule, size, name):
-    """Evaluate a builtin once, so one reading too many coordinates fails."""
-    try:
-        rule(np.zeros(size), np.zeros(size))
-    except IndexError as exc:
-        raise ParseError(f"builtin {name!r} reads too many coordinates") \
-            from exc
 
 
 # ---------------------------------------------------------------------------
@@ -413,23 +408,36 @@ def load_scenario(path):
                               f"needs {' and '.join(missing)}")
         if check["name"] == "distinctness":
             _require_pair_rows(cfg["bundle"], check)
+        else:
+            stray = sorted(set(check) & {"pair", "fiber", "min_difference"})
+            _require(not stray, f"unknown scenario.checks[{i}] keys: "
+                                f"{stray} (only distinctness takes them)")
     return cfg
 
 
 def _require_pair_rows(spec, check):
-    """A distinctness entry's pair and fiber rows have the sizes of a base
-    point and a group element of a trivial bundle.  Whether a row lies on
-    the sphere, or is a rotation, is judged when the check builds the
-    points."""
+    """A distinctness entry's pair and fiber rows are two points of a
+    trivial bundle: of the right sizes, on the base and in the group."""
     _require(spec["kind"] == "trivial",
              "distinctness pair needs a trivial bundle")
     bundle = _build_bundle(spec)
     sizes = {"pair": bundle.base.coord_size,
              "fiber": np.size(bundle.group.identity())}
+    message = "distinctness pair is not a pair of points of the bundle"
     for key, size in sizes.items():
         _require(_is_rows(check.get(key, []), size=size),
-                 f"distinctness pair is not a pair of points of the "
-                 f"bundle: {key} rows must have length {size}")
+                 f"{message}: {key} rows must have length {size}")
+    try:
+        _pair_points(bundle, check)
+    except ValueError as exc:
+        raise ParseError(f"{message}: {exc}") from exc
+
+
+def _pair_points(bundle, check):
+    """The distinctness pair's two points, by default at the identity."""
+    fiber = check.get("fiber") or [bundle.group.identity()] * 2
+    return [BundlePoint.trivial(bundle, m, g)
+            for m, g in zip(check["pair"], fiber)]
 
 
 def _build_bundle(spec):
@@ -757,18 +765,9 @@ def check_derived_curvature(ctx, params, rng, n):
 
 
 def check_distinctness(ctx, params, rng, n):
-    Ad0, Ad1 = ctx.discretes[:2]
-    pair = params["pair"]
-    G = ctx.bundle.group
-    fiber = params.get("fiber") or [G.identity()] * 2
-    try:
-        q0, q1 = (BundlePoint.trivial(ctx.bundle, m, g)
-                  for m, g in zip(pair, fiber))
-    except ValueError as exc:
-        raise ParseError(f"distinctness pair is not a pair of points of "
-                         f"the bundle: {exc}") from exc
-    observed = G.distance(discrete.eval_discrete(Ad0, q0, q1),
-                          discrete.eval_discrete(Ad1, q0, q1))
+    q0, q1 = _pair_points(ctx.bundle, params)
+    observed = ctx.bundle.group.distance(
+        *(discrete.eval_discrete(Ad, q0, q1) for Ad in ctx.discretes[:2]))
     required = float(params.get("min_difference", 0.1))
     return worst_defect([required - observed])
 

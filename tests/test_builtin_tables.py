@@ -1,0 +1,136 @@
+"""The builtin tables against exact arithmetic.
+
+Every builtin is a polynomial table of terms (c, p, r), c * prod x^p *
+prod y^r: a one-form on (x, y) = (m, v), a pair map on (mid, delta) =
+((m0 + m1) / 2, m1 - m0).  At random float points, each table evaluated
+through `one_form_builtin` or `pair_map_builtin` agrees with the same
+table in `fractions.Fraction` arithmetic, from the exact float inputs,
+to within ERROR_EPS * eps * sum |term|.  The bound: mid and delta each
+round once, a term of at most two factors and a coefficient rounds at
+most twice more, and a sum of two terms once, so the error is at most
+4 units of roundoff (eps / 2) times the sum of the exact |term|, half
+the stated bound.  Each table also equals, exactly, the formula its name
+stands for, and each pair map's part linear in delta, its derived
+connection, is a one-form table.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from disconn import scenarios
+from disconn.bundles import TrivialBundle
+from disconn.groups import Translation
+from disconn.manifolds import EuclideanChart
+from disconn.scenarios import one_form_builtin, pair_map_builtin
+
+ERROR_EPS = 4
+POINTS = 200
+PLANE = TrivialBundle(EuclideanChart(2), Translation(1))
+
+# The formula each name stands for, on exact coordinates.
+ONE_FORMS = {
+    "zero": lambda m, v: 0,
+    "x_dy": lambda m, v: m[0] * v[1],
+    "y_dx": lambda m, v: m[1] * v[0],
+    "closed_xy": lambda m, v: m[1] * v[0] + m[0] * v[1],
+    "x_dy_plus_dx2": lambda m, v: m[0] * v[1] + 2 * m[0] * v[0],
+}
+PAIR_MAPS = {
+    "zero": lambda m0, m1: 0,
+    "trapezoid_x_dy": lambda m0, m1: (m0[0] + m1[0]) / 2 * (m1[1] - m0[1]),
+    "left_x_dy": lambda m0, m1: m0[0] * (m1[1] - m0[1]),
+    "quadratic_f zero": lambda m0, m1: 0,
+    "quadratic_f one": lambda m0, m1: (m1[0] - m0[0]) ** 2,
+}
+# The one-form table of each pair map's part linear in delta.
+DERIVED = {"zero": "zero", "trapezoid_x_dy": "x_dy", "left_x_dy": "x_dy",
+           "quadratic_f zero": "zero", "quadratic_f one": "zero"}
+
+
+def pair_map_tables():
+    """{name: (spec, table)} of every pair-map builtin, quadratic_f's by
+    its f."""
+    tables = {name: (name, table)
+              for name, table in scenarios._PAIR_MAPS.items()}
+    for f, table in scenarios._QUADRATIC_F.items():
+        tables[f"quadratic_f {f}"] = ({"name": "quadratic_f", "f": f}, table)
+    return tables
+
+
+def exact_terms(table, x, y):
+    """The terms of a table at exact blocks x, y, one list per point."""
+    return [[Fraction(c) * math.prod(xi ** e for xi, e in zip(x[:, k], p))
+             * math.prod(yi ** e for yi, e in zip(y[:, k], r))
+             for c, p, r in table] for k in range(x.shape[1])]
+
+
+def fractions(a):
+    return np.vectorize(Fraction, otypes=[object])(a)
+
+
+def points(seed):
+    """(2, POINTS) float stacks a and b: b is a + a step of size up to 1,
+    or in half the columns up to 1e-6, near the diagonal."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0, (2, POINTS))
+    scale = np.where(np.arange(POINTS) % 2 == 0, 1.0, 1e-6)
+    return a, a + scale * rng.uniform(-1.0, 1.0, (2, POINTS))
+
+
+def assert_within_bound(got, terms):
+    for value, exact in zip(got, terms):
+        bound = ERROR_EPS * np.finfo(float).eps * sum(map(abs, exact))
+        assert abs(Fraction(value) - sum(exact)) <= bound
+
+
+def linear_in_delta(table):
+    """The terms of degree 1 in the second block, trailing zero powers cut,
+    as a sorted list of (Fraction c, p, r)."""
+    def cut(powers):
+        powers = list(powers)
+        while powers and powers[-1] == 0:
+            powers.pop()
+        return tuple(powers)
+    return sorted((Fraction(c), cut(p), cut(r)) for c, p, r in table
+                  if sum(r) == 1)
+
+
+@pytest.mark.parametrize("name", sorted(scenarios._ONE_FORMS))
+def test_one_form_table(name):
+    table = scenarios._ONE_FORMS[name]
+    m, v = points(1)
+    got = one_form_builtin(name, PLANE).value(m, v)[0]
+    x, y = fractions(m), fractions(v)
+    terms = exact_terms(table, x, y)
+    assert_within_bound(got, terms)
+    assert [sum(t) for t in terms] == [
+        ONE_FORMS[name](x[:, k], y[:, k]) for k in range(POINTS)]
+
+
+@pytest.mark.parametrize("name", sorted(PAIR_MAPS))
+def test_pair_map_table(name):
+    spec, table = pair_map_tables()[name]
+    m0, m1 = points(2)
+    got = pair_map_builtin(spec, PLANE, 10.0).pair_map(m0, m1)[0]
+    x0, x1 = fractions(m0), fractions(m1)
+    terms = exact_terms(table, (x0 + x1) / 2, x1 - x0)
+    assert_within_bound(np.broadcast_to(got, (POINTS,)), terms)
+    assert [sum(t) for t in terms] == [
+        PAIR_MAPS[name](x0[:, k], x1[:, k]) for k in range(POINTS)]
+
+
+def test_every_pair_map_is_named():
+    assert set(pair_map_tables()) == set(PAIR_MAPS) == set(DERIVED)
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_connection_is_the_part_linear_in_delta(name):
+    # C(m, m) is the identity: no term is free of delta, so the derivative
+    # of C(m, m + t v) at t = 0 is the part linear in delta at (m, v).
+    _, table = pair_map_tables()[name]
+    assert all(sum(r) >= 1 for _, _, r in table)
+    assert linear_in_delta(table) == linear_in_delta(
+        scenarios._ONE_FORMS[DERIVED[name]])

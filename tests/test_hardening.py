@@ -287,6 +287,13 @@ class TestMalformedInputExitsTwo:
          "discrete": {"kind": "matched", "reference": {
              "kind": "matched", "reference": {
                  "kind": "local", "pair_map": "trapezoid_x_dy"}}}},
+        # The distinctness keys on another check, together and alone.
+        *({"connection": {"kind": "local", "omega": "x_dy"},
+           "checks": [{"name": "connection_axioms", **keys}]}
+          for keys in ({"pair": [[0, 0], [1, 1]], "fiber": [[0], [1]],
+                        "min_difference": 0.5},
+                       {"pair": [[0, 0], [1, 1]]}, {"fiber": [[0], [1]]},
+                       {"min_difference": 0.5})),
     ])
     def test_malformed_nested_config(self, tmp_path, capsys, extra):
         path = write_scenario(tmp_path, plane(**extra))

@@ -200,7 +200,7 @@ def test_every_scenario_input_is_exercised():
     kinds = {tag for fields in scenarios._SCHEMA.values()
              if "kind" in fields for tag in fields["kind"]}
     retractions = {tag for _, tag in scenarios._RETRACTIONS}
-    inputs = (set(scenarios._OMEGA_BUILTINS) | set(scenarios._PAIR_MAP_BUILTINS)
-              | set(scenarios._F_TABLES) | kinds | retractions
+    inputs = (set(scenarios._ONE_FORMS) | set(scenarios._PAIR_MAPS)
+              | set(scenarios._QUADRATIC_F) | kinds | retractions
               | set(scenarios.CHECKS))
     assert sorted(inputs - used) == []

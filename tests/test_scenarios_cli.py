@@ -104,9 +104,16 @@ class TestParsing:
              "pair": [[0.0, 0.0], [2.0, 0.0]]}]),
          r"distinctness pair is not a pair of points of the bundle: "
          r"pair rows must have length 1"),
+        # A pair point off the sphere is judged at load too.
+        (minimal(bundle={"kind": "trivial", "base": {"kind": "S2"},
+                         "group": {"kind": "U1"}},
+                 discrete=[{"kind": "local", "pair_map": "zero"}] * 2,
+                 checks=[{"name": "distinctness",
+                          "pair": [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}]),
+         r"distinctness pair is not a pair of points of the bundle: "),
     ], ids=["unknown_check", "unhashable_check", "unknown_builtin",
             "no_connection", "no_pair", "integrated_alone", "trivial_chart",
-            "hopf_skewed", "distinctness_pair_rows"])
+            "hopf_skewed", "distinctness_pair_rows", "pair_off_sphere"])
     def test_config_error_runs_no_check(self, tmp_path, capsys, monkeypatch,
                                         cfg, message):
         # A bundled file whose checks pass comes first: no check of any

@@ -4,6 +4,10 @@
 
     disconn verify-all scenarios --format json
 
+`tests/data/verify_all_negative.json` that of the negative controls,
+
+    disconn verify-all scenarios/negative --format json
+
 and `tests/data/workload_<name>.json` that of the benchmark workload
 `<name>` at seed 0, generated by `bench/workloads.py`.
 `tests/data/workload_digests.json` holds the sha256 of that output for
@@ -68,8 +72,8 @@ def workload_digests(directory):
     return digests
 
 
-def assert_verify_all_matches(capsys, directory, pinned):
-    assert main(["verify-all", str(directory), "--format", "json"]) == 0
+def assert_verify_all_matches(capsys, directory, pinned, code=0):
+    assert main(["verify-all", str(directory), "--format", "json"]) == code
     assert_output_matches(capsys.readouterr().out, pinned)
 
 
@@ -84,6 +88,12 @@ def assert_output_matches(got, pinned):
 def test_verify_all_scenarios_json_is_unchanged(capsys):
     assert_verify_all_matches(capsys, ROOT / "scenarios",
                               DATA / "verify_all_scenarios.json")
+
+
+def test_verify_all_negative_json_is_unchanged(capsys):
+    # Every negative control FAILs, so verify-all exits 1.
+    assert_verify_all_matches(capsys, ROOT / "scenarios" / "negative",
+                              DATA / "verify_all_negative.json", code=1)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
