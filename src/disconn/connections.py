@@ -26,8 +26,10 @@ Presentations:
 
 `eval_connection` and `horizontal_lift` take stacks (see `numdiff`): a
 point and its tangents share one stack, or the point's stack is a prefix
-of the tangents' and broadcasts over them, as in `bundles`.  The axiom
-defects take stacks too and give one defect per column.
+of the tangents' and broadcasts over them, as in `bundles`.
+`horizontal_lifts` gives the lift at a point, or at each point of a
+stack, as one matrix: the lifts of the base coordinate vectors.  The
+axiom defects take stacks too and give one defect per column.
 """
 
 from __future__ import annotations
@@ -112,6 +114,21 @@ def horizontal_lift(A: ConnectionForm, q: BundlePoint,
     some = bundles.any_lift(q, delta_m)
     xi = eval_connection(A, q, some)
     return some - bundles.infinitesimal_generator(q, xi)
+
+
+def horizontal_lifts(A: ConnectionForm, q: BundlePoint) -> np.ndarray:
+    """The horizontal lifts at q of the k base coordinate vectors, as the
+    columns of a (d, k, *stack) matrix L at a stack of points: one
+    `horizontal_lift` call on a k-column stack.  The lift is linear in the
+    base direction, so `numdiff._matvec(L, u)` is the lift of u, to
+    rounding when A is linear in the tangent (local one-forms, Hopf)."""
+    k = A.bundle.base.coord_size
+    point = q.base_point if isinstance(q.bundle, TrivialBundle) else q.ambient
+    # The coordinate vectors on a trailing axis, after the points' stack.
+    stack = point.shape[1:]
+    E = np.broadcast_to(np.eye(k).reshape((k,) + (1,) * len(stack) + (k,)),
+                        (k,) + stack + (k,))
+    return np.moveaxis(horizontal_lift(A, q, E), -1, 1)
 
 
 def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:

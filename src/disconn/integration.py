@@ -2,11 +2,15 @@
 
 Given a connection A and a group-equivariant retraction R on the total
 space, the induced discrete connection on a pair (q0, q1) is computed in
-three steps: invert the reduced retraction on the base to find the base
+three steps: invert the reduced retraction at q0 to find the base
 direction from phi(q0) to phi(q1), lift it horizontally and retract to get
 the horizontal representative over phi(q1), then read off the fiber
 translation carrying that representative to q1.  Differentiating the
-result recovers A.
+result recovers A.  The horizontal lift is linear in the base direction,
+so each evaluation builds it once, as the matrix L of the lifts of the
+base coordinate vectors at q0 (`connections.horizontal_lifts`): the
+reduced retraction steps u -> phi(R_q0(L u)), and the rule retracts L
+times the solved direction.
 
 A bundle retraction is a `manifolds.Retraction` whose space is the
 bundle: its step maps a `BundlePoint` and tangent components to a
@@ -18,9 +22,11 @@ connection is defined on pairs closer than ``domain_radius`` on the base.
 Every step takes a point with a ``(d, *stack)`` stack of tangents (see
 `numdiff`) and steps each column on its own; the point is one point, or a
 stack of points whose stack is a prefix of the tangents' and broadcasts
-over them.  So do the reduced retraction, whose stacks
-`manifolds.invert_extended` solves in one Newton solve with one anchor per
-column, and the induced discrete connection, which takes stacks of pairs.
+over them.  So does the reduced retraction, anchored at a stack of fiber
+points: `manifolds.invert_extended` solves it in one Newton solve with
+one chart per anchor, each anchor serving its own targets.  The induced
+discrete connection takes stacks of pairs, the stack of q0 a prefix of
+the stack of q1.
 """
 
 from __future__ import annotations
@@ -31,11 +37,11 @@ import numpy as np
 
 from . import bundles, manifolds
 from .bundles import BundlePoint, HopfBundle, TrivialBundle
-from .connections import ConnectionForm, eval_connection, horizontal_lift
+from .connections import ConnectionForm, eval_connection, horizontal_lifts
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch
 from .manifolds import Retraction
-from .numdiff import _column_dot, _column_norm, _columns
+from .numdiff import _column_dot, _column_norm, _columns, _matvec
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +147,29 @@ def equivariance_defect(R: Retraction, g, q: BundlePoint, v):
 # ---------------------------------------------------------------------------
 # Reduced retraction and integration
 
-def reduced_retraction(A: ConnectionForm, R: Retraction) -> Retraction:
-    """Base retraction phi(R(horizontal lift)), independent of the fiber
-    point by equivariance of A and R.  Its radius is capped at the base's
-    default: on Hopf, horizontal great circles of S^3 project onto base
-    geodesics at twice the speed."""
-    if A.bundle != R.space:
-        raise BundleMismatch("connection and retraction bundles differ")
-    bundle = A.bundle
-    base_kind = bundle.base
-    domain_radius = min(R.domain_radius, base_kind.default_radius)
+def reduced_retraction(R: Retraction, q: BundlePoint, L) -> Retraction:
+    """The base retraction u -> phi(R_q(L u)) at the fiber point q, with L
+    the matrix of horizontal lifts at q (`connections.horizontal_lifts`).
 
-    def step(m, components):
-        q = bundles.section_over(bundle, m)
-        h = horizontal_lift(A, q, base_kind.project_tangent(m, components))
-        return bundles.project(R.step(q, h))
+    Its step is valid at project(q) only: it ignores the base point it is
+    given and steps every tangent from q (from each point of a stack of
+    points, the stack a prefix of the tangents').  By equivariance of the
+    connection and of R it does not depend on the point q of its fiber.
+    L u is the horizontal lift of u to rounding for every presentation a
+    scenario integrates, the local one-forms and the Hopf connections; for
+    a `GenericConnection`, derived by Richardson differences, it is the
+    lift only to the accuracy of those differences.  The radius is capped
+    at the base's default: on Hopf, horizontal great circles of S^3
+    project onto base geodesics at twice the speed."""
+    if q.bundle != R.space:
+        raise BundleMismatch("point does not live on the retraction's bundle")
+    base_kind = q.bundle.base
 
-    return Retraction(base_kind, step, domain_radius)
+    def step(m, u):
+        return bundles.project(R.step(q, _matvec(L, u)))
+
+    return Retraction(base_kind, step,
+                      min(R.domain_radius, base_kind.default_radius))
 
 
 def integrate_connection(A: ConnectionForm, R: Retraction,
@@ -166,14 +178,13 @@ def integrate_connection(A: ConnectionForm, R: Retraction,
     pairs closer than domain_radius on the base."""
     if A.bundle != R.space:
         raise BundleMismatch("connection and retraction bundles differ")
-    bundle = A.bundle
-    reduced = reduced_retraction(A, R)
 
     def rule(q0, q1):
-        m0, m1 = bundles.project(q0), bundles.project(q1)
-        delta = manifolds.invert_extended(reduced, m0, m1)
-        h = horizontal_lift(A, q0, delta)
-        q_h = retract_bundle(R, q0, h)
+        L = horizontal_lifts(A, q0)
+        delta = manifolds.invert_extended(reduced_retraction(R, q0, L),
+                                          bundles.project(q0),
+                                          bundles.project(q1))
+        q_h = retract_bundle(R, q0, _matvec(L, delta))
         return bundles.fiber_translation(q_h, q1)
 
-    return ComposedDiscrete(bundle, rule, domain_radius, name="integrated")
+    return ComposedDiscrete(A.bundle, rule, domain_radius, name="integrated")

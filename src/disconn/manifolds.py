@@ -32,23 +32,24 @@ gets the bits of its column.
 Local inversion of the extended retraction runs a Newton iteration in the
 normal chart centered at the anchor point: a point's chart coordinates are
 its geodesic log in an orthonormal tangent basis (the closed-form log on
-spheres, a shift on R^d).  `ManifoldKind.chart_at` builds the chart once
-per solve, with one Householder reflection per anchor on a sphere, and
-applies each basis by the coordinate sums of `numdiff._matvec`; a stack
-of anchors is a stack of bases, each applied to its own columns.
-Every retraction is the identity to first order (DR_x(0) = id), so Newton
-starts at the target's chart coordinates: exact for
-``metric_exponential``, first-order accurate for every other rule.
-`invert_extended` solves a stack of targets together, from one anchor or
-from a stack of anchors that broadcasts over the targets, and the stack
-stays whole until every column has converged.  A column whose residual is
-<= NEWTON_TOL keeps its chart coordinates from then on, so every later
-residual gives it the same tangent: the bits of its single solve.  Each
-iteration makes one step call for the residuals of all columns, one step
-call for the 2n central-difference probes of all their Jacobians, each
-probe at its column's anchor, and one stacked linear solve.  A target
-outside the domain, an antipodal one or a column that does not converge
-within NEWTON_MAX_ITER fails the whole solve.
+spheres, a shift on R^d).  Every retraction is the identity to first
+order (DR_x(0) = id), so Newton starts at the target's chart coordinates:
+exact for ``metric_exponential``, first-order accurate for every other
+rule.  `invert_extended` solves a stack of targets together, from one
+anchor or from a stack of anchors whose stack is a prefix of the
+targets'.  The anchors are never copied to the targets' columns:
+`ManifoldKind.chart_at` builds one chart per distinct anchor, once per
+solve (one Householder reflection each on a sphere, applied by the
+coordinate sums of `numdiff._matvec`), and the step is called with the
+anchors as given.  The stack stays whole until every column has
+converged.  A column whose residual is <= NEWTON_TOL keeps its chart
+coordinates from then on, so every later residual gives it the same
+tangent: the bits of its single solve.  Each iteration makes one step
+call for the residuals of all columns, one step call for the 2n
+central-difference probes of all their Jacobians, on a trailing probe
+axis, and one stacked linear solve.  A target outside the domain, an
+antipodal one or a column that does not converge within NEWTON_MAX_ITER
+fails the whole solve.
 """
 
 from __future__ import annotations
@@ -265,26 +266,18 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     """Components of the tangent v at x with retract(R, x, v) = y, by
     Newton in a chart.  y is one point or a (d, *stack) stack of targets,
     solved together; x is one anchor for all of them, or a stack of anchors
-    whose stack is a prefix of the targets' and which broadcasts over them
-    (`numdiff._columns`).  The result has the shape of y.
+    whose stack is a prefix of the targets' (`numdiff._columns`), so that
+    each anchor serves the targets of its own columns.  The result has the
+    shape of y.
 
-    A column keeps its chart coordinates from its first residual
+    One chart per anchor is built once, and the step is called with x as
+    given.  A column keeps its chart coordinates from its first residual
     <= NEWTON_TOL on, while the others iterate.  In each iteration the 2n
     difference probes of the Jacobians of all columns go through one step
-    call, each probe at its column's anchor, and one stacked linear solve
-    updates the columns not yet converged."""
+    call, on a trailing probe axis, and one stacked linear solve updates
+    the columns not yet converged."""
     kind = R.space
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    # One target is solved as an (n,) vector, a stack as (n, k) columns:
-    # solved as an (n, 1) stack, a one-pair integrated evaluation takes
-    # about 1.2 times as long on the Hopf bundle and 1.6 times on R^2 x U(1).
-    # A stack of anchors gets one anchor per target column.
-    stack = y.shape[1:]
-    if x.ndim > 1:
-        x = np.broadcast_to(_columns(x, y)[0], y.shape)
-    if len(stack) > 1:
-        y = y.reshape(y.shape[0], -1)
-        x = x.reshape(x.shape[0], -1) if x.ndim > 1 else x
     if _largest(kind.distance(x, y)) >= R.domain_radius / 2.0:
         raise OutsideDomain("target too far from the anchor point")
 
@@ -304,22 +297,22 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
         r = r - target
         norms = _column_norm(r)
         if _largest(norms) <= NEWTON_TOL:
-            return v.reshape(v.shape[:1] + stack)
-        # The probes c +- h e_j of every column, laid out (n, columns, 2n).
-        columns, residuals = c.reshape(n, -1), r.reshape(n, -1)
-        offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1)[:, None]
-        h = 1e-7 * (1.0 + _column_norm(columns))
-        probes = columns[:, :, None] + h[:, None] * offsets
-        rp = step_chart(probes)[1] - target.reshape(n, -1)[:, :, None]
-        J = (rp[:, :, :n] - rp[:, :, n:]) / (2.0 * h[:, None])
+            return v
+        # The probes c +- h e_j of every column, laid out (n, *stack, 2n).
+        offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1)
+        h = (1e-7 * (1.0 + _column_norm(c)))[..., None]
+        probes = c[..., None] + h * offsets.reshape(
+            (n,) + (1,) * (c.ndim - 1) + (2 * n,))
+        rp = step_chart(probes)[1] - target[..., None]
+        J = (rp[..., :n] - rp[..., n:]) / (2.0 * h)
         try:
-            step = np.linalg.solve(J.transpose(1, 0, 2),
-                                   residuals.T[:, :, None])
+            step = np.linalg.solve(np.moveaxis(J, 0, -2),
+                                   np.moveaxis(r, 0, -1)[..., None])
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence("singular Jacobian") from exc
         # A converged column keeps its c; a NaN residual iterates on.
         c = np.where(norms <= NEWTON_TOL, c,
-                     c - step[:, :, 0].T.reshape(c.shape))
+                     c - np.moveaxis(step[..., 0], -1, 0))
     residual = np.max(_column_norm(step_chart(c)[1] - target))
     raise NewtonDivergence(
         f"residual {residual:.3e} > {NEWTON_TOL:.1e} "

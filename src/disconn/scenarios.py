@@ -670,12 +670,14 @@ def check_discrete_axioms(ctx, params, rng, n):
 
 
 def check_retraction_axioms(ctx, params, rng, n):
-    if ctx.connection is not None:
-        rule = integration.reduced_retraction(ctx.connection, ctx.retraction)
-    else:
-        rule = manifolds.metric_exponential(ctx.bundle.base)
     m, v = _draws(rng, n, ctx.draw_base(), ctx.draw_base_tangent())
     m = ctx.base_points(m)
+    if ctx.connection is not None:
+        q = bundles.section_over(ctx.bundle, m)
+        rule = integration.reduced_retraction(
+            ctx.retraction, q, connections.horizontal_lifts(ctx.connection, q))
+    else:
+        rule = manifolds.metric_exponential(ctx.bundle.base)
     v = ctx.bundle.base.project_tangent(m, v)
     norm = _column_norm(v)
     cap = 0.2 * min(rule.domain_radius, 2.0)

@@ -13,15 +13,21 @@ One call per pair made 3 solves for discrete_axioms, and one per sample
 made 24.
 
 `eval_connection` and `retract_bundle` are counted at every call, nested
-ones included.  On hopf-newton, over the two scenarios, connection_axioms
-evaluates the connection 6 times (A at the generator, at g . v and at v,
-per scenario); the integrated form's solves and rules evaluate it 10
-times in discrete_axioms, 10 in derive_roundtrip (with the 2 direct
-evaluations per scenario) and 8 in lift_roundtrip, and they retract 2, 2
-and 2 times; retraction_equivariance retracts 4 times (R(g . v) and R(v)
-per scenario).  One call per pair made 48 `eval_connection` and 14
-`retract_bundle` calls.  hopf-newton takes no exterior derivative and no
-line integral.
+ones included.  An integrated evaluation lifts once: it builds the matrix
+of horizontal lifts at its anchors with one `eval_connection` call, and
+both the reduced retraction and the rule apply that matrix.  On
+hopf-newton, over the two scenarios, connection_axioms evaluates the
+connection 6 times (A at the generator, at g . v and at v, per
+scenario); the integrated form evaluates it 2 times in discrete_axioms,
+6 in derive_roundtrip (with the 2 direct evaluations per scenario) and 4
+in lift_roundtrip (with the 1 direct horizontal lift per scenario), and
+it retracts 2, 2 and 2 times; retraction_equivariance retracts 4 times
+(R(g . v) and R(v) per scenario).  A lift inside every reduced step and
+one more after each solve made 34 `eval_connection` calls; one call per
+pair had made 48 `eval_connection` and 14 `retract_bundle` calls.  On breadth the 14
+solves and the reduced retraction of S2 x U(1)'s retraction_axioms
+evaluate the connection once each, where they made 61 calls in all
+before.  hopf-newton takes no exterior derivative and no line integral.
 
 On matched-deep, a curvature-matched evaluation integrates the end points
 m1 and m0 of its pairs in one line integral, whose integrand, the
@@ -44,13 +50,31 @@ integral) and 4 in same_derived_curvature (2 for each derived form, with
 2 `eval_discrete` calls): 23 Richardson calls, 24 `eval_discrete` calls
 and 4 line integrals in all.  One Richardson call per slope doubled
 these and made 31, 27 and 5.
+
+The steps of the reduced retraction are counted as `bench/tracer.py`
+counts Newton residuals: wrapping the step of every
+`integration.reduced_retraction` result.  On hopf-newton the 3 canonical
+solves return at their first residual, and the 3 perturbed ones take 7
+steps (4 residuals and 3 probe calls) in discrete_axioms and 3 in each
+of derive_roundtrip and lift_roundtrip: 16.  On breadth the 14 solves
+return at their first residual, and retraction_axioms on S2 x U(1)
+steps twice: 16.
+
+A Newton solve builds one chart per anchor, and an anchor serves its
+four stencil targets, so `Sphere.tangent_basis` builds, per Hopf
+scenario, 24 bases in discrete_axioms (8 samples, 3 joined pairs) and 8
+in each of derive_roundtrip and lift_roundtrip: 80 in all.  One anchor
+per target column made 176, 32 per stencil check.  On breadth the S2 x
+U(1) discrete_axioms solve builds 12.
 """
 
+import dataclasses
 import importlib.util
 import pkgutil
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import disconn
@@ -94,6 +118,21 @@ def counts(monkeypatch):
                          (numdiff, "gauss_legendre_line_integral")):
         original = getattr(module, name)
         rebind_everywhere(monkeypatch, original, counting(name, original))
+
+    reduced = integration.reduced_retraction
+
+    def counting_reduced(*args):
+        R = reduced(*args)
+        return dataclasses.replace(R, step=counting("reduced_step", R.step))
+
+    rebind_everywhere(monkeypatch, reduced, counting_reduced)
+    basis = manifolds.Sphere.tangent_basis
+
+    def counting_basis(self, center):
+        counter["tangent_basis"] += int(np.prod(np.shape(center)[1:]))
+        return basis(self, center)
+
+    monkeypatch.setattr(manifolds.Sphere, "tangent_basis", counting_basis)
     return counter
 
 
@@ -103,11 +142,13 @@ COUNTS = {
                      "eval_connection": 2},
     "hopf-newton": {"invert_extended": 6, "eval_discrete": 6,
                     "richardson_derivative": 4, "f": 4,
-                    "eval_connection": 34, "retract_bundle": 10},
+                    "eval_connection": 18, "retract_bundle": 10,
+                    "reduced_step": 16, "tangent_basis": 80},
     "breadth": {"invert_extended": 14, "eval_discrete": 24,
                 "richardson_derivative": 23, "f": 23,
                 "gauss_legendre_line_integral": 4,
-                "eval_connection": 61, "retract_bundle": 18},
+                "eval_connection": 46, "retract_bundle": 18,
+                "reduced_step": 16, "tangent_basis": 12},
 }
 
 

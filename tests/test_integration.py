@@ -7,20 +7,22 @@ from disconn import bundles, connections
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              make_trivial_tangent)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
-                                 eval_connection, horizontal_lift)
+                                 eval_connection, horizontal_lift,
+                                 horizontal_lifts)
 from disconn.derivation import derive_connection
 from disconn.discrete import axiom_defects, eval_discrete
 from disconn.errors import BundleMismatch, OutsideDomain
-from disconn.groups import Torus, Translation
+from disconn.groups import SO3, Torus, Translation
 from disconn.integration import (build_invariant_metric, equivariance_defect,
                                  hopf_geodesic_retraction,
                                  integrate_connection, metric_invariance_defect,
                                  reduced_retraction, retract_bundle,
                                  trivial_product_retraction,
                                  trivial_skewed_retraction)
-from disconn.manifolds import (EuclideanChart, Sphere, metric_exponential,
-                               retract)
-from disconn.scenarios import ScenarioContext
+from disconn.manifolds import (EuclideanChart, Retraction, Sphere,
+                               invert_extended, metric_exponential, retract)
+from disconn.numdiff import _column_norm, _matvec
+from disconn.scenarios import ScenarioContext, one_form_builtin
 
 
 def x_dy_setup(group=None):
@@ -160,13 +162,19 @@ class TestRetractions:
         assert abs(np.linalg.norm(out.ambient) - 1.0) <= 1e-14
 
 
+def reduced_at(A, R, q):
+    """The reduced retraction of A and R at the fiber point q."""
+    return reduced_retraction(R, q, horizontal_lifts(A, q))
+
+
 class TestReducedRetraction:
     def test_trivial_reduction_is_base_rule(self):
         # With the product retraction the reduced map is just the base
-        # exponential, whatever the connection.
+        # exponential, whatever the connection and the fiber point.
         B, A, _ = x_dy_setup()
-        red = reduced_retraction(A, trivial_product_retraction(B))
-        out = red.step(np.array([1.0, 2.0]), np.array([0.5, -1.0]))
+        q = BundlePoint.trivial(B, [1.0, 2.0], [0.7])
+        red = reduced_at(A, trivial_product_retraction(B), q)
+        out = red.step(q.base_point, np.array([0.5, -1.0]))
         assert np.allclose(out, [1.5, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("bundle, retraction, radius", [
@@ -187,7 +195,10 @@ class TestReducedRetraction:
             "connection": ({"kind": "hopf_canonical"} if hopf else
                            {"kind": "local", "omega": "x_dy"}),
             "integrator": {"retraction": retraction}})
-        R = reduced_retraction(ctx.connection, ctx.retraction)
+        base = ctx.bundle.base
+        m = np.eye(base.coord_size)[-1]
+        R = reduced_at(ctx.connection, ctx.retraction,
+                       bundles.section_over(ctx.bundle, m))
         assert R.domain_radius == radius
 
     def test_hopf_reduction_moves_base_isometrically(self):
@@ -196,11 +207,152 @@ class TestReducedRetraction:
         # the base by exactly t along a geodesic.
         H = HopfBundle()
         A = HopfConnection(H)
-        red = reduced_retraction(A, hopf_geodesic_retraction(H))
         m = np.array([0.0, 0.0, 1.0])
+        red = reduced_at(A, hopf_geodesic_retraction(H),
+                         bundles.section_over(H, m))
         t = 0.3
         out = red.step(m, np.array([t, 0.0, 0.0]))
         assert Sphere(3).distance(m, out) == pytest.approx(t, abs=1e-12)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1])
+    def test_hopf_reduction_does_not_depend_on_the_fiber_point(self, epsilon):
+        # By equivariance of A and R, the step at g . q is the step at q.
+        H = HopfBundle()
+        A = HopfConnection(H, epsilon)
+        R = hopf_geodesic_retraction(H)
+        rng = np.random.default_rng(113)
+        for _ in range(10):
+            m = rng.normal(size=3)
+            m /= np.linalg.norm(m)
+            q = bundles.section_over(H, m)
+            u = 0.4 * Sphere(3).project_tangent(m, rng.normal(size=3))
+            g = H.group.wrap(rng.uniform(-3, 3, 1))
+            moved = reduced_at(A, R, bundles.act(g, q)).step(m, u)
+            assert np.max(np.abs(moved - reduced_at(A, R, q).step(m, u))) \
+                <= 1e-15
+
+    def test_a_point_of_another_bundle_is_rejected(self):
+        B, A, _ = x_dy_setup()
+        H = HopfBundle()
+        q = bundles.section_over(H, np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(BundleMismatch):
+            reduced_retraction(trivial_product_retraction(B), q,
+                               horizontal_lifts(HopfConnection(H), q))
+
+
+def so3_local(B):
+    # A non-abelian one-form, linear in the tangent, on the whole stack.
+    return TrivialLocalConnection(B, lambda m, v: SO3().adjoint(
+        SO3().exp([m[1], m[2], m[0]]),
+        [v[0] + m[2] * v[1], v[1] - m[0] * v[2], 0.5 * v[2]]))
+
+
+# (connection, bundle retraction): local one-forms on every trivial family
+# a scenario integrates, and both Hopf connections.
+LIFT_CASES = {
+    "R2xU1": (lambda: one_form_builtin(
+        "x_dy", TrivialBundle(EuclideanChart(2), Torus(1))),
+        trivial_product_retraction),
+    "R2xT1": (lambda: one_form_builtin(
+        "closed_xy", TrivialBundle(EuclideanChart(2), Torus(1))),
+        trivial_skewed_retraction),
+    "R2xR": (lambda: one_form_builtin(
+        "x_dy_plus_dx2", TrivialBundle(EuclideanChart(2), Translation(1))),
+        trivial_product_retraction),
+    "S2xU1": (lambda: one_form_builtin(
+        "x_dy", TrivialBundle(Sphere(3), Torus(1))),
+        trivial_product_retraction),
+    "R3xSO3": (lambda: so3_local(TrivialBundle(EuclideanChart(3), SO3())),
+               trivial_product_retraction),
+    "hopf_canonical": (lambda: HopfConnection(HopfBundle()),
+                       hopf_geodesic_retraction),
+    "hopf_perturbed": (lambda: HopfConnection(HopfBundle(), 0.1),
+                       hopf_geodesic_retraction),
+}
+# L u against the lift of u, in ulps of the lift's norm; 2 is the largest
+# gap seen over 200 columns of each case.
+LIFT_ULPS = 4
+
+
+def random_points(rng, A, n):
+    """n points of A's bundle as one stack, anywhere in their fibers, and
+    their base points."""
+    B = A.bundle
+    if isinstance(B.base, Sphere):
+        m = rng.normal(size=(3, n))
+        m /= np.linalg.norm(m, axis=0)
+    else:
+        m = rng.uniform(-1.0, 1.0, (B.base.dim, n))
+    g = B.group.exp(rng.uniform(-1.0, 1.0, (B.group.dim, n)))
+    return bundles.act(g, bundles.section_over(B, m)), m
+
+
+def column(q, i):
+    """Point i of a stack of points."""
+    fields = ({"base_point": q.base_point[:, i],
+               "group_part": q.group_part[..., i]}
+              if isinstance(q.bundle, TrivialBundle)
+              else {"ambient": q.ambient[:, i]})
+    return BundlePoint(q.bundle, **fields)
+
+
+def reference_rule(A, R, q0, q1):
+    """The integrated rule that lifts inside every reduced step, at the
+    section over its base point, and once more after the solve."""
+    bundle, base = A.bundle, A.bundle.base
+
+    def step(m, components):
+        q = bundles.section_over(bundle, m)
+        h = horizontal_lift(A, q, base.project_tangent(m, components))
+        return bundles.project(R.step(q, h))
+
+    reduced = Retraction(base, step,
+                         min(R.domain_radius, base.default_radius))
+    m0, m1 = bundles.project(q0), bundles.project(q1)
+    delta = invert_extended(reduced, m0, m1)
+    return bundles.fiber_translation(
+        retract_bundle(R, q0, horizontal_lift(A, q0, delta)), q1)
+
+
+class TestLiftMatrix:
+    @pytest.mark.parametrize("name", sorted(LIFT_CASES))
+    def test_lift_matrix_applies_the_horizontal_lift(self, name):
+        A = LIFT_CASES[name][0]()
+        base = A.bundle.base
+        rng = np.random.default_rng(127)
+        q, m = random_points(rng, A, 50)
+        u = base.project_tangent(m, rng.uniform(-1.0, 1.0,
+                                                (base.coord_size, 50)))
+        L = horizontal_lifts(A, q)
+        lift = horizontal_lift(A, q, u)
+        assert L.shape == (len(lift), base.coord_size, 50)
+        gap = np.abs(_matvec(L, u) - lift)
+        assert np.all(gap <= LIFT_ULPS * np.spacing(_column_norm(lift)))
+        for i in range(0, 50, 7):
+            single = horizontal_lifts(A, column(q, i))
+            assert np.array_equal(single, L[..., i])
+            gap = np.abs(_matvec(single, u[:, i]) - lift[:, i])
+            assert np.all(gap <= LIFT_ULPS * np.spacing(
+                _column_norm(lift[:, i])))
+
+    @pytest.mark.parametrize("name", sorted(LIFT_CASES))
+    def test_integrated_rule_matches_the_lift_per_step(self, name):
+        make, retraction = LIFT_CASES[name]
+        A = make()
+        R = retraction(A.bundle)
+        base = A.bundle.base
+        rng = np.random.default_rng(131)
+        q0, m = random_points(rng, A, 20)
+        v = base.project_tangent(m, rng.uniform(-1.0, 1.0,
+                                                (base.coord_size, 20)))
+        m1 = base.geodesic_step(m, 0.3 * v / np.maximum(_column_norm(v), 1.0))
+        g1 = A.bundle.group.exp(rng.uniform(-1.0, 1.0, (A.bundle.group.dim,
+                                                       20)))
+        q1 = bundles.act(g1, bundles.section_over(A.bundle, m1))
+        Ad = integrate_connection(A, R, 1.0)
+        got = eval_discrete(Ad, q0, q1)
+        want = reference_rule(A, R, q0, q1)
+        assert np.max(A.bundle.group.distance(got, want)) <= 1e-14
 
 
 class TestIntegration:

@@ -1,5 +1,7 @@
 """Newton in the normal chart, one chart per solve (one per anchor of a
-stack of anchors), and the closed-form Hopf horizontal lift."""
+stack of anchors, each anchor serving its own targets), the reduced
+retraction anchored at a fiber point, and the closed-form Hopf
+horizontal lift."""
 
 import dataclasses
 import functools
@@ -11,9 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
-                             any_lift, hopf_projection_coords)
+                             any_lift, hopf_projection_coords, section_over)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
-                                 eval_connection)
+                                 eval_connection, horizontal_lifts)
 from disconn.errors import NewtonDivergence, OutsideDomain
 from disconn.groups import Torus
 from disconn.integration import (hopf_geodesic_retraction, reduced_retraction,
@@ -71,9 +73,13 @@ class TestChartAt:
                                   explicit_from_chart(kind, x, c))
 
 
-def hopf_reduced(connection):
+def hopf_reduced(connection, x):
+    """The reduced great-circle retraction of connection(H) at the section
+    over x, one anchor or a stack of anchors."""
     H = HopfBundle()
-    return reduced_retraction(connection(H), hopf_geodesic_retraction(H))
+    q = section_over(H, x)
+    return reduced_retraction(hopf_geodesic_retraction(H), q,
+                              horizontal_lifts(connection(H), q))
 
 
 def random_tangent(rng, kind, x, length):
@@ -82,31 +88,30 @@ def random_tangent(rng, kind, x, length):
 
 
 class TestNormalChartNewton:
-    @pytest.mark.parametrize("make", [
-        lambda: hopf_reduced(HopfConnection),
-        lambda: metric_exponential(Sphere(3)),
-        lambda: metric_exponential(Sphere(4)),
-        lambda: Retraction(EuclideanChart(3),
-                           EuclideanChart(3).geodesic_step, 2.0),
+    @pytest.mark.parametrize("kind, at", [
+        (Sphere(3), lambda x: hopf_reduced(HopfConnection, x)),
+        (Sphere(3), lambda x: metric_exponential(Sphere(3))),
+        (Sphere(4), lambda x: metric_exponential(Sphere(4))),
+        (EuclideanChart(3), lambda x: Retraction(
+            EuclideanChart(3), EuclideanChart(3).geodesic_step, 2.0)),
     ])
-    def test_exact_retractions_take_one_residual_per_solve(self, make):
+    def test_exact_retractions_take_one_residual_per_solve(self, kind, at):
         # The target's normal coordinates are the solution, so Newton
         # returns at its first residual, with no Jacobian.
-        R = make()
         calls = []
-
-        def counting(point, components):
-            calls.append(1)
-            return R.step(point, components)
-
-        counted = dataclasses.replace(R, step=counting)
         rng = np.random.default_rng(17)
         for _ in range(20):
-            x = random_point(rng, R.space)
-            v = random_tangent(rng, R.space, x, 0.4 * R.domain_radius)
+            x = random_point(rng, kind)
+            R = at(x)
+
+            def counting(point, components):
+                calls.append(1)
+                return R.step(point, components)
+
+            v = random_tangent(rng, kind, x, 0.4 * R.domain_radius)
             y = retract(R, x, v)
             calls.clear()
-            w = invert_extended(counted, x, y)
+            w = invert_extended(dataclasses.replace(R, step=counting), x, y)
             assert len(calls) == 1
             assert np.max(np.abs(w - v)) <= 1e-12
 
@@ -135,12 +140,12 @@ class TestNormalChartNewton:
             assert np.max(np.abs(B.T @ x)) <= 1e-15
 
     def test_perturbed_hopf_solves_to_the_edge_of_the_domain(self):
-        R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
-        kind = R.space
-        reach = 0.99 * R.domain_radius / 2.0
+        kind = Sphere(3)
+        reach = 0.99 * kind.default_radius / 2.0
         rng = np.random.default_rng(23)
         for _ in range(300):
             x = unit(rng.normal(size=3))
+            R = hopf_reduced(lambda H: HopfConnection(H, 0.1), x)
             y = kind.geodesic_step(x, random_tangent(rng, kind, x, reach))
             v = invert_extended(R, x, y)
             assert np.max(np.abs(R.step(x, v) - y)) <= 1e-11
@@ -162,9 +167,9 @@ class TestStackedNewton:
     def test_columns_stop_at_their_own_residual(self):
         # The anchor itself converges at its first residual; a far target
         # of the perturbed Hopf reduction needs two Newton updates.
-        R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
-        kind = R.space
+        kind = Sphere(3)
         x = unit([0.3, -0.5, 0.8])
+        R = hopf_reduced(lambda H: HopfConnection(H, 0.1), x)
         far = kind.geodesic_step(
             x, kind.project_tangent(x, [0.0, 0.45, 0.3]))
         counted, widths = counting_columns(R)
@@ -187,9 +192,9 @@ class TestStackedNewton:
     def test_two_stack_axes_solve_as_their_columns(self):
         # A (3, 2, 2) stack of targets on the sphere gives (3, 2, 2)
         # components, each those of its column in a (3, 4) stack.
-        R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
-        kind = R.space
+        kind = Sphere(3)
         x = unit([0.3, -0.5, 0.8])
+        R = hopf_reduced(lambda H: HopfConnection(H, 0.1), x)
         rng = np.random.default_rng(29)
         targets = np.stack([kind.geodesic_step(
             x, random_tangent(rng, kind, x, 0.5)) for _ in range(4)],
@@ -200,9 +205,9 @@ class TestStackedNewton:
         assert np.array_equal(square.reshape(3, 4), flat)
 
     def test_one_target_outside_the_domain_raises(self):
-        R = hopf_reduced(HopfConnection)
-        kind = R.space
+        kind = Sphere(3)
         x = unit([0.3, -0.5, 0.8])
+        R = hopf_reduced(HopfConnection, x)
         near = kind.geodesic_step(x, kind.project_tangent(x, [0.1, 0.0, 0.0]))
         for bad in (-x, kind.geodesic_step(
                 x, kind.project_tangent(x, [0.0, 1.2, 0.9]))):
@@ -221,10 +226,13 @@ class TestStackedNewton:
             invert_extended(R, x, np.stack([good, bad], axis=-1))
 
 
-def plane_reduced(make):
+def plane_reduced(make, x):
+    """The reduced retraction of x dy on R^2 x T^1 at the section over x,
+    one anchor or a stack of anchors."""
     B = TrivialBundle(EuclideanChart(2), Torus(1))
     A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
-    return reduced_retraction(A, make(B))
+    q = section_over(B, x)
+    return reduced_retraction(make(B), q, horizontal_lifts(A, q))
 
 
 def quadratic_plane():
@@ -240,83 +248,90 @@ def quadratic_plane():
 
 
 # A stacked solve is bit for bit the loop of single solves, on R^d and on
-# spheres alike: a single point takes the arithmetic of a column.
+# spheres alike: a single point takes the arithmetic of a column.  Each
+# case is its base and the retraction at an anchor or a stack of anchors;
+# a reduced retraction is anchored at the section over them.
 ANCHOR_CASES = {
-    "r2_straight": lambda: plane_reduced(trivial_product_retraction),
-    "r2_skewed": lambda: plane_reduced(trivial_skewed_retraction),
-    "r2_quadratic": quadratic_plane,
-    "s2_exp": lambda: metric_exponential(Sphere(3)),
-    "hopf_perturbed": lambda: hopf_reduced(
-        lambda H: HopfConnection(H, 0.1)),
+    "r2_straight": (EuclideanChart(2), lambda x: plane_reduced(
+        trivial_product_retraction, x)),
+    "r2_skewed": (EuclideanChart(2), lambda x: plane_reduced(
+        trivial_skewed_retraction, x)),
+    "r2_quadratic": (EuclideanChart(2), lambda x: quadratic_plane()),
+    "s2_exp": (Sphere(3), lambda x: metric_exponential(Sphere(3))),
+    "hopf_perturbed": (Sphere(3), lambda x: hopf_reduced(
+        lambda H: HopfConnection(H, 0.1), x)),
 }
 
 
-def anchors_and_targets(R, rng, k, *stencil):
-    """k anchors and a target near each, with a trailing stencil axis of
-    scaled targets when `stencil` gives the scales."""
-    kind = R.space
+def anchors_and_targets(case, rng, k, *stencil):
+    """The retraction at k anchors, the anchors and a target near each,
+    with a trailing stencil axis of scaled targets when `stencil` gives
+    the scales."""
+    kind, at = case
     x = np.stack([random_point(rng, kind) for _ in range(k)], axis=-1)
+    R = at(x)
     v = np.stack([random_tangent(rng, kind, x[:, i],
                                  rng.uniform(0.05, 0.45) * min(
                                      R.domain_radius, 2.0))
                   for i in range(k)], axis=-1)
     if stencil:
         v = np.multiply.outer(v, stencil)
-    return x, kind.geodesic_step(x, v)
+    return R, x, kind.geodesic_step(x, v)
+
+
+def single_solves(case, x, y, axis):
+    """The solves of each anchor alone, each with the retraction at its
+    own anchor, stacked on `axis`."""
+    at = case[1]
+    return np.stack([invert_extended(at(x[:, i]), x[:, i], y[:, i])
+                     for i in range(x.shape[1])], axis=axis)
 
 
 class TestAnchorStacks:
     @pytest.mark.parametrize("name", sorted(ANCHOR_CASES))
     def test_anchor_stack_gives_the_single_solves(self, name):
-        R = ANCHOR_CASES[name]()
+        case = ANCHOR_CASES[name]
         rng = np.random.default_rng(53)
-        x, y = anchors_and_targets(R, rng, 6)
+        R, x, y = anchors_and_targets(case, rng, 6)
         stacked = invert_extended(R, x, y)
         assert stacked.shape == y.shape
-        singles = np.stack([invert_extended(R, x[:, i], y[:, i])
-                            for i in range(6)], axis=-1)
-        assert np.array_equal(stacked, singles)
+        assert np.array_equal(stacked, single_solves(case, x, y, -1))
 
     @pytest.mark.parametrize("name", sorted(ANCHOR_CASES))
     def test_anchor_stack_broadcasts_over_a_stencil(self, name):
         # (d, k) anchors with (d, k, 4) targets: each anchor serves its own
         # four targets, as one anchor with a (d, 4) stack does.
-        R = ANCHOR_CASES[name]()
+        case = ANCHOR_CASES[name]
         rng = np.random.default_rng(59)
-        x, y = anchors_and_targets(R, rng, 5, 1.0, -1.0, 0.5, -0.5)
+        R, x, y = anchors_and_targets(case, rng, 5, 1.0, -1.0, 0.5, -0.5)
         stacked = invert_extended(R, x, y)
         assert stacked.shape == y.shape
-        singles = np.stack([invert_extended(R, x[:, i], y[:, i])
-                            for i in range(5)], axis=1)
-        assert np.array_equal(stacked, singles)
+        assert np.array_equal(stacked, single_solves(case, x, y, 1))
 
     @pytest.mark.parametrize("name", ["r2_quadratic", "hopf_perturbed"])
     def test_a_column_that_stops_early_keeps_its_iterate(self, name):
         # The first target is its own anchor and converges at the first
         # residual; the others need Newton updates.  The converged column
         # keeps its iterate, and every step sees all three anchors.
-        R = ANCHOR_CASES[name]()
+        case = ANCHOR_CASES[name]
         anchors = []
+        rng = np.random.default_rng(61)
+        R, x, y = anchors_and_targets(case, rng, 3)
 
         def step(point, components):
             anchors.append(np.shape(point)[1])
             return R.step(point, components)
 
-        rng = np.random.default_rng(61)
-        x, y = anchors_and_targets(R, rng, 3)
         y[:, 0] = x[:, 0]
         stacked = invert_extended(dataclasses.replace(R, step=step), x, y)
         assert len(anchors) > 1 and set(anchors) == {3}
-        singles = np.stack([invert_extended(R, x[:, i], y[:, i])
-                            for i in range(3)], axis=-1)
-        assert np.array_equal(stacked, singles)
+        assert np.array_equal(stacked, single_solves(case, x, y, -1))
         assert np.max(np.abs(stacked[:, 0])) <= 1e-15
 
     def test_one_target_outside_the_domain_raises(self):
-        R = hopf_reduced(lambda H: HopfConnection(H, 0.1))
-        kind = R.space
+        kind = Sphere(3)
         rng = np.random.default_rng(67)
-        x, y = anchors_and_targets(R, rng, 3)
+        R, x, y = anchors_and_targets(ANCHOR_CASES["hopf_perturbed"], rng, 3)
         far = kind.geodesic_step(
             x[:, 1], random_tangent(rng, kind, x[:, 1], 0.9))
         for bad in (far, -x[:, 1]):
@@ -355,10 +370,8 @@ class TestOneBasisPerSolve:
             assert self.solve_and_count(basis_count, R, x, v) == 1
 
     def test_reduced_hopf_retraction(self, basis_count):
-        H = HopfBundle()
-        R = reduced_retraction(HopfConnection(H),
-                               hopf_geodesic_retraction(H))
         x = unit([0.3, -0.5, 0.8])
+        R = hopf_reduced(HopfConnection, x)
         v = Sphere(3).project_tangent(x, np.array([0.1, 0.2, 0.05]))
         assert self.solve_and_count(basis_count, R, x, v) == 1
 
@@ -366,9 +379,8 @@ class TestOneBasisPerSolve:
         # The first target is its own anchor and converges at the first
         # residual, the others later: the chart of the three anchors is
         # built once for the whole solve.
-        R = ANCHOR_CASES["hopf_perturbed"]()
         rng = np.random.default_rng(61)
-        x, y = anchors_and_targets(R, rng, 3)
+        R, x, y = anchors_and_targets(ANCHOR_CASES["hopf_perturbed"], rng, 3)
         y[:, 0] = x[:, 0]
         residuals = []
 
@@ -381,6 +393,23 @@ class TestOneBasisPerSolve:
         # At least two Newton updates: one residual call per iteration.
         assert residuals.count(2) >= 3
         assert len(basis_count) == 1
+
+    def test_one_basis_per_distinct_anchor(self, monkeypatch):
+        # (3, 5) anchors, each serving a stencil of four targets: the
+        # solve builds the five anchors' bases, not one per target.
+        stacks = []
+        original = Sphere.tangent_basis
+
+        def recording(self, center):
+            stacks.append(np.shape(center)[1:])
+            return original(self, center)
+
+        monkeypatch.setattr(Sphere, "tangent_basis", recording)
+        rng = np.random.default_rng(71)
+        R, x, y = anchors_and_targets(ANCHOR_CASES["hopf_perturbed"], rng, 5,
+                                      1.0, -1.0, 0.5, -0.5)
+        invert_extended(R, x, y)
+        assert stacks == [(5,)]
 
 
 coordinate = st.floats(-1.0, 1.0, allow_nan=False)

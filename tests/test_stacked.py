@@ -14,7 +14,7 @@ from disconn.abelian import (curvature_matched_integrate,
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
                              make_trivial_tangent, section_over)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
-                                 eval_connection)
+                                 eval_connection, horizontal_lifts)
 from disconn.derivation import derive_connection, pair_derivative
 from disconn.discrete import TrivialLocalDiscrete, eval_discrete
 from disconn.errors import NonDifferentiable, OutsideDomain
@@ -506,13 +506,15 @@ class TestStackedStepsKeepColumnsApart:
     @pytest.mark.parametrize("name", sorted(BUNDLE_RULES))
     def test_reduced_retraction(self, name):
         B, make, connection = BUNDLE_RULES[name]
-        R = reduced_retraction(connection(B), make(B))
+        A = connection(B)
         rng = np.random.default_rng(43)
         for _ in range(5):
             if isinstance(B, HopfBundle):
                 m = unit(rng.normal(size=3) + [0.0, 0.0, 1.5])
             else:
                 m = rng.uniform(-1.0, 1.0, 2)
+            q = section_over(B, m)
+            R = reduced_retraction(make(B), q, horizontal_lifts(A, q))
             assert_columns_step_alone(R.step, m,
                                       tangent_stack(rng, B.base, m, 6))
 

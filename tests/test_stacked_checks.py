@@ -215,14 +215,17 @@ def loop_discrete_axioms(ctx, rng, n):
 
 
 def loop_retraction_axioms(ctx, rng, n):
-    if ctx.connection is not None:
-        rule = integration.reduced_retraction(ctx.connection, ctx.retraction)
-    else:
-        rule = manifolds.metric_exponential(ctx.bundle.base)
     defects = []
     for _ in range(n):
         m, v = draw(rng, ctx.draw_base(), ctx.draw_base_tangent())
         m = ctx.base_points(m)
+        if ctx.connection is not None:
+            q = bundles.section_over(ctx.bundle, m)
+            rule = integration.reduced_retraction(
+                ctx.retraction, q,
+                connections.horizontal_lifts(ctx.connection, q))
+        else:
+            rule = manifolds.metric_exponential(ctx.bundle.base)
         v = capped(ctx.bundle.base.project_tangent(m, v),
                    0.2 * min(rule.domain_radius, 2.0),
                    lambda v, cap, norm: (cap / norm) * v)
