@@ -56,7 +56,8 @@ for label, Ad in family.items():
 # Rebuild one member from its derived form; agreement is the uniqueness
 # statement for curvature-matched integration.
 Ad_ref = family["f = 1"]
-rebuilt = curvature_matched_integrate(derive_connection(Ad_ref), Ad_ref)
+A_ref = derive_connection(Ad_ref)
+rebuilt = curvature_matched_integrate(A_ref, Ad_ref, A_ref)
 rng = np.random.default_rng(1)
 worst = 0.0
 for _ in range(25):

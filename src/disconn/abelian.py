@@ -9,7 +9,8 @@ enables two integration routes that need no retraction:
 * curvature-matched integration -- given a reference discrete connection
   whose derived curvature agrees with the target connection's, correct the
   reference by the exponentiated integral of the descended difference
-  over the segment between the base points of a pair.
+  over the segment between the base points of a pair; the caller passes
+  the reference's derived connection, in closed form or numerical.
 
 Both routes integrate over straight segments and require a global
 Euclidean base chart (a simply connected base with trivial first
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bundles, derivation
+from . import bundles
 from .connections import ConnectionForm, TrivialLocalConnection
 from .discrete import (ComposedDiscrete, DiscreteConnectionForm,
                        TrivialLocalDiscrete, eval_discrete)
@@ -160,16 +161,20 @@ def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
 
 def curvature_matched_integrate(A: ConnectionForm,
                                 Ad_ref: DiscreteConnectionForm,
+                                A_ref: ConnectionForm,
                                 match_samples=None) -> DiscreteConnectionForm:
     """Discrete connection deriving to A, built from a curvature-matched
-    reference discrete connection.
+    reference Ad_ref and its derived connection A_ref: a closed form where
+    one is known (`scenarios.derived_pair_map_builtin`), which keeps every
+    derivative out of the integrand and the gate, else
+    `derivation.derive_connection(Ad_ref)`.
 
-    The descended difference of A and the derived reference connection is
-    closed when the curvatures match; its integral over the segment m0 ->
-    m1 between the base points of a pair corrects the reference pairwise by
-    exp of that increment, one `primitive_on_segments` call per stack of
-    pairs.  Over the (m, u, w) stacks `match_samples`, when they are given,
-    the difference's exterior derivative must stay within MATCH_TOL.
+    The descended difference of A and A_ref is closed when the curvatures
+    match; its integral over the segment m0 -> m1 between the base points
+    of a pair corrects the reference pairwise by exp of that increment, one
+    `primitive_on_segments` call per stack of pairs.  Over the (m, u, w)
+    stacks `match_samples`, when they are given, the difference's exterior
+    derivative must stay within MATCH_TOL.
     """
     if A.bundle != Ad_ref.bundle:
         raise CurvatureMismatch("connection and reference bundles differ")
@@ -178,7 +183,6 @@ def curvature_matched_integrate(A: ConnectionForm,
     _require_abelian(G)
     _require_euclidean_base(bundle.base, "curvature-matched integration")
 
-    A_ref = derivation.derive_connection(Ad_ref)
     eps = descend_continuous_difference(A, A_ref)
     if match_samples is not None:
         worst = worst_exterior_defect(eps, match_samples)

@@ -53,6 +53,7 @@ one of its checks reads, with a `ParseError`):
                   | {"kind": "flat", "omega": <builtin>}
                   | {"kind": "matched",     # needs a connection
                      "reference": <spec> other than matched},
+                    # derived in closed form if local, else numerically
       "integrator": {"retraction": "straight"|"exp"|"skewed"  # trivial
                                    |"great_circle"|"exp"|"chart",  # hopf
                      "domain_radius": float > 0},  # default from the
@@ -162,6 +163,14 @@ def _polynomial(table, size, name):
     return evaluate
 
 
+def _local_connection(table, bundle, name):
+    _require(bundle.group.dim == 1,
+             "builtin one-forms target one-dimensional algebras")
+    omega = _polynomial(table, bundle.base.coord_size, name)
+    return connections.TrivialLocalConnection(
+        bundle, lambda m, v: np.array([omega(m, v)]))
+
+
 def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
     """Resolve a one-form builtin (a name or a polynomial object) to a
     local connection on the trivial bundle."""
@@ -180,34 +189,43 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
         name = "polynomial"
     else:
         raise ParseError(f"unknown one-form spec {spec!r}")
-    _require(bundle.group.dim == 1,
-             "builtin one-forms target one-dimensional algebras")
-    omega = _polynomial(table, bundle.base.coord_size, name)
-    return connections.TrivialLocalConnection(
-        bundle, lambda m, v: np.array([omega(m, v)]))
+    return _local_connection(table, bundle, name)
 
 
-def pair_map_builtin(spec, bundle,
-                     domain_radius) -> discrete.TrivialLocalDiscrete:
-    """Resolve a pair-map builtin (a name or a quadratic_f object) to a
-    local discrete connection on the trivial bundle."""
+def _pair_map_table(spec):
+    """(table, name) of a pair-map builtin: a name or a quadratic_f."""
     if isinstance(spec, str):
         _require(spec in _PAIR_MAPS, f"unknown pair-map builtin {spec!r}")
-        table, name = _PAIR_MAPS[spec], spec
-    elif isinstance(spec, dict) and spec.get("name") == "quadratic_f":
+        return _PAIR_MAPS[spec], spec
+    if isinstance(spec, dict) and spec.get("name") == "quadratic_f":
         _require_keys(spec, {"name", "f"}, "quadratic_f")
         f = spec.get("f")
         _require(isinstance(f, str) and f in _QUADRATIC_F,
                  f"unknown f table {f!r}")
-        table, name = _QUADRATIC_F[f], "quadratic_f"
-    else:
-        raise ParseError(f"unknown pair-map spec {spec!r}")
+        return _QUADRATIC_F[f], "quadratic_f"
+    raise ParseError(f"unknown pair-map spec {spec!r}")
+
+
+def pair_map_builtin(spec, bundle,
+                     domain_radius) -> discrete.TrivialLocalDiscrete:
+    """Resolve a pair-map builtin to a local discrete connection on the
+    trivial bundle."""
+    table, name = _pair_map_table(spec)
     _require(bundle.group.dim == 1,
              "builtin pair maps target one-dimensional groups")
     rule = _polynomial(table, bundle.base.coord_size, name)
     return discrete.TrivialLocalDiscrete(
         bundle, lambda m0, m1: np.array([rule(0.5 * (m0 + m1), m1 - m0)]),
         domain_radius, name=name)
+
+
+def derived_pair_map_builtin(spec, bundle):
+    """The connection a pair-map builtin derives to, in closed form: its
+    terms of degree 1 in delta, read on (m, v).  No term is free of delta,
+    so C(m, m + t v) is t times this table plus O(t^2)."""
+    table, name = _pair_map_table(spec)
+    return _local_connection([(c, p, r) for c, p, r in table if sum(r) == 1],
+                             bundle, name)
 
 
 def _require_keys(spec, allowed, what):
@@ -513,9 +531,13 @@ class ScenarioContext:
                 self.domain_radius,
                 closedness_samples=self._gate_samples())
         if kind == "matched":
-            reference = self._build_discrete(spec["reference"])
+            ref = spec["reference"]
+            reference = self._build_discrete(ref)
+            A_ref = (derived_pair_map_builtin(ref["pair_map"], self.bundle)
+                     if ref["kind"] == "local"
+                     else derivation.derive_connection(reference))
             return abelian.curvature_matched_integrate(
-                self.connection, reference,
+                self.connection, reference, A_ref,
                 match_samples=self._gate_samples())
 
     def _gate_samples(self):
@@ -791,7 +813,7 @@ def check_uniqueness_pair(ctx, params, rng, n):
     curvature-matched integral of its own derived connection."""
     Ad_ref = ctx.discretes[0]
     A = derivation.derive_connection(Ad_ref)
-    rebuilt = abelian.curvature_matched_integrate(A, Ad_ref)
+    rebuilt = abelian.curvature_matched_integrate(A, Ad_ref, A)
     m, h, d, s, h1 = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
                             ctx.draw_base_tangent(), ctx.draw_scale(),
                             ctx.draw_algebra())

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disconn import bundles
+from disconn import bundles, scenarios
 from disconn.abelian import (check_closed, curvature_matched_integrate,
                              descend_continuous_difference,
                              flat_integrate_local, primitive_on_segments,
@@ -189,6 +189,7 @@ class TestCurvatureMatched:
     def setup_method(self):
         self.B, self.U = plane_bundle()
         self.Ad_ref = trapezoid(self.B, self.U)
+        self.A_ref = derive_connection(self.Ad_ref)
         # A = x dy + 2x dx shares the trapezoid's derived curvature dx dy.
         self.A = TrivialLocalConnection(
             self.B, lambda m, v: np.array([m[0] * v[1] + 2 * m[0] * v[0]]))
@@ -201,20 +202,19 @@ class TestCurvatureMatched:
         samples = np.array([[[0.2, -0.4], [-0.1, 0.3]],
                             [[1.0, 1.0], [0.0, 0.0]],
                             [[0.0, 0.0], [1.0, 1.0]]])
-        eps = descend_continuous_difference(self.A,
-                                            derive_connection(self.Ad_ref))
+        eps = descend_continuous_difference(self.A, self.A_ref)
         assert worst_exterior_defect(eps, samples) <= 1e-6
 
     def test_matched_rule_value(self):
         # The increment of 2x dx over m0 -> m1 is x1^2 - x0^2:
         # C = trapezoid + (x1^2 - x0^2).
-        Ad = curvature_matched_integrate(self.A, self.Ad_ref)
+        Ad = curvature_matched_integrate(self.A, self.Ad_ref, self.A_ref)
         got = eval_discrete(Ad, self.q([0.3, 0.4]), self.q([1.0, 1.0]))
         expected = 0.5 * (0.3 + 1.0) * (1.0 - 0.4) + (1.0 - 0.09)
         assert got[0] == pytest.approx(expected, abs=1e-10)
 
     def test_derives_back_to_a(self):
-        Ad = curvature_matched_integrate(self.A, self.Ad_ref)
+        Ad = curvature_matched_integrate(self.A, self.Ad_ref, self.A_ref)
         A_back = derive_connection(Ad)
         rng = np.random.default_rng(131)
         for _ in range(5):
@@ -226,9 +226,9 @@ class TestCurvatureMatched:
             assert np.linalg.norm(diff) <= 1e-7
 
     def test_bundled_scenario_derives_back_to_rounding(self):
-        # The derived reference inside the descended difference takes its
-        # difference steps along unit tangents, whatever the length of the
-        # segment, so the round trip stays far below STEP-scale rounding.
+        # The derived reference is the trapezoid's closed form x dy, so the
+        # descended difference takes no derivative and only the round
+        # trip's own derivative rounds, far below STEP-scale rounding.
         cfg = load_scenario(Path(__file__).resolve().parents[1]
                             / "scenarios" / "curvature_matched.json")
         report = run_scenario(cfg, ScenarioContext(cfg))
@@ -236,11 +236,32 @@ class TestCurvatureMatched:
                      if c.name == "derive_roundtrip"]
         assert defect <= 1e-10
 
+    def test_wrong_closed_reference_shows_in_the_round_trip(self,
+                                                           monkeypatch):
+        # A derived reference off by the closed form 1e-3 dx0 passes the
+        # matching gate, but the matched discrete then derives to A -
+        # 1e-3 dx0, and derive_roundtrip FAILs by far more than its
+        # tolerance: a wrong closed form cannot hide behind the gate.
+        closed = scenarios.derived_pair_map_builtin
+
+        def shifted(spec, bundle):
+            A_ref = closed(spec, bundle)
+            return TrivialLocalConnection(
+                bundle, lambda m, v: A_ref.value(m, v) + 1e-3 * v[0])
+
+        monkeypatch.setattr(scenarios, "derived_pair_map_builtin", shifted)
+        cfg = load_scenario(Path(__file__).resolve().parents[1]
+                            / "scenarios" / "curvature_matched.json")
+        report = run_scenario(cfg, ScenarioContext(cfg))
+        (check,) = [c for c in report.checks if c.name == "derive_roundtrip"]
+        assert not check.passed
+        assert 10 * check.tolerance <= check.max_defect <= 1e-3
+
     def test_curvature_mismatch_rejected(self):
         # 2x dy has derived curvature 2 dx dy, twice the trapezoid's.
         A_bad = TrivialLocalConnection(
             self.B, lambda m, v: np.array([2 * m[0] * v[1]]))
         samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
         with pytest.raises(CurvatureMismatch):
-            curvature_matched_integrate(A_bad, self.Ad_ref,
+            curvature_matched_integrate(A_bad, self.Ad_ref, self.A_ref,
                                         match_samples=samples)

@@ -183,7 +183,7 @@ def test_criterion_6_curvature_matched():
     # omega = x dy + d(x^2) = x dy + 2x dx.
     A = TrivialLocalConnection(
         B, lambda m, v: np.array([m[0] * v[1] + 2.0 * m[0] * v[0]]))
-    Ad = curvature_matched_integrate(A, Ad_ref)
+    Ad = curvature_matched_integrate(A, Ad_ref, derive_connection(Ad_ref))
 
     rng = np.random.default_rng(1006)
     worst_bd = 0.0
@@ -210,7 +210,7 @@ def test_criterion_7_uniqueness_near_diagonal():
         B, lambda m0, m1: np.array([0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])]),
         radius)
     A = derive_connection(Ad_ref)
-    rebuilt = curvature_matched_integrate(A, Ad_ref)
+    rebuilt = curvature_matched_integrate(A, Ad_ref, A)
     rng = np.random.default_rng(1007)
     worst = 0.0
     for _ in range(50):
@@ -288,7 +288,8 @@ def test_criterion_9_negative_controls():
     A_bad = TrivialLocalConnection(
         B, lambda m, v: np.array([2.0 * m[0] * v[1]]))
     with pytest.raises(CurvatureMismatch):
-        curvature_matched_integrate(A_bad, Ad_ref, match_samples=samples)
+        curvature_matched_integrate(A_bad, Ad_ref, derive_connection(Ad_ref),
+                                    match_samples=samples)
 
     # Non-equivariant retraction exposed by its equivariance defect.
     B2 = TrivialBundle(EuclideanChart(2), Torus(1))

@@ -11,7 +11,11 @@ most twice more, and a sum of two terms once, so the error is at most
 4 units of roundoff (eps / 2) times the sum of the exact |term|, half
 the stated bound.  Each table also equals, exactly, the formula its name
 stands for, and each pair map's part linear in delta, its derived
-connection, is a one-form table.
+connection, is a one-form table.  That closed form,
+`derived_pair_map_builtin`, which the matched route takes as its
+reference's derived connection, agrees with the numerical derivative
+`derivation.derive_connection` of the pair map to DERIVED_TOL on R x R^2
+and U(1) x R^2; the gap is Richardson rounding, a few 1e-12.
 """
 
 import math
@@ -22,13 +26,17 @@ import pytest
 
 from disconn import scenarios
 from disconn.bundles import TrivialBundle
-from disconn.groups import Translation
+from disconn.derivation import derive_connection
+from disconn.groups import Torus, Translation
 from disconn.manifolds import EuclideanChart
-from disconn.scenarios import one_form_builtin, pair_map_builtin
+from disconn.scenarios import (derived_pair_map_builtin, one_form_builtin,
+                               pair_map_builtin)
 
 ERROR_EPS = 4
+DERIVED_TOL = 1e-10
 POINTS = 200
 PLANE = TrivialBundle(EuclideanChart(2), Translation(1))
+U1_PLANE = TrivialBundle(EuclideanChart(2), Torus(1))
 
 # The formula each name stands for, on exact coordinates.
 ONE_FORMS = {
@@ -127,10 +135,28 @@ def test_every_pair_map_is_named():
 
 
 @pytest.mark.parametrize("name", sorted(DERIVED))
-def test_derived_connection_is_the_part_linear_in_delta(name):
-    # C(m, m) is the identity: no term is free of delta, so the derivative
-    # of C(m, m + t v) at t = 0 is the part linear in delta at (m, v).
+def test_no_pair_map_term_is_free_of_delta(name):
+    # A term without delta would break C(m, m) = e, and the derivative of
+    # C(m, m + t v) at t = 0 would no longer be the part linear in delta.
     _, table = pair_map_tables()[name]
     assert all(sum(r) >= 1 for _, _, r in table)
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_connection_is_the_part_linear_in_delta(name):
+    _, table = pair_map_tables()[name]
     assert linear_in_delta(table) == linear_in_delta(
         scenarios._ONE_FORMS[DERIVED[name]])
+
+
+@pytest.mark.parametrize("bundle", [PLANE, U1_PLANE], ids=["R", "U1"])
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_table_is_the_numerical_derivative(name, bundle):
+    spec, _ = pair_map_tables()[name]
+    rng = np.random.default_rng(3)
+    m, v = rng.uniform(-1.0, 1.0, (2, 2, 64))
+    closed = derived_pair_map_builtin(spec, bundle).value(m, v)
+    numerical = derive_connection(
+        pair_map_builtin(spec, bundle, 10.0)).value(m, v)
+    assert closed.shape == numerical.shape == (1, 64)
+    assert np.max(np.abs(closed - numerical)) <= DERIVED_TOL

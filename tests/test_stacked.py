@@ -271,7 +271,7 @@ class TestCurvatureMatchedPointwise:
                                       correction)
 
     def check(self, A, Ad_ref):
-        Ad = curvature_matched_integrate(A, Ad_ref)
+        Ad = curvature_matched_integrate(A, Ad_ref, derive_connection(Ad_ref))
         B = A.bundle
         for m0, m1, y in (([0.2, -0.3], [0.5, 0.1], 0.4),
                           ([-0.6, 0.4], [-0.2, 0.9], -1.1)):

@@ -310,8 +310,8 @@ def loop_closed_form(ctx, rng, n):
 
 def loop_uniqueness_pair(ctx, rng, n):
     Ad_ref = ctx.discretes[0]
-    rebuilt = abelian.curvature_matched_integrate(
-        derivation.derive_connection(Ad_ref), Ad_ref)
+    A = derivation.derive_connection(Ad_ref)
+    rebuilt = abelian.curvature_matched_integrate(A, Ad_ref, A)
     defects = []
     for _ in range(n):
         q0 = point(ctx, rng)

@@ -15,7 +15,9 @@ each workload at seeds 0-20, which
 
     PYTHONPATH=src python tests/test_verdict_bytes.py
 
-prints.
+prints.  With `--rows` it prints instead one tab-separated line per check
+of those runs, (workload, seed, scenario, check, max_defect) with the
+defect's repr, so two checkouts' rows can be compared with `diff`.
 `tests/data/demo_<name>.txt` is the exact standard output of
 `python demos/<name>_demo.py`.
 
@@ -24,6 +26,7 @@ diff; regenerate a file only together with an account of every digit
 that moved.
 """
 
+import argparse
 import contextlib
 import difflib
 import hashlib
@@ -54,22 +57,38 @@ def bench_workloads():
     return workloads
 
 
-def workload_digests(directory):
-    """{workload: {seed: sha256 of the verify-all JSON output}} over
+def workload_outputs(directory):
+    """(workload, seed, verify-all JSON output) over WORKLOADS and
     DIGEST_SEEDS, the scenario files written under directory."""
     workloads = bench_workloads()
-    digests = {}
     for name in WORKLOADS:
-        digests[name] = {}
         for seed in DIGEST_SEEDS:
             files = Path(directory) / f"{name}-{seed}"
             workloads.write(workloads.generate(name, seed), files)
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 main(["verify-all", str(files), "--format", "json"])
-            digests[name][str(seed)] = hashlib.sha256(
-                out.getvalue().encode()).hexdigest()
+            yield name, seed, out.getvalue()
+
+
+def workload_digests(directory):
+    """{workload: {seed: sha256 of the verify-all JSON output}}."""
+    digests = {name: {} for name in WORKLOADS}
+    for name, seed, output in workload_outputs(directory):
+        digests[name][str(seed)] = hashlib.sha256(output.encode()).hexdigest()
     return digests
+
+
+def workload_rows(directory):
+    """One (workload, seed, scenario, check, max_defect) row per check of
+    the verify-all runs of `workload_outputs`; verify-all joins its
+    reports with a blank line."""
+    for name, seed, output in workload_outputs(directory):
+        for report in output.strip().split("\n\n"):
+            report = json.loads(report)
+            for check in report["checks"]:
+                yield (name, seed, report["scenario"], check["name"],
+                       check["max_defect"])
 
 
 def assert_verify_all_matches(capsys, directory, pinned, code=0):
@@ -117,7 +136,28 @@ def test_workload_digests_are_unchanged(tmp_path):
     assert workload_digests(tmp_path) == pinned
 
 
+def test_rows_are_the_pinned_checks(monkeypatch, tmp_path):
+    # Seed 0 of each workload: its rows are the checks of its pinned JSON.
+    monkeypatch.setitem(globals(), "DIGEST_SEEDS", range(1))
+    want = []
+    for name in WORKLOADS:
+        for text in (DATA / f"workload_{name}.json").read_text().split(
+                "\n\n"):
+            report = json.loads(text)
+            want += [(name, 0, report["scenario"], c["name"], c["max_defect"])
+                     for c in report["checks"]]
+    assert list(workload_rows(tmp_path)) == want
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--rows", action="store_true",
+                        help="print every check's row instead of digests")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as scratch:
-        json.dump(workload_digests(scratch), sys.stdout, indent=2)
-    print()
+        if args.rows:
+            for row in workload_rows(scratch):
+                print("\t".join(map(repr, row)))
+        else:
+            json.dump(workload_digests(scratch), sys.stdout, indent=2)
+            print()
