@@ -10,7 +10,7 @@ Modules:
 * ``derivation`` -- differentiating discrete data back to connections;
 * ``integration`` -- bundle retraction rules and retraction-based
   integration of connections;
-* ``abelian`` -- descent, flat and curvature-matched integration;
+* ``abelian`` -- descent, and curvature-matched integration, flat included;
 * ``scenarios`` / ``cli`` -- the JSON-driven verification harness.
 """
 

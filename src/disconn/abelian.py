@@ -2,17 +2,17 @@
 
 With an abelian group, the difference of two connections is invariant
 under the action and therefore descends to a one-form on the base.  This
-enables two integration routes that need no retraction:
+enables integration without a retraction: given a reference discrete
+connection whose derived curvature agrees with the target connection's,
+correct the reference by the exponentiated integral of the descended
+difference over the segment between the base points of a pair; the
+caller passes the reference's derived connection, in closed form or
+numerical.  Flat integration is the case of a flat target and the zero
+reference, whose derived connection is zero: the pair map is then the
+exponentiated line integral of a closed one-form (`scenarios` builds its
+`flat` discrete so).
 
-* flat integration -- exponentiate line integrals of a closed one-form to
-  get a flat discrete connection;
-* curvature-matched integration -- given a reference discrete connection
-  whose derived curvature agrees with the target connection's, correct the
-  reference by the exponentiated integral of the descended difference
-  over the segment between the base points of a pair; the caller passes
-  the reference's derived connection, in closed form or numerical.
-
-Both routes integrate over straight segments and require a global
+The route integrates over straight segments and requires a global
 Euclidean base chart (a simply connected base with trivial first
 cohomology), on which the integral of a closed form over the segment
 m0 -> m1 is f(m1) - f(m0) for any primitive f: no anchor point is needed.
@@ -21,9 +21,9 @@ Every one-form here is a `TrivialLocalConnection`, evaluated on stacks by
 its `value` (see `numdiff`): ``(d, *stack)`` points and tangents give
 ``(k, *stack)`` values, so each segment integral evaluates its integrand
 once, on all quadrature nodes, and the descended difference of two local
-connections evaluates a stack in one call.  Both routes take their
-segment integrals from `primitive_on_segments`, one call per stack of
-pairs, and keep no state between calls.
+connections evaluates a stack in one call.  The segment integrals come
+from `primitive_on_segments`, one call per stack of pairs, and no state
+is kept between calls.
 """
 
 from __future__ import annotations
@@ -34,32 +34,16 @@ import numpy as np
 
 from . import bundles
 from .connections import ConnectionForm, TrivialLocalConnection
-from .discrete import (ComposedDiscrete, DiscreteConnectionForm,
-                       TrivialLocalDiscrete, eval_discrete)
-from .errors import (BundleMismatch, CurvatureMismatch, NotClosed,
-                     UnsupportedGroup, UnsupportedPresentation)
-from .groups import GroupKind
-from .manifolds import EuclideanChart, ManifoldKind
+from .discrete import ComposedDiscrete, DiscreteConnectionForm, eval_discrete
+from .errors import (BundleMismatch, CurvatureMismatch, UnsupportedGroup,
+                     UnsupportedPresentation)
+from .manifolds import EuclideanChart
 from .numdiff import (_column_norm, _columns, exterior_derivative,
                       gauss_legendre_line_integral, worst_defect)
 
-# Largest d omega defect the flat gate accepts, and largest curvature
-# mismatch the matched gate accepts.
-CLOSEDNESS_TOL = 1e-8
-MATCH_TOL = 1e-6
-
-
-def _require_abelian(kind: GroupKind):
-    if not kind.abelian:
-        raise UnsupportedGroup(
-            "descent of connection differences needs an abelian group")
-
-
-def _require_euclidean_base(base: ManifoldKind, what: str):
-    if not isinstance(base, EuclideanChart):
-        raise UnsupportedPresentation(
-            f"{what} integrates over straight segments and needs a global "
-            "Euclidean base chart")
+# Largest exterior-derivative defect of the descended difference the
+# closedness gate accepts.
+MATCH_TOL = 1e-8
 
 
 def worst_exterior_defect(A: TrivialLocalConnection, samples) -> float:
@@ -68,16 +52,6 @@ def worst_exterior_defect(A: TrivialLocalConnection, samples) -> float:
     constant-coefficient extensions of u and w; NaN when a difference step
     is lost to rounding at some m."""
     return worst_defect(_column_norm(exterior_derivative(A.value, *samples)))
-
-
-def check_closed(A: TrivialLocalConnection, samples) -> float:
-    """Worst exterior-derivative defect over the (m, u, w) stacks; raise if
-    the form fails to be closed at CLOSEDNESS_TOL."""
-    worst = worst_exterior_defect(A, samples)
-    if not worst <= CLOSEDNESS_TOL:
-        raise NotClosed(
-            f"d omega defect {worst:.3e} exceeds {CLOSEDNESS_TOL:.1e}")
-    return worst
 
 
 def descend_continuous_difference(
@@ -90,7 +64,9 @@ def descend_continuous_difference(
     """
     if A.bundle != A_ref.bundle:
         raise BundleMismatch("connections live on different bundles")
-    _require_abelian(A.bundle.group)
+    if not A.bundle.group.abelian:
+        raise UnsupportedGroup(
+            "descent of connection differences needs an abelian group")
     if not (isinstance(A, TrivialLocalConnection)
             and isinstance(A_ref, TrivialLocalConnection)):
         raise UnsupportedPresentation(
@@ -101,30 +77,6 @@ def descend_continuous_difference(
                                                             v_components)
 
     return TrivialLocalConnection(A.bundle, form)
-
-
-def flat_integrate_local(A: TrivialLocalConnection, domain_radius: float,
-                         closedness_samples=None) -> TrivialLocalDiscrete:
-    """Flat discrete connection generated by a local connection with a
-    closed one-form, on pairs closer than domain_radius.
-
-    The pair map exponentiates the line integral of omega over the straight
-    segment between base points; closedness makes triangle holonomies
-    vanish up to quadrature error.  The form must be closed at the (m, u,
-    w) stacks `closedness_samples` (`check_closed`), when they are given.
-    """
-    bundle = A.bundle
-    _require_abelian(bundle.group)
-    _require_euclidean_base(bundle.base, "flat integration")
-    if closedness_samples is not None:
-        check_closed(A, closedness_samples)
-
-    increment = primitive_on_segments(A)
-
-    def pair_map(m0, m1):
-        return bundle.group.exp(increment(m0, m1))
-
-    return TrivialLocalDiscrete(bundle, pair_map, domain_radius, name="flat")
 
 
 def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
@@ -177,19 +129,20 @@ def curvature_matched_integrate(A: ConnectionForm,
     derivative must stay within MATCH_TOL.
     """
     if A.bundle != Ad_ref.bundle:
-        raise CurvatureMismatch("connection and reference bundles differ")
+        raise BundleMismatch("connection and reference bundles differ")
     bundle = A.bundle
     G = bundle.group
-    _require_abelian(G)
-    _require_euclidean_base(bundle.base, "curvature-matched integration")
-
     eps = descend_continuous_difference(A, A_ref)
+    if not isinstance(bundle.base, EuclideanChart):
+        raise UnsupportedPresentation(
+            "curvature-matched integration integrates over straight "
+            "segments and needs a global Euclidean base chart")
     if match_samples is not None:
         worst = worst_exterior_defect(eps, match_samples)
         if not worst <= MATCH_TOL:
             raise CurvatureMismatch(
-                f"derived curvatures differ: defect {worst:.3e} "
-                f"exceeds {MATCH_TOL:.1e}")
+                f"curvature differs from the reference's: d(A - A_ref) "
+                f"defect {worst:.3e} exceeds {MATCH_TOL:.1e}")
 
     increment = primitive_on_segments(eps)
 

@@ -37,12 +37,8 @@ class NonDifferentiable(DisconnError):
     """Difference quotients failed the Richardson consistency check."""
 
 
-class NotClosed(DisconnError):
-    """One-form fails the closedness test required for flat integration."""
-
-
 class CurvatureMismatch(DisconnError):
-    """Continuous and discrete curvature data are incompatible."""
+    """A connection's curvature differs from its integration reference's."""
 
 
 class ParseError(DisconnError):

@@ -50,9 +50,10 @@ one of its checks reads, with a `ParseError`):
       "discrete": <spec> | [<spec>, ...] where <spec> is
                   {"kind": "local", "pair_map": <builtin>}
                   | {"kind": "integrated"}  # needs a connection
-                  | {"kind": "flat", "omega": <builtin>}
+                  | {"kind": "flat", "omega": <builtin>}  # the matched
+                    # integral of omega against the "zero" pair map
                   | {"kind": "matched",     # needs a connection
-                     "reference": <spec> other than matched},
+                     "reference": <spec> of kind local or integrated},
                     # derived in closed form if local, else numerically
       "integrator": {"retraction": "straight"|"exp"|"skewed"  # trivial
                                    |"great_circle"|"exp"|"chart",  # hopf
@@ -104,7 +105,7 @@ from .manifolds import EuclideanChart, Sphere
 from .numdiff import QUADRATURE_ORDER, _column_norm, worst_defect
 
 
-# The stream of the flat and matched constructors' gate samples, outside
+# The stream of the curvature-matched constructor's gate samples, outside
 # the range of check indices, which are the streams of the checks.
 GATE_STREAM = 2 ** 64 - 1
 
@@ -281,8 +282,7 @@ def _is_rows(value, rows=None, size=None):
 _is_sample_count = functools.partial(_is_count, most=MAX_SAMPLES)
 _is_dim = functools.partial(_is_count, most=MAX_DIM)
 
-_REFERENCE_KINDS = {"local": {"pair_map": (str, dict)}, "integrated": {},
-                    "flat": {"omega": (str, dict)}}
+_REFERENCE_KINDS = {"local": {"pair_map": (str, dict)}, "integrated": {}}
 
 # Object types of the schema: {key: test}, or {"kind": {tag: {key: test}}}
 # for a tagged object.  A test is a predicate, a tuple of Python types, a
@@ -303,9 +303,10 @@ _SCHEMA = {
     "connection": {"kind": {"local": {"omega": (str, dict)},
                             "hopf_canonical": {},
                             "hopf_perturbed": {"epsilon?": _is_number}}},
-    "discrete": {"kind": {**_REFERENCE_KINDS,
+    "discrete": {"kind": {**_REFERENCE_KINDS, "flat": {"omega": (str, dict)},
                           "matched": {"reference": "reference"}}},
-    # Not matched: each level of nesting multiplies the evaluation cost.
+    # Neither matched nor flat, which is matched against the zero
+    # reference: each level of nesting multiplies the evaluation cost.
     "reference": {"kind": _REFERENCE_KINDS},
     "integrator": {"retraction?": (str,), "domain_radius?": _is_positive},
     "check": {"name": lambda v: isinstance(v, str) and v in CHECKS,
@@ -526,22 +527,22 @@ class ScenarioContext:
             return integration.integrate_connection(
                 self.connection, self.retraction, self.domain_radius)
         if kind == "flat":
-            return abelian.flat_integrate_local(
-                one_form_builtin(spec["omega"], self.bundle),
-                self.domain_radius,
-                closedness_samples=self._gate_samples())
-        if kind == "matched":
-            ref = spec["reference"]
-            reference = self._build_discrete(ref)
-            A_ref = (derived_pair_map_builtin(ref["pair_map"], self.bundle)
-                     if ref["kind"] == "local"
-                     else derivation.derive_connection(reference))
-            return abelian.curvature_matched_integrate(
-                self.connection, reference, A_ref,
-                match_samples=self._gate_samples())
+            # The curvature-matched integral of omega against the zero
+            # reference, whose derived connection is zero.
+            connection = one_form_builtin(spec["omega"], self.bundle)
+            ref = {"kind": "local", "pair_map": "zero"}
+        else:
+            connection, ref = self.connection, spec["reference"]
+        reference = self._build_discrete(ref)
+        A_ref = (derived_pair_map_builtin(ref["pair_map"], self.bundle)
+                 if ref["kind"] == "local"
+                 else derivation.derive_connection(reference))
+        return abelian.curvature_matched_integrate(
+            connection, reference, A_ref, match_samples=self._gate_samples())
 
     def _gate_samples(self):
-        """(m, u, w) stacks of the flat and matched constructors' gates."""
+        """(m, u, w) stacks of the curvature-matched constructor's gate,
+        which the flat and matched discretes pass through."""
         return _forms(self, self.rng(GATE_STREAM), 25)
 
     def rng(self, stream):

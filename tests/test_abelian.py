@@ -1,4 +1,5 @@
-"""Abelian descent, flat integration, and curvature-matched integration."""
+"""Abelian descent and curvature-matched integration, flat integration
+(the matched integral against the zero reference) included."""
 
 from pathlib import Path
 
@@ -6,10 +7,9 @@ import numpy as np
 import pytest
 
 from disconn import bundles, scenarios
-from disconn.abelian import (check_closed, curvature_matched_integrate,
+from disconn.abelian import (curvature_matched_integrate,
                              descend_continuous_difference,
-                             flat_integrate_local, primitive_on_segments,
-                             worst_exterior_defect)
+                             primitive_on_segments, worst_exterior_defect)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              make_trivial_tangent)
 from disconn.cli import run_scenario
@@ -18,17 +18,27 @@ from disconn.connections import (GenericConnection, HopfConnection,
 from disconn.derivation import derive_connection
 from disconn.discrete import (TrivialLocalDiscrete, discrete_curvature,
                               eval_discrete)
-from disconn.errors import (BundleMismatch, CurvatureMismatch, NotClosed,
+from disconn.errors import (BundleMismatch, CurvatureMismatch,
                             UnsupportedGroup, UnsupportedPresentation)
 from disconn.groups import SO3, Translation
 from disconn.manifolds import EuclideanChart, Sphere
-from disconn.scenarios import (ScenarioContext, load_scenario,
-                               one_form_builtin)
+from disconn.scenarios import (ScenarioContext, derived_pair_map_builtin,
+                               load_scenario, one_form_builtin,
+                               pair_map_builtin)
 
 
 def plane_bundle():
     B = TrivialBundle(EuclideanChart(2), Translation(1))
     return B, 1e18
+
+
+def flat_integrate(A, U, samples=None):
+    """The flat discrete of A: its curvature-matched integral against the
+    zero reference, gated at the (m, u, w) stacks `samples`."""
+    B = A.bundle
+    return curvature_matched_integrate(
+        A, pair_map_builtin("zero", B, U), derived_pair_map_builtin("zero", B),
+        match_samples=samples)
 
 
 def trapezoid(B, U):
@@ -90,8 +100,8 @@ class TestClosedness:
         B, _ = plane_bundle()
         A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
         samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
-        with pytest.raises(NotClosed):
-            check_closed(A, samples)
+        with pytest.raises(CurvatureMismatch):
+            flat_integrate(A, 1e18, samples)
 
 
 class TestFlatIntegration:
@@ -99,7 +109,8 @@ class TestFlatIntegration:
         self.B, self.U = plane_bundle()
         self.A = TrivialLocalConnection(
             self.B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        self.Ad = flat_integrate_local(self.A, self.U)
+        samples = np.array([[[0.3], [-0.2]], [[1.0], [0.0]], [[0.0], [1.0]]])
+        self.Ad = flat_integrate(self.A, self.U, samples)
 
     def q(self, m, y=0.0):
         return BundlePoint.trivial(self.B, m, [y])
@@ -128,7 +139,7 @@ class TestFlatIntegration:
         B = TrivialBundle(Sphere(3), Translation(1))
         A = TrivialLocalConnection(B, lambda m, v: np.array([0.0]))
         with pytest.raises(UnsupportedPresentation):
-            flat_integrate_local(A, 1.0)
+            flat_integrate(A, 1.0)
 
 
 class TestIncrement:
@@ -256,6 +267,13 @@ class TestCurvatureMatched:
         (check,) = [c for c in report.checks if c.name == "derive_roundtrip"]
         assert not check.passed
         assert 10 * check.tolerance <= check.max_defect <= 1e-3
+
+    def test_reference_on_another_bundle_is_a_bundle_mismatch(self):
+        # The connection lives on R^2 x R, the reference on R^3 x R.
+        C = TrivialBundle(EuclideanChart(3), Translation(1))
+        with pytest.raises(BundleMismatch):
+            curvature_matched_integrate(self.A, trapezoid(C, self.U),
+                                        self.A_ref)
 
     def test_curvature_mismatch_rejected(self):
         # 2x dy has derived curvature 2 dx dy, twice the trapezoid's.

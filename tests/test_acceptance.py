@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from disconn import bundles, connections, discrete, integration
-from disconn.abelian import curvature_matched_integrate, flat_integrate_local
+from disconn.abelian import curvature_matched_integrate
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              make_trivial_tangent)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
@@ -21,7 +21,7 @@ from disconn.connections import (HopfConnection, TrivialLocalConnection,
 from disconn.derivation import derive_connection
 from disconn.discrete import (TrivialLocalDiscrete, discrete_curvature,
                               eval_discrete)
-from disconn.errors import CurvatureMismatch, NotClosed
+from disconn.errors import CurvatureMismatch
 from disconn.groups import SO3, Torus, Translation
 from disconn.integration import (hopf_geodesic_retraction,
                                  integrate_connection,
@@ -29,6 +29,7 @@ from disconn.integration import (hopf_geodesic_retraction,
                                  trivial_skewed_retraction)
 from disconn.manifolds import (EuclideanChart, check_retraction_axioms,
                                metric_exponential)
+from disconn.scenarios import derived_pair_map_builtin, pair_map_builtin
 
 _SUITE_START = time.perf_counter()
 
@@ -141,7 +142,10 @@ def test_criterion_4_flatness_preserved():
     U = 1e18
     closed = TrivialLocalConnection(
         B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-    Ad = flat_integrate_local(closed, U)
+    # The flat discrete: the curvature-matched integral against the zero
+    # reference, whose derived connection is zero.
+    Ad = curvature_matched_integrate(closed, pair_map_builtin("zero", B, U),
+                                     derived_pair_map_builtin("zero", B))
     A_back = derive_connection(Ad)
     rng = np.random.default_rng(1004)
     worst_curv = 0.0
@@ -275,11 +279,14 @@ def test_criterion_9_negative_controls():
     B = TrivialBundle(EuclideanChart(2), Translation(1))
     U = 1e18
 
-    # Non-closed one-form rejected by flat integration.
+    # Non-closed one-form rejected by flat integration, the matched
+    # integral against the zero reference.
     x_dy = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
     samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
-    with pytest.raises(NotClosed):
-        flat_integrate_local(x_dy, U, closedness_samples=samples)
+    with pytest.raises(CurvatureMismatch):
+        curvature_matched_integrate(x_dy, pair_map_builtin("zero", B, U),
+                                    derived_pair_map_builtin("zero", B),
+                                    match_samples=samples)
 
     # Curvature-mismatched input rejected by the matched construction.
     Ad_ref = TrivialLocalDiscrete(

@@ -14,17 +14,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disconn.abelian import check_closed, worst_exterior_defect
+from disconn.abelian import curvature_matched_integrate, worst_exterior_defect
 from disconn.bundles import BundlePoint, TrivialBundle, make_trivial_tangent
 from disconn.cli import main
 from disconn.connections import TrivialLocalConnection, curvature
 from disconn.derivation import derive_connection, pair_derivative
 from disconn.discrete import TrivialLocalDiscrete
-from disconn.errors import NotClosed
+from disconn.errors import CurvatureMismatch
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
 from disconn.numdiff import worst_defect
-from disconn.scenarios import MAX_DIM, MAX_SAMPLES, load_scenario
+from disconn.scenarios import (MAX_DIM, MAX_SAMPLES,
+                               derived_pair_map_builtin, load_scenario,
+                               pair_map_builtin)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,14 +63,17 @@ class TestUnmeasurableDefects:
     HUGE_BOX = [[1e200, 1e300], [1e200, 1e300]]
 
     def test_lost_difference_step_reads_nan(self):
-        A = TrivialLocalConnection(
-            TrivialBundle(EuclideanChart(2), Translation(1)),
-            lambda m, v: np.array([m[0] * v[1]]))
+        B = TrivialBundle(EuclideanChart(2), Translation(1))
+        A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
         samples = np.array([[[1e250], [1e250]], [[1.0], [0.0]],
                             [[0.0], [1.0]]])
         assert math.isnan(worst_exterior_defect(A, samples))
-        with pytest.raises(NotClosed):
-            check_closed(A, samples)
+        # The gate of the flat discrete, the matched integral against the
+        # zero reference, rejects the unmeasured defect.
+        with pytest.raises(CurvatureMismatch):
+            curvature_matched_integrate(
+                A, pair_map_builtin("zero", B, 1e18),
+                derived_pair_map_builtin("zero", B), match_samples=samples)
 
     def test_closed_form_on_huge_box_fails(self, tmp_path, capsys):
         # x dy is not closed; at 1e250 the difference step vanishes in
@@ -438,9 +443,13 @@ CUBIC = {"name": "polynomial", "terms": [
     {"coeff": 1.0, "powers": [3, 0], "dx": 1}]}
 
 
+TILT = {"coeff": 1e-7, "powers": [1, 0], "dx": 1}  # 1e-7 x dy
+
+
 class TestFlatClosednessGate:
-    """The flat constructor's closedness gate accepts a closed polynomial
-    form, as the closed_form check does."""
+    """The closedness gate of a flat discrete, the curvature-matched
+    integral against the zero reference, accepts a closed polynomial form,
+    as the closed_form check does, and stops an open one."""
 
     CFG = plane(connection={"kind": "local", "omega": CUBIC},
                 discrete={"kind": "flat", "omega": CUBIC},
@@ -451,11 +460,29 @@ class TestFlatClosednessGate:
         # 3x^2 y dx + x^3 dy = d(x^3 y).
         assert main(["run", write_scenario(tmp_path, self.CFG)]) == 0
 
-    def test_open_form_is_stopped_at_the_gate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("changes", [
         # x dy is not closed: d(x dy) = dx dy.
-        cfg = dict(self.CFG, discrete={"kind": "flat", "omega": "x_dy"})
+        {"discrete": {"kind": "flat", "omega": "x_dy"}},
+        # closed_xy, y dx + x dy, tilted by 1e-7 x dy: MATCH_TOL is 1e-8.
+        {"discrete": {"kind": "flat", "omega": {
+            "name": "polynomial", "terms": [
+                {"coeff": 1.0, "powers": [0, 1], "dx": 0},
+                {"coeff": 1.0, "powers": [1, 0], "dx": 1}, TILT]}}},
+        # The same gate on a matched discrete: x_dy_plus_dx2, x dy + 2x dx,
+        # tilted by 1e-7 x dy, against the trapezoid, whose derived
+        # connection is x dy.
+        {"connection": {"kind": "local", "omega": {
+            "name": "polynomial", "terms": [
+                {"coeff": 1.0, "powers": [1, 0], "dx": 1},
+                {"coeff": 2.0, "powers": [1, 0], "dx": 0}, TILT]}},
+         "discrete": {"kind": "matched", "reference": {
+             "kind": "local", "pair_map": "trapezoid_x_dy"}}},
+    ])
+    def test_open_form_is_stopped_at_the_gate(self, tmp_path, capsys,
+                                              changes):
+        cfg = dict(self.CFG, **changes)
         assert main(["run", write_scenario(tmp_path, cfg)]) == 2
-        assert "NotClosed" in capsys.readouterr().err
+        assert "CurvatureMismatch" in capsys.readouterr().err
 
 
 class TestSphereBase:

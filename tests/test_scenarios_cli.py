@@ -169,6 +169,12 @@ class TestParsing:
                             "reference": {"kind": "local",
                                           "pair_map": 3}}]),
          "bad discrete[1].reference.pair_map: 3"),
+        # A flat discrete is a matched one, so it is no reference.
+        (minimal(connection={"kind": "local", "omega": "x_dy"},
+                 discrete={"kind": "matched",
+                           "reference": {"kind": "flat",
+                                         "omega": "closed_xy"}}),
+         "discrete[0].reference needs a kind among ['integrated', 'local']"),
     ])
     def test_message_names_the_nested_path(self, tmp_path, cfg, message):
         path = write_scenario(tmp_path, cfg)
@@ -294,6 +300,20 @@ class TestRunScenario:
         report = run_file(write_scenario(tmp_path, cfg))
         assert not report.passed
         assert report.checks[0].max_defect > 0.1
+
+
+class TestFlatIsMatched:
+    def test_flat_is_the_matched_integral_of_the_zero_reference(
+            self, tmp_path):
+        # The flat discrete of closed_xy and the curvature-matched integral
+        # of closed_xy against the zero pair map give the same verdict
+        # bytes, defects included.
+        cfg = bundled("flat_integration.json", discrete={
+            "kind": "matched",
+            "reference": {"kind": "local", "pair_map": "zero"}})
+        shipped = run_file(str(SCENARIO_DIR / "flat_integration.json"))
+        matched = run_file(write_scenario(tmp_path, cfg))
+        assert emit_report(matched, "json") == emit_report(shipped, "json")
 
 
 class TestEmitReport:

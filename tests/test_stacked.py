@@ -10,7 +10,7 @@ import pytest
 from disconn import bundles, scenarios
 from disconn.abelian import (curvature_matched_integrate,
                              descend_continuous_difference,
-                             flat_integrate_local, primitive_on_segments)
+                             primitive_on_segments)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
                              make_trivial_tangent, section_over)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
@@ -79,6 +79,16 @@ def two_call_exterior_derivative(form, m, u, w):
 def by_loop(fn, m, v):
     return np.stack([fn(m[:, i], v[:, i]) for i in range(m.shape[1])],
                     axis=-1)
+
+
+def flat_integrate(A):
+    """The flat discrete of A: its curvature-matched integral against the
+    zero reference, whose derived connection is zero."""
+    B, k = A.bundle, A.bundle.group.dim
+    zero = TrivialLocalDiscrete(
+        B, lambda m0, m1: np.zeros((k,) + np.shape(m1 - m0)[1:]), 1e18)
+    return curvature_matched_integrate(A, zero, TrivialLocalConnection(
+        B, lambda m, v: np.zeros((k,) + np.shape(v)[1:])))
 
 
 def reference_quadrature(f, a, b):
@@ -179,12 +189,17 @@ class TestStackedEqualsLoop:
             assert np.array_equal(got[:, i], direct)
 
     def test_flat_pair_map_broadcasts(self, case):
+        # The flat discrete on a stack of pairs is its values column by
+        # column, bit for bit.
         B, form, _ = case
-        Ad = flat_integrate_local(TrivialLocalConnection(B, form),
-                                  1e18)
+        Ad = flat_integrate(TrivialLocalConnection(B, form))
         m0, m1 = stack_of(6)
-        assert np.array_equal(Ad.pair_map(m0, m1),
-                              by_loop(Ad.pair_map, m0, m1))
+        g0, g1 = stack_of(6, d=B.group.dim, seed=9)
+        pairs = [(BundlePoint.trivial(B, m0[:, i], g0[:, i]),
+                  BundlePoint.trivial(B, m1[:, i], g1[:, i]))
+                 for i in (slice(None), *range(6))]
+        got, *columns = (eval_discrete(Ad, *pair) for pair in pairs)
+        assert np.array_equal(got, np.stack(columns, axis=-1))
 
     def test_exterior_derivative_is_the_two_call_reference(self, any_case):
         # Both slopes in one Richardson call, on a pair axis: the bits of
@@ -285,7 +300,7 @@ class TestCurvatureMatchedPointwise:
         B = TrivialBundle(EuclideanChart(2), Translation(1))
         closed = TrivialLocalConnection(
             B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        Ad_ref = flat_integrate_local(closed, 1e18)
+        Ad_ref = flat_integrate(closed)
         # d(x^2): closed, so its curvature matches the flat reference.
         A = TrivialLocalConnection(B, lambda m, v: np.array([2 * m[0] * v[0]]))
         self.check(A, Ad_ref)
