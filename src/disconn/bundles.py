@@ -33,13 +33,15 @@ operations act column by column.  A point and the tangents attached to it
 share one stack, or the shorter stack is a prefix of the longer one and
 broadcasts over it (`numdiff._columns`); a single point or element is the
 empty prefix.  `join` stacks rows of points on a new trailing axis, so
-that several pairs go through one call.  The Hopf projection Jacobian is
-applied as explicit sums over the coordinate axis, the same operations
-for one column or a stack.
+that several pairs go through one call.  A Hopf point projects once: the
+first `project` keeps its base point, read-only, on the point.  The Hopf
+projection Jacobian is applied as explicit sums over the coordinate axis,
+the same operations for one column or a stack.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +88,14 @@ class BundlePoint:
     def hopf(bundle, ambient):
         return BundlePoint(bundle,
                            ambient=bundle.total_space.validate(ambient))
+
+    @functools.cached_property
+    def hopf_base(self):
+        """The projection of a Hopf point, computed once and kept read-only
+        in the instance dict, outside the fields (equality, repr)."""
+        m = hopf_projection_coords(self.ambient)
+        m.flags.writeable = False
+        return m
 
 
 def split_trivial(q: BundlePoint, v) -> tuple:
@@ -228,7 +238,7 @@ def hopf_section(m_coords):
 def project(q: BundlePoint) -> np.ndarray:
     if isinstance(q.bundle, TrivialBundle):
         return q.base_point
-    return hopf_projection_coords(q.ambient)
+    return q.hopf_base
 
 
 def act(g, q: BundlePoint) -> BundlePoint:

@@ -292,27 +292,30 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     n = kind.dim
     target = to_chart(y)
     c = np.subtract(*_columns(target, to_chart(x)))
+    # Loop invariants: the probe offsets +- e_j, laid out (n, *stack, 2n),
+    # and the axis orders of the stacked solve, coordinates behind the stack.
+    k = c.ndim
+    offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1).reshape(
+        (n,) + (1,) * (k - 1) + (2 * n,))
+    to_solver, from_solver = (*range(1, k), 0), (k - 1, *range(k - 1))
     for _ in range(NEWTON_MAX_ITER):
         v, r = step_chart(c)
         r = r - target
         norms = _column_norm(r)
         if _largest(norms) <= NEWTON_TOL:
             return v
-        # The probes c +- h e_j of every column, laid out (n, *stack, 2n).
-        offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1)
         h = (1e-7 * (1.0 + _column_norm(c)))[..., None]
-        probes = c[..., None] + h * offsets.reshape(
-            (n,) + (1,) * (c.ndim - 1) + (2 * n,))
+        probes = c[..., None] + h * offsets
         rp = step_chart(probes)[1] - target[..., None]
         J = (rp[..., :n] - rp[..., n:]) / (2.0 * h)
         try:
-            step = np.linalg.solve(np.moveaxis(J, 0, -2),
-                                   np.moveaxis(r, 0, -1)[..., None])
+            step = np.linalg.solve(J.transpose(to_solver + (k,)),
+                                   r.transpose(to_solver)[..., None])
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence("singular Jacobian") from exc
         # A converged column keeps its c; a NaN residual iterates on.
         c = np.where(norms <= NEWTON_TOL, c,
-                     c - np.moveaxis(step[..., 0], -1, 0))
+                     c - step[..., 0].transpose(from_solver))
     residual = np.max(_column_norm(step_chart(c)[1] - target))
     raise NewtonDivergence(
         f"residual {residual:.3e} > {NEWTON_TOL:.1e} "

@@ -35,10 +35,12 @@ is a stack of one.
 `_column_dot` and `_column_norm` sum one coordinate after another, the
 same operations on a (d,) vector as on every column of a stack, and every
 small matrix product is made of such sums (`_matvec`), so a point alone
-and the same point inside a stack give the same bits.  (np.dot and
-np.add.reduce cannot serve: np.dot may fuse and reorder, and from eight
-coordinates on np.add.reduce sums a contiguous vector pairwise, in
-another order than a column of a stack.)
+and the same point inside a stack give the same bits.  Below eight rows
+np.add.reduce adds them in order, in one call, whatever the layout; from
+eight rows on it may sum a contiguous vector or a transposed view
+pairwise, in another order than a column of a stack, so those rows are
+added one by one (`_row_sum`).  np.dot cannot serve: it may fuse and
+reorder.
 """
 
 import functools
@@ -151,14 +153,22 @@ def _column_dot(a, b):
     empty stack.  A single vector or a shorter stack is broadcast by
     `_columns`."""
     a, b = _columns(a, b)
-    return functools.reduce(operator.add, a * b)
+    return _row_sum(a * b)
 
 
 def _column_norm(x):
     """Euclidean norm of each column of a (d, *stack) stack, summed as
     `_column_dot` sums; a (d,) vector is the empty stack."""
     x = np.asarray(x)
-    return np.sqrt(functools.reduce(operator.add, x * x))
+    return np.sqrt(_row_sum(x * x))
+
+
+def _row_sum(p):
+    """The rows of p added one after another: one np.add.reduce below
+    eight rows, where numpy adds in order, else row by row."""
+    if len(p) < 8:
+        return np.add.reduce(p, axis=0)
+    return functools.reduce(operator.add, p)
 
 
 def _matvec(M, x):
@@ -183,9 +193,12 @@ def on_stack(values, dim, stack):
     values = np.asarray(values, dtype=float)
     if not stack:
         return values.reshape(dim)
+    shape = (dim,) + tuple(stack)
+    if values.shape == shape:
+        return values
     if values.size == dim:
         values = values.reshape((dim,) + (1,) * len(stack))
-    return np.broadcast_to(values, (dim,) + tuple(stack))
+    return np.broadcast_to(values, shape)
 
 
 def worst_defect(defects):

@@ -324,10 +324,11 @@ def _require(ok, message):
 
 
 def _validate(value, test, where):
-    """Raise a ParseError unless value passes test (see _SCHEMA).  A leaf's
-    message, with the repr of its value, is formatted only when it fails."""
+    """Raise a ParseError unless value passes test (see _SCHEMA).  Every
+    message is formatted only when its test fails."""
     if isinstance(test, list):
-        _require(isinstance(value, list), f"{where} must be a list")
+        if not isinstance(value, list):
+            raise ParseError(f"{where} must be a list")
         for i, item in enumerate(value):
             _validate(item, test[0], f"{where}[{i}]")
     elif not isinstance(test, str):
@@ -336,15 +337,17 @@ def _validate(value, test, where):
             raise ParseError(f"bad {where}: {value!r}")
     else:
         fields = _SCHEMA[test]
-        _require(isinstance(value, dict), f"{where} must be an object")
+        if not isinstance(value, dict):
+            raise ParseError(f"{where} must be an object")
         if "kind" in fields:
             tags, kind = fields["kind"], value.get("kind")
-            _require(isinstance(kind, str) and kind in tags,
-                     f"{where} needs a kind among {sorted(tags)}")
+            if not (isinstance(kind, str) and kind in tags):
+                raise ParseError(f"{where} needs a kind among {sorted(tags)}")
             fields = dict(tags[kind], kind=(str,))
         keys = {key.rstrip("?"): key for key in fields}
         unknown = set(value) - set(keys)
-        _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
+        if unknown:
+            raise ParseError(f"unknown {where} keys: {sorted(unknown)}")
         for name, key in keys.items():
             if name in value or name == key:
                 _validate(value.get(name), fields[key], f"{where}.{name}")

@@ -90,6 +90,24 @@ class TestHopf:
             m = project(q)
             assert abs(np.linalg.norm(m) - 1.0) <= 1e-12
 
+    def test_point_projects_once_read_only(self):
+        # The projection is kept on the point: the same bits as projecting
+        # the ambient array, the same array on every call, and read-only.
+        rng = np.random.default_rng(24)
+        one = random_hopf_point(rng)
+        x = rng.normal(size=(4, 5, 3))
+        stack = BundlePoint.hopf(HopfBundle(), x / np.linalg.norm(x, axis=0))
+        for q in (one, stack):
+            m = project(q)
+            expected = hopf_projection_coords(q.ambient)
+            assert m.shape == expected.shape
+            assert m.tobytes() == expected.tobytes()
+            assert project(q) is m
+            with pytest.raises(ValueError):
+                m[0] = 0.0
+        assert one == BundlePoint(one.bundle, ambient=one.ambient)
+        assert "hopf_base" not in repr(one)
+
     def test_base_and_group_are_shared_constants(self):
         H = HopfBundle()
         assert H.base is HopfBundle.base and H.group is HopfBundle.group

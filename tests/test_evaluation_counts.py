@@ -73,6 +73,16 @@ scenario, 24 bases in discrete_axioms (8 samples, 3 joined pairs) and 8
 in each of derive_roundtrip and lift_roundtrip: 80 in all.  One anchor
 per target column made 176, 32 per stencil check.  On breadth the S2 x
 U(1) discrete_axioms solve builds 12.
+
+A Hopf point projects once: `bundles.project` keeps the base point on
+the point.  On hopf-newton `hopf_projection_coords` runs 38 times over
+the two scenarios: 2 in connection_axioms, 16 in discrete_axioms, 10 in
+derive_roundtrip and 10 in lift_roundtrip.  Of these, the reduced steps
+project their stepped points 16 times (8, 4 and 4) and the integrated
+`eval_discrete` calls project 16 more (6, 6 and 4).  One projection per
+`project` call made 68 (3, 23, 20 and 22), 39 of them inside
+`eval_discrete` outside the reduced steps.  matched-deep and breadth
+have no Hopf point.
 """
 
 import dataclasses
@@ -85,7 +95,8 @@ import numpy as np
 import pytest
 
 import disconn
-from disconn import connections, discrete, integration, manifolds, numdiff
+from disconn import (bundles, connections, discrete, integration, manifolds,
+                     numdiff)
 from disconn.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -122,7 +133,8 @@ def counts(monkeypatch):
                          (discrete, "eval_discrete"),
                          (connections, "eval_connection"),
                          (integration, "retract_bundle"),
-                         (numdiff, "gauss_legendre_line_integral")):
+                         (numdiff, "gauss_legendre_line_integral"),
+                         (bundles, "hopf_projection_coords")):
         original = getattr(module, name)
         rebind_everywhere(monkeypatch, original, counting(name, original))
 
@@ -150,7 +162,8 @@ COUNTS = {
     "hopf-newton": {"invert_extended": 6, "eval_discrete": 6,
                     "richardson_derivative": 4, "f": 4,
                     "eval_connection": 18, "retract_bundle": 10,
-                    "reduced_step": 16, "tangent_basis": 80},
+                    "reduced_step": 16, "tangent_basis": 80,
+                    "hopf_projection_coords": 38},
     "breadth": {"invert_extended": 14, "eval_discrete": 28,
                 "richardson_derivative": 23, "f": 23,
                 "gauss_legendre_line_integral": 4,

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from disconn import bundles, scenarios
 from disconn.abelian import (curvature_matched_integrate,
@@ -24,7 +26,8 @@ from disconn.integration import (hopf_geodesic_retraction,
                                  trivial_product_retraction,
                                  trivial_skewed_retraction)
 from disconn.manifolds import EuclideanChart, Sphere, metric_exponential
-from disconn.numdiff import (QUADRATURE_ORDER, exterior_derivative,
+from disconn.numdiff import (QUADRATURE_ORDER, _column_dot, _column_norm,
+                             _columns, _matvec, exterior_derivative,
                              gauss_legendre_line_integral, lost_step,
                              richardson_derivative, worst_defect)
 from disconn.scenarios import _hopf_chart_retraction
@@ -542,3 +545,58 @@ class TestStackedStepsKeepColumnsApart:
         v = tangent_stack(rng, B.total_space, q.ambient, 3)
         assert np.array_equal(R.step(q, v).ambient[:, -1], q.ambient)
         assert np.array_equal(R.step(q, np.zeros(4)).ambient, q.ambient)
+
+
+def python_dot(a, b):
+    """Column dot products of (d, *stack) arrays (the shorter stack a
+    prefix, as `_columns` makes it), as a plain row-by-row Python sum of
+    Python floats, one column at a time."""
+    a, b = np.broadcast_arrays(*_columns(a, b))
+    out = np.empty(a.shape[1:])
+    for index in np.ndindex(out.shape):
+        column = (slice(None),) + index
+        total = None
+        for x, y in zip(a[column].tolist(), b[column].tolist()):
+            total = x * y if total is None else total + x * y
+        out[index] = total
+    return out
+
+
+def kernel_layouts(rng, d):
+    """(name, a, b) pairs of every layout the kernels meet, with entries
+    spread over twelve decades so that the order of the sum shows."""
+    def draw(*shape):
+        return (rng.standard_normal(shape)
+                * 10.0 ** rng.integers(-6, 7, shape))
+
+    stack = draw(d, 5, 3)
+    return [("single", draw(d), draw(d)),
+            ("stack", stack, draw(d, 5, 3)),
+            ("transposed", draw(3, 5, d).T, draw(3, 5, d).T),
+            ("single over a stack", draw(d), stack),
+            ("prefix stack", draw(d, 5), stack)]
+
+
+class TestKernelSummationRule:
+    """`_column_dot`, `_column_norm` and `_matvec` add the coordinates one
+    after another, bit for bit, in every layout and at every coordinate
+    count up to two whole MAX_DIM axes and one more.  Below eight rows
+    the kernels rely on np.add.reduce adding in order; a numpy release
+    that changes that order fails here."""
+
+    @pytest.mark.parametrize("d", range(1, 2 * scenarios.MAX_DIM + 2))
+    # A smaller seed is no simpler input: no shrinking.
+    @settings(max_examples=8, deadline=None, derandomize=True,
+              phases=[Phase.generate])
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_kernels_add_row_by_row(self, d, seed):
+        rng = np.random.default_rng(seed)
+        for name, a, b in kernel_layouts(rng, d):
+            assert same_bits(_column_dot(a, b), python_dot(a, b)), name
+            assert same_bits(_column_norm(b), np.sqrt(python_dot(b, b))), \
+                name
+            # Rows of a (2, d, *stack) matrix stack against b: each entry
+            # is the column dot of one row with b.
+            M = np.stack([a, a[::-1]])
+            assert same_bits(_matvec(M, b), np.stack(
+                [python_dot(row, b) for row in M])), name
