@@ -104,7 +104,7 @@ def eval_connection(A: ConnectionForm, q: BundlePoint, v) -> np.ndarray:
             m = bundles.project(q)
             u = bundles.tangent_projection(q, v)
             value = value + A.epsilon * _sphere_beta(m, u)
-        return np.array([value], dtype=float)
+        return np.asarray(value, dtype=float)[None]
     return A.rule(q, v)
 
 
@@ -119,16 +119,19 @@ def horizontal_lift(A: ConnectionForm, q: BundlePoint,
 def horizontal_lifts(A: ConnectionForm, q: BundlePoint) -> np.ndarray:
     """The horizontal lifts at q of the k base coordinate vectors, as the
     columns of a (d, k, *stack) matrix L at a stack of points: one
-    `horizontal_lift` call on a k-column stack.  The lift is linear in the
-    base direction, so `numdiff._matvec(L, u)` is the lift of u, to
-    rounding when A is linear in the tangent (local one-forms, Hopf)."""
+    `horizontal_lift` call on the coordinate vectors, written out in full
+    on a trailing axis after the points' stack (not a broadcast view: a
+    one-form may stack rows of its own shapes), then one transpose.  The
+    lift is linear in the base direction, so `numdiff._matvec(L, u)` is
+    the lift of u, to rounding when A is linear in the tangent (local
+    one-forms, Hopf)."""
     k = A.bundle.base.coord_size
     point = q.base_point if isinstance(q.bundle, TrivialBundle) else q.ambient
-    # The coordinate vectors on a trailing axis, after the points' stack.
     stack = point.shape[1:]
-    E = np.broadcast_to(np.eye(k).reshape((k,) + (1,) * len(stack) + (k,)),
-                        (k,) + stack + (k,))
-    return np.moveaxis(horizontal_lift(A, q, E), -1, 1)
+    E = np.empty((k,) + stack + (k,))
+    E[...] = np.eye(k).reshape((k,) + (1,) * len(stack) + (k,))
+    return horizontal_lift(A, q, E).transpose(
+        0, len(stack) + 1, *range(1, len(stack) + 1))
 
 
 def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
@@ -160,7 +163,7 @@ def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
         if A.epsilon:
             # d(pullback of beta) evaluated on lifts is d beta on u, w.
             value += A.epsilon * 2.0 * (u[0] * w[1] - u[1] * w[0])
-        return np.array([value], dtype=float)
+        return np.asarray(value, dtype=float)[None]
     raise UnsupportedPresentation(
         "curvature is not available for this presentation")
 

@@ -147,7 +147,8 @@ class Torus(Translation):
     element reduced to angles in (-pi, pi]."""
 
     def wrap(self, data):
-        return reduce_angle(super().wrap(data))
+        data = np.asarray(data, dtype=float)  # reduce_angle copies
+        return reduce_angle(data.reshape((self.dim,) + data.shape[1:]))
 
     def compose(self, a, b):
         if a.ndim != b.ndim:

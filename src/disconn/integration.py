@@ -9,8 +9,9 @@ translation carrying that representative to q1.  Differentiating the
 result recovers A.  The horizontal lift is linear in the base direction,
 so each evaluation builds it once, as the matrix L of the lifts of the
 base coordinate vectors at q0 (`connections.horizontal_lifts`): the
-reduced retraction steps u -> phi(R_q0(L u)), and the rule retracts L
-times the solved direction.
+reduced retraction steps u -> phi(R_q0(L u)).  The solve's last step is
+a residual's, at the solved direction delta, so the rule reads its point
+R_q0(L delta) there (its radius tested) instead of retracting again.
 
 A bundle retraction is a `manifolds.Retraction` whose space is the
 bundle: its step maps a `BundlePoint` and tangent components to a
@@ -31,6 +32,7 @@ the stack of q1.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -181,10 +183,16 @@ def integrate_connection(A: ConnectionForm, R: Retraction,
 
     def rule(q0, q1):
         L = horizontal_lifts(A, q0)
-        delta = manifolds.invert_extended(reduced_retraction(R, q0, L),
-                                          bundles.project(q0),
-                                          bundles.project(q1))
-        q_h = retract_bundle(R, q0, _matvec(L, delta))
-        return bundles.fiber_translation(q_h, q1)
+        last = []
+
+        def recording_step(q, v):
+            last[:] = v, R.step(q, v)
+            return last[1]
+
+        manifolds.invert_extended(
+            reduced_retraction(replace(R, step=recording_step), q0, L),
+            bundles.project(q0), bundles.project(q1))
+        R.require_inside(last[0])   # the last step: R_q0(L delta)
+        return bundles.fiber_translation(last[1], q1)
 
     return ComposedDiscrete(A.bundle, rule, domain_radius, name="integrated")

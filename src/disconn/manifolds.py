@@ -188,7 +188,7 @@ class Sphere(ManifoldKind):
              - w[:, None] * ((2.0 / _column_dot(w, w)) * w)[None, :])
         # Drop column k of each reflection.
         kept = np.arange(n - 1).reshape((n - 1,) + (1,) * k.ndim)
-        return np.take_along_axis(H, (kept + (kept >= k))[None], axis=1)
+        return np.where(kept < k, H[:, :n - 1], H[:, 1:])
 
     def chart_at(self, center):
         # Normal coordinates at `center`: the geodesic log in the basis B.
@@ -275,7 +275,9 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     <= NEWTON_TOL on, while the others iterate.  In each iteration the 2n
     difference probes of the Jacobians of all columns go through one step
     call, on a trailing probe axis, and one stacked linear solve updates
-    the columns not yet converged."""
+    the columns not yet converged; the probes are set up at the first
+    residual that fails.  The last step call is the residual whose tangent
+    is returned."""
     kind = R.space
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if _largest(kind.distance(x, y)) >= R.domain_radius / 2.0:
@@ -292,18 +294,20 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     n = kind.dim
     target = to_chart(y)
     c = np.subtract(*_columns(target, to_chart(x)))
-    # Loop invariants: the probe offsets +- e_j, laid out (n, *stack, 2n),
-    # and the axis orders of the stacked solve, coordinates behind the stack.
-    k = c.ndim
-    offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1).reshape(
-        (n,) + (1,) * (k - 1) + (2 * n,))
-    to_solver, from_solver = (*range(1, k), 0), (k - 1, *range(k - 1))
+    offsets = None
     for _ in range(NEWTON_MAX_ITER):
         v, r = step_chart(c)
         r = r - target
         norms = _column_norm(r)
         if _largest(norms) <= NEWTON_TOL:
             return v
+        if offsets is None:
+            # The probe offsets +- e_j, laid out (n, *stack, 2n), and the
+            # axis orders of the stacked solve, coordinates behind the stack.
+            k = c.ndim
+            offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1).reshape(
+                (n,) + (1,) * (k - 1) + (2 * n,))
+            to_solver, from_solver = (*range(1, k), 0), (k - 1, *range(k - 1))
         h = (1e-7 * (1.0 + _column_norm(c)))[..., None]
         probes = c[..., None] + h * offsets
         rp = step_chart(probes)[1] - target[..., None]

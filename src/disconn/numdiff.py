@@ -44,6 +44,7 @@ reorder.
 """
 
 import functools
+import math
 import operator
 
 import numpy as np
@@ -79,9 +80,9 @@ def richardson_derivative(f, check_consistency=False):
     if check_consistency:
         gap = np.ravel(_column_norm(np.atleast_1d(best - coarse)))
         scale = 1.0 + np.ravel(_column_norm(np.atleast_1d(best)))
-        bad = np.flatnonzero(gap > CONSISTENCY_TOL * scale)
-        if bad.size:
-            i = bad[0]
+        bad = gap > CONSISTENCY_TOL * scale
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
             raise NonDifferentiable(
                 "Richardson levels disagree: "
                 f"{gap[i]:.3e} > {CONSISTENCY_TOL:.1e} * {scale[i]:.3e}")
@@ -207,6 +208,5 @@ def worst_defect(defects):
     tolerance (a running max(worst, d) would drop it: max(0.0, nan) is
     0.0)."""
     defects = np.ravel(np.asarray(defects, dtype=float))
-    if np.isnan(defects).any():
-        return float("nan")
-    return functools.reduce(max, defects.tolist(), 0.0)
+    worst = float(defects.max()) if defects.size else 0.0
+    return float("nan") if math.isnan(worst) else max(0.0, worst)

@@ -215,8 +215,11 @@ def pair_map_builtin(spec, bundle,
     _require(bundle.group.dim == 1,
              "builtin pair maps target one-dimensional groups")
     rule = _polynomial(table, bundle.base.coord_size, name)
+    # A block that no term reads is not computed.
+    mid, delta = (any(any(term[b]) for term in table) for b in (1, 2))
     return discrete.TrivialLocalDiscrete(
-        bundle, lambda m0, m1: np.array([rule(0.5 * (m0 + m1), m1 - m0)]),
+        bundle, lambda m0, m1: np.array([rule(
+            0.5 * (m0 + m1) if mid else None, m1 - m0 if delta else None)]),
         domain_radius, name=name)
 
 

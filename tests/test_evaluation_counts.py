@@ -15,19 +15,24 @@ made 24.
 `eval_connection` and `retract_bundle` are counted at every call, nested
 ones included.  An integrated evaluation lifts once: it builds the matrix
 of horizontal lifts at its anchors with one `eval_connection` call, and
-both the reduced retraction and the rule apply that matrix.  On
+the reduced retraction applies that matrix.  It retracts no more: the
+rule reads the point of its Newton solve's last step, a residual's.  On
 hopf-newton, over the two scenarios, connection_axioms evaluates the
 connection 6 times (A at the generator, at g . v and at v, per
 scenario); the integrated form evaluates it 2 times in discrete_axioms,
 6 in derive_roundtrip (with the 2 direct evaluations per scenario) and 4
-in lift_roundtrip (with the 1 direct horizontal lift per scenario), and
-it retracts 2, 2 and 2 times; retraction_equivariance retracts 4 times
-(R(g . v) and R(v) per scenario).  A lift inside every reduced step and
+in lift_roundtrip (with the 1 direct horizontal lift per scenario).
+Only retraction_equivariance calls `retract_bundle`, 4 times (R(g . v)
+and R(v) per scenario); a retraction of L delta after each solve made
+10, 2 in each integrated check.  A lift inside every reduced step and
 one more after each solve made 34 `eval_connection` calls; one call per
-pair had made 48 `eval_connection` and 14 `retract_bundle` calls.  On breadth the 14
-solves and the reduced retraction of S2 x U(1)'s retraction_axioms
-evaluate the connection once each, where they made 61 calls in all
-before.  hopf-newton takes no exterior derivative and no line integral.
+pair had made 48 `eval_connection` and 14 `retract_bundle` calls.  On
+breadth the 14 solves and the reduced retraction of S2 x U(1)'s
+retraction_axioms evaluate the connection once each, where they made 61
+calls in all before, and `retract_bundle` runs 4 times, in the
+retraction_equivariance checks of the two U(1) scenarios; a retraction
+after each solve made 18 (3 in derive_roundtrip, 4 in diagram, 4 in
+discrete_axioms and 3 in lift_roundtrip).  hopf-newton takes no exterior derivative and no line integral.
 
 On matched-deep, a curvature-matched evaluation makes one `eval_discrete`
 call of the reference and integrates the end points m1 and m0 of its
@@ -75,13 +80,17 @@ per target column made 176, 32 per stencil check.  On breadth the S2 x
 U(1) discrete_axioms solve builds 12.
 
 A Hopf point projects once: `bundles.project` keeps the base point on
-the point.  On hopf-newton `hopf_projection_coords` runs 38 times over
-the two scenarios: 2 in connection_axioms, 16 in discrete_axioms, 10 in
-derive_roundtrip and 10 in lift_roundtrip.  Of these, the reduced steps
-project their stepped points 16 times (8, 4 and 4) and the integrated
-`eval_discrete` calls project 16 more (6, 6 and 4).  One projection per
-`project` call made 68 (3, 23, 20 and 22), 39 of them inside
-`eval_discrete` outside the reduced steps.  matched-deep and breadth
+the point.  On hopf-newton `hopf_projection_coords` runs 32 times over
+the two scenarios: 2 in connection_axioms, 14 in discrete_axioms, 8 in
+derive_roundtrip and 8 in lift_roundtrip.  Of these, the reduced steps
+project their stepped points 16 times (8, 4 and 4), the integrated
+`eval_discrete` calls project 10 more (4, 4 and 2), and the checks 6
+(2, 2, 0 and 2).  The rule's horizontal representative is the point of
+the solve's last step, already projected; retracting again after each
+solve made 38 (2, 16, 10 and 10), 16 of them (6, 6 and 4) inside
+`eval_discrete` outside the reduced steps.  One projection per `project`
+call made 68 (3, 23, 20 and 22), 39 of them inside `eval_discrete`
+outside the reduced steps.  matched-deep and breadth
 have no Hopf point.
 """
 
@@ -161,13 +170,13 @@ COUNTS = {
                      "eval_connection": 2},
     "hopf-newton": {"invert_extended": 6, "eval_discrete": 6,
                     "richardson_derivative": 4, "f": 4,
-                    "eval_connection": 18, "retract_bundle": 10,
+                    "eval_connection": 18, "retract_bundle": 4,
                     "reduced_step": 16, "tangent_basis": 80,
-                    "hopf_projection_coords": 38},
+                    "hopf_projection_coords": 32},
     "breadth": {"invert_extended": 14, "eval_discrete": 28,
                 "richardson_derivative": 23, "f": 23,
                 "gauss_legendre_line_integral": 4,
-                "eval_connection": 46, "retract_bundle": 18,
+                "eval_connection": 46, "retract_bundle": 4,
                 "reduced_step": 16, "tangent_basis": 12},
 }
 

@@ -58,6 +58,24 @@ class TestWorstDefect:
         assert math.isnan(worst_defect([0.0, float("nan"), 2.0]))
         assert math.isnan(worst_defect(np.array([float("nan")])))
 
+    @pytest.mark.parametrize("defects", [
+        [], [float("nan")], [1.0, float("nan"), -1.0], [-float("nan")],
+        [0.0], [-0.0], [-0.0, 0.0], [0.0, -0.0], [-1e-300, -0.0],
+        [float("inf")], [-float("inf")], [-float("inf"), 2.0, float("inf")],
+        [-3.0, -2.5], [2.0, 5e-17, 2.0], np.array([[1e-16, -2.0], [0.5, 0.5]]),
+        [np.array([1e-16, 3e-16]), np.array([2e-16, 0.0])],
+        [np.zeros(0), np.zeros(0)], 0.25, -0.25])
+    def test_same_bits_as_the_running_max(self, defects):
+        # The running max over Python floats from 0.0, NaN when any is NaN;
+        # distinctness reports negative defects.
+        flat = np.ravel(np.asarray(defects, dtype=float))
+        want = (float("nan") if np.isnan(flat).any()
+                else functools.reduce(max, flat.tolist(), 0.0))
+        got = worst_defect(defects)
+        assert type(got) is float
+        assert (math.isnan(got) and math.isnan(want)) or \
+            np.float64(got).tobytes() == np.float64(want).tobytes()
+
 
 class TestUnmeasurableDefects:
     HUGE_BOX = [[1e200, 1e300], [1e200, 1e300]]

@@ -1,5 +1,7 @@
 """Retraction-based integration of continuous connections."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,81 @@ class TestLiftMatrix:
         got = eval_discrete(Ad, q0, q1)
         want = reference_rule(A, R, q0, q1)
         assert np.max(A.bundle.group.distance(got, want)) <= 1e-14
+
+
+def same_point(p, q):
+    """The two bundle points have the same coordinates, bit for bit."""
+    fields = (("base_point", "group_part")
+              if isinstance(p.bundle, TrivialBundle) else ("ambient",))
+    return all(getattr(p, f).shape == getattr(q, f).shape
+               and getattr(p, f).tobytes() == getattr(q, f).tobytes()
+               for f in fields)
+
+
+class TestRuleReadsTheLastStep:
+    """The integrated rule takes its horizontal representative from the
+    last step of its Newton solve, a residual's, instead of retracting
+    L delta from q0 again: the point must be the one that retraction gives,
+    bit for bit, and the retraction's radius must still be tested on L
+    delta."""
+
+    @staticmethod
+    def pairs(A, stack):
+        """A stack of stack[0] points q0 and, over their base points, a
+        `stack` of points q1 within 0.3 of them on the base."""
+        base, group = A.bundle.base, A.bundle.group
+        rng = np.random.default_rng(137)
+        q0, m = random_points(rng, A, stack[0])
+        v = base.project_tangent(m, rng.uniform(
+            -1.0, 1.0, (base.coord_size,) + stack))
+        m1 = base.geodesic_step(m, 0.3 * v / np.maximum(_column_norm(v), 1.0))
+        g1 = group.exp(rng.uniform(-1.0, 1.0, (group.dim,) + stack))
+        return q0, bundles.act(g1, bundles.section_over(A.bundle, m1))
+
+    # Newton iterates on the perturbed Hopf bundle, and returns at its
+    # first residual on the trivial bundles, straight or skewed.
+    @pytest.mark.parametrize("name", ["hopf_perturbed", "R2xU1", "R2xT1"])
+    @pytest.mark.parametrize("stack", [(12,), (12, 4)])
+    def test_point_is_the_retraction_of_the_solved_lift(self, name, stack,
+                                                        monkeypatch):
+        make, retraction = LIFT_CASES[name]
+        A = make()
+        R = retraction(A.bundle)
+        q0, q1 = self.pairs(A, stack)
+        read = []
+        translation = bundles.fiber_translation
+        monkeypatch.setattr(bundles, "fiber_translation",
+                            lambda q_h, q: read.append(q_h)
+                            or translation(q_h, q))
+        got = eval_discrete(integrate_connection(A, R, 1.0), q0, q1)
+        L = horizontal_lifts(A, q0)
+        delta = invert_extended(reduced_retraction(R, q0, L),
+                                bundles.project(q0), bundles.project(q1))
+        want = retract_bundle(R, q0, _matvec(L, delta))
+        assert len(read) == 1 and same_point(read[0], want)
+        assert got.tobytes() == translation(want, q1).tobytes()
+
+    @pytest.mark.parametrize("stencil", [(), (4,)])
+    def test_a_lift_beyond_the_radius_is_still_refused(self, stencil):
+        # omega = x dy at x = 10 lifts delta = (0, 0.1) to a tangent of
+        # length ~1.005: the base pair is inside the solve's test
+        # (0.1 < 0.5 / 2), but L delta is outside the radius 0.5.
+        B, A, _ = x_dy_setup(Torus(1))
+        R = replace(trivial_product_retraction(B), domain_radius=0.5)
+        Ad = integrate_connection(A, R, 1.0)
+        m0 = np.array([[10.0, 0.0], [0.0, 0.0]])
+        m1 = np.array([[10.0, 0.0], [0.1, 0.1]]).reshape((2, 2) + (1,) * len(
+            stencil)) + np.zeros(stencil)
+        q0, q1 = (bundles.section_over(B, m) for m in (m0, m1))
+        L = horizontal_lifts(A, q0)
+        delta = invert_extended(reduced_retraction(R, q0, L), m0, m1)
+        with pytest.raises(OutsideDomain):
+            retract_bundle(R, q0, _matvec(L, delta))
+        with pytest.raises(OutsideDomain):
+            eval_discrete(Ad, q0, q1)
+        # The column at x = 0 alone lifts inside the radius.
+        q0, q1 = (bundles.section_over(B, m[:, 1]) for m in (m0, m1))
+        assert np.all(np.isfinite(eval_discrete(Ad, q0, q1)))
 
 
 class TestIntegration:

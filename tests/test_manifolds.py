@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disconn import manifolds
 from disconn.errors import NewtonDivergence, OutsideDomain
 from disconn.manifolds import (EuclideanChart, Retraction, Sphere,
                                check_retraction_axioms,
                                invert_extended, metric_exponential, retract)
+from disconn.numdiff import _column_dot
 
 
 def sphere_chart_rule():
@@ -91,6 +94,54 @@ class TestSphere:
         r = float(np.linalg.norm(u))
         back = np.cos(r) * center + np.sin(r) * from_chart(u) / r
         assert np.allclose(back, other, rtol=0.0, atol=1e-12)
+
+
+def take_along_axis_basis(x):
+    """`Sphere.tangent_basis` as it was built before: the same Householder
+    reflection, with column k dropped by np.take_along_axis."""
+    n = len(x)
+    k = np.argmax(np.abs(x), axis=0)
+    rows = np.arange(n).reshape((n,) + (1,) * k.ndim)
+    w = np.where(rows == k, x + np.copysign(1.0, x), x)
+    H = (np.eye(n).reshape((n, n) + (1,) * k.ndim)
+         - w[:, None] * ((2.0 / _column_dot(w, w)) * w)[None, :])
+    kept = np.arange(n - 1).reshape((n - 1,) + (1,) * k.ndim)
+    return np.take_along_axis(H, (kept + (kept >= k))[None], axis=1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestTangentBasisBits:
+    """Dropping column k by selection gives the entries the index gather
+    gave, bit for bit, so no Newton chart moves."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 5),
+           stack=st.sampled_from([(), (1,), (7,), (3, 4)]),
+           last_largest=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_take_along_axis(self, n, stack, last_largest, seed):
+        x = np.random.default_rng(seed).normal(size=(n,) + stack)
+        if last_largest:    # move each column's largest entry to the end
+            k = np.argmax(np.abs(x), axis=0)
+            top = np.take_along_axis(x, k[None], axis=0)
+            np.put_along_axis(x, k[None], x[-1:], axis=0)
+            x[-1:] = top
+        x = x / np.sqrt(_column_dot(x, x))
+        assert same_bits(Sphere(n).tangent_basis(x), take_along_axis_basis(x))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_at_axes_and_ties(self, n):
+        # Coordinate axes of both signs, and columns whose largest
+        # magnitude is shared, where argmax takes the first.
+        ties = np.ones((n, n)) - 2.0 * np.eye(n)
+        x = np.concatenate([np.eye(n), -np.eye(n),
+                            ties / np.sqrt(n)], axis=1)
+        assert same_bits(Sphere(n).tangent_basis(x), take_along_axis_basis(x))
+        for column in x.T:
+            assert same_bits(Sphere(n).tangent_basis(column),
+                             take_along_axis_basis(column))
 
 
 class TestRetraction:
