@@ -143,8 +143,10 @@ def join(*rows) -> tuple:
     k points gives a point whose stack is (*stack, k), with the row's
     point j at index j of the new axis.  Every point of every row is first
     broadcast to one stack, of which each point's stack is a prefix
-    (`numdiff._columns`), so joined rows go together as their points did.
-    The points must live on one bundle."""
+    (`numdiff._columns`), so joined rows go together as their points did;
+    when every point already has that one stack, as the pairs a check
+    builds on its sample stack do, each is assigned as it is.  The points
+    must live on one bundle."""
     points = [q for row in rows for q in row]
     bundle = points[0].bundle
     if any(q.bundle != bundle for q in points):
@@ -155,14 +157,19 @@ def join(*rows) -> tuple:
                   ("group_part", np.ndim(bundle.group.identity())))
     else:
         fields = (("ambient", 1),)
-    stack = _joint_stack([getattr(q, name).shape[rank:]
-                          for q in points for name, rank in fields])
+    stacks = {getattr(q, name).shape[rank:]
+              for q in points for name, rank in fields}
+    shared = len(stacks) == 1
+    stack = next(iter(stacks)) if shared else _joint_stack(list(stacks))
 
     def joined(row, name, rank):
         first = getattr(row[0], name)
         out = np.empty(first.shape[:rank] + stack + (len(row),))
         for j, q in enumerate(row):
-            _put(out[..., j], getattr(q, name))
+            if shared:
+                out[..., j] = getattr(q, name)
+            else:
+                _put(out[..., j], getattr(q, name))
         return out
 
     return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)

@@ -18,16 +18,18 @@ raises `SystemExit(0)`, as argparse does.
 JSON reports are strict JSON and deterministic for a fixed config and
 seed; a defect that is not finite prints as null, and per-check wall
 times are shown only in the table format so the JSON bytes stay stable.
+A report is written directly in the layout of `json.dumps(payload,
+indent=2)`, byte for byte, without building the payload.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import List
 
@@ -74,24 +76,35 @@ def run_scenario(cfg, ctx) -> Report:
     return report
 
 
+# One check of a JSON report, in the layout of json.dumps(indent=2).
+_JSON_CHECK = """
+    {
+      "name": %s,
+      "max_defect": %s,
+      "tolerance": %s,
+      "passed": %s,
+      "samples": %d
+    }"""
+
+
+def _json_number(x):
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
 def emit_report(report: Report, fmt: str = "table") -> str:
     if fmt == "json":
-        payload = {
-            "scenario": report.scenario,
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_defect": (c.max_defect if math.isfinite(c.max_defect)
-                                   else None),
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                    "samples": c.samples,
-                }
-                for c in report.checks
-            ],
-            "passed": report.passed,
-        }
-        return json.dumps(payload, indent=2, allow_nan=False)
+        # The bytes json.dumps(payload, indent=2, allow_nan=False) gives
+        # for the report's payload, written directly: names as its
+        # encoder writes them, numbers by float.__repr__ and a defect that
+        # is not finite as null.
+        checks = ",".join(_JSON_CHECK % (
+            encode_basestring_ascii(c.name), _json_number(c.max_defect),
+            _json_number(c.tolerance), "true" if c.passed else "false",
+            c.samples) for c in report.checks)
+        return ('{\n  "scenario": %s,\n  "checks": [%s],\n  "passed": %s\n}'
+                % (encode_basestring_ascii(report.scenario),
+                   checks and checks + "\n  ",
+                   "true" if report.passed else "false"))
     lines = [f"scenario: {report.scenario}"]
     header = (f"{'check':<26} {'max_defect':>12} {'tolerance':>10} "
               f"{'samples':>7} {'ms':>6} {'status':>6}")

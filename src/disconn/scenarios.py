@@ -143,8 +143,8 @@ def _polynomial(table, size, name):
     blocks of `size` coordinates.  A term keeps only the factors that cost
     work: its coefficient unless it is 1, and each coordinate of non-zero
     power, read as is at power 1."""
-    _require(all(len(p) <= size and len(r) <= size for _, p, r in table),
-             f"builtin {name!r} reads too many coordinates")
+    if any(len(p) > size or len(r) > size for _, p, r in table):
+        raise ParseError(f"builtin {name!r} reads too many coordinates")
     terms = []
     for c, p, r in table:
         factors = [(block, i, e) for block, powers in enumerate((p, r))
@@ -176,15 +176,15 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
     """Resolve a one-form builtin (a name or a polynomial object) to a
     local connection on the trivial bundle."""
     if isinstance(spec, str):
-        _require(spec in _ONE_FORMS, f"unknown one-form builtin {spec!r}")
+        if spec not in _ONE_FORMS:
+            raise ParseError(f"unknown one-form builtin {spec!r}")
         table, name = _ONE_FORMS[spec], spec
     elif isinstance(spec, dict) and spec.get("name") == "polynomial":
         _require_keys(spec, {"name", "terms"}, "polynomial")
         terms = spec.get("terms")
-        _require(isinstance(terms, list)
-                 and all(_is_term(t, bundle.base.coord_size)
-                         for t in terms),
-                 f"bad polynomial terms: {terms!r}")
+        if not (isinstance(terms, list) and all(
+                _is_term(t, bundle.base.coord_size) for t in terms)):
+            raise ParseError(f"bad polynomial terms: {terms!r}")
         table = [(t["coeff"], t["powers"], [0] * t["dx"] + [1])
                  for t in terms]
         name = "polynomial"
@@ -196,13 +196,14 @@ def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
 def _pair_map_table(spec):
     """(table, name) of a pair-map builtin: a name or a quadratic_f."""
     if isinstance(spec, str):
-        _require(spec in _PAIR_MAPS, f"unknown pair-map builtin {spec!r}")
+        if spec not in _PAIR_MAPS:
+            raise ParseError(f"unknown pair-map builtin {spec!r}")
         return _PAIR_MAPS[spec], spec
     if isinstance(spec, dict) and spec.get("name") == "quadratic_f":
         _require_keys(spec, {"name", "f"}, "quadratic_f")
         f = spec.get("f")
-        _require(isinstance(f, str) and f in _QUADRATIC_F,
-                 f"unknown f table {f!r}")
+        if not (isinstance(f, str) and f in _QUADRATIC_F):
+            raise ParseError(f"unknown f table {f!r}")
         return _QUADRATIC_F[f], "quadratic_f"
     raise ParseError(f"unknown pair-map spec {spec!r}")
 
@@ -234,7 +235,8 @@ def derived_pair_map_builtin(spec, bundle):
 
 def _require_keys(spec, allowed, what):
     unknown = set(spec) - allowed
-    _require(not unknown, f"unknown {what} keys: {sorted(unknown)}")
+    if unknown:
+        raise ParseError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,39 +323,59 @@ _SCHEMA = {
 }
 
 
+def _table(fields):
+    """(allowed keys, [(name, optional, test), ...]) of an object type."""
+    tests = [(key.rstrip("?"), key.endswith("?"), test)
+             for key, test in fields.items()]
+    return frozenset(name for name, _, _ in tests), tests
+
+
+# _SCHEMA compiled once, at import: a table per type, and per tag of a
+# tagged type, whose "kind" is then known to be a str.
+_TABLES = {name: {tag: _table({**tagged, "kind": (str,)})
+                  for tag, tagged in fields["kind"].items()}
+           if "kind" in fields else _table(fields)
+           for name, fields in _SCHEMA.items()}
+
+
 def _require(ok, message):
+    # A message that must be formatted is raised explicitly, on failure.
     if not ok:
         raise ParseError(message)
 
 
 def _validate(value, test, where):
-    """Raise a ParseError unless value passes test (see _SCHEMA).  Every
-    message is formatted only when its test fails."""
+    """Raise a ParseError unless value is of the type test names, or a
+    list of that type for [type name], by its table in _TABLES.  Messages
+    and the paths of leaf tests are formatted only when a test fails; the
+    path of a nested object or list item is formatted as it is entered."""
     if isinstance(test, list):
         if not isinstance(value, list):
             raise ParseError(f"{where} must be a list")
         for i, item in enumerate(value):
             _validate(item, test[0], f"{where}[{i}]")
-    elif not isinstance(test, str):
-        ok = isinstance(value, test) if isinstance(test, tuple) else test(value)
-        if not ok:
-            raise ParseError(f"bad {where}: {value!r}")
-    else:
-        fields = _SCHEMA[test]
-        if not isinstance(value, dict):
-            raise ParseError(f"{where} must be an object")
-        if "kind" in fields:
-            tags, kind = fields["kind"], value.get("kind")
-            if not (isinstance(kind, str) and kind in tags):
-                raise ParseError(f"{where} needs a kind among {sorted(tags)}")
-            fields = dict(tags[kind], kind=(str,))
-        keys = {key.rstrip("?"): key for key in fields}
-        unknown = set(value) - set(keys)
-        if unknown:
-            raise ParseError(f"unknown {where} keys: {sorted(unknown)}")
-        for name, key in keys.items():
-            if name in value or name == key:
-                _validate(value.get(name), fields[key], f"{where}.{name}")
+        return
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object")
+    table = _TABLES[test]
+    if isinstance(table, dict):
+        kind = value.get("kind")
+        if not (isinstance(kind, str) and kind in table):
+            raise ParseError(f"{where} needs a kind among {sorted(table)}")
+        table = table[kind]
+    allowed, fields = table
+    unknown = value.keys() - allowed
+    if unknown:
+        raise ParseError(f"unknown {where} keys: {sorted(unknown)}")
+    for name, optional, test in fields:
+        if optional and name not in value:
+            continue
+        item = value.get(name)
+        if isinstance(test, (str, list)):
+            _validate(item, test, f"{where}.{name}")
+        elif not (isinstance(item, test) if isinstance(test, tuple)
+                  else test(item)):
+            raise ParseError(f"bad {where}.{name}: {item!r}")
 
 
 def _hopf_chart_retraction(bundle):
@@ -416,12 +438,11 @@ def load_scenario(path):
         _validate(spec, "discrete", f"discrete[{i}]")
         _require(not hopf or spec["kind"] == "integrated",
                  "the Hopf bundle takes only integrated discretes")
-        _require(connection is not None
-                 or spec["kind"] not in ("integrated", "matched"),
-                 f"{spec['kind']} discrete needs a connection")
+        if connection is None and spec["kind"] in ("integrated", "matched"):
+            raise ParseError(f"{spec['kind']} discrete needs a connection")
     kind, tag = _retraction_key(cfg)
-    _require((kind, tag) in _RETRACTIONS,
-             f"unknown retraction {tag!r} on the {kind} bundle")
+    if (kind, tag) not in _RETRACTIONS:
+        raise ParseError(f"unknown retraction {tag!r} on the {kind} bundle")
     has = {"a connection": connection is not None,
            "a local connection": (connection or {}).get("kind") == "local",
            "a discrete": len(specs) > 0, "two discretes": len(specs) > 1}
@@ -429,40 +450,47 @@ def load_scenario(path):
         has["a pair"] = "pair" in check
         missing = [need for need in sorted(_READS[check["name"]])
                    if not has[need]]
-        _require(not missing, f"scenario.checks[{i}] ({check['name']}) "
-                              f"needs {' and '.join(missing)}")
+        if missing:
+            raise ParseError(f"scenario.checks[{i}] ({check['name']}) "
+                             f"needs {' and '.join(missing)}")
         if check["name"] == "distinctness":
             _require_pair_rows(cfg["bundle"], check)
-        else:
-            stray = sorted(set(check) & {"pair", "fiber", "min_difference"})
-            _require(not stray, f"unknown scenario.checks[{i}] keys: "
-                                f"{stray} (only distinctness takes them)")
+        elif check.keys() & _PAIR_KEYS:
+            raise ParseError(f"unknown scenario.checks[{i}] keys: "
+                             f"{sorted(check.keys() & _PAIR_KEYS)} "
+                             f"(only distinctness takes them)")
     return cfg
 
 
+# The keys only a distinctness entry takes.
+_PAIR_KEYS = {"pair", "fiber", "min_difference"}
+_PAIR_MESSAGE = "distinctness pair is not a pair of points of the bundle"
+
+
 def _require_pair_rows(spec, check):
-    """A distinctness entry's pair and fiber rows are two points of a
-    trivial bundle: of the right sizes, on the base and in the group."""
+    """A distinctness entry's pair and fiber rows are rows of two points
+    of a trivial bundle, of the sizes of its base and its group; the
+    context builds the points (`_pair_points`)."""
     _require(spec["kind"] == "trivial",
              "distinctness pair needs a trivial bundle")
     bundle = _build_bundle(spec)
     sizes = {"pair": bundle.base.coord_size,
              "fiber": np.size(bundle.group.identity())}
-    message = "distinctness pair is not a pair of points of the bundle"
     for key, size in sizes.items():
-        _require(_is_rows(check.get(key, []), size=size),
-                 f"{message}: {key} rows must have length {size}")
-    try:
-        _pair_points(bundle, check)
-    except ValueError as exc:
-        raise ParseError(f"{message}: {exc}") from exc
+        if not _is_rows(check.get(key, []), size=size):
+            raise ParseError(f"{_PAIR_MESSAGE}: {key} rows must have "
+                             f"length {size}")
 
 
 def _pair_points(bundle, check):
-    """The distinctness pair's two points, by default at the identity."""
+    """The distinctness pair's two points, by default at the identity: a
+    ParseError if a row is not on the base or not in the group."""
     fiber = check.get("fiber") or [bundle.group.identity()] * 2
-    return [BundlePoint.trivial(bundle, m, g)
-            for m, g in zip(check["pair"], fiber)]
+    try:
+        return [BundlePoint.trivial(bundle, m, g)
+                for m, g in zip(check["pair"], fiber)]
+    except ValueError as exc:
+        raise ParseError(f"{_PAIR_MESSAGE}: {exc}") from exc
 
 
 def _build_bundle(spec):
@@ -482,6 +510,11 @@ class ScenarioContext:
         self.sample_count = int(cfg.get("sample_count", 100))
 
         self.bundle = _build_bundle(cfg["bundle"])
+        # The two points of each distinctness entry, built once, with the
+        # context: (entry, points) pairs, found by the entry itself.
+        self.pairs = [(check, _pair_points(self.bundle, check))
+                      for check in cfg.get("checks", [])
+                      if check["name"] == "distinctness"]
         self.box, self._base_block = self._resolve_box(cfg.get("box"))
         self._generator = None
 
@@ -510,9 +543,9 @@ class ScenarioContext:
         with np.errstate(over="ignore"):
             span = box[:, 1:] - box[:, :1]
         span.flags.writeable = False
-        _require(np.all(span >= 0.0) and np.all(np.isfinite(span)),
-                 f"box rows need lo <= hi and a width in float range: "
-                 f"{box.tolist()}")
+        if not (np.all(span >= 0.0) and np.all(np.isfinite(span))):
+            raise ParseError(f"box rows need lo <= hi and a width in float "
+                             f"range: {box.tolist()}")
         return box, (box[:, :1], span)
 
     def _build_connection(self, spec):
@@ -796,7 +829,7 @@ def check_derived_curvature(ctx, params, rng, n):
 
 
 def check_distinctness(ctx, params, rng, n):
-    q0, q1 = _pair_points(ctx.bundle, params)
+    q0, q1 = next(points for check, points in ctx.pairs if check is params)
     observed = ctx.bundle.group.distance(
         *(discrete.eval_discrete(Ad, q0, q1) for Ad in ctx.discretes[:2]))
     required = float(params.get("min_difference", 0.1))
@@ -897,7 +930,8 @@ CHECKS = {
 
 
 def run_check(ctx, index, check_cfg):
-    """Run one named check; returns (max_defect, samples_used)."""
+    """Run one named check, an entry of the config ctx was built from;
+    returns (max_defect, samples_used)."""
     name = check_cfg["name"]
     n = int(check_cfg.get("samples", ctx.sample_count))
     rng = ctx.rng(index)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from disconn import bundles
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
                              any_lift, base_distance, bundle_curve,
                              fiber_translation, hopf_projection_coords,
@@ -306,3 +307,78 @@ class TestTangentActionLaws:
         xi = data.draw(floats(B.group.dim, 2.0))
         assert_close(tangent_projection(q, infinitesimal_generator(q, xi)),
                      0.0)
+
+
+# ---------------------------------------------------------------------------
+# join: points that share one stack are assigned as they are, which must
+# give the bits of the broadcasting path.
+
+def broadcasting_join(*rows):
+    """join by its broadcasting path alone: every point put on the joint
+    stack of all points by `_put`, whatever the stacks."""
+    bundle = rows[0][0].bundle
+    fields = ((("base_point", 1), ("group_part", np.ndim(
+        bundle.group.identity()))) if isinstance(bundle, TrivialBundle)
+              else (("ambient", 1),))
+    stack = bundles._joint_stack([getattr(q, name).shape[rank:]
+                                  for row in rows for q in row
+                                  for name, rank in fields])
+
+    def joined(row, name, rank):
+        out = np.empty(getattr(row[0], name).shape[:rank] + stack
+                       + (len(row),))
+        for j, q in enumerate(row):
+            bundles._put(out[..., j], getattr(q, name))
+        return out
+
+    return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)
+                                        for name, rank in fields})
+                 for row in rows)
+
+
+JOIN_BUNDLES = {"R2xU1": TrivialBundle(EuclideanChart(2), Torus(1)),
+                "R3xSO3": TrivialBundle(EuclideanChart(3), SO3()),
+                "hopf": HopfBundle()}
+
+
+def stacked_point(B, rng, stack):
+    if isinstance(B, HopfBundle):
+        x = rng.normal(size=(4,) + stack)
+        return BundlePoint.hopf(B, x / np.linalg.norm(x, axis=0))
+    return BundlePoint.trivial(
+        B, rng.uniform(-1.0, 1.0, (B.base.coord_size,) + stack),
+        B.group.exp(rng.uniform(-1.0, 1.0, (B.group.dim,) + stack)))
+
+
+def assert_same_points(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("base_point", "group_part", "ambient"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (x is None) == (y is None)
+            if x is not None:
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestJoin:
+    @pytest.mark.parametrize("name", sorted(JOIN_BUNDLES))
+    @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
+    def test_shared_stack_is_the_broadcasting_path(self, monkeypatch, name,
+                                                   stack):
+        # Rows as the axiom defects and the discrete curvature join them:
+        # every point on the check's one sample stack.  None is broadcast.
+        B, rng = JOIN_BUNDLES[name], np.random.default_rng(7)
+        a, b, c, d = (stacked_point(B, rng, stack) for _ in range(4))
+        rows = ([a, b, c], [d, a, b])
+        want = broadcasting_join(*rows)
+        monkeypatch.setattr(bundles, "_put", None)
+        assert_same_points(bundles.join(*rows), want)
+
+    @pytest.mark.parametrize("name", sorted(JOIN_BUNDLES))
+    def test_single_point_among_stacks_is_broadcast(self, name):
+        B, rng = JOIN_BUNDLES[name], np.random.default_rng(8)
+        single = stacked_point(B, rng, ())
+        a, b = (stacked_point(B, rng, (5,)) for _ in range(2))
+        deep = stacked_point(B, rng, (5, 2))
+        for rows in (([single, a], [b, a]), ([single, a, deep], [b, a, a])):
+            assert_same_points(bundles.join(*rows), broadcasting_join(*rows))

@@ -1,7 +1,9 @@
 """Scenario parsing, deterministic sampling, and the command-line interface."""
 
 import argparse
+import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disconn import cli, scenarios
 from disconn.bundles import TrivialBundle
@@ -52,6 +56,170 @@ def minimal(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+PINNED_BASE = {
+    "name": "pinned", "seed": 1,
+    "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+               "group": {"kind": "U1"}},
+    "connection": {"kind": "local", "omega": "x_dy"},
+    "discrete": [{"kind": "local", "pair_map": "zero"},
+                 {"kind": "matched",
+                  "reference": {"kind": "local", "pair_map": "zero"}}],
+    "integrator": {"retraction": "straight", "domain_radius": 1.0},
+    "checks": [{"name": "exp_log_roundtrip"},
+               {"name": "discrete_axioms", "samples": 3, "tolerance": 1e-9}],
+}
+DROP = object()
+
+
+def pinned(*edits):
+    """PINNED_BASE with each (key path, value) edit made; DROP deletes."""
+    cfg = copy.deepcopy(PINNED_BASE)
+    for path, value in edits:
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DROP:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return cfg
+
+
+ZERO_PAIRS = (("discrete",), [{"kind": "local", "pair_map": "zero"}] * 2)
+# Malformed files and the whole text of the first error each raises, every
+# branch of the schema walk (`scenarios._validate`) among them: a value
+# that is no object or no list, a missing or unknown kind, unknown keys, a
+# missing key, a failed type tuple or predicate, at every depth.  The rest
+# are load_scenario's and the context's own messages.
+PINNED_MESSAGES = [
+    ([], "scenario must be an object"),
+    (pinned((("speed",), 1)), "unknown scenario keys: ['speed']"),
+    (pinned((("name",), DROP)), "bad scenario.name: None"),
+    (pinned((("name",), 5)), "bad scenario.name: 5"),
+    (pinned((("seed",), -1)), "bad scenario.seed: -1"),
+    (pinned((("seed",), 2 ** 64)), "bad scenario.seed: 18446744073709551616"),
+    (pinned((("sample_count",), 0)), "bad scenario.sample_count: 0"),
+    (pinned((("box",), [[0, 1, 2]])), "bad scenario.box: [[0, 1, 2]]"),
+    (pinned((("bundle",), DROP)), "scenario.bundle must be an object"),
+    (pinned((("bundle", "kind"), "cylinder")),
+     "scenario.bundle needs a kind among ['hopf', 'trivial']"),
+    (pinned((("bundle", "kind"), ["trivial"])),
+     "scenario.bundle needs a kind among ['hopf', 'trivial']"),
+    (pinned((("bundle",), {"kind": "hopf", "base": {"kind": "S2"}})),
+     "unknown scenario.bundle keys: ['base']"),
+    (pinned((("bundle", "base"), "R^2")),
+     "scenario.bundle.base must be an object"),
+    (pinned((("bundle", "base", "dim"), 0)),
+     "bad scenario.bundle.base.dim: 0"),
+    (pinned((("bundle", "base", "dim"), DROP)),
+     "bad scenario.bundle.base.dim: None"),
+    (pinned((("bundle", "group", "kind"), "SO4")),
+     "scenario.bundle.group needs a kind among ['R^k', 'SO3', 'T^n', 'U1']"),
+    (pinned((("bundle", "group", "dim"), 1)),
+     "unknown scenario.bundle.group keys: ['dim']"),
+    (pinned((("connection",), "x_dy")),
+     "scenario.connection must be an object"),
+    (pinned((("connection",), {"kind": "hopf_perturbed", "epsilon": "x"})),
+     "bad scenario.connection.epsilon: 'x'"),
+    (pinned((("connection", "omega"), 5)), "bad scenario.connection.omega: 5"),
+    (pinned((("integrator", "retraction"), 3)),
+     "bad scenario.integrator.retraction: 3"),
+    (pinned((("integrator", "domain_radius"), 0)),
+     "bad scenario.integrator.domain_radius: 0"),
+    (pinned((("integrator", "metric"), "flat")),
+     "unknown scenario.integrator keys: ['metric']"),
+    (pinned((("discrete",), "zz")), "bad scenario.discrete: 'zz'"),
+    (pinned((("discrete", 1), 5)), "discrete[1] must be an object"),
+    (pinned((("discrete", 0, "kind"), "smooth")),
+     "discrete[0] needs a kind among ['flat', 'integrated', 'local', "
+     "'matched']"),
+    (pinned((("discrete", 0), {"kind": "flat"})), "bad discrete[0].omega: None"),
+    (pinned((("discrete", 1, "reference", "kind"), "matched")),
+     "discrete[1].reference needs a kind among ['integrated', 'local']"),
+    (pinned((("discrete", 1, "reference", "omega"), "x_dy")),
+     "unknown discrete[1].reference keys: ['omega']"),
+    (pinned((("discrete", 1, "reference", "pair_map"), 5)),
+     "bad discrete[1].reference.pair_map: 5"),
+    (pinned((("discrete", 1, "reference"), DROP)),
+     "discrete[1].reference must be an object"),
+    (pinned((("checks",), {"name": "diagram"})),
+     "scenario.checks must be a list"),
+    (pinned((("checks", 1), "diagram")), "scenario.checks[1] must be an object"),
+    (pinned((("checks", 1, "name"), "nope")),
+     "bad scenario.checks[1].name: 'nope'"),
+    (pinned((("checks", 1, "samples"), 0)),
+     "bad scenario.checks[1].samples: 0"),
+    (pinned((("checks", 1, "speed"), 2)),
+     "unknown scenario.checks[1] keys: ['speed']"),
+    (pinned((("checks", 0, "tolerance"), -1.0)),
+     "bad scenario.checks[0].tolerance: -1.0"),
+    (pinned((("checks", 1, "pair"), [[0.0]])),
+     "bad scenario.checks[1].pair: [[0.0]]"),
+    # Past the schema, in load_scenario.
+    (pinned((("connection",), {"kind": "hopf_canonical"})),
+     "connection kind does not fit the bundle"),
+    (pinned((("bundle",), {"kind": "hopf"}),
+            (("connection",), {"kind": "hopf_canonical"}),
+            (("integrator",), {})),
+     "the Hopf bundle takes only integrated discretes"),
+    (pinned((("connection",), DROP)), "matched discrete needs a connection"),
+    (pinned((("integrator", "retraction"), "chart")),
+     "unknown retraction 'chart' on the trivial bundle"),
+    (pinned((("checks", 1, "name"), "derive_roundtrip"),
+            (("connection",), DROP), (("discrete",), DROP)),
+     "scenario.checks[1] (derive_roundtrip) needs a connection and a "
+     "discrete"),
+    (pinned((("checks", 1, "name"), "same_derived_curvature"),
+            (("discrete",), {"kind": "local", "pair_map": "zero"})),
+     "scenario.checks[1] (same_derived_curvature) needs two discretes"),
+    (pinned((("checks", 0, "min_difference"), 0.1),
+            (("checks", 0, "fiber"), [[0.0], [1.0]])),
+     "unknown scenario.checks[0] keys: ['fiber', 'min_difference'] (only "
+     "distinctness takes them)"),
+    (pinned((("checks", 1), {"name": "distinctness",
+                             "pair": [[0.0], [1.0]]})),
+     "distinctness pair is not a pair of points of the bundle: pair rows "
+     "must have length 2"),
+    (pinned((("checks", 1), {"name": "distinctness",
+                             "pair": [[0.0, 0.0], [1.0, 1.0]],
+                             "fiber": [[0.0, 1.0], [1.0, 0.0]]})),
+     "distinctness pair is not a pair of points of the bundle: fiber rows "
+     "must have length 1"),
+    # Past load_scenario, where the context is built.
+    (pinned((("bundle", "base"), {"kind": "S2"}), ZERO_PAIRS,
+            (("checks", 1), {"name": "distinctness",
+                             "pair": [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]})),
+     "distinctness pair is not a pair of points of the bundle: sphere point "
+     "must be a unit vector to 1e-12"),
+    (pinned((("bundle", "group"), {"kind": "SO3"}), ZERO_PAIRS,
+            (("connection",), DROP),
+            (("checks", 1), {"name": "distinctness",
+                             "pair": [[0.0, 0.0], [1.0, 1.0]],
+                             "fiber": [[1.0] * 9, [1.0] * 9]})),
+     "distinctness pair is not a pair of points of the bundle: SO3 matrix "
+     "is not orthogonal to 1e-10"),
+    (pinned((("box",), [[1.0, -1.0], [0.0, 1.0]])),
+     "box rows need lo <= hi and a width in float range: "
+     "[[1.0, -1.0], [0.0, 1.0]]"),
+    (pinned((("connection", "omega"), "nope")),
+     "unknown one-form builtin 'nope'"),
+    (pinned((("connection", "omega"), {"name": "polynomial", "terms": [],
+                                      "dx": 0})),
+     "unknown polynomial keys: ['dx']"),
+    (pinned((("connection", "omega"),
+             {"name": "polynomial",
+              "terms": [{"coeff": 1, "powers": [1], "dx": 2}]})),
+     "bad polynomial terms: [{'coeff': 1, 'powers': [1], 'dx': 2}]"),
+    (pinned((("bundle", "base", "dim"), 1)),
+     "builtin 'x_dy' reads too many coordinates"),
+    (pinned((("discrete", 0, "pair_map"), "nope")),
+     "unknown pair-map builtin 'nope'"),
+    (pinned((("discrete", 0, "pair_map"), {"name": "quadratic_f",
+                                          "f": "two"})),
+     "unknown f table 'two'"),
+]
 
 
 class TestParsing:
@@ -187,6 +355,16 @@ class TestParsing:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("cfg,message", PINNED_MESSAGES,
+                             ids=range(len(PINNED_MESSAGES)))
+    def test_pinned_message(self, tmp_path, cfg, message):
+        # The whole text of the first ParseError that loading the file and
+        # building its context raise.
+        path = write_scenario(tmp_path, cfg)
+        with pytest.raises(ParseError) as info:
+            ScenarioContext(load_scenario(path))
+        assert str(info.value) == message
 
 
 class TestBuiltins:
@@ -332,6 +510,36 @@ class TestEmitReport:
         a = emit_report(self.make_report(tmp_path), "json")
         b = emit_report(self.make_report(tmp_path), "json")
         assert a == b
+
+    # Names with quotes, backslashes, control and non-ASCII characters;
+    # defects with NaN, infinities, -0.0, subnormals and 1e308.
+    NAMES = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9'
+                                              '\u2028\U0001d11e'),
+                              st.characters()), max_size=8)
+    EDGES = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                             2.2250738585072014e-308, 1e308, 1e-08, 0.1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(scenario=NAMES, checks=st.lists(st.tuples(
+        NAMES, st.one_of(EDGES, st.floats()),
+        st.one_of(EDGES.filter(math.isfinite), st.floats(allow_nan=False,
+                                                         allow_infinity=False)),
+        st.booleans(), st.integers(0, 2 ** 63)), max_size=4))
+    def test_json_is_the_json_modules_layout(self, scenario, checks):
+        report = cli.Report(scenario, [
+            cli.CheckResult(name, defect, tolerance, passed, samples, 0)
+            for name, defect, tolerance, passed, samples in checks])
+        payload = {
+            "scenario": report.scenario,
+            "checks": [{"name": c.name,
+                        "max_defect": (c.max_defect
+                                       if math.isfinite(c.max_defect)
+                                       else None),
+                        "tolerance": c.tolerance, "passed": c.passed,
+                        "samples": c.samples} for c in report.checks],
+            "passed": report.passed}
+        assert emit_report(report, "json") == json.dumps(
+            payload, indent=2, allow_nan=False)
 
     def test_table_shows_status_and_time(self, tmp_path):
         out = emit_report(self.make_report(tmp_path), "table")

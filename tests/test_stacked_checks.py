@@ -475,8 +475,10 @@ def test_run_check_hands_out_bounded_stacks(monkeypatch):
 def test_distinctness_evaluates_its_pair_once(monkeypatch):
     # distinctness draws nothing: 250 samples make one call, whose two
     # eval_discrete are the two discretes at the designated pair, and the
-    # report still reads 250 samples.
-    ctx = ScenarioContext(SCENARIOS["matched-R2xR"])
+    # report still reads 250 samples.  The context builds the pair.
+    entry = {"name": "distinctness", "samples": 250,
+             "pair": [[0.1, 0.2], [0.4, -0.3]], "min_difference": 1e-3}
+    ctx = ScenarioContext(dict(SCENARIOS["matched-R2xR"], checks=[entry]))
     calls = []
     original = discrete.eval_discrete
 
@@ -485,9 +487,7 @@ def test_distinctness_evaluates_its_pair_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(discrete, "eval_discrete", counting)
-    defect, n = scenarios.run_check(ctx, 0, {
-        "name": "distinctness", "samples": 250,
-        "pair": [[0.1, 0.2], [0.4, -0.3]], "min_difference": 1e-3})
+    defect, n = scenarios.run_check(ctx, 0, entry)
     assert (len(calls), n) == (2, 250)
 
 
