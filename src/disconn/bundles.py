@@ -315,9 +315,12 @@ def any_lift(q: BundlePoint, delta_m) -> np.ndarray:
     # J J^T = 4 I and J q = 2 phi(q), so for delta tangent at phi(q) the
     # minimum-norm solution of J v = delta is J^T delta / 4: it is orthogonal
     # to q and to the fiber direction i q, i.e. horizontal for the canonical
-    # connection.  Projecting delta first keeps the result tangent at q.
-    m = 0.5 * _hopf_push(q.ambient, q.ambient)
-    delta = q.bundle.base.project_tangent(m, delta_m)
+    # connection.  Projecting delta first, onto the tangent plane at the
+    # point's kept projection, keeps the result tangent at q.  So for the
+    # matrix L of the lifts of the base coordinate vectors, dphi L is the
+    # identity on that plane, and a reduced retraction's chart step has
+    # the identity as its Jacobian at the anchor (`manifolds`).
+    delta = q.bundle.base.project_tangent(project(q), delta_m)
     return _hopf_pull(q.ambient, delta) / 4.0
 
 

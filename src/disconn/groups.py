@@ -41,7 +41,8 @@ _TWO_PI = 2.0 * np.pi
 
 def reduce_angle(theta):
     """Reduce angles to the interval (-pi, pi]."""
-    return -((-np.asarray(theta, dtype=float) + np.pi) % _TWO_PI - np.pi)
+    # pi - theta is -theta + pi bit for bit, without the negation.
+    return -((np.pi - np.asarray(theta, dtype=float)) % _TWO_PI - np.pi)
 
 
 def _stacked_vector(data, dim):

@@ -29,13 +29,20 @@ single point goes through the same code and the same arithmetic as each
 column of a stack, reductions over the coordinate axis included, so it
 gets the bits of its column.
 
-Local inversion of the extended retraction runs a Newton iteration in the
-normal chart centered at the anchor point: a point's chart coordinates are
-its geodesic log in an orthonormal tangent basis (the closed-form log on
-spheres, a shift on R^d).  Every retraction is the identity to first
-order (DR_x(0) = id), so Newton starts at the target's chart coordinates:
-exact for ``metric_exponential``, first-order accurate for every other
-rule.  `invert_extended` solves a stack of targets together, from one
+Local inversion of the extended retraction runs a Newton iteration in
+the normal chart centered at the anchor point: a point's chart
+coordinates are its geodesic log in an orthonormal tangent basis (the
+closed-form log on spheres, a shift on R^d), and the anchor's own
+coordinates are zero.  Every retraction is the identity to first order
+(DR_x(0) = id), and so is the chart's log at its center, so the Jacobian
+of the chart step at the anchor is the identity (on a reduced retraction
+too: there the lift matrix L has dphi L = id).  Newton therefore starts
+at the target's chart coordinates, exact for ``metric_exponential`` and
+first-order accurate for every other rule, and its first correction is a
+chord step with that identity Jacobian, c <- c - r, which needs no probe
+and no linear solve.  A column whose residual the chord step does not at
+least halve goes back to where it was, and probed Newton takes over from
+there.  `invert_extended` solves a stack of targets together, from one
 anchor or from a stack of anchors whose stack is a prefix of the
 targets'.  The anchors are never copied to the targets' columns:
 `ManifoldKind.chart_at` builds one chart per distinct anchor, once per
@@ -44,12 +51,13 @@ coordinate sums of `numdiff._matvec`), and the step is called with the
 anchors as given.  The stack stays whole until every column has
 converged.  A column whose residual is <= NEWTON_TOL keeps its chart
 coordinates from then on, so every later residual gives it the same
-tangent: the bits of its single solve.  Each iteration makes one step
-call for the residuals of all columns, one step call for the 2n
+tangent: the bits of its single solve.  Each probed iteration makes one
+step call for the residuals of all columns, one step call for the 2n
 central-difference probes of all their Jacobians, on a trailing probe
-axis, and one stacked linear solve.  A target outside the domain, an
-antipodal one or a column that does not converge within NEWTON_MAX_ITER
-fails the whole solve.
+axis, and one stacked linear solve; the probes are set up at the first
+of these.  A target outside the domain, an antipodal one or a column
+that does not converge within NEWTON_MAX_ITER iterations, the chord step
+counted, fails the whole solve.
 """
 
 from __future__ import annotations
@@ -271,13 +279,20 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     shape of y.
 
     One chart per anchor is built once, and the step is called with x as
-    given.  A column keeps its chart coordinates from its first residual
-    <= NEWTON_TOL on, while the others iterate.  In each iteration the 2n
-    difference probes of the Jacobians of all columns go through one step
-    call, on a trailing probe axis, and one stacked linear solve updates
-    the columns not yet converged; the probes are set up at the first
-    residual that fails.  The last step call is the residual whose tangent
-    is returned."""
+    given.  The iteration starts at the targets' chart coordinates (the
+    anchor's are zero).  The chart step's Jacobian at the anchor is the
+    identity (DR_x(0) = id), so after the first residual that fails, every
+    column not yet converged takes one chord step c <- c - r, with no probe
+    and no linear solve; at the next residual, a column whose residual norm
+    did not at least halve goes back to its c, r and norm from before the
+    chord step, so that probed Newton starts where it would have.  A
+    column keeps its chart coordinates from its first residual <=
+    NEWTON_TOL on, while the others iterate.  From then on each iteration
+    sends the 2n difference probes of the Jacobians of all columns through
+    one step call, on a trailing probe axis, and one stacked linear solve
+    updates the columns not yet converged; the probes are set up at the
+    first of these iterations.  The last step call is the residual whose
+    tangent is returned."""
     kind = R.space
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if _largest(kind.distance(x, y)) >= R.domain_radius / 2.0:
@@ -286,21 +301,34 @@ def invert_extended(R: Retraction, x, y) -> np.ndarray:
     to_chart, from_chart = kind.chart_at(x)
 
     def step_chart(c):
-        v = kind.project_tangent(x, from_chart(c))
+        # B c is tangent at x already, so it is not projected again.
+        v = from_chart(c)
         return v, to_chart(R.step(x, v))
 
     # Initial guess: the normal coordinates of the targets, exact for the
     # metric exponential and first-order accurate for any retraction.
     n = kind.dim
-    target = to_chart(y)
-    c = np.subtract(*_columns(target, to_chart(x)))
+    target = c = to_chart(y)
     offsets = None
-    for _ in range(NEWTON_MAX_ITER):
+    for i in range(NEWTON_MAX_ITER):
         v, r = step_chart(c)
         r = r - target
         norms = _column_norm(r)
+        if i == 1:
+            # Keep the chord step where it at least halved the residual (a
+            # chord method re-evaluates its Jacobian at any weaker
+            # contraction, Kelley 2003); elsewhere, NaN included, undo it.
+            kept = norms <= 0.5 * before[2]
+            c, r, norms = (np.where(kept, now, then)
+                           for now, then in zip((c, r, norms), before))
         if _largest(norms) <= NEWTON_TOL:
             return v
+        if i == 0:
+            # The chord step with the anchor's identity Jacobian; a
+            # converged column keeps its c.
+            before = c, r, norms
+            c = np.where(norms <= NEWTON_TOL, c, c - r)
+            continue
         if offsets is None:
             # The probe offsets +- e_j, laid out (n, *stack, 2n), and the
             # axis orders of the stacked solve, coordinates behind the stack.

@@ -473,9 +473,10 @@ def _require_pair_rows(spec, check):
     context builds the points (`_pair_points`)."""
     _require(spec["kind"] == "trivial",
              "distinctness pair needs a trivial bundle")
-    bundle = _build_bundle(spec)
-    sizes = {"pair": bundle.base.coord_size,
-             "fiber": np.size(bundle.group.identity())}
+    base, group = spec["base"], spec["group"]
+    sizes = {"pair": _KINDS[base["kind"]](base.get("dim")).coord_size,
+             "fiber": np.size(
+                 _KINDS[group["kind"]](group.get("dim")).identity())}
     for key, size in sizes.items():
         if not _is_rows(check.get(key, []), size=size):
             raise ParseError(f"{_PAIR_MESSAGE}: {key} rows must have "

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from disconn import scenarios
@@ -39,6 +39,24 @@ class TestAngles:
     def test_pi_maps_to_pi(self):
         assert reduce_angle(np.pi) == pytest.approx(np.pi)
         assert reduce_angle(-np.pi) == pytest.approx(np.pi)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    @example([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 3 * np.pi,
+              -3 * np.pi])
+    @example([5e-324, -5e-324, 2.2e-308, -1e-300, 1e308, -1e308, np.inf,
+              -np.inf])
+    def test_reduce_angle_keeps_the_bits_of_the_negated_form(self, values):
+        # pi - theta is -theta + pi bit for bit, so dropping the negation
+        # changes no bit; an infinite angle gives NaN either way, with
+        # numpy's invalid-value warning.
+        theta = np.array(values)
+        with np.errstate(invalid="ignore"):
+            before = -((-theta + np.pi) % (2.0 * np.pi) - np.pi)
+            after = reduce_angle(theta)
+        assert np.array_equal(np.isnan(after), np.isnan(before))
+        finite = ~np.isnan(before)
+        assert after[finite].tobytes() == before[finite].tobytes()
 
 
 class TestTranslation:

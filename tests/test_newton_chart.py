@@ -166,7 +166,8 @@ def counting_columns(R):
 class TestStackedNewton:
     def test_columns_stop_at_their_own_residual(self):
         # The anchor itself converges at its first residual; a far target
-        # of the perturbed Hopf reduction needs two Newton updates.
+        # of the perturbed Hopf reduction needs the chord step and two
+        # Newton updates.
         kind = Sphere(3)
         x = unit([0.3, -0.5, 0.8])
         R = hopf_reduced(lambda H: HopfConnection(H, 0.1), x)
@@ -184,9 +185,10 @@ class TestStackedNewton:
             assert np.max(np.abs(both[:, i] - v)) <= 1e-15
         # The anchor converges at its first residual and keeps its
         # iterate; the stack stays whole for as many step calls as the far
-        # column takes alone: residual, 2n = 4 probes, residual, ...
+        # column takes alone: residual, the chord step's residual, 2n = 4
+        # probes, residual, ...
         assert alone[0][1] == [1]
-        assert len(alone[1][1]) >= 5
+        assert alone[1][1][:3] == [1, 1, 4]
         assert widths == [2] * len(alone[1][1])
 
     def test_two_stack_axes_solve_as_their_columns(self):
