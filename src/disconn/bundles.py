@@ -34,9 +34,15 @@ share one stack, or the shorter stack is a prefix of the longer one and
 broadcasts over it (`numdiff._columns`); a single point or element is the
 empty prefix.  `join` stacks rows of points on a new trailing axis, so
 that several pairs go through one call.  A Hopf point projects once: the
-first `project` keeps its base point, read-only, on the point.  The Hopf
-projection Jacobian is applied as explicit sums over the coordinate axis,
-the same operations for one column or a stack.
+first `project` keeps its base point, read-only, on the point.  A point
+built over a known base point keeps that one instead and never projects:
+`section_over(m)` keeps (a copy of) m, `act` keeps the projection its
+point holds, since phi(g q) = phi(q) exactly, and `join` joins each
+column's own, so joined points still give the bits of separate ones.
+A point built from raw coordinates (`BundlePoint.hopf`, a retraction
+step, `bundle_curve`) computes its projection at its first `project`.  The
+Hopf projection Jacobian is applied as explicit sums over the coordinate
+axis, the same operations for one column or a stack.
 """
 
 from __future__ import annotations
@@ -92,10 +98,18 @@ class BundlePoint:
     @functools.cached_property
     def hopf_base(self):
         """The projection of a Hopf point, computed once and kept read-only
-        in the instance dict, outside the fields (equality, repr)."""
+        in the instance dict, outside the fields (equality, repr); a point
+        built over a known base point holds that one (`_over`)."""
         m = hopf_projection_coords(self.ambient)
         m.flags.writeable = False
         return m
+
+
+def _over(q: BundlePoint, m) -> BundlePoint:
+    """The Hopf point q with m, read-only, kept as its projection."""
+    m.flags.writeable = False
+    vars(q)["hopf_base"] = m
+    return q
 
 
 def split_trivial(q: BundlePoint, v) -> tuple:
@@ -172,8 +186,13 @@ def join(*rows) -> tuple:
                 _put(out[..., j], getattr(q, name))
         return out
 
-    return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)
-                                        for name, rank in fields})
+    if isinstance(bundle, TrivialBundle):
+        return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)
+                                            for name, rank in fields})
+                     for row in rows)
+    # Each column keeps its own point's projection, which has its stack.
+    return tuple(_over(BundlePoint(bundle, ambient=joined(row, "ambient", 1)),
+                       joined(row, "hopf_base", 1))
                  for row in rows)
 
 
@@ -252,8 +271,12 @@ def act(g, q: BundlePoint) -> BundlePoint:
     if isinstance(q.bundle, TrivialBundle):
         return BundlePoint(q.bundle, q.base_point,
                            q.bundle.group.compose(g, q.group_part))
-    return BundlePoint(q.bundle,
-                       ambient=_hopf_rotate(q.ambient, _circle_angle(g)))
+    moved = BundlePoint(q.bundle,
+                        ambient=_hopf_rotate(q.ambient, _circle_angle(g)))
+    # phi(g q) = phi(q) exactly, so the moved point keeps the projection
+    # that q holds; one that q has not computed is not computed here.
+    m = vars(q).get("hopf_base")
+    return moved if m is None else _over(moved, m)
 
 
 def _circle_angle(g):
@@ -318,8 +341,9 @@ def any_lift(q: BundlePoint, delta_m) -> np.ndarray:
     # connection.  Projecting delta first, onto the tangent plane at the
     # point's kept projection, keeps the result tangent at q.  So for the
     # matrix L of the lifts of the base coordinate vectors, dphi L is the
-    # identity on that plane, and a reduced retraction's chart step has
-    # the identity as its Jacobian at the anchor (`manifolds`).
+    # identity on that plane, and the Newton residual of a reduced
+    # retraction has the identity on it as its Jacobian at the anchor
+    # (`manifolds`).
     delta = q.bundle.base.project_tangent(project(q), delta_m)
     return _hopf_pull(q.ambient, delta) / 4.0
 
@@ -375,5 +399,6 @@ def section_over(bundle: PrincipalBundle, m) -> BundlePoint:
     """A reference point in the fiber over the base point m."""
     if isinstance(bundle, TrivialBundle):
         return BundlePoint(bundle, m, bundle.group.identity())
-    return BundlePoint(bundle, ambient=hopf_section(m))
+    m = np.array(m, dtype=float)
+    return _over(BundlePoint(bundle, ambient=hopf_section(m)), m)
 

@@ -24,8 +24,11 @@ Every step takes a point with a ``(d, *stack)`` stack of tangents (see
 `numdiff`) and steps each column on its own; the point is one point, or a
 stack of points whose stack is a prefix of the tangents' and broadcasts
 over them.  So does the reduced retraction, anchored at a stack of fiber
-points: `manifolds.invert_extended` solves it in one Newton solve with
-one chart per anchor, each anchor serving its own targets.  The induced
+points: `manifolds.invert_extended` solves it in one Newton solve on the
+tangent components at the anchors, each anchor serving its own targets,
+and reads the stepped base points through the log at the anchors.  A
+sampled anchor is a section moved by `bundles.act`, which keeps the base
+point it was built over, so no anchor is projected.  The induced
 discrete connection takes stacks of pairs, the stack of q0 a prefix of
 the stack of q1.
 """

@@ -29,30 +29,38 @@ single point goes through the same code and the same arithmetic as each
 column of a stack, reductions over the coordinate axis included, so it
 gets the bits of its column.
 
-Local inversion of the extended retraction runs a Newton iteration in
-the normal chart centered at the anchor point: a point's chart
-coordinates are its geodesic log in an orthonormal tangent basis (the
-closed-form log on spheres, a shift on R^d), and the anchor's own
-coordinates are zero.  Every retraction is the identity to first order
-(DR_x(0) = id), and so is the chart's log at its center, so the Jacobian
-of the chart step at the anchor is the identity (on a reduced retraction
-too: there the lift matrix L has dphi L = id).  Newton therefore starts
-at the target's chart coordinates, exact for ``metric_exponential`` and
-first-order accurate for every other rule, and its first correction is a
-chord step with that identity Jacobian, c <- c - r, which needs no probe
-and no linear solve.  A column whose residual the chord step does not at
-least halve goes back to where it was, and probed Newton takes over from
-there.  `invert_extended` solves a stack of targets together, from one
-anchor or from a stack of anchors whose stack is a prefix of the
-targets'.  The anchors are never copied to the targets' columns:
-`ManifoldKind.chart_at` builds one chart per distinct anchor, once per
-solve (one Householder reflection each on a sphere, applied by the
-coordinate sums of `numdiff._matvec`), and the step is called with the
-anchors as given.  The stack stays whole until every column has
-converged.  A column whose residual is <= NEWTON_TOL keeps its chart
-coordinates from then on, so every later residual gives it the same
-tangent: the bits of its single solve.  Each probed iteration makes one
-step call for the residuals of all columns, one step call for the 2n
+Local inversion of the extended retraction runs a Newton iteration on
+the tangent components at the anchor point, in the embedding's
+coordinates (Absil, Mahony and Sepulchre, *Optimization Algorithms on
+Matrix Manifolds*, 2008): a point is read by its Riemannian log at the
+anchor, `ManifoldKind.log`, the inverse of the geodesic step, and no
+basis or chart is built.  Every retraction is the identity to first
+order (DR_x(0) = id), and so is the log at the anchor, so the Jacobian J
+of v -> log(x, R_x(v)) at v = 0 is the identity on the tangent space T_x
+(on a reduced retraction too: there the lift matrix L has dphi L = id).
+Newton therefore starts at the target's log, exact for
+``metric_exponential`` and first-order accurate for every other rule,
+and its first correction is a chord step with that identity Jacobian,
+v <- v - r, which needs no probe and no linear solve.  A column whose
+residual the chord step does not at least halve goes back to where it
+was, and probed Newton takes over from there.  Its probes run along
++- the columns of the tangent projector P = project_tangent(x, I), which
+gives the columns of J P, projected onto T_x again because the
+differences amplify the logs' rounding off T_x by 1 / h.  It then solves
+(J P + I - P) delta = r on the coord_size ambient components.  J P is
+zero on the normal line and maps T_x into T_x, and I - P is the identity
+on the normal line and zero on T_x: the matrix is invertible exactly when
+J is invertible on T_x, and it pins the normal component of delta to
+that of r, which is rounding, so the iterate stays tangent.  On R^d,
+P = I and I - P = 0: the probes are +- e_j, and the matrix is J itself.
+`invert_extended` solves a stack of targets together, from one anchor or
+from a stack of anchors whose stack is a prefix of the targets'.  The
+anchors are never copied to the targets' columns: the log and the step
+are called with the anchors as given.  The stack stays whole until
+every column has converged.  A column whose residual is <= NEWTON_TOL
+keeps its tangent from then on, so every later residual gives it the
+same tangent: the bits of its single solve.  Each probed iteration makes
+one step call for the residuals of all columns, one step call for the 2d
 central-difference probes of all their Jacobians, on a trailing probe
 axis, and one stacked linear solve; the probes are set up at the first
 of these.  A target outside the domain, an antipodal one or a column
@@ -69,7 +77,7 @@ import numpy as np
 
 from .errors import NewtonDivergence, OutsideDomain
 from .numdiff import (_column_dot, _column_norm, _columns, _largest,
-                      _matvec, richardson_derivative)
+                      _row_sum, richardson_derivative)
 
 EUCLIDEAN_RADIUS_SENTINEL = 1e18
 # Residual norm at which `invert_extended` stops, and its iteration budget.
@@ -92,13 +100,9 @@ class ManifoldKind:
     def distance(self, a, b):
         raise NotImplementedError
 
-    def chart_at(self, center):
-        """Normal chart centered at a point, used by the Newton inversion:
-        the pair (to_chart, from_chart) of closures mapping a point to the
-        coordinates of its geodesic log at `center` and chart coordinates to
-        tangent components at `center`.  A (d, *stack) stack of centers
-        gives one chart per center, broadcast over the points and
-        coordinates of each column."""
+    def log(self, point, other):
+        """Components of the tangent at `point` whose geodesic step reaches
+        `other`, the inverse of `geodesic_step`; stacked as a step is."""
         raise NotImplementedError
 
     def geodesic_step(self, point, components):
@@ -128,12 +132,9 @@ class EuclideanChart(ManifoldKind):
     def distance(self, a, b):
         return _column_norm(np.subtract(*_columns(a, b)))
 
-    def chart_at(self, center):
-        def to_chart(point):
-            point, c = _columns(point, center)
-            return point - c
-
-        return to_chart, lambda c: np.array(c, dtype=float)
+    def log(self, point, other):
+        point, other = _columns(point, other)
+        return other - point
 
     def geodesic_step(self, point, components):
         point, components = _columns(point, components)
@@ -180,42 +181,15 @@ class Sphere(ManifoldKind):
         chord = _column_norm(np.subtract(*_columns(a, b)))
         return 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
 
-    def tangent_basis(self, center):
-        """Orthonormal basis of the tangent space, columns of the result:
-        (n, n - 1) at one point, (n, n - 1, *stack) at a stack of points."""
-        # The Householder reflection H = I - 2 w w^T / (w . w) with
-        # w = x + sign(x_k) e_k, k = argmax |x_k|, maps e_k to -sign(x_k) x;
-        # its other columns are orthonormal and orthogonal to x.  Since
-        # |x_k| >= 1/sqrt(n), w . w = 2 (1 + |x_k|) >= 2.
-        n = self.ambient_dim
-        x = np.asarray(center, dtype=float)
-        k = np.argmax(np.abs(x), axis=0)
-        rows = np.arange(n).reshape((n,) + (1,) * k.ndim)
-        w = np.where(rows == k, x + np.copysign(1.0, x), x)
-        H = (np.eye(n).reshape((n, n) + (1,) * k.ndim)
-             - w[:, None] * ((2.0 / _column_dot(w, w)) * w)[None, :])
-        # Drop column k of each reflection.
-        kept = np.arange(n - 1).reshape((n - 1,) + (1,) * k.ndim)
-        return np.where(kept < k, H[:, :n - 1], H[:, 1:])
-
-    def chart_at(self, center):
-        # Normal coordinates at `center`: the geodesic log in the basis B.
-        B = self.tangent_basis(center)
-        B_T = np.swapaxes(B, 0, 1)
-
-        def to_chart(point):
-            cos = _column_dot(center, point)
-            if _largest(1.0 + cos < 1e-12):
-                raise OutsideDomain("point is antipodal to the chart center")
-            sin_part = _matvec(B_T, point)
-            s = _column_norm(sin_part)
-            # At the center, s = 0 and the log is 0 (arctan2(0, cos) = 0).
-            return np.arctan2(s, cos) / np.maximum(s, 1e-300) * sin_part
-
-        def from_chart(c):
-            return _matvec(B, c)
-
-        return to_chart, from_chart
+    def log(self, point, other):
+        point, other = _columns(point, other)
+        cos = _row_sum(point * other)
+        if _largest(-cos) > 1.0 - 1e-12:
+            raise OutsideDomain("point is antipodal to the anchor")
+        sin_part = other - cos * point
+        s = _column_norm(sin_part)
+        # At the anchor, s = 0 and the log is 0 (arctan2(0, cos) = 0).
+        return np.arctan2(s, cos) / np.maximum(s, 1e-300) * sin_part
 
     def geodesic_step(self, point, components):
         # One norm per column.  A zero column returns the point's column:
@@ -272,83 +246,84 @@ def retract(R: Retraction, x, v) -> np.ndarray:
 
 def invert_extended(R: Retraction, x, y) -> np.ndarray:
     """Components of the tangent v at x with retract(R, x, v) = y, by
-    Newton in a chart.  y is one point or a (d, *stack) stack of targets,
-    solved together; x is one anchor for all of them, or a stack of anchors
-    whose stack is a prefix of the targets' (`numdiff._columns`), so that
-    each anchor serves the targets of its own columns.  The result has the
-    shape of y.
+    Newton on the ambient tangent components.  y is one point or a
+    (d, *stack) stack of targets, solved together; x is one anchor for all
+    of them, or a stack of anchors whose stack is a prefix of the targets'
+    (`numdiff._columns`), so that each anchor serves the targets of its own
+    columns.  The result has the shape of y.
 
-    One chart per anchor is built once, and the step is called with x as
-    given.  The iteration starts at the targets' chart coordinates (the
-    anchor's are zero).  The chart step's Jacobian at the anchor is the
-    identity (DR_x(0) = id), so after the first residual that fails, every
-    column not yet converged takes one chord step c <- c - r, with no probe
+    The residual of v is log(x, R_x(v)) - log(x, y), and the iteration
+    starts at v = log(x, y), whose norm, the geodesic distance, is the
+    domain guard.  The Jacobian of the residual at v = 0 is the identity on
+    T_x (DR_x(0) = id), so after the first residual that fails, every
+    column not yet converged takes one chord step v <- v - r, with no probe
     and no linear solve; at the next residual, a column whose residual norm
-    did not at least halve goes back to its c, r and norm from before the
+    did not at least halve goes back to its v, r and norm from before the
     chord step, so that probed Newton starts where it would have.  A
-    column keeps its chart coordinates from its first residual <=
-    NEWTON_TOL on, while the others iterate.  From then on each iteration
-    sends the 2n difference probes of the Jacobians of all columns through
-    one step call, on a trailing probe axis, and one stacked linear solve
-    updates the columns not yet converged; the probes are set up at the
-    first of these iterations.  The last step call is the residual whose
-    tangent is returned."""
+    column keeps its tangent from its first residual <= NEWTON_TOL on,
+    while the others iterate.  From then on each iteration sends the 2d
+    difference probes along +- the columns of the tangent projector P of
+    all columns through one step call, on a trailing probe axis, and one
+    stacked linear solve of (J P + I - P) delta = r updates the columns not
+    yet converged (I - P pins the normal component, see the module
+    docstring); P and the probes are set up at the first of these
+    iterations.  The last step call is the residual whose tangent is
+    returned."""
     kind = R.space
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if _largest(kind.distance(x, y)) >= R.domain_radius / 2.0:
+    # The initial guess: exact for the metric exponential and first-order
+    # accurate for any retraction.
+    target = v = kind.log(x, y)
+    if _largest(_column_norm(target)) >= R.domain_radius / 2.0:
         raise OutsideDomain("target too far from the anchor point")
 
-    to_chart, from_chart = kind.chart_at(x)
-
-    def step_chart(c):
-        # B c is tangent at x already, so it is not projected again.
-        v = from_chart(c)
-        return v, to_chart(R.step(x, v))
-
-    # Initial guess: the normal coordinates of the targets, exact for the
-    # metric exponential and first-order accurate for any retraction.
-    n = kind.dim
-    target = c = to_chart(y)
     offsets = None
     for i in range(NEWTON_MAX_ITER):
-        v, r = step_chart(c)
-        r = r - target
+        r = kind.log(x, R.step(x, v)) - target
         norms = _column_norm(r)
         if i == 1:
             # Keep the chord step where it at least halved the residual (a
             # chord method re-evaluates its Jacobian at any weaker
             # contraction, Kelley 2003); elsewhere, NaN included, undo it.
             kept = norms <= 0.5 * before[2]
-            c, r, norms = (np.where(kept, now, then)
-                           for now, then in zip((c, r, norms), before))
+            v, r, norms = (np.where(kept, now, then)
+                           for now, then in zip((v, r, norms), before))
         if _largest(norms) <= NEWTON_TOL:
             return v
         if i == 0:
             # The chord step with the anchor's identity Jacobian; a
-            # converged column keeps its c.
-            before = c, r, norms
-            c = np.where(norms <= NEWTON_TOL, c, c - r)
+            # converged column keeps its v.
+            before = v, r, norms
+            v = np.where(norms <= NEWTON_TOL, v, v - r)
             continue
         if offsets is None:
-            # The probe offsets +- e_j, laid out (n, *stack, 2n), and the
-            # axis orders of the stacked solve, coordinates behind the stack.
-            k = c.ndim
-            offsets = np.concatenate([np.eye(n), -np.eye(n)], axis=1).reshape(
-                (n,) + (1,) * (k - 1) + (2 * n,))
+            # The projector's columns P e_j, laid out (d, *stack, d) with
+            # the anchors' stack a prefix of the targets', give the probe
+            # offsets +- P e_j and the normal block I - P; the axis orders
+            # of the stacked solve put the coordinates behind the stack.
+            n, k = len(v), v.ndim
+            eye = np.eye(n).reshape((n,) + (1,) * (k - 1) + (n,))
+            anchors = x.reshape(x.shape + (1,) * (k + 1 - x.ndim))
+            P = kind.project_tangent(anchors, eye)
+            offsets = np.concatenate([P, -P], axis=-1)
+            normal = eye - P
             to_solver, from_solver = (*range(1, k), 0), (k - 1, *range(k - 1))
-        h = (1e-7 * (1.0 + _column_norm(c)))[..., None]
-        probes = c[..., None] + h * offsets
-        rp = step_chart(probes)[1] - target[..., None]
-        J = (rp[..., :n] - rp[..., n:]) / (2.0 * h)
+        h = (1e-7 * (1.0 + _column_norm(v)))[..., None]
+        probes = v[..., None] + h * offsets
+        rp = kind.log(x, R.step(x, probes)) - target[..., None]
+        # The differences amplify the logs' rounding off T_x by 1 / h, so
+        # the Jacobian's columns are projected back onto T_x.
+        J = kind.project_tangent(anchors, (rp[..., :n] - rp[..., n:])
+                                 / (2.0 * h))
         try:
-            step = np.linalg.solve(J.transpose(to_solver + (k,)),
+            step = np.linalg.solve((J + normal).transpose(to_solver + (k,)),
                                    r.transpose(to_solver)[..., None])
         except np.linalg.LinAlgError as exc:
             raise NewtonDivergence("singular Jacobian") from exc
-        # A converged column keeps its c; a NaN residual iterates on.
-        c = np.where(norms <= NEWTON_TOL, c,
-                     c - step[..., 0].transpose(from_solver))
-    residual = np.max(_column_norm(step_chart(c)[1] - target))
+        # A converged column keeps its v; a NaN residual iterates on.
+        v = np.where(norms <= NEWTON_TOL, v,
+                     v - step[..., 0].transpose(from_solver))
+    residual = np.max(_column_norm(kind.log(x, R.step(x, v)) - target))
     raise NewtonDivergence(
         f"residual {residual:.3e} > {NEWTON_TOL:.1e} "
         f"after {NEWTON_MAX_ITER} iterations")

@@ -16,6 +16,7 @@ from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
 from disconn.discrete import TrivialLocalDiscrete, eval_discrete
 from disconn.errors import BundleMismatch, NotSameFiber, OutsideDomain
 from disconn.groups import SO3, Torus
+from disconn.integration import hopf_geodesic_retraction
 from disconn.manifolds import EuclideanChart, Sphere
 
 
@@ -382,3 +383,70 @@ class TestJoin:
         deep = stacked_point(B, rng, (5, 2))
         for rows in (([single, a], [b, a]), ([single, a, deep], [b, a, a])):
             assert_same_points(bundles.join(*rows), broadcasting_join(*rows))
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCarriedProjection:
+    """A Hopf point built over a known base point keeps it as its
+    projection; one built from raw coordinates projects once."""
+
+    H = HopfBundle()
+
+    def base_points(self, rng, stack):
+        m = rng.normal(size=(3,) + stack)
+        return m / np.linalg.norm(m, axis=0)
+
+    @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
+    def test_section_holds_its_base_point(self, stack):
+        m = self.base_points(np.random.default_rng(41), stack)
+        q = section_over(self.H, m)
+        kept = project(q)
+        assert same_bits(kept, m)
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+        # The point holds a copy: the caller's array stays its own.
+        m[0] = 2.0
+        assert project(q) is kept and not np.any(kept[0] == 2.0)
+
+    @pytest.mark.parametrize("stack", [(), (5,)])
+    def test_act_keeps_the_projection_it_holds(self, stack):
+        rng = np.random.default_rng(43)
+        q = section_over(self.H, self.base_points(rng, stack))
+        g = rng.uniform(-np.pi, np.pi, (1,) + stack)
+        assert project(act(g, q)) is project(q)
+        # A point that has not projected yet hands nothing on, and the
+        # moved point projects its own coordinates when asked.
+        raw = BundlePoint.hopf(self.H, q.ambient)
+        moved = act(g, raw)
+        assert "hopf_base" not in vars(moved) and "hopf_base" not in vars(raw)
+        assert same_bits(project(moved), hopf_projection_coords(moved.ambient))
+
+    def test_join_keeps_each_columns_projection(self):
+        rng = np.random.default_rng(47)
+        over = [section_over(self.H, self.base_points(rng, (5,)))
+                for _ in range(2)]
+        single = section_over(self.H, self.base_points(rng, ()))
+        x = rng.normal(size=(4, 5))
+        raw = BundlePoint.hopf(self.H, x / np.linalg.norm(x, axis=0))
+        rows = ([over[0], single, raw], [raw, over[1], over[0]])
+        for row, joined in zip(rows, bundles.join(*rows)):
+            assert project(joined).shape == (3, 5, 3)
+            for j, q in enumerate(row):
+                want = np.broadcast_to(project(q).reshape(3, -1), (3, 5))
+                assert same_bits(project(joined)[..., j],
+                                 np.ascontiguousarray(want))
+
+    def test_raw_points_project_their_coordinates(self):
+        # BundlePoint.hopf, a retraction step and bundle_curve build points
+        # from coordinates; each computes its projection from them.
+        rng = np.random.default_rng(53)
+        q = section_over(self.H, self.base_points(rng, (4,)))
+        v = Sphere(4).project_tangent(q.ambient, rng.normal(size=(4, 4)))
+        for p in (BundlePoint.hopf(self.H, q.ambient),
+                  hopf_geodesic_retraction(self.H).step(q, 0.3 * v),
+                  bundle_curve(q, v, np.array([0.1, -0.1]))):
+            assert "hopf_base" not in vars(p)
+            assert same_bits(project(p), hopf_projection_coords(p.ambient))

@@ -79,28 +79,40 @@ call per probed iteration: on hopf-newton 2, both in the perturbed
 discrete_axioms, where each probe call made one, 5 (3, 1 and 1).  The
 other workloads solve none.
 
-A Newton solve builds one chart per anchor, and an anchor serves its
-four stencil targets, so `Sphere.tangent_basis` builds, per Hopf
-scenario, 24 bases in discrete_axioms (8 samples, 3 joined pairs) and 8
-in each of derive_roundtrip and lift_roundtrip: 80 in all.  One anchor
-per target column made 176, 32 per stencil check.  On breadth the S2 x
-U(1) discrete_axioms solve builds 12.
+A Newton solve reads points through the Riemannian log at its anchors
+(`ManifoldKind.log`) and builds no basis; its log columns are counted,
+one per point read: the targets once, each residual once, and 2d = 6 per
+target at each probe call on S^2.  On hopf-newton that makes 776: per
+Hopf scenario 32 targets in each of derive_roundtrip and
+lift_roundtrip, read twice by the canonical solve and 3 times by the
+perturbed one (160 each), and 24 in discrete_axioms, read twice by the
+canonical solve and 5 times, with 2 probe calls, by the perturbed one
+(456).  Its normal charts built 80 Householder bases, 24 in each
+discrete_axioms and 8 in each of derive_roundtrip and lift_roundtrip.
+On breadth the logs read 416 columns; the S2 x U(1) discrete_axioms
+solve reads 24 of them, where its chart built 12 bases.
 
 A Hopf point projects once: `bundles.project` keeps the base point on
-the point, and `bundles.any_lift` reads it there.  On hopf-newton
-`hopf_projection_coords` runs 29 times over the two scenarios: 2 in
+the point, and `bundles.any_lift` reads it there.  A point built over a
+known base point keeps that one: `section_over(m)` keeps m, `act` keeps
+the projection its point holds and `join` joins each column's.  On
+hopf-newton `hopf_projection_coords` runs 15 times over the two
+scenarios: 7 in discrete_axioms, 5 in derive_roundtrip and 3 in
+lift_roundtrip.  The reduced steps project their stepped points 13
+times (7, 3 and 3), and derive_roundtrip's `eval_discrete` calls
+project the 2 stencils of `bundle_curve` points.  Every sampled point is
+a section moved by `act`, so it projects nothing.  When only the first
+`project` call on a point kept its result, the count was 29: 2 in
 connection_axioms, 13 in discrete_axioms, 7 in derive_roundtrip and 7
-in lift_roundtrip.  Of these, the reduced steps project their stepped
-points 13 times (7, 3 and 3), the integrated `eval_discrete` calls
-project 10 more (4, 4 and 2), and the checks 6 (2, 2, 0 and 2).
-Before the chord step the reduced steps made 16 (8, 4 and 4), and 32
-in all.  The rule's horizontal representative is the point of
-the solve's last step, already projected; retracting again after each
-solve made 38 (2, 16, 10 and 10), 16 of them (6, 6 and 4) inside
-`eval_discrete` outside the reduced steps.  One projection per `project`
-call made 68 (3, 23, 20 and 22), 39 of them inside `eval_discrete`
-outside the reduced steps.  matched-deep and breadth
-have no Hopf point.
+in lift_roundtrip, of which the integrated `eval_discrete` calls
+projected 10 (4, 4 and 2) and the checks 6 (2, 2, 0 and 2).  Before the
+chord step the reduced steps made 16 (8, 4 and 4), and 32 in all.  The
+rule's horizontal representative is the point of the solve's last step,
+already projected; retracting again after each solve made 38 (2, 16, 10
+and 10), 16 of them (6, 6 and 4) inside `eval_discrete` outside the
+reduced steps.  One projection per `project` call made 68 (3, 23, 20
+and 22), 39 of them inside `eval_discrete` outside the reduced steps.
+matched-deep and breadth have no Hopf point.
 """
 
 import dataclasses
@@ -165,14 +177,17 @@ def counts(monkeypatch):
         return dataclasses.replace(R, step=counting("reduced_step", R.step))
 
     rebind_everywhere(monkeypatch, reduced, counting_reduced)
-    basis = manifolds.Sphere.tangent_basis
-
-    def counting_basis(self, center):
-        counter["tangent_basis"] += int(np.prod(np.shape(center)[1:]))
-        return basis(self, center)
-
-    monkeypatch.setattr(manifolds.Sphere, "tangent_basis", counting_basis)
+    for kind in (manifolds.EuclideanChart, manifolds.Sphere):
+        monkeypatch.setattr(kind, "log", counting_log(counter, kind.log))
     return counter
+
+
+def counting_log(counter, log):
+    """A log that counts the columns of the points it reads."""
+    def wrapper(self, point, other):
+        counter["log_columns"] += int(np.prod(np.shape(other)[1:]))
+        return log(self, point, other)
+    return wrapper
 
 
 COUNTS = {
@@ -183,13 +198,13 @@ COUNTS = {
                     "richardson_derivative": 4, "f": 4,
                     "eval_connection": 18, "retract_bundle": 4,
                     "reduced_step": 13, "linalg_solve": 2,
-                    "tangent_basis": 80, "hopf_projection_coords": 29},
+                    "log_columns": 776, "hopf_projection_coords": 15},
     "breadth": {"invert_extended": 14, "eval_discrete": 28,
                 "richardson_derivative": 23, "f": 23,
                 "gauss_legendre_line_integral": 4,
                 "eval_connection": 46, "retract_bundle": 4,
                 "reduced_step": 16, "linalg_solve": 0,
-                "tangent_basis": 12},
+                "log_columns": 416},
 }
 
 

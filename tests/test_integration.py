@@ -290,12 +290,14 @@ def random_points(rng, A, n):
 
 
 def column(q, i):
-    """Point i of a stack of points."""
-    fields = ({"base_point": q.base_point[:, i],
-               "group_part": q.group_part[..., i]}
-              if isinstance(q.bundle, TrivialBundle)
-              else {"ambient": q.ambient[:, i]})
-    return BundlePoint(q.bundle, **fields)
+    """Point i of a stack of points, with its column of the projection
+    that a stacked Hopf point holds."""
+    if isinstance(q.bundle, TrivialBundle):
+        return BundlePoint(q.bundle, q.base_point[:, i], q.group_part[..., i])
+    point = BundlePoint(q.bundle, ambient=q.ambient[:, i])
+    if "hopf_base" in vars(q):
+        vars(point)["hopf_base"] = q.hopf_base[:, i]
+    return point
 
 
 def reference_rule(A, R, q0, q1):

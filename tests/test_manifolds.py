@@ -2,15 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from disconn import manifolds
-from disconn.errors import NewtonDivergence, OutsideDomain
+from disconn.errors import OutsideDomain
 from disconn.manifolds import (EuclideanChart, Retraction, Sphere,
                                check_retraction_axioms,
                                invert_extended, metric_exponential, retract)
-from disconn.numdiff import _column_dot
+from disconn.numdiff import _column_dot, _column_norm
 
 
 def sphere_chart_rule():
@@ -75,73 +72,73 @@ class TestSphere:
         assert np.allclose(kind.geodesic_step(p, v), [0.0, 1.0, 0.0],
                            atol=1e-15)
 
-    def test_tangent_basis_orthonormal(self):
-        kind = Sphere(4)
-        rng = np.random.default_rng(3)
-        p = random_sphere_point(rng, 4)
-        B = kind.tangent_basis(p)
-        assert np.allclose(B.T @ B, np.eye(3), atol=1e-12)
-        assert np.allclose(B.T @ p, 0.0, atol=1e-12)
 
-    def test_chart_roundtrip(self):
-        kind = Sphere(3)
+def random_points(rng, kind, count):
+    """`count` points of the kind as one stack: unit columns on a sphere,
+    the cube [-1, 1)^d on R^d."""
+    x = rng.uniform(-1.0, 1.0, size=(kind.coord_size, count))
+    if isinstance(kind, Sphere):
+        x /= np.linalg.norm(x, axis=0)
+    return x
+
+
+KINDS = [EuclideanChart(2), Sphere(3)]
+
+
+class TestLog:
+    """The Riemannian log, through which Newton reads points."""
+
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_geodesic_step_inverts_the_log(self, kind):
         rng = np.random.default_rng(5)
-        center = random_sphere_point(rng)
-        other = random_sphere_point(rng)
-        to_chart, from_chart = kind.chart_at(center)
-        u = to_chart(other)
-        # Invert the normal chart by hand: p = cos|u| x + sin|u| B u / |u|.
-        r = float(np.linalg.norm(u))
-        back = np.cos(r) * center + np.sin(r) * from_chart(u) / r
-        assert np.allclose(back, other, rtol=0.0, atol=1e-12)
+        x, y = random_points(rng, kind, 500), random_points(rng, kind, 500)
+        stacked = kind.log(x, y)
+        assert np.max(np.abs(kind.geodesic_step(x, stacked) - y)) <= 1e-15
+        for i in range(0, 500, 37):
+            v = kind.log(x[:, i], y[:, i])
+            assert np.max(np.abs(kind.geodesic_step(x[:, i], v)
+                                 - y[:, i])) <= 1e-15
 
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_stack_gives_the_bits_of_its_columns(self, kind):
+        # A stack of anchors with a stack of targets, and one anchor
+        # broadcast over a (d, 4, 3) stack.
+        rng = np.random.default_rng(7)
+        x, y = random_points(rng, kind, 12), random_points(rng, kind, 12)
+        stacked = kind.log(x, y)
+        for i in range(12):
+            assert same_bits(kind.log(x[:, i], y[:, i]), stacked[:, i])
+        square = kind.log(x[:, 0], y.reshape(-1, 4, 3))
+        assert same_bits(square.reshape(-1, 12), kind.log(x[:, 0], y))
 
-def take_along_axis_basis(x):
-    """`Sphere.tangent_basis` as it was built before: the same Householder
-    reflection, with column k dropped by np.take_along_axis."""
-    n = len(x)
-    k = np.argmax(np.abs(x), axis=0)
-    rows = np.arange(n).reshape((n,) + (1,) * k.ndim)
-    w = np.where(rows == k, x + np.copysign(1.0, x), x)
-    H = (np.eye(n).reshape((n, n) + (1,) * k.ndim)
-         - w[:, None] * ((2.0 / _column_dot(w, w)) * w)[None, :])
-    kept = np.arange(n - 1).reshape((n - 1,) + (1,) * k.ndim)
-    return np.take_along_axis(H, (kept + (kept >= k))[None], axis=1)
+    @pytest.mark.parametrize("kind", KINDS, ids=repr)
+    def test_log_at_the_anchor_is_zero(self, kind):
+        x = random_points(np.random.default_rng(9), kind, 200)
+        assert np.max(_column_norm(kind.log(x, x))) <= 1e-15
+        for column in x.T[:20]:
+            assert np.max(np.abs(kind.log(column, column))) <= 1e-15
+
+    def test_log_is_tangent_with_the_geodesic_distance_as_norm(self):
+        kind = Sphere(3)
+        rng = np.random.default_rng(11)
+        x, y = random_points(rng, kind, 200), random_points(rng, kind, 200)
+        v = kind.log(x, y)
+        # Near an antipode the log scales rounding by up to pi / sin.
+        assert np.max(np.abs(_column_dot(x, v))) <= 1e-14
+        assert np.max(np.abs(_column_norm(v) - kind.distance(x, y))) <= 1e-14
+
+    def test_antipodal_point_raises_naming_the_anchor(self):
+        kind = Sphere(3)
+        x = random_points(np.random.default_rng(13), kind, 3)
+        y = x.copy()
+        y[:, 1] = -x[:, 1]
+        for args in ((x[:, 1], -x[:, 1]), (x, y)):
+            with pytest.raises(OutsideDomain, match="antipodal to the anchor"):
+                kind.log(*args)
 
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-class TestTangentBasisBits:
-    """Dropping column k by selection gives the entries the index gather
-    gave, bit for bit, so no Newton chart moves."""
-
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(n=st.integers(2, 5),
-           stack=st.sampled_from([(), (1,), (7,), (3, 4)]),
-           last_largest=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_take_along_axis(self, n, stack, last_largest, seed):
-        x = np.random.default_rng(seed).normal(size=(n,) + stack)
-        if last_largest:    # move each column's largest entry to the end
-            k = np.argmax(np.abs(x), axis=0)
-            top = np.take_along_axis(x, k[None], axis=0)
-            np.put_along_axis(x, k[None], x[-1:], axis=0)
-            x[-1:] = top
-        x = x / np.sqrt(_column_dot(x, x))
-        assert same_bits(Sphere(n).tangent_basis(x), take_along_axis_basis(x))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_matches_at_axes_and_ties(self, n):
-        # Coordinate axes of both signs, and columns whose largest
-        # magnitude is shared, where argmax takes the first.
-        ties = np.ones((n, n)) - 2.0 * np.eye(n)
-        x = np.concatenate([np.eye(n), -np.eye(n),
-                            ties / np.sqrt(n)], axis=1)
-        assert same_bits(Sphere(n).tangent_basis(x), take_along_axis_basis(x))
-        for column in x.T:
-            assert same_bits(Sphere(n).tangent_basis(column),
-                             take_along_axis_basis(column))
 
 
 class TestRetraction:

@@ -1,7 +1,7 @@
-"""Newton in the normal chart, one chart per solve (one per anchor of a
-stack of anchors, each anchor serving its own targets), the reduced
-retraction anchored at a fiber point, and the closed-form Hopf
-horizontal lift."""
+"""Newton on the ambient tangent components at the anchor, read through
+the Riemannian log (one anchor, or a stack of anchors each serving its
+own targets), the reduced retraction anchored at a fiber point, and the
+closed-form Hopf horizontal lift."""
 
 import dataclasses
 import functools
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from disconn import scenarios
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              any_lift, hopf_projection_coords, section_over)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
@@ -37,20 +38,14 @@ def in_order(terms):
     return functools.reduce(operator.add, terms)
 
 
-def explicit_to_chart(kind, x, p):
+def explicit_log(kind, x, p):
+    """The log at x of p, written out with sums in order."""
     if isinstance(kind, Sphere):
-        B = kind.tangent_basis(x)
-        sin_part = np.array([in_order(B[:, j] * p) for j in range(kind.dim)])
+        cos = in_order(x * p)
+        sin_part = p - cos * x
         s = np.sqrt(in_order(sin_part * sin_part))
-        return np.arctan2(s, in_order(x * p)) / s * sin_part
+        return np.arctan2(s, cos) / s * sin_part
     return p - x
-
-
-def explicit_from_chart(kind, x, c):
-    if isinstance(kind, Sphere):
-        B = kind.tangent_basis(x)
-        return np.array([in_order(B[i] * c) for i in range(kind.coord_size)])
-    return np.array(c, dtype=float)
 
 
 def random_point(rng, kind):
@@ -59,18 +54,13 @@ def random_point(rng, kind):
     return rng.normal(size=kind.dim)
 
 
-class TestChartAt:
+class TestLogFormula:
     @pytest.mark.parametrize("kind", [Sphere(3), Sphere(4), EuclideanChart(2)])
-    def test_closures_equal_the_explicit_formulas(self, kind):
+    def test_log_equals_the_explicit_formula(self, kind):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            x = random_point(rng, kind)
-            to_chart, from_chart = kind.chart_at(x)
-            p = random_point(rng, kind)
-            c = rng.normal(size=kind.dim)
-            assert np.array_equal(to_chart(p), explicit_to_chart(kind, x, p))
-            assert np.array_equal(from_chart(c),
-                                  explicit_from_chart(kind, x, c))
+            x, p = random_point(rng, kind), random_point(rng, kind)
+            assert np.array_equal(kind.log(x, p), explicit_log(kind, x, p))
 
 
 def hopf_reduced(connection, x):
@@ -87,7 +77,7 @@ def random_tangent(rng, kind, x, length):
     return length * unit(v)
 
 
-class TestNormalChartNewton:
+class TestAmbientNewton:
     @pytest.mark.parametrize("kind, at", [
         (Sphere(3), lambda x: hopf_reduced(HopfConnection, x)),
         (Sphere(3), lambda x: metric_exponential(Sphere(3))),
@@ -96,8 +86,8 @@ class TestNormalChartNewton:
             EuclideanChart(3), EuclideanChart(3).geodesic_step, 2.0)),
     ])
     def test_exact_retractions_take_one_residual_per_solve(self, kind, at):
-        # The target's normal coordinates are the solution, so Newton
-        # returns at its first residual, with no Jacobian.
+        # The target's log is the solution, so Newton returns at its
+        # first residual, with no Jacobian.
         calls = []
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -116,28 +106,44 @@ class TestNormalChartNewton:
             assert np.max(np.abs(w - v)) <= 1e-12
 
     @pytest.mark.parametrize("kind", [Sphere(3), Sphere(4)])
-    def test_center_is_zero_and_antipode_is_outside(self, kind):
+    def test_anchor_is_zero_and_antipode_is_outside(self, kind):
+        R = metric_exponential(kind)
         for x in [np.eye(kind.ambient_dim)[0],
                   unit(np.arange(1.0, kind.ambient_dim + 1.0))]:
-            to_chart, _ = kind.chart_at(x)
-            # At the center itself (B^T x is exactly 0 at e_0) the chart
-            # reads 0, not 0/0.
-            assert np.max(np.abs(to_chart(x))) <= 1e-15
-            with pytest.raises(OutsideDomain):
-                to_chart(-x)
+            # At the anchor itself (y - (x . y) x is exactly 0 at e_0) the
+            # log reads 0, not 0/0.
+            assert np.max(np.abs(kind.log(x, x))) <= 1e-15
+            assert np.max(np.abs(invert_extended(R, x, x))) <= 1e-15
+            with pytest.raises(OutsideDomain, match="anchor"):
+                invert_extended(R, x, -x)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_householder_basis_is_orthonormal_and_tangent(self, n):
-        kind = Sphere(n)
-        rng = np.random.default_rng(n)
-        # At +-e_k a reflection vector x - e_k would vanish.
-        points = [sign * np.eye(n)[k] for k in range(n) for sign in (1, -1)]
-        points += [unit(rng.normal(size=n)) for _ in range(50)]
-        for x in points:
-            B = kind.tangent_basis(x)
-            assert B.shape == (n, n - 1)
-            assert np.max(np.abs(B.T @ B - np.eye(n - 1))) <= 1e-15
-            assert np.max(np.abs(B.T @ x)) <= 1e-15
+    @pytest.mark.parametrize("tag", ["great_circle", "chart"])
+    def test_probed_solves_stay_tangent(self, tag):
+        # The probes run along the tangent projector's columns, their
+        # difference Jacobian is projected onto T_x, and I - P pins the
+        # normal component, so a solve that needs probed Newton returns a
+        # tangent at the anchor, to rounding.
+        kind = Sphere(3)
+        H = HopfBundle()
+        rng = np.random.default_rng(37)
+        x = np.stack([random_point(rng, kind) for _ in range(40)], axis=-1)
+        x = x[:, x[2] > -0.5]
+        q = section_over(H, x)
+        R = reduced_retraction(scenarios._RETRACTIONS["hopf", tag](H), q,
+                               horizontal_lifts(HopfConnection(H, 0.5), q))
+        v = np.stack([random_tangent(rng, kind, x[:, i], 0.6)
+                      for i in range(x.shape[1])], axis=-1)
+        y = kind.geodesic_step(x, v)
+        ranks = []
+
+        def step(point, components):
+            ranks.append(np.ndim(components))
+            return R.step(point, components)
+
+        w = invert_extended(dataclasses.replace(R, step=step), x, y)
+        assert 3 in ranks   # a probe call
+        assert np.max(np.abs(np.sum(x * w, axis=0))) <= 5e-15
+        assert np.max(np.abs(R.step(x, w) - y)) <= 1e-11
 
     def test_perturbed_hopf_solves_to_the_edge_of_the_domain(self):
         kind = Sphere(3)
@@ -185,10 +191,10 @@ class TestStackedNewton:
             assert np.max(np.abs(both[:, i] - v)) <= 1e-15
         # The anchor converges at its first residual and keeps its
         # iterate; the stack stays whole for as many step calls as the far
-        # column takes alone: residual, the chord step's residual, 2n = 4
-        # probes, residual, ...
+        # column takes alone: residual, the chord step's residual, 2d = 6
+        # probes along the tangent projector's columns, residual, ...
         assert alone[0][1] == [1]
-        assert alone[1][1][:3] == [1, 1, 4]
+        assert alone[1][1][:3] == [1, 1, 6]
         assert widths == [2] * len(alone[1][1])
 
     def test_two_stack_axes_solve_as_their_columns(self):
@@ -342,76 +348,66 @@ class TestAnchorStacks:
                 invert_extended(R, x, y)
 
 
-class TestOneBasisPerSolve:
+class TestOneProjectorPerSolve:
+    """Probed Newton builds the tangent projector of the anchors once per
+    solve and projects each Jacobian with it, always on the anchors' own
+    stack; a solve that needs no probe projects nothing."""
+
     @pytest.fixture
-    def basis_count(self, monkeypatch):
-        calls = []
-        original = Sphere.tangent_basis
+    def projections(self, monkeypatch):
+        anchor_stacks = []
+        original = Sphere.project_tangent
 
-        def counting(self, center):
-            calls.append(1)
-            return original(self, center)
+        def recording(self, point, components):
+            anchor_stacks.append(np.shape(point)[1:])
+            return original(self, point, components)
 
-        monkeypatch.setattr(Sphere, "tangent_basis", counting)
-        return calls
+        monkeypatch.setattr(Sphere, "project_tangent", recording)
+        return anchor_stacks
 
-    def solve_and_count(self, calls, R, x, v):
-        calls.clear()
-        y = retract(R, x, v)
-        w = invert_extended(R, x, y)
-        assert np.allclose(w, v, atol=1e-9)
-        return len(calls)
-
-    def test_sphere_geodesic(self, basis_count):
-        kind = Sphere(4)
-        R = metric_exponential(kind)
+    def test_exact_solves_project_nothing(self, projections):
         rng = np.random.default_rng(13)
-        for _ in range(5):
-            x = unit(rng.normal(size=4))
-            v = 0.3 * unit(kind.project_tangent(x, rng.normal(size=4)))
-            assert self.solve_and_count(basis_count, R, x, v) == 1
+        for R, x in [(metric_exponential(Sphere(4)),
+                      unit(rng.normal(size=4))),
+                     (hopf_reduced(HopfConnection, unit([0.3, -0.5, 0.8])),
+                      unit([0.3, -0.5, 0.8]))]:
+            kind = R.space
+            v = random_tangent(rng, kind, x, 0.3)
+            y = retract(R, x, v)
+            projections.clear()
+            assert np.allclose(invert_extended(R, x, y), v, atol=1e-9)
+            assert projections == []
 
-    def test_reduced_hopf_retraction(self, basis_count):
-        x = unit([0.3, -0.5, 0.8])
-        R = hopf_reduced(HopfConnection, x)
-        v = Sphere(3).project_tangent(x, np.array([0.1, 0.2, 0.05]))
-        assert self.solve_and_count(basis_count, R, x, v) == 1
-
-    def test_anchor_stack_whose_columns_stop_apart(self, basis_count):
+    def test_anchor_stack_whose_columns_stop_apart(self, projections):
         # The first target is its own anchor and converges at the first
-        # residual, the others later: the chart of the three anchors is
-        # built once for the whole solve.
+        # residual, the others later: the projector of the three anchors
+        # is built once for the whole solve, and each probed iteration
+        # projects its Jacobian at the same three anchors.
         rng = np.random.default_rng(61)
         R, x, y = anchors_and_targets(ANCHOR_CASES["hopf_perturbed"], rng, 3)
         y[:, 0] = x[:, 0]
-        residuals = []
+        steps = []
 
         def step(point, components):
-            residuals.append(np.ndim(components))
+            steps.append(np.ndim(components))
             return R.step(point, components)
 
-        basis_count.clear()
+        projections.clear()
         invert_extended(dataclasses.replace(R, step=step), x, y)
         # At least two Newton updates: one residual call per iteration.
-        assert residuals.count(2) >= 3
-        assert len(basis_count) == 1
+        assert steps.count(2) >= 3
+        assert projections == [(3, 1)] * (1 + steps.count(3))
 
-    def test_one_basis_per_distinct_anchor(self, monkeypatch):
+    def test_one_projector_per_distinct_anchor(self, projections):
         # (3, 5) anchors, each serving a stencil of four targets: the
-        # solve builds the five anchors' bases, not one per target.
-        stacks = []
-        original = Sphere.tangent_basis
-
-        def recording(self, center):
-            stacks.append(np.shape(center)[1:])
-            return original(self, center)
-
-        monkeypatch.setattr(Sphere, "tangent_basis", recording)
+        # solve projects at the five anchors, not at one per target.
         rng = np.random.default_rng(71)
         R, x, y = anchors_and_targets(ANCHOR_CASES["hopf_perturbed"], rng, 5,
                                       1.0, -1.0, 0.5, -0.5)
+        projections.clear()
         invert_extended(R, x, y)
-        assert stacks == [(5,)]
+        assert len(projections) >= 2
+        assert set(projections) == {(5, 1, 1)}
 
 
 coordinate = st.floats(-1.0, 1.0, allow_nan=False)
