@@ -33,21 +33,19 @@ operations act column by column.  A point and the tangents attached to it
 share one stack, or the shorter stack is a prefix of the longer one and
 broadcasts over it (`numdiff._columns`); a single point or element is the
 empty prefix.  `join` stacks rows of points on a new trailing axis, so
-that several pairs go through one call.  A Hopf point projects once: the
-first `project` keeps its base point, read-only, on the point.  A point
-built over a known base point keeps that one instead and never projects:
-`section_over(m)` keeps (a copy of) m, `act` keeps the projection its
-point holds, since phi(g q) = phi(q) exactly, and `join` joins each
-column's own, so joined points still give the bits of separate ones.
-A point built from raw coordinates (`BundlePoint.hopf`, a retraction
-step, `bundle_curve`) computes its projection at its first `project`.  The
-Hopf projection Jacobian is applied as explicit sums over the coordinate
-axis, the same operations for one column or a stack.
+that several pairs go through one call.  Every point carries phi(q) in
+``base_point``, which `project` returns, read-only on Hopf.  A Hopf point
+built from raw coordinates (`BundlePoint.hopf`, a great-circle or chart
+step, `bundle_curve`) projects them as it is built; one built over a
+known base point keeps that one: `section_over(m)` keeps (a copy of) m,
+`act` keeps its point's, since phi(g q) = phi(q) exactly, and `join`
+joins each column's, so joined points still give the bits of separate
+ones.  The Hopf projection Jacobian is applied as explicit sums over the
+coordinate axis, the same operations for one column or a stack.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,7 +77,7 @@ class HopfBundle(PrincipalBundle):
 @dataclass(frozen=True)
 class BundlePoint:
     bundle: PrincipalBundle
-    base_point: np.ndarray = None        # trivial bundles
+    base_point: np.ndarray               # phi(q), read-only on Hopf
     group_part: np.ndarray = None        # trivial bundles
     ambient: np.ndarray = None           # Hopf
 
@@ -92,24 +90,18 @@ class BundlePoint:
 
     @staticmethod
     def hopf(bundle, ambient):
-        return BundlePoint(bundle,
-                           ambient=bundle.total_space.validate(ambient))
-
-    @functools.cached_property
-    def hopf_base(self):
-        """The projection of a Hopf point, computed once and kept read-only
-        in the instance dict, outside the fields (equality, repr); a point
-        built over a known base point holds that one (`_over`)."""
-        m = hopf_projection_coords(self.ambient)
-        m.flags.writeable = False
-        return m
+        return _hopf_point(bundle, bundle.total_space.validate(ambient))
 
 
-def _over(q: BundlePoint, m) -> BundlePoint:
-    """The Hopf point q with m, read-only, kept as its projection."""
+def _hopf_point(bundle, ambient) -> BundlePoint:
+    """The Hopf point at a unit array, unvalidated, over its projection."""
+    return BundlePoint(bundle, _read_only(hopf_projection_coords(ambient)),
+                       ambient=ambient)
+
+
+def _read_only(m):
     m.flags.writeable = False
-    vars(q)["hopf_base"] = m
-    return q
+    return m
 
 
 def split_trivial(q: BundlePoint, v) -> tuple:
@@ -160,7 +152,7 @@ def join(*rows) -> tuple:
     (`numdiff._columns`), so joined rows go together as their points did;
     when every point already has that one stack, as the pairs a check
     builds on its sample stack do, each is assigned as it is.  The points
-    must live on one bundle."""
+    must live on one bundle, and the joined arrays are read-only."""
     points = [q for row in rows for q in row]
     bundle = points[0].bundle
     if any(q.bundle != bundle for q in points):
@@ -170,7 +162,7 @@ def join(*rows) -> tuple:
         fields = (("base_point", 1),
                   ("group_part", np.ndim(bundle.group.identity())))
     else:
-        fields = (("ambient", 1),)
+        fields = (("base_point", 1), ("ambient", 1))
     stacks = {getattr(q, name).shape[rank:]
               for q in points for name, rank in fields}
     shared = len(stacks) == 1
@@ -184,15 +176,10 @@ def join(*rows) -> tuple:
                 out[..., j] = getattr(q, name)
             else:
                 _put(out[..., j], getattr(q, name))
-        return out
+        return _read_only(out)
 
-    if isinstance(bundle, TrivialBundle):
-        return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)
-                                            for name, rank in fields})
-                     for row in rows)
-    # Each column keeps its own point's projection, which has its stack.
-    return tuple(_over(BundlePoint(bundle, ambient=joined(row, "ambient", 1)),
-                       joined(row, "hopf_base", 1))
+    return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)
+                                        for name, rank in fields})
                  for row in rows)
 
 
@@ -262,21 +249,16 @@ def hopf_section(m_coords):
 # Bundle operations
 
 def project(q: BundlePoint) -> np.ndarray:
-    if isinstance(q.bundle, TrivialBundle):
-        return q.base_point
-    return q.hopf_base
+    return q.base_point
 
 
 def act(g, q: BundlePoint) -> BundlePoint:
     if isinstance(q.bundle, TrivialBundle):
         return BundlePoint(q.bundle, q.base_point,
                            q.bundle.group.compose(g, q.group_part))
-    moved = BundlePoint(q.bundle,
-                        ambient=_hopf_rotate(q.ambient, _circle_angle(g)))
-    # phi(g q) = phi(q) exactly, so the moved point keeps the projection
-    # that q holds; one that q has not computed is not computed here.
-    m = vars(q).get("hopf_base")
-    return moved if m is None else _over(moved, m)
+    # phi(g q) = phi(q) exactly, so the moved point keeps q's base point.
+    return BundlePoint(q.bundle, q.base_point,
+                       ambient=_hopf_rotate(q.ambient, _circle_angle(g)))
 
 
 def _circle_angle(g):
@@ -339,7 +321,7 @@ def any_lift(q: BundlePoint, delta_m) -> np.ndarray:
     # minimum-norm solution of J v = delta is J^T delta / 4: it is orthogonal
     # to q and to the fiber direction i q, i.e. horizontal for the canonical
     # connection.  Projecting delta first, onto the tangent plane at the
-    # point's kept projection, keeps the result tangent at q.  So for the
+    # point's base point, keeps the result tangent at q.  So for the
     # matrix L of the lifts of the base coordinate vectors, dphi L is the
     # identity on that plane, and the Newton residual of a reduced
     # retraction has the identity on it as its Jacobian at the anchor
@@ -361,7 +343,7 @@ def bundle_curve(q: BundlePoint, v, t) -> BundlePoint:
             G.exp(np.multiply.outer(fiber, t)), q.group_part))
     q_t, tv = _columns(q.ambient, np.multiply.outer(v, t))
     p = q_t + tv
-    return BundlePoint(q.bundle, ambient=p / _column_norm(p))
+    return _hopf_point(q.bundle, p / _column_norm(p))
 
 
 def local_coords(q0: BundlePoint, p: BundlePoint) -> np.ndarray:
@@ -399,6 +381,6 @@ def section_over(bundle: PrincipalBundle, m) -> BundlePoint:
     """A reference point in the fiber over the base point m."""
     if isinstance(bundle, TrivialBundle):
         return BundlePoint(bundle, m, bundle.group.identity())
-    m = np.array(m, dtype=float)
-    return _over(BundlePoint(bundle, ambient=hopf_section(m)), m)
+    m = _read_only(np.array(m, dtype=float))
+    return BundlePoint(bundle, m, ambient=hopf_section(m))
 

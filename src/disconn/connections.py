@@ -126,8 +126,7 @@ def horizontal_lifts(A: ConnectionForm, q: BundlePoint) -> np.ndarray:
     the lift of u, to rounding when A is linear in the tangent (local
     one-forms, Hopf)."""
     k = A.bundle.base.coord_size
-    point = q.base_point if isinstance(q.bundle, TrivialBundle) else q.ambient
-    stack = point.shape[1:]
+    stack = q.base_point.shape[1:]
     E = np.empty((k,) + stack + (k,))
     E[...] = np.eye(k).reshape((k,) + (1,) * len(stack) + (k,))
     return horizontal_lift(A, q, E).transpose(

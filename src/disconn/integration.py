@@ -26,11 +26,11 @@ stack of points whose stack is a prefix of the tangents' and broadcasts
 over them.  So does the reduced retraction, anchored at a stack of fiber
 points: `manifolds.invert_extended` solves it in one Newton solve on the
 tangent components at the anchors, each anchor serving its own targets,
-and reads the stepped base points through the log at the anchors.  A
-sampled anchor is a section moved by `bundles.act`, which keeps the base
-point it was built over, so no anchor is projected.  The induced
-discrete connection takes stacks of pairs, the stack of q0 a prefix of
-the stack of q1.
+and reads the stepped base points through the log at the anchors.  Every
+point carries phi(q) in its ``base_point``: a Hopf step computes it as it
+builds its point, and a sampled anchor, a section moved by `bundles.act`,
+keeps the base point it was built over.  The induced discrete connection
+takes stacks of pairs, the stack of q0 a prefix of the stack of q1.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import bundles, manifolds
-from .bundles import BundlePoint, HopfBundle, TrivialBundle
+from .bundles import BundlePoint, HopfBundle, TrivialBundle, _hopf_point
 from .connections import ConnectionForm, eval_connection, horizontal_lifts
 from .discrete import ComposedDiscrete, DiscreteConnectionForm
 from .errors import BundleMismatch
@@ -124,11 +124,11 @@ def hopf_geodesic_retraction(bundle: HopfBundle) -> Retraction:
     """Great-circle steps on the round S^3; circle rotations are isometries,
     so the rule is equivariant.  The step is `Sphere.geodesic_step`, one
     norm per column and unit to rounding; a zero step returns q's point
-    exactly."""
+    exactly.  Its point projects its coordinates as it is built."""
     sphere = bundle.total_space
 
     def step(q, v):
-        return BundlePoint(bundle, ambient=sphere.geodesic_step(q.ambient, v))
+        return _hopf_point(bundle, sphere.geodesic_step(q.ambient, v))
 
     return Retraction(bundle, step, np.pi)
 

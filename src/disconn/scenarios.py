@@ -56,7 +56,7 @@ one of its checks reads, with a `ParseError`):
                      "reference": <spec> of kind local or integrated},
                     # derived in closed form if local, else numerically
       "integrator": {"retraction": "straight"|"exp"|"skewed"  # trivial
-                                   |"great_circle"|"exp"|"chart",  # hopf
+                                   |"great_circle"|"chart",  # hopf
                      "domain_radius": float > 0},  # default from the
                                                    # base: pi/2 on spheres
       "checks": [{"name": key of CHECKS, "tolerance": float > 0,  # default 1e-8
@@ -396,7 +396,6 @@ _RETRACTIONS = {
     ("trivial", "exp"): integration.trivial_product_retraction,
     ("trivial", "skewed"): integration.trivial_skewed_retraction,
     ("hopf", "great_circle"): integration.hopf_geodesic_retraction,
-    ("hopf", "exp"): integration.hopf_geodesic_retraction,
     ("hopf", "chart"): _hopf_chart_retraction,
 }
 

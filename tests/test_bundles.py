@@ -1,11 +1,13 @@
 """Bundle points, actions, fiber translations, and the Hopf fibration."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disconn import bundles
+from disconn import bundles, scenarios
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
                              any_lift, base_distance, bundle_curve,
                              fiber_translation, hopf_projection_coords,
@@ -92,9 +94,10 @@ class TestHopf:
             m = project(q)
             assert abs(np.linalg.norm(m) - 1.0) <= 1e-12
 
-    def test_point_projects_once_read_only(self):
-        # The projection is kept on the point: the same bits as projecting
-        # the ambient array, the same array on every call, and read-only.
+    def test_point_carries_its_projection_read_only(self):
+        # The projection is the point's base_point field: the same bits as
+        # projecting the ambient array, the same array on every call, and
+        # read-only.
         rng = np.random.default_rng(24)
         one = random_hopf_point(rng)
         x = rng.normal(size=(4, 5, 3))
@@ -104,11 +107,9 @@ class TestHopf:
             expected = hopf_projection_coords(q.ambient)
             assert m.shape == expected.shape
             assert m.tobytes() == expected.tobytes()
-            assert project(q) is m
+            assert project(q) is m is q.base_point
             with pytest.raises(ValueError):
                 m[0] = 0.0
-        assert one == BundlePoint(one.bundle, ambient=one.ambient)
-        assert "hopf_base" not in repr(one)
 
     def test_base_and_group_are_shared_constants(self):
         H = HopfBundle()
@@ -320,7 +321,7 @@ def broadcasting_join(*rows):
     bundle = rows[0][0].bundle
     fields = ((("base_point", 1), ("group_part", np.ndim(
         bundle.group.identity()))) if isinstance(bundle, TrivialBundle)
-              else (("ambient", 1),))
+              else (("base_point", 1), ("ambient", 1)))
     stack = bundles._joint_stack([getattr(q, name).shape[rank:]
                                   for row in rows for q in row
                                   for name, rank in fields])
@@ -390,14 +391,19 @@ def same_bits(a, b):
 
 
 class TestCarriedProjection:
-    """A Hopf point built over a known base point keeps it as its
-    projection; one built from raw coordinates projects once."""
+    """Every Hopf point carries its projection in its base_point field: a
+    point built over a known base point keeps that one, and one built from
+    raw coordinates projects them as it is built."""
 
     H = HopfBundle()
 
     def base_points(self, rng, stack):
         m = rng.normal(size=(3,) + stack)
         return m / np.linalg.norm(m, axis=0)
+
+    def test_a_point_needs_its_base_point(self):
+        with pytest.raises(TypeError):
+            BundlePoint(self.H, ambient=np.array([1.0, 0.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
     def test_section_holds_its_base_point(self, stack):
@@ -412,17 +418,13 @@ class TestCarriedProjection:
         assert project(q) is kept and not np.any(kept[0] == 2.0)
 
     @pytest.mark.parametrize("stack", [(), (5,)])
-    def test_act_keeps_the_projection_it_holds(self, stack):
+    def test_act_keeps_its_points_base_point(self, stack):
         rng = np.random.default_rng(43)
-        q = section_over(self.H, self.base_points(rng, stack))
+        x = rng.normal(size=(4,) + stack)
         g = rng.uniform(-np.pi, np.pi, (1,) + stack)
-        assert project(act(g, q)) is project(q)
-        # A point that has not projected yet hands nothing on, and the
-        # moved point projects its own coordinates when asked.
-        raw = BundlePoint.hopf(self.H, q.ambient)
-        moved = act(g, raw)
-        assert "hopf_base" not in vars(moved) and "hopf_base" not in vars(raw)
-        assert same_bits(project(moved), hopf_projection_coords(moved.ambient))
+        for q in (section_over(self.H, self.base_points(rng, stack)),
+                  BundlePoint.hopf(self.H, x / np.linalg.norm(x, axis=0))):
+            assert act(g, q).base_point is q.base_point
 
     def test_join_keeps_each_columns_projection(self):
         rng = np.random.default_rng(47)
@@ -434,19 +436,38 @@ class TestCarriedProjection:
         rows = ([over[0], single, raw], [raw, over[1], over[0]])
         for row, joined in zip(rows, bundles.join(*rows)):
             assert project(joined).shape == (3, 5, 3)
+            with pytest.raises(ValueError):
+                project(joined)[0] = 0.0
             for j, q in enumerate(row):
                 want = np.broadcast_to(project(q).reshape(3, -1), (3, 5))
                 assert same_bits(project(joined)[..., j],
                                  np.ascontiguousarray(want))
 
     def test_raw_points_project_their_coordinates(self):
-        # BundlePoint.hopf, a retraction step and bundle_curve build points
-        # from coordinates; each computes its projection from them.
+        # BundlePoint.hopf, the great-circle and chart steps and
+        # bundle_curve build points from coordinates; each computes its
+        # projection from them.
         rng = np.random.default_rng(53)
         q = section_over(self.H, self.base_points(rng, (4,)))
         v = Sphere(4).project_tangent(q.ambient, rng.normal(size=(4, 4)))
         for p in (BundlePoint.hopf(self.H, q.ambient),
                   hopf_geodesic_retraction(self.H).step(q, 0.3 * v),
+                  scenarios._hopf_chart_retraction(self.H).step(q, 0.3 * v),
                   bundle_curve(q, v, np.array([0.1, -0.1]))):
-            assert "hopf_base" not in vars(p)
             assert same_bits(project(p), hopf_projection_coords(p.ambient))
+            with pytest.raises(ValueError):
+                project(p)[0] = 0.0
+
+    def test_state_is_the_fields(self):
+        # Nothing is kept on a point outside its dataclass fields.
+        rng = np.random.default_rng(59)
+        q = section_over(self.H, self.base_points(rng, (3,)))
+        v = Sphere(4).project_tangent(q.ambient, rng.normal(size=(4, 3)))
+        g = rng.uniform(-np.pi, np.pi, (1, 3))
+        names = {f.name for f in dataclasses.fields(BundlePoint)}
+        for p in (q, act(g, q), BundlePoint.hopf(self.H, q.ambient),
+                  hopf_geodesic_retraction(self.H).step(q, v),
+                  bundle_curve(q, v, np.array([0.1])), *bundles.join([q, q]),
+                  BundlePoint.trivial(make_trivial(), [0.0, 1.0], [0.5])):
+            project(p)
+            assert set(vars(p)) == names

@@ -158,19 +158,19 @@ def raising_pairs(D, q0, q1):
         if count == 1:
             return 1
         halves = (slice(None, count // 2), slice(count // 2, None))
-        return sum(raising_pairs(D, *(BundlePoint(HOPF, ambient=a[:, s])
-                                      for a in (q0.ambient, q1.ambient)))
+        return sum(raising_pairs(D, *(BundlePoint(HOPF, q.base_point[:, s],
+                                                  ambient=q.ambient[:, s])
+                                      for q in (q0, q1)))
                    for s in halves)
 
 
 FRACTIONS = (0.05, 0.2, 0.4, 0.45, 0.49)
 # Pairs of each set, out of 200, that raised under the probed Newton
-# iteration alone, with no chord step, in the normal chart of a
-# Householder basis.  The great-circle retraction raises on none up to
-# epsilon = 0.5; at epsilon = 1 and 2 its rows are the counts of the chord
-# step in that chart, which the ambient iteration gives too.  The chart
-# retraction raises near its chart's pole and where Newton wanders off far
-# from it.
+# iteration alone, with no chord step.  The great-circle retraction raises
+# on none up to epsilon = 0.5; at epsilon = 1 and 2 its rows are the
+# counts with the chord step, which the iteration in ambient tangent
+# coordinates gives too.  The chart retraction raises near its chart's
+# pole and where Newton wanders off far from it.
 PROBED_NEWTON_RAISED = {
     ("great_circle", 0.0): (0, 0, 0, 0, 0),
     ("great_circle", 0.1): (0, 0, 0, 0, 0),

@@ -87,32 +87,35 @@ Hopf scenario 32 targets in each of derive_roundtrip and
 lift_roundtrip, read twice by the canonical solve and 3 times by the
 perturbed one (160 each), and 24 in discrete_axioms, read twice by the
 canonical solve and 5 times, with 2 probe calls, by the perturbed one
-(456).  Its normal charts built 80 Householder bases, 24 in each
-discrete_axioms and 8 in each of derive_roundtrip and lift_roundtrip.
-On breadth the logs read 416 columns; the S2 x U(1) discrete_axioms
-solve reads 24 of them, where its chart built 12 bases.
+(456).  On breadth the logs read 416 columns; the S2 x U(1)
+discrete_axioms solve reads 24 of them.
 
-A Hopf point projects once: `bundles.project` keeps the base point on
-the point, and `bundles.any_lift` reads it there.  A point built over a
-known base point keeps that one: `section_over(m)` keeps m, `act` keeps
-the projection its point holds and `join` joins each column's.  On
-hopf-newton `hopf_projection_coords` runs 15 times over the two
-scenarios: 7 in discrete_axioms, 5 in derive_roundtrip and 3 in
-lift_roundtrip.  The reduced steps project their stepped points 13
-times (7, 3 and 3), and derive_roundtrip's `eval_discrete` calls
-project the 2 stencils of `bundle_curve` points.  Every sampled point is
-a section moved by `act`, so it projects nothing.  When only the first
-`project` call on a point kept its result, the count was 29: 2 in
-connection_axioms, 13 in discrete_axioms, 7 in derive_roundtrip and 7
-in lift_roundtrip, of which the integrated `eval_discrete` calls
-projected 10 (4, 4 and 2) and the checks 6 (2, 2, 0 and 2).  Before the
-chord step the reduced steps made 16 (8, 4 and 4), and 32 in all.  The
-rule's horizontal representative is the point of the solve's last step,
-already projected; retracting again after each solve made 38 (2, 16, 10
-and 10), 16 of them (6, 6 and 4) inside `eval_discrete` outside the
-reduced steps.  One projection per `project` call made 68 (3, 23, 20
-and 22), 39 of them inside `eval_discrete` outside the reduced steps.
-matched-deep and breadth have no Hopf point.
+Every point carries its projection in its `base_point` field, which
+`bundles.project` returns.  A Hopf point built from raw coordinates
+projects them as it is built; one built over a known base point keeps
+that one: `section_over(m)` keeps m, `act` keeps its point's and `join`
+joins each column's.  On hopf-newton `hopf_projection_coords` runs 19
+times over the two scenarios: 7 in discrete_axioms, 5 in
+derive_roundtrip, 4 in retraction_equivariance and 3 in lift_roundtrip.
+The reduced steps' great-circle points project 13 times (7, 3 and 3),
+derive_roundtrip's `eval_discrete` calls build the 2 stencils of
+`bundle_curve` points, and retraction_equivariance's 4 great-circle
+steps (R(g . v) and R(v) per scenario) build 4 points.  Every sampled
+point is a section moved by `act`, so it projects nothing.  When a Hopf
+point projected at its first `project` call, the 4 step results of
+retraction_equivariance, compared by ambient distance alone, projected
+nothing, and the count was 15.  When only the first `project` call on a
+point kept its result, the count was 29: 2 in connection_axioms, 13 in
+discrete_axioms, 7 in derive_roundtrip and 7 in lift_roundtrip, of which
+the integrated `eval_discrete` calls projected 10 (4, 4 and 2) and the
+checks 6 (2, 2, 0 and 2).  Before the chord step the reduced steps made
+16 (8, 4 and 4), and 32 in all.  The rule's horizontal representative
+is the point of the solve's last step, already projected; retracting
+again after each solve made 38 (2, 16, 10 and 10), 16 of them (6, 6 and
+4) inside `eval_discrete` outside the reduced steps.  One projection per
+`project` call made 68 (3, 23, 20 and 22), 39 of them inside
+`eval_discrete` outside the reduced steps.  matched-deep and breadth
+have no Hopf point.
 """
 
 import dataclasses
@@ -198,7 +201,7 @@ COUNTS = {
                     "richardson_derivative": 4, "f": 4,
                     "eval_connection": 18, "retract_bundle": 4,
                     "reduced_step": 13, "linalg_solve": 2,
-                    "log_columns": 776, "hopf_projection_coords": 15},
+                    "log_columns": 776, "hopf_projection_coords": 19},
     "breadth": {"invert_extended": 14, "eval_discrete": 28,
                 "richardson_derivative": 23, "f": 23,
                 "gauss_legendre_line_integral": 4,

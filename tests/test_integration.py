@@ -290,14 +290,10 @@ def random_points(rng, A, n):
 
 
 def column(q, i):
-    """Point i of a stack of points, with its column of the projection
-    that a stacked Hopf point holds."""
+    """Point i of a stack of points, with its column of the base point."""
     if isinstance(q.bundle, TrivialBundle):
         return BundlePoint(q.bundle, q.base_point[:, i], q.group_part[..., i])
-    point = BundlePoint(q.bundle, ambient=q.ambient[:, i])
-    if "hopf_base" in vars(q):
-        vars(point)["hopf_base"] = q.hopf_base[:, i]
-    return point
+    return BundlePoint(q.bundle, q.base_point[:, i], ambient=q.ambient[:, i])
 
 
 def reference_rule(A, R, q0, q1):

@@ -204,3 +204,17 @@ def test_every_scenario_input_is_exercised():
               | set(scenarios._QUADRATIC_F) | kinds | retractions
               | set(scenarios.CHECKS))
     assert sorted(inputs - used) == []
+
+
+def test_state_stays_in_fields():
+    # An object's state is its fields: no module reaches an instance dict,
+    # through vars(...) or __dict__, or keeps a functools.cached_property
+    # there, so no cache lives beside the fields (equality, repr) of a
+    # frozen dataclass such as a bundle point.
+    hidden = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and callee_name(node.func) == "vars"
+                    or callee_name(node) in ("__dict__", "cached_property")):
+                hidden.append(f"{path.stem}:{node.lineno}")
+    assert hidden == []

@@ -71,14 +71,15 @@ class TestPerColumnDistances:
             if isinstance(bundle, HopfBundle):
                 q = rng.normal(size=(4, K))
                 q /= np.linalg.norm(q, axis=0)
-                return BundlePoint(bundle, ambient=q)
+                return BundlePoint.hopf(bundle, q)
             return BundlePoint(bundle,
                                rng.uniform(-1.0, 1.0, (bundle.base.dim, K)),
                                group_stack(bundle.group, rng))
 
         def column(q, i):
             if q.ambient is not None:
-                return BundlePoint(q.bundle, ambient=q.ambient[:, i])
+                return BundlePoint(q.bundle, q.base_point[:, i],
+                                   ambient=q.ambient[:, i])
             return BundlePoint(q.bundle, q.base_point[:, i],
                                q.group_part[:, i])
 
