@@ -35,15 +35,10 @@ import numpy as np
 from . import bundles
 from .connections import ConnectionForm, TrivialLocalConnection
 from .discrete import ComposedDiscrete, DiscreteConnectionForm, eval_discrete
-from .errors import (BundleMismatch, CurvatureMismatch, UnsupportedGroup,
-                     UnsupportedPresentation)
+from .errors import BundleMismatch, UnsupportedGroup, UnsupportedPresentation
 from .manifolds import EuclideanChart
 from .numdiff import (_column_norm, _columns, exterior_derivative,
                       gauss_legendre_line_integral, worst_defect)
-
-# Largest exterior-derivative defect of the descended difference the
-# closedness gate accepts.
-MATCH_TOL = 1e-8
 
 
 def worst_exterior_defect(A: TrivialLocalConnection, samples) -> float:
@@ -111,22 +106,21 @@ def primitive_on_segments(A: TrivialLocalConnection) -> Callable:
     return increment
 
 
-def curvature_matched_integrate(A: ConnectionForm,
-                                Ad_ref: DiscreteConnectionForm,
-                                A_ref: ConnectionForm,
-                                match_samples=None) -> DiscreteConnectionForm:
+def curvature_matched_integrate(
+        A: ConnectionForm, Ad_ref: DiscreteConnectionForm,
+        A_ref: ConnectionForm) -> DiscreteConnectionForm:
     """Discrete connection deriving to A, built from a curvature-matched
     reference Ad_ref and its derived connection A_ref: a closed form where
     one is known (`scenarios.derived_pair_map_builtin`), which keeps every
-    derivative out of the integrand and the gate, else
+    derivative out of the integrand, else
     `derivation.derive_connection(Ad_ref)`.
 
-    The descended difference of A and A_ref is closed when the curvatures
-    match; its integral over the segment m0 -> m1 between the base points
-    of a pair corrects the reference pairwise by exp of that increment, one
-    `primitive_on_segments` call per stack of pairs.  Over the (m, u, w)
-    stacks `match_samples`, when they are given, the difference's exterior
-    derivative must stay within MATCH_TOL.
+    The caller ensures that the curvatures match, that is, that the
+    descended difference of A and A_ref is closed (`scenarios` decides it
+    exactly on the polynomial tables); nothing here tests it.  The
+    difference's integral over the segment m0 -> m1 between the base
+    points of a pair corrects the reference pairwise by exp of that
+    increment, one `primitive_on_segments` call per stack of pairs.
     """
     if A.bundle != Ad_ref.bundle:
         raise BundleMismatch("connection and reference bundles differ")
@@ -137,13 +131,6 @@ def curvature_matched_integrate(A: ConnectionForm,
         raise UnsupportedPresentation(
             "curvature-matched integration integrates over straight "
             "segments and needs a global Euclidean base chart")
-    if match_samples is not None:
-        worst = worst_exterior_defect(eps, match_samples)
-        if not worst <= MATCH_TOL:
-            raise CurvatureMismatch(
-                f"curvature differs from the reference's: d(A - A_ref) "
-                f"defect {worst:.3e} exceeds {MATCH_TOL:.1e}")
-
     increment = primitive_on_segments(eps)
 
     def rule(q0, q1):

@@ -87,20 +87,22 @@ def discrete_horizontal_lift(Ad: DiscreteConnectionForm, q: BundlePoint,
     return bundles.act(Ad.bundle.group.inverse(g), q_prime)
 
 
-def _eval_pairs(Ad: DiscreteConnectionForm, firsts, seconds) -> list:
-    """eval_discrete at each pair (firsts[j], seconds[j]), in one call on
-    the pairs joined on a new trailing stack axis (`bundles.join`); the
-    values, one per pair, are that call's columns on the new axis."""
-    q0, q1 = bundles.join(firsts, seconds)
-    values = eval_discrete(Ad, q0, q1)
-    return [values[..., j] for j in range(len(firsts))]
+def _eval_pairs(Ad: DiscreteConnectionForm, pairs) -> list:
+    """eval_discrete on pairs joined by `bundles.join`, one value a pair."""
+    values = eval_discrete(Ad, *pairs)
+    return [values[..., j] for j in range(values.shape[-1])]
 
 
-def discrete_curvature(Ad: DiscreteConnectionForm, q0: BundlePoint,
-                       q1: BundlePoint, q2: BundlePoint) -> np.ndarray:
-    """Triangle holonomy A_d(q0,q2)^{-1} A_d(q1,q2) A_d(q0,q1)."""
+def triangle_pairs(q0, q1, q2) -> tuple:
+    """A triangle's pairs (q0, q2), (q1, q2), (q0, q1), joined once."""
+    return bundles.join([q0, q1, q0], [q2, q2, q1])
+
+
+def discrete_curvature(Ad: DiscreteConnectionForm, pairs) -> np.ndarray:
+    """Triangle holonomy A_d(q0,q2)^{-1} A_d(q1,q2) A_d(q0,q1) on the
+    triangle's `triangle_pairs`."""
     G = Ad.bundle.group
-    a02, a12, a01 = _eval_pairs(Ad, [q0, q1, q0], [q2, q2, q1])
+    a02, a12, a01 = _eval_pairs(Ad, pairs)
     return G.compose(G.inverse(a02), G.compose(a12, a01))
 
 
@@ -112,8 +114,8 @@ def axiom_defects(Ad: DiscreteConnectionForm, g, g_prime, q0: BundlePoint,
     of pairs and group elements; the three pairs are evaluated in one
     call."""
     G = Ad.bundle.group
-    diagonal, moved, value = _eval_pairs(
-        Ad, [q0, bundles.act(g, q0), q0], [q0, bundles.act(g_prime, q1), q1])
+    diagonal, moved, value = _eval_pairs(Ad, bundles.join(
+        [q0, bundles.act(g, q0), q0], [q0, bundles.act(g_prime, q1), q1]))
     expected = G.compose(g_prime, G.compose(value, G.inverse(g)))
     return (G.distance(diagonal, G.identity()),
             G.distance(moved, expected))

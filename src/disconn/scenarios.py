@@ -53,8 +53,8 @@ one of its checks reads, with a `ParseError`):
                   | {"kind": "flat", "omega": <builtin>}  # the matched
                     # integral of omega against the "zero" pair map
                   | {"kind": "matched",     # needs a connection
-                     "reference": <spec> of kind local or integrated},
-                    # derived in closed form if local, else numerically
+                     "reference": <spec> of kind local},  # the same
+                    # curvature, decided on the tables (_require_closed)
       "integrator": {"retraction": "straight"|"exp"|"skewed"  # trivial
                                    |"great_circle"|"chart",  # hopf
                      "domain_radius": float > 0},  # default from the
@@ -100,14 +100,9 @@ import numpy as np
 from . import (abelian, bundles, connections, derivation, discrete, groups,
                integration, manifolds)
 from .bundles import BundlePoint, HopfBundle, TrivialBundle
-from .errors import ParseError
+from .errors import CurvatureMismatch, ParseError
 from .manifolds import EuclideanChart, Sphere
 from .numdiff import QUADRATURE_ORDER, _column_norm, worst_defect
-
-
-# The stream of the curvature-matched constructor's gate samples, outside
-# the range of check indices, which are the streams of the checks.
-GATE_STREAM = 2 ** 64 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +159,7 @@ def _polynomial(table, size, name):
     return evaluate
 
 
-def _local_connection(table, bundle, name):
+def _local_connection(bundle, table, name):
     _require(bundle.group.dim == 1,
              "builtin one-forms target one-dimensional algebras")
     omega = _polynomial(table, bundle.base.coord_size, name)
@@ -172,25 +167,27 @@ def _local_connection(table, bundle, name):
         bundle, lambda m, v: np.array([omega(m, v)]))
 
 
-def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
-    """Resolve a one-form builtin (a name or a polynomial object) to a
-    local connection on the trivial bundle."""
+def _one_form_table(spec, bundle):
+    """(table, name) of a one-form builtin: a name or a polynomial."""
     if isinstance(spec, str):
         if spec not in _ONE_FORMS:
             raise ParseError(f"unknown one-form builtin {spec!r}")
-        table, name = _ONE_FORMS[spec], spec
-    elif isinstance(spec, dict) and spec.get("name") == "polynomial":
+        return _ONE_FORMS[spec], spec
+    if isinstance(spec, dict) and spec.get("name") == "polynomial":
         _require_keys(spec, {"name", "terms"}, "polynomial")
         terms = spec.get("terms")
-        if not (isinstance(terms, list) and all(
-                _is_term(t, bundle.base.coord_size) for t in terms)):
+        if not (isinstance(terms, list)
+                and all(_is_term(t, bundle.base.coord_size)
+                        for t in terms)):
             raise ParseError(f"bad polynomial terms: {terms!r}")
-        table = [(t["coeff"], t["powers"], [0] * t["dx"] + [1])
-                 for t in terms]
-        name = "polynomial"
-    else:
-        raise ParseError(f"unknown one-form spec {spec!r}")
-    return _local_connection(table, bundle, name)
+        return [(t["coeff"], t["powers"], [0] * t["dx"] + [1])
+                for t in terms], "polynomial"
+    raise ParseError(f"unknown one-form spec {spec!r}")
+
+
+def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
+    """Resolve a one-form builtin to a local connection."""
+    return _local_connection(bundle, *_one_form_table(spec, bundle))
 
 
 def _pair_map_table(spec):
@@ -224,13 +221,42 @@ def pair_map_builtin(spec, bundle,
         domain_radius, name=name)
 
 
+def _linear_terms(table):
+    """A pair map's terms of degree 1 in delta: its derived connection's."""
+    return [(c, p, r) for c, p, r in table if sum(r) == 1]
+
+
 def derived_pair_map_builtin(spec, bundle):
-    """The connection a pair-map builtin derives to, in closed form: its
-    terms of degree 1 in delta, read on (m, v).  No term is free of delta,
-    so C(m, m + t v) is t times this table plus O(t^2)."""
+    """The connection a pair-map builtin derives to, in closed form: no term
+    is free of delta, so C(m, m + t v) = t `_linear_terms` + O(t^2)."""
     table, name = _pair_map_table(spec)
-    return _local_connection([(c, p, r) for c, p, r in table if sum(r) == 1],
-                             bundle, name)
+    return _local_connection(bundle, _linear_terms(table), name)
+
+
+# Relative tolerance of the curvature-matched gate, `_require_closed`.
+MATCH_TOL = 1e-8
+
+
+def _require_closed(table):
+    """Raise CurvatureMismatch unless the one-form table is closed, decided
+    on its terms, whatever the box.  d(c x^p dx_j) is the sum over i of
+    c p_i x^(p - e_i) dx_i ^ dx_j; each coefficient of the table's d must
+    cancel to within MATCH_TOL of the sum of its terms' magnitudes."""
+    coefficients = {}  # i < j and the monomial's (k, non-zero power) pairs
+    for c, p, r in table:
+        j = r.index(1)
+        for i, e in enumerate(p):
+            if e and i != j:  # dx_i ^ dx_j = -dx_j ^ dx_i
+                key = (min(i, j), max(i, j), *((k, x - (k == i))
+                       for k, x in enumerate(p) if x - (k == i)))
+                coefficients.setdefault(key, []).append(
+                    float(c) * e * (1 if i < j else -1))
+    for (i, j, *_), terms in coefficients.items():
+        if not abs(sum(terms)) <= MATCH_TOL * sum(map(abs, terms)):
+            raise CurvatureMismatch(
+                f"curvature differs from the reference's: d(A - A_ref) has "
+                f"dx{i}^dx{j} coefficient {sum(terms):.3e}, beyond "
+                f"{MATCH_TOL:.0e} of its terms")
 
 
 def _require_keys(spec, allowed, what):
@@ -287,7 +313,7 @@ def _is_rows(value, rows=None, size=None):
 _is_sample_count = functools.partial(_is_count, most=MAX_SAMPLES)
 _is_dim = functools.partial(_is_count, most=MAX_DIM)
 
-_REFERENCE_KINDS = {"local": {"pair_map": (str, dict)}, "integrated": {}}
+_LOCAL = {"pair_map": (str, dict)}
 
 # Object types of the schema: {key: test}, or {"kind": {tag: {key: test}}}
 # for a tagged object.  A test is a predicate, a tuple of Python types, a
@@ -308,11 +334,11 @@ _SCHEMA = {
     "connection": {"kind": {"local": {"omega": (str, dict)},
                             "hopf_canonical": {},
                             "hopf_perturbed": {"epsilon?": _is_number}}},
-    "discrete": {"kind": {**_REFERENCE_KINDS, "flat": {"omega": (str, dict)},
+    "discrete": {"kind": {"local": _LOCAL, "integrated": {},
+                          "flat": {"omega": (str, dict)},
                           "matched": {"reference": "reference"}}},
-    # Neither matched nor flat, which is matched against the zero
-    # reference: each level of nesting multiplies the evaluation cost.
-    "reference": {"kind": _REFERENCE_KINDS},
+    # Local only: the matched gate reads its derived connection's table.
+    "reference": {"kind": {"local": _LOCAL}},
     "integrator": {"retraction?": (str,), "domain_radius?": _is_positive},
     "check": {"name": lambda v: isinstance(v, str) and v in CHECKS,
               "samples?": _is_sample_count,
@@ -522,7 +548,7 @@ class ScenarioContext:
             "domain_radius", self.bundle.base.default_radius))
         self.connection = self._build_connection(cfg.get("connection"))
         self.retraction = _RETRACTIONS[_retraction_key(cfg)](self.bundle)
-        self.discretes = [self._build_discrete(spec)
+        self.discretes = [self._build_discrete(spec, cfg.get("connection"))
                           for spec in _discrete_specs(cfg)]
 
     # -- config resolution -------------------------------------------------
@@ -557,7 +583,7 @@ class ScenarioContext:
         epsilon = spec.get("epsilon", 0.1) if kind == "hopf_perturbed" else 0
         return connections.HopfConnection(self.bundle, float(epsilon))
 
-    def _build_discrete(self, spec):
+    def _build_discrete(self, spec, connection):
         kind = spec["kind"]
         if kind == "local":
             return pair_map_builtin(spec["pair_map"], self.bundle,
@@ -565,31 +591,25 @@ class ScenarioContext:
         if kind == "integrated":
             return integration.integrate_connection(
                 self.connection, self.retraction, self.domain_radius)
-        if kind == "flat":
-            # The curvature-matched integral of omega against the zero
-            # reference, whose derived connection is zero.
-            connection = one_form_builtin(spec["omega"], self.bundle)
-            ref = {"kind": "local", "pair_map": "zero"}
-        else:
-            connection, ref = self.connection, spec["reference"]
-        reference = self._build_discrete(ref)
-        A_ref = (derived_pair_map_builtin(ref["pair_map"], self.bundle)
-                 if ref["kind"] == "local"
-                 else derivation.derive_connection(reference))
-        return abelian.curvature_matched_integrate(
-            connection, reference, A_ref, match_samples=self._gate_samples())
-
-    def _gate_samples(self):
-        """(m, u, w) stacks of the curvature-matched constructor's gate,
-        which the flat and matched discretes pass through."""
-        return _forms(self, self.rng(GATE_STREAM), 25)
+        omega, pair_map = (
+            (spec["omega"], "zero") if kind == "flat"
+            else (connection["omega"], spec["reference"]["pair_map"]))
+        table, name = _one_form_table(omega, self.bundle)
+        matched = abelian.curvature_matched_integrate(
+            _local_connection(self.bundle, table, name),
+            pair_map_builtin(pair_map, self.bundle, self.domain_radius),
+            derived_pair_map_builtin(pair_map, self.bundle))
+        # Built first, so that a malformed builtin is a ParseError.
+        derived = _linear_terms(_pair_map_table(pair_map)[0])
+        _require_closed([*table, *((-c, p, r) for c, p, r in derived)])
+        return matched
 
     def rng(self, stream):
-        """The generator of one stream of the scenario seed: a check's
-        index, or GATE_STREAM.  The context has one Philox bit generator,
-        built on its first draw; each call re-keys it to counter 0 and key
-        (seed, stream), the state of a fresh `Philox(key=[seed, stream])`.
-        So the generator returned is valid until the next call."""
+        """The generator of one stream of the scenario seed, a check's
+        index.  The context has one Philox bit generator, built on its
+        first draw; each call re-keys it to counter 0 and key (seed,
+        stream), the state of a fresh `Philox(key=[seed, stream])`.  So
+        the generator returned is valid until the next call."""
         key = np.array([self.seed, stream], dtype=np.uint64)
         if self._generator is None:
             self._generator = np.random.Generator(np.random.Philox(key=key))
@@ -801,9 +821,10 @@ def _holonomy_gap(ctx, rng, n, d1, d2=None):
     q0 = ctx.points(m, h)
     q1 = ctx.nearby_points(q0, *raw[:3], 0.2)
     q2 = ctx.nearby_points(q0, *raw[3:], 0.2)
-    b1 = discrete.discrete_curvature(d1, q0, q1, q2)
+    pairs = discrete.triangle_pairs(q0, q1, q2)
+    b1 = discrete.discrete_curvature(d1, pairs)
     b2 = (G.identity() if d2 is None
-          else discrete.discrete_curvature(d2, q0, q1, q2))
+          else discrete.discrete_curvature(d2, pairs))
     return worst_defect(G.distance(b1, b2))
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from disconn import bundles, scenarios
 from disconn.abelian import (curvature_matched_integrate,
@@ -17,7 +19,7 @@ from disconn.connections import (GenericConnection, HopfConnection,
                                  TrivialLocalConnection, eval_connection)
 from disconn.derivation import derive_connection
 from disconn.discrete import (TrivialLocalDiscrete, discrete_curvature,
-                              eval_discrete)
+                              eval_discrete, triangle_pairs)
 from disconn.errors import (BundleMismatch, CurvatureMismatch,
                             UnsupportedGroup, UnsupportedPresentation)
 from disconn.groups import SO3, Translation
@@ -32,13 +34,23 @@ def plane_bundle():
     return B, 1e18
 
 
-def flat_integrate(A, U, samples=None):
+def flat_integrate(A, U):
     """The flat discrete of A: its curvature-matched integral against the
-    zero reference, gated at the (m, u, w) stacks `samples`."""
+    zero reference."""
     B = A.bundle
     return curvature_matched_integrate(
-        A, pair_map_builtin("zero", B, U), derived_pair_map_builtin("zero", B),
-        match_samples=samples)
+        A, pair_map_builtin("zero", B, U), derived_pair_map_builtin("zero", B))
+
+
+def plane_context(discrete, omega=None, dim=2):
+    """A context on R^dim x R with one discrete; building it runs the
+    curvature-matched gate of a flat or matched discrete on the tables."""
+    cfg = {"name": "gate", "seed": 0, "discrete": discrete,
+           "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": dim},
+                      "group": {"kind": "R^k", "dim": 1}}}
+    if omega is not None:
+        cfg["connection"] = {"kind": "local", "omega": omega}
+    return ScenarioContext(cfg)
 
 
 def trapezoid(B, U):
@@ -97,11 +109,59 @@ class TestClosedness:
         assert worst_exterior_defect(A, samples) <= 1e-9
 
     def test_x_dy_rejected(self):
-        B, _ = plane_bundle()
-        A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
-        samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
         with pytest.raises(CurvatureMismatch):
-            flat_integrate(A, 1e18, samples)
+            plane_context({"kind": "flat", "omega": "x_dy"})
+
+
+def polynomial(terms):
+    """A polynomial one-form builtin of (coeff, powers, dx) terms."""
+    return {"name": "polynomial", "terms": [
+        {"coeff": c, "powers": list(p), "dx": j} for c, p, j in terms]}
+
+
+@st.composite
+def exact_forms(draw):
+    """(d, the table of df) for a polynomial potential f on R^d of degree
+    at most 8, one term per monomial: d(c x^p) = sum_i c p_i x^(p - e_i)
+    dx_i."""
+    d = draw(st.integers(1, 3))
+    f = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 8)] * d).filter(lambda p: sum(p) <= 8),
+        st.floats(-1e3, 1e3, allow_nan=False).filter(lambda c: c != 0),
+        min_size=1, max_size=6))
+    return d, [(c * p[i], tuple(e - (k == i) for k, e in enumerate(p)), i)
+               for p, c in f.items() for i in range(d) if p[i]]
+
+
+class TestTableGate:
+    """The curvature-matched gate decides closedness on the polynomial
+    tables, exactly up to the rounding of their coefficients."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(exact_forms())
+    def test_an_exact_form_passes(self, form):
+        d, table = form
+        plane_context({"kind": "flat", "omega": polynomial(table)}, dim=d)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(exact_forms(), st.data())
+    def test_one_open_term_fails(self, form, data):
+        # c x^q dx_j with q_i > 0 for some i != j is not closed, and adding
+        # it to df leaves d of the sum equal to its own d.
+        d, table = form
+        if d == 1:
+            d, table = 2, [(c, p + (0,), j) for c, p, j in table]
+        j = data.draw(st.integers(0, d - 1))
+        i = data.draw(st.integers(0, d - 1).filter(lambda i: i != j))
+        q = [data.draw(st.integers(0, 5)) for _ in range(d)]  # <= 15
+        q[i] = max(q[i], 1)
+        largest = max([abs(c) for c, _, _ in table], default=1.0)
+        scale = data.draw(st.floats(1e-6, 1e3))
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        opened = [*table, (sign * scale * largest, tuple(q), j)]
+        with pytest.raises(CurvatureMismatch):
+            plane_context({"kind": "flat", "omega": polynomial(opened)},
+                          dim=d)
 
 
 class TestFlatIntegration:
@@ -109,8 +169,7 @@ class TestFlatIntegration:
         self.B, self.U = plane_bundle()
         self.A = TrivialLocalConnection(
             self.B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        samples = np.array([[[0.3], [-0.2]], [[1.0], [0.0]], [[0.0], [1.0]]])
-        self.Ad = flat_integrate(self.A, self.U, samples)
+        self.Ad = flat_integrate(self.A, self.U)
 
     def q(self, m, y=0.0):
         return BundlePoint.trivial(self.B, m, [y])
@@ -124,7 +183,7 @@ class TestFlatIntegration:
         rng = np.random.default_rng(127)
         for _ in range(10):
             a, b, c = (self.q(rng.uniform(-1, 1, 2)) for _ in range(3))
-            hol = discrete_curvature(self.Ad, a, b, c)
+            hol = discrete_curvature(self.Ad, triangle_pairs(a, b, c))
             G = self.Ad.bundle.group
             assert G.distance(hol, G.identity()) <= 1e-12
 
@@ -277,9 +336,7 @@ class TestCurvatureMatched:
 
     def test_curvature_mismatch_rejected(self):
         # 2x dy has derived curvature 2 dx dy, twice the trapezoid's.
-        A_bad = TrivialLocalConnection(
-            self.B, lambda m, v: np.array([2 * m[0] * v[1]]))
-        samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
         with pytest.raises(CurvatureMismatch):
-            curvature_matched_integrate(A_bad, self.Ad_ref, self.A_ref,
-                                        match_samples=samples)
+            plane_context({"kind": "matched", "reference": {
+                "kind": "local", "pair_map": "trapezoid_x_dy"}},
+                omega=polynomial([(2.0, (1, 0), 1)]))

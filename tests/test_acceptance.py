@@ -20,7 +20,7 @@ from disconn.connections import (HopfConnection, TrivialLocalConnection,
                                  eval_connection)
 from disconn.derivation import derive_connection
 from disconn.discrete import (TrivialLocalDiscrete, discrete_curvature,
-                              eval_discrete)
+                              eval_discrete, triangle_pairs)
 from disconn.errors import CurvatureMismatch
 from disconn.groups import SO3, Torus, Translation
 from disconn.integration import (hopf_geodesic_retraction,
@@ -29,7 +29,8 @@ from disconn.integration import (hopf_geodesic_retraction,
                                  trivial_skewed_retraction)
 from disconn.manifolds import (EuclideanChart, check_retraction_axioms,
                                metric_exponential)
-from disconn.scenarios import derived_pair_map_builtin, pair_map_builtin
+from disconn.scenarios import (ScenarioContext, derived_pair_map_builtin,
+                               pair_map_builtin)
 
 _SUITE_START = time.perf_counter()
 
@@ -160,7 +161,7 @@ def test_criterion_4_flatness_preserved():
         qs = [BundlePoint.trivial(B, rng.uniform(-1, 1, 2),
                                   rng.uniform(-1, 1, 1)) for _ in range(3)]
         worst_bd = max(worst_bd, B.group.distance(
-            discrete_curvature(Ad, *qs), B.group.identity()))
+            discrete_curvature(Ad, triangle_pairs(*qs)), B.group.identity()))
     report(4, "flat integration: derived curvature", worst_curv, 1e-6)
     report(4, "flat integration: triple holonomy", worst_bd, 1e-9)
 
@@ -172,8 +173,8 @@ def test_criterion_5_area_identity():
         B, lambda m0, m1: np.array([0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])]),
         U)
     mk = lambda m: BundlePoint.trivial(B, m, [0.0])
-    value = discrete_curvature(Ad, mk([0.0, 0.0]), mk([1.0, 0.0]),
-                               mk([0.0, 1.0]))
+    value = discrete_curvature(Ad, triangle_pairs(
+        mk([0.0, 0.0]), mk([1.0, 0.0]), mk([0.0, 1.0])))
     report(5, "trapezoid triple holonomy equals triangle area",
            abs(value[0] - 0.5), 1e-12)
 
@@ -194,8 +195,9 @@ def test_criterion_6_curvature_matched():
     for _ in range(50):
         qs = [BundlePoint.trivial(B, rng.uniform(-1, 1, 2),
                                   rng.uniform(-1, 1, 1)) for _ in range(3)]
-        b_new = discrete_curvature(Ad, *qs)
-        b_ref = discrete_curvature(Ad_ref, *qs)
+        pairs = triangle_pairs(*qs)
+        b_new = discrete_curvature(Ad, pairs)
+        b_ref = discrete_curvature(Ad_ref, pairs)
         worst_bd = max(worst_bd, B.group.distance(b_new, b_ref))
 
     A_back = derive_connection(Ad)
@@ -276,27 +278,25 @@ def test_criterion_8_axiom_suites():
 
 
 def test_criterion_9_negative_controls():
-    B = TrivialBundle(EuclideanChart(2), Translation(1))
-    U = 1e18
+    def context(**extra):
+        return ScenarioContext({
+            "name": "criterion-9", "seed": 0,
+            "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+                       "group": {"kind": "R^k", "dim": 1}}, **extra})
 
-    # Non-closed one-form rejected by flat integration, the matched
+    # Non-closed one-form x dy rejected by flat integration, the matched
     # integral against the zero reference.
-    x_dy = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
-    samples = np.array([[[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]])
     with pytest.raises(CurvatureMismatch):
-        curvature_matched_integrate(x_dy, pair_map_builtin("zero", B, U),
-                                    derived_pair_map_builtin("zero", B),
-                                    match_samples=samples)
+        context(discrete={"kind": "flat", "omega": "x_dy"})
 
-    # Curvature-mismatched input rejected by the matched construction.
-    Ad_ref = TrivialLocalDiscrete(
-        B, lambda m0, m1: np.array([0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])]),
-        U)
-    A_bad = TrivialLocalConnection(
-        B, lambda m, v: np.array([2.0 * m[0] * v[1]]))
+    # Curvature-mismatched input rejected by the matched construction:
+    # 2x dy against the trapezoid, whose derived connection is x dy.
     with pytest.raises(CurvatureMismatch):
-        curvature_matched_integrate(A_bad, Ad_ref, derive_connection(Ad_ref),
-                                    match_samples=samples)
+        context(connection={"kind": "local", "omega": {
+                    "name": "polynomial",
+                    "terms": [{"coeff": 2.0, "powers": [1, 0], "dx": 1}]}},
+                discrete={"kind": "matched", "reference": {
+                    "kind": "local", "pair_map": "trapezoid_x_dy"}})
 
     # Non-equivariant retraction exposed by its equivariance defect.
     B2 = TrivialBundle(EuclideanChart(2), Torus(1))

@@ -7,7 +7,8 @@ from disconn import bundles, discrete
 from disconn.bundles import BundlePoint, TrivialBundle, act
 from disconn.discrete import (ComposedDiscrete, TrivialLocalDiscrete,
                               axiom_defects, discrete_curvature,
-                              discrete_horizontal_lift, eval_discrete)
+                              discrete_horizontal_lift, eval_discrete,
+                              triangle_pairs)
 from disconn.errors import OutsideDomain
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
@@ -125,7 +126,7 @@ class TestCurvature:
         q2 = BundlePoint.trivial(B, [0.4, -0.3], [1.0])
         G = B.group
         for qs in [(q0, q0, q2), (q0, q2, q2)]:
-            assert G.distance(discrete_curvature(Ad, *qs),
+            assert G.distance(discrete_curvature(Ad, triangle_pairs(*qs)),
                               G.identity()) <= 1e-12
 
     def test_trapezoid_triangle_half(self):
@@ -134,8 +135,8 @@ class TestCurvature:
         B, U = plane_bundle()
         Ad = trapezoid(B, U)
         mk = lambda m: BundlePoint.trivial(B, m, [0.0])
-        value = discrete_curvature(Ad, mk([0.0, 0.0]), mk([1.0, 0.0]),
-                                   mk([0.0, 1.0]))
+        value = discrete_curvature(Ad, triangle_pairs(
+            mk([0.0, 0.0]), mk([1.0, 0.0]), mk([0.0, 1.0])))
         assert abs(value[0] - 0.5) <= 1e-12
 
     def test_curvature_invariant_under_action_abelian(self):
@@ -145,12 +146,11 @@ class TestCurvature:
         mk = lambda m, y: BundlePoint.trivial(B, m, [y])
         for _ in range(20):
             ms = rng.uniform(-1, 1, (3, 2))
-            b0 = discrete_curvature(Ad, mk(ms[0], 0.0), mk(ms[1], 0.0),
-                                    mk(ms[2], 0.0))
-            b1 = discrete_curvature(
-                Ad, mk(ms[0], rng.uniform(-2, 2)),
-                mk(ms[1], rng.uniform(-2, 2)),
-                mk(ms[2], rng.uniform(-2, 2)))
+            b0 = discrete_curvature(Ad, triangle_pairs(
+                mk(ms[0], 0.0), mk(ms[1], 0.0), mk(ms[2], 0.0)))
+            b1 = discrete_curvature(Ad, triangle_pairs(
+                mk(ms[0], rng.uniform(-2, 2)), mk(ms[1], rng.uniform(-2, 2)),
+                mk(ms[2], rng.uniform(-2, 2))))
             assert abs(b0[0] - b1[0]) <= 1e-10
 
 

@@ -39,26 +39,27 @@ call of the reference and integrates the end points m1 and m0 of its
 pairs in one line integral, whose integrand, the descended difference,
 is a difference of two polynomial tables: the reference's derived
 connection is its pair map's closed form, so no derivative is taken
-inside the integrand or the gate.  The matched gate's exterior
-derivative takes 1 Richardson call; derive_roundtrip takes 1 (the
-outer derivative), 2 `eval_discrete` calls and 1 line integral,
-same_discrete_curvature 0, 3 (the local form's holonomy included) and
-1, and discrete_axioms 0, 2 and 1: 2 Richardson calls, 7
-`eval_discrete` calls and 3 line integrals.  The numerical derivative
-of the reference inside the difference made 6, 11 and 3; before that,
-two integrals per matched evaluation and two Richardson calls per
-exterior derivative made 11, 15 and 6.
+inside the integrand.  The matching gate reads the two tables and
+evaluates nothing; its sampled exterior derivative took 1 Richardson
+call.  derive_roundtrip takes 1 (the outer derivative), 2
+`eval_discrete` calls and 1 line integral, same_discrete_curvature 0, 3
+(the local form's holonomy included) and 1, and discrete_axioms 0, 2
+and 1: 1 Richardson call, 7 `eval_discrete` calls and 3 line integrals.
+The numerical derivative of the reference inside the difference made 6,
+11 and 3; before that, two integrals per matched evaluation and two
+Richardson calls per exterior derivative made 11, 15 and 6.
 
 On breadth, five discrete_axioms checks and one discrete_flatness check
 make one `eval_discrete` call each, and the four integrated forms solve
-14 times.  The exterior derivatives take 1 Richardson call in the flat
-form's matching gate and 1 in closed_form, 2 in derived_curvature (its
-own and, inside it, the derived flat form's, with 1 `eval_discrete` call
-and 1 line integral) and 4 in same_derived_curvature (2 for each derived
-form, with 2 `eval_discrete` calls).  The flat form is the
+14 times.  The exterior derivatives take 1 Richardson call in
+closed_form, 2 in derived_curvature (its own and, inside it, the derived
+flat form's, with 1 `eval_discrete` call and 1 line integral) and 4 in
+same_derived_curvature (2 for each derived form, with 2 `eval_discrete`
+calls); the flat form's matching gate reads its table and takes none,
+where its sampled exterior derivative took 1.  The flat form is the
 curvature-matched integral against the zero reference, so each of its 4
 evaluations (1 in discrete_flatness, 1 in derived_curvature and 2 in
-diagram) evaluates the zero pair map once more: 23 Richardson calls, 28
+diagram) evaluates the zero pair map once more: 22 Richardson calls, 28
 `eval_discrete` calls and 4 line integrals in all, where a flat pair map
 of its own made 24 `eval_discrete` calls.  One Richardson call per slope
 doubled these and made 31, 27 and 5.
@@ -194,8 +195,8 @@ def counting_log(counter, log):
 
 
 COUNTS = {
-    "matched-deep": {"eval_discrete": 7, "richardson_derivative": 2,
-                     "f": 2, "gauss_legendre_line_integral": 3,
+    "matched-deep": {"eval_discrete": 7, "richardson_derivative": 1,
+                     "f": 1, "gauss_legendre_line_integral": 3,
                      "eval_connection": 2, "linalg_solve": 0},
     "hopf-newton": {"invert_extended": 6, "eval_discrete": 6,
                     "richardson_derivative": 4, "f": 4,
@@ -203,7 +204,7 @@ COUNTS = {
                     "reduced_step": 13, "linalg_solve": 2,
                     "log_columns": 776, "hopf_projection_coords": 19},
     "breadth": {"invert_extended": 14, "eval_discrete": 28,
-                "richardson_derivative": 23, "f": 23,
+                "richardson_derivative": 22, "f": 22,
                 "gauss_legendre_line_integral": 4,
                 "eval_connection": 46, "retract_bundle": 4,
                 "reduced_step": 16, "linalg_solve": 0,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from disconn.abelian import curvature_matched_integrate, worst_exterior_defect
+from disconn.abelian import worst_exterior_defect
 from disconn.bundles import BundlePoint, TrivialBundle, make_trivial_tangent
 from disconn.cli import main
 from disconn.connections import TrivialLocalConnection, curvature
@@ -24,9 +24,8 @@ from disconn.errors import CurvatureMismatch
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
 from disconn.numdiff import worst_defect
-from disconn.scenarios import (MAX_DIM, MAX_SAMPLES,
-                               derived_pair_map_builtin, load_scenario,
-                               pair_map_builtin)
+from disconn.scenarios import (MAX_DIM, MAX_SAMPLES, ScenarioContext,
+                               load_scenario)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,11 +86,13 @@ class TestUnmeasurableDefects:
                             [[0.0], [1.0]]])
         assert math.isnan(worst_exterior_defect(A, samples))
         # The gate of the flat discrete, the matched integral against the
-        # zero reference, rejects the unmeasured defect.
+        # zero reference, reads the table, not a difference step: on the
+        # same box it still rejects x dy and accepts d(xy).
         with pytest.raises(CurvatureMismatch):
-            curvature_matched_integrate(
-                A, pair_map_builtin("zero", B, 1e18),
-                derived_pair_map_builtin("zero", B), match_samples=samples)
+            ScenarioContext(plane(box=self.HUGE_BOX, discrete={
+                "kind": "flat", "omega": "x_dy"}))
+        ScenarioContext(plane(box=self.HUGE_BOX, discrete={
+            "kind": "flat", "omega": "closed_xy"}))
 
     def test_closed_form_on_huge_box_fails(self, tmp_path, capsys):
         # x dy is not closed; at 1e250 the difference step vanishes in
@@ -501,6 +502,20 @@ class TestFlatClosednessGate:
         cfg = dict(self.CFG, **changes)
         assert main(["run", write_scenario(tmp_path, cfg)]) == 2
         assert "CurvatureMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("radius", [10.0, 100.0])
+    def test_closed_form_builds_on_a_wide_box(self, tmp_path, capsys,
+                                              radius):
+        # d(x^2 y^3) = 2x y^3 dx + 3x^2 y^2 dy is closed on every box, but
+        # sampled difference steps read its exterior derivative as 8.5e-8
+        # at radius 10 and 1.5e-3 at radius 100, over MATCH_TOL = 1e-8:
+        # only a gate on the table accepts it there.
+        cfg = plane(box=[[-radius, radius]] * 2, discrete={
+            "kind": "flat", "omega": {"name": "polynomial", "terms": [
+                {"coeff": 2.0, "powers": [1, 3], "dx": 0},
+                {"coeff": 3.0, "powers": [2, 2], "dx": 1}]}})
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 0
+        assert "CurvatureMismatch" not in capsys.readouterr().err
 
 
 class TestSphereBase:

@@ -21,9 +21,8 @@ from disconn.cli import emit_report, main, run_scenario
 from disconn.errors import ParseError
 from disconn.groups import Translation
 from disconn.manifolds import EuclideanChart
-from disconn.scenarios import (CHECKS, GATE_STREAM, ScenarioContext, _forms,
-                               load_scenario, one_form_builtin,
-                               pair_map_builtin, run_check)
+from disconn.scenarios import (CHECKS, ScenarioContext, load_scenario,
+                               one_form_builtin, pair_map_builtin, run_check)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -137,7 +136,7 @@ PINNED_MESSAGES = [
      "'matched']"),
     (pinned((("discrete", 0), {"kind": "flat"})), "bad discrete[0].omega: None"),
     (pinned((("discrete", 1, "reference", "kind"), "matched")),
-     "discrete[1].reference needs a kind among ['integrated', 'local']"),
+     "discrete[1].reference needs a kind among ['local']"),
     (pinned((("discrete", 1, "reference", "omega"), "x_dy")),
      "unknown discrete[1].reference keys: ['omega']"),
     (pinned((("discrete", 1, "reference", "pair_map"), 5)),
@@ -214,6 +213,14 @@ PINNED_MESSAGES = [
      "bad polynomial terms: [{'coeff': 1, 'powers': [1], 'dx': 2}]"),
     (pinned((("bundle", "base", "dim"), 1)),
      "builtin 'x_dy' reads too many coordinates"),
+    # A malformed builtin of a flat or matched discrete is a ParseError,
+    # not the CurvatureMismatch of the matching gate on its table.
+    (pinned((("bundle", "base", "dim"), 1), (("connection", "omega"), "zero"),
+            (("discrete",), {"kind": "flat", "omega": "x_dy"})),
+     "builtin 'x_dy' reads too many coordinates"),
+    (pinned((("bundle", "base", "dim"), 1), (("connection", "omega"), "zero"),
+            (("discrete", 1, "reference", "pair_map"), "trapezoid_x_dy")),
+     "builtin 'trapezoid_x_dy' reads too many coordinates"),
     (pinned((("discrete", 0, "pair_map"), "nope")),
      "unknown pair-map builtin 'nope'"),
     (pinned((("discrete", 0, "pair_map"), {"name": "quadratic_f",
@@ -342,7 +349,7 @@ class TestParsing:
                  discrete={"kind": "matched",
                            "reference": {"kind": "flat",
                                          "omega": "closed_xy"}}),
-         "discrete[0].reference needs a kind among ['integrated', 'local']"),
+         "discrete[0].reference needs a kind among ['local']"),
     ])
     def test_message_names_the_nested_path(self, tmp_path, cfg, message):
         path = write_scenario(tmp_path, cfg)
@@ -414,7 +421,7 @@ class TestSampling:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("seed,stream", [(42, 3), (2 ** 64 - 1, 0),
-                                             (7, GATE_STREAM)])
+                                             (7, 2 ** 64 - 1)])
     def test_rekeyed_stream_is_a_fresh_philox(self, seed, stream):
         # A stream left part way: an odd count of uniforms, normals, and a
         # 32-bit integer draw that leaves half a 64-bit word buffered.
@@ -433,31 +440,33 @@ class TestSampling:
             assert np.array_equal(draw(rng), draw(fresh))
 
     def test_numpy_random_is_imported_on_the_first_draw(self):
-        # The Hopf scenario has no gate samples: its set-up draws nothing,
-        # so it neither builds a bit generator nor imports numpy.random.
-        path = SCENARIO_DIR / "hopf_roundtrip.json"
+        # Set-up draws nothing: building the contexts of every bundled
+        # scenario, negative controls included, and of each benchmark
+        # workload at seed 0 builds no bit generator and does not import
+        # numpy.random; the first check's draw does.
         code = ("import sys\n"
+                "from pathlib import Path\n"
+                "import workloads\n"
                 "from disconn import cli, scenarios\n"
-                f"ctx = scenarios.ScenarioContext("
-                f"scenarios.load_scenario({str(path)!r}))\n"
-                "print('numpy.random' in sys.modules, ctx._generator)\n"
-                "ctx.rng(0)\n"
+                "cfgs = [scenarios.load_scenario(path) for path in "
+                "sorted(Path(sys.argv[1]).rglob('*.json'))]\n"
+                "cfgs += [cfg for name in workloads.WORKLOADS "
+                "for cfg in workloads.generate(name, 0)]\n"
+                "ctxs = [scenarios.ScenarioContext(cfg) for cfg in cfgs]\n"
+                "print(len(ctxs), 'numpy.random' in sys.modules, "
+                "*{ctx._generator for ctx in ctxs})\n"
+                "ctxs[0].rng(0)\n"
                 "print('numpy.random' in sys.modules)\n")
-        src = str(Path(scenarios.__file__).resolve().parents[1])
+        root = Path(scenarios.__file__).resolve().parents[2]
+        path = os.pathsep.join([str(root / "src"), str(root / "bench")])
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            check=True, env={**os.environ, "PYTHONPATH": src}).stdout
-        assert out.split() == ["False", "None", "True"]
-
-    def test_gate_stream_is_no_check_stream(self):
-        # The flat and matched gates draw from a stream of their own, past
-        # every index a list of checks can have, and so not from that of
-        # the check at index 997.
-        ctx = ScenarioContext(minimal(box=[[-1.0, 1.0]] * 2))
-        gate = ctx._gate_samples()
-        check = _forms(ctx, ctx.rng(997), 25)
-        assert not any(np.array_equal(a, b) for a, b in zip(gate, check))
-        assert GATE_STREAM >= 2 ** 63
+            [sys.executable, "-c", code, str(SCENARIO_DIR)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": path}).stdout
+        count, *rest = out.split()
+        # 7 bundled, 10 negative, and 1 + 2 + 7 workload scenarios.
+        assert int(count) == 27
+        assert rest == ["False", "None", "True"]
 
 
 class TestRunScenario:

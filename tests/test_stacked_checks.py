@@ -631,8 +631,9 @@ def test_joined_pairs_are_the_separate_calls(form, n):
     q1 = ctx.nearby_points(q0, *raw[:3], 0.2)
     q2 = ctx.nearby_points(q0, *raw[3:], 0.2)
     g, g2 = ctx.group_elements(g), ctx.group_elements(g2)
-    assert np.array_equal(discrete.discrete_curvature(Ad, q0, q1, q2),
-                          separate_curvature(Ad, q0, q1, q2))
+    assert np.array_equal(
+        discrete.discrete_curvature(Ad, discrete.triangle_pairs(q0, q1, q2)),
+        separate_curvature(Ad, q0, q1, q2))
     joined = discrete.axiom_defects(Ad, g, g2, q0, q1)
     separate = separate_axiom_defects(Ad, g, g2, q0, q1)
     assert all(np.shape(x) == np.shape(m)[1:] for x in joined)
@@ -648,8 +649,9 @@ def test_joined_pairs_of_a_single_point_and_a_stack():
     q0 = ctx.points(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 1))
     q1, q2 = (ctx.points(rng.uniform(-1.0, 1.0, (2, 5)),
                          rng.uniform(-1.0, 1.0, (1, 5))) for _ in range(2))
-    assert np.array_equal(discrete.discrete_curvature(Ad, q0, q1, q2),
-                          separate_curvature(Ad, q0, q1, q2))
+    assert np.array_equal(
+        discrete.discrete_curvature(Ad, discrete.triangle_pairs(q0, q1, q2)),
+        separate_curvature(Ad, q0, q1, q2))
 
 
 @pytest.mark.parametrize("n", [None, 6])
