@@ -9,15 +9,11 @@ because the quadratic factor kills the first derivative on the diagonal.
 Different f give genuinely different discrete connections: at the pair
 ((0, 0), (2, 5)) the f = 0 and f = 1 members differ by exactly 4.
 
-The curvature-matched construction restores uniqueness near the diagonal:
-rebuilding a discrete connection from its own derived form reproduces it.
-
 Run:  python3 demos/nonuniqueness_demo.py
 """
 
 import numpy as np
 
-from disconn.abelian import curvature_matched_integrate
 from disconn.bundles import BundlePoint, TrivialBundle, make_trivial_tangent
 from disconn.connections import eval_connection
 from disconn.derivation import derive_connection
@@ -52,17 +48,3 @@ v = make_trivial_tangent(q, [1.0], [2.0])
 for label, Ad in family.items():
     value = eval_connection(derive_connection(Ad), q, v)[0]
     print(f"  {label:<16} F_C(A_d)(v) = {value:+.6f}   (all equal dy(v) = 2)")
-
-# Rebuild one member from its derived form; agreement is the uniqueness
-# statement for curvature-matched integration.
-Ad_ref = family["f = 1"]
-A_ref = derive_connection(Ad_ref)
-rebuilt = curvature_matched_integrate(A_ref, Ad_ref, A_ref)
-rng = np.random.default_rng(1)
-worst = 0.0
-for _ in range(25):
-    a = BundlePoint.trivial(B, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-    b = BundlePoint.trivial(B, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1))
-    worst = max(worst, abs(eval_discrete(Ad_ref, a, b)[0]
-                           - eval_discrete(rebuilt, a, b)[0]))
-print(f"\nrebuild from own derived form, max disagreement: {worst:.3e}")

@@ -1,5 +1,5 @@
-"""Abelian descent and curvature-matched integration, flat integration
-(the matched integral against the zero reference) included."""
+"""Curvature-matched integration of a descended difference, flat
+integration (the matched integral against the zero reference) included."""
 
 from pathlib import Path
 
@@ -8,25 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disconn import bundles, scenarios
+from disconn import scenarios
 from disconn.abelian import (curvature_matched_integrate,
-                             descend_continuous_difference,
                              primitive_on_segments, worst_exterior_defect)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              make_trivial_tangent)
 from disconn.cli import run_scenario
-from disconn.connections import (GenericConnection, HopfConnection,
-                                 TrivialLocalConnection, eval_connection)
+from disconn.connections import (HopfConnection, TrivialLocalConnection,
+                                 eval_connection)
 from disconn.derivation import derive_connection
-from disconn.discrete import (TrivialLocalDiscrete, discrete_curvature,
-                              eval_discrete, triangle_pairs)
+from disconn.discrete import (ComposedDiscrete, TrivialLocalDiscrete,
+                              discrete_curvature, eval_discrete,
+                              triangle_pairs)
 from disconn.errors import (BundleMismatch, CurvatureMismatch,
                             UnsupportedGroup, UnsupportedPresentation)
 from disconn.groups import SO3, Translation
 from disconn.manifolds import EuclideanChart, Sphere
-from disconn.scenarios import (ScenarioContext, derived_pair_map_builtin,
-                               load_scenario, one_form_builtin,
-                               pair_map_builtin)
+from disconn.scenarios import (ScenarioContext, load_scenario,
+                               one_form_builtin, pair_map_builtin)
 
 
 def plane_bundle():
@@ -36,10 +35,16 @@ def plane_bundle():
 
 def flat_integrate(A, U):
     """The flat discrete of A: its curvature-matched integral against the
-    zero reference."""
-    B = A.bundle
-    return curvature_matched_integrate(
-        A, pair_map_builtin("zero", B, U), derived_pair_map_builtin("zero", B))
+    zero reference, whose derived connection is zero, so that the
+    descended difference is A itself."""
+    return curvature_matched_integrate(A, pair_map_builtin("zero", A.bundle,
+                                                           U))
+
+
+def difference(A, A_ref):
+    """The descended difference A - A_ref of two local connections."""
+    return TrivialLocalConnection(
+        A.bundle, lambda m, v: A.value(m, v) - A_ref.value(m, v))
 
 
 def plane_context(discrete, omega=None, dim=2):
@@ -59,45 +64,33 @@ def trapezoid(B, U):
         U)
 
 
-class TestDescent:
-    def test_continuous_difference_trivial(self):
-        B, _ = plane_bundle()
-        A = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
-        A0 = TrivialLocalConnection(B, lambda m, v: np.array([0.0]))
-        eps = descend_continuous_difference(A, A0)
-        assert eps.value([2.0, 3.0], [0.0, 1.0])[0] == pytest.approx(2.0)
-
-    def test_hopf_pair_unsupported(self):
-        # The Hopf connections have no local one-form to subtract.
-        H = HopfBundle()
-        with pytest.raises(UnsupportedPresentation):
-            descend_continuous_difference(HopfConnection(H, 0.1),
-                                          HopfConnection(H))
-
-    def test_generic_connection_unsupported(self):
-        B, _ = plane_bundle()
-        A0 = TrivialLocalConnection(B, lambda m, v: np.array([0.0]))
-
-        def rule(q, v):
-            base, fiber = bundles.split_trivial(q, v)
-            return np.array([base[0] + fiber[0]])
-
-        with pytest.raises(UnsupportedPresentation):
-            descend_continuous_difference(GenericConnection(B, rule), A0)
+class TestGuards:
+    """curvature_matched_integrate refuses what its route cannot integrate:
+    another bundle, a non-abelian group, a base without a global Euclidean
+    chart."""
 
     def test_bundle_mismatch(self):
-        B, _ = plane_bundle()
+        B, U = plane_bundle()
         C = TrivialBundle(EuclideanChart(3), Translation(1))
         with pytest.raises(BundleMismatch):
-            descend_continuous_difference(
+            curvature_matched_integrate(
                 TrivialLocalConnection(B, lambda m, v: np.array([0.0])),
-                TrivialLocalConnection(C, lambda m, v: np.array([0.0])))
+                pair_map_builtin("zero", C, U))
 
     def test_nonabelian_rejected(self):
         B = TrivialBundle(EuclideanChart(1), SO3())
-        A = TrivialLocalConnection(B, lambda m, v: np.zeros(3))
+        eps = TrivialLocalConnection(B, lambda m, v: np.zeros(3))
+        Ad_ref = TrivialLocalDiscrete(B, lambda m0, m1: np.eye(3), 1.0)
         with pytest.raises(UnsupportedGroup):
-            descend_continuous_difference(A, A)
+            curvature_matched_integrate(eps, Ad_ref)
+
+    def test_hopf_base_unsupported(self):
+        # S^2 has no global Euclidean chart: the segments m0 -> m1 leave
+        # it, and a closed form need not be exact there.
+        H = HopfBundle()
+        Ad_ref = ComposedDiscrete(H, lambda q0, q1: np.array([0.0]), 1.0)
+        with pytest.raises(UnsupportedPresentation):
+            curvature_matched_integrate(HopfConnection(H, 0.1), Ad_ref)
 
 
 class TestClosedness:
@@ -163,6 +156,19 @@ class TestTableGate:
             plane_context({"kind": "flat", "omega": polynomial(opened)},
                           dim=d)
 
+    @pytest.mark.parametrize("scale", [1e-290, 1.0, 1e290])
+    def test_tolerance_is_relative_to_the_terms(self, scale):
+        # y dx + x dy + t x dy has d = t dx^dy against terms of magnitude
+        # 2 + t: t = 1e-8 is within MATCH_TOL = 1e-8 of them, 2.5e-8 is
+        # not, at every scale of the coefficients.
+        def tilted(t):
+            return [(scale, [0, 1], [1]), (scale, [1], [0, 1]),
+                    (scale * t, [1], [0, 1])]
+
+        scenarios._require_closed(tilted(1e-8))
+        with pytest.raises(CurvatureMismatch):
+            scenarios._require_closed(tilted(2.5e-8))
+
 
 class TestFlatIntegration:
     def setup_method(self):
@@ -214,6 +220,15 @@ class TestIncrement:
         return primitive_on_segments(A), (
             lambda m: m[0] ** 2 + m[0] * m[1] + np.sin(m[0]) * m[1])
 
+    def test_increment_of_x_dy(self):
+        # Along x = 2 from y = 3 to y = 4, x dy integrates to 2; across,
+        # along y = 3, to 0.
+        B, _ = plane_bundle()
+        increment = primitive_on_segments(
+            TrivialLocalConnection(B, lambda m, v: m[0] * v[1]))
+        assert increment([2.0, 3.0], [2.0, 4.0])[0] == pytest.approx(2.0)
+        assert increment([2.0, 3.0], [5.0, 3.0])[0] == 0.0
+
     def test_increment_of_an_exact_form(self):
         increment, f = self.exact()
         a, b = np.array([0.3, -1.2]), np.array([1.5, 0.7])
@@ -259,10 +274,11 @@ class TestCurvatureMatched:
     def setup_method(self):
         self.B, self.U = plane_bundle()
         self.Ad_ref = trapezoid(self.B, self.U)
-        self.A_ref = derive_connection(self.Ad_ref)
-        # A = x dy + 2x dx shares the trapezoid's derived curvature dx dy.
+        # A = x dy + 2x dx shares the trapezoid's derived curvature dx dy;
+        # the difference from its Richardson-derived connection is 2x dx.
         self.A = TrivialLocalConnection(
             self.B, lambda m, v: np.array([m[0] * v[1] + 2 * m[0] * v[0]]))
+        self.eps = difference(self.A, derive_connection(self.Ad_ref))
 
     def q(self, m, y=0.0):
         return BundlePoint.trivial(self.B, m, [y])
@@ -272,19 +288,18 @@ class TestCurvatureMatched:
         samples = np.array([[[0.2, -0.4], [-0.1, 0.3]],
                             [[1.0, 1.0], [0.0, 0.0]],
                             [[0.0, 0.0], [1.0, 1.0]]])
-        eps = descend_continuous_difference(self.A, self.A_ref)
-        assert worst_exterior_defect(eps, samples) <= 1e-6
+        assert worst_exterior_defect(self.eps, samples) <= 1e-6
 
     def test_matched_rule_value(self):
         # The increment of 2x dx over m0 -> m1 is x1^2 - x0^2:
         # C = trapezoid + (x1^2 - x0^2).
-        Ad = curvature_matched_integrate(self.A, self.Ad_ref, self.A_ref)
+        Ad = curvature_matched_integrate(self.eps, self.Ad_ref)
         got = eval_discrete(Ad, self.q([0.3, 0.4]), self.q([1.0, 1.0]))
         expected = 0.5 * (0.3 + 1.0) * (1.0 - 0.4) + (1.0 - 0.09)
         assert got[0] == pytest.approx(expected, abs=1e-10)
 
     def test_derives_back_to_a(self):
-        Ad = curvature_matched_integrate(self.A, self.Ad_ref, self.A_ref)
+        Ad = curvature_matched_integrate(self.eps, self.Ad_ref)
         A_back = derive_connection(Ad)
         rng = np.random.default_rng(131)
         for _ in range(5):
@@ -312,27 +327,15 @@ class TestCurvatureMatched:
         # matching gate, but the matched discrete then derives to A -
         # 1e-3 dx0, and derive_roundtrip FAILs by far more than its
         # tolerance: a wrong closed form cannot hide behind the gate.
-        closed = scenarios.derived_pair_map_builtin
-
-        def shifted(spec, bundle):
-            A_ref = closed(spec, bundle)
-            return TrivialLocalConnection(
-                bundle, lambda m, v: A_ref.value(m, v) + 1e-3 * v[0])
-
-        monkeypatch.setattr(scenarios, "derived_pair_map_builtin", shifted)
+        linear = scenarios._linear_terms
+        monkeypatch.setattr(scenarios, "_linear_terms", lambda table: [
+            *linear(table), (1e-3, [], [1])])
         cfg = load_scenario(Path(__file__).resolve().parents[1]
                             / "scenarios" / "curvature_matched.json")
         report = run_scenario(cfg, ScenarioContext(cfg))
         (check,) = [c for c in report.checks if c.name == "derive_roundtrip"]
         assert not check.passed
         assert 10 * check.tolerance <= check.max_defect <= 1e-3
-
-    def test_reference_on_another_bundle_is_a_bundle_mismatch(self):
-        # The connection lives on R^2 x R, the reference on R^3 x R.
-        C = TrivialBundle(EuclideanChart(3), Translation(1))
-        with pytest.raises(BundleMismatch):
-            curvature_matched_integrate(self.A, trapezoid(C, self.U),
-                                        self.A_ref)
 
     def test_curvature_mismatch_rejected(self):
         # 2x dy has derived curvature 2 dx dy, twice the trapezoid's.

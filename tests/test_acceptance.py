@@ -1,10 +1,12 @@
 """End-to-end acceptance gate.
 
-Nine numbered criteria cover the round-trip between continuous and
-discrete connections on trivial and Hopf bundles, the non-uniqueness of
+Numbered criteria cover the round-trip between continuous and discrete
+connections on trivial and Hopf bundles, the non-uniqueness of
 integration, flatness preservation, curvature identities, the
-curvature-matched construction, local uniqueness, the axiom suites, and
-the negative controls.  Each test prints a single pass/fail line.
+curvature-matched construction, the axiom suites, and the negative
+controls.  Each test prints a single pass/fail line.  There is no
+criterion 7: local uniqueness compared a discrete connection with the
+matched integral of its own derived connection, equal by construction.
 """
 
 import time
@@ -29,8 +31,7 @@ from disconn.integration import (hopf_geodesic_retraction,
                                  trivial_skewed_retraction)
 from disconn.manifolds import (EuclideanChart, check_retraction_axioms,
                                metric_exponential)
-from disconn.scenarios import (ScenarioContext, derived_pair_map_builtin,
-                               pair_map_builtin)
+from disconn.scenarios import ScenarioContext, pair_map_builtin
 
 _SUITE_START = time.perf_counter()
 
@@ -144,9 +145,9 @@ def test_criterion_4_flatness_preserved():
     closed = TrivialLocalConnection(
         B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
     # The flat discrete: the curvature-matched integral against the zero
-    # reference, whose derived connection is zero.
-    Ad = curvature_matched_integrate(closed, pair_map_builtin("zero", B, U),
-                                     derived_pair_map_builtin("zero", B))
+    # reference, whose derived connection is zero, so that the descended
+    # difference is the closed form itself.
+    Ad = curvature_matched_integrate(closed, pair_map_builtin("zero", B, U))
     A_back = derive_connection(Ad)
     rng = np.random.default_rng(1004)
     worst_curv = 0.0
@@ -185,10 +186,14 @@ def test_criterion_6_curvature_matched():
     Ad_ref = TrivialLocalDiscrete(
         B, lambda m0, m1: np.array([0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])]),
         U)
-    # omega = x dy + d(x^2) = x dy + 2x dx.
+    # omega = x dy + d(x^2) = x dy + 2x dx, less the reference's derived
+    # connection, by Richardson differences: the descended difference.
     A = TrivialLocalConnection(
         B, lambda m, v: np.array([m[0] * v[1] + 2.0 * m[0] * v[0]]))
-    Ad = curvature_matched_integrate(A, Ad_ref, derive_connection(Ad_ref))
+    A_ref = derive_connection(Ad_ref)
+    eps = TrivialLocalConnection(
+        B, lambda m, v: A.value(m, v) - A_ref.value(m, v))
+    Ad = curvature_matched_integrate(eps, Ad_ref)
 
     rng = np.random.default_rng(1006)
     worst_bd = 0.0
@@ -207,28 +212,6 @@ def test_criterion_6_curvature_matched():
            worst_bd, 1e-6)
     report(6, "curvature-matched output: derives back to input", worst_rt,
            1e-6)
-
-
-def test_criterion_7_uniqueness_near_diagonal():
-    B = TrivialBundle(EuclideanChart(2), Translation(1))
-    radius = 4.0
-    Ad_ref = TrivialLocalDiscrete(
-        B, lambda m0, m1: np.array([0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])]),
-        radius)
-    A = derive_connection(Ad_ref)
-    rebuilt = curvature_matched_integrate(A, Ad_ref, A)
-    rng = np.random.default_rng(1007)
-    worst = 0.0
-    for _ in range(50):
-        m0 = rng.uniform(-1, 1, 2)
-        direction = rng.normal(size=2)
-        direction *= rng.uniform(0.0, 0.5 * radius) / np.linalg.norm(direction)
-        q0 = BundlePoint.trivial(B, m0, rng.uniform(-1, 1, 1))
-        q1 = BundlePoint.trivial(B, m0 + direction, rng.uniform(-1, 1, 1))
-        worst = max(worst, B.group.distance(
-            eval_discrete(Ad_ref, q0, q1), eval_discrete(rebuilt, q0, q1)))
-    report(7, "same-curvature pair agrees within half the domain radius",
-           worst, 1e-8)
 
 
 def test_criterion_8_axiom_suites():

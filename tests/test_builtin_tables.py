@@ -11,11 +11,12 @@ most twice more, and a sum of two terms once, so the error is at most
 4 units of roundoff (eps / 2) times the sum of the exact |term|, half
 the stated bound.  Each table also equals, exactly, the formula its name
 stands for, and each pair map's part linear in delta, its derived
-connection, is a one-form table.  That closed form,
-`derived_pair_map_builtin`, which the matched route takes as its
-reference's derived connection, agrees with the numerical derivative
-`derivation.derive_connection` of the pair map to DERIVED_TOL on R x R^2
-and U(1) x R^2; the gap is Richardson rounding, a few 1e-12.
+connection, is a one-form table.  That closed form, `_linear_terms`,
+which the matched route subtracts from its one-form's table, agrees with
+the numerical derivative `derivation.derive_connection` of the pair map
+to DERIVED_TOL on R x R^2 and U(1) x R^2; the gap is Richardson rounding,
+a few 1e-12.  The table of that difference evaluates, bit for bit, to
+the one-form's value less the closed form's.
 """
 
 import math
@@ -23,13 +24,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from disconn import scenarios
+from disconn import abelian, scenarios
 from disconn.bundles import TrivialBundle
 from disconn.derivation import derive_connection
+from disconn.errors import CurvatureMismatch
 from disconn.groups import Torus, Translation
 from disconn.manifolds import EuclideanChart
-from disconn.scenarios import (derived_pair_map_builtin, one_form_builtin,
+from disconn.scenarios import (ScenarioContext, one_form_builtin,
                                pair_map_builtin)
 
 ERROR_EPS = 4
@@ -152,11 +156,94 @@ def test_derived_connection_is_the_part_linear_in_delta(name):
 @pytest.mark.parametrize("bundle", [PLANE, U1_PLANE], ids=["R", "U1"])
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_derived_table_is_the_numerical_derivative(name, bundle):
-    spec, _ = pair_map_tables()[name]
+    spec, table = pair_map_tables()[name]
     rng = np.random.default_rng(3)
     m, v = rng.uniform(-1.0, 1.0, (2, 2, 64))
-    closed = derived_pair_map_builtin(spec, bundle).value(m, v)
+    closed = scenarios._local_connection(
+        bundle, scenarios._linear_terms(table)).value(m, v)
     numerical = derive_connection(
         pair_map_builtin(spec, bundle, 10.0)).value(m, v)
     assert closed.shape == numerical.shape == (1, 64)
     assert np.max(np.abs(closed - numerical)) <= DERIVED_TOL
+
+
+def matched_context(omega, pair_map, gate=True):
+    """The context of a matched discrete of the one-form omega against the
+    pair map on R^2 x R, and the descended difference eps that it hands to
+    `abelian.curvature_matched_integrate`; without the gate, an open
+    difference is built too."""
+    handed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abelian, "curvature_matched_integrate",
+                      lambda eps, Ad_ref: handed.append(eps))
+        if not gate:
+            patch.setattr(scenarios, "_require_closed", lambda table: None)
+        ctx = ScenarioContext({
+            "name": "eps", "seed": 0,
+            "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+                       "group": {"kind": "R^k", "dim": 1}},
+            "connection": {"kind": "local", "omega": omega},
+            "discrete": {"kind": "matched", "reference": {
+                "kind": "local", "pair_map": pair_map}}})
+    return ctx, handed[0]
+
+
+COORDINATE = st.floats(-4.0, 4.0)
+POLYNOMIALS = st.lists(st.fixed_dictionaries({
+    "coeff": st.floats(-1e3, 1e3),
+    "powers": st.lists(st.integers(0, 7), max_size=2),
+    "dx": st.integers(0, 1)}), min_size=1, max_size=5).map(
+        lambda terms: {"name": "polynomial", "terms": terms})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.sampled_from(sorted(scenarios._ONE_FORMS)), POLYNOMIALS),
+       st.sampled_from(sorted(PAIR_MAPS)), st.integers(1, 8), st.data())
+def test_difference_table_is_the_difference_of_values(omega, pair_map, n,
+                                                      data):
+    # eps's table, the one-form's terms and then the negated linear terms
+    # of the pair map, sums to (sum of omega's terms) + (-t); IEEE makes
+    # that a - t bit for bit, as no pair map has two linear terms.
+    spec, table = pair_map_tables()[pair_map]
+    ctx, eps = matched_context(omega, spec, gate=False)
+    m, v = (np.array(data.draw(st.lists(COORDINATE, min_size=2 * n,
+                                        max_size=2 * n))).reshape(2, n)
+            for _ in range(2))
+    omega_ref = scenarios._local_connection(PLANE,
+                                            scenarios._linear_terms(table))
+    got = eps.value(m, v)
+    want = ctx.connection.value(m, v) - omega_ref.value(m, v)
+    if omega == "zero" and scenarios._linear_terms(table):
+        # No one-form term: eps is -t where the difference is 0.0 - t,
+        # apart in the sign of a zero t.  The gate rejects such an eps, the
+        # open -x dy, so no run evaluates it.
+        assert np.array_equal(got, want)
+        with pytest.raises(CurvatureMismatch):
+            matched_context(omega, spec)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_gate_and_eps_read_one_table_of_one_parse():
+    # A matched discrete parses its reference pair map once, and the gate
+    # decides on the very table that eps is built from.
+    parses, gated, built = [], [], []
+    parse, gate, local = (scenarios._pair_map_table,
+                          scenarios._require_closed,
+                          scenarios._local_connection)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios, "_pair_map_table",
+                      lambda spec, bundle: parses.append(spec)
+                      or parse(spec, bundle))
+        patch.setattr(scenarios, "_require_closed",
+                      lambda table: gated.append(table) or gate(table))
+        patch.setattr(scenarios, "_local_connection",
+                      lambda bundle, table: built.append(table)
+                      or local(bundle, table))
+        matched_context("x_dy_plus_dx2", "trapezoid_x_dy")
+    assert parses == ["trapezoid_x_dy"]
+    [table] = gated
+    assert [t for t in built if t is table] == [table]
+    # x dy + 2x dx less the trapezoid's x dy.
+    assert table == [*scenarios._ONE_FORMS["x_dy_plus_dx2"],
+                     *((-c, p, r) for c, p, r in scenarios._X_DY)]

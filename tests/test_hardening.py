@@ -517,6 +517,31 @@ class TestFlatClosednessGate:
         assert main(["run", write_scenario(tmp_path, cfg)]) == 0
         assert "CurvatureMismatch" not in capsys.readouterr().err
 
+    def test_closed_form_beyond_float_range_builds(self, tmp_path, capsys):
+        # d(0.85e308 x^2 y^2) = 1.7e308 x y^2 dx + 1.7e308 x^2 y dy: each
+        # contribution to its dx^dy coefficient, 3.4e308, overflows a
+        # float, and a float sum read inf - inf = NaN.  The gate sums in
+        # exact arithmetic, where the two cancel.
+        cfg = plane(discrete={
+            "kind": "flat", "omega": {"name": "polynomial", "terms": [
+                {"coeff": 1.7e308, "powers": [1, 2], "dx": 0},
+                {"coeff": 1.7e308, "powers": [2, 1], "dx": 1}]}})
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 0
+        assert "CurvatureMismatch" not in capsys.readouterr().err
+
+    def test_open_form_beyond_float_range_is_stopped(self, tmp_path,
+                                                     capsys):
+        # The same terms with the dy term's sign flipped: d of the sum is
+        # -6.8e308 x y dx^dy, beyond float range but not zero.  Summed in
+        # floats, the coefficient reads -inf against a magnitude of inf,
+        # and inf <= 1e-8 * inf let the open form through.
+        cfg = plane(discrete={
+            "kind": "flat", "omega": {"name": "polynomial", "terms": [
+                {"coeff": 1.7e308, "powers": [1, 2], "dx": 0},
+                {"coeff": -1.7e308, "powers": [2, 1], "dx": 1}]}})
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
+        assert "CurvatureMismatch" in capsys.readouterr().err
+
 
 class TestSphereBase:
     S2_INTEGRATED = {

@@ -5,8 +5,8 @@ language can make FAIL: a wrong but finite input (a non-flat rule, a
 mismatched pair map, a retraction that breaks equivariance, ...).  Each
 must FAIL by a wide margin, so a check that quietly stops measuring its
 property shows here.  A check that no scenario input can break needs a
-fault injected into the layer it guards (`FAULTS`); the checks that have
-neither control are listed explicitly.
+fault injected into the layer it guards (`FAULTS`).  Every check has one
+or the other.
 """
 
 import json
@@ -20,12 +20,6 @@ from disconn import (bundles, derivation, discrete, groups, manifolds,
 from disconn.cli import main
 
 NEGATIVE_DIR = Path(__file__).resolve().parents[1] / "scenarios" / "negative"
-
-# Checks that neither a scenario input nor a fault in FAULTS makes FAIL:
-# identities of the library's own constructions, or (uniqueness_pair) a
-# tautology.
-WITHOUT_CONTROL = {"uniqueness_pair"}
-
 
 def reports_of(capsys):
     """The JSON reports that a verify-all or run printed.  verify-all joins
@@ -52,7 +46,7 @@ def test_every_negative_control_fails_by_a_wide_margin(capsys):
         for check in report["checks"]:
             assert_fails_by_a_wide_margin(report, check)
             controlled.add(check["name"])
-    assert set(scenarios.CHECKS) - controlled - set(FAULTS) == WITHOUT_CONTROL
+    assert set(scenarios.CHECKS) <= controlled | set(FAULTS)
 
 
 def faulty_log(log):

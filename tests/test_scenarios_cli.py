@@ -263,7 +263,7 @@ class TestParsing:
         (bundled("uniqueness.json", checks=[
             *bundled("uniqueness.json")["checks"],
             {"name": "derive_roundtrip"}]),
-         r"checks\[3\] \(derive_roundtrip\) needs a connection"),
+         r"checks\[2\] \(derive_roundtrip\) needs a connection"),
         (bundled("nonuniqueness.json", checks=[{"name": "distinctness"}]),
          r"checks\[0\] \(distinctness\) needs a pair"),
         (bundled("trivial_roundtrip.json", connection=None),

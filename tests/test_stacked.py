@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from disconn import bundles, scenarios
 from disconn.abelian import (curvature_matched_integrate,
-                             descend_continuous_difference,
                              primitive_on_segments)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
                              make_trivial_tangent, section_over)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
-                                 eval_connection, horizontal_lifts)
+                                 horizontal_lifts)
 from disconn.derivation import derive_connection, pair_derivative
 from disconn.discrete import TrivialLocalDiscrete, eval_discrete
 from disconn.errors import NonDifferentiable, OutsideDomain
@@ -86,12 +85,18 @@ def by_loop(fn, m, v):
 
 def flat_integrate(A):
     """The flat discrete of A: its curvature-matched integral against the
-    zero reference, whose derived connection is zero."""
+    zero reference, whose derived connection is zero, so that the
+    descended difference is A itself."""
     B, k = A.bundle, A.bundle.group.dim
     zero = TrivialLocalDiscrete(
         B, lambda m0, m1: np.zeros((k,) + np.shape(m1 - m0)[1:]), 1e18)
-    return curvature_matched_integrate(A, zero, TrivialLocalConnection(
-        B, lambda m, v: np.zeros((k,) + np.shape(v)[1:])))
+    return curvature_matched_integrate(A, zero)
+
+
+def difference(A, A_ref):
+    """The descended difference A - A_ref of two local connections."""
+    return TrivialLocalConnection(
+        A.bundle, lambda m, v: A.value(m, v) - A_ref.value(m, v))
 
 
 def reference_quadrature(f, a, b):
@@ -174,22 +179,17 @@ class TestStackedEqualsLoop:
             grid.reshape(-1, 6),
             columns(lambda i: base[:, i], lambda i: fiber[:, i // 3]))
 
-    def test_descended_difference(self, case):
+    def test_increment_of_a_difference(self, case):
+        # The increments of A - A_ref, A_ref derived from the case's pair
+        # map, over a stack of segments are the per-segment calls' bits.
         B, form, pair_map = case
-        A = TrivialLocalConnection(B, form)
-        A_ref = derive_connection(
-            TrivialLocalDiscrete(B, pair_map, 1e18))
-        eps = descend_continuous_difference(A, A_ref)
+        eps = difference(TrivialLocalConnection(B, form), derive_connection(
+            TrivialLocalDiscrete(B, pair_map, 1e18)))
+        increment = primitive_on_segments(eps)
         m, v = stack_of(9)
-        got = eps.value(m, v)
-        assert np.array_equal(got, by_loop(eps.value, m, v))
-        # ... and equals the difference of eval_connection on base lifts.
-        for i in range(9):
-            q = bundles.section_over(B, m[:, i])
-            lift = make_trivial_tangent(q, v[:, i], np.zeros(B.group.dim))
-            direct = (eval_connection(A, q, lift)
-                      - eval_connection(A_ref, q, lift))
-            assert np.array_equal(got[:, i], direct)
+        got = increment(m, m + 0.3 * v)
+        assert got.shape == (B.group.dim, 9)
+        assert np.array_equal(got, by_loop(increment, m, m + 0.3 * v))
 
     def test_flat_pair_map_broadcasts(self, case):
         # The flat discrete on a stack of pairs is its values column by
@@ -275,7 +275,7 @@ class TestCurvatureMatchedPointwise:
     integral of the descended difference over the segment m0 -> m1."""
 
     def pointwise_matched(self, A, Ad_ref, q0, q1):
-        eps = descend_continuous_difference(A, derive_connection(Ad_ref))
+        eps = difference(A, derive_connection(Ad_ref))
         m0, m1 = q0.base_point, q1.base_point
         direction = m1 - m0
         # The form on the unit direction, the integral times the length.
@@ -289,7 +289,8 @@ class TestCurvatureMatchedPointwise:
                                       correction)
 
     def check(self, A, Ad_ref):
-        Ad = curvature_matched_integrate(A, Ad_ref, derive_connection(Ad_ref))
+        Ad = curvature_matched_integrate(
+            difference(A, derive_connection(Ad_ref)), Ad_ref)
         B = A.bundle
         for m0, m1, y in (([0.2, -0.3], [0.5, 0.1], 0.4),
                           ([-0.6, 0.4], [-0.2, 0.9], -1.1)):
@@ -397,7 +398,7 @@ class TestIncrementStack:
     def test_stack_is_the_per_column_calls(self):
         B = TrivialBundle(EuclideanChart(2), Translation(1))
         _, form, pair_map = CASES["R1"]
-        increment = primitive_on_segments(descend_continuous_difference(
+        increment = primitive_on_segments(difference(
             TrivialLocalConnection(B, form),
             derive_connection(TrivialLocalDiscrete(B, pair_map, 1e18))))
         p, q = stack_of(2)[0].T
