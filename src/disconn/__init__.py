@@ -10,7 +10,8 @@ Modules:
 * ``derivation`` -- differentiating discrete data back to connections;
 * ``integration`` -- bundle retraction rules and retraction-based
   integration of connections;
-* ``abelian`` -- descent, and curvature-matched integration, flat included;
+* ``abelian`` -- curvature-matched integration, flat included, and the
+  exterior-derivative check of closed forms;
 * ``scenarios`` / ``cli`` -- the JSON-driven verification harness.
 """
 

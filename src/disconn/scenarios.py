@@ -11,8 +11,8 @@ The sampling rule.  Each context owns one Philox bit generator, built
 re-keys it for each check, to the stream a fresh `Philox(key=[seed, k])`
 gives.  A check takes its raw values in the order of a loop over the
 samples: the blocks of sample i in a fixed order (the
-`ScenarioContext.draw_*` methods describe them: base point, algebra
-vector, tangent, ...), then those of sample i + 1, so sample i takes the
+`ScenarioContext` `*_block` fields: base point, algebra vector,
+tangent, ...), then those of sample i + 1, so sample i takes the
 same values whatever the sample count.  Every block is uniform, so a
 stack is one generator call, split per block (`_draws`), and sample i of
 K values starts at raw value i * K of the stream.  A sphere base is the
@@ -67,8 +67,8 @@ one of its checks reads, with a `ParseError`):
     }
 
 The default retraction is "straight", on the Hopf bundle "great_circle".
-`_READS` lists what each check reads besides the bundle (retraction_axioms
-uses a connection if one is given).
+Each check's `_check` declares what it reads besides the bundle
+(retraction_axioms uses a connection if one is given).
 
 A builtin is a table of terms (c, p, r), c * prod x^p * prod y^r, on the
 blocks (x, y) = (m, v) of a one-form or (mid, delta) = (0.5 * (m0 + m1),
@@ -118,23 +118,53 @@ def _is_term(term, size):
             and _is_int(term["dx"]) and 0 <= term["dx"] < size)
 
 
-# The builtin tables (see the module docstring), on (m, v) for a one-form
-# and on (mid, delta) for a pair map; quadratic_f's by its f.
+# The builtin tables (see the module docstring) of each kind: on (m, v)
+# for a one-form and on (mid, delta) for a pair map; quadratic_f's by its f.
 _X_DY = [(1, [1], [0, 1])]
-_ONE_FORMS = {"zero": [], "x_dy": _X_DY, "y_dx": [(1, [0, 1], [1])],
-              "closed_xy": [(1, [0, 1], [1]), *_X_DY],
-              "x_dy_plus_dx2": [*_X_DY, (2, [1], [1])]}
-_PAIR_MAPS = {"zero": [], "trapezoid_x_dy": _X_DY,
-              "left_x_dy": [*_X_DY, (-0.5, [], [1, 1])]}
+_BUILTINS = {
+    "one-form": {"zero": [], "x_dy": _X_DY, "y_dx": [(1, [0, 1], [1])],
+                 "closed_xy": [(1, [0, 1], [1]), *_X_DY],
+                 "x_dy_plus_dx2": [*_X_DY, (2, [1], [1])]},
+    "pair-map": {"zero": [], "trapezoid_x_dy": _X_DY,
+                 "left_x_dy": [*_X_DY, (-0.5, [], [1, 1])]}}
 _QUADRATIC_F = {"zero": [], "one": [(1, [], [2])]}
 
 
-def _require_fits(bundle, table, name, group_message):
-    """A builtin fits the bundle: its group is one-dimensional, and no term
-    reads more coordinates than the base has."""
-    _require(bundle.group.dim == 1, group_message)
-    if any(max(len(p), len(r)) > bundle.base.coord_size for _, p, r in table):
+def _builtin_table(spec, bundle, kind):
+    """(table, name) of a builtin of the kind, "one-form" or "pair-map",
+    checked to fit the bundle: its group is one-dimensional, and no term
+    reads more coordinates than the base has.  A one-form object is a
+    polynomial, a pair-map object a quadratic_f."""
+    size = bundle.base.coord_size
+    one_form = kind == "one-form"
+    name, key = ("polynomial", "terms") if one_form else ("quadratic_f", "f")
+    if isinstance(spec, str):
+        if spec not in _BUILTINS[kind]:
+            raise ParseError(f"unknown {kind} builtin {spec!r}")
+        table, name = _BUILTINS[kind][spec], spec
+    elif isinstance(spec, dict) and spec.get("name") == name:
+        unknown = set(spec) - {"name", key}
+        if unknown:
+            raise ParseError(f"unknown {name} keys: {sorted(unknown)}")
+        value = spec.get(key)
+        if not one_form:
+            if not (isinstance(value, str) and value in _QUADRATIC_F):
+                raise ParseError(f"unknown f table {value!r}")
+            table = _QUADRATIC_F[value]
+        elif isinstance(value, list) and all(_is_term(t, size)
+                                             for t in value):
+            table = [(t["coeff"], t["powers"], [0] * t["dx"] + [1])
+                     for t in value]
+        else:
+            raise ParseError(f"bad polynomial terms: {value!r}")
+    else:
+        raise ParseError(f"unknown {kind} spec {spec!r}")
+    if bundle.group.dim != 1:
+        raise ParseError(f"builtin {kind}s target one-dimensional "
+                         f"{'algebras' if one_form else 'groups'}")
+    if any(max(len(p), len(r)) > size for _, p, r in table):
         raise ParseError(f"builtin {name!r} reads too many coordinates")
+    return table, name
 
 
 def _polynomial(table):
@@ -166,50 +196,10 @@ def _local_connection(bundle, table):
         bundle, lambda m, v: np.array([omega(m, v)]))
 
 
-def _one_form_table(spec, bundle):
-    """The table of a one-form builtin, checked to fit the bundle."""
-    if isinstance(spec, str):
-        if spec not in _ONE_FORMS:
-            raise ParseError(f"unknown one-form builtin {spec!r}")
-        table, name = _ONE_FORMS[spec], spec
-    elif isinstance(spec, dict) and spec.get("name") == "polynomial":
-        _require_keys(spec, {"name", "terms"}, "polynomial")
-        terms = spec.get("terms")
-        if not (isinstance(terms, list)
-                and all(_is_term(t, bundle.base.coord_size)
-                        for t in terms)):
-            raise ParseError(f"bad polynomial terms: {terms!r}")
-        table, name = [(t["coeff"], t["powers"], [0] * t["dx"] + [1])
-                       for t in terms], "polynomial"
-    else:
-        raise ParseError(f"unknown one-form spec {spec!r}")
-    _require_fits(bundle, table, name,
-                  "builtin one-forms target one-dimensional algebras")
-    return table
-
-
 def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
     """Resolve a one-form builtin to a local connection."""
-    return _local_connection(bundle, _one_form_table(spec, bundle))
-
-
-def _pair_map_table(spec, bundle):
-    """(table, name) of a pair-map builtin, checked to fit the bundle."""
-    if isinstance(spec, str):
-        if spec not in _PAIR_MAPS:
-            raise ParseError(f"unknown pair-map builtin {spec!r}")
-        table, name = _PAIR_MAPS[spec], spec
-    elif isinstance(spec, dict) and spec.get("name") == "quadratic_f":
-        _require_keys(spec, {"name", "f"}, "quadratic_f")
-        f = spec.get("f")
-        if not (isinstance(f, str) and f in _QUADRATIC_F):
-            raise ParseError(f"unknown f table {f!r}")
-        table, name = _QUADRATIC_F[f], "quadratic_f"
-    else:
-        raise ParseError(f"unknown pair-map spec {spec!r}")
-    _require_fits(bundle, table, name,
-                  "builtin pair maps target one-dimensional groups")
-    return table, name
+    return _local_connection(bundle,
+                             _builtin_table(spec, bundle, "one-form")[0])
 
 
 def _pair_map(bundle, table, name, domain_radius):
@@ -227,7 +217,8 @@ def pair_map_builtin(spec, bundle,
                      domain_radius) -> discrete.TrivialLocalDiscrete:
     """Resolve a pair-map builtin to a local discrete connection on the
     trivial bundle."""
-    return _pair_map(bundle, *_pair_map_table(spec, bundle), domain_radius)
+    return _pair_map(bundle, *_builtin_table(spec, bundle, "pair-map"),
+                     domain_radius)
 
 
 def _linear_terms(table):
@@ -266,12 +257,6 @@ def _require_closed(table):
                 f"curvature differs from the reference's: d(A - A_ref) has "
                 f"a dx{i}^dx{j} coefficient of {total / size:.3e} times its "
                 f"terms' magnitude, beyond {MATCH_TOL:.0e}")
-
-
-def _require_keys(spec, allowed, what):
-    unknown = set(spec) - allowed
-    if unknown:
-        raise ParseError(f"unknown {what} keys: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +464,9 @@ def load_scenario(path):
         raise ParseError(f"unknown retraction {tag!r} on the {kind} bundle")
     has = {"a connection": connection is not None,
            "a local connection": (connection or {}).get("kind") == "local",
-           "a discrete": len(specs) > 0, "two discretes": len(specs) > 1}
+           "a discrete": len(specs) > 0, "two discretes": len(specs) > 1,
+           "a Euclidean base": not hopf
+           and cfg["bundle"]["base"]["kind"] == "R^d"}
     for i, check in enumerate(cfg.get("checks", [])):
         has["a pair"] = "pair" in check
         missing = [need for need in sorted(_READS[check["name"]])
@@ -550,7 +537,17 @@ class ScenarioContext:
         self.pairs = [(check, _pair_points(self.bundle, check))
                       for check in cfg.get("checks", [])
                       if check["name"] == "distinctness"]
-        self.box, self._base_block = self._resolve_box(cfg.get("box"))
+        # The blocks of values one sample takes (`_draws`): a base point, on
+        # a sphere a point of the cube [-1, 1)^d that `base_points` projects
+        # radially; an algebra vector, also the raw values of a group
+        # element; a base tangent; a bundle tangent, a base and a fiber
+        # block (on the Hopf bundle an ambient R^4 vector); a scale.
+        base, group = self.bundle.base, self.bundle.group
+        self.box, self.base_block = self._resolve_box(cfg.get("box"))
+        self.algebra_block = _symmetric(group.dim)
+        self.base_tangent_block = _symmetric(base.coord_size)
+        self.tangent_block = _symmetric(base.coord_size + group.dim)
+        self.scale_block = 0.05, 1.0 - 0.05
         self._generator = None
 
         self.domain_radius = float(cfg.get("integrator", {}).get(
@@ -562,10 +559,9 @@ class ScenarioContext:
 
     # -- config resolution -------------------------------------------------
     def _resolve_box(self, box):
-        """The base box, None on a sphere, and the base block `draw_base`
-        describes: the box rows' read-only (low, span) columns, or on a
-        sphere the cube [-1, 1)^d of its ambient coordinates, which
-        `base_points` projects radially onto the sphere."""
+        """The base box, None on a sphere, and the base block: the box
+        rows' read-only (low, span) columns, or on a sphere the cube
+        [-1, 1)^d of its ambient coordinates."""
         base = self.bundle.base
         if not isinstance(base, EuclideanChart):
             _require(box is None, "box needs an R^d base")
@@ -604,8 +600,8 @@ class ScenarioContext:
             (spec["omega"], "zero") if kind == "flat"
             else (connection["omega"], spec["reference"]["pair_map"]))
         # Both parsed first: a malformed builtin is a ParseError.
-        table = _one_form_table(omega, self.bundle)
-        reference, name = _pair_map_table(pair_map, self.bundle)
+        table, _ = _builtin_table(omega, self.bundle, "one-form")
+        reference, name = _builtin_table(pair_map, self.bundle, "pair-map")
         # eps = omega - omega_ref, the reference's derived connection.
         eps = [*table, *((-c, p, r) for c, p, r in _linear_terms(reference))]
         matched = abelian.curvature_matched_integrate(
@@ -630,34 +626,6 @@ class ScenarioContext:
             "has_uint32": 0, "uinteger": 0}
         return self._generator
 
-    # -- raw draws: the blocks of values one sample takes ----------------
-    # A block is its (low, span) columns, one row per value, each value
-    # low + span * U for U uniform on [0, 1), as `rng.uniform(low, low +
-    # span)` draws it; a scalar (low, span) is one value per sample.  A
-    # sphere base is the cube [-1, 1)^d, which `base_points` projects
-    # radially (on S^2 its density varies by a factor of at most 3 sqrt 3).
-    # `_draws` draws a stack in one generator call; columns are read-only.
-    def draw_base(self):
-        return self._base_block
-
-    def draw_algebra(self):
-        """An algebra vector, also the raw values of a group element."""
-        return _symmetric(self.bundle.group.dim)
-
-    def draw_base_tangent(self):
-        return _symmetric(self.bundle.base.coord_size)
-
-    def draw_tangent(self):
-        """A bundle tangent: base block and fiber block on a trivial
-        bundle, an ambient R^4 vector on the Hopf bundle."""
-        if isinstance(self.bundle, TrivialBundle):
-            return _symmetric(self.bundle.base.coord_size
-                              + self.bundle.group.dim)
-        return _symmetric(4)
-
-    def draw_scale(self):
-        return 0.05, 1.0 - 0.05
-
     # -- samples built from raw draws, on stacks ---------------------------
     def base_points(self, raw):
         base = self.bundle.base
@@ -665,12 +633,9 @@ class ScenarioContext:
             return base.validate(raw)
         return base.validate(raw / _column_norm(raw))
 
-    def group_elements(self, raw):
-        return self.bundle.group.exp(raw)
-
     def points(self, raw_base, raw_group):
         q = bundles.section_over(self.bundle, self.base_points(raw_base))
-        return bundles.act(self.group_elements(raw_group), q)
+        return bundles.act(self.bundle.group.exp(raw_group), q)
 
     def bundle_tangents(self, q, raw):
         if isinstance(self.bundle, TrivialBundle):
@@ -692,7 +657,7 @@ class ScenarioContext:
                          / np.maximum(norm, 1e-12), 0.0)
         stepped = base.validate(base.geodesic_step(m, scale * direction))
         over = bundles.section_over(self.bundle, stepped)
-        return bundles.act(self.group_elements(raw_group), over)
+        return bundles.act(self.bundle.group.exp(raw_group), over)
 
 
 # ---------------------------------------------------------------------------
@@ -709,13 +674,16 @@ def _symmetric(size):
 
 
 def _draws(rng, n, *blocks):
-    """The raw values of n samples, one array per block (the
-    `ScenarioContext.draw_*` methods describe them) with the sample axis
-    last: the blocks of a sample in the order given, then the next
-    sample's, in the order of a loop over the samples.  One generator call
-    fills a sample-major stream, a row of K values per sample, so sample i
-    starts at raw value i * K; it is split per block, each block's values
-    low + span * U computed once on its whole stack."""
+    """The raw values of n samples, one array per block with the sample
+    axis last: the blocks of a sample in the order given, then the next
+    sample's, in the order of a loop over the samples.  A block (the
+    `ScenarioContext` `*_block` fields) is its read-only (low, span)
+    columns, one row per value, each value low + span * U for U uniform on
+    [0, 1), as `rng.uniform(low, low + span)` draws it; a scalar (low,
+    span) is one value per sample.  One generator call fills a
+    sample-major stream, a row of K values per sample, so sample i starts
+    at raw value i * K; it is split per block, each block's values low +
+    span * U computed once on its whole stack."""
     shapes = [np.shape(low)[:-1] for low, _ in blocks]
     sizes = [math.prod(shape) for shape in shapes]
     ends = list(itertools.accumulate(sizes))
@@ -730,39 +698,61 @@ def _draws(rng, n, *blocks):
 
 
 def _forms(ctx, rng, n):
-    """(m, u, w) stacks of base points and two constant base directions,
-    for exterior derivatives."""
-    m, u, w = _draws(rng, n, ctx.draw_base(), ctx.draw_base_tangent(),
-                     ctx.draw_base_tangent())
-    return ctx.base_points(m), u, w
+    """(m, u, w) stacks of base points and two tangents at them, for
+    exterior derivatives and curvatures."""
+    m, u, w = _draws(rng, n, ctx.base_block, ctx.base_tangent_block,
+                     ctx.base_tangent_block)
+    m = ctx.base_points(m)
+    return m, *(ctx.bundle.base.project_tangent(m, x) for x in (u, w))
 
 
+# What each check reads beyond the bundle and its own stream, and each
+# check by name, both filled by `_check`; load_scenario rejects a scenario
+# that lacks any read, so a check only evaluates.  "a pair" is the check
+# entry's designated "pair".
+_READS, CHECKS = {}, {}
+
+
+def _check(*reads):
+    """Register the decorated check_<name> as the check <name>, reading
+    `reads`; the function itself stays the module's, which the benchmark
+    tracer wraps."""
+    def register(fn):
+        name = fn.__name__.removeprefix("check_")
+        _READS[name], CHECKS[name] = set(reads), fn
+        return fn
+    return register
+
+
+@_check("a connection")
 def check_connection_axioms(ctx, params, rng, n):
     A = ctx.connection
-    m, h, v, xi, g = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
-                            ctx.draw_tangent(), ctx.draw_algebra(),
-                            ctx.draw_algebra())
+    m, h, v, xi, g = _draws(rng, n, ctx.base_block, ctx.algebra_block,
+                            ctx.tangent_block, ctx.algebra_block,
+                            ctx.algebra_block)
     q = ctx.points(m, h)
     return worst_defect([
         connections.verticality_defect(A, q, xi),
-        connections.equivariance_defect(A, ctx.group_elements(g), q,
+        connections.equivariance_defect(A, ctx.bundle.group.exp(g), q,
                                         ctx.bundle_tangents(q, v))])
 
 
+@_check("a discrete")
 def check_discrete_axioms(ctx, params, rng, n):
     Ad = ctx.discretes[0]
     m, h, d, s, h1, g, g2 = _draws(
-        rng, n, ctx.draw_base(), ctx.draw_algebra(), ctx.draw_base_tangent(),
-        ctx.draw_scale(), ctx.draw_algebra(), ctx.draw_algebra(),
-        ctx.draw_algebra())
+        rng, n, ctx.base_block, ctx.algebra_block, ctx.base_tangent_block,
+        ctx.scale_block, ctx.algebra_block, ctx.algebra_block,
+        ctx.algebra_block)
     q0 = ctx.points(m, h)
     q1 = ctx.nearby_points(q0, d, s, h1, 0.4)
     return worst_defect(discrete.axiom_defects(
-        Ad, ctx.group_elements(g), ctx.group_elements(g2), q0, q1))
+        Ad, ctx.bundle.group.exp(g), ctx.bundle.group.exp(g2), q0, q1))
 
 
+@_check()
 def check_retraction_axioms(ctx, params, rng, n):
-    m, v = _draws(rng, n, ctx.draw_base(), ctx.draw_base_tangent())
+    m, v = _draws(rng, n, ctx.base_block, ctx.base_tangent_block)
     m = ctx.base_points(m)
     if ctx.connection is not None:
         q = bundles.section_over(ctx.bundle, m)
@@ -777,20 +767,22 @@ def check_retraction_axioms(ctx, params, rng, n):
     return worst_defect(manifolds.check_retraction_axioms(rule, m, v))
 
 
+@_check()
 def check_exp_log_roundtrip(ctx, params, rng, n):
     G = ctx.bundle.group
-    xi, g = _draws(rng, n, ctx.draw_algebra(), ctx.draw_algebra())
+    xi, g = _draws(rng, n, ctx.algebra_block, ctx.algebra_block)
     xi = xi * 2.8 / np.sqrt(G.dim)
-    g = ctx.group_elements(g)
+    g = G.exp(g)
     return worst_defect([_column_norm(G.log(G.exp(xi)) - xi),
                          G.distance(G.exp(G.log(g)), g)])
 
 
+@_check("a connection", "a discrete")
 def check_derive_roundtrip(ctx, params, rng, n):
     A = ctx.connection
     derived = derivation.derive_connection(ctx.discretes[0])
-    m, h, v = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
-                     ctx.draw_tangent())
+    m, h, v = _draws(rng, n, ctx.base_block, ctx.algebra_block,
+                     ctx.tangent_block)
     q = ctx.points(m, h)
     v = ctx.bundle_tangents(q, v)
     lhs = connections.eval_connection(derived, q, v)
@@ -802,8 +794,8 @@ def _lift_defect(ctx, rng, n, A, Ad):
     """Worst distance between the derivative of the discrete horizontal
     lift of Ad and the horizontal lift of A, over n sampled points and
     base directions."""
-    m, h, dm = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
-                      ctx.draw_base_tangent())
+    m, h, dm = _draws(rng, n, ctx.base_block, ctx.algebra_block,
+                      ctx.base_tangent_block)
     q = ctx.points(m, h)
     dm = ctx.bundle.base.project_tangent(bundles.project(q), dm)
     direct = derivation.derive_horizontal(Ad, q, dm)
@@ -811,10 +803,12 @@ def _lift_defect(ctx, rng, n, A, Ad):
     return worst_defect(_column_norm(direct - lifted))
 
 
+@_check("a connection", "a discrete")
 def check_lift_roundtrip(ctx, params, rng, n):
     return _lift_defect(ctx, rng, n, ctx.connection, ctx.discretes[0])
 
 
+@_check("a discrete")
 def check_diagram(ctx, params, rng, n):
     """The lift round trip against the connection derived from Ad."""
     Ad = ctx.discretes[0]
@@ -825,8 +819,8 @@ def _holonomy_gap(ctx, rng, n, d1, d2=None):
     """Worst distance between the triangle holonomies of d1 and d2, or of
     d1 and the identity when d2 is None, over n sampled triangles."""
     G = ctx.bundle.group
-    nearby = (ctx.draw_base_tangent(), ctx.draw_scale(), ctx.draw_algebra())
-    m, h, *raw = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(), *nearby,
+    nearby = (ctx.base_tangent_block, ctx.scale_block, ctx.algebra_block)
+    m, h, *raw = _draws(rng, n, ctx.base_block, ctx.algebra_block, *nearby,
                         *nearby)
     q0 = ctx.points(m, h)
     q1 = ctx.nearby_points(q0, *raw[:3], 0.2)
@@ -843,22 +837,22 @@ def _derived_curvature_gap(ctx, rng, n, *discretes):
     discrete, or of the difference of two, over n sampled base points and
     pairs of directions."""
     derived = [derivation.derive_connection(Ad) for Ad in discretes]
-    m, u, w = _draws(rng, n, ctx.draw_base(), ctx.draw_base_tangent(),
-                     ctx.draw_base_tangent())
-    m = ctx.base_points(m)
-    u, w = (ctx.bundle.base.project_tangent(m, x) for x in (u, w))
+    m, u, w = _forms(ctx, rng, n)
     values = [connections.curvature(A, m, u, w) for A in derived]
     return worst_defect(_column_norm(functools.reduce(np.subtract, values)))
 
 
+@_check("a discrete")
 def check_discrete_flatness(ctx, params, rng, n):
     return _holonomy_gap(ctx, rng, n, ctx.discretes[0])
 
 
+@_check("a discrete", "a Euclidean base")
 def check_derived_curvature(ctx, params, rng, n):
     return _derived_curvature_gap(ctx, rng, n, ctx.discretes[0])
 
 
+@_check("two discretes", "a pair")
 def check_distinctness(ctx, params, rng, n):
     q0, q1 = next(points for check, points in ctx.pairs if check is params)
     observed = ctx.bundle.group.distance(
@@ -867,79 +861,44 @@ def check_distinctness(ctx, params, rng, n):
     return worst_defect([required - observed])
 
 
+@_check("two discretes", "a Euclidean base")
 def check_same_derived_curvature(ctx, params, rng, n):
     return _derived_curvature_gap(ctx, rng, n, *ctx.discretes[:2])
 
 
+@_check("two discretes")
 def check_same_discrete_curvature(ctx, params, rng, n):
     return _holonomy_gap(ctx, rng, n, *ctx.discretes[:2])
 
 
+@_check("a local connection")
 def check_closed_form(ctx, params, rng, n):
     return abelian.worst_exterior_defect(ctx.connection, _forms(ctx, rng, n))
 
 
+@_check("a connection")
 def check_metric_invariance(ctx, params, rng, n):
     gm = integration.build_invariant_metric(ctx.connection)
-    m, h, u, w, g = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
-                           ctx.draw_tangent(), ctx.draw_tangent(),
-                           ctx.draw_algebra())
+    m, h, u, w, g = _draws(rng, n, ctx.base_block, ctx.algebra_block,
+                           ctx.tangent_block, ctx.tangent_block,
+                           ctx.algebra_block)
     q = ctx.points(m, h)
     u, w = (ctx.bundle_tangents(q, x) for x in (u, w))
     return worst_defect(integration.metric_invariance_defect(
-        gm, ctx.group_elements(g), q, u, w))
+        gm, ctx.bundle.group.exp(g), q, u, w))
 
 
+@_check()
 def check_retraction_equivariance(ctx, params, rng, n):
-    m, h, v, g = _draws(rng, n, ctx.draw_base(), ctx.draw_algebra(),
-                        ctx.draw_tangent(), ctx.draw_algebra())
+    m, h, v, g = _draws(rng, n, ctx.base_block, ctx.algebra_block,
+                        ctx.tangent_block, ctx.algebra_block)
     q = ctx.points(m, h)
     v = ctx.bundle_tangents(q, v)
     norm = _column_norm(v)
     cap = 0.2 * min(ctx.retraction.domain_radius, 2.0)
     v = np.where(norm > cap, v * cap / np.maximum(norm, cap), v)
     return worst_defect(integration.equivariance_defect(
-        ctx.retraction, ctx.group_elements(g), q, v))
-
-
-# What each check reads beyond the bundle and its own stream; load_scenario
-# rejects a scenario that lacks any of it, so a check only evaluates.
-# "a pair" is the check entry's designated "pair".
-_READS = {
-    "connection_axioms": {"a connection"},
-    "discrete_axioms": {"a discrete"},
-    "retraction_axioms": set(),
-    "exp_log_roundtrip": set(),
-    "derive_roundtrip": {"a connection", "a discrete"},
-    "lift_roundtrip": {"a connection", "a discrete"},
-    "diagram": {"a discrete"},
-    "discrete_flatness": {"a discrete"},
-    "derived_curvature": {"a discrete"},
-    "distinctness": {"two discretes", "a pair"},
-    "same_derived_curvature": {"two discretes"},
-    "same_discrete_curvature": {"two discretes"},
-    "closed_form": {"a local connection"},
-    "metric_invariance": {"a connection"},
-    "retraction_equivariance": set(),
-}
-
-CHECKS = {
-    "connection_axioms": check_connection_axioms,
-    "discrete_axioms": check_discrete_axioms,
-    "retraction_axioms": check_retraction_axioms,
-    "exp_log_roundtrip": check_exp_log_roundtrip,
-    "derive_roundtrip": check_derive_roundtrip,
-    "lift_roundtrip": check_lift_roundtrip,
-    "diagram": check_diagram,
-    "discrete_flatness": check_discrete_flatness,
-    "derived_curvature": check_derived_curvature,
-    "distinctness": check_distinctness,
-    "same_derived_curvature": check_same_derived_curvature,
-    "same_discrete_curvature": check_same_discrete_curvature,
-    "closed_form": check_closed_form,
-    "metric_invariance": check_metric_invariance,
-    "retraction_equivariance": check_retraction_equivariance,
-}
+        ctx.retraction, ctx.bundle.group.exp(g), q, v))
 
 
 def run_check(ctx, index, check_cfg):

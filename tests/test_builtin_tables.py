@@ -66,7 +66,7 @@ def pair_map_tables():
     """{name: (spec, table)} of every pair-map builtin, quadratic_f's by
     its f."""
     tables = {name: (name, table)
-              for name, table in scenarios._PAIR_MAPS.items()}
+              for name, table in scenarios._BUILTINS["pair-map"].items()}
     for f, table in scenarios._QUADRATIC_F.items():
         tables[f"quadratic_f {f}"] = ({"name": "quadratic_f", "f": f}, table)
     return tables
@@ -110,9 +110,9 @@ def linear_in_delta(table):
                   if sum(r) == 1)
 
 
-@pytest.mark.parametrize("name", sorted(scenarios._ONE_FORMS))
+@pytest.mark.parametrize("name", sorted(scenarios._BUILTINS["one-form"]))
 def test_one_form_table(name):
-    table = scenarios._ONE_FORMS[name]
+    table = scenarios._BUILTINS["one-form"][name]
     m, v = points(1)
     got = one_form_builtin(name, PLANE).value(m, v)[0]
     x, y = fractions(m), fractions(v)
@@ -150,7 +150,7 @@ def test_no_pair_map_term_is_free_of_delta(name):
 def test_derived_connection_is_the_part_linear_in_delta(name):
     _, table = pair_map_tables()[name]
     assert linear_in_delta(table) == linear_in_delta(
-        scenarios._ONE_FORMS[DERIVED[name]])
+        scenarios._BUILTINS["one-form"][DERIVED[name]])
 
 
 @pytest.mark.parametrize("bundle", [PLANE, U1_PLANE], ids=["R", "U1"])
@@ -197,7 +197,8 @@ POLYNOMIALS = st.lists(st.fixed_dictionaries({
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(st.sampled_from(sorted(scenarios._ONE_FORMS)), POLYNOMIALS),
+@given(st.one_of(st.sampled_from(sorted(scenarios._BUILTINS["one-form"])),
+                 POLYNOMIALS),
        st.sampled_from(sorted(PAIR_MAPS)), st.integers(1, 8), st.data())
 def test_difference_table_is_the_difference_of_values(omega, pair_map, n,
                                                       data):
@@ -228,22 +229,23 @@ def test_gate_and_eps_read_one_table_of_one_parse():
     # A matched discrete parses its reference pair map once, and the gate
     # decides on the very table that eps is built from.
     parses, gated, built = [], [], []
-    parse, gate, local = (scenarios._pair_map_table,
+    parse, gate, local = (scenarios._builtin_table,
                           scenarios._require_closed,
                           scenarios._local_connection)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scenarios, "_pair_map_table",
-                      lambda spec, bundle: parses.append(spec)
-                      or parse(spec, bundle))
+        patch.setattr(scenarios, "_builtin_table",
+                      lambda spec, bundle, kind: parses.append((kind, spec))
+                      or parse(spec, bundle, kind))
         patch.setattr(scenarios, "_require_closed",
                       lambda table: gated.append(table) or gate(table))
         patch.setattr(scenarios, "_local_connection",
                       lambda bundle, table: built.append(table)
                       or local(bundle, table))
         matched_context("x_dy_plus_dx2", "trapezoid_x_dy")
-    assert parses == ["trapezoid_x_dy"]
+    assert [spec for kind, spec in parses
+            if kind == "pair-map"] == ["trapezoid_x_dy"]
     [table] = gated
     assert [t for t in built if t is table] == [table]
     # x dy + 2x dx less the trapezoid's x dy.
-    assert table == [*scenarios._ONE_FORMS["x_dy_plus_dx2"],
+    assert table == [*scenarios._BUILTINS["one-form"]["x_dy_plus_dx2"],
                      *((-c, p, r) for c, p, r in scenarios._X_DY)]

@@ -60,7 +60,10 @@ def top_level_definitions():
 
 
 def test_every_top_level_name_is_referenced():
-    used = referenced_names()
+    # A check is read through CHECKS, where its `_check` decorator puts it;
+    # test_every_scenario_input_is_exercised requires each to be named.
+    used = referenced_names() | {fn.__name__
+                                 for fn in scenarios.CHECKS.values()}
     dead = [qual for qual, name in top_level_definitions()
             if name not in used]
     assert dead == []
@@ -159,13 +162,16 @@ def test_every_parameter_default_is_overridden():
 
 
 def test_checks_are_public_functions_of_scenarios():
-    # The benchmark tracer wraps public module-level functions and finds
-    # the checks among them.
+    # The benchmark tracer wraps public module-level functions, finds the
+    # checks among them by identity and names each span
+    # scenarios.check.<name>: CHECKS[name] is the plain function
+    # scenarios.check_<name>, not a partial, and declares its reads.
     for name, fn in scenarios.CHECKS.items():
         assert inspect.isfunction(fn), name
         assert fn.__module__ == scenarios.__name__, name
-        assert not fn.__name__.startswith("_"), name
+        assert fn.__name__ == f"check_{name}", name
         assert getattr(scenarios, fn.__name__) is fn, name
+        assert name in scenarios._READS, name
 
 
 def json_strings(value):
@@ -200,7 +206,7 @@ def test_every_scenario_input_is_exercised():
     kinds = {tag for fields in scenarios._SCHEMA.values()
              if "kind" in fields for tag in fields["kind"]}
     retractions = {tag for _, tag in scenarios._RETRACTIONS}
-    inputs = (set(scenarios._ONE_FORMS) | set(scenarios._PAIR_MAPS)
+    inputs = (set().union(*scenarios._BUILTINS.values())
               | set(scenarios._QUADRATIC_F) | kinds | retractions
               | set(scenarios.CHECKS))
     assert sorted(inputs - used) == []

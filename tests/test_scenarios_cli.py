@@ -308,10 +308,15 @@ class TestParsing:
     def test_declared_reads_are_needed_and_enough(self, tmp_path, name):
         # A scenario that holds just what _READS declares for a check
         # loads and runs it; without any one of those reads it does not
-        # load.
+        # load.  It is on R^2, or on S^2 when it lacks a Euclidean base.
         def scenario(reads):
             cfg = minimal(box=[[-1.0, 1.0]] * 2,
                           checks=[{"name": name, "samples": 2}])
+            if "a Euclidean base" in scenarios._READS[name] - reads:
+                cfg = minimal(bundle={"kind": "trivial",
+                                      "base": {"kind": "S2"},
+                                      "group": {"kind": "U1"}},
+                              checks=cfg["checks"])
             if reads & {"a connection", "a local connection"}:
                 cfg["connection"] = {"kind": "local", "omega": "x_dy"}
             count = (2 if "two discretes" in reads
@@ -487,6 +492,25 @@ class TestRunScenario:
         report = run_file(write_scenario(tmp_path, cfg))
         assert not report.passed
         assert report.checks[0].max_defect > 0.1
+
+    @pytest.mark.parametrize("omega,closed", [
+        ({"name": "polynomial", "terms": [
+            {"coeff": 1, "powers": powers, "dx": 0}
+            for powers in ([2], [0, 2], [0, 0, 2])]}, True),
+        ("x_dy", False)], ids=["r2_dx", "x_dy"])
+    def test_closed_form_on_the_sphere(self, tmp_path, omega, closed):
+        # (x^2 + y^2 + z^2) dx is dx on S^2, closed there though not on
+        # R^3: closed_form takes d omega on tangents of the sphere only.
+        # x dy is not closed on S^2.
+        cfg = minimal(seed=0, bundle={"kind": "trivial",
+                                      "base": {"kind": "S2"},
+                                      "group": {"kind": "U1"}},
+                      connection={"kind": "local", "omega": omega},
+                      checks=[{"name": "closed_form"}])
+        report = run_file(write_scenario(tmp_path, cfg))
+        assert report.passed == closed
+        assert (report.checks[0].max_defect < 1e-10 if closed
+                else report.checks[0].max_defect > 0.1)
 
 
 class TestFlatIsMatched:

@@ -339,8 +339,8 @@ class TestClosedFormCheck:
         defects = []
         for _ in range(n):
             m, u, w = (x[..., 0] for x in scenarios._draws(
-                rng, 1, ctx.draw_base(), ctx.draw_base_tangent(),
-                ctx.draw_base_tangent()))
+                rng, 1, ctx.base_block, ctx.base_tangent_block,
+                ctx.base_tangent_block))
             m = ctx.base_points(m)
             defects.append(float(np.linalg.norm(exterior_derivative(
                 ctx.connection.value, m, u, w))))
