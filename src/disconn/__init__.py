@@ -10,9 +10,10 @@ Modules:
 * ``derivation`` -- differentiating discrete data back to connections;
 * ``integration`` -- bundle retraction rules and retraction-based
   integration of connections;
-* ``abelian`` -- curvature-matched integration, flat included, and the
-  exterior-derivative check of closed forms;
-* ``scenarios`` / ``cli`` -- the JSON-driven verification harness.
+* ``abelian`` -- the exterior-derivative check of closed forms;
+* ``scenarios`` / ``cli`` -- the JSON-driven verification harness, which
+  also builds the flat and curvature-matched discretes as pair-map
+  tables.
 """
 
 __version__ = "0.1.0"

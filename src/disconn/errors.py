@@ -29,10 +29,6 @@ class UnsupportedPresentation(DisconnError):
     """Operation needs a presentation (local expression) the value lacks."""
 
 
-class UnsupportedGroup(DisconnError):
-    """Structure group outside the compact-times-vector class."""
-
-
 class NonDifferentiable(DisconnError):
     """Difference quotients failed the Richardson consistency check."""
 

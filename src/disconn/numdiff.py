@@ -1,12 +1,11 @@
-"""Numerical kernels: difference quotients, quadrature and defect reduction.
+"""Numerical kernels: difference quotients and defect reduction.
 
 The numerical policy is one set of module constants.  All directional
 derivatives go through `richardson_derivative`: central differences with
 steps STEP and STEP / 2 plus one Richardson extrapolation step, about 1e-7
-relative on unit-scale smooth inputs.  All line integrals go through
-`gauss_legendre_line_integral`: one panel of QUADRATURE_ORDER = 8
-Gauss-Legendre nodes, exact to degree 15, the cap `scenarios` puts on the
-terms of a polynomial one-form.
+relative on unit-scale smooth inputs.  No line integral is numerical:
+the one the abelian routes take is of a polynomial table, which
+`scenarios` integrates in closed form.
 
 Stacks.  Many points are evaluated in one call.  Points and tangents are
 then ``(d, *stack)`` arrays, coordinate axis first, and values are
@@ -55,10 +54,8 @@ STEP = 1e-4
 # Relative gap allowed between the extrapolated and the coarse slope when
 # `richardson_derivative` checks consistency.
 CONSISTENCY_TOL = 1e-5
-QUADRATURE_ORDER = 8
 # The difference steps of `richardson_derivative`, in the order it reads them.
 _STENCIL = np.array([STEP, -STEP, STEP / 2, -STEP / 2])
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
 
 
 def richardson_derivative(f, check_consistency=False):
@@ -120,20 +117,6 @@ def lost_step(m, directions):
         step = h * x
         lost |= _column_norm((m + step) - m - step) > 0.5 * _column_norm(step)
     return lost
-
-
-def gauss_legendre_line_integral(f, a, b):
-    """Integrate the vector-valued f over [a, b] by one Gauss-Legendre
-    panel of QUADRATURE_ORDER nodes.
-
-    f is called once, with the vector of all nodes, and returns values
-    with the node axis last.  The weighted values are summed one node after
-    another, as a loop over the nodes would.
-    """
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = np.asarray(f(mid + half * _NODES), dtype=float)
-    # A sequential prefix sum, not the pairwise summation of np.sum.
-    return np.add.accumulate(half * _WEIGHTS * values, axis=-1)[..., -1]
 
 
 def _columns(a, b):

@@ -52,9 +52,10 @@ one of its checks reads, with a `ParseError`):
                   | {"kind": "integrated"}  # needs a connection
                   | {"kind": "flat", "omega": <builtin>}  # the matched
                     # integral of omega against the "zero" pair map
-                  | {"kind": "matched",     # needs a connection
+                  | {"kind": "matched",     # needs a local connection
                      "reference": <spec> of kind local},  # the same
-                    # curvature, decided on the tables (_require_closed)
+                    # curvature, decided on the tables (_require_closed);
+                    # flat and matched need an R^d base
       "integrator": {"retraction": "straight"|"exp"|"skewed"  # trivial
                                    |"great_circle"|"chart",  # hopf
                      "domain_radius": float > 0},  # default from the
@@ -78,9 +79,13 @@ than the base has is rejected.  One-forms: "zero", "x_dy", "y_dx",
 "closed_xy", "x_dy_plus_dx2", or {"name": "polynomial", "terms": [{"coeff":
 c, "powers": p, "dx": j}, ...]}, the terms (c, p, e_j) on d coordinates:
 c finite, at most d non-negative integer powers of total degree at most
-15, 0 <= j < d.  Pair maps: "zero", "trapezoid_x_dy", "left_x_dy", or
-{"name": "quadratic_f", "f": "zero" | "one"}, delta_0^2 f with f = 0 or 1.
-Builtin objects take no other keys.
+MAX_DEGREE, 0 <= j < d.  Pair maps: "zero", "trapezoid_x_dy", "left_x_dy",
+or {"name": "quadratic_f", "f": "zero" | "one"}, delta_0^2 f with f = 0 or
+1.  Builtin objects take no other keys.
+
+A flat or matched discrete is a pair-map table too: the reference's terms
+("zero"'s none for flat), then the integral over the segment m0 -> m1 of
+eps = omega - omega_ref, which `_segment_integral` expands exactly.
 """
 
 from __future__ import annotations
@@ -98,23 +103,29 @@ from . import (abelian, bundles, connections, derivation, discrete, groups,
 from .bundles import BundlePoint, HopfBundle, TrivialBundle
 from .errors import CurvatureMismatch, ParseError
 from .manifolds import EuclideanChart, Sphere
-from .numdiff import QUADRATURE_ORDER, _column_norm, worst_defect
+from .numdiff import _column_norm, worst_defect
 
 
 # ---------------------------------------------------------------------------
 # Builtins
 
+# Largest total degree of a polynomial term.  It bounds the segment
+# integral's expansion: a term of degree K expands into at most 2^K
+# binomial terms, one per subset of its K linear factors, and
+# `_segment_integral` keeps those of even degree in s, at most 2^14.
+MAX_DEGREE = 15
+
+
 def _is_term(term, size):
     """A polynomial term on `size` coordinates: a finite coefficient, at
-    most `size` non-negative integer powers and a differential index.  Its
-    total degree is at most 2 * QUADRATURE_ORDER - 1, the degree to which
-    the one quadrature panel of a line integral is exact."""
+    most `size` non-negative integer powers of total degree at most
+    MAX_DEGREE, and a differential index."""
     return (isinstance(term, dict) and set(term) == {"coeff", "powers", "dx"}
             and _is_number(term["coeff"])
             and isinstance(term["powers"], list)
             and len(term["powers"]) <= size
             and all(_is_int(p) and p >= 0 for p in term["powers"])
-            and sum(term["powers"]) < 2 * QUADRATURE_ORDER
+            and sum(term["powers"]) <= MAX_DEGREE
             and _is_int(term["dx"]) and 0 <= term["dx"] < size)
 
 
@@ -196,10 +207,11 @@ def _local_connection(bundle, table):
         bundle, lambda m, v: np.array([omega(m, v)]))
 
 
-def one_form_builtin(spec, bundle) -> connections.TrivialLocalConnection:
-    """Resolve a one-form builtin to a local connection."""
-    return _local_connection(bundle,
-                             _builtin_table(spec, bundle, "one-form")[0])
+def one_form_builtin(spec, bundle):
+    """Resolve a one-form builtin to a local connection and its table, which
+    a matched discrete reads."""
+    table, _ = _builtin_table(spec, bundle, "one-form")
+    return _local_connection(bundle, table), table
 
 
 def _pair_map(bundle, table, name, domain_radius):
@@ -225,6 +237,28 @@ def _linear_terms(table):
     """A pair map's terms of degree 1 in delta, its derived connection's:
     none is free of delta, so C(m, m + t v) = t `_linear_terms` + O(t^2)."""
     return [(c, p, r) for c, p, r in table if sum(r) == 1]
+
+
+def _segment_integral(table):
+    """The pair-map table of the integral of the one-form table over the
+    segment m0 -> m1, exact up to the rounding of its coefficients.  On
+    x = mid + s delta, s in [-1/2, 1/2], the term c x^p dx_j is c prod_i
+    (mid_i + s delta_i)^p_i delta_j ds; each binomial term of s^K
+    integrates to 0 for odd K and to 1 / ((K + 1) 2^K) for even K.  The
+    factor is rounded before it scales c, so a finite c near the float
+    limit stays finite where the factor is below 1."""
+    terms = []
+    for c, p, r in table:
+        j = r.index(1)
+        for k in itertools.product(*(range(e + 1) for e in p)):
+            K = sum(k)
+            if K % 2 == 0:
+                factor = math.prod(map(math.comb, p, k)) / ((K + 1) << K)
+                delta = [*k, *[0] * (j + 1 - len(k))]
+                delta[j] += 1
+                terms.append((c * factor, [e - i for e, i in zip(p, k)],
+                              delta))
+    return terms
 
 
 # Relative tolerance of the curvature-matched gate, `_require_closed`.
@@ -452,6 +486,7 @@ def load_scenario(path):
     _require(connection is None
              or connection["kind"].startswith("hopf") == hopf,
              "connection kind does not fit the bundle")
+    euclidean = not hopf and cfg["bundle"]["base"]["kind"] == "R^d"
     specs = _discrete_specs(cfg)
     for i, spec in enumerate(specs):
         _validate(spec, "discrete", f"discrete[{i}]")
@@ -459,14 +494,17 @@ def load_scenario(path):
                  "the Hopf bundle takes only integrated discretes")
         if connection is None and spec["kind"] in ("integrated", "matched"):
             raise ParseError(f"{spec['kind']} discrete needs a connection")
+        # The segment m0 -> m1 that a flat or matched pair integrates over
+        # must lie in the base.
+        if spec["kind"] in ("flat", "matched") and not euclidean:
+            raise ParseError(f"{spec['kind']} discrete needs an R^d base")
     kind, tag = _retraction_key(cfg)
     if (kind, tag) not in _RETRACTIONS:
         raise ParseError(f"unknown retraction {tag!r} on the {kind} bundle")
     has = {"a connection": connection is not None,
            "a local connection": (connection or {}).get("kind") == "local",
            "a discrete": len(specs) > 0, "two discretes": len(specs) > 1,
-           "a Euclidean base": not hopf
-           and cfg["bundle"]["base"]["kind"] == "R^d"}
+           "a Euclidean base": euclidean}
     for i, check in enumerate(cfg.get("checks", [])):
         has["a pair"] = "pair" in check
         missing = [need for need in sorted(_READS[check["name"]])
@@ -552,9 +590,10 @@ class ScenarioContext:
 
         self.domain_radius = float(cfg.get("integrator", {}).get(
             "domain_radius", self.bundle.base.default_radius))
-        self.connection = self._build_connection(cfg.get("connection"))
+        self.connection, self.omega_table = self._build_connection(
+            cfg.get("connection"))
         self.retraction = _RETRACTIONS[_retraction_key(cfg)](self.bundle)
-        self.discretes = [self._build_discrete(spec, cfg.get("connection"))
+        self.discretes = [self._build_discrete(spec)
                           for spec in _discrete_specs(cfg)]
 
     # -- config resolution -------------------------------------------------
@@ -580,15 +619,16 @@ class ScenarioContext:
         return box, (box[:, :1], span)
 
     def _build_connection(self, spec):
+        """The connection and, for a local one, its one-form's table."""
         if spec is None:
-            return None
+            return None, None
         kind = spec["kind"]
         if kind == "local":
             return one_form_builtin(spec["omega"], self.bundle)
         epsilon = spec.get("epsilon", 0.1) if kind == "hopf_perturbed" else 0
-        return connections.HopfConnection(self.bundle, float(epsilon))
+        return connections.HopfConnection(self.bundle, float(epsilon)), None
 
-    def _build_discrete(self, spec, connection):
+    def _build_discrete(self, spec):
         kind = spec["kind"]
         if kind == "local":
             return pair_map_builtin(spec["pair_map"], self.bundle,
@@ -596,19 +636,18 @@ class ScenarioContext:
         if kind == "integrated":
             return integration.integrate_connection(
                 self.connection, self.retraction, self.domain_radius)
-        omega, pair_map = (
-            (spec["omega"], "zero") if kind == "flat"
-            else (connection["omega"], spec["reference"]["pair_map"]))
-        # Both parsed first: a malformed builtin is a ParseError.
-        table, _ = _builtin_table(omega, self.bundle, "one-form")
-        reference, name = _builtin_table(pair_map, self.bundle, "pair-map")
+        if kind == "flat":
+            table, _ = _builtin_table(spec["omega"], self.bundle, "one-form")
+            reference = []  # the "zero" pair map's table
+        else:
+            table = self.omega_table
+            reference, _ = _builtin_table(spec["reference"]["pair_map"],
+                                          self.bundle, "pair-map")
         # eps = omega - omega_ref, the reference's derived connection.
         eps = [*table, *((-c, p, r) for c, p, r in _linear_terms(reference))]
-        matched = abelian.curvature_matched_integrate(
-            _local_connection(self.bundle, eps),
-            _pair_map(self.bundle, reference, name, self.domain_radius))
         _require_closed(eps)
-        return matched
+        return _pair_map(self.bundle, [*reference, *_segment_integral(eps)],
+                         "matched", self.domain_radius)
 
     def rng(self, stream):
         """The generator of one stream of the scenario seed, a check's

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from disconn import bundles, connections, discrete, integration
-from disconn.abelian import curvature_matched_integrate
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle,
                              make_trivial_tangent)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
@@ -32,6 +31,18 @@ from disconn.integration import (hopf_geodesic_retraction,
 from disconn.manifolds import (EuclideanChart, check_retraction_axioms,
                                metric_exponential)
 from disconn.scenarios import ScenarioContext, pair_map_builtin
+
+
+def plane_discrete(discrete, omega=None):
+    """The first discrete of a context on R^2 x R, a flat or matched one
+    built as one pair-map table behind the curvature-matched gate."""
+    cfg = {"name": "acceptance", "seed": 0, "discrete": discrete,
+           "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+                      "group": {"kind": "R^k", "dim": 1}}}
+    if omega is not None:
+        cfg["connection"] = {"kind": "local", "omega": omega}
+    return ScenarioContext(cfg).discretes[0]
+
 
 _SUITE_START = time.perf_counter()
 
@@ -140,14 +151,11 @@ def test_criterion_3_nonuniqueness():
 
 
 def test_criterion_4_flatness_preserved():
-    B = TrivialBundle(EuclideanChart(2), Translation(1))
-    U = 1e18
-    closed = TrivialLocalConnection(
-        B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-    # The flat discrete: the curvature-matched integral against the zero
-    # reference, whose derived connection is zero, so that the descended
-    # difference is the closed form itself.
-    Ad = curvature_matched_integrate(closed, pair_map_builtin("zero", B, U))
+    # The flat discrete of d(xy): the curvature-matched integral against
+    # the zero reference, whose derived connection is zero, so that the
+    # descended difference is the closed form itself.
+    Ad = plane_discrete({"kind": "flat", "omega": "closed_xy"})
+    B = Ad.bundle
     A_back = derive_connection(Ad)
     rng = np.random.default_rng(1004)
     worst_curv = 0.0
@@ -181,19 +189,15 @@ def test_criterion_5_area_identity():
 
 
 def test_criterion_6_curvature_matched():
-    B = TrivialBundle(EuclideanChart(2), Translation(1))
-    U = 1e18
-    Ad_ref = TrivialLocalDiscrete(
-        B, lambda m0, m1: np.array([0.5 * (m0[0] + m1[0]) * (m1[1] - m0[1])]),
-        U)
-    # omega = x dy + d(x^2) = x dy + 2x dx, less the reference's derived
-    # connection, by Richardson differences: the descended difference.
+    # omega = x dy + d(x^2) = x dy + 2x dx against the trapezoid rule of
+    # x dy, which has the same curvature.
+    Ad = plane_discrete({"kind": "matched", "reference": {
+        "kind": "local", "pair_map": "trapezoid_x_dy"}},
+        omega="x_dy_plus_dx2")
+    B = Ad.bundle
+    Ad_ref = pair_map_builtin("trapezoid_x_dy", B, 1e18)
     A = TrivialLocalConnection(
         B, lambda m, v: np.array([m[0] * v[1] + 2.0 * m[0] * v[0]]))
-    A_ref = derive_connection(Ad_ref)
-    eps = TrivialLocalConnection(
-        B, lambda m, v: A.value(m, v) - A_ref.value(m, v))
-    Ad = curvature_matched_integrate(eps, Ad_ref)
 
     rng = np.random.default_rng(1006)
     worst_bd = 0.0

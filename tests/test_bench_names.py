@@ -7,6 +7,12 @@ two files is one of three things: a span the tracer makes itself (the
 first argument of `tracer.span(...)`), a per-layer metric that
 BENCHMARK.json declares, or a public function of that disconn module.
 The test reads bench/ and changes nothing there.
+
+The one exception is GONE: the names of the numerical segment integral,
+which the abelian route no longer has (`scenarios._segment_integral`
+integrates its table exactly), so their metrics read 0.  They are named
+here, and must be exactly the names missing, until the benchmark drops
+them.
 """
 
 import ast
@@ -20,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYER_NAME = re.compile(
     r"^(groups|manifolds|bundles|connections|discrete|derivation"
     r"|integration|abelian|numdiff|scenarios|cli)\.[A-Za-z_]+$")
+GONE = ["abelian.primitive_on_segments", "numdiff.gauss_legendre_line_integral"]
 
 
 def string_constants(tree):
@@ -58,4 +65,4 @@ def test_bench_names_are_public_library_functions():
         fn = getattr(module, attr, None)
         if not (inspect.isfunction(fn) and fn.__module__ == module.__name__):
             missing.append(name)
-    assert not missing, f"bench/ names no public function: {missing}"
+    assert missing == GONE, f"bench/ names no public function: {missing}"

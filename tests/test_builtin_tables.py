@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disconn import abelian, scenarios
+from disconn import scenarios
 from disconn.bundles import TrivialBundle
 from disconn.derivation import derive_connection
 from disconn.errors import CurvatureMismatch
@@ -114,7 +114,7 @@ def linear_in_delta(table):
 def test_one_form_table(name):
     table = scenarios._BUILTINS["one-form"][name]
     m, v = points(1)
-    got = one_form_builtin(name, PLANE).value(m, v)[0]
+    got = one_form_builtin(name, PLANE)[0].value(m, v)[0]
     x, y = fractions(m), fractions(v)
     terms = exact_terms(table, x, y)
     assert_within_bound(got, terms)
@@ -169,13 +169,14 @@ def test_derived_table_is_the_numerical_derivative(name, bundle):
 
 def matched_context(omega, pair_map, gate=True):
     """The context of a matched discrete of the one-form omega against the
-    pair map on R^2 x R, and the descended difference eps that it hands to
-    `abelian.curvature_matched_integrate`; without the gate, an open
-    difference is built too."""
+    pair map on R^2 x R, and the descended difference eps, the local
+    connection of the table it integrates (`_segment_integral`); without
+    the gate, an open difference is built too."""
     handed = []
+    integral = scenarios._segment_integral
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(abelian, "curvature_matched_integrate",
-                      lambda eps, Ad_ref: handed.append(eps))
+        patch.setattr(scenarios, "_segment_integral",
+                      lambda table: handed.append(table) or integral(table))
         if not gate:
             patch.setattr(scenarios, "_require_closed", lambda table: None)
         ctx = ScenarioContext({
@@ -185,7 +186,7 @@ def matched_context(omega, pair_map, gate=True):
             "connection": {"kind": "local", "omega": omega},
             "discrete": {"kind": "matched", "reference": {
                 "kind": "local", "pair_map": pair_map}}})
-    return ctx, handed[0]
+    return ctx, scenarios._local_connection(PLANE, handed[0])
 
 
 COORDINATE = st.floats(-4.0, 4.0)
@@ -226,26 +227,28 @@ def test_difference_table_is_the_difference_of_values(omega, pair_map, n,
 
 
 def test_gate_and_eps_read_one_table_of_one_parse():
-    # A matched discrete parses its reference pair map once, and the gate
-    # decides on the very table that eps is built from.
-    parses, gated, built = [], [], []
-    parse, gate, local = (scenarios._builtin_table,
-                          scenarios._require_closed,
-                          scenarios._local_connection)
+    # A matched context parses its connection's one-form and its reference
+    # pair map once each, and the gate decides on the very table that is
+    # integrated.
+    parses, gated, integrated = [], [], []
+    parse, gate, integral = (scenarios._builtin_table,
+                             scenarios._require_closed,
+                             scenarios._segment_integral)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenarios, "_builtin_table",
                       lambda spec, bundle, kind: parses.append((kind, spec))
                       or parse(spec, bundle, kind))
         patch.setattr(scenarios, "_require_closed",
                       lambda table: gated.append(table) or gate(table))
-        patch.setattr(scenarios, "_local_connection",
-                      lambda bundle, table: built.append(table)
-                      or local(bundle, table))
+        patch.setattr(scenarios, "_segment_integral",
+                      lambda table: integrated.append(table)
+                      or integral(table))
         matched_context("x_dy_plus_dx2", "trapezoid_x_dy")
-    assert [spec for kind, spec in parses
-            if kind == "pair-map"] == ["trapezoid_x_dy"]
+    assert parses == [("one-form", "x_dy_plus_dx2"),
+                      ("pair-map", "trapezoid_x_dy")]
     [table] = gated
-    assert [t for t in built if t is table] == [table]
+    [integrated_table] = integrated
+    assert integrated_table is table
     # x dy + 2x dx less the trapezoid's x dy.
     assert table == [*scenarios._BUILTINS["one-form"]["x_dy_plus_dx2"],
                      *((-c, p, r) for c, p, r in scenarios._X_DY)]

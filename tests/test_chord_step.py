@@ -44,9 +44,9 @@ def connection(bundle, epsilon):
     if isinstance(bundle, HopfBundle):
         return HopfConnection(bundle, epsilon)
     if epsilon == 0.0:
-        return scenarios.one_form_builtin("zero", bundle)
+        return scenarios.one_form_builtin("zero", bundle)[0]
     return scenarios.one_form_builtin(
-        x_dy(epsilon, bundle.base.coord_size), bundle)
+        x_dy(epsilon, bundle.base.coord_size), bundle)[0]
 
 
 def anchors(bundle, rng, count):

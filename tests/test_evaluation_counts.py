@@ -32,37 +32,37 @@ retraction_axioms evaluate the connection once each, where they made 61
 calls in all before, and `retract_bundle` runs 4 times, in the
 retraction_equivariance checks of the two U(1) scenarios; a retraction
 after each solve made 18 (3 in derive_roundtrip, 4 in diagram, 4 in
-discrete_axioms and 3 in lift_roundtrip).  hopf-newton takes no exterior derivative and no line integral.
+discrete_axioms and 3 in lift_roundtrip).  hopf-newton takes no exterior derivative.
 
-On matched-deep, a curvature-matched evaluation makes one `eval_discrete`
-call of the reference and integrates the end points m1 and m0 of its
-pairs in one line integral, whose integrand, the descended difference,
-is a difference of two polynomial tables: the reference's derived
-connection is its pair map's closed form, so no derivative is taken
-inside the integrand.  The matching gate reads the two tables and
-evaluates nothing; its sampled exterior derivative took 1 Richardson
-call.  derive_roundtrip takes 1 (the outer derivative), 2
-`eval_discrete` calls and 1 line integral, same_discrete_curvature 0, 3
-(the local form's holonomy included) and 1, and discrete_axioms 0, 2
-and 1: 1 Richardson call, 7 `eval_discrete` calls and 3 line integrals.
-The numerical derivative of the reference inside the difference made 6,
-11 and 3; before that, two integrals per matched evaluation and two
-Richardson calls per exterior derivative made 11, 15 and 6.
+On matched-deep, a curvature-matched discrete is one polynomial pair map:
+the reference's table and the exact integral of the descended
+difference's table over the segment m0 -> m1, so an evaluation calls no
+other discrete and integrates nothing numerically.  The matching gate
+reads the tables and evaluates nothing; its sampled exterior derivative
+took 1 Richardson call.  derive_roundtrip takes 1 Richardson call (the
+outer derivative) and 1 `eval_discrete` call, same_discrete_curvature 0
+and 2 (the local form's holonomy included), and discrete_axioms 0 and 1:
+1 Richardson call and 4 `eval_discrete` calls.  Evaluating the reference
+inside each matched evaluation, with one 8-node line integral, made 7
+`eval_discrete` calls and 3 line integrals; the numerical derivative of
+the reference inside the difference made 6 Richardson calls and 11
+`eval_discrete` calls; before that, two integrals per matched evaluation
+and two Richardson calls per exterior derivative made 11 and 15.
 
 On breadth, five discrete_axioms checks and one discrete_flatness check
 make one `eval_discrete` call each, and the four integrated forms solve
 14 times.  The exterior derivatives take 1 Richardson call in
 closed_form, 2 in derived_curvature (its own and, inside it, the derived
-flat form's, with 1 `eval_discrete` call and 1 line integral) and 4 in
+flat form's, with 1 `eval_discrete` call) and 4 in
 same_derived_curvature (2 for each derived form, with 2 `eval_discrete`
 calls); the flat form's matching gate reads its table and takes none,
-where its sampled exterior derivative took 1.  The flat form is the
-curvature-matched integral against the zero reference, so each of its 4
-evaluations (1 in discrete_flatness, 1 in derived_curvature and 2 in
-diagram) evaluates the zero pair map once more: 22 Richardson calls, 28
-`eval_discrete` calls and 4 line integrals in all, where a flat pair map
-of its own made 24 `eval_discrete` calls.  One Richardson call per slope
-doubled these and made 31, 27 and 5.
+where its sampled exterior derivative took 1.  The flat form is one
+pair map, so each of its 4 evaluations (1 in discrete_flatness, 1 in
+derived_curvature and 2 in diagram) is one `eval_discrete` call: 22
+Richardson calls and 24 `eval_discrete` calls in all.  When it was the
+matched integral composed with the zero pair map, each evaluation made
+one more call, 28 in all, and one line integral, 4 in all.  One
+Richardson call per slope doubled these and made 31, 27 and 5.
 
 The steps of the reduced retraction are counted as `bench/tracer.py`
 counts Newton residuals: wrapping the step of every
@@ -167,7 +167,6 @@ def counts(monkeypatch):
                          (discrete, "eval_discrete"),
                          (connections, "eval_connection"),
                          (integration, "retract_bundle"),
-                         (numdiff, "gauss_legendre_line_integral"),
                          (bundles, "hopf_projection_coords")):
         original = getattr(module, name)
         rebind_everywhere(monkeypatch, original, counting(name, original))
@@ -195,17 +194,15 @@ def counting_log(counter, log):
 
 
 COUNTS = {
-    "matched-deep": {"eval_discrete": 7, "richardson_derivative": 1,
-                     "f": 1, "gauss_legendre_line_integral": 3,
-                     "eval_connection": 2, "linalg_solve": 0},
+    "matched-deep": {"eval_discrete": 4, "richardson_derivative": 1,
+                     "f": 1, "eval_connection": 2, "linalg_solve": 0},
     "hopf-newton": {"invert_extended": 6, "eval_discrete": 6,
                     "richardson_derivative": 4, "f": 4,
                     "eval_connection": 18, "retract_bundle": 4,
                     "reduced_step": 13, "linalg_solve": 2,
                     "log_columns": 776, "hopf_projection_coords": 19},
-    "breadth": {"invert_extended": 14, "eval_discrete": 28,
+    "breadth": {"invert_extended": 14, "eval_discrete": 24,
                 "richardson_derivative": 22, "f": 22,
-                "gauss_legendre_line_integral": 4,
                 "eval_connection": 46, "retract_bundle": 4,
                 "reduced_step": 16, "linalg_solve": 0,
                 "log_columns": 416},

@@ -253,16 +253,16 @@ def so3_local(B):
 # a scenario integrates, and both Hopf connections.
 LIFT_CASES = {
     "R2xU1": (lambda: one_form_builtin(
-        "x_dy", TrivialBundle(EuclideanChart(2), Torus(1))),
+        "x_dy", TrivialBundle(EuclideanChart(2), Torus(1)))[0],
         trivial_product_retraction),
     "R2xT1": (lambda: one_form_builtin(
-        "closed_xy", TrivialBundle(EuclideanChart(2), Torus(1))),
+        "closed_xy", TrivialBundle(EuclideanChart(2), Torus(1)))[0],
         trivial_skewed_retraction),
     "R2xR": (lambda: one_form_builtin(
-        "x_dy_plus_dx2", TrivialBundle(EuclideanChart(2), Translation(1))),
+        "x_dy_plus_dx2", TrivialBundle(EuclideanChart(2), Translation(1)))[0],
         trivial_product_retraction),
     "S2xU1": (lambda: one_form_builtin(
-        "x_dy", TrivialBundle(Sphere(3), Torus(1))),
+        "x_dy", TrivialBundle(Sphere(3), Torus(1)))[0],
         trivial_product_retraction),
     "R3xSO3": (lambda: so3_local(TrivialBundle(EuclideanChart(3), SO3())),
                trivial_product_retraction),

@@ -388,8 +388,8 @@ class TestBuiltins:
     def test_polynomial_one_form(self):
         spec = {"name": "polynomial",
                 "terms": [{"coeff": 3.0, "powers": [2, 0], "dx": 1}]}
-        A = one_form_builtin(spec,
-                             TrivialBundle(EuclideanChart(2), Translation(1)))
+        A, _ = one_form_builtin(
+            spec, TrivialBundle(EuclideanChart(2), Translation(1)))
         # 3 x^2 dy at x = 2 on (0, 1).
         assert A.value([2.0, 5.0], [0.0, 1.0])[0] == pytest.approx(12.0)
 

@@ -2,16 +2,12 @@
 over its columns, on the abelian route and for SO(3) forms alike, and a
 stack of tangents steps every retraction column by column."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from disconn import bundles, scenarios
-from disconn.abelian import (curvature_matched_integrate,
-                             primitive_on_segments)
 from disconn.bundles import (BundlePoint, HopfBundle, TrivialBundle, act,
                              make_trivial_tangent, section_over)
 from disconn.connections import (HopfConnection, TrivialLocalConnection,
@@ -21,13 +17,12 @@ from disconn.discrete import TrivialLocalDiscrete, eval_discrete
 from disconn.errors import NonDifferentiable, OutsideDomain
 from disconn.groups import SO3, Torus, Translation
 from disconn.integration import (hopf_geodesic_retraction,
-                                 integrate_connection, reduced_retraction,
+                                 reduced_retraction,
                                  trivial_product_retraction,
                                  trivial_skewed_retraction)
 from disconn.manifolds import EuclideanChart, Sphere, metric_exponential
-from disconn.numdiff import (QUADRATURE_ORDER, _column_dot, _column_norm,
-                             _columns, _matvec, exterior_derivative,
-                             gauss_legendre_line_integral, lost_step,
+from disconn.numdiff import (_column_dot, _column_norm, _columns, _matvec,
+                             exterior_derivative, lost_step,
                              richardson_derivative, worst_defect)
 from disconn.scenarios import _hopf_chart_retraction
 
@@ -53,7 +48,7 @@ def so3_form(m, v):
                          [v[0], v[1] - v[0], 0.5 * v[1]])
 
 
-# CASES and an SO(3) case, for the tests that build nothing abelian.
+# CASES and an SO(3) case.
 ANY_GROUP_CASES = {**CASES, "SO3": (
     SO3(), so3_form,
     lambda m0, m1: SO3().exp([m1[0] - m0[0], m0[0] * (m1[1] - m0[1]),
@@ -83,38 +78,46 @@ def by_loop(fn, m, v):
                     axis=-1)
 
 
-def flat_integrate(A):
-    """The flat discrete of A: its curvature-matched integral against the
-    zero reference, whose derived connection is zero, so that the
-    descended difference is A itself."""
-    B, k = A.bundle, A.bundle.group.dim
-    zero = TrivialLocalDiscrete(
-        B, lambda m0, m1: np.zeros((k,) + np.shape(m1 - m0)[1:]), 1e18)
-    return curvature_matched_integrate(A, zero)
+# The abelian route's discretes, built by `ScenarioContext` as pair-map
+# tables, on R^2 x G for each one-dimensional group G.
+TABLE_GROUPS = {"R1": {"kind": "R^k", "dim": 1}, "U1": {"kind": "U1"},
+                "T1": {"kind": "T^n", "dim": 1}}
+TABLE_DISCRETES = {
+    "flat": {"kind": "flat", "omega": "closed_xy"},
+    "matched": {"kind": "matched", "reference": {
+        "kind": "local", "pair_map": "trapezoid_x_dy"}},
+    "matched_left": {"kind": "matched", "reference": {
+        "kind": "local", "pair_map": "left_x_dy"}}}
 
 
-def difference(A, A_ref):
-    """The descended difference A - A_ref of two local connections."""
-    return TrivialLocalConnection(
-        A.bundle, lambda m, v: A.value(m, v) - A_ref.value(m, v))
+def table_context(group, discrete):
+    """The context of one discrete: the flat one of d(xy), or a matched one
+    of x dy + 2x dx."""
+    return scenarios.ScenarioContext({
+        "name": "tables", "seed": 0,
+        "bundle": {"kind": "trivial", "base": {"kind": "R^d", "dim": 2},
+                   "group": TABLE_GROUPS[group]},
+        "connection": {"kind": "local", "omega": "x_dy_plus_dx2"},
+        "discrete": TABLE_DISCRETES[discrete]})
+
+
+@pytest.fixture(params=[(g, d) for g in sorted(TABLE_GROUPS)
+                        for d in sorted(TABLE_DISCRETES)],
+                ids="-".join)
+def table_discrete(request):
+    return table_context(*request.param).discretes[0]
 
 
 def reference_quadrature(f, a, b):
-    """One Gauss-Legendre panel as a loop over the nodes, one call each."""
-    nodes, weights = np.polynomial.legendre.leggauss(QUADRATURE_ORDER)
+    """One 8-node Gauss-Legendre panel, exact to degree 15, as a loop over
+    the nodes, one call each."""
+    nodes, weights = np.polynomial.legendre.leggauss(8)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     total = None
     for t, w in zip(nodes, weights):
         value = half * w * np.asarray(f(mid + half * t), dtype=float)
         total = value if total is None else total + value
     return total
-
-
-@pytest.fixture(params=sorted(CASES))
-def case(request):
-    group, form, pair_map = CASES[request.param]
-    B = TrivialBundle(EuclideanChart(2), group)
-    return B, form, pair_map
 
 
 @pytest.fixture(params=sorted(ANY_GROUP_CASES))
@@ -179,23 +182,21 @@ class TestStackedEqualsLoop:
             grid.reshape(-1, 6),
             columns(lambda i: base[:, i], lambda i: fiber[:, i // 3]))
 
-    def test_increment_of_a_difference(self, case):
-        # The increments of A - A_ref, A_ref derived from the case's pair
-        # map, over a stack of segments are the per-segment calls' bits.
-        B, form, pair_map = case
-        eps = difference(TrivialLocalConnection(B, form), derive_connection(
-            TrivialLocalDiscrete(B, pair_map, 1e18)))
-        increment = primitive_on_segments(eps)
+    def test_matched_pair_map_is_the_per_segment_calls(self,
+                                                       table_discrete):
+        # The flat or matched pair map over a stack of segments is the
+        # per-segment calls' bits.
+        Ad = table_discrete
         m, v = stack_of(9)
-        got = increment(m, m + 0.3 * v)
-        assert got.shape == (B.group.dim, 9)
-        assert np.array_equal(got, by_loop(increment, m, m + 0.3 * v))
+        got = Ad.pair_map(m, m + 0.3 * v)
+        assert got.shape == (1, 9)
+        assert np.array_equal(got, by_loop(Ad.pair_map, m, m + 0.3 * v))
 
-    def test_flat_pair_map_broadcasts(self, case):
-        # The flat discrete on a stack of pairs is its values column by
-        # column, bit for bit.
-        B, form, _ = case
-        Ad = flat_integrate(TrivialLocalConnection(B, form))
+    def test_flat_pair_map_broadcasts(self, table_discrete):
+        # The flat or matched discrete on a stack of pairs is its values
+        # column by column, bit for bit.
+        Ad = table_discrete
+        B = Ad.bundle
         m0, m1 = stack_of(6)
         g0, g1 = stack_of(6, d=B.group.dim, seed=9)
         pairs = [(BundlePoint.trivial(B, m0[:, i], g0[:, i]),
@@ -219,104 +220,31 @@ class TestStackedEqualsLoop:
                                  two_call_exterior_derivative(value, *x))
 
 
-class TestQuadrature:
-    def test_one_call_equals_node_loop(self):
-        calls = []
-
-        def f(x):
-            calls.append(np.shape(x))
-            return np.array([np.sin(3.0 * x), x ** 2 - x])
-
-        got = gauss_legendre_line_integral(f, -0.3, 1.7)
-        assert calls == [(QUADRATURE_ORDER,)]
-        want = reference_quadrature(f, -0.3, 1.7)
-        assert np.array_equal(got, want)
-
-    def test_rule_is_built_once_at_import(self, monkeypatch):
-        f = lambda x: np.array([np.sin(3.0 * x)])
-        want = reference_quadrature(f, -0.3, 1.7)
-
-        def no_eigensolve(order):
-            raise AssertionError("Gauss-Legendre rule rebuilt per call")
-
-        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_eigensolve)
-        for _ in range(2):
-            assert np.array_equal(
-                gauss_legendre_line_integral(f, -0.3, 1.7), want)
-
-    def test_exact_up_to_degree_15(self):
-        # One panel of eight nodes integrates degree 2 * 8 - 1 exactly.
-        got = gauss_legendre_line_integral(lambda x: x ** 15, -0.3, 1.7)
-        want = (1.7 ** 16 - 0.3 ** 16) / 16.0
-        assert got == pytest.approx(want, rel=1e-13)
-
-    def test_not_exact_at_degree_16(self):
-        # Exactness ends at degree 15, the cap on a scenario's polynomial
-        # terms: on x^16 the rule misses by its error term
-        # (b - a)^17 (8!)^4 16! / (17 (16!)^3), here 4.65e-5, far above
-        # rounding.
-        got = gauss_legendre_line_integral(lambda x: x ** 16, -0.3, 1.7)
-        want = (1.7 ** 17 + 0.3 ** 17) / 17.0
-        error = 2.0 ** 17 * math.factorial(8) ** 4 / (
-            17 * math.factorial(16) ** 2)
-        assert error > 1e-6
-        assert got == pytest.approx(want - error, rel=1e-13)
-
-    def test_constant_written_on_the_nodes(self):
-        # A constant entry is written on the nodes, as `numdiff` asks of
-        # every stacked value: the node axis is always last.
-        got = gauss_legendre_line_integral(
-            lambda x: np.array([2.0 + 0.0 * x, -1.0 + 0.0 * x]), 0.0, 3.0)
-        assert np.allclose(got, [6.0, -3.0], rtol=0, atol=1e-13)
-
-
 class TestCurvatureMatchedPointwise:
-    """The matched form's values equal a node-by-node evaluation of the
-    integral of the descended difference over the segment m0 -> m1."""
+    """The matched form's values equal the reference's, corrected by a
+    node-by-node Gauss-Legendre evaluation of the integral of the
+    descended difference over the segment m0 -> m1, to rounding."""
 
-    def pointwise_matched(self, A, Ad_ref, q0, q1):
-        eps = difference(A, derive_connection(Ad_ref))
-        m0, m1 = q0.base_point, q1.base_point
-        direction = m1 - m0
-        # The form on the unit direction, the integral times the length.
-        length = np.sqrt(direction[0] * direction[0]
-                         + direction[1] * direction[1])
-        unit = direction / length
-        increment = reference_quadrature(
-            lambda t: eps.value(m0 + t * direction, unit), 0.0, 1.0) * length
-        correction = A.bundle.group.exp(increment)
-        return A.bundle.group.compose(eval_discrete(Ad_ref, q0, q1),
-                                      correction)
-
-    def check(self, A, Ad_ref):
-        Ad = curvature_matched_integrate(
-            difference(A, derive_connection(Ad_ref)), Ad_ref)
-        B = A.bundle
+    @pytest.mark.parametrize("group", sorted(TABLE_GROUPS))
+    @pytest.mark.parametrize("discrete", ["matched", "matched_left"])
+    def test_local_reference(self, group, discrete):
+        ctx = table_context(group, discrete)
+        Ad, B = ctx.discretes[0], ctx.bundle
+        reference = scenarios.pair_map_builtin(
+            TABLE_DISCRETES[discrete]["reference"]["pair_map"], B, 1e18)
+        eps = TrivialLocalConnection(B, lambda m, v: ctx.connection.value(
+            m, v) - derive_connection(reference).value(m, v))
+        G = B.group
         for m0, m1, y in (([0.2, -0.3], [0.5, 0.1], 0.4),
                           ([-0.6, 0.4], [-0.2, 0.9], -1.1)):
             q0 = BundlePoint.trivial(B, m0, [y])
             q1 = BundlePoint.trivial(B, m1, [0.3])
-            got = eval_discrete(Ad, q0, q1).data
-            want = self.pointwise_matched(A, Ad_ref, q0, q1).data
-            assert np.array_equal(got, want)
-
-    def test_flat_reference(self):
-        B = TrivialBundle(EuclideanChart(2), Translation(1))
-        closed = TrivialLocalConnection(
-            B, lambda m, v: np.array([m[1] * v[0] + m[0] * v[1]]))
-        Ad_ref = flat_integrate(closed)
-        # d(x^2): closed, so its curvature matches the flat reference.
-        A = TrivialLocalConnection(B, lambda m, v: np.array([2 * m[0] * v[0]]))
-        self.check(A, Ad_ref)
-
-    def test_integrated_reference(self):
-        B = TrivialBundle(EuclideanChart(2), Torus(1))
-        A0 = TrivialLocalConnection(B, lambda m, v: np.array([m[0] * v[1]]))
-        Ad_ref = integrate_connection(A0, trivial_product_retraction(B),
-                                      1e18)
-        A = TrivialLocalConnection(
-            B, lambda m, v: np.array([m[0] * v[1] + 2 * m[0] * v[0]]))
-        self.check(A, Ad_ref)
+            direction = np.subtract(m1, m0)
+            increment = reference_quadrature(
+                lambda t: eps.value(m0 + t * direction, direction), 0.0, 1.0)
+            want = G.compose(eval_discrete(reference, q0, q1),
+                             G.exp(increment))
+            assert G.distance(eval_discrete(Ad, q0, q1), want) <= 1e-9
 
 
 class TestClosedFormCheck:
@@ -396,28 +324,23 @@ class TestIncrementStack:
     that segment alone."""
 
     def test_stack_is_the_per_column_calls(self):
-        B = TrivialBundle(EuclideanChart(2), Translation(1))
-        _, form, pair_map = CASES["R1"]
-        increment = primitive_on_segments(difference(
-            TrivialLocalConnection(B, form),
-            derive_connection(TrivialLocalDiscrete(B, pair_map, 1e18))))
+        pair_map = table_context("R1", "matched").discretes[0].pair_map
         p, q = stack_of(2)[0].T
         # Repeats, a zero-length segment and a 0.0 / -0.0 pair, on two
         # stack axes.
         starts = [p, q, [0.0, 0.5], p, [-0.0, 0.5], q, p, [0.3, -0.0]]
         ends = [q, p, [0.0, 0.5], q, [0.0, 0.5], q, [0.3, 0.0], p]
         m0, m1 = (np.array(x).T.reshape(2, 2, 4) for x in (starts, ends))
-        got = increment(m0, m1)
+        got = pair_map(m0, m1)
         assert got.shape == (1, 2, 4)
         for i in np.ndindex(m0.shape[1:]):
             column = (slice(None),) + i
-            assert same_bits(got[column],
-                             increment(m0[column], m1[column]))
+            assert same_bits(got[column], pair_map(m0[column], m1[column]))
         # A single start point is broadcast over a stack of end points.
-        alone = increment(p, m1)
+        alone = pair_map(*_columns(p, m1))
         for i in np.ndindex(m1.shape[1:]):
             column = (slice(None),) + i
-            assert same_bits(alone[column], increment(p, m1[column]))
+            assert same_bits(alone[column], pair_map(p, m1[column]))
 
 
 # ---------------------------------------------------------------------------
