@@ -32,8 +32,10 @@ operations act column by column.  A point and the tangents attached to it
 `infinitesimal_generator`, the ``q0`` of `local_coords`), or two points,
 share one stack, or the shorter stack is a prefix of the longer one and
 broadcasts over it (`numdiff._columns`); a single point or element is the
-empty prefix.  `join` stacks rows of points on a new trailing axis, so
-that several pairs go through one call.  Every point carries phi(q) in
+empty prefix.  The base and fiber blocks of `make_trivial_tangent` share
+one stack, or one of them is a single vector.  `join` stacks rows of
+points that share one stack on a new trailing axis, so that several pairs
+go through one call.  Every point carries phi(q) in
 ``base_point``, which `project` returns, read-only on Hopf.  A Hopf point
 built from raw coordinates (`BundlePoint.hopf`, a great-circle or chart
 step, `bundle_curve`) projects them as it is built; one built over a
@@ -118,41 +120,27 @@ def make_trivial_tangent(q: BundlePoint, base_components,
     fiber = fiber.reshape((q.bundle.group.dim,) + fiber.shape[1:])
     if base.shape[1:] == fiber.shape[1:]:
         return np.concatenate([base, fiber])
-    # One block is broadcast over the other's stack as it is assigned; a
-    # single vector (the zero fiber or base of a lift) takes the other's.
+    # A single vector (the zero fiber or base of a lift) takes the other
+    # block's stack as it is assigned.
     if base.ndim == 1:
         stack = fiber.shape[1:]
     elif fiber.ndim == 1:
         stack = base.shape[1:]
     else:
-        stack = _joint_stack([base.shape[1:], fiber.shape[1:]])
+        raise ValueError("the blocks of a tangent have different stacks")
     v = np.empty((len(base) + len(fiber),) + stack)
-    _put(v[:len(base)], base)
-    _put(v[len(base):], fiber)
+    for block, x in ((v[:len(base)], base), (v[len(base):], fiber)):
+        block[...] = x.reshape(x.shape + (1,) * (v.ndim - x.ndim))
     return v
-
-
-def _joint_stack(stacks):
-    """The stack that the given stacks broadcast to, each a prefix of it
-    (`numdiff._columns`)."""
-    depth = max(map(len, stacks))
-    return np.broadcast_shapes(*(s + (1,) * (depth - len(s)) for s in stacks))
-
-
-def _put(out, x):
-    """Assign x to out, the stack of x a prefix of that of out."""
-    out[...] = x.reshape(x.shape + (1,) * (out.ndim - x.ndim))
 
 
 def join(*rows) -> tuple:
     """Points stacked on a new trailing axis, one point per row: a row of
     k points gives a point whose stack is (*stack, k), with the row's
-    point j at index j of the new axis.  Every point of every row is first
-    broadcast to one stack, of which each point's stack is a prefix
-    (`numdiff._columns`), so joined rows go together as their points did;
-    when every point already has that one stack, as the pairs a check
-    builds on its sample stack do, each is assigned as it is.  The points
-    must live on one bundle, and the joined arrays are read-only."""
+    point j at index j of the new axis.  Every point of every row has the
+    one stack, as the pairs a check builds on its sample stack do, and is
+    assigned as it is.  The points must live on one bundle, and the
+    joined arrays are read-only."""
     points = [q for row in rows for q in row]
     bundle = points[0].bundle
     if any(q.bundle != bundle for q in points):
@@ -165,17 +153,15 @@ def join(*rows) -> tuple:
         fields = (("base_point", 1), ("ambient", 1))
     stacks = {getattr(q, name).shape[rank:]
               for q in points for name, rank in fields}
-    shared = len(stacks) == 1
-    stack = next(iter(stacks)) if shared else _joint_stack(list(stacks))
+    if len(stacks) != 1:
+        raise ValueError("joined points have different stacks")
+    (stack,) = stacks
 
     def joined(row, name, rank):
         first = getattr(row[0], name)
         out = np.empty(first.shape[:rank] + stack + (len(row),))
         for j, q in enumerate(row):
-            if shared:
-                out[..., j] = getattr(q, name)
-            else:
-                _put(out[..., j], getattr(q, name))
+            out[..., j] = getattr(q, name)
         return _read_only(out)
 
     return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)

@@ -6,7 +6,7 @@ one.  Tangents are component arrays, with their point passed beside
 them: a bundle tangent as ``(q, v)`` (`eval_connection(A, q, v)`), a base
 tangent as ``(m, u)`` (`curvature(A, m, u, w)`).
 
-Presentations:
+Presentations, of which `curvature` takes the first only:
 
 * ``TrivialLocalConnection`` -- a trivial bundle together with an
   algebra-valued one-form ``omega`` on the base; the full form is
@@ -134,37 +134,26 @@ def horizontal_lifts(A: ConnectionForm, q: BundlePoint) -> np.ndarray:
 
 
 def curvature(A: ConnectionForm, m, u, w) -> np.ndarray:
-    """Curvature two-form on a pair of base tangent vectors u, w at m.
+    """Curvature two-form of a local connection on a pair of base tangent
+    vectors u, w at m; other presentations raise `UnsupportedPresentation`.
 
-    For a local connection, Omega(u, w) = d omega(u, w) - [omega(u),
-    omega(w)] with d omega(u, w) = u(omega(w)) - w(omega(u)): the sign of
-    the bracket follows from the left action, A = Ad_g omega + (dg) g^{-1},
-    under which omega = -h^{-1} dh is flat for every map h into the group.
-    With an abelian group the bracket vanishes and is not evaluated.
+    Omega(u, w) = d omega(u, w) - [omega(u), omega(w)] with d omega(u, w)
+    = u(omega(w)) - w(omega(u)): the sign of the bracket follows from the
+    left action, A = Ad_g omega + (dg) g^{-1}, under which omega =
+    -h^{-1} dh is flat for every map h into the group.  With an abelian
+    group the bracket vanishes and is not evaluated.
     """
-    if isinstance(A, TrivialLocalConnection):
-        if not isinstance(A.bundle.base, EuclideanChart):
-            raise UnsupportedPresentation(
-                "local curvature needs a Euclidean base chart")
-        group = A.bundle.group
-        d_omega = exterior_derivative(A.value, m, u, w)
-        if group.abelian:
-            return d_omega
-        return d_omega - group.bracket(A.value(m, u), A.value(m, w))
-    if isinstance(A, HopfConnection):
-        # The exterior derivative of the canonical form is the constant
-        # ambient two-form 2(da^db + dc^dd); evaluate it on horizontal lifts.
-        q = bundles.section_over(A.bundle, m)
-        hu = horizontal_lift(A, q, u)
-        hw = horizontal_lift(A, q, w)
-        value = 2.0 * (hu[0] * hw[1] - hu[1] * hw[0]
-                       + hu[2] * hw[3] - hu[3] * hw[2])
-        if A.epsilon:
-            # d(pullback of beta) evaluated on lifts is d beta on u, w.
-            value += A.epsilon * 2.0 * (u[0] * w[1] - u[1] * w[0])
-        return np.asarray(value, dtype=float)[None]
-    raise UnsupportedPresentation(
-        "curvature is not available for this presentation")
+    if not isinstance(A, TrivialLocalConnection):
+        raise UnsupportedPresentation(
+            "curvature is not available for this presentation")
+    if not isinstance(A.bundle.base, EuclideanChart):
+        raise UnsupportedPresentation(
+            "local curvature needs a Euclidean base chart")
+    group = A.bundle.group
+    d_omega = exterior_derivative(A.value, m, u, w)
+    if group.abelian:
+        return d_omega
+    return d_omega - group.bracket(A.value(m, u), A.value(m, w))
 
 
 def verticality_defect(A: ConnectionForm, q: BundlePoint, xi):

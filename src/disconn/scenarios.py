@@ -85,7 +85,8 @@ or {"name": "quadratic_f", "f": "zero" | "one"}, delta_0^2 f with f = 0 or
 
 A flat or matched discrete is a pair-map table too: the reference's terms
 ("zero"'s none for flat), then the integral over the segment m0 -> m1 of
-eps = omega - omega_ref, which `_segment_integral` expands exactly.
+eps = omega - omega_ref, which `_segment_integral` expands exactly; one
+whose expansion overflows a coefficient is a `ParseError`.
 """
 
 from __future__ import annotations
@@ -646,8 +647,11 @@ class ScenarioContext:
         # eps = omega - omega_ref, the reference's derived connection.
         eps = [*table, *((-c, p, r) for c, p, r in _linear_terms(reference))]
         _require_closed(eps)
-        return _pair_map(self.bundle, [*reference, *_segment_integral(eps)],
-                         "matched", self.domain_radius)
+        integral = _segment_integral(eps)
+        if not all(math.isfinite(c) for c, _, _ in integral):
+            raise ParseError(f"{kind} discrete: its segment integral overflows")
+        return _pair_map(self.bundle, [*reference, *integral], "matched",
+                         self.domain_radius)
 
     def rng(self, stream):
         """The generator of one stream of the scenario seed, a check's

@@ -312,30 +312,16 @@ class TestTangentActionLaws:
 
 
 # ---------------------------------------------------------------------------
-# join: points that share one stack are assigned as they are, which must
-# give the bits of the broadcasting path.
+# join: points that share one stack, each field stacked on a new axis.
 
-def broadcasting_join(*rows):
-    """join by its broadcasting path alone: every point put on the joint
-    stack of all points by `_put`, whatever the stacks."""
+def stacked_join(*rows):
+    """join written as np.stack over the points of a row, field by field."""
     bundle = rows[0][0].bundle
-    fields = ((("base_point", 1), ("group_part", np.ndim(
-        bundle.group.identity()))) if isinstance(bundle, TrivialBundle)
-              else (("base_point", 1), ("ambient", 1)))
-    stack = bundles._joint_stack([getattr(q, name).shape[rank:]
-                                  for row in rows for q in row
-                                  for name, rank in fields])
-
-    def joined(row, name, rank):
-        out = np.empty(getattr(row[0], name).shape[:rank] + stack
-                       + (len(row),))
-        for j, q in enumerate(row):
-            bundles._put(out[..., j], getattr(q, name))
-        return out
-
-    return tuple(BundlePoint(bundle, **{name: joined(row, name, rank)
-                                        for name, rank in fields})
-                 for row in rows)
+    names = (("base_point", "group_part") if isinstance(bundle, TrivialBundle)
+             else ("base_point", "ambient"))
+    return tuple(BundlePoint(bundle, **{
+        name: np.stack([getattr(q, name) for q in row], axis=-1)
+        for name in names}) for row in rows)
 
 
 JOIN_BUNDLES = {"R2xU1": TrivialBundle(EuclideanChart(2), Torus(1)),
@@ -365,25 +351,23 @@ def assert_same_points(got, want):
 class TestJoin:
     @pytest.mark.parametrize("name", sorted(JOIN_BUNDLES))
     @pytest.mark.parametrize("stack", [(), (5,), (2, 3)])
-    def test_shared_stack_is_the_broadcasting_path(self, monkeypatch, name,
-                                                   stack):
+    def test_join_stacks_each_field(self, name, stack):
         # Rows as the axiom defects and the discrete curvature join them:
-        # every point on the check's one sample stack.  None is broadcast.
+        # every point on the check's one sample stack.
         B, rng = JOIN_BUNDLES[name], np.random.default_rng(7)
         a, b, c, d = (stacked_point(B, rng, stack) for _ in range(4))
         rows = ([a, b, c], [d, a, b])
-        want = broadcasting_join(*rows)
-        monkeypatch.setattr(bundles, "_put", None)
-        assert_same_points(bundles.join(*rows), want)
+        assert_same_points(bundles.join(*rows), stacked_join(*rows))
 
     @pytest.mark.parametrize("name", sorted(JOIN_BUNDLES))
-    def test_single_point_among_stacks_is_broadcast(self, name):
+    def test_points_on_different_stacks_are_rejected(self, name):
         B, rng = JOIN_BUNDLES[name], np.random.default_rng(8)
         single = stacked_point(B, rng, ())
         a, b = (stacked_point(B, rng, (5,)) for _ in range(2))
         deep = stacked_point(B, rng, (5, 2))
-        for rows in (([single, a], [b, a]), ([single, a, deep], [b, a, a])):
-            assert_same_points(bundles.join(*rows), broadcasting_join(*rows))
+        for rows in (([single, a], [b, a]), ([a, a, deep], [b, a, a])):
+            with pytest.raises(ValueError):
+                bundles.join(*rows)
 
 
 def same_bits(a, b):
@@ -430,18 +414,16 @@ class TestCarriedProjection:
         rng = np.random.default_rng(47)
         over = [section_over(self.H, self.base_points(rng, (5,)))
                 for _ in range(2)]
-        single = section_over(self.H, self.base_points(rng, ()))
         x = rng.normal(size=(4, 5))
         raw = BundlePoint.hopf(self.H, x / np.linalg.norm(x, axis=0))
-        rows = ([over[0], single, raw], [raw, over[1], over[0]])
+        rows = ([over[0], over[1], raw], [raw, over[1], over[0]])
         for row, joined in zip(rows, bundles.join(*rows)):
             assert project(joined).shape == (3, 5, 3)
             with pytest.raises(ValueError):
                 project(joined)[0] = 0.0
             for j, q in enumerate(row):
-                want = np.broadcast_to(project(q).reshape(3, -1), (3, 5))
                 assert same_bits(project(joined)[..., j],
-                                 np.ascontiguousarray(want))
+                                 np.ascontiguousarray(project(q)))
 
     def test_raw_points_project_their_coordinates(self):
         # BundlePoint.hopf, the great-circle and chart steps and

@@ -36,16 +36,6 @@ def random_hopf_tangent(rng, q):
     return v
 
 
-def orthonormal_tangents(m):
-    """An orthonormal pair of tangents at the point m of S^2: the
-    coordinate axis least aligned with m, made orthogonal to m, and its
-    cross product with m."""
-    axis = np.eye(3)[np.argmin(np.abs(m))]
-    u = axis - np.dot(axis, m) * m
-    u /= np.linalg.norm(u)
-    return u, np.cross(m, u)
-
-
 class TestEvalTrivial:
     def test_x_dy_spot_value(self):
         # omega = x dy at base (2, 3), base tangent (0, 1), no fiber part.
@@ -145,32 +135,11 @@ class TestCurvature:
         value = curvature(self.A, self.m, self.u, self.u)
         assert abs(value[0]) <= 1e-12
 
-    def test_hopf_canonical_constant(self):
-        # The round connection has curvature -? constant magnitude: the
-        # value on an orthonormal base pair is independent of the point.
-        rng = np.random.default_rng(59)
-        A = HopfConnection(HopfBundle())
-        values = []
-        for _ in range(10):
-            q = random_hopf(rng)
-            m = bundles.project(q)
-            u, w = orthonormal_tangents(m)
-            values.append(abs(curvature(A, m, u, w)[0]))
-        assert np.std(values) <= 1e-10
-
-    def test_perturbation_shifts_curvature(self):
-        eps = 0.1
-        A0 = HopfConnection(HopfBundle())
-        A1 = HopfConnection(HopfBundle(), eps)
-        m = np.array([0.0, 0.0, 1.0])
-        u = np.array([1.0, 0.0, 0.0])
-        w = np.array([0.0, 1.0, 0.0])
-        delta = curvature(A1, m, u, w)[0] - curvature(A0, m, u, w)[0]
-        # d(x dy - y dx) = 2 dx dy on the base.
-        assert delta == pytest.approx(2.0 * eps, abs=1e-12)
-
-    def test_generic_presentation_rejected(self):
-        A = GenericConnection(self.B, lambda v: np.array([0.0]))
+    @pytest.mark.parametrize("presentation", ["generic", "hopf"])
+    def test_generic_presentation_rejected(self, presentation):
+        # Curvature is that of a local one-form only.
+        A = (GenericConnection(self.B, lambda v: np.array([0.0]))
+             if presentation == "generic" else HopfConnection(HopfBundle()))
         with pytest.raises(UnsupportedPresentation):
             curvature(A, self.m, self.u, self.w)
 

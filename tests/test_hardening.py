@@ -542,6 +542,20 @@ class TestFlatClosednessGate:
         assert main(["run", write_scenario(tmp_path, cfg)]) == 2
         assert "CurvatureMismatch" in capsys.readouterr().err
 
+    def test_integral_beyond_float_range_is_a_parse_error(self, tmp_path,
+                                                          capsys):
+        # 1.5e307 x^15 dx on R^1 x R is closed, but the segment integral
+        # scales it by C(15, 4) / (5 2^4) = 17.06 to a term 1.5e307 * 17.06
+        # mid^11 delta^5, beyond float range: the checks read NaN.
+        cfg = dict(plane(discrete={
+            "kind": "flat", "omega": {"name": "polynomial", "terms": [
+                {"coeff": 1.5e307, "powers": [15], "dx": 0}]}},
+            checks=[{"name": "discrete_axioms"}]), box=[[-1.0, 1.0]])
+        cfg["bundle"] = dict(cfg["bundle"], base={"kind": "R^d", "dim": 1})
+        assert main(["run", write_scenario(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "ParseError" in err and "Traceback" not in err
+
 
 class TestSphereBase:
     S2_INTEGRATED = {

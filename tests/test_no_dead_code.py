@@ -3,15 +3,29 @@ every method of its classes, is used somewhere: in the library, the demos
 or the benchmark, and every parameter with a default is set by some call
 there.  Tests do not count,
 because a name or a knob that only tests reach is dead code with a test.
+The same holds for statements: every statement of a library function is
+reached by the shipped inputs (the bundled and negative scenarios, the
+benchmark workloads and the demos), guards aside, or its function is in
+`ALLOWED` with the reason it stays.
 Every scenario input that the library names (a builtin, a tagged kind, a
-check) is used by some scenario, workload, demo or test."""
+check) is used by some scenario, workload, demo or test.
+
+    PYTHONPATH=src python tests/test_no_dead_code.py
+
+prints the census as JSON: the first line of each unreached statement, by
+function."""
 
 import ast
+import contextlib
 import inspect
+import io
 import json
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
-
-from disconn import scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "disconn"
@@ -60,6 +74,8 @@ def top_level_definitions():
 
 
 def test_every_top_level_name_is_referenced():
+    from disconn import scenarios
+
     # A check is read through CHECKS, where its `_check` decorator puts it;
     # test_every_scenario_input_is_exercised requires each to be named.
     used = referenced_names() | {fn.__name__
@@ -162,6 +178,8 @@ def test_every_parameter_default_is_overridden():
 
 
 def test_checks_are_public_functions_of_scenarios():
+    from disconn import scenarios
+
     # The benchmark tracer wraps public module-level functions, finds the
     # checks among them by identity and names each span
     # scenarios.check.<name>: CHECKS[name] is the plain function
@@ -194,6 +212,8 @@ def python_strings(path):
 
 
 def test_every_scenario_input_is_exercised():
+    from disconn import scenarios
+
     # A builtin, kind or check that no scenario file, workload, demo or
     # test names as a value is an input that nothing runs.
     used = set()
@@ -224,3 +244,164 @@ def test_state_stays_in_fields():
                     or callee_name(node) in ("__dict__", "cached_property")):
                 hidden.append(f"{path.stem}:{node.lineno}")
     assert hidden == []
+
+
+# ---------------------------------------------------------------------------
+# Reachability census: which statements of the library the shipped inputs
+# reach, traced line by line.
+
+# The functions that keep an unreached statement, with the reason each
+# stays.
+ALLOWED = {
+    "cli.main": "the exit-2 paths (an empty directory, a file that fails "
+                "to load or run), which tier-1 and CI's CLI step take",
+    "connections.curvature": "the non-abelian bracket, kept for ROADMAP "
+                             "item 3",
+    "groups.SO3.adjoint": "kept for item 3",
+    "groups.SO3.bracket": "kept for item 3",
+    "groups.SO3.identity": "kept for item 3",
+    "groups.SO3.wrap": "SO(3) data entering a point, kept for item 3",
+    "groups.Translation.bracket": "kept for item 3",
+    "manifolds.Sphere.chart_line_step": "the Hopf chart retraction, the "
+                                        "control kept for item 21",
+    "manifolds.Sphere.dim": "declared by ManifoldKind",
+    "manifolds.invert_extended": "the divergence tail, which "
+                                 "tests/test_chord_step.py stresses",
+    "scenarios._builtin_table": "polynomial terms: outside input that "
+                                "only CI's CLI step writes",
+    "scenarios._hopf_chart_retraction": "the control kept for item 21",
+    "scenarios._is_number": "an integer value: outside input, as "
+                            "_builtin_table",
+    "scenarios._is_term": "polynomial terms, as _builtin_table",
+}
+
+
+def _ends_in_raise(block):
+    return bool(block) and isinstance(block[-1], ast.Raise)
+
+
+def _blocks(node):
+    """(block, whether it is a guard) for each block of a statement: an if
+    or except block that ends in a raise is a guard.  A nested function's
+    block is its body without its docstring."""
+    if isinstance(node, ast.FunctionDef):
+        return [(_without_docstring(node.body), False)]
+    if isinstance(node, ast.If):
+        return [(b, _ends_in_raise(b)) for b in (node.body, node.orelse)]
+    return ([(getattr(node, name, []), False)
+             for name in ("body", "orelse", "finalbody")]
+            + [(h.body, _ends_in_raise(h.body))
+               for h in getattr(node, "handlers", [])])
+
+
+def _without_docstring(body):
+    first = body[0]
+    docstring = (isinstance(first, ast.Expr)
+                 and isinstance(first.value, ast.Constant)
+                 and isinstance(first.value.value, str))
+    return body[1:] if docstring else body
+
+
+def counted_statements(body):
+    """The statements of a block that the census counts, nested blocks
+    included: not a raise, nor a statement of a guard block.  A nested
+    function's statements count as its enclosing function's."""
+    for node in body:
+        if isinstance(node, ast.Raise):
+            continue
+        yield node
+        for block, guard in _blocks(node):
+            if not guard:
+                yield from counted_statements(block)
+
+
+def library_functions():
+    """(qualified name, path, function node) of each top-level function and
+    method of the library."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.FunctionDef):
+                yield f"{path.stem}.{node.name}", path, node
+            elif isinstance(node, ast.ClassDef):
+                for f in node.body:
+                    if isinstance(f, ast.FunctionDef):
+                        yield f"{path.stem}.{node.name}.{f.name}", path, f
+
+
+def shipped_inputs():
+    """Run every shipped input, its output discarded: verify-all on the
+    bundled scenarios (table and JSON) and the negative ones, on each
+    benchmark workload at seed 0, and both demos."""
+    from disconn.cli import main
+    from test_verdict_bytes import WORKLOADS, bench_workloads
+
+    workloads = bench_workloads()
+    with (tempfile.TemporaryDirectory() as tmp,
+          contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        main(["verify-all", str(ROOT / "scenarios")])
+        main(["verify-all", str(ROOT / "scenarios"), "--format", "json"])
+        main(["verify-all", str(ROOT / "scenarios" / "negative")])
+        for name in WORKLOADS:
+            files = Path(tmp) / name
+            workloads.write(workloads.generate(name, 0), files)
+            main(["verify-all", str(files)])
+        for demo in sorted((ROOT / "demos").glob("*_demo.py")):
+            runpy.run_path(str(demo), run_name="__main__")
+
+
+def census():
+    """{qualified function name: first lines of its unreached statements}
+    over the shipped inputs, for each function that has one.  A statement
+    is reached when any of its lines runs.  The library is imported under
+    the trace, so what its import runs counts."""
+    ran = {path.resolve(): set() for path in SRC.glob("*.py")}
+    by_name = {}  # a code object's file name: its set in ran, or None
+
+    def trace(frame, event, arg):
+        name = frame.f_code.co_filename
+        if name not in by_name:
+            by_name[name] = ran.get(Path(name).resolve())
+        lines = by_name[name]
+        if lines is None:
+            return None
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.add(frame.f_lineno)
+            return line
+        return line
+
+    sys.settrace(trace)
+    try:
+        shipped_inputs()
+    finally:
+        sys.settrace(None)
+    unreached = {}
+    for name, path, function in library_functions():
+        lines = ran[path.resolve()]
+        missed = [node.lineno for node in counted_statements(
+                      _without_docstring(function.body))
+                  if lines.isdisjoint(range(node.lineno,
+                                            node.end_lineno + 1))]
+        if missed:
+            unreached[name] = missed
+    return unreached
+
+
+def test_every_statement_is_reached_or_allowed():
+    # A fresh interpreter: no cache of the library (scenarios._symmetric's)
+    # and no context's generator is warmed up by an earlier test.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, __file__], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    unreached = json.loads(run.stdout)
+    listing = "\n".join(f"{name}: lines {lines}"
+                         for name, lines in unreached.items())
+    assert sorted(unreached) == sorted(ALLOWED), listing
+
+
+if __name__ == "__main__":
+    print(json.dumps(census(), indent=1))

@@ -627,20 +627,6 @@ def test_joined_pairs_are_the_separate_calls(form, n):
     assert all(np.array_equal(a, b) for a, b in zip(joined, separate))
 
 
-def test_joined_pairs_of_a_single_point_and_a_stack():
-    # The first point alone, the others stacks: the joined call broadcasts
-    # it over their stack as a single first point of a pair is.
-    ctx = ScenarioContext(SCENARIOS["R2xU1"])
-    Ad = ctx.discretes[0]
-    rng = np.random.default_rng(17)
-    q0 = ctx.points(rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 1))
-    q1, q2 = (ctx.points(rng.uniform(-1.0, 1.0, (2, 5)),
-                         rng.uniform(-1.0, 1.0, (1, 5))) for _ in range(2))
-    assert np.array_equal(
-        discrete.discrete_curvature(Ad, discrete.triangle_pairs(q0, q1, q2)),
-        separate_curvature(Ad, q0, q1, q2))
-
-
 @pytest.mark.parametrize("n", [None, 6])
 def test_joined_matched_rule_is_exact_on_the_diagonal(n):
     # The axiom pairs, joined as the laws join them: the diagonal pair
